@@ -96,9 +96,15 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a percentage with 1 decimal.
+/// Formats a percentage with 1 decimal; values that round to zero print
+/// without a sign (`0.0%`, never `-0.0%`).
 pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
+    let s = format!("{:.1}%", 100.0 * x);
+    if s == "-0.0%" {
+        "0.0%".into()
+    } else {
+        s
+    }
 }
 
 /// Mean and population standard deviation.
@@ -248,5 +254,8 @@ mod tests {
         assert_eq!(f4(0.123456), "0.1235");
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(pct(0.1234), "12.3%");
+        assert_eq!(pct(-0.0012), "-0.1%");
+        assert_eq!(pct(-1e-6), "0.0%");
+        assert_eq!(pct(-0.0), "0.0%");
     }
 }

@@ -108,12 +108,6 @@ impl Instance {
         SoaVecs::from_vecs(self.dims, self.shards.iter().map(|s| &s.demand))
     }
 
-    /// Dimension-major arena copy of every machine capacity (see
-    /// [`Instance::demand_soa`]).
-    pub fn capacity_soa(&self) -> SoaVecs {
-        SoaVecs::from_vecs(self.dims, self.machines.iter().map(|m| &m.capacity))
-    }
-
     /// Overall utilization pressure: per-dimension total demand over total
     /// capacity, maximized over dimensions. Values near 1.0 mean a
     /// *stringent* environment — the regime the paper targets.
@@ -421,10 +415,9 @@ mod tests {
         for (i, s) in inst.shards.iter().enumerate() {
             assert_eq!(d.get(i).as_slice(), s.demand.as_slice());
         }
-        let c = inst.capacity_soa();
         for dim in 0..inst.dims {
-            let col: Vec<f64> = inst.machines.iter().map(|m| m.capacity[dim]).collect();
-            assert_eq!(c.col(dim), &col[..]);
+            let col: Vec<f64> = inst.shards.iter().map(|s| s.demand[dim]).collect();
+            assert_eq!(d.col(dim), &col[..]);
         }
     }
 

@@ -4,35 +4,44 @@
 //! The monolithic portfolio (`workers = N`) runs N *duplicated* searches
 //! over the whole fleet and keeps the best — N × iters full-fleet
 //! iterations for one answer. The decomposed solver instead splits the
-//! fleet into `k` machine neighborhoods ([`rex_cluster::partition_fleet`]),
-//! runs one in-place LNS worker per neighborhood on a **sub-instance**
-//! containing only that neighborhood's machines and shards, and splices
-//! the per-partition solutions back together. Each covered iteration
-//! touches `O(n/k)` machines instead of `O(n)`, so at equal iteration
-//! budget the decomposed solve does roughly `k×` less scan work than the
-//! portfolio — the source of the wall-clock win on a single core, and the
-//! reason it also parallelizes cleanly when cores exist.
+//! fleet into `k` machine neighborhoods, runs one in-place LNS worker per
+//! neighborhood on a **sub-instance** containing only that neighborhood's
+//! machines and shards, and splices the per-partition solutions back
+//! together. Each covered iteration touches `O(n/k)` machines instead of
+//! `O(n)`, so at equal iteration budget the decomposed solve does roughly
+//! `k×` less scan work than the portfolio — the source of the wall-clock
+//! win on a single core, and the reason it also parallelizes cleanly when
+//! cores exist.
 //!
-//! One round:
+//! One round — the same routine at every `depth` (POP-style: one
+//! `split → solve each → merge` step reused per tree level):
 //!
 //! 1. **Partition** the fleet by current loads (LPT over machines; shards
-//!    follow the machine hosting them). Partitions are disjoint in both
-//!    machines and shards, so their solutions compose without conflicts.
-//!    The global `k_return` vacancy quota is split into per-partition
-//!    shares backed by each partition's own vacancies.
-//! 2. **Sub-solve** every partition in parallel
-//!    ([`rex_lns::cooperative_round`]) with seeds from
-//!    [`rex_lns::round_seed`]`(seed, round, partition)` — fixed before the
+//!    follow the machine hosting them) into `k` children, and — while
+//!    `depth` levels remain and a node can give every child two machines —
+//!    each child again ([`rex_cluster::partition_subfleet`]). Nodes of one
+//!    level are disjoint in both machines and shards, so their solutions
+//!    compose without conflicts. The global `k_return` vacancy quota is
+//!    split into per-node shares backed by each node's own vacancies and
+//!    conserved at every split. At `depth == 1` the tree is just the `k`
+//!    leaves.
+//! 2. **Sub-solve** every leaf in parallel
+//!    ([`rex_lns::cooperative_round`]) on its sub-instance, with seeds
+//!    from [`rex_lns::round_seed`]`(seed, round, job)` — fixed before the
 //!    parallel section, so the result is bit-identical for any
 //!    `REX_THREADS`.
-//! 3. **Merge** by splicing each partition's placement into the global
-//!    one (conflict-free by construction; capacity- and vacancy-feasible
+//! 3. **Merge** by splicing each node's placement into the global one
+//!    (conflict-free by construction; capacity- and vacancy-feasible
 //!    because every sub-solution is, and the quota shares sum to
 //!    `k_return`).
-//! 4. **Boundary repair**: a short serial LNS pass on the *global* problem
-//!    starting from the merged placement. This is where shards cross
-//!    partition borders, and where the global `plan_on_best` gate sees
-//!    candidates against the true initial placement.
+//! 4. **Repair bottom-up**: every internal level of the tree runs steps
+//!    2–3 again over its (larger) nodes on a short budget, so shards cross
+//!    the borders of the level below.
+//! 5. **Boundary repair**: a short serial LNS pass on the *global* problem
+//!    starting from the merged placement — the root's repair. This is
+//!    where shards cross top-level borders, and where the global
+//!    `plan_on_best` gate sees candidates against the true initial
+//!    placement.
 //!
 //! Re-partitioning by the new loads each round rotates the neighborhood
 //! structure, so shards trapped in an unlucky partition get fresh chances.
@@ -53,43 +62,43 @@ use crate::problem::SraProblem;
 use crate::repair::default_repairs_in_place;
 use crate::sra::{starting_solution, SraConfig};
 use rex_cluster::{
-    partition_fleet, partition_subfleet, Assignment, ClusterError, Instance, Machine, MachineId,
-    PartitionSpec, Shard, ShardId,
+    partition_subfleet, Assignment, ClusterError, Instance, Machine, MachineId, PartitionSpec,
+    Shard, ShardId,
 };
 use rex_lns::{
     cooperative_round, round_seed, Engine, EngineStats, InPlaceModel, LnsConfig, LnsProblem,
-    RoundJob, TrajectoryPoint,
+    RoundJob, SearchOutcome, TrajectoryPoint,
 };
 use rex_obs::Recorder;
+use std::time::Duration;
 
 /// Recombination rounds per solve. Each round re-partitions by current
 /// loads, so this is also how many distinct neighborhood structures the
 /// search explores.
 pub const ROUNDS: u64 = 4;
 
-/// Sub-instance for one partition, plus the maps back to the global ids.
+/// Sub-instance for one tree node, plus what maps it back to the round.
 struct SubCtx {
-    /// Index of this partition in the round's partition list.
-    part_idx: usize,
-    /// The partition as its own instance (local dense ids).
+    /// Index of the node in its level's node list.
+    node: usize,
+    /// The node as its own instance (local dense ids); its `initial` is
+    /// the level-start placement in local ids.
     inst: Instance,
-    /// Round-start placement in local ids (the sub-initial).
-    start: Vec<MachineId>,
-    /// Drained machines of this partition, in local ids.
+    /// Drained machines of this node, in local ids.
     drain: Vec<MachineId>,
 }
 
 /// Builds the local sub-instance for one tree node (`part`). Local
 /// machine `j` is `part.machines[j]`; local shard `j` is
-/// `part.shards[j]`; the sub-initial is the current global placement
+/// `part.shards[j]`; the sub-initial is the current global `placement`
 /// restricted to the node. Exchange flags are dropped — inside a node
 /// every machine is just capacity — and the sub `k_return` is the node's
-/// vacancy-quota share. `part_idx` is the node's job index (seed slot).
+/// vacancy-quota share.
 fn build_sub(
     inst: &Instance,
-    current: &Assignment,
-    part: &rex_cluster::PartitionSpec,
-    part_idx: usize,
+    placement: &[MachineId],
+    part: &PartitionSpec,
+    node: usize,
     is_drained: impl Fn(MachineId) -> bool,
     label: String,
 ) -> SubCtx {
@@ -115,10 +124,10 @@ fn build_sub(
             )
         })
         .collect();
-    let start: Vec<MachineId> = part
+    let initial: Vec<MachineId> = part
         .shards
         .iter()
-        .map(|&s| MachineId::from(local_of[current.placement()[s.idx()].idx()] as usize))
+        .map(|&s| MachineId::from(local_of[placement[s.idx()].idx()] as usize))
         .collect();
     let drain: Vec<MachineId> = part
         .machines
@@ -130,7 +139,7 @@ fn build_sub(
         dims: inst.dims,
         machines,
         shards,
-        initial: start.clone(),
+        initial,
         k_return: part.vacancy_quota,
         alpha: inst.alpha,
         label,
@@ -140,11 +149,27 @@ fn build_sub(
         "sub-instance of a feasible placement must validate"
     );
     SubCtx {
-        part_idx,
+        node,
         inst: sub_inst,
-        start,
         drain,
     }
+}
+
+/// What every round of one decomposed solve shares.
+struct Rounds<'a, 'p> {
+    problem: &'a SraProblem<'p>,
+    cfg: &'a SraConfig,
+    seed: u64,
+    /// Effective children per split.
+    k: usize,
+    depth: usize,
+    drained: Vec<MachineId>,
+    /// Per-round budget of a leaf worker.
+    sub_iters: u64,
+    /// Per-round budget of every repair pass (internal levels and root).
+    boundary_iters: u64,
+    /// Wall-clock budget per engine, if the solve has one.
+    time_limit: Option<Duration>,
 }
 
 /// Runs the cooperative decomposed search (see module docs) and returns
@@ -163,92 +188,149 @@ pub fn decomposed_search(
     rec: &mut Recorder,
 ) -> Result<(Assignment, u64, Option<EngineStats>, Vec<TrajectoryPoint>), ClusterError> {
     let inst = problem.inst;
-    // At least two machines per partition, at least one partition.
-    let k_eff = cfg.partitions.min(inst.n_machines() / 2).max(1);
-    let drained: Vec<MachineId> = (0..inst.n_machines())
-        .map(MachineId::from)
-        .filter(|&m| problem.is_drained(m))
-        .collect();
+    let rounds = Rounds {
+        problem,
+        cfg,
+        seed,
+        // At least two machines per partition, at least one partition.
+        k: cfg.partitions.min(inst.n_machines() / 2).max(1),
+        depth: cfg.depth.max(1),
+        drained: (0..inst.n_machines())
+            .map(MachineId::from)
+            .filter(|&m| problem.is_drained(m))
+            .collect(),
+        // Budget split: each leaf worker gets the full per-worker budget
+        // spread over the rounds (total covered iterations ≈ cfg.iters per
+        // leaf, each over an O(n/k) sub-instance); every repair pass gets
+        // a small slice per round.
+        sub_iters: (cfg.iters / ROUNDS).max(1),
+        boundary_iters: (cfg.iters / (ROUNDS * 8)).max(50),
+        time_limit: cfg.time_limit.map(|t| t / (2 * ROUNDS as u32)),
+    };
 
     let mut current = starting_solution(problem)?;
     let mut best = current.clone();
     let mut best_val = LnsProblem::objective(problem, &best);
     let mut iterations = 0u64;
 
-    // Budget split: each partition worker gets the full per-worker budget
-    // spread over the rounds (total covered iterations ≈ cfg.iters per
-    // partition, each over an O(n/k) sub-instance); the serial boundary
-    // pass gets a small slice of full-fleet iterations per round.
-    let sub_iters = (cfg.iters / ROUNDS).max(1);
-    let boundary_iters = (cfg.iters / (ROUNDS * 8)).max(50);
-    let sub_tl = cfg.time_limit.map(|t| t / (2 * ROUNDS as u32));
-
-    let depth = cfg.depth.max(1);
-
     if rec.is_active() {
         rec.span_open(
             "sra",
             "decomposed",
             vec![
-                ("partitions", k_eff.into()),
-                ("depth", depth.into()),
+                ("partitions", rounds.k.into()),
+                ("depth", rounds.depth.into()),
                 ("rounds", ROUNDS.into()),
-                ("sub_iters", sub_iters.into()),
-                ("boundary_iters", boundary_iters.into()),
+                ("sub_iters", rounds.sub_iters.into()),
+                ("boundary_iters", rounds.boundary_iters.into()),
             ],
         );
     }
 
     for round in 0..ROUNDS {
-        if depth > 1 {
-            // Hierarchical (POP-style) round: recursive split, leaf
-            // solves, bottom-up repairs, then the global boundary pass.
-            // depth == 1 stays on the flat path below, bit-identical to
-            // the pre-hierarchy behavior.
-            let (next, round_iters, val) = hierarchical_round(
-                problem,
-                cfg,
-                seed,
-                round,
-                k_eff,
-                depth,
-                &drained,
-                &current,
-                rec,
-                sub_iters,
-                boundary_iters,
-                sub_tl,
-            )?;
-            current = next;
-            iterations += round_iters;
-            if val < best_val {
-                best_val = val;
-                best = current.clone();
-            }
-            continue;
+        let (next, round_iters, val) = rounds.hierarchical_round(round, &current, rec)?;
+        current = next;
+        iterations += round_iters;
+        if val < best_val {
+            best_val = val;
+            best = current.clone();
         }
-        let loads = current.loads(inst);
-        let parts = partition_fleet(
-            inst,
-            current.placement(),
-            &loads,
-            k_eff,
-            inst.k_return,
-            &drained,
-        );
+    }
 
-        // Shardless partitions have nothing to search; their machines stay
-        // untouched (and vacant) through the merge.
-        let subs: Vec<SubCtx> = (0..parts.len())
-            .filter(|&p| !parts[p].shards.is_empty())
-            .map(|p| {
+    if rec.is_active() {
+        rec.span_close(
+            "sra",
+            "decomposed",
+            vec![
+                ("best_objective", best_val.into()),
+                ("iterations", iterations.into()),
+            ],
+        );
+    }
+    Ok((best, iterations, None, Vec::new()))
+}
+
+impl Rounds<'_, '_> {
+    fn engine_cfg(&self, max_iters: u64) -> LnsConfig {
+        LnsConfig {
+            max_iters,
+            time_limit: self.time_limit,
+            intensity: self.cfg.intensity,
+            ..Default::default()
+        }
+    }
+
+    /// Recursively splits `node` to the requested depth, collecting leaves
+    /// in traversal (DFS) order and internal nodes (strictly below the
+    /// root) per level for the bottom-up repair sweep. A node splits only
+    /// while levels remain and it can give every child at least two
+    /// machines; the root is never stored — its repair is the round's
+    /// global boundary pass. Vacancy quotas are conserved at every split
+    /// ([`partition_subfleet`]).
+    fn split_rec(
+        &self,
+        placement: &[MachineId],
+        loads: &[f64],
+        node: PartitionSpec,
+        level: usize,
+        leaves: &mut Vec<PartitionSpec>,
+        internal: &mut [Vec<PartitionSpec>],
+    ) {
+        if level >= self.depth || self.k < 2 || node.machines.len() < 2 * self.k {
+            leaves.push(node);
+            return;
+        }
+        let children = partition_subfleet(
+            self.problem.inst,
+            placement,
+            loads,
+            &node.machines,
+            &node.shards,
+            self.k,
+            node.vacancy_quota,
+            &self.drained,
+        );
+        if level > 0 {
+            internal[level - 1].push(node);
+        }
+        for child in children {
+            self.split_rec(placement, loads, child, level + 1, leaves, internal);
+        }
+    }
+
+    /// Solves one level of the partition tree: every node of `nodes` that
+    /// holds shards becomes a sub-instance of `merged` restricted to it,
+    /// all of them run in one cooperative round (node `i` seeded by job
+    /// slot `base + i`), and each sub-solution is spliced back into
+    /// `merged`. Nodes of one level are disjoint in machines and shards,
+    /// so the splice is conflict-free; every sub-solution is
+    /// capacity-feasible and keeps its vacancy-quota share, and the shares
+    /// sum to the parent's quota, so `merged` stays globally feasible.
+    /// Shardless nodes have nothing to search and stay untouched (and
+    /// vacant). Returns `(node index, outcome)` per solved node, in node
+    /// order.
+    fn solve_level(
+        &self,
+        round: u64,
+        nodes: &[PartitionSpec],
+        base: usize,
+        iters: u64,
+        merged: &mut [MachineId],
+    ) -> Vec<(usize, SearchOutcome<Assignment>)> {
+        let (problem, cfg) = (self.problem, self.cfg);
+        let inst = problem.inst;
+        let subs: Vec<SubCtx> = nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, nd)| !nd.shards.is_empty())
+            .map(|(i, nd)| {
                 build_sub(
                     inst,
-                    &current,
-                    &parts[p],
-                    p,
+                    merged,
+                    nd,
+                    i,
                     |m| problem.is_drained(m),
-                    format!("{}#r{round}p{p}", inst.label),
+                    format!("{}#r{round}j{}", inst.label, base + i),
                 )
             })
             .collect();
@@ -268,392 +350,131 @@ pub fn decomposed_search(
         let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
             .iter()
             .zip(&subs)
-            .map(|(sp, sc)| {
-                Ok(RoundJob {
-                    model: InPlaceModel::new(
-                        sp,
-                        Assignment::from_placement(&sc.inst, sc.start.clone())?,
-                        default_destroys_in_place(cfg.destroy_cap),
-                        default_repairs_in_place(),
-                    ),
-                    seed: round_seed(seed, round, sc.part_idx),
-                })
+            .map(|(sp, sc)| RoundJob {
+                model: InPlaceModel::new(
+                    sp,
+                    Assignment::from_initial(&sc.inst),
+                    default_destroys_in_place(cfg.destroy_cap),
+                    default_repairs_in_place(),
+                ),
+                seed: round_seed(self.seed, round, base + sc.node),
             })
-            .collect::<Result<_, ClusterError>>()?;
-
-        let engine_cfg = LnsConfig {
-            max_iters: sub_iters,
-            time_limit: sub_tl,
-            intensity: cfg.intensity,
-            ..Default::default()
-        };
-        let outcomes = cooperative_round(jobs, engine_cfg, || cfg.acceptance.build(sub_iters));
-
-        // Merge: splice every partition's placement back in. Disjointness
-        // makes this conflict-free; each sub-solution is capacity-feasible
-        // and keeps its vacancy-quota share, and the shares sum to
-        // k_return, so the merged placement is globally feasible.
-        let mut merged = current.placement().to_vec();
+            .collect();
+        let outcomes =
+            cooperative_round(jobs, self.engine_cfg(iters), || cfg.acceptance.build(iters));
         for (sc, out) in subs.iter().zip(&outcomes) {
-            let part = &parts[sc.part_idx];
-            for (j, &s) in part.shards.iter().enumerate() {
-                merged[s.idx()] = part.machines[out.best.placement()[j].idx()];
+            let nd = &nodes[sc.node];
+            for (j, &s) in nd.shards.iter().enumerate() {
+                merged[s.idx()] = nd.machines[out.best.placement()[j].idx()];
             }
-            iterations += out.iterations;
         }
-        let merged = Assignment::from_placement(inst, merged)?;
+        subs.iter().map(|sc| sc.node).zip(outcomes).collect()
+    }
+
+    /// One round at any depth (POP-style): recursive partition → leaf
+    /// solves in one flat cooperative round → bottom-up per-level
+    /// internal-node repairs → one global serial boundary repair with the
+    /// usual plan gating. At `depth == 1` the tree is the `k` children of
+    /// the root, there are no internal levels, and this is the flat
+    /// partition → solve → merge → boundary-repair round. Returns `(new
+    /// current, iterations, global objective)`.
+    ///
+    /// Determinism: every engine's seed is `round_seed(seed, round,
+    /// job_idx)` where `job_idx` numbers the engines launched this round
+    /// in fixed traversal order (leaves, then internal levels bottom-up,
+    /// then the global pass) — all assigned before any parallel section,
+    /// so the round is byte-identical for any `REX_THREADS`.
+    fn hierarchical_round(
+        &self,
+        round: u64,
+        current: &Assignment,
+        rec: &mut Recorder,
+    ) -> Result<(Assignment, u64, f64), ClusterError> {
+        let (problem, cfg) = (self.problem, self.cfg);
+        let inst = problem.inst;
+        let loads = current.loads(inst);
+        let root = PartitionSpec {
+            machines: (0..inst.n_machines()).map(MachineId::from).collect(),
+            shards: (0..inst.n_shards()).map(ShardId::from).collect(),
+            vacancy_quota: inst.k_return,
+        };
+        let mut leaves: Vec<PartitionSpec> = Vec::new();
+        let mut internal: Vec<Vec<PartitionSpec>> = vec![Vec::new(); self.depth - 1];
+        self.split_rec(
+            current.placement(),
+            &loads,
+            root,
+            0,
+            &mut leaves,
+            &mut internal,
+        );
 
         if rec.is_active() {
-            rec.span_open("sra", "round", vec![("round", round.into())]);
-            for (sc, out) in subs.iter().zip(&outcomes) {
+            rec.span_open(
+                "sra",
+                "round",
+                vec![
+                    ("round", round.into()),
+                    ("depth", self.depth.into()),
+                    ("leaves", leaves.len().into()),
+                ],
+            );
+        }
+
+        // Stage 1: solve every leaf in one flat cooperative round (no
+        // nested parallelism — the tree only shapes *which* sub-instances
+        // exist).
+        let mut merged = current.placement().to_vec();
+        let leaf_runs = self.solve_level(round, &leaves, 0, self.sub_iters, &mut merged);
+        let mut iterations: u64 = leaf_runs.iter().map(|(_, out)| out.iterations).sum();
+        if rec.is_active() {
+            for (i, out) in &leaf_runs {
                 rec.event(
                     "lns",
                     "partition",
                     vec![
                         ("round", round.into()),
-                        ("partition", sc.part_idx.into()),
-                        ("machines", parts[sc.part_idx].machines.len().into()),
-                        ("shards", parts[sc.part_idx].shards.len().into()),
-                        ("seed", round_seed(seed, round, sc.part_idx).into()),
+                        ("partition", (*i).into()),
+                        ("machines", leaves[*i].machines.len().into()),
+                        ("shards", leaves[*i].shards.len().into()),
+                        ("seed", round_seed(self.seed, round, *i).into()),
                         ("objective", out.best_objective.into()),
                         ("iterations", out.iterations.into()),
                     ],
                 );
             }
         }
+        let mut next_job = leaves.len();
 
-        // Boundary repair on the global problem: cross-partition moves,
-        // judged against the true initial placement with the usual
-        // plan-on-best gating. Merged placements are feasible by
+        // Stage 2: bottom-up repairs across each internal level, exactly
+        // like the leaf solves but on the repair budget.
+        for nodes in internal.iter().rev().filter(|nodes| !nodes.is_empty()) {
+            let runs = self.solve_level(round, nodes, next_job, self.boundary_iters, &mut merged);
+            iterations += runs.iter().map(|(_, out)| out.iterations).sum::<u64>();
+            next_job += nodes.len();
+        }
+
+        // Stage 3: the root's repair — a global serial boundary pass with
+        // cross-node moves, judged against the true initial placement with
+        // the usual plan-on-best gating. Merged placements are feasible by
         // construction, so the engine's feasible-start requirement holds.
-        let boundary_cfg = LnsConfig {
-            max_iters: boundary_iters,
-            time_limit: sub_tl,
-            intensity: cfg.intensity,
-            ..Default::default()
-        };
         let engine = Engine::in_place(
             problem,
-            merged,
+            Assignment::from_placement(inst, merged)?,
             default_destroys_in_place(cfg.destroy_cap),
             default_repairs_in_place(),
-            cfg.acceptance.build(boundary_iters),
-            boundary_cfg,
+            cfg.acceptance.build(self.boundary_iters),
+            self.engine_cfg(self.boundary_iters),
         );
-        let out = engine.run_recorded(round_seed(seed, round, k_eff), rec);
+        let out = engine.run_recorded(round_seed(self.seed, round, next_job), rec);
         iterations += out.iterations;
-        current = out.best;
-
-        let val = LnsProblem::objective(problem, &current);
-        if val < best_val {
-            best_val = val;
-            best = current.clone();
-        }
+        let next = out.best;
+        let val = LnsProblem::objective(problem, &next);
         if rec.is_active() {
             rec.span_close("sra", "round", vec![("objective", val.into())]);
         }
+        Ok((next, iterations, val))
     }
-
-    if rec.is_active() {
-        rec.span_close(
-            "sra",
-            "decomposed",
-            vec![
-                ("best_objective", best_val.into()),
-                ("iterations", iterations.into()),
-            ],
-        );
-    }
-    Ok((best, iterations, None, Vec::new()))
-}
-
-/// Recursively splits `node` to the requested depth, collecting leaves in
-/// traversal (DFS) order and internal nodes (strictly below the root) per
-/// level for the bottom-up repair sweep. A node splits only while levels
-/// remain and it can give every child at least two machines; the root is
-/// never stored — its repair is the round's global boundary pass.
-/// Vacancy quotas are conserved at every split ([`partition_subfleet`]).
-#[allow(clippy::too_many_arguments)]
-fn split_rec(
-    inst: &Instance,
-    placement: &[MachineId],
-    loads: &[f64],
-    drained: &[MachineId],
-    node: PartitionSpec,
-    level: usize,
-    depth: usize,
-    k: usize,
-    leaves: &mut Vec<PartitionSpec>,
-    internal: &mut [Vec<PartitionSpec>],
-) {
-    if level >= depth || k < 2 || node.machines.len() < 2 * k {
-        leaves.push(node);
-        return;
-    }
-    let children = partition_subfleet(
-        inst,
-        placement,
-        loads,
-        &node.machines,
-        &node.shards,
-        k,
-        node.vacancy_quota,
-        drained,
-    );
-    if level > 0 {
-        internal[level - 1].push(node);
-    }
-    for child in children {
-        split_rec(
-            inst,
-            placement,
-            loads,
-            drained,
-            child,
-            level + 1,
-            depth,
-            k,
-            leaves,
-            internal,
-        );
-    }
-}
-
-/// One round of the depth-d hierarchical decomposition (POP-style):
-/// recursive partition → leaf solves in one flat cooperative round →
-/// bottom-up per-level internal-node repairs (machine-disjoint within a
-/// level, plan checks off, each node holding its conserved vacancy
-/// quota) → one global serial boundary repair with the usual plan
-/// gating. Returns `(new current, iterations, global objective)`.
-///
-/// Determinism: every engine's seed is `round_seed(seed, round,
-/// job_idx)` where `job_idx` numbers the engines launched this round in
-/// fixed traversal order (leaves, then internal levels bottom-up, then
-/// the global pass) — all assigned before any parallel section, so the
-/// round is byte-identical for any `REX_THREADS`.
-#[allow(clippy::too_many_arguments)]
-fn hierarchical_round(
-    problem: &SraProblem<'_>,
-    cfg: &SraConfig,
-    seed: u64,
-    round: u64,
-    k_eff: usize,
-    depth: usize,
-    drained: &[MachineId],
-    current: &Assignment,
-    rec: &mut Recorder,
-    sub_iters: u64,
-    boundary_iters: u64,
-    sub_tl: Option<std::time::Duration>,
-) -> Result<(Assignment, u64, f64), ClusterError> {
-    let inst = problem.inst;
-    let loads = current.loads(inst);
-    let root = PartitionSpec {
-        machines: (0..inst.n_machines()).map(MachineId::from).collect(),
-        shards: (0..inst.n_shards()).map(ShardId::from).collect(),
-        vacancy_quota: inst.k_return,
-    };
-    let mut leaves: Vec<PartitionSpec> = Vec::new();
-    let mut internal: Vec<Vec<PartitionSpec>> = vec![Vec::new(); depth - 1];
-    split_rec(
-        inst,
-        current.placement(),
-        &loads,
-        drained,
-        root,
-        0,
-        depth,
-        k_eff,
-        &mut leaves,
-        &mut internal,
-    );
-
-    if rec.is_active() {
-        rec.span_open(
-            "sra",
-            "round",
-            vec![
-                ("round", round.into()),
-                ("depth", depth.into()),
-                ("leaves", leaves.len().into()),
-            ],
-        );
-    }
-
-    let mut iterations = 0u64;
-
-    // Stage 1: solve every leaf in one flat cooperative round (no nested
-    // parallelism — the tree only shapes *which* sub-instances exist).
-    let subs: Vec<SubCtx> = leaves
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.shards.is_empty())
-        .map(|(i, l)| {
-            build_sub(
-                inst,
-                current,
-                l,
-                i,
-                |m| problem.is_drained(m),
-                format!("{}#r{round}d{depth}p{i}", inst.label),
-            )
-        })
-        .collect();
-    let sub_problems: Vec<SraProblem<'_>> = subs
-        .iter()
-        .map(|sc| {
-            let mut sp = SraProblem::new(&sc.inst, cfg.objective)
-                .with_drain(&sc.drain)
-                .without_plan_checks();
-            sp.smoothing = problem.smoothing;
-            sp
-        })
-        .collect();
-    let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
-        .iter()
-        .zip(&subs)
-        .map(|(sp, sc)| {
-            Ok(RoundJob {
-                model: InPlaceModel::new(
-                    sp,
-                    Assignment::from_placement(&sc.inst, sc.start.clone())?,
-                    default_destroys_in_place(cfg.destroy_cap),
-                    default_repairs_in_place(),
-                ),
-                seed: round_seed(seed, round, sc.part_idx),
-            })
-        })
-        .collect::<Result<_, ClusterError>>()?;
-    let engine_cfg = LnsConfig {
-        max_iters: sub_iters,
-        time_limit: sub_tl,
-        intensity: cfg.intensity,
-        ..Default::default()
-    };
-    let outcomes = cooperative_round(jobs, engine_cfg, || cfg.acceptance.build(sub_iters));
-
-    let mut merged = current.placement().to_vec();
-    for (sc, out) in subs.iter().zip(&outcomes) {
-        let part = &leaves[sc.part_idx];
-        for (j, &s) in part.shards.iter().enumerate() {
-            merged[s.idx()] = part.machines[out.best.placement()[j].idx()];
-        }
-        iterations += out.iterations;
-    }
-    if rec.is_active() {
-        for (sc, out) in subs.iter().zip(&outcomes) {
-            rec.event(
-                "lns",
-                "partition",
-                vec![
-                    ("round", round.into()),
-                    ("partition", sc.part_idx.into()),
-                    ("machines", leaves[sc.part_idx].machines.len().into()),
-                    ("shards", leaves[sc.part_idx].shards.len().into()),
-                    ("seed", round_seed(seed, round, sc.part_idx).into()),
-                    ("objective", out.best_objective.into()),
-                    ("iterations", out.iterations.into()),
-                ],
-            );
-        }
-    }
-    let mut next_job = leaves.len();
-
-    // Stage 2: bottom-up repairs across each internal level. Nodes of one
-    // level are machine-disjoint, so their repairs run in one cooperative
-    // round and splice conflict-free, exactly like leaf solves. Each node
-    // keeps its conserved vacancy quota, so the level-merged placement
-    // stays globally feasible.
-    for lvl in (0..internal.len()).rev() {
-        let nodes = &internal[lvl];
-        if nodes.is_empty() {
-            continue;
-        }
-        let cur = Assignment::from_placement(inst, merged.clone())?;
-        let base = next_job;
-        next_job += nodes.len();
-        let subs: Vec<SubCtx> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, nd)| !nd.shards.is_empty())
-            .map(|(i, nd)| {
-                build_sub(
-                    inst,
-                    &cur,
-                    nd,
-                    base + i,
-                    |m| problem.is_drained(m),
-                    format!("{}#r{round}l{lvl}n{i}", inst.label),
-                )
-            })
-            .collect();
-        let sub_problems: Vec<SraProblem<'_>> = subs
-            .iter()
-            .map(|sc| {
-                let mut sp = SraProblem::new(&sc.inst, cfg.objective)
-                    .with_drain(&sc.drain)
-                    .without_plan_checks();
-                sp.smoothing = problem.smoothing;
-                sp
-            })
-            .collect();
-        let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
-            .iter()
-            .zip(&subs)
-            .map(|(sp, sc)| {
-                Ok(RoundJob {
-                    model: InPlaceModel::new(
-                        sp,
-                        Assignment::from_placement(&sc.inst, sc.start.clone())?,
-                        default_destroys_in_place(cfg.destroy_cap),
-                        default_repairs_in_place(),
-                    ),
-                    seed: round_seed(seed, round, sc.part_idx),
-                })
-            })
-            .collect::<Result<_, ClusterError>>()?;
-        let engine_cfg = LnsConfig {
-            max_iters: boundary_iters,
-            time_limit: sub_tl,
-            intensity: cfg.intensity,
-            ..Default::default()
-        };
-        let outcomes = cooperative_round(jobs, engine_cfg, || cfg.acceptance.build(boundary_iters));
-        for (sc, out) in subs.iter().zip(&outcomes) {
-            let nd = &nodes[sc.part_idx - base];
-            for (j, &s) in nd.shards.iter().enumerate() {
-                merged[s.idx()] = nd.machines[out.best.placement()[j].idx()];
-            }
-            iterations += out.iterations;
-        }
-    }
-
-    // Stage 3: the root's repair — a global serial boundary pass with
-    // cross-node moves, judged against the true initial placement with
-    // the usual plan-on-best gating.
-    let merged = Assignment::from_placement(inst, merged)?;
-    let boundary_cfg = LnsConfig {
-        max_iters: boundary_iters,
-        time_limit: sub_tl,
-        intensity: cfg.intensity,
-        ..Default::default()
-    };
-    let engine = Engine::in_place(
-        problem,
-        merged,
-        default_destroys_in_place(cfg.destroy_cap),
-        default_repairs_in_place(),
-        cfg.acceptance.build(boundary_iters),
-        boundary_cfg,
-    );
-    let out = engine.run_recorded(round_seed(seed, round, next_job), rec);
-    iterations += out.iterations;
-    let next = out.best;
-    let val = LnsProblem::objective(problem, &next);
-    if rec.is_active() {
-        rec.span_close("sra", "round", vec![("objective", val.into())]);
-    }
-    Ok((next, iterations, val))
 }
 
 #[cfg(test)]
@@ -714,13 +535,17 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_solve_is_deterministic() {
-        let inst = fleet(4, 8, 4, 3);
-        let a = solve(&inst, &cfg(4)).unwrap();
-        let b = solve(&inst, &cfg(4)).unwrap();
-        assert_eq!(a.objective_value, b.objective_value);
-        assert_eq!(a.assignment.placement(), b.assignment.placement());
-        assert_eq!(a.iterations, b.iterations);
+    fn decomposed_solve_is_deterministic_at_every_depth() {
+        for (inst, c) in [
+            (fleet(4, 8, 4, 3), cfg(4)),
+            (fleet(6, 18, 8, 17), SraConfig { depth: 3, ..cfg(2) }),
+        ] {
+            let a = solve(&inst, &c).unwrap();
+            let b = solve(&inst, &c).unwrap();
+            assert_eq!(a.objective_value, b.objective_value);
+            assert_eq!(a.assignment.placement(), b.assignment.placement());
+            assert_eq!(a.iterations, b.iterations);
+        }
     }
 
     #[test]
@@ -751,13 +576,17 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_respects_drain() {
-        let inst = fleet(4, 8, 4, 5);
+    fn decomposed_respects_drain_at_every_depth() {
         let drain = [MachineId(0)];
-        let res = solve_with_drain(&inst, &cfg(4), &drain).unwrap();
-        assert!(res.assignment.is_vacant(MachineId(0)));
-        assert!(!res.returned_machines.contains(&MachineId(0)));
-        res.assignment.check_target(&inst).unwrap();
+        for (inst, c) in [
+            (fleet(4, 8, 4, 5), cfg(4)),
+            (fleet(6, 18, 8, 5), SraConfig { depth: 2, ..cfg(2) }),
+        ] {
+            let res = solve_with_drain(&inst, &c, &drain).unwrap();
+            assert!(res.assignment.is_vacant(MachineId(0)));
+            assert!(!res.returned_machines.contains(&MachineId(0)));
+            res.assignment.check_target(&inst).unwrap();
+        }
     }
 
     #[test]
@@ -791,17 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_solve_is_deterministic() {
-        let inst = fleet(6, 18, 8, 17);
-        let c = SraConfig { depth: 3, ..cfg(2) };
-        let a = solve(&inst, &c).unwrap();
-        let b = solve(&inst, &c).unwrap();
-        assert_eq!(a.objective_value, b.objective_value);
-        assert_eq!(a.assignment.placement(), b.assignment.placement());
-        assert_eq!(a.iterations, b.iterations);
-    }
-
-    #[test]
     fn hierarchical_matches_flat_quality() {
         let inst = fleet(6, 18, 8, 19);
         let flat = solve(&inst, &cfg(4)).unwrap();
@@ -814,60 +632,59 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hierarchical_respects_drain() {
-        let inst = fleet(6, 18, 8, 5);
-        let drain = [MachineId(0)];
-        let c = SraConfig { depth: 2, ..cfg(2) };
-        let res = solve_with_drain(&inst, &c, &drain).unwrap();
-        assert!(res.assignment.is_vacant(MachineId(0)));
-        assert!(!res.returned_machines.contains(&MachineId(0)));
-        res.assignment.check_target(&inst).unwrap();
+    /// FNV-1a over the machine ids of a placement.
+    fn placement_checksum(placement: &[MachineId]) -> u64 {
+        placement.iter().fold(0xcbf2_9ce4_8422_2325, |h, m| {
+            (h ^ u64::from(m.0)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
     }
 
     #[test]
-    fn hierarchical_depth_one_is_the_flat_path() {
-        // depth = 1 must be byte-identical to the pre-hierarchy flat
-        // rounds: same seeds, same job numbering, same placement.
-        let inst = fleet(4, 8, 4, 3);
-        let flat = solve(&inst, &cfg(4)).unwrap();
-        let one = solve(&inst, &SraConfig { depth: 1, ..cfg(4) }).unwrap();
-        assert_eq!(flat.assignment.placement(), one.assignment.placement());
-        assert_eq!(flat.iterations, one.iterations);
+    #[rustfmt::skip] // one pin per row
+    fn depth_one_matches_the_frozen_flat_rounds() {
+        // Recorded from the dedicated flat round loop before it was folded
+        // into `hierarchical_round`: `fleet` arguments, partitions, seed and
+        // drain → objective bits, iterations, placement checksum.
+        let pin = |f: (usize, usize, usize, u64), k, seed, drain: &[MachineId], bits, iters, sum| {
+            let inst = fleet(f.0, f.1, f.2, f.3);
+            let res = solve_with_drain(&inst, &SraConfig { seed, ..cfg(k) }, drain).unwrap();
+            let got = (
+                res.objective_value.to_bits(),
+                res.iterations,
+                placement_checksum(res.assignment.placement()),
+            );
+            assert_eq!(got, (bits, iters, sum), "fleet {f:?} k={k} seed={seed}");
+        };
+        pin((4, 8, 4, 3), 4, 42, &[], 0x3fce6038508f5c29, 8248, 0x58e1649903c2c337);
+        pin((6, 18, 8, 13), 2, 7, &[], 0x3fcb46c227147ae1, 4248, 0x6d2502117afe29e0);
+        pin((3, 6, 3, 1), 3, 1, &[], 0x3fce1f74f4333333, 6248, 0xcfd90bb7623ad8b7);
+        pin((4, 8, 4, 5), 4, 42, &[MachineId(0)], 0x3fce6e3408333333, 8248, 0xe9a5090a5306fee0);
     }
 
     #[test]
-    fn traced_hierarchical_matches_untraced_and_balances_spans() {
-        let inst = fleet(6, 18, 8, 9);
-        let c = SraConfig { depth: 2, ..cfg(2) };
-        let plain = solve(&inst, &c).unwrap();
-        let mut rec = Recorder::active();
-        let traced = solve_traced(&inst, &c, &[], &mut rec).unwrap();
-        assert_eq!(plain.objective_value, traced.objective_value);
-        assert_eq!(plain.assignment.placement(), traced.assignment.placement());
-        assert_eq!(plain.iterations, traced.iterations);
-        assert_eq!(rec.open_spans(), 0);
-    }
-
-    #[test]
-    fn traced_decomposed_matches_untraced_and_balances_spans() {
-        let inst = fleet(4, 8, 4, 9);
-        let plain = solve(&inst, &cfg(4)).unwrap();
-        let mut rec = Recorder::active();
-        let traced = solve_traced(&inst, &cfg(4), &[], &mut rec).unwrap();
-        assert_eq!(plain.objective_value, traced.objective_value);
-        assert_eq!(plain.assignment.placement(), traced.assignment.placement());
-        assert_eq!(plain.iterations, traced.iterations);
-        assert_eq!(rec.open_spans(), 0);
-        assert!(rec
-            .events()
-            .iter()
-            .any(|e| e.layer == "sra" && e.name == "decomposed"));
-        let partitions = rec
-            .events()
-            .iter()
-            .filter(|e| e.layer == "lns" && e.name == "partition")
-            .count();
-        assert!(partitions > 0, "partition summaries must be narrated");
+    fn traced_matches_untraced_and_balances_spans_at_every_depth() {
+        for (inst, c) in [
+            (fleet(4, 8, 4, 9), cfg(4)),
+            (fleet(6, 18, 8, 9), SraConfig { depth: 2, ..cfg(2) }),
+        ] {
+            let plain = solve(&inst, &c).unwrap();
+            let mut rec = Recorder::active();
+            let traced = solve_traced(&inst, &c, &[], &mut rec).unwrap();
+            assert_eq!(plain.objective_value, traced.objective_value);
+            assert_eq!(plain.assignment.placement(), traced.assignment.placement());
+            assert_eq!(plain.iterations, traced.iterations);
+            assert_eq!(rec.open_spans(), 0);
+            let narrated = |layer, name| {
+                rec.events()
+                    .iter()
+                    .any(|e| e.layer == layer && e.name == name)
+            };
+            assert!(narrated("sra", "decomposed"));
+            assert!(narrated("sra", "round"));
+            assert!(
+                narrated("lns", "partition"),
+                "partition summaries must be narrated"
+            );
+        }
     }
 }

@@ -106,13 +106,6 @@ impl<'a> SraProblem<'a> {
         self.drained[m.idx()]
     }
 
-    /// Whether shard `s` can ever migrate off its initial machine (see the
-    /// field documentation on `escapable`).
-    #[inline]
-    pub fn is_escapable(&self, s: ShardId) -> bool {
-        self.escapable[s.idx()]
-    }
-
     /// Enables per-candidate plannability checking.
     pub fn with_plan_every(mut self, planner: PlannerConfig) -> Self {
         self.plan_every = true;

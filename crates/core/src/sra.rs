@@ -9,8 +9,8 @@ use rex_cluster::{
     MigrationPlan, Objective, PlannerConfig,
 };
 use rex_lns::{
-    portfolio_search_recorded, Acceptance, Engine, EngineStats, HillClimb, InPlaceModel, LnsConfig,
-    LnsProblem, PortfolioConfig, RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
+    portfolio_search, Acceptance, Engine, EngineStats, HillClimb, InPlaceModel, LnsConfig,
+    LnsProblem, RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
 };
 use rex_obs::Recorder;
 use serde::{Deserialize, Serialize};
@@ -285,7 +285,9 @@ pub fn solve_traced(
     let objective_value = cfg.objective.value(inst, &best, &inst.initial);
     let migration = MigrationStats::compute(inst, &plan);
     // Draining machines leave the fleet; they are not the loan repayment,
-    // so exclude them before choosing the k_return machines to hand back.
+    // so exclude them before choosing the k_return machines to hand back:
+    // borrowed exchange machines first (returning the loan in kind), then
+    // emptied original machines, in id order for determinism.
     let mut returned_machines = best.vacant_machines();
     returned_machines.retain(|m| !drain.contains(m));
     returned_machines.sort_by_key(|m| (!inst.machines[m.idx()].exchange, m.idx()));
@@ -357,14 +359,11 @@ pub fn run_search(
         let out = engine.run_recorded(seed, rec);
         Ok((out.best, out.iterations, Some(out.stats), out.trajectory))
     } else {
-        let pcfg = PortfolioConfig {
-            workers: cfg.workers,
-            engine: lns_cfg,
-        };
-        let out = portfolio_search_recorded(
+        let out = portfolio_search(
             &initial,
             seed,
-            &pcfg,
+            cfg.workers,
+            lns_cfg,
             |start| {
                 InPlaceModel::new(
                     problem,
@@ -450,16 +449,6 @@ pub(crate) fn starting_solution(problem: &SraProblem<'_>) -> Result<Assignment, 
         });
     }
     Ok(asg)
-}
-
-/// Chooses which `k_return` vacant machines to hand back: borrowed exchange
-/// machines first (returning the loan in kind), then emptied original
-/// machines, in id order for determinism.
-pub fn select_returned(inst: &Instance, asg: &Assignment) -> Vec<MachineId> {
-    let mut vacant = asg.vacant_machines();
-    vacant.sort_by_key(|m| (!inst.machines[m.idx()].exchange, m.idx()));
-    vacant.truncate(inst.k_return);
-    vacant
 }
 
 #[cfg(test)]

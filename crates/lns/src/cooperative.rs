@@ -1,15 +1,17 @@
 //! Cooperative decomposed search: one worker per sub-problem, with
 //! deterministic `(round, partition)` seed derivation.
 //!
-//! Where the [`crate::portfolio`] runs N *independent* copies of the same
-//! problem and keeps the best, a cooperative round runs one worker per
-//! **sub-problem** (a partition of a larger problem), so the workers share
-//! nothing and their solutions compose instead of competing. The caller
-//! owns the decomposition, the merge, and the round loop; this module owns
-//! the deterministic parallel execution of one round:
+//! A cooperative round runs one worker per **sub-problem** (a partition of
+//! a larger problem), so the workers share nothing and their solutions
+//! compose instead of competing. The caller owns the decomposition, the
+//! merge, and the round loop; this module owns the deterministic parallel
+//! execution of one round — the only place `rex-lns` fans engines out over
+//! threads. The [`crate::portfolio`] is the degenerate use: N jobs over the
+//! *same* whole problem, reduced by an argmin instead of a merge.
 //!
-//! * every job's seed is a pure function of `(base_seed, round,
-//!   partition)` — [`round_seed`] — fixed **before** the parallel section;
+//! * every job's seed is fixed by the caller **before** the parallel
+//!   section — for decomposed rounds a pure function of `(base_seed,
+//!   round, partition)`, [`round_seed`];
 //! * every job's [`EditModel`] is likewise built by the caller before the
 //!   parallel section, so worker launch performs no hidden setup;
 //! * jobs run over the deterministic rayon shim, whose `collect` places
@@ -17,7 +19,7 @@
 //!   which OS thread ran what;
 //! * workers run untraced (recording inside a parallel section would
 //!   interleave nondeterministically — the caller narrates the reduction
-//!   after the barrier, the same discipline as the portfolio).
+//!   after the barrier).
 //!
 //! Together those give the decomposed-solver determinism contract:
 //! byte-identical results for any `REX_THREADS`.

@@ -37,12 +37,11 @@
 //! portfolio derives worker seeds as `seed ⊕ worker` and reduces with an
 //! order-independent minimum, so parallel results are reproducible.
 //!
-//! Observability: the engine exposes a `run_recorded` variant (and the
-//! portfolio a `portfolio_search_recorded`) that narrates the search into a
-//! [`rex_obs::Recorder`] — per-iteration operator/outcome/delta events,
-//! cache-resync markers, and per-worker summaries. Recording never perturbs
-//! the search, and a `Recorder::Noop` costs one discriminant check per
-//! iteration.
+//! Observability: the engine's `run_recorded` and the portfolio's
+//! `portfolio_search` narrate the search into a [`rex_obs::Recorder`] —
+//! per-iteration operator/outcome/delta events, cache-resync markers, and
+//! per-worker summaries. Recording never perturbs the search, and a
+//! `Recorder::Noop` costs one discriminant check per iteration.
 
 pub mod accept;
 pub mod cooperative;
@@ -55,9 +54,7 @@ pub mod weights;
 pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed, RoundJob};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, TrajectoryPoint};
-pub use portfolio::{
-    portfolio_search, portfolio_search_recorded, worker_seed, PortfolioConfig, PortfolioOutcome,
-};
+pub use portfolio::{portfolio_search, worker_seed, PortfolioOutcome};
 pub use problem::{
     CloneOracle, DestroyInPlace, EditModel, InPlaceModel, LnsProblem, LnsProblemInPlace,
     RepairInPlace,

@@ -1,39 +1,23 @@
 //! Parallel multi-start portfolio search.
 //!
-//! Runs `workers` independent ALNS searches over rayon and keeps the best
-//! result. Worker seeds derive deterministically from the base seed, and
-//! the reduction is an order-independent minimum (ties broken by worker
+//! Runs `workers` independent ALNS searches and keeps the best result: one
+//! [`cooperative_round`] whose jobs all start from the same whole-problem
+//! solution, followed by an argmin. Worker seeds derive deterministically
+//! from the base seed, the round returns outcomes in worker order, and the
+//! reduction is an order-independent minimum (ties broken by worker
 //! index), so the outcome is reproducible regardless of thread scheduling —
 //! the determinism discipline the HPC guides call for.
 //!
 //! The portfolio is generic over [`EditModel`]: each worker gets its own
 //! model (built by the caller's factory from a clone of the shared initial
-//! solution) and drives the one unified [`Engine`].
+//! solution) and drives the one unified [`crate::Engine`].
 
 use crate::accept::Acceptance;
-use crate::engine::{Engine, LnsConfig, SearchOutcome};
+use crate::cooperative::{cooperative_round, RoundJob};
+use crate::engine::LnsConfig;
 use crate::problem::EditModel;
-use rayon::prelude::*;
 use rex_obs::Recorder;
 use serde::Serialize;
-
-/// Portfolio tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct PortfolioConfig {
-    /// Number of independent workers.
-    pub workers: usize,
-    /// Engine configuration shared by all workers.
-    pub engine: LnsConfig,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            engine: LnsConfig::default(),
-        }
-    }
-}
 
 /// Per-worker result summary.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -64,45 +48,62 @@ pub fn worker_seed(base: u64, worker: usize) -> u64 {
     base ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1))
 }
 
-/// Runs `cfg.workers` independent searches in parallel and returns the best.
+/// Runs `workers` independent searches (each under `engine_cfg`) in
+/// parallel and returns the best, narrating the reduction into `rec` when
+/// it is recording: a `("lns", "portfolio")` span holding one
+/// `("lns", "worker")` summary event per worker, in worker order.
 ///
-/// `make_model` is invoked once per worker (inside that worker's task, from
-/// a clone of `initial`) so each worker owns private operator and state
-/// storage; `make_acceptance` likewise.
-pub fn portfolio_search<M: EditModel>(
+/// `make_model` is invoked once per worker on a clone of `initial`, before
+/// the parallel section, so each worker owns private operator and state
+/// storage and worker launch does no hidden setup.
+///
+/// Workers themselves run **untraced** — per-iteration events from
+/// concurrently running workers would interleave nondeterministically, so
+/// the portfolio only narrates the deterministic reduction. Summaries are
+/// emitted sequentially after the parallel section, which keeps the trace
+/// byte-identical across thread counts (satellite determinism contract; see
+/// `tests/threads_determinism.rs`).
+pub fn portfolio_search<M: EditModel + Send>(
     initial: &M::Solution,
     base_seed: u64,
-    cfg: &PortfolioConfig,
-    make_model: impl Fn(M::Solution) -> M + Sync,
+    workers: usize,
+    engine_cfg: LnsConfig,
+    make_model: impl Fn(M::Solution) -> M,
     make_acceptance: impl Fn() -> Box<dyn Acceptance> + Sync,
+    rec: &mut Recorder,
 ) -> PortfolioOutcome<M::Solution> {
-    assert!(cfg.workers >= 1, "portfolio needs at least one worker");
-    // Per-worker starting solutions and the whole seed stream are built
-    // *before* the parallel section: an N-worker solve clones the initial
-    // solution exactly N times, and the closure does no hidden setup
-    // allocations beyond what the model factory itself performs.
-    let jobs: Vec<(usize, M::Solution, u64)> = (0..cfg.workers)
-        .map(|w| (w, initial.clone(), worker_seed(base_seed, w)))
-        .collect();
-    let outcomes: Vec<(usize, SearchOutcome<M::Solution>)> = jobs
-        .into_par_iter()
-        .map(|(w, start, seed)| {
-            let engine = Engine::new(make_model(start), make_acceptance(), cfg.engine);
-            (w, engine.run(seed))
+    assert!(workers >= 1, "portfolio needs at least one worker");
+    if rec.is_active() {
+        rec.span_open(
+            "lns",
+            "portfolio",
+            vec![
+                ("workers", workers.into()),
+                ("base_seed", base_seed.into()),
+                ("max_iters", engine_cfg.max_iters.into()),
+            ],
+        );
+    }
+    let jobs: Vec<RoundJob<M>> = (0..workers)
+        .map(|w| RoundJob {
+            model: make_model(initial.clone()),
+            seed: worker_seed(base_seed, w),
         })
         .collect();
+    let outcomes = cooperative_round(jobs, engine_cfg, make_acceptance);
 
     let worker_results: Vec<WorkerResult> = outcomes
         .iter()
-        .map(|(w, o)| WorkerResult {
-            worker: *w,
+        .enumerate()
+        .map(|(worker, o)| WorkerResult {
+            worker,
             objective: o.best_objective,
             iterations: o.iterations,
         })
         .collect();
-
     let (winner, best_outcome) = outcomes
         .into_iter()
+        .enumerate()
         .min_by(|(wa, a), (wb, b)| {
             a.best_objective
                 .partial_cmp(&b.best_objective)
@@ -111,46 +112,8 @@ pub fn portfolio_search<M: EditModel>(
         })
         .expect("at least one worker");
 
-    PortfolioOutcome {
-        best: best_outcome.best,
-        best_objective: best_outcome.best_objective,
-        winner,
-        worker_results,
-    }
-}
-
-/// [`portfolio_search`] with a trace: wraps the run in a
-/// `("lns", "portfolio")` span and emits one `("lns", "worker")` summary
-/// event per worker, in worker order.
-///
-/// Workers themselves run **untraced** — per-iteration events from
-/// concurrently running workers would interleave nondeterministically, so
-/// the portfolio only narrates the deterministic reduction. Summaries are
-/// emitted sequentially after the parallel section, which keeps the trace
-/// byte-identical across thread counts (satellite determinism contract; see
-/// `tests/threads_determinism.rs`).
-pub fn portfolio_search_recorded<M: EditModel>(
-    initial: &M::Solution,
-    base_seed: u64,
-    cfg: &PortfolioConfig,
-    make_model: impl Fn(M::Solution) -> M + Sync,
-    make_acceptance: impl Fn() -> Box<dyn Acceptance> + Sync,
-    rec: &mut Recorder,
-) -> PortfolioOutcome<M::Solution> {
     if rec.is_active() {
-        rec.span_open(
-            "lns",
-            "portfolio",
-            vec![
-                ("workers", cfg.workers.into()),
-                ("base_seed", base_seed.into()),
-                ("max_iters", cfg.engine.max_iters.into()),
-            ],
-        );
-    }
-    let out = portfolio_search(initial, base_seed, cfg, make_model, make_acceptance);
-    if rec.is_active() {
-        for w in &out.worker_results {
+        for w in &worker_results {
             rec.event(
                 "lns",
                 "worker",
@@ -166,12 +129,17 @@ pub fn portfolio_search_recorded<M: EditModel>(
             "lns",
             "portfolio",
             vec![
-                ("winner", out.winner.into()),
-                ("best_objective", out.best_objective.into()),
+                ("winner", winner.into()),
+                ("best_objective", best_outcome.best_objective.into()),
             ],
         );
     }
-    out
+    PortfolioOutcome {
+        best: best_outcome.best,
+        best_objective: best_outcome.best_objective,
+        winner,
+        worker_results,
+    }
 }
 
 #[cfg(test)]
@@ -183,20 +151,18 @@ mod tests {
         GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
     };
 
-    fn run(workers: usize, seed: u64) -> PortfolioOutcome<Vec<usize>> {
+    fn run_recorded(workers: usize, seed: u64, rec: &mut Recorder) -> PortfolioOutcome<Vec<usize>> {
         let problem = PartitionProblem::random(40, 4, 77);
         let initial = problem.all_in_first_bin();
-        let cfg = PortfolioConfig {
-            workers,
-            engine: LnsConfig {
-                max_iters: 1_500,
-                ..Default::default()
-            },
+        let engine_cfg = LnsConfig {
+            max_iters: 1_500,
+            ..Default::default()
         };
         portfolio_search(
             &initial,
             seed,
-            &cfg,
+            workers,
+            engine_cfg,
             |start| {
                 InPlaceModel::new(
                     &problem,
@@ -209,7 +175,12 @@ mod tests {
                 )
             },
             || Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
+            rec,
         )
+    }
+
+    fn run(workers: usize, seed: u64) -> PortfolioOutcome<Vec<usize>> {
+        run_recorded(workers, seed, &mut Recorder::noop())
     }
 
     #[test]
@@ -252,6 +223,30 @@ mod tests {
     }
 
     #[test]
+    fn portfolio_matches_the_frozen_pre_cooperative_runs() {
+        // Recorded from the portfolio's own `into_par_iter` runner before it
+        // was folded into `cooperative_round`: winner and per-worker
+        // best-objective bits at base seed 1 (every worker runs its full
+        // 1 500 iterations).
+        let objs = [
+            0x3ff0021dfe843f02u64,
+            0x3ff002dd4ae7cad0,
+            0x3ff000ebc93783ad,
+            0x3ff001b3548c6cee,
+        ];
+        for (workers, winner) in [(1, 0), (4, 2)] {
+            let out = run(workers, 1);
+            assert_eq!(out.winner, winner);
+            assert_eq!(out.best_objective.to_bits(), objs[winner]);
+            assert_eq!(out.worker_results.len(), workers);
+            for (w, want) in out.worker_results.iter().zip(objs) {
+                assert_eq!(w.objective.to_bits(), want, "worker {}", w.worker);
+                assert_eq!(w.iterations, 1_500);
+            }
+        }
+    }
+
+    #[test]
     fn worker_seeds_are_distinct() {
         let seeds: Vec<u64> = (0..16).map(|w| worker_seed(123, w)).collect();
         let mut dedup = seeds.clone();
@@ -264,36 +259,6 @@ mod tests {
     #[should_panic]
     fn zero_workers_panics() {
         run(0, 1);
-    }
-
-    fn run_recorded(workers: usize, seed: u64, rec: &mut Recorder) -> PortfolioOutcome<Vec<usize>> {
-        let problem = PartitionProblem::random(40, 4, 77);
-        let initial = problem.all_in_first_bin();
-        let cfg = PortfolioConfig {
-            workers,
-            engine: LnsConfig {
-                max_iters: 1_500,
-                ..Default::default()
-            },
-        };
-        portfolio_search_recorded(
-            &initial,
-            seed,
-            &cfg,
-            |start| {
-                InPlaceModel::new(
-                    &problem,
-                    start,
-                    vec![
-                        Box::new(RandomRemoveInPlace),
-                        Box::new(WorstBinRemoveInPlace),
-                    ],
-                    vec![Box::new(GreedyInsertInPlace)],
-                )
-            },
-            || Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
-            rec,
-        )
     }
 
     #[test]

@@ -17,9 +17,9 @@ use rex_lns::toy::{
     GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    cooperative_round, portfolio_search_recorded, round_seed, Acceptance, CloneOracle,
-    DestroyInPlace, EditModel, Engine, HillClimb, InPlaceModel, LnsConfig, PortfolioConfig,
-    RepairInPlace, RoundJob, SearchOutcome, SimulatedAnnealing,
+    cooperative_round, portfolio_search, round_seed, Acceptance, CloneOracle, DestroyInPlace,
+    EditModel, Engine, HillClimb, InPlaceModel, LnsConfig, RepairInPlace, RoundJob, SearchOutcome,
+    SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
@@ -154,24 +154,22 @@ fn run_portfolio(
     problem: &PartitionProblem,
     initial: &[usize],
 ) -> (Vec<usize>, f64, String, String) {
-    let cfg = PortfolioConfig {
-        workers: 5,
-        engine: engine_cfg(),
-    };
     let mut rec_ip = Recorder::active();
-    let out_ip = portfolio_search_recorded(
+    let out_ip = portfolio_search(
         &initial.to_vec(),
         SEED,
-        &cfg,
+        5,
+        engine_cfg(),
         |start| in_place(problem, start),
         acceptance,
         &mut rec_ip,
     );
     let mut rec_or = Recorder::active();
-    let out_or = portfolio_search_recorded(
+    let out_or = portfolio_search(
         &initial.to_vec(),
         SEED,
-        &cfg,
+        5,
+        engine_cfg(),
         |start| oracle(problem, start),
         acceptance,
         &mut rec_or,

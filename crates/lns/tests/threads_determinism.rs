@@ -11,63 +11,37 @@ use rex_lns::toy::{
     GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    portfolio_search_recorded, CloneOracle, InPlaceModel, LnsConfig, PortfolioConfig,
-    PortfolioOutcome, SimulatedAnnealing,
+    portfolio_search, CloneOracle, DestroyInPlace, EditModel, InPlaceModel, LnsConfig,
+    PortfolioOutcome, RepairInPlace, SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
 const WORKERS: usize = 6;
 const SEED: u64 = 2024;
 
-fn cfg() -> PortfolioConfig {
-    PortfolioConfig {
-        workers: WORKERS,
-        engine: LnsConfig {
+type Destroys = Vec<Box<dyn DestroyInPlace<PartitionProblem>>>;
+type Repairs = Vec<Box<dyn RepairInPlace<PartitionProblem>>>;
+
+/// The toy portfolio over the model `new_model` builds: the production
+/// undo-log [`InPlaceModel::new`], or the clone-based differential oracle
+/// [`CloneOracle::new`] — identical operator protocol and RNG consumption,
+/// reverts by cloning a saved state instead of replaying the undo log.
+fn run<'p, M: EditModel<Solution = Vec<usize>> + Send>(
+    problem: &'p PartitionProblem,
+    initial: &[usize],
+    new_model: impl Fn(&'p PartitionProblem, Vec<usize>, Destroys, Repairs) -> M,
+    rec: &mut Recorder,
+) -> PortfolioOutcome<Vec<usize>> {
+    portfolio_search(
+        &initial.to_vec(),
+        SEED,
+        WORKERS,
+        LnsConfig {
             max_iters: 1_200,
             ..Default::default()
         },
-    }
-}
-
-fn run_in_place(
-    problem: &PartitionProblem,
-    initial: &[usize],
-    rec: &mut Recorder,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio_search_recorded(
-        &initial.to_vec(),
-        SEED,
-        &cfg(),
         |start| {
-            InPlaceModel::new(
-                problem,
-                start,
-                vec![
-                    Box::new(RandomRemoveInPlace),
-                    Box::new(WorstBinRemoveInPlace),
-                ],
-                vec![Box::new(GreedyInsertInPlace)],
-            )
-        },
-        || Box::new(SimulatedAnnealing::for_normalized_loads(1_200)),
-        rec,
-    )
-}
-
-/// The same portfolio over the clone-based differential oracle: identical
-/// operator protocol and RNG consumption, reverts by cloning a saved state
-/// instead of replaying the undo log.
-fn run_oracle(
-    problem: &PartitionProblem,
-    initial: &[usize],
-    rec: &mut Recorder,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio_search_recorded(
-        &initial.to_vec(),
-        SEED,
-        &cfg(),
-        |start| {
-            CloneOracle::new(
+            new_model(
                 problem,
                 start,
                 vec![
@@ -119,14 +93,14 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
     // Reference runs with the default thread count.
     rayon::set_threads_override(None);
     let mut rec_ref = Recorder::active();
-    let in_place_ref = run_in_place(&problem, &initial, &mut rec_ref);
+    let in_place_ref = run(&problem, &initial, InPlaceModel::new, &mut rec_ref);
     let jsonl_ref = rec_ref.to_jsonl();
     assert!(!jsonl_ref.is_empty());
 
     // The oracle model follows the exact same trajectory as the undo-log
     // model — the spine's differential contract, here at portfolio scope.
     let mut rec_oracle = Recorder::active();
-    let oracle_ref = run_oracle(&problem, &initial, &mut rec_oracle);
+    let oracle_ref = run(&problem, &initial, CloneOracle::new, &mut rec_oracle);
     assert_same(&in_place_ref, &oracle_ref, "oracle portfolio");
     assert_eq!(
         rec_oracle.to_jsonl(),
@@ -138,7 +112,7 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
         rayon::set_threads_override(Some(threads));
 
         let mut rec = Recorder::active();
-        let p = run_in_place(&problem, &initial, &mut rec);
+        let p = run(&problem, &initial, InPlaceModel::new, &mut rec);
         assert_same(
             &in_place_ref,
             &p,
@@ -151,7 +125,7 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
         );
 
         let mut rec_o = Recorder::active();
-        let o = run_oracle(&problem, &initial, &mut rec_o);
+        let o = run(&problem, &initial, CloneOracle::new, &mut rec_o);
         assert_same(&in_place_ref, &o, &format!("oracle portfolio @{threads}t"));
         assert_eq!(
             rec_o.to_jsonl(),

@@ -284,14 +284,6 @@ impl Recorder {
         }
     }
 
-    /// Last value set on a named gauge (`None` if never set or disabled).
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        match self {
-            Recorder::Noop => None,
-            Recorder::Active(t) => t.gauges.get(name).map(|g| g.last),
-        }
-    }
-
     /// The JSONL event stream: one JSON object per line, trailing newline,
     /// byte-identical for identical recording sequences.
     pub fn to_jsonl(&self) -> String {

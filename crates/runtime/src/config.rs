@@ -317,50 +317,54 @@ impl RuntimeConfig {
         cfg
     }
 
-    /// Panics on nonsensical parameters; called once at simulation start.
-    pub fn validate(&self) {
-        assert!(self.ticks > 0, "ticks must be positive");
-        assert!(self.ticks_per_hour > 0, "ticks_per_hour must be positive");
-        assert!(
+    /// Range-checks every parameter; the error is one line naming the
+    /// offending field. Input-facing callers (the CLI) surface it as-is.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(self.ticks > 0, "ticks must be positive")?;
+        ensure(self.ticks_per_hour > 0, "ticks_per_hour must be positive")?;
+        ensure(
             (0.0..=1.0).contains(&self.diurnal_amplitude),
-            "diurnal_amplitude must lie in [0, 1]"
-        );
-        assert!(self.qps >= 0.0, "qps must be non-negative");
-        assert!(
+            "diurnal_amplitude must lie in [0, 1]",
+        )?;
+        ensure(self.qps >= 0.0, "qps must be non-negative")?;
+        ensure(
             self.rho_max > 0.0 && self.rho_max < 1.0,
-            "rho_max must lie in (0, 1)"
-        );
-        assert!(self.copy_bandwidth > 0.0, "copy_bandwidth must be positive");
-        assert!(self.sample_interval > 0, "sample_interval must be positive");
-        assert!(
+            "rho_max must lie in (0, 1)",
+        )?;
+        ensure(self.copy_bandwidth > 0.0, "copy_bandwidth must be positive")?;
+        ensure(self.sample_interval > 0, "sample_interval must be positive")?;
+        ensure(
             self.controller.poll_interval > 0,
-            "poll_interval must be positive"
-        );
-        assert!(self.controller.window > 0, "window must be positive");
-        assert!(
+            "poll_interval must be positive",
+        )?;
+        ensure(self.controller.window > 0, "window must be positive")?;
+        ensure(
             self.controller.sra_lambda >= 0.0,
-            "sra_lambda must be non-negative"
-        );
-        self.hotshard.validate();
+            "sra_lambda must be non-negative",
+        )?;
+        self.hotshard.validate()?;
+        if let Some(d) = &self.drift {
+            ensure(d.every_ticks > 0, "drift every_ticks must be positive")?;
+        }
         if let Some(p) = &self.popularity {
-            assert!(p.every_ticks > 0, "popularity every_ticks must be positive");
-            assert!(
+            ensure(p.every_ticks > 0, "popularity every_ticks must be positive")?;
+            ensure(
                 p.zipf_alpha.is_finite() && p.zipf_alpha >= 0.0,
-                "popularity zipf_alpha must be finite and non-negative"
-            );
-            assert!(
+                "popularity zipf_alpha must be finite and non-negative",
+            )?;
+            ensure(
                 p.swaps_per_epoch > 0,
-                "popularity swaps_per_epoch must be positive"
-            );
-            assert!(
+                "popularity swaps_per_epoch must be positive",
+            )?;
+            ensure(
                 p.target_utilization > 0.0 && p.target_utilization < 1.0,
-                "popularity target_utilization must lie in (0, 1)"
-            );
-            assert!(
+                "popularity target_utilization must lie in (0, 1)",
+            )?;
+            ensure(
                 !self.hotshard.enabled,
                 "popularity drift and the hot-shard plane are mutually \
-                 exclusive: splits/merges renumber shards under the rank walk"
-            );
+                 exclusive: splits/merges renumber shards under the rank walk",
+            )?;
         }
         for f in &self.faults {
             if let FaultSpec::Spike {
@@ -369,17 +373,43 @@ impl RuntimeConfig {
                 ..
             } = f
             {
-                assert!(
+                ensure(
                     *factor >= 1.0,
                     "spike factor must be ≥ 1 (plans stay transient-safe \
-                     only when snapshots dominate live demands)"
-                );
-                assert!(
+                     only when snapshots dominate live demands)",
+                )?;
+                ensure(
                     (0.0..=1.0).contains(shard_fraction),
-                    "shard_fraction must lie in [0, 1]"
-                );
+                    "shard_fraction must lie in [0, 1]",
+                )?;
             }
         }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate), plus every crash fault must name a machine
+    /// of a fleet of `n_machines` — everything [`crate::Simulation::new`]
+    /// would otherwise panic on.
+    pub fn validate_for(&self, n_machines: usize) -> Result<(), String> {
+        self.validate()?;
+        for f in &self.faults {
+            if let FaultSpec::Crash { machine, .. } = f {
+                ensure(
+                    (*machine as usize) < n_machines,
+                    &format!("crash fault names machine {machine} but the fleet has {n_machines}"),
+                )?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `Ok` when `ok` holds, otherwise `msg` as the error.
+pub(crate) fn ensure(ok: bool, msg: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg.into())
     }
 }
 
@@ -389,7 +419,7 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        RuntimeConfig::default().validate();
+        RuntimeConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -402,7 +432,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn sub_unit_spike_factor_rejected() {
         let cfg = RuntimeConfig {
             faults: vec![FaultSpec::Spike {
@@ -413,7 +442,32 @@ mod tests {
             }],
             ..Default::default()
         };
-        cfg.validate();
+        assert!(cfg.validate().unwrap_err().contains("spike factor"));
+    }
+
+    #[test]
+    fn out_of_fleet_crashes_and_zero_periods_are_errors_not_panics() {
+        let crash = RuntimeConfig {
+            faults: vec![FaultSpec::Crash {
+                at: 1,
+                machine: 9,
+                recover_at: None,
+            }],
+            ..Default::default()
+        };
+        crash.validate().unwrap();
+        crash.validate_for(10).unwrap();
+        assert!(crash.validate_for(9).unwrap_err().contains("machine 9"));
+        // A zero drift period would spin the event loop forever.
+        let drift = RuntimeConfig {
+            drift: Some(DriftSpec {
+                every_ticks: 0,
+                sigma: 0.1,
+                target_utilization: 0.7,
+            }),
+            ..Default::default()
+        };
+        assert!(drift.validate().unwrap_err().contains("drift"));
     }
 
     #[test]
@@ -438,7 +492,7 @@ mod tests {
             ..Default::default()
         };
         let cfg = RuntimeConfig::from_scenario(&spec);
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.ticks, 100);
         assert_eq!(cfg.diurnal_amplitude, 0.0);
         assert_eq!(cfg.fanout, spec.fanout);
@@ -508,7 +562,7 @@ mod tests {
             }],
         };
         let cfg = RuntimeConfig::from_workload(&w, 8);
-        cfg.validate();
+        cfg.validate().unwrap();
         // Rack 1 of 4 over 8 machines = machines 2 and 3, id order.
         let crashes: Vec<u32> = cfg
             .faults
@@ -529,7 +583,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mutually")]
     fn popularity_and_hotshard_are_mutually_exclusive() {
         let mut cfg = RuntimeConfig {
             popularity: Some(PopularitySpec {
@@ -541,7 +594,7 @@ mod tests {
             ..Default::default()
         };
         cfg.hotshard.enabled = true;
-        cfg.validate();
+        assert!(cfg.validate().unwrap_err().contains("mutually"));
     }
 
     /// `popularity` is `#[serde(default)]`: configs from before the
@@ -554,7 +607,7 @@ mod tests {
         assert_ne!(stripped, json, "popularity must serialize");
         let back: RuntimeConfig = serde_json::from_str(&stripped).unwrap();
         assert!(back.popularity.is_none());
-        back.validate();
+        back.validate().unwrap();
     }
 
     /// `fanout` is `#[serde(default)]`: configs from before sampled-fanout
@@ -566,7 +619,7 @@ mod tests {
         assert_ne!(stripped, json, "fanout must serialize");
         let back: RuntimeConfig = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back.fanout, 0);
-        back.validate();
+        back.validate().unwrap();
     }
 
     #[test]
@@ -588,7 +641,7 @@ mod tests {
         let back: RuntimeConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.ticks, cfg.ticks);
         assert_eq!(back.faults.len(), 1);
-        back.validate();
+        back.validate().unwrap();
     }
 
     /// `hotshard` is `#[serde(default)]` so config files from before the
@@ -632,7 +685,7 @@ mod tests {
             back.hotshard.poll_interval,
             crate::HotShardConfig::default().poll_interval
         );
-        back.validate();
+        back.validate().unwrap();
     }
 
     /// `HotShardConfig` carries a container-level `#[serde(default)]`:
@@ -646,6 +699,6 @@ mod tests {
         assert_eq!(cfg.poll_interval, dflt.poll_interval);
         assert_eq!(cfg.operator_limit, dflt.operator_limit);
         assert!(cfg.ewma_alpha > 0.0);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 }

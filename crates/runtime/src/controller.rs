@@ -99,7 +99,6 @@ pub fn plan_load_rebalance(
                 .iters(ctrl.sra_iters)
                 .lambda(ctrl.sra_lambda)
                 .seed(seed)
-                .workers(1)
                 .partitions(ctrl.sra_partitions)
                 .build_for(snapshot)
                 .map_err(|e| format!("controller solver config: {e}"))?;
@@ -179,7 +178,6 @@ pub fn plan_evacuation(
     let cfg = SolveOptions::new()
         .iters(1_500)
         .seed(seed)
-        .workers(1)
         .build_for(snapshot)
         .map_err(|e| format!("evacuation solver config: {e}"))?;
     let res = solve_with_drain(snapshot, &cfg, failed).map_err(|e| e.to_string())?;

@@ -30,6 +30,7 @@
 //! observed load history, and the only randomness (the delta solve's seed)
 //! comes from the simulation's named seed streams.
 
+use crate::config::ensure;
 use crate::exec::{batch_durations, MigrationKind, PlannedMigration};
 use rex_cluster::{Instance, ShardId};
 use rex_core::{solve_delta, SolveOptions};
@@ -84,34 +85,35 @@ impl Default for HotShardConfig {
 }
 
 impl HotShardConfig {
-    /// Panics on nonsensical parameters; called from `RuntimeConfig::validate`.
-    pub fn validate(&self) {
+    /// Range-checks the enabled plane's knobs (a disabled plane never polls,
+    /// so its knobs are inert); called from `RuntimeConfig::validate`.
+    pub fn validate(&self) -> Result<(), String> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
-        assert!(self.poll_interval > 0, "hotshard poll_interval must be > 0");
-        assert!(
+        ensure(self.poll_interval > 0, "hotshard poll_interval must be > 0")?;
+        ensure(
             self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "hotshard ewma_alpha must lie in (0, 1]"
-        );
-        assert!(
+            "hotshard ewma_alpha must lie in (0, 1]",
+        )?;
+        ensure(
             self.cache_capacity > 0,
-            "hotshard cache_capacity must be > 0"
-        );
-        assert!(
+            "hotshard cache_capacity must be > 0",
+        )?;
+        ensure(
             self.split_fraction > 0.0 && self.split_fraction <= 1.0,
-            "hotshard split_fraction must lie in (0, 1]"
-        );
-        assert!(
+            "hotshard split_fraction must lie in (0, 1]",
+        )?;
+        ensure(
             self.merge_fraction >= 0.0 && self.merge_fraction < self.split_fraction,
             "hotshard merge_fraction must lie in [0, split_fraction): \
-             the gap is the hysteresis band"
-        );
-        assert!(
+             the gap is the hysteresis band",
+        )?;
+        ensure(
             self.operator_limit > 0,
-            "hotshard operator_limit must be > 0"
-        );
-        assert!(self.delta_iters > 0, "hotshard delta_iters must be > 0");
+            "hotshard operator_limit must be > 0",
+        )?;
+        ensure(self.delta_iters > 0, "hotshard delta_iters must be > 0")
     }
 }
 
@@ -458,7 +460,6 @@ pub fn plan_hotshard_migration(
     let cfg = SolveOptions::new()
         .iters(hs.delta_iters)
         .seed(seed)
-        .workers(1)
         .build_for(snapshot)
         .map_err(|e| format!("hotshard solver config: {e}"))?;
     let out =
@@ -627,8 +628,10 @@ mod tests {
             merge_fraction: 0.4,
             ..Default::default()
         };
-        let r = std::panic::catch_unwind(|| cfg.validate());
-        assert!(r.is_err(), "merge above split must be rejected");
+        assert!(
+            cfg.validate().is_err(),
+            "merge above split must be rejected"
+        );
     }
 
     #[test]
@@ -640,6 +643,6 @@ mod tests {
             poll_interval: 0,
             ..Default::default()
         };
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 }

@@ -29,6 +29,16 @@
 //! `(Instance, RuntimeConfig)`, and two same-seed runs export byte-identical
 //! JSON. See DESIGN.md §7 for the full argument.
 //!
+//! One lowering: an engine-neutral [`rex_cluster::WorkloadSpec`] becomes a
+//! run through [`RuntimeConfig::from_workload`] and
+//! [`Simulation::from_workload`] (tick mode) or
+//! [`Simulation::from_workload_event`] (event mode, the only place the
+//! embedded router backend is built); the `from_scenario` constructors
+//! delegate to them on the degenerate workload. [`RuntimeConfig::validate`] /
+//! [`RuntimeConfig::validate_for`] are the fallible range checks
+//! input-facing callers run first — [`Simulation::new`] panics on what
+//! they reject.
+//!
 //! Observability: [`Simulation::run_traced`] narrates controller decisions,
 //! per-batch migration progress, and fault injection into a
 //! [`rex_obs::Recorder`] keyed by the simulation tick — same determinism

@@ -57,6 +57,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rex_cluster::{
     Assignment, BalanceReport, Instance, MachineId, ResourceVec, ScenarioSpec, ShardId,
+    WorkloadSpec,
 };
 use rex_obs::Recorder;
 use rex_router::{AnyPolicy, PolicyKind, Router, RouterConfig};
@@ -85,7 +86,7 @@ impl ActivePlan {
 }
 
 /// The embedded query-level engine when the simulation runs in *event
-/// mode* ([`Simulation::from_scenario_event`]): a [`rex_router::Router`]
+/// mode* ([`Simulation::from_workload_event`]): a [`rex_router::Router`]
 /// advanced one tick-width of micro-ticks per runtime tick. The runtime
 /// stays the single control brain — the backend supplies arrivals and
 /// latency samples, and mirrors every placement mutation (executor batch
@@ -176,19 +177,14 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds a simulation over `inst`. Panics on invalid configuration or
-    /// fault specs referencing unknown machines.
+    /// fault specs referencing unknown machines — everything
+    /// [`RuntimeConfig::validate_for`] rejects; input-facing callers run that
+    /// check first and report its error.
     pub fn new(inst: Instance, cfg: RuntimeConfig) -> Self {
-        cfg.validate();
-        inst.validate().expect("instance must validate");
-        for f in &cfg.faults {
-            if let FaultSpec::Crash { machine, .. } = f {
-                assert!(
-                    (*machine as usize) < inst.n_machines(),
-                    "crash fault names machine {machine} but the fleet has {}",
-                    inst.n_machines()
-                );
-            }
+        if let Err(e) = cfg.validate_for(inst.n_machines()) {
+            panic!("{e}");
         }
+        inst.validate().expect("instance must validate");
         let asg = Assignment::from_initial(&inst);
         let initial_report = BalanceReport::compute(&inst, &asg);
         let n = inst.n_machines();
@@ -252,62 +248,44 @@ impl Simulation {
         }
     }
 
-    /// Tick-mode simulation of an engine-neutral [`ScenarioSpec`]: the
-    /// lowering of [`RuntimeConfig::from_scenario`] over `inst`. The
+    /// Tick-mode simulation of an engine-neutral [`ScenarioSpec`]:
+    /// [`Simulation::from_workload`] on the degenerate workload. The
     /// differential suite runs this against
     /// [`Simulation::from_scenario_event`] on the same spec.
     pub fn from_scenario(inst: Instance, spec: &ScenarioSpec) -> Self {
-        Self::new(inst, RuntimeConfig::from_scenario(spec))
+        Self::from_workload(inst, &WorkloadSpec::from_scenario(spec.clone()))
     }
 
-    /// Event-mode simulation of the same [`ScenarioSpec`]: arrivals,
-    /// service, and latency come from an embedded [`rex_router::Router`]
-    /// (replication forced to 1 so the replica map mirrors the
-    /// one-home-per-shard [`Assignment`]), while the controller, executor,
-    /// and fault planes stay the runtime's. With `ewma_controller` the
-    /// controller observes router-measured per-replica latency EWMAs
-    /// inverted through the service model instead of ground-truth usage.
+    /// Event-mode simulation of the same [`ScenarioSpec`]:
+    /// [`Simulation::from_workload_event`] on the degenerate workload.
     pub fn from_scenario_event(
         inst: Instance,
         spec: &ScenarioSpec,
         policy: PolicyKind,
         ewma_controller: bool,
     ) -> Self {
-        let rcfg = RouterConfig::from_scenario(spec, policy);
-        let router = Router::new(&inst, &rcfg);
-        let mut sim = Self::new(inst, RuntimeConfig::from_scenario(spec));
-        debug_assert!(
-            !sim.cfg.hotshard.enabled && sim.cfg.drift.is_none(),
-            "event mode mirrors placement moves only; membership mutation \
-             planes must stay off"
-        );
-        sim.backend = Some(Box::new(EventBackend {
-            router,
-            tick_us: spec.tick_us,
-            base_service_us: spec.base_service_us,
-            cursor: 0,
-            queries_seen: 0,
-            ewma_controller,
-            started: false,
-            observed_rho: Vec::new(),
-        }));
-        sim
+        let w = WorkloadSpec::from_scenario(spec.clone());
+        Self::from_workload_event(inst, &w, policy, ewma_controller)
     }
 
-    /// Tick-mode simulation of an engine-neutral
-    /// [`rex_cluster::WorkloadSpec`]: the lowering of
-    /// [`RuntimeConfig::from_workload`] over `inst` — rack crashes expand
-    /// to per-machine faults and the load script arms the diurnal envelope
-    /// and the popularity walk.
-    pub fn from_workload(inst: Instance, w: &rex_cluster::WorkloadSpec) -> Self {
+    /// Tick-mode simulation of an engine-neutral [`WorkloadSpec`]: the
+    /// lowering of [`RuntimeConfig::from_workload`] over `inst` — rack
+    /// crashes expand to per-machine faults and the load script arms the
+    /// diurnal envelope and the popularity walk.
+    pub fn from_workload(inst: Instance, w: &WorkloadSpec) -> Self {
         let n = inst.n_machines();
         Self::new(inst, RuntimeConfig::from_workload(w, n))
     }
 
-    /// Event-mode simulation of the same [`rex_cluster::WorkloadSpec`]:
-    /// the scenario plane lowers to the embedded router exactly as
-    /// [`Simulation::from_scenario_event`] does, and rack crashes forward
-    /// through the existing `set_failed`/evacuation paths.
+    /// Event-mode simulation of the same [`WorkloadSpec`]: arrivals,
+    /// service, and latency come from an embedded [`rex_router::Router`]
+    /// lowered from the scenario plane (replication forced to 1 so the
+    /// replica map mirrors the one-home-per-shard [`Assignment`]), while
+    /// the controller, executor, and fault planes stay the runtime's —
+    /// rack crashes forward through the existing `set_failed`/evacuation
+    /// paths. With `ewma_controller` the controller observes
+    /// router-measured per-replica latency EWMAs inverted through the
+    /// service model instead of ground-truth usage.
     ///
     /// # Panics
     /// If the workload carries a load script: the event engine has no
@@ -315,7 +293,7 @@ impl Simulation {
     /// through the tick engine (`rex simulate`).
     pub fn from_workload_event(
         inst: Instance,
-        w: &rex_cluster::WorkloadSpec,
+        w: &WorkloadSpec,
         policy: PolicyKind,
         ewma_controller: bool,
     ) -> Self {
@@ -326,8 +304,7 @@ impl Simulation {
         );
         let rcfg = RouterConfig::from_scenario(&w.scenario, policy);
         let router = Router::new(&inst, &rcfg);
-        let n = inst.n_machines();
-        let mut sim = Self::new(inst, RuntimeConfig::from_workload(w, n));
+        let mut sim = Self::from_workload(inst, w);
         debug_assert!(
             !sim.cfg.hotshard.enabled && sim.cfg.drift.is_none() && sim.cfg.popularity.is_none(),
             "event mode mirrors placement moves only; membership mutation \

@@ -5,9 +5,6 @@
 //! * [`synthetic`] — parameterized families (uniform, Zipf-skewed,
 //!   correlated, stringent-adversarial) with controllable initial
 //!   imbalance, standing in for the paper's "synthetic data",
-//! * [`realistic`] — the searchsim-backed pipeline (re-exported from
-//!   `rex-searchsim`), standing in for the paper's "real data from actual
-//!   datacenters",
 //! * [`io`] — JSON (de)serialization of instances so experiment inputs are
 //!   reproducible artifacts,
 //! * [`suite`] — the named workload suite the benches iterate over,
@@ -20,14 +17,6 @@ pub mod popularity;
 pub mod special;
 pub mod suite;
 pub mod synthetic;
-
-/// Searchsim-backed realistic instances (see `rex-searchsim::bridge`).
-pub mod realistic {
-    pub use rex_searchsim::bridge::{build_instance, BridgeConfig};
-    pub use rex_searchsim::corpus::CorpusConfig;
-    pub use rex_searchsim::queries::QueryConfig;
-    pub use rex_searchsim::shards::ShardingStrategy;
-}
 
 pub use evolve::{next_epoch, DriftConfig};
 pub use popularity::{apply_popularity, PopularityWalk};

@@ -74,15 +74,16 @@ fn load_workload(path: &str) -> Result<WorkloadSpec, String> {
     Ok(w)
 }
 
-/// The instance a workload-mode run starts from: `--inst` wins, a fleet
-/// table synthesizes its heterogeneous machines through
-/// [`generate_workload`], and a degenerate spec falls back to the plain
-/// synth flags — always seeded by the workload's scenario so the run is a
+/// The instance a run starts from: `--inst` wins; otherwise `base` sized
+/// by the synth flags (`--machines`, `--exchange`, `--shards`) is
+/// synthesized on the spot — through [`generate_workload`] when a
+/// workload's fleet table describes heterogeneous machines. Workload-mode
+/// callers seed `base` with the workload's scenario seed so the run is a
 /// pure function of the spec file.
-fn workload_instance(
+fn synth_instance(
     args: &HashMap<String, String>,
-    w: &WorkloadSpec,
     base: SynthConfig,
+    workload: Option<&WorkloadSpec>,
 ) -> Result<Instance, String> {
     if args.contains_key("inst") {
         return load_instance(args);
@@ -97,14 +98,23 @@ fn workload_instance(
             "usize",
         )?,
         n_shards: parse(get_or(args, "shards", &base.n_shards.to_string()), "usize")?,
-        seed: w.scenario.seed,
         ..base
     };
-    if w.fleet.is_some() {
-        generate_workload(w, &cfg).map_err(|e| e.to_string())
-    } else {
-        generate(&cfg).map_err(|e| e.to_string())
+    match workload {
+        Some(w) if w.fleet.is_some() => generate_workload(w, &cfg),
+        _ => generate(&cfg),
     }
+    .map_err(|e| e.to_string())
+}
+
+/// Whether the run is driven by the workload plane (a spec file or a
+/// recorded trace) instead of the scenario flags.
+fn workload_mode(args: &HashMap<String, String>) -> Result<bool, String> {
+    let on = args.contains_key("workload") || args.contains_key("replay-trace");
+    if !on && args.contains_key("record-trace") {
+        return Err("--record-trace needs --workload (the trace header embeds the spec)".into());
+    }
+    Ok(on)
 }
 
 /// Resolves the workload-plane inputs shared by `simulate` and `converge`:
@@ -124,7 +134,8 @@ fn workload_inputs(
         Ok((w, inst, Some(ReplayScript::from_lines(&lines))))
     } else {
         let w = load_workload(get(args, "workload")?)?;
-        let inst = workload_instance(args, &w, base)?;
+        let seed = w.scenario.seed;
+        let inst = synth_instance(args, SynthConfig { seed, ..base }, Some(&w))?;
         Ok((w, inst, None))
     }
 }
@@ -162,9 +173,9 @@ fn cmd_generate(args: &HashMap<String, String>) -> Result<(), String> {
         other => return Err(format!("unknown placement `{other}`")),
     };
     let cfg = SynthConfig {
-        n_machines: parse(get_or(args, "machines", "16"), "usize")?,
-        n_exchange: parse(get_or(args, "exchange", "2"), "usize")?,
-        n_shards: parse(get_or(args, "shards", "160"), "usize")?,
+        n_machines: 16,
+        n_exchange: 2,
+        n_shards: 160,
         dims: parse(get_or(args, "dims", "3"), "usize")?,
         stringency: parse(get_or(args, "stringency", "0.75"), "f64")?,
         alpha: parse(get_or(args, "alpha", "0.1"), "f64")?,
@@ -181,7 +192,7 @@ fn cmd_generate(args: &HashMap<String, String>) -> Result<(), String> {
             other => return Err(format!("unknown profile `{other}`")),
         },
     };
-    let inst = generate(&cfg).map_err(|e| e.to_string())?;
+    let inst = synth_instance(args, cfg, None)?;
     let out = get(args, "out")?;
     io::save(&inst, Path::new(out)).map_err(|e| e.to_string())?;
     println!(
@@ -300,29 +311,22 @@ fn cmd_verify(args: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the closed-loop simulator over an instance (loaded from `--inst`
-/// or synthesized on the spot) and optionally writes the metrics JSON.
-fn cmd_simulate(args: &HashMap<String, String>) -> Result<(), String> {
-    if args.contains_key("workload") || args.contains_key("replay-trace") {
-        return cmd_simulate_workload(args);
-    }
-    if args.contains_key("record-trace") {
-        return Err("--record-trace needs --workload (the trace header embeds the spec)".into());
-    }
-    let seed = parse(get_or(args, "seed", "42"), "u64")?;
-    let inst = if args.contains_key("inst") {
-        load_instance(args)?
+/// An active recorder iff `--trace FILE` asks for the obs event stream.
+fn trace_recorder(args: &HashMap<String, String>) -> Recorder {
+    if args.contains_key("trace") {
+        Recorder::active()
     } else {
-        generate(&SynthConfig {
-            n_machines: parse(get_or(args, "machines", "16"), "usize")?,
-            n_exchange: parse(get_or(args, "exchange", "2"), "usize")?,
-            n_shards: parse(get_or(args, "shards", "160"), "usize")?,
-            placement: Placement::Hotspot(0.4),
-            seed,
-            ..Default::default()
-        })
-        .map_err(|e| e.to_string())?
-    };
+        Recorder::noop()
+    }
+}
+
+/// The flag-built runtime configuration of `simulate`: faults, drift,
+/// controller policy and the hot-shard plane from the scenario flags.
+fn simulate_flag_config(
+    args: &HashMap<String, String>,
+    seed: u64,
+    inst: &Instance,
+) -> Result<RuntimeConfig, String> {
     let mut faults = Vec::new();
     if args.contains_key("crash-at") {
         faults.push(FaultSpec::Crash {
@@ -369,75 +373,65 @@ fn cmd_simulate(args: &HashMap<String, String>) -> Result<(), String> {
         cfg.hotshard.poll_interval = parse(get_or(args, "hotshard-poll", "25"), "u64")?;
         cfg.hotshard.operator_expiry_ticks = parse(get_or(args, "hotshard-expiry", "400"), "u64")?;
     }
+    Ok(cfg)
+}
+
+/// Runs the closed-loop simulator and optionally writes the metrics JSON.
+/// The run comes from the scenario flags over an instance (loaded from
+/// `--inst` or synthesized on the spot), or — workload mode — from one
+/// engine-neutral spec file or recorded trace that drives the whole run:
+/// fleet table, rack crashes, diurnal envelope, popularity drift. There
+/// the scenario flags (`--ticks`, `--crash-at`, ...) are owned by the spec
+/// and ignored; the synth flags still size a degenerate (fleet-less)
+/// spec's instance.
+fn cmd_simulate(args: &HashMap<String, String>) -> Result<(), String> {
+    let base = SynthConfig {
+        n_machines: 16,
+        n_exchange: 2,
+        n_shards: 160,
+        placement: Placement::Hotspot(0.4),
+        ..Default::default()
+    };
+    let (inst, cfg, w, replay) = if workload_mode(args)? {
+        let (w, inst, replay) = workload_inputs(args, base)?;
+        let cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
+        (inst, cfg, Some(w), replay)
+    } else {
+        let seed = parse(get_or(args, "seed", "42"), "u64")?;
+        let inst = synth_instance(args, SynthConfig { seed, ..base }, None)?;
+        let cfg = simulate_flag_config(args, seed, &inst)?;
+        (inst, cfg, None, None)
+    };
+    // Out-of-range flags and faults naming machines past the fleet are
+    // input errors, not the panics `Simulation::new` reserves for bugs.
+    cfg.validate_for(inst.n_machines())?;
     // `Simulation::new` consumes the config; remember whether the
     // hot-shard control plane is on — the summary gates its block on the
     // plane being *active*, not on its counters being nonzero.
     let hotshard_enabled = cfg.hotshard.enabled;
-    let sim = Simulation::new(inst, cfg);
-    let mut rec = if args.contains_key("trace") {
-        Recorder::active()
-    } else {
-        Recorder::noop()
-    };
-    let export = sim.run_traced(&mut rec);
-    if let Some(path) = args.get("trace") {
-        std::fs::write(path, rec.to_jsonl()).map_err(|e| e.to_string())?;
-        if !has(args, "quiet") {
-            print!("{}", rec.summary());
-            println!("trace written to {path}");
-        }
-    }
-    if let Some(out) = args.get("out") {
-        std::fs::write(out, export.to_json()).map_err(|e| e.to_string())?;
-    }
-    if !has(args, "quiet") {
-        print!("{}", simulate_summary(&export, hotshard_enabled));
-        if let Some(out) = args.get("out") {
-            println!("metrics written to {out}");
-        }
-    }
-    Ok(())
-}
-
-/// The workload-plane arm of `simulate`: one engine-neutral spec file (or
-/// a recorded trace) drives the whole run — fleet table, rack crashes,
-/// diurnal envelope, popularity drift. The scenario flags (`--ticks`,
-/// `--crash-at`, ...) are owned by the spec and ignored here; the synth
-/// flags still size a degenerate (fleet-less) spec's instance.
-fn cmd_simulate_workload(args: &HashMap<String, String>) -> Result<(), String> {
-    let (w, inst, replay) = workload_inputs(
-        args,
-        SynthConfig {
-            n_machines: 16,
-            n_exchange: 2,
-            n_shards: 160,
-            placement: Placement::Hotspot(0.4),
-            ..Default::default()
-        },
-    )?;
-    let mut sim = Simulation::from_workload(inst.clone(), &w);
+    let quiet = has(args, "quiet");
+    let mut rec = trace_recorder(args);
+    // The trace header embeds the exact starting instance.
+    let recording = args.get("record-trace").map(|path| (path, inst.clone()));
+    let mut sim = Simulation::new(inst, cfg);
     if let Some(script) = replay {
         sim.set_replay(script);
     }
-    let mut rec = if args.contains_key("trace") {
-        Recorder::active()
-    } else {
-        Recorder::noop()
-    };
-    let (export, lines) = if args.contains_key("record-trace") {
-        sim.run_recorded(&mut rec)
-    } else {
-        (sim.run_traced(&mut rec), Vec::new())
-    };
-    if let Some(path) = args.get("record-trace") {
-        std::fs::write(path, trace::write_jsonl(&w, &inst, &lines)).map_err(|e| e.to_string())?;
-        if !has(args, "quiet") {
-            println!("workload trace ({} events) written to {path}", lines.len());
+    let export = match (recording, w) {
+        (Some((path, inst)), Some(w)) => {
+            let (export, lines) = sim.run_recorded(&mut rec);
+            std::fs::write(path, trace::write_jsonl(&w, &inst, &lines))
+                .map_err(|e| e.to_string())?;
+            if !quiet {
+                println!("workload trace ({} events) written to {path}", lines.len());
+            }
+            export
         }
-    }
+        _ => sim.run_traced(&mut rec),
+    };
     if let Some(path) = args.get("trace") {
         std::fs::write(path, rec.to_jsonl()).map_err(|e| e.to_string())?;
-        if !has(args, "quiet") {
+        if !quiet {
             print!("{}", rec.summary());
             println!("trace written to {path}");
         }
@@ -445,8 +439,8 @@ fn cmd_simulate_workload(args: &HashMap<String, String>) -> Result<(), String> {
     if let Some(out) = args.get("out") {
         std::fs::write(out, export.to_json()).map_err(|e| e.to_string())?;
     }
-    if !has(args, "quiet") {
-        print!("{}", simulate_summary(&export, false));
+    if !quiet {
+        print!("{}", simulate_summary(&export, hotshard_enabled));
         if let Some(out) = args.get("out") {
             println!("metrics written to {out}");
         }
@@ -511,6 +505,15 @@ fn simulate_summary(export: &MetricsExport, hotshard_enabled: bool) -> String {
 /// report; `--out` writes the report JSON, `--trace` the obs event stream.
 /// Same flags → byte-identical outputs.
 fn cmd_route(args: &HashMap<String, String>) -> Result<(), String> {
+    let base = SynthConfig {
+        n_machines: 16,
+        n_exchange: 0,
+        n_shards: 160,
+        dims: 1,
+        stringency: 0.55,
+        placement: Placement::Hotspot(0.3),
+        ..Default::default()
+    };
     if let Some(path) = args.get("workload") {
         // Workload mode: the spec's scenario plane owns every engine knob
         // (horizon, qps, spike, SRA coupling); only the policy flag stays.
@@ -522,39 +525,14 @@ fn cmd_route(args: &HashMap<String, String>) -> Result<(), String> {
                     .into(),
             );
         }
-        let inst = workload_instance(
-            args,
-            &w,
-            SynthConfig {
-                n_machines: 16,
-                n_exchange: 0,
-                n_shards: 160,
-                dims: 1,
-                stringency: 0.55,
-                placement: Placement::Hotspot(0.3),
-                ..Default::default()
-            },
-        )?;
+        let seed = w.scenario.seed;
+        let inst = synth_instance(args, SynthConfig { seed, ..base }, Some(&w))?;
         let policy = get_or(args, "policy", "power_of_d").parse::<PolicyKind>()?;
         let cfg = RouterConfig::from_scenario(&w.scenario, policy);
         return run_route(args, &inst, &cfg);
     }
     let seed = parse(get_or(args, "seed", "42"), "u64")?;
-    let inst = if args.contains_key("inst") {
-        load_instance(args)?
-    } else {
-        generate(&SynthConfig {
-            n_machines: parse(get_or(args, "machines", "16"), "usize")?,
-            n_exchange: parse(get_or(args, "exchange", "0"), "usize")?,
-            n_shards: parse(get_or(args, "shards", "160"), "usize")?,
-            dims: 1,
-            stringency: 0.55,
-            placement: Placement::Hotspot(0.3),
-            seed,
-            ..Default::default()
-        })
-        .map_err(|e| e.to_string())?
-    };
+    let inst = synth_instance(args, SynthConfig { seed, ..base }, None)?;
     let spike = if args.contains_key("spike-at") {
         Some(FlashCrowd {
             at_us: parse(get(args, "spike-at")?, "u64")?,
@@ -597,11 +575,7 @@ fn run_route(
     inst: &Instance,
     cfg: &RouterConfig,
 ) -> Result<(), String> {
-    let mut rec = if args.contains_key("trace") {
-        Recorder::active()
-    } else {
-        Recorder::noop()
-    };
+    let mut rec = trace_recorder(args);
     let report = router::run_traced(inst, cfg, &mut rec);
     if let Some(path) = args.get("trace") {
         std::fs::write(path, rec.to_jsonl()).map_err(|e| e.to_string())?;
@@ -655,38 +629,71 @@ fn run_route(
     Ok(())
 }
 
-/// Runs one [`ScenarioSpec`] through both engines — the tick-aggregated
-/// closed loop and the query-level event engine — and reports the
-/// differential (DESIGN.md §14): utilization gauges must be
-/// byte-identical, latency percentiles agree within the convergence band.
+/// Runs one scenario — built from the flags, or (workload mode) one spec
+/// file or recorded trace with its fleet and rack planes — through both
+/// engines, the tick-aggregated closed loop and the query-level event
+/// engine, and reports the differential (DESIGN.md §14): utilization
+/// gauges must be byte-identical, latency percentiles agree within the
+/// convergence band. Rack crashes forward through `set_failed` and
+/// evacuation in each engine.
 fn cmd_converge(args: &HashMap<String, String>) -> Result<(), String> {
-    if args.contains_key("workload") || args.contains_key("replay-trace") {
-        return cmd_converge_workload(args);
-    }
-    if args.contains_key("record-trace") {
-        return Err("--record-trace needs --workload (the trace header embeds the spec)".into());
-    }
-    let seed = parse(get_or(args, "seed", "42"), "u64")?;
-    let inst = if args.contains_key("inst") {
-        load_instance(args)?
-    } else {
-        generate(&SynthConfig {
-            n_machines: parse(get_or(args, "machines", "8"), "usize")?,
-            n_exchange: parse(get_or(args, "exchange", "0"), "usize")?,
-            n_shards: parse(get_or(args, "shards", "64"), "usize")?,
-            dims: 1,
-            stringency: 0.4,
-            placement: Placement::BalancedBfd,
-            seed,
-            ..Default::default()
-        })
-        .map_err(|e| e.to_string())?
+    let base = SynthConfig {
+        n_machines: 8,
+        n_exchange: 0,
+        n_shards: 64,
+        dims: 1,
+        stringency: 0.4,
+        placement: Placement::BalancedBfd,
+        ..Default::default()
     };
+    let (w, inst, replay) = if workload_mode(args)? {
+        workload_inputs(args, base)?
+    } else {
+        let spec = converge_flag_spec(args)?;
+        let seed = spec.seed;
+        let inst = synth_instance(args, SynthConfig { seed, ..base }, None)?;
+        (WorkloadSpec::from_scenario(spec), inst, None)
+    };
+    if w.load.is_some() {
+        return Err(
+            "the event engine has no load-script counterpart: converge runs the \
+             scenario/fleet/rack planes only — drive load scripts through simulate"
+                .into(),
+        );
+    }
+    // A crash naming a machine past the fleet is an input error, not the
+    // panic `Simulation::new` reserves for bugs.
+    RuntimeConfig::from_workload(&w, inst.n_machines()).validate_for(inst.n_machines())?;
+    let policy = get_or(args, "policy", "round_robin").parse::<PolicyKind>()?;
+    let mut tick_sim = Simulation::from_workload(inst.clone(), &w);
+    let mut event_sim =
+        Simulation::from_workload_event(inst.clone(), &w, policy, has(args, "ewma"));
+    if let Some(script) = replay {
+        tick_sim.set_replay(script.clone());
+        event_sim.set_replay(script);
+    }
+    let (tick, lines) = if args.contains_key("record-trace") {
+        tick_sim.run_recorded(&mut Recorder::noop())
+    } else {
+        (tick_sim.run(), Vec::new())
+    };
+    let event = event_sim.run();
+    if let Some(path) = args.get("record-trace") {
+        std::fs::write(path, trace::write_jsonl(&w, &inst, &lines)).map_err(|e| e.to_string())?;
+        if !has(args, "quiet") {
+            println!("workload trace ({} events) written to {path}", lines.len());
+        }
+    }
+    converge_report(args, &w.scenario, policy, &tick, &event)
+}
+
+/// The flag-built scenario of `converge`, validated.
+fn converge_flag_spec(args: &HashMap<String, String>) -> Result<ScenarioSpec, String> {
     let mut spec = ScenarioSpec {
         ticks: parse(get_or(args, "ticks", "600"), "u64")?,
         qps_per_tick: parse(get_or(args, "qps", "4"), "f64")?,
         fanout: parse(get_or(args, "fanout", "4"), "usize")?,
-        seed,
+        seed: parse(get_or(args, "seed", "42"), "u64")?,
         ..Default::default()
     };
     if args.contains_key("spike-at") {
@@ -717,60 +724,10 @@ fn cmd_converge(args: &HashMap<String, String>) -> Result<(), String> {
     // horizon): surface the typed error instead of panicking downstream.
     spec.validate()
         .map_err(|e| format!("invalid scenario: {e}"))?;
-    let policy = get_or(args, "policy", "round_robin").parse::<PolicyKind>()?;
-    let tick = Simulation::from_scenario(inst.clone(), &spec).run();
-    let event = Simulation::from_scenario_event(inst, &spec, policy, has(args, "ewma")).run();
-    converge_report(args, &spec, policy, &tick, &event)
+    Ok(spec)
 }
 
-/// The workload-plane arm of `converge`: one spec (or recorded trace)
-/// through both engines — rack crashes forward through `set_failed` and
-/// evacuation in each, and the differential contract is unchanged:
-/// utilization gauges must match byte for byte.
-fn cmd_converge_workload(args: &HashMap<String, String>) -> Result<(), String> {
-    let (w, inst, replay) = workload_inputs(
-        args,
-        SynthConfig {
-            n_machines: 8,
-            n_exchange: 0,
-            n_shards: 64,
-            dims: 1,
-            stringency: 0.4,
-            placement: Placement::BalancedBfd,
-            ..Default::default()
-        },
-    )?;
-    if w.load.is_some() {
-        return Err(
-            "the event engine has no load-script counterpart: converge runs the \
-             scenario/fleet/rack planes only — drive load scripts through simulate"
-                .into(),
-        );
-    }
-    let policy = get_or(args, "policy", "round_robin").parse::<PolicyKind>()?;
-    let mut tick_sim = Simulation::from_workload(inst.clone(), &w);
-    let mut event_sim =
-        Simulation::from_workload_event(inst.clone(), &w, policy, has(args, "ewma"));
-    if let Some(script) = replay {
-        tick_sim.set_replay(script.clone());
-        event_sim.set_replay(script);
-    }
-    let (tick, lines) = if args.contains_key("record-trace") {
-        tick_sim.run_recorded(&mut Recorder::noop())
-    } else {
-        (tick_sim.run(), Vec::new())
-    };
-    let event = event_sim.run();
-    if let Some(path) = args.get("record-trace") {
-        std::fs::write(path, trace::write_jsonl(&w, &inst, &lines)).map_err(|e| e.to_string())?;
-        if !has(args, "quiet") {
-            println!("workload trace ({} events) written to {path}", lines.len());
-        }
-    }
-    converge_report(args, &w.scenario, policy, &tick, &event)
-}
-
-/// The differential check and roll-up both `converge` arms share.
+/// The differential check and roll-up of `converge`.
 fn converge_report(
     args: &HashMap<String, String>,
     spec: &ScenarioSpec,
@@ -820,20 +777,15 @@ fn converge_report(
 /// the JSONL event stream. The trace is a pure function of the instance and
 /// the flags — two same-flag invocations write byte-identical JSONL.
 fn cmd_trace(args: &HashMap<String, String>) -> Result<(), String> {
-    let seed = parse(get_or(args, "seed", "42"), "u64")?;
-    let inst = if args.contains_key("inst") {
-        load_instance(args)?
-    } else {
-        generate(&SynthConfig {
-            n_machines: parse(get_or(args, "machines", "16"), "usize")?,
-            n_exchange: parse(get_or(args, "exchange", "2"), "usize")?,
-            n_shards: parse(get_or(args, "shards", "160"), "usize")?,
-            placement: Placement::Hotspot(0.4),
-            seed,
-            ..Default::default()
-        })
-        .map_err(|e| e.to_string())?
+    let base = SynthConfig {
+        n_machines: 16,
+        n_exchange: 2,
+        n_shards: 160,
+        placement: Placement::Hotspot(0.4),
+        seed: parse(get_or(args, "seed", "42"), "u64")?,
+        ..Default::default()
     };
+    let inst = synth_instance(args, base, None)?;
     let cfg = solver_config(args, "4000", &inst)?;
     let mut rec = Recorder::active();
     let res = solve_traced(&inst, &cfg, &[], &mut rec).map_err(|e| e.to_string())?;
@@ -1458,6 +1410,36 @@ mod tests {
         // Converge refuses load scripts (the event engine has none).
         let e = cmd_converge(&args(&[("workload", spec.to_str().unwrap())])).unwrap_err();
         assert!(e.contains("load-script"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_range_faults_and_horizons_are_errors_not_panics() {
+        // `Simulation::new` panics on each of these; the CLI must reject
+        // them first, with one line.
+        let sim = [("crash-at", "5"), ("crash-machine", "999"), ("ticks", "50")];
+        let e = cmd_simulate(&args(&sim)).unwrap_err();
+        assert!(e.contains("machine 999") && e.contains("18"), "{e}");
+        let e = cmd_converge(&args(&sim)).unwrap_err();
+        assert!(e.contains("machine 999") && e.contains('8'), "{e}");
+        let e = cmd_simulate(&args(&[("ticks", "0")])).unwrap_err();
+        assert!(e.contains("ticks"), "{e}");
+        // The same crash arriving through a workload file.
+        let dir = std::env::temp_dir().join("rex-cli-bad-faults");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("crash.json");
+        std::fs::write(
+            &spec,
+            r#"{"scenario": {"ticks": 200, "tick_us": 1000, "qps_per_tick": 4.0,
+                "fanout": 4, "base_service_us": 100.0, "rho_max": 0.95,
+                "seed": 3, "spike": null, "sra": null,
+                "crash": {"at_tick": 20, "machine": 999, "recover_at_tick": null}}}"#,
+        )
+        .unwrap();
+        for cmd in [cmd_simulate, cmd_converge] {
+            let e = cmd(&args(&[("workload", spec.to_str().unwrap())])).unwrap_err();
+            assert!(e.contains("machine 999"), "{e}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
