@@ -98,17 +98,37 @@ pub fn plan_migration(
     // blockage is resolved by *other* machines draining, not by shuttling
     // it between staging hosts.
     let mut staged = vec![false; inst.n_shards()];
+    // Per-round scratch, allocated once: a gate call runs hundreds of
+    // rounds over the same fleet.
+    let mut blocked = vec![false; inst.n_machines()];
+    let mut extra = vec![ResourceVec::zero(inst.dims); inst.n_machines()];
+    // `is_pending[s]`: shard `s` has an entry in `pending`.
+    let mut is_pending = vec![false; inst.n_shards()];
+    for p in &pending {
+        is_pending[p.shard.idx()] = true;
+    }
+    // `moved_in[s]`: the last round whose batch moved shard `s`.
+    let mut moved_in = vec![0u32; inst.n_shards()];
+    let mut round = 0u32;
 
     while !pending.is_empty() {
-        let batch = collect_batch(inst, &cur, &pending, cfg);
+        round += 1;
+        // One blocked set per round: the staging fallbacks below only run
+        // when the batch is empty, i.e. on the same `(cur, pending)`.
+        mark_blocked_sources(inst, &cur, &pending, &mut blocked);
+        let batch = collect_batch(inst, &cur, &pending, cfg, &blocked, &mut extra);
         if !batch.is_empty() {
             // Commit the batch, retiring completed relocations.
             for mv in &batch {
                 cur.move_shard(inst, mv.shard, mv.to);
+                moved_in[mv.shard.idx()] = round;
                 executed += 1;
             }
-            let done: Vec<ShardId> = batch.iter().map(|mv| mv.shard).collect();
-            pending.retain(|p| !done.contains(&p.shard) || cur.machine_of(p.shard) != p.target);
+            pending.retain(|p| {
+                let keep = moved_in[p.shard.idx()] != round || cur.machine_of(p.shard) != p.target;
+                is_pending[p.shard.idx()] = keep;
+                keep
+            });
             plan.batches.push(batch);
         } else {
             // Deadlock: every pending move is transiently infeasible. First
@@ -117,12 +137,14 @@ pub fn plan_migration(
             // move's *source* by parking a co-resident shard elsewhere and
             // scheduling its return (source-side staging, only relevant
             // when alpha > 0 charges copy overhead on the source).
-            if let Some(mv) = find_staging_move(inst, &cur, &pending, &staged) {
+            if let Some(mv) = find_staging_move(inst, &cur, &pending, &staged, &blocked) {
                 staged[mv.shard.idx()] = true;
                 cur.move_shard(inst, mv.shard, mv.to);
                 executed += 1;
                 plan.batches.push(vec![mv]);
-            } else if let Some(mv) = find_source_freeing_move(inst, &cur, &pending) {
+            } else if let Some(mv) =
+                find_source_freeing_move(inst, &cur, &pending, &is_pending, &blocked)
+            {
                 cur.move_shard(inst, mv.shard, mv.to);
                 executed += 1;
                 // The parked shard must end where the target says: back on
@@ -132,6 +154,7 @@ pub fn plan_migration(
                     target: mv.from,
                     is_return: true,
                 });
+                is_pending[mv.shard.idx()] = true;
                 plan.batches.push(vec![mv]);
             } else if let Some(mv) = find_held_arrival(inst, &cur, &pending) {
                 // Every remaining blockage is a *hold* protecting a machine
@@ -139,7 +162,11 @@ pub fn plan_migration(
                 // smallest held arrival so the rest of the plan proceeds.
                 cur.move_shard(inst, mv.shard, mv.to);
                 executed += 1;
-                pending.retain(|p| p.shard != mv.shard || cur.machine_of(p.shard) != p.target);
+                pending.retain(|p| {
+                    let keep = p.shard != mv.shard || cur.machine_of(p.shard) != p.target;
+                    is_pending[p.shard.idx()] = keep;
+                    keep
+                });
                 plan.batches.push(vec![mv]);
             } else {
                 // Debugging aid: REX_PLAN_TRACE=1 dumps why each pending
@@ -187,20 +214,22 @@ pub fn plan_migration(
 ///   arriving replica plus copy overhead, and
 /// * `usage(f) + batch_extra(f) + α·d ≤ C(f)` — source still holds the
 ///   shard (already inside `usage(f)`) plus copy overhead.
+///
+/// `hold_arrivals` is the round's blocked-source set: no arrival may land on
+/// a machine that still has a source-blocked ordinary departure. Arriving
+/// first would consume the very headroom the departure's copy overhead
+/// needs (and parked shards would bounce straight home, undoing the
+/// freeing) — departures come first on congested machines. `extra` is
+/// all-zero scratch (one row per machine) and is handed back all-zero.
 fn collect_batch(
     inst: &Instance,
     cur: &Assignment,
     pending: &[Pending],
     cfg: &PlannerConfig,
+    hold_arrivals: &[bool],
+    extra: &mut [ResourceVec],
 ) -> Vec<Move> {
     let alpha = inst.alpha;
-    // Machines that still have a source-blocked ordinary departure: no
-    // arrival may land on them this batch. Arriving first would consume the
-    // very headroom the departure's copy overhead needs (and parked shards
-    // would bounce straight home, undoing the freeing) — departures come
-    // first on congested machines.
-    let hold_arrivals = blocked_sources(inst, cur, pending);
-    let mut extra: Vec<ResourceVec> = vec![ResourceVec::zero(inst.dims); inst.n_machines()];
     let mut batch = Vec::new();
     for p in pending {
         if cfg.max_batch_moves != 0 && batch.len() >= cfg.max_batch_moves {
@@ -238,17 +267,22 @@ fn collect_batch(
             });
         }
     }
+    let zero = ResourceVec::zero(inst.dims);
+    for mv in &batch {
+        extra[mv.from.idx()] = zero;
+        extra[mv.to.idx()] = zero;
+    }
     batch
 }
 
 /// Machines with a source-blocked ordinary (non-return) pending departure:
-/// `out[m]` is true when some shard must leave `m` but `m` lacks the `α·d`
+/// `out[m]` is set when some shard must leave `m` but `m` lacks the `α·d`
 /// copy headroom right now. Such machines must not receive arrivals or host
 /// parked shards until their departures clear.
-fn blocked_sources(inst: &Instance, cur: &Assignment, pending: &[Pending]) -> Vec<bool> {
-    let mut out = vec![false; inst.n_machines()];
+fn mark_blocked_sources(inst: &Instance, cur: &Assignment, pending: &[Pending], out: &mut [bool]) {
+    out.fill(false);
     if inst.alpha <= 0.0 {
-        return out;
+        return;
     }
     for p in pending {
         if p.is_return {
@@ -266,7 +300,6 @@ fn blocked_sources(inst: &Instance, cur: &Assignment, pending: &[Pending]) -> Ve
             out[from.idx()] = true;
         }
     }
-    out
 }
 
 /// Picks a two-hop staging move that breaks a deadlock: parks some pending
@@ -279,9 +312,9 @@ fn find_staging_move(
     cur: &Assignment,
     pending: &[Pending],
     staged: &[bool],
+    blocked: &[bool],
 ) -> Option<Move> {
     let alpha = inst.alpha;
-    let blocked = blocked_sources(inst, cur, pending);
     for p in pending {
         if p.is_return || staged[p.shard.idx()] {
             continue; // parked shards wait for departures; re-staging them
@@ -358,13 +391,13 @@ fn find_source_freeing_move(
     inst: &Instance,
     cur: &Assignment,
     pending: &[Pending],
+    is_pending: &[bool],
+    blocked: &[bool],
 ) -> Option<Move> {
     if inst.alpha <= 0.0 {
         return None; // sources can never block without copy overhead
     }
     let alpha = inst.alpha;
-    let blocked = blocked_sources(inst, cur, pending);
-    let pending_shards: Vec<ShardId> = pending.iter().map(|p| p.shard).collect();
     for p in pending {
         if p.is_return {
             continue; // returns resolve via departures, not more parking
@@ -386,7 +419,7 @@ fn find_source_freeing_move(
         // are handled by target-side staging), largest-unblocking first.
         let mut best: Option<(bool, f64, Move)> = None; // (unblocks, -d_norm, move)
         for &s in cur.shards_on(from) {
-            if s == p.shard || pending_shards.contains(&s) {
+            if s == p.shard || is_pending[s.idx()] {
                 continue;
             }
             let ds = &inst.shards[s.idx()].demand;

@@ -632,11 +632,15 @@ mod tests {
         );
     }
 
+    fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a over the machine ids of a placement.
     fn placement_checksum(placement: &[MachineId]) -> u64 {
-        placement.iter().fold(0xcbf2_9ce4_8422_2325, |h, m| {
-            (h ^ u64::from(m.0)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        fnv1a(placement.iter().map(|m| u64::from(m.0)))
     }
 
     #[test]
@@ -659,6 +663,62 @@ mod tests {
         pin((6, 18, 8, 13), 2, 7, &[], 0x3fcb46c227147ae1, 4248, 0x6d2502117afe29e0);
         pin((3, 6, 3, 1), 3, 1, &[], 0x3fce1f74f4333333, 6248, 0xcfd90bb7623ad8b7);
         pin((4, 8, 4, 5), 4, 42, &[MachineId(0)], 0x3fce6e3408333333, 8248, 0xe9a5090a5306fee0);
+    }
+
+    /// The benchmark's synthetic instance family (correlated demand,
+    /// hotspot placement, α = 0.1) at a given size and stringency.
+    fn synth(
+        machines: usize,
+        exchange: usize,
+        shards: usize,
+        stringency: f64,
+        seed: u64,
+    ) -> Instance {
+        use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+        generate(&SynthConfig {
+            n_machines: machines,
+            n_exchange: exchange,
+            n_shards: shards,
+            dims: 3,
+            stringency,
+            alpha: 0.1,
+            family: DemandFamily::Correlated,
+            placement: Placement::Hotspot(0.4),
+            seed,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    #[rustfmt::skip] // one pin per row
+    fn operator_pruning_matches_the_frozen_unpruned_scans() {
+        // Recorded before the repair scans got their tight lower bound and
+        // worst-machine removal lost its sort (both must be decision-exact):
+        // default-objective solves → objective bits, iterations, placement
+        // checksum; and the length + FNV-1a of one traced solve's JSONL.
+        let pin = |inst: &Instance, c: &SraConfig, drain: &[MachineId], bits, iters, sum| {
+            let res = solve_with_drain(inst, c, drain).unwrap();
+            let got = (
+                res.objective_value.to_bits(),
+                res.iterations,
+                placement_checksum(res.assignment.placement()),
+            );
+            assert_eq!(got, (bits, iters, sum), "{} {c:?}", inst.label);
+        };
+        let stringent = synth(100, 8, 1000, 0.90, 11);
+        let serial = SraConfig { iters: 400, seed: 11, ..Default::default() };
+        pin(&stringent, &serial, &[], 0x3fed6fec60a3ceb5, 400, 0x435ddb3caadf96c8);
+        let mid = synth(60, 6, 720, 0.80, 12);
+        pin(&mid, &SraConfig { iters: 300, seed: 5, partitions: 2, depth: 2, ..Default::default() }, &[], 0x3fea2a19db77d873, 1800, 0xc78f1aeec0aca0f1);
+        let loose = synth(40, 4, 400, 0.50, 13);
+        pin(&loose, &SraConfig { iters: 600, seed: 3, ..Default::default() }, &[MachineId(3), MachineId(7)], 0x3fe14a44f56fd55e, 600, 0xc82f2d555078f75a);
+
+        let mut rec = Recorder::active();
+        solve_traced(&stringent, &SraConfig { iters: 150, seed: 2, ..Default::default() }, &[], &mut rec).unwrap();
+        let jsonl = rec.to_jsonl();
+        let hash = fnv1a(jsonl.bytes().map(u64::from));
+        assert_eq!((jsonl.len(), hash), (38947, 0x2a1708da555f601c));
     }
 
     #[test]

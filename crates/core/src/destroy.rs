@@ -74,44 +74,52 @@ impl DestroyInPlace<SraProblem<'_>> for WorstMachineRemoval {
     }
 
     fn destroy(&self, p: &SraProblem<'_>, state: &mut SraState, intensity: f64, rng: &mut StdRng) {
-        let inst = p.inst;
-        let k = removal_count(inst.n_shards(), intensity, self.cap);
-        let mut hot = std::mem::take(&mut state.scored);
+        let k = removal_count(p.inst.n_shards(), intensity, self.cap);
         for _ in 0..k {
             // Rank occupied machines by the *cached* load (kept current by
             // `detach`); sample among the top 3 so repeated invocations
             // explore different evacuation patterns.
-            hot.clear();
-            hot.extend(
-                (0..inst.n_machines())
-                    .filter(|&i| !state.asg.shards_on(MachineId::from(i)).is_empty())
-                    .map(|i| (state.loads[i], i as u32)),
-            );
-            if hot.is_empty() {
+            let (hot, n_hot) = hottest_three(state);
+            if n_hot == 0 {
                 break;
             }
-            hot.sort_unstable_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-            let pick = rng.random_range(0..hot.len().min(3));
-            let machine = MachineId::from(hot[pick].1 as usize);
+            let machine = MachineId::from(hot[rng.random_range(0..n_hot)] as usize);
+            let norms = &state.demand_norm;
             let s = *state
                 .asg
                 .shards_on(machine)
                 .iter()
                 .max_by(|a, b| {
-                    inst.demand(**a)
-                        .norm()
-                        .partial_cmp(&inst.demand(**b).norm())
+                    norms[a.idx()]
+                        .partial_cmp(&norms[b.idx()])
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .expect("machine is occupied");
             state.detach(p, s);
         }
-        state.scored = hot;
     }
+}
+
+/// The (up to) three most-loaded occupied machines, hottest first, and how
+/// many there are. `(load desc, id asc)` is a strict total order and ids
+/// are visited ascending, so a machine enters a slot only on a strictly
+/// larger load — one pass yields exactly the prefix a full sort would.
+fn hottest_three(state: &SraState) -> ([u32; 3], usize) {
+    let mut top = [(f64::NEG_INFINITY, 0u32); 3];
+    let mut n = 0;
+    for (i, &load) in state.loads.iter().enumerate() {
+        if load <= top[2].0 || state.asg.is_vacant(MachineId::from(i)) {
+            continue;
+        }
+        let mut slot = 2;
+        while slot > 0 && load > top[slot - 1].0 {
+            slot -= 1;
+        }
+        top.copy_within(slot..2, slot + 1);
+        top[slot] = (load, i as u32);
+        n += 1;
+    }
+    (top.map(|(_, m)| m), n.min(3))
 }
 
 /// Shaw-style related removal: detaches shards whose demand vectors are
@@ -212,6 +220,7 @@ pub fn default_destroys_in_place<'a>(cap: usize) -> Vec<Box<dyn DestroyInPlace<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rex_cluster::{Assignment, Instance, InstanceBuilder, Objective};
     use rex_lns::LnsProblemInPlace;
@@ -378,6 +387,46 @@ mod tests {
             state.solution().validate_consistency(&inst).unwrap();
             LnsProblemInPlace::revert(&p, &mut state);
             assert_eq!(state.solution().placement(), before.as_slice());
+        }
+    }
+
+    proptest! {
+        /// The one-pass top three equals the prefix of the full
+        /// `(load desc, id asc)` sort it replaced — on loads with exact
+        /// ties, with vacant machines in between, down to no occupied
+        /// machine at all.
+        #[test]
+        fn hottest_three_is_the_sorted_prefix(
+            shards_per_machine in proptest::collection::vec(0usize..4, 1..10),
+            sizes in proptest::collection::vec(1u8..4, 27..28),
+        ) {
+            prop_assume!(shards_per_machine.iter().any(|&n| n > 0));
+            let mut b = InstanceBuilder::new(1).k_return(0);
+            let mut sizes = sizes.iter();
+            for &n in &shards_per_machine {
+                let m = b.machine(&[10.0]);
+                for _ in 0..n {
+                    b.shard(&[f64::from(*sizes.next().unwrap())], 1.0, m);
+                }
+            }
+            let inst = b.build().unwrap();
+            let p = SraProblem::new(&inst, Objective::default());
+            let mut state = p.make_state(Assignment::from_initial(&inst));
+            loop {
+                let mut sorted: Vec<(f64, u32)> = (0..inst.n_machines())
+                    .filter(|&i| !state.asg.is_vacant(MachineId::from(i)))
+                    .map(|i| (state.loads[i], i as u32))
+                    .collect();
+                sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+                let (hot, n_hot) = hottest_three(&state);
+                prop_assert_eq!(n_hot, sorted.len().min(3));
+                let want: Vec<u32> = sorted.iter().take(3).map(|&(_, m)| m).collect();
+                prop_assert_eq!(&hot[..n_hot], &want[..]);
+                // Shrink the hottest machine and look again.
+                let Some(&(_, m)) = sorted.first() else { break };
+                let s = state.asg.shards_on(MachineId::from(m as usize))[0];
+                state.detach(&p, s);
+            }
         }
     }
 }

@@ -60,6 +60,45 @@ fn sort_big_first_cached(state: &SraState, removed: &mut [ShardId]) {
     });
 }
 
+/// Lower bound on `insertion_score(s, m)` for every admissible pair, from
+/// cached quantities only: the machine's load now, plus the least the
+/// shard can add to it (`SraState::delta`, where the rounding argument
+/// lives), plus the migration penalty off the initial machine. Both
+/// additions are rounded and monotone, so along the load-sorted scan order
+/// the bound never decreases — once it reaches the slot a scan is trying to
+/// beat, neither this machine nor any later one can displace that slot.
+#[inline]
+fn score_bound(p: &SraProblem<'_>, state: &SraState, s: ShardId, m: MachineId) -> f64 {
+    let pen = if m == p.inst.initial[s.idx()] {
+        0.0
+    } else {
+        state.pen[s.idx()]
+    };
+    state.loads[m.idx()] + state.delta[s.idx()] + pen
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Number of `insertion_score` evaluations the repairs made on this
+    /// thread (tests assert the pruning's work, not its time).
+    static SCORE_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `insertion_score` as the repair scans call it: every evaluation is
+/// checked against [`score_bound`] in debug builds.
+#[inline]
+fn scored(p: &SraProblem<'_>, state: &SraState, s: ShardId, m: MachineId) -> Option<f64> {
+    #[cfg(test)]
+    SCORE_VISITS.with(|v| v.set(v.get() + 1));
+    let score = p.insertion_score(&state.asg, s, m)?;
+    debug_assert!(
+        score_bound(p, state, s, m) <= score,
+        "inadmissible bound for {s} on {m}: {} > {score}",
+        score_bound(p, state, s, m)
+    );
+    Some(score)
+}
+
 /// Greedy best-fit: inserts shards, largest first, each on the machine with
 /// the lowest insertion score.
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +112,7 @@ impl RepairInPlace<SraProblem<'_>> for GreedyBestFit {
     fn repair(&self, p: &SraProblem<'_>, state: &mut SraState, _rng: &mut StdRng) -> bool {
         let mut removed = std::mem::take(&mut state.removed);
         sort_big_first_cached(state, &mut removed);
-        rebuild_order(state, p.inst.n_machines());
+        state.refresh_order();
         let mut ctx = InsertCtx::with_budget(state.vacancy_budget());
         for (idx, &s) in removed.iter().enumerate() {
             let Some((m, _)) = best_machine_cached(p, state, &ctx, s) else {
@@ -81,9 +120,7 @@ impl RepairInPlace<SraProblem<'_>> for GreedyBestFit {
                 state.removed = removed;
                 return false;
             };
-            ctx.consume(&state.asg, m);
-            state.attach(p, s, m);
-            reposition(state, m);
+            place(p, state, &mut ctx, s, m);
         }
         removed.clear();
         state.removed = removed;
@@ -91,50 +128,21 @@ impl RepairInPlace<SraProblem<'_>> for GreedyBestFit {
     }
 }
 
-/// Rebuilds the repair scan order: machine ids sorted by `(load, id)`
-/// ascending, from the state's cached loads. Called once per in-place
-/// repair invocation.
-fn rebuild_order(state: &mut SraState, n_machines: usize) {
-    let mut order = std::mem::take(&mut state.order);
-    order.clear();
-    order.extend(0..n_machines as u32);
-    let loads = &state.loads;
-    order.sort_unstable_by(|&a, &b| {
-        loads[a as usize]
-            .partial_cmp(&loads[b as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    state.order = order;
-}
-
-/// Restores the `(load, id)` invariant after machine `m`'s load grew: a
-/// single bubble pass to the right.
-fn reposition(state: &mut SraState, m: MachineId) {
-    let raw = m.idx() as u32;
-    let Some(mut i) = state.order.iter().position(|&x| x == raw) else {
-        return;
-    };
-    while i + 1 < state.order.len() {
-        let next = state.order[i + 1] as usize;
-        let (lm, ln) = (state.loads[raw as usize], state.loads[next]);
-        if ln < lm || (ln == lm && (next as u32) < raw) {
-            state.order.swap(i, i + 1);
-            i += 1;
-        } else {
-            break;
-        }
-    }
+/// Places detached shard `s` on `m`: charges the vacancy budget, attaches,
+/// and moves `m` to its new place in the scan order.
+fn place(p: &SraProblem<'_>, state: &mut SraState, ctx: &mut InsertCtx, s: ShardId, m: MachineId) {
+    ctx.consume(&state.asg, m);
+    let before = state.loads[m.idx()];
+    state.attach(p, s, m);
+    state.reposition(m, before);
 }
 
 /// Best feasible machine for `s` under the insertion score, driven by the
-/// load-sorted scan order with an early break. The true score of a machine
-/// is its load *after* adding the shard's demand plus the migration
-/// penalty, so `loads[m] + penalty` lower-bounds it (rounded addition is
-/// monotone); once that bound reaches the running best, every later
-/// machine in load order is beaten too. The shard's initial machine is
-/// visited first — it is the only one whose penalty is zero. Selection is
-/// deterministic: ties resolve to the earliest machine in scan order.
+/// load-sorted scan order with an early break: once [`score_bound`]
+/// reaches the running best, every later machine in load order is beaten
+/// too. The shard's initial machine is visited first — it is the only one
+/// whose penalty is zero. Selection is deterministic: ties resolve to the
+/// earliest machine in scan order.
 fn best_machine_cached(
     p: &SraProblem<'_>,
     state: &SraState,
@@ -144,25 +152,24 @@ fn best_machine_cached(
     let init_m = p.inst.initial[s.idx()];
     let mut best: Option<(MachineId, f64)> = None;
     if ctx.allowed(&state.asg, init_m) {
-        if let Some(score) = p.insertion_score(&state.asg, s, init_m) {
+        if let Some(score) = scored(p, state, s, init_m) {
             best = Some((init_m, score));
         }
     }
-    let pen = state.pen[s.idx()];
     for &raw in &state.order {
         let m = MachineId::from(raw as usize);
         if m == init_m {
             continue;
         }
         if let Some((_, b)) = best {
-            if state.loads[raw as usize] + pen >= b {
+            if score_bound(p, state, s, m) >= b {
                 break; // later machines have equal or larger loads
             }
         }
         if !ctx.allowed(&state.asg, m) {
             continue;
         }
-        if let Some(score) = p.insertion_score(&state.asg, s, m) {
+        if let Some(score) = scored(p, state, s, m) {
             let better = match best {
                 None => true,
                 Some((_, b)) => score < b,
@@ -176,7 +183,7 @@ fn best_machine_cached(
 }
 
 /// Top-3 scan for one shard over the load-sorted order (initial machine
-/// first), breaking once the load lower bound reaches the running third
+/// first), breaking once [`score_bound`] reaches the running third
 /// slot — so every machine left unvisited (or visited but outscored)
 /// provably scores at least the final `s[2]`, which is the invariant the
 /// cascade update relies on. `None` means no feasible machine (the repair
@@ -192,12 +199,11 @@ fn scan_regret(
         s: [f64::INFINITY; 3],
     };
     let init_m = p.inst.initial[s.idx()];
-    let pen = state.pen[s.idx()];
     let consider = |m: MachineId, e: &mut RegretEntry| {
         if !ctx.allowed(&state.asg, m) {
             return;
         }
-        if let Some(score) = p.insertion_score(&state.asg, s, m) {
+        if let Some(score) = scored(p, state, s, m) {
             let raw = m.idx() as u32;
             if score < e.s[0] {
                 (e.m[2], e.s[2]) = (e.m[1], e.s[1]);
@@ -217,7 +223,7 @@ fn scan_regret(
         if m == init_m {
             continue;
         }
-        if state.loads[raw as usize] + pen >= e.s[2] {
+        if score_bound(p, state, s, m) >= e.s[2] {
             break; // cannot displace any slot, nor can any later machine
         }
         consider(m, &mut e);
@@ -332,7 +338,7 @@ impl RepairInPlace<SraProblem<'_>> for Regret2Insert {
     fn repair(&self, p: &SraProblem<'_>, state: &mut SraState, _rng: &mut StdRng) -> bool {
         let mut removed = std::mem::take(&mut state.removed);
         let mut entries = std::mem::take(&mut state.regret);
-        rebuild_order(state, p.inst.n_machines());
+        state.refresh_order();
         let mut ctx = InsertCtx::with_budget(state.vacancy_budget());
         entries.clear();
         for &s in &removed {
@@ -357,9 +363,7 @@ impl RepairInPlace<SraProblem<'_>> for Regret2Insert {
             let s = removed.swap_remove(pick);
             entries.swap_remove(pick);
             let was_vacant = state.asg.is_vacant(m);
-            ctx.consume(&state.asg, m);
-            state.attach(p, s, m);
-            reposition(state, m);
+            place(p, state, &mut ctx, s, m);
             let rescan_all = was_vacant && ctx.vacancy_budget == 0;
             let m_raw = m.idx() as u32;
             for i in 0..removed.len() {
@@ -406,7 +410,7 @@ impl RepairInPlace<SraProblem<'_>> for RandomizedGreedy {
     fn repair(&self, p: &SraProblem<'_>, state: &mut SraState, rng: &mut StdRng) -> bool {
         let mut removed = std::mem::take(&mut state.removed);
         sort_big_first_cached(state, &mut removed);
-        rebuild_order(state, p.inst.n_machines());
+        state.refresh_order();
         let mut ctx = InsertCtx::with_budget(state.vacancy_budget());
         let n = p.inst.n_machines();
         for (idx, &s) in removed.iter().enumerate() {
@@ -417,16 +421,11 @@ impl RepairInPlace<SraProblem<'_>> for RandomizedGreedy {
                     continue;
                 }
                 if let Some((_, b)) = best {
-                    let pen = if m == p.inst.initial[s.idx()] {
-                        0.0
-                    } else {
-                        state.pen[s.idx()]
-                    };
-                    if state.loads[m.idx()] + pen >= b {
-                        continue;
+                    if score_bound(p, state, s, m) >= b {
+                        continue; // cannot beat the sample's incumbent
                     }
                 }
-                if let Some(score) = p.insertion_score(&state.asg, s, m) {
+                if let Some(score) = scored(p, state, s, m) {
                     if best.is_none_or(|(_, b)| score < b) {
                         best = Some((m, score));
                     }
@@ -443,9 +442,7 @@ impl RepairInPlace<SraProblem<'_>> for RandomizedGreedy {
                 state.removed = removed;
                 return false;
             };
-            ctx.consume(&state.asg, m);
-            state.attach(p, s, m);
-            reposition(state, m);
+            place(p, state, &mut ctx, s, m);
         }
         removed.clear();
         state.removed = removed;
@@ -465,6 +462,7 @@ pub fn default_repairs_in_place<'a>() -> Vec<Box<dyn RepairInPlace<SraProblem<'a
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rex_cluster::{Instance, InstanceBuilder, Objective, ObjectiveKind};
     use rex_lns::{LnsProblem, LnsProblemInPlace};
@@ -640,5 +638,219 @@ mod tests {
             LnsProblemInPlace::revert(&p, &mut state);
             assert_eq!(state.solution().placement(), before.as_slice());
         }
+    }
+
+    /// A fleet with everything the scans' lower bound must survive:
+    /// capacities mixed 1×/2×/4× over uneven per-dimension bases, shards
+    /// with a zero-demand dimension (`δ = 0`), shards smaller than the
+    /// rounding margin (`δ` clamps to `0`), vacant exchange machines.
+    fn mixed_fleet(rng: &mut StdRng, dims: usize, machines: usize, shards: usize) -> Instance {
+        let base: Vec<f64> = (0..dims).map(|d| [10.0, 64.0, 3.0, 250.0][d]).collect();
+        let scaled = |rng: &mut StdRng| {
+            let scale = [1.0, 2.0, 4.0][rng.random_range(0..3usize)];
+            base.iter().map(|b| b * scale).collect::<Vec<f64>>()
+        };
+        let n_exchange = rng.random_range(0..3);
+        let mut b = InstanceBuilder::new(dims)
+            .alpha([0.0, 0.1][rng.random_range(0..2usize)])
+            .k_return(rng.random_range(0..=n_exchange));
+        let ms: Vec<MachineId> = (0..machines).map(|_| b.machine(&scaled(rng))).collect();
+        for _ in 0..n_exchange {
+            b.exchange_machine(&scaled(rng));
+        }
+        // Every machine's share fits the smallest (1×) capacity.
+        let per_machine = shards.div_ceil(machines) as f64;
+        for j in 0..shards {
+            let kind = rng.random_range(0..6);
+            let zero_dim = rng.random_range(0..dims);
+            let demand: Vec<f64> = (0..dims)
+                .map(|d| match kind {
+                    0 if d == zero_dim => 0.0,
+                    1 => base[d] * 1e-17,
+                    _ => base[d] * 0.8 / per_machine * rng.random_range(0.05..1.0),
+                })
+                .collect();
+            b.shard(&demand, rng.random_range(0.5..2.0), ms[j % machines]);
+        }
+        b.build().unwrap()
+    }
+
+    /// `best_machine_cached` without the early break.
+    fn unpruned_best(
+        p: &SraProblem<'_>,
+        state: &SraState,
+        ctx: &InsertCtx,
+        s: ShardId,
+    ) -> Option<(MachineId, f64)> {
+        let init_m = p.inst.initial[s.idx()];
+        let rest = state.order.iter().map(|&raw| MachineId::from(raw as usize));
+        let mut best: Option<(MachineId, f64)> = None;
+        for m in std::iter::once(init_m).chain(rest.filter(|&m| m != init_m)) {
+            if !ctx.allowed(&state.asg, m) {
+                continue;
+            }
+            if let Some(score) = p.insertion_score(&state.asg, s, m) {
+                if best.is_none_or(|(_, b)| score < b) {
+                    best = Some((m, score));
+                }
+            }
+        }
+        best
+    }
+
+    /// `scan_regret` without the early break: the three lowest scores in
+    /// visit order, ties to the earlier visit.
+    fn unpruned_regret(
+        p: &SraProblem<'_>,
+        state: &SraState,
+        ctx: &InsertCtx,
+        s: ShardId,
+    ) -> Option<([u32; 3], [u64; 3])> {
+        let init_m = p.inst.initial[s.idx()];
+        let rest = state.order.iter().map(|&raw| MachineId::from(raw as usize));
+        let mut top: Vec<(u32, f64)> = Vec::new();
+        for m in std::iter::once(init_m).chain(rest.filter(|&m| m != init_m)) {
+            if !ctx.allowed(&state.asg, m) {
+                continue;
+            }
+            if let Some(score) = p.insertion_score(&state.asg, s, m) {
+                let at = top
+                    .iter()
+                    .position(|&(_, t)| score < t)
+                    .unwrap_or(top.len());
+                top.insert(at, (m.idx() as u32, score));
+                top.truncate(3);
+            }
+        }
+        if top.is_empty() {
+            return None;
+        }
+        top.resize(3, (REGRET_ABSENT, f64::INFINITY));
+        Some((
+            [top[0].0, top[1].0, top[2].0],
+            [top[0].1, top[1].1, top[2].1].map(f64::to_bits),
+        ))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The pruned scans return the machines and score bits of the
+        /// unpruned ones, and the bound they prune with is admissible, on
+        /// every state of a repair pass (order repositioned after each
+        /// attach), with the vacancy budget at 0 and above it.
+        #[test]
+        fn pruned_scans_equal_unpruned_scans(
+            seed in any::<u64>(),
+            dims in 1usize..5,
+            machines in 3usize..10,
+            shards in 8usize..40,
+            lambda in prop_oneof![Just(0.0), Just(0.3)],
+            drains in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inst = mixed_fleet(&mut rng, dims, machines, shards);
+            let drained: Vec<MachineId> = (0..drains)
+                .map(|_| MachineId::from(rng.random_range(0..inst.n_machines())))
+                .collect();
+            let p = SraProblem::new(&inst, Objective { kind: ObjectiveKind::PeakLoad, lambda })
+                .with_drain(&drained);
+            let mut state = p.make_state(Assignment::from_initial(&inst));
+            // Vacate one machine outright, then detach a random handful.
+            let emptied = MachineId::from(rng.random_range(0..machines));
+            for s in state.asg.shards_on(emptied).to_vec() {
+                state.detach(&p, s);
+            }
+            for _ in 0..rng.random_range(1..10) {
+                let s = ShardId::from(rng.random_range(0..shards));
+                if !state.asg.is_detached(s) {
+                    state.detach(&p, s);
+                }
+            }
+            let removed = std::mem::take(&mut state.removed);
+            state.refresh_order();
+            let mut ctx = InsertCtx::with_budget(state.vacancy_budget());
+            for &s in &removed {
+                for budget in [0, ctx.vacancy_budget, ctx.vacancy_budget + 1] {
+                    let c = InsertCtx::with_budget(budget);
+                    let best = best_machine_cached(&p, &state, &c, s);
+                    let want = unpruned_best(&p, &state, &c, s);
+                    prop_assert_eq!(
+                        best.map(|(m, v)| (m, v.to_bits())),
+                        want.map(|(m, v)| (m, v.to_bits()))
+                    );
+                    let e = scan_regret(&p, &state, &c, s);
+                    prop_assert_eq!(
+                        e.map(|e| (e.m, e.s.map(f64::to_bits))),
+                        unpruned_regret(&p, &state, &c, s)
+                    );
+                }
+                for mi in 0..inst.n_machines() {
+                    let m = MachineId::from(mi);
+                    if let Some(score) = p.insertion_score(&state.asg, s, m) {
+                        prop_assert!(
+                            score_bound(&p, &state, s, m) <= score,
+                            "bound {} > score {score} for {s} on {m}",
+                            score_bound(&p, &state, s, m)
+                        );
+                    }
+                }
+                if let Some((m, _)) = best_machine_cached(&p, &state, &ctx, s) {
+                    place(&p, &mut state, &mut ctx, s, m);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn margin_sized_and_zero_dimension_shards_get_no_growth_credit() {
+        let mut b = InstanceBuilder::new(2);
+        let m0 = b.machine(&[10.0, 10.0]);
+        let _m1 = b.machine(&[40.0, 20.0]);
+        let plain = b.shard(&[2.0, 1.0], 1.0, m0);
+        let flat = b.shard(&[2.0, 0.0], 1.0, m0);
+        let dust = b.shard(&[1e-16, 1e-16], 1.0, m0);
+        let inst = b.build().unwrap();
+        let p = SraProblem::new(&inst, Objective::default());
+        let state = p.make_state(Assignment::from_initial(&inst));
+        // min(2/40, 1/20) less a margin of a few ulps of 1.
+        assert!((state.delta[plain.idx()] - 0.05).abs() < 1e-14);
+        assert!(state.delta[plain.idx()] < 0.05);
+        assert_eq!(state.delta[flat.idx()], 0.0);
+        assert_eq!(state.delta[dust.idx()], 0.0);
+    }
+
+    #[test]
+    fn pruned_regret_scan_scores_a_small_share_of_a_balanced_fleet() {
+        use rex_workload::synthetic::{generate, Placement, SynthConfig};
+        let inst = generate(&SynthConfig {
+            n_machines: 100,
+            n_exchange: 8,
+            n_shards: 1000,
+            stringency: 0.75,
+            placement: Placement::BalancedBfd,
+            seed: 11,
+            ..Default::default()
+        })
+        .unwrap();
+        let p = SraProblem::new(&inst, Objective::default());
+        let mut state = p.make_state(Assignment::from_initial(&inst));
+        for i in (0..inst.n_shards()).step_by(31) {
+            state.detach(&p, ShardId::from(i));
+        }
+        let removed = std::mem::take(&mut state.removed);
+        state.refresh_order();
+        let ctx = InsertCtx::with_budget(state.vacancy_budget());
+        SCORE_VISITS.with(|v| v.set(0));
+        for &s in &removed {
+            assert!(scan_regret(&p, &state, &ctx, s).is_some());
+        }
+        let visits = SCORE_VISITS.with(|v| v.get());
+        // 4.5 % with the tight bound; 21.5 % with `loads + pen` alone.
+        let fleet_scans = (removed.len() * inst.n_machines()) as u64;
+        assert!(
+            visits * 100 <= fleet_scans * 15,
+            "regret scans scored {visits} of {fleet_scans} (shard, machine) pairs"
+        );
     }
 }

@@ -16,7 +16,10 @@
 //!   the next objective evaluation;
 //! * `mig_cost` — the total move cost of shards placed off their initial
 //!   machine, adjusted by `±move_cost` on detach/attach;
-//! * `vacant` — the number of vacant machines, adjusted on transitions.
+//! * `vacant` — the number of vacant machines, adjusted on transitions;
+//! * `order` — machine ids by `(load, id)`, the repair scan order: machines
+//!   whose load changed are listed as stale and re-filed at the start of
+//!   the next repair, the rest of the fleet is never re-sorted.
 //!
 //! Rejections restore the committed baseline **bit-exactly**: the
 //! [`rex_cluster::UndoLog`] restores placements and snapshots first-touch
@@ -131,13 +134,24 @@ pub struct SraState {
     /// Best/second-best cache for the incremental regret-2 repair.
     pub(crate) regret: Vec<RegretEntry>,
     /// Per-shard migration penalty (`insertion_penalty`, assignment-free):
-    /// together with `loads` it lower-bounds any insertion score, letting
-    /// repair scans skip machines that cannot beat the running incumbent.
+    /// together with `loads` and `delta` it lower-bounds any insertion
+    /// score, letting repair scans skip machines that cannot beat the
+    /// running incumbent.
     pub(crate) pen: Vec<f64>,
+    /// Per-shard minimum load growth (see [`min_load_growth`]): inserting
+    /// shard `s` anywhere raises that machine's load by at least `delta[s]`.
+    pub(crate) delta: Vec<f64>,
     /// Machine ids sorted by `(load, id)` ascending — the repair scan
-    /// order. Rebuilt at the start of each in-place repair, repositioned
-    /// after each attach.
+    /// order. Kept across iterations: every machine whose load changed is
+    /// listed in `stale` (the rest are still sorted among themselves),
+    /// [`SraState::refresh_order`] re-files the stale ones at the start of
+    /// each in-place repair and [`SraState::reposition`] keeps the order
+    /// exact after each attach.
     pub(crate) order: Vec<u32>,
+    /// Machines whose load changed since the last `refresh_order`, each
+    /// once (`is_stale` is the membership flag).
+    stale: Vec<u32>,
+    is_stale: Vec<bool>,
     /// Cached `inst.demand(s).norm()` per shard (static).
     pub(crate) demand_norm: Vec<f64>,
     /// Machine capacities packed row-major (row `m` = machine `m`), the
@@ -163,6 +177,49 @@ pub(crate) const REGRET_ABSENT: u32 = u32::MAX;
 /// Slot sentinel: a third-best exists but is not tracked; the slot's score
 /// is a lower bound on it (and on all other unscanned machines).
 pub(crate) const REGRET_UNKNOWN: u32 = u32::MAX - 1;
+
+/// `δ_s` for every shard: a lower bound on how much any admissible
+/// insertion of `s` raises the receiving machine's load, so that
+/// `loads[m] + δ_s` (one rounded addition) never exceeds the load-after
+/// term of `insertion_score(s, m)`.
+///
+/// The dimension `d*` that defines `loads[m] = u/c` grows to `(u + a)/c`
+/// with `a = demand_{s,d*}` and `c = cap_{m,d*}`, and
+/// `a/c ≥ min_d demand_{s,d} / max_m' cap_{m',d}` whatever `m` and `d*`
+/// are — which is what makes the bound hold on fleets whose capacities
+/// differ machine to machine. A zero-demand dimension makes it `0` (the
+/// load-defining dimension may be the one that does not grow).
+///
+/// Rounding: with `ε = 2⁻⁵³`, `loads[m] ≤ (u/c)(1+ε)`, the cached quotient
+/// is `≤ (a/c)(1+ε)`, the scan's addition costs another `(1+ε)`, and the
+/// true load-after is `≥ x(1−ε)²` for `x = (u+a)/c` (one rounded add, one
+/// rounded divide, and the `max` over dimensions only helps). The bound
+/// therefore overshoots by less than `6εx`. Admissibility caps every
+/// dimension at `u + a ≤ c + EPS`, so `x ≤ hi = 1 + EPS/min cap`;
+/// subtracting `16ε·hi` (and clamping at `0`, where the bound degrades to
+/// plain monotonicity of rounded addition) leaves it strictly admissible.
+/// A zero or negative capacity anywhere makes `hi` infinite and every
+/// `δ_s` zero: such dimensions score `0`/`∞` instead of `u/c`.
+fn min_load_growth(inst: &Instance) -> Vec<f64> {
+    let mut max_cap = vec![0.0f64; inst.dims];
+    let mut min_cap = f64::INFINITY;
+    for m in &inst.machines {
+        for (d, hi) in max_cap.iter_mut().enumerate() {
+            *hi = hi.max(m.capacity[d]);
+            min_cap = min_cap.min(m.capacity[d]);
+        }
+    }
+    let margin = 8.0 * f64::EPSILON * (1.0 + rex_cluster::EPS / min_cap.max(0.0));
+    inst.shards
+        .iter()
+        .map(|s| {
+            let growth = (0..inst.dims)
+                .map(|d| s.demand[d] / max_cap[d])
+                .fold(f64::INFINITY, f64::min);
+            (growth - margin).max(0.0)
+        })
+        .collect()
+}
 
 impl SraState {
     fn new(p: &SraProblem<'_>, asg: Assignment) -> Self {
@@ -195,7 +252,10 @@ impl SraState {
             pen: (0..inst.n_shards())
                 .map(|i| p.insertion_penalty(ShardId::from(i)))
                 .collect(),
-            order: Vec::with_capacity(n),
+            delta: min_load_growth(inst),
+            order: (0..n as u32).collect(),
+            stale: Vec::with_capacity(n),
+            is_stale: vec![false; n],
             demand_norm: (0..inst.n_shards())
                 .map(|i| inst.demand(ShardId::from(i)).norm())
                 .collect(),
@@ -270,6 +330,7 @@ impl SraState {
         let old = self.loads[i];
         let new = self.asg.usage_rows().max_ratio(i, inst.capacity(m));
         self.loads[i] = new;
+        self.mark_stale(i);
         self.sumsq.add(new * new - old * old);
         if !self.peak_dirty {
             if new >= self.peak {
@@ -278,6 +339,75 @@ impl SraState {
                 self.peak_dirty = true; // the peak holder shrank: rescan later
             }
         }
+    }
+
+    /// Records that `loads[i]` changed: machine `i` may be out of place in
+    /// `order` until the next [`SraState::refresh_order`].
+    #[inline]
+    fn mark_stale(&mut self, i: usize) {
+        if !self.is_stale[i] {
+            self.is_stale[i] = true;
+            self.stale.push(i as u32);
+        }
+    }
+
+    /// Makes `order` the `(load, id)`-ascending permutation of the fleet
+    /// again. `(load, id)` is a strict total order, so the result is the
+    /// permutation a full sort would produce; only the work differs: the
+    /// untouched machines are still sorted among themselves, so the stale
+    /// ones are pulled out, sorted, and merged back in one pass from the
+    /// top — `O(machines + stale·log stale)` instead of a fleet sort per
+    /// repair.
+    pub(crate) fn refresh_order(&mut self) {
+        let Self {
+            order,
+            stale,
+            is_stale,
+            loads,
+            ..
+        } = self;
+        if stale.is_empty() {
+            return;
+        }
+        let by_load = |a: u32, b: u32| {
+            loads[a as usize]
+                .partial_cmp(&loads[b as usize])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        };
+        stale.sort_unstable_by(|&a, &b| by_load(a, b));
+        order.retain(|&m| !is_stale[m as usize]);
+        let mut clean = order.len();
+        order.resize(clean + stale.len(), 0);
+        let mut w = order.len();
+        for &m in stale.iter().rev() {
+            while clean > 0 && by_load(order[clean - 1], m).is_gt() {
+                w -= 1;
+                order[w] = order[clean - 1];
+                clean -= 1;
+            }
+            w -= 1;
+            order[w] = m;
+            is_stale[m as usize] = false;
+        }
+        stale.clear();
+    }
+
+    /// Restores the `(load, id)` order after machine `m`'s load grew from
+    /// `before` (an attach on a freshly ordered fleet): finds `m` under its
+    /// old key, finds its new place to the right, and shifts the machines
+    /// in between down by one.
+    pub(crate) fn reposition(&mut self, m: MachineId, before: f64) {
+        let raw = m.idx() as u32;
+        let loads = &self.loads;
+        let key = |x: u32| (loads[x as usize], x);
+        let from = self
+            .order
+            .partition_point(|&x| x != raw && key(x) < (before, raw));
+        debug_assert_eq!(self.order[from], raw, "order was stale at {m}");
+        let to = from + 1 + self.order[from + 1..].partition_point(|&x| key(x) < key(raw));
+        self.order.copy_within(from + 1..to, from);
+        self.order[to - 1] = raw;
     }
 
     /// The current peak load, rescanning the cached loads if stale. The
@@ -306,6 +436,9 @@ impl SraState {
             self.caps.as_flat(),
             &mut self.loads,
         );
+        for i in 0..self.loads.len() {
+            self.mark_stale(i);
+        }
         self.sumsq.set(scan.sumsq);
         self.peak = scan.peak.max(0.0);
         self.peak_dirty = false;
@@ -406,6 +539,7 @@ impl LnsProblemInPlace for SraProblem<'_> {
         for &m in &touched {
             // Pure function of the bit-exactly restored usage → bit-exact.
             state.loads[m.idx()] = state.asg.usage_rows().max_ratio(m.idx(), inst.capacity(m));
+            state.mark_stale(m.idx());
         }
         state.touched = touched;
         state.peak = state.base.peak;
@@ -614,5 +748,59 @@ mod tests {
         state.detach(&p, ShardId(4)); // vacates m2
         assert_eq!(state.vacancy_budget(), p.vacancy_budget(&state.asg));
         assert_eq!(state.vacancy_budget(), 1);
+    }
+
+    #[test]
+    fn kept_order_equals_a_fresh_sort_after_any_edits() {
+        use rex_workload::synthetic::{generate, SynthConfig};
+        let inst = generate(&SynthConfig {
+            n_machines: 24,
+            n_exchange: 4, // vacant: exact load ties, broken by id
+            n_shards: 240,
+            seed: 5,
+            ..Default::default()
+        })
+        .unwrap();
+        let p = SraProblem::new(&inst, Objective::default());
+        let mut state = p.make_state(Assignment::from_initial(&inst));
+        let sorted = |state: &SraState| {
+            let mut want: Vec<u32> = (0..inst.n_machines() as u32).collect();
+            want.sort_by(|&a, &b| {
+                let (la, lb) = (state.loads[a as usize], state.loads[b as usize]);
+                la.partial_cmp(&lb).unwrap().then(a.cmp(&b))
+            });
+            want
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        for round in 0..300 {
+            for _ in 0..rng.random_range(1..12) {
+                let s = ShardId::from(rng.random_range(0..inst.n_shards()));
+                if !state.asg.is_detached(s) {
+                    state.detach(&p, s);
+                }
+            }
+            state.refresh_order();
+            assert_eq!(state.order, sorted(&state), "round {round}: refresh");
+            for s in std::mem::take(&mut state.removed) {
+                let m = (0..inst.n_machines())
+                    .map(MachineId::from)
+                    .filter(|&m| state.asg.fits(&inst, s, m))
+                    .nth(rng.random_range(0..3))
+                    .unwrap_or(inst.initial[s.idx()]);
+                let before = state.loads[m.idx()];
+                state.attach(&p, s, m);
+                state.reposition(m, before);
+                assert_eq!(state.order, sorted(&state), "round {round}: {s} on {m}");
+            }
+            match round % 3 {
+                0 => LnsProblemInPlace::revert(&p, &mut state),
+                1 => LnsProblemInPlace::commit(&p, &mut state),
+                _ => {
+                    // A burst abandoned half-way: detach again, then revert.
+                    state.detach(&p, ShardId::from(round % inst.n_shards()));
+                    LnsProblemInPlace::revert(&p, &mut state);
+                }
+            }
+        }
     }
 }
