@@ -139,7 +139,7 @@ fn bench_compress(c: &mut Criterion) {
     });
 }
 
-/// Iteration throughput of the unified engine spine (`Engine<InPlaceModel>`)
+/// Iteration throughput of the unified engine spine (`rex_lns::Engine`)
 /// on a stringent 16-machine / 120-shard instance — the allocation-free
 /// undo-log hot loop that replaced the per-iteration-clone engine.
 fn bench_lns_iteration_throughput(c: &mut Criterion) {
@@ -177,7 +177,7 @@ fn bench_lns_iteration_throughput(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("spine_engine_2k_iters", |bench| {
         bench.iter(|| {
-            let engine = Engine::in_place(
+            let engine = Engine::new(
                 &problem,
                 initial.clone(),
                 default_destroys_in_place(64),
@@ -224,7 +224,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         ..Default::default()
     };
     let make_engine = || {
-        Engine::in_place(
+        Engine::new(
             &problem,
             initial.clone(),
             default_destroys_in_place(64),

@@ -392,8 +392,8 @@ fn measure() -> Vec<Record> {
 /// `ns_per_iter` is dispatch nanoseconds **per element**, and
 /// `speedup_vs_seed` the scalar/dispatch wall ratio — the metric the
 /// `--check` gate compares (an absolute-ns gate would conflate machine
-/// speed with vectorization). With the `simd` feature off the ratio sits
-/// at ~1.0; the committed baseline is produced with it on.
+/// speed with vectorization). On a CPU without AVX2 the two coincide and
+/// the ratio sits at ~1.0.
 fn measure_kernel_scan(threads: usize) -> Record {
     use rex_cluster::kernels;
     let n = 100_000usize;

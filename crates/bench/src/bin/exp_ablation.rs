@@ -48,7 +48,7 @@ fn run<'a>(
     iters: u64,
     seed: u64,
 ) -> f64 {
-    let engine = Engine::in_place(
+    let engine = Engine::new(
         problem,
         Assignment::from_initial(problem.inst),
         ds,
@@ -112,7 +112,7 @@ fn main() {
     {
         let mut raw = SraProblem::new(&inst, Objective::pure(rex_cluster::ObjectiveKind::PeakLoad));
         raw.smoothing = 0.0;
-        let engine = Engine::in_place(
+        let engine = Engine::new(
             &raw,
             Assignment::from_initial(&inst),
             destroys(None),

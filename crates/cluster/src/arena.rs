@@ -1,23 +1,16 @@
-//! Flat arena (struct-of-arrays) storage for resource vectors.
+//! Flat arena storage for resource vectors.
 //!
-//! Two layouts, chosen per access pattern:
+//! [`PackedVecs`] holds **row-major packed** rows (`data[i*dims + d]`):
+//! all dimensions of one element adjacent. The right shape for the
+//! solver's mutable usage table, where the hot loop touches *all*
+//! dimensions of *one* machine per edit (add demand, subtract demand,
+//! capacity check, max-ratio). At 3 dimensions a row is 24 bytes versus
+//! the 72-byte inline [`ResourceVec`], so a full-fleet scan streams 3×
+//! less memory and never chases per-machine padding.
 //!
-//! * [`SoaVecs`] — **dimension-major** columns (`cols[d][i]`): one
-//!   contiguous `f64` stream per resource dimension. The right shape for
-//!   whole-table reductions (total demand, per-dimension histograms,
-//!   kernel benches): each column feeds [`crate::kernels::scan`] directly
-//!   with unit stride.
-//! * [`PackedVecs`] — **row-major packed** rows (`data[i*dims + d]`):
-//!   all dimensions of one element adjacent. The right shape for the
-//!   solver's mutable usage table, where the hot loop touches *all*
-//!   dimensions of *one* machine per edit (add demand, subtract demand,
-//!   capacity check, max-ratio). At 3 dimensions a row is 24 bytes versus
-//!   the 72-byte inline [`ResourceVec`], so a full-fleet scan streams 3×
-//!   less memory and never chases per-machine padding.
-//!
-//! Both are plain `Vec<f64>` underneath — no per-element allocation, no
-//! pointer indirection — and both convert to/from [`ResourceVec`] at the
-//! API boundary so existing callers keep their types. All arithmetic
+//! It is a plain `Vec<f64>` underneath — no per-element allocation, no
+//! pointer indirection — and converts to/from [`ResourceVec`] at the API
+//! boundary so existing callers keep their types. All arithmetic
 //! replicates the corresponding `ResourceVec` operation **bit for bit**
 //! (same per-component operation order), which is what lets
 //! `Assignment`'s arena-backed usage table keep every documented
@@ -25,87 +18,8 @@
 
 use crate::resources::ResourceVec;
 
-/// Dimension-major table of resource vectors: one contiguous column per
-/// dimension. Append-only; built once per instance, scanned many times.
-#[derive(Clone, Debug, Default)]
-pub struct SoaVecs {
-    len: usize,
-    cols: Vec<Vec<f64>>,
-}
-
-impl SoaVecs {
-    /// An empty table with `dims` columns, each with room for `n` rows.
-    pub fn with_capacity(dims: usize, n: usize) -> Self {
-        assert!(
-            (1..=crate::MAX_DIMS).contains(&dims),
-            "dims must be in 1..={}, got {dims}",
-            crate::MAX_DIMS
-        );
-        Self {
-            len: 0,
-            cols: (0..dims).map(|_| Vec::with_capacity(n)).collect(),
-        }
-    }
-
-    /// Builds the table from an iterator of vectors (all `dims`-dimensional).
-    pub fn from_vecs<'a>(dims: usize, rows: impl IntoIterator<Item = &'a ResourceVec>) -> Self {
-        let iter = rows.into_iter();
-        let mut out = Self::with_capacity(dims, iter.size_hint().0);
-        for v in iter {
-            out.push(v);
-        }
-        out
-    }
-
-    /// Appends one row.
-    #[inline]
-    pub fn push(&mut self, v: &ResourceVec) {
-        debug_assert_eq!(v.dims(), self.cols.len());
-        for (d, col) in self.cols.iter_mut().enumerate() {
-            col.push(v[d]);
-        }
-        self.len += 1;
-    }
-
-    /// Number of dimensions (columns).
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the table has no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The contiguous column for dimension `d` — feed it straight to
-    /// [`crate::kernels::scan`].
-    #[inline]
-    pub fn col(&self, d: usize) -> &[f64] {
-        &self.cols[d]
-    }
-
-    /// Materializes row `i` as a [`ResourceVec`].
-    #[inline]
-    pub fn get(&self, i: usize) -> ResourceVec {
-        let mut v = ResourceVec::zero(self.dims());
-        for d in 0..self.dims() {
-            v[d] = self.cols[d][i];
-        }
-        v
-    }
-}
-
 /// Row-major packed table of resource vectors: `dims` consecutive `f64`s
-/// per row, no padding. The mutable counterpart to [`SoaVecs`]; backs
-/// `Assignment`'s per-machine usage.
+/// per row, no padding. Backs `Assignment`'s per-machine usage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PackedVecs {
     dims: usize,
@@ -317,19 +231,6 @@ mod tests {
 
     fn rv(vals: &[f64]) -> ResourceVec {
         ResourceVec::from_slice(vals)
-    }
-
-    #[test]
-    fn soa_roundtrip_and_columns() {
-        let rows = [rv(&[1.0, 2.0]), rv(&[3.0, 4.0]), rv(&[5.0, 6.0])];
-        let soa = SoaVecs::from_vecs(2, &rows);
-        assert_eq!(soa.len(), 3);
-        assert_eq!(soa.dims(), 2);
-        assert_eq!(soa.col(0), &[1.0, 3.0, 5.0]);
-        assert_eq!(soa.col(1), &[2.0, 4.0, 6.0]);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(soa.get(i).as_slice(), r.as_slice());
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Problem instances: machines + shards + initial placement + exchange terms.
 
-use crate::arena::SoaVecs;
 use crate::error::ClusterError;
 use crate::kernels;
 use crate::machine::{Machine, MachineId};
@@ -99,13 +98,6 @@ impl Instance {
             acc[d] = kernels::scan_with(self.machines.len(), |i| self.machines[i].capacity[d]).sum;
         }
         acc
-    }
-
-    /// Dimension-major arena copy of every shard demand — one contiguous
-    /// column per dimension, for sequential scans over 100k-shard
-    /// instances without chasing `Vec<Shard>` row padding.
-    pub fn demand_soa(&self) -> SoaVecs {
-        SoaVecs::from_vecs(self.dims, self.shards.iter().map(|s| &s.demand))
     }
 
     /// Overall utilization pressure: per-dimension total demand over total
@@ -405,20 +397,6 @@ mod tests {
         let c = inst.total_capacity();
         assert_eq!(c.as_slice(), &[30.0, 30.0]);
         assert!((inst.stringency() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soa_accessors_mirror_the_rows() {
-        let inst = tiny();
-        let d = inst.demand_soa();
-        assert_eq!(d.len(), inst.n_shards());
-        for (i, s) in inst.shards.iter().enumerate() {
-            assert_eq!(d.get(i).as_slice(), s.demand.as_slice());
-        }
-        for dim in 0..inst.dims {
-            let col: Vec<f64> = inst.shards.iter().map(|s| s.demand[dim]).collect();
-            assert_eq!(d.col(dim), &col[..]);
-        }
     }
 
     #[test]

@@ -42,17 +42,17 @@ pub struct LoadScan {
 
 /// Scans `loads` once, branch-free, returning peak / min / sum / sumsq.
 ///
-/// With the `simd` feature enabled this dispatches at runtime to an
-/// explicit AVX-512F (one 8-lane `__m512d` per accumulator) or AVX2 (two
-/// 4-lane `__m256d`) kernel; otherwise — and on non-x86 targets — it runs
-/// the scalar lane-unrolled path. The SIMD kernels keep the exact per-lane
+/// On `x86_64` this dispatches at runtime to an explicit AVX-512F (one
+/// 8-lane `__m512d` per accumulator) or AVX2 (two 4-lane `__m256d`) kernel
+/// when the CPU has one; otherwise — and on other targets — it runs the
+/// scalar lane-unrolled path. The SIMD kernels keep the exact per-lane
 /// accumulation order of [`scan_scalar`] (element `i` feeds lane
 /// `i % LANES`, fold extracts lanes and reruns the identical sequential
 /// reduction), so all paths are **bit-identical**; `scan_scalar` is the
 /// differential oracle the tests compare against.
 #[inline]
 pub fn scan(loads: &[f64]) -> LoadScan {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f support was just verified at runtime.
@@ -67,8 +67,9 @@ pub fn scan(loads: &[f64]) -> LoadScan {
 }
 
 /// The scalar lane-unrolled scan: the reference implementation every SIMD
-/// path must match bit for bit. Public so differential tests and benches
-/// can pin the oracle explicitly regardless of feature flags.
+/// path must match bit for bit, and the fallback where no vector unit is
+/// detected. Public so differential tests and benches can pin the oracle
+/// explicitly.
 pub fn scan_scalar(loads: &[f64]) -> LoadScan {
     let mut acc = Lanes::new();
     let mut chunks = loads.chunks_exact(LANES);
@@ -83,7 +84,7 @@ pub fn scan_scalar(loads: &[f64]) -> LoadScan {
     acc.fold()
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd {
     //! Explicit vector kernels. Bit-identity with the scalar path holds by
     //! construction: lane `j` of the vector accumulators sees exactly the
@@ -361,9 +362,9 @@ mod tests {
 
     #[test]
     fn dispatch_matches_scalar_oracle_bit_identically() {
-        // With `--features simd` this is the real SIMD-vs-scalar
-        // differential (the dispatcher picks AVX-512F/AVX2); without it the
-        // two paths coincide and the test degenerates to a self-check.
+        // On an AVX-512F/AVX2 machine this is the real SIMD-vs-scalar
+        // differential; elsewhere the two paths coincide and the test
+        // degenerates to a self-check.
         // Lengths straddle chunk boundaries; values include 0.0 and +inf
         // (the sentinel `max_ratio` emits for overcommitted zero-capacity
         // dimensions).
@@ -435,7 +436,7 @@ mod perf_probe {
     use super::*;
 
     /// Manual probe (not a CI assertion): `cargo test -p rex-cluster
-    /// --release --features simd -- --ignored --nocapture probe_scan`.
+    /// --release -- --ignored --nocapture probe_scan`.
     #[test]
     #[ignore]
     fn probe_scan_speedup() {

@@ -37,7 +37,7 @@ pub mod scenario;
 pub mod service;
 pub mod shard;
 
-pub use arena::{PackedVecs, SoaVecs};
+pub use arena::PackedVecs;
 pub use assignment::{Assignment, UndoLog};
 pub use error::ClusterError;
 pub use instance::{Instance, InstanceBuilder};

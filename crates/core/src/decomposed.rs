@@ -57,20 +57,17 @@
 //! explicitly and seeded with the starting solution, so the decomposed
 //! search never returns anything worse than the monolithic start.
 
-use crate::destroy::default_destroys_in_place;
 use crate::problem::SraProblem;
-use crate::repair::default_repairs_in_place;
 use crate::sra::{starting_solution, SraConfig};
 use rex_cluster::{
     partition_subfleet, Assignment, ClusterError, Instance, Machine, MachineId, PartitionSpec,
     Shard, ShardId,
 };
 use rex_lns::{
-    cooperative_round, round_seed, Engine, EngineStats, InPlaceModel, LnsConfig, LnsProblem,
-    RoundJob, SearchOutcome, TrajectoryPoint,
+    cooperative_round, round_seed, EngineStats, LnsProblem, RoundJob, SearchOutcome,
+    TrajectoryPoint,
 };
 use rex_obs::Recorder;
-use std::time::Duration;
 
 /// Recombination rounds per solve. Each round re-partitions by current
 /// loads, so this is also how many distinct neighborhood structures the
@@ -168,8 +165,6 @@ struct Rounds<'a, 'p> {
     sub_iters: u64,
     /// Per-round budget of every repair pass (internal levels and root).
     boundary_iters: u64,
-    /// Wall-clock budget per engine, if the solve has one.
-    time_limit: Option<Duration>,
 }
 
 /// Runs the cooperative decomposed search (see module docs) and returns
@@ -205,7 +200,6 @@ pub fn decomposed_search(
         // a small slice per round.
         sub_iters: (cfg.iters / ROUNDS).max(1),
         boundary_iters: (cfg.iters / (ROUNDS * 8)).max(50),
-        time_limit: cfg.time_limit.map(|t| t / (2 * ROUNDS as u32)),
     };
 
     let mut current = starting_solution(problem)?;
@@ -251,15 +245,6 @@ pub fn decomposed_search(
 }
 
 impl Rounds<'_, '_> {
-    fn engine_cfg(&self, max_iters: u64) -> LnsConfig {
-        LnsConfig {
-            max_iters,
-            time_limit: self.time_limit,
-            intensity: self.cfg.intensity,
-            ..Default::default()
-        }
-    }
-
     /// Recursively splits `node` to the requested depth, collecting leaves
     /// in traversal (DFS) order and internal nodes (strictly below the
     /// root) per level for the bottom-up repair sweep. A node splits only
@@ -347,21 +332,15 @@ impl Rounds<'_, '_> {
                 sp
             })
             .collect();
-        let jobs: Vec<RoundJob<InPlaceModel<'_, SraProblem<'_>>>> = sub_problems
+        let jobs = sub_problems
             .iter()
             .zip(&subs)
             .map(|(sp, sc)| RoundJob {
-                model: InPlaceModel::new(
-                    sp,
-                    Assignment::from_initial(&sc.inst),
-                    default_destroys_in_place(cfg.destroy_cap),
-                    default_repairs_in_place(),
-                ),
+                engine: cfg.engine(sp, Assignment::from_initial(&sc.inst), iters),
                 seed: round_seed(self.seed, round, base + sc.node),
             })
             .collect();
-        let outcomes =
-            cooperative_round(jobs, self.engine_cfg(iters), || cfg.acceptance.build(iters));
+        let outcomes = cooperative_round(jobs);
         for (sc, out) in subs.iter().zip(&outcomes) {
             let nd = &nodes[sc.node];
             for (j, &s) in nd.shards.iter().enumerate() {
@@ -458,15 +437,13 @@ impl Rounds<'_, '_> {
         // cross-node moves, judged against the true initial placement with
         // the usual plan-on-best gating. Merged placements are feasible by
         // construction, so the engine's feasible-start requirement holds.
-        let engine = Engine::in_place(
-            problem,
-            Assignment::from_placement(inst, merged)?,
-            default_destroys_in_place(cfg.destroy_cap),
-            default_repairs_in_place(),
-            cfg.acceptance.build(self.boundary_iters),
-            self.engine_cfg(self.boundary_iters),
-        );
-        let out = engine.run_recorded(round_seed(self.seed, round, next_job), rec);
+        let out = cfg
+            .engine(
+                problem,
+                Assignment::from_placement(inst, merged)?,
+                self.boundary_iters,
+            )
+            .run_recorded(round_seed(self.seed, round, next_job), rec);
         iterations += out.iterations;
         let next = out.best;
         let val = LnsProblem::objective(problem, &next);
@@ -719,6 +696,42 @@ mod tests {
         let jsonl = rec.to_jsonl();
         let hash = fnv1a(jsonl.bytes().map(u64::from));
         assert_eq!((jsonl.len(), hash), (38947, 0x2a1708da555f601c));
+    }
+
+    #[test]
+    fn deadlocked_merge_falls_back_to_the_gated_search() {
+        // The merged best of a decomposed solve never passed the
+        // plannability gate as a whole; at stringency 0.90 this one
+        // deadlocks the final plan, which is the only way into the fallback.
+        let inst = synth(32, 3, 320, 0.90, 4);
+        let c = SraConfig {
+            iters: 400,
+            seed: 4,
+            partitions: 4,
+            ..Default::default()
+        };
+        let problem = SraProblem::new(&inst, c.objective);
+        let (merged, search_iters, _, _) =
+            crate::sra::run_search(&problem, &c, c.seed, &mut Recorder::noop()).unwrap();
+        assert!(matches!(
+            rex_cluster::plan_migration(&inst, &inst.initial, merged.placement(), &c.planner),
+            Err(ClusterError::PlanningDeadlock { .. })
+        ));
+
+        let mut rec = Recorder::active();
+        let res = solve_traced(&inst, &c, &[], &mut rec).unwrap();
+        assert!(res.fallback_used);
+        assert_eq!(rec.counter("sra.fallbacks"), 1);
+        assert!(rec
+            .events()
+            .iter()
+            .any(|e| e.layer == "sra" && e.name == "fallback"));
+        assert_eq!(rec.open_spans(), 0);
+        rex_cluster::verify_schedule(&inst, &inst.initial, res.assignment.placement(), &res.plan)
+            .unwrap();
+        assert!(res.final_report.peak <= res.initial_report.peak);
+        // The fallback is the gated serial search on a quarter budget.
+        assert_eq!(res.iterations, search_iters + (c.iters / 4).max(500));
     }
 
     #[test]

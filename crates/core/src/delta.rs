@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rex_cluster::{
     plan_migration, verify_schedule, Assignment, ClusterError, Instance, MigrationPlan, ShardId,
 };
-use rex_lns::{DestroyInPlace, Engine, LnsConfig};
+use rex_lns::{DestroyInPlace, Engine};
 use rex_obs::Recorder;
 
 /// A destroy operator that detaches exactly one fixed set of shards.
@@ -112,19 +112,13 @@ pub fn solve_delta(
     let destroys: Vec<Box<dyn DestroyInPlace<SraProblem<'_>>>> = vec![Box::new(TargetedRemoval {
         shards: changed.to_vec(),
     })];
-    let lns_cfg = LnsConfig {
-        max_iters: cfg.iters,
-        time_limit: cfg.time_limit,
-        intensity: cfg.intensity,
-        ..Default::default()
-    };
-    let engine = Engine::in_place(
+    let engine = Engine::new(
         &problem,
         initial,
         destroys,
         default_repairs_in_place(),
         cfg.acceptance.build(cfg.iters),
-        lns_cfg,
+        cfg.lns(cfg.iters),
     );
     let out = engine.run_recorded(cfg.seed, rec);
     let best = out.best;

@@ -27,9 +27,10 @@
 //!   being re-cloned — see DESIGN.md's "Hot path & delta evaluation";
 //! * the final incumbent must admit a **transient-feasible migration
 //!   schedule** (planned and independently verified by
-//!   `rex-cluster::migration`); if planning deadlocks, SRA re-runs the
-//!   search with per-candidate plannability checks, which can never end
-//!   worse than the (trivially plannable) initial placement.
+//!   `rex-cluster::migration`): global bests are gated on plannability,
+//!   so only a decomposed solve's merged placement can deadlock the final
+//!   plan — SRA then re-runs the ordinary gated monolithic search on a
+//!   quarter budget, which can never end worse than its start.
 //!
 //! Entry point: [`sra::solve`] (serial or parallel portfolio, controlled by
 //! [`sra::SraConfig::workers`]).

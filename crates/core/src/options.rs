@@ -18,7 +18,6 @@
 
 use crate::sra::{AcceptanceKind, SraConfig};
 use rex_cluster::Instance;
-use std::time::Duration;
 
 /// A solver configuration value rejected at the [`SolveOptions`] boundary.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,12 +124,6 @@ impl SolveOptions {
     /// LNS iteration budget (per worker).
     pub fn iters(mut self, iters: u64) -> Self {
         self.cfg.iters = iters;
-        self
-    }
-
-    /// Optional wall-clock budget (per worker).
-    pub fn time_limit(mut self, limit: Option<Duration>) -> Self {
-        self.cfg.time_limit = limit;
         self
     }
 

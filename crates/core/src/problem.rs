@@ -11,13 +11,9 @@ pub struct SraProblem<'a> {
     pub inst: &'a Instance,
     /// Objective (balance term + migration-cost weight).
     pub objective: Objective,
-    /// When true, feasibility additionally requires that a transient-safe
-    /// migration schedule exists from the initial placement (expensive;
-    /// used by SRA's fallback pass and the ablation benches).
-    pub plan_every: bool,
     /// When true (SRA's default), a candidate may only become the *global
-    /// best* if a transient-safe migration schedule to it exists. Far
-    /// cheaper than `plan_every`: planning runs only on would-be bests.
+    /// best* if a transient-safe migration schedule to it exists — the one
+    /// plannability rule. Planning runs only on would-be bests.
     pub plan_on_best: bool,
     /// Planner configuration used for plannability checks.
     pub planner: PlannerConfig,
@@ -79,7 +75,6 @@ impl<'a> SraProblem<'a> {
         Self {
             inst,
             objective,
-            plan_every: false,
             plan_on_best: true,
             planner: PlannerConfig::default(),
             smoothing: 0.05,
@@ -106,17 +101,9 @@ impl<'a> SraProblem<'a> {
         self.drained[m.idx()]
     }
 
-    /// Enables per-candidate plannability checking.
-    pub fn with_plan_every(mut self, planner: PlannerConfig) -> Self {
-        self.plan_every = true;
-        self.planner = planner;
-        self
-    }
-
     /// Disables all plannability checks (ablation only: the resulting best
     /// may be undeliverable).
     pub fn without_plan_checks(mut self) -> Self {
-        self.plan_every = false;
         self.plan_on_best = false;
         self
     }
@@ -230,26 +217,11 @@ impl LnsProblem for SraProblem<'_> {
         {
             return false;
         }
-        for m in 0..self.drained.len() {
-            if self.drained[m] && !sol.is_vacant(MachineId::from(m)) {
-                return false;
-            }
-        }
-        if self.plan_every {
-            plan_migration(
-                self.inst,
-                &self.inst.initial,
-                sol.placement(),
-                &self.planner,
-            )
-            .is_ok()
-        } else {
-            true
-        }
+        (0..self.drained.len()).all(|m| !self.drained[m] || sol.is_vacant(MachineId::from(m)))
     }
 
     fn accept_best(&self, sol: &Assignment) -> bool {
-        if self.plan_on_best && !self.plan_every {
+        if self.plan_on_best {
             // The gate runs on every would-be best, so failures must be
             // cheap: a tighter move budget than the final planning pass.
             // Anything needing > 2× staging churn is a poor best anyway.
@@ -394,23 +366,5 @@ mod tests {
         assert_eq!(p.vacancy_budget(&asg), 0); // 1 vacant, k_return=1
         asg.detach_shard(&inst, ShardId(1)); // m1 becomes vacant
         assert_eq!(p.vacancy_budget(&asg), 1);
-    }
-
-    #[test]
-    fn plan_every_detects_undeliverable_targets() {
-        // Two machines 90% full; swapping their shards cannot be scheduled
-        // (no staging space anywhere).
-        let mut b = InstanceBuilder::new(1);
-        let m0 = b.machine(&[10.0]);
-        let m1 = b.machine(&[10.0]);
-        b.shard(&[9.0], 1.0, m0);
-        b.shard(&[9.0], 1.0, m1);
-        let inst = b.build().unwrap();
-        let p =
-            SraProblem::new(&inst, Objective::default()).with_plan_every(PlannerConfig::default());
-        let swapped = Assignment::from_placement(&inst, vec![MachineId(1), MachineId(0)]).unwrap();
-        assert!(!p.is_feasible(&swapped));
-        let identity = Assignment::from_initial(&inst);
-        assert!(p.is_feasible(&identity));
     }
 }

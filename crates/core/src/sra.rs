@@ -9,8 +9,8 @@ use rex_cluster::{
     MigrationPlan, Objective, PlannerConfig,
 };
 use rex_lns::{
-    portfolio_search, Acceptance, Engine, EngineStats, HillClimb, InPlaceModel, LnsConfig,
-    LnsProblem, RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
+    portfolio_search, Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblem,
+    RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
 };
 use rex_obs::Recorder;
 use serde::{Deserialize, Serialize};
@@ -45,8 +45,6 @@ impl AcceptanceKind {
 pub struct SraConfig {
     /// LNS iterations (per worker).
     pub iters: u64,
-    /// Optional wall-clock budget (per worker).
-    pub time_limit: Option<Duration>,
     /// Objective to minimize.
     pub objective: Objective,
     /// Acceptance criterion.
@@ -82,7 +80,6 @@ impl Default for SraConfig {
     fn default() -> Self {
         Self {
             iters: 10_000,
-            time_limit: None,
             objective: Objective::default(),
             acceptance: AcceptanceKind::SimulatedAnnealing,
             intensity: (0.02, 0.25),
@@ -94,6 +91,36 @@ impl Default for SraConfig {
             planner: PlannerConfig::default(),
             log_trajectory: false,
         }
+    }
+}
+
+impl SraConfig {
+    /// The one `SraConfig → LnsConfig` lowering: an engine budget of
+    /// `max_iters` under this configuration's search knobs.
+    pub(crate) fn lns(&self, max_iters: u64) -> LnsConfig {
+        LnsConfig {
+            max_iters,
+            intensity: self.intensity,
+            log_trajectory: self.log_trajectory,
+        }
+    }
+
+    /// A ready engine over `problem` from `initial` with the default
+    /// operator portfolio and a budget (and acceptance schedule) of `iters`.
+    pub(crate) fn engine<'p, 'a>(
+        &self,
+        problem: &'p SraProblem<'a>,
+        initial: Assignment,
+        iters: u64,
+    ) -> Engine<'p, SraProblem<'a>> {
+        Engine::new(
+            problem,
+            initial,
+            default_destroys_in_place(self.destroy_cap),
+            default_repairs_in_place(),
+            self.acceptance.build(iters),
+            self.lns(iters),
+        )
     }
 }
 
@@ -123,7 +150,7 @@ pub struct SraResult {
     pub stats: Option<EngineStats>,
     /// Convergence trajectory (serial runs with `log_trajectory` only).
     pub trajectory: Vec<TrajectoryPoint>,
-    /// True if the plan-every fallback search was needed.
+    /// True if the fallback search (the final plan deadlocked) was needed.
     pub fallback_used: bool,
 }
 
@@ -141,8 +168,9 @@ impl SraResult {
 /// 2. searches for the best capacity- and vacancy-feasible target placement
 ///    (serial ALNS, or a rayon portfolio when `cfg.workers > 1`),
 /// 3. plans a transient-feasible migration schedule to it; if planning
-///    deadlocks (rare — the exchange machines provide staging space), the
-///    search is re-run with per-candidate plannability checks,
+///    deadlocks (only the decomposed path can hand back a best that never
+///    passed the plannability gate), a short gated monolithic search runs
+///    instead — its best is plannable by construction,
 /// 4. independently verifies the schedule with the step simulator,
 /// 5. selects the `k_return` machines to hand back.
 pub fn solve(inst: &Instance, cfg: &SraConfig) -> Result<SraResult, ClusterError> {
@@ -170,7 +198,7 @@ pub fn solve_with_drain(
 
 /// [`solve_with_drain`] narrating the solve into `rec` when it is
 /// recording: a `("sra", "solve")` span wrapping phase spans for the
-/// search, the migration planning (and the plan-every fallback when it
+/// search, the migration planning (and the fallback search when it
 /// triggers), and the independent verification. The LNS layer's own events
 /// nest inside the search phase. With a [`Recorder::Noop`] this is exactly
 /// [`solve_with_drain`].
@@ -198,9 +226,10 @@ pub fn solve_traced(
         );
     }
 
-    // Global bests are gated on plannability (`accept_best`), so the
-    // search result is schedulable by construction in all but pathological
-    // cases; the fallback below is a safety net.
+    // Global bests are gated on plannability (`accept_best`), so a serial
+    // or portfolio result is schedulable by construction; only the
+    // decomposed path (whose merged placement is not gated as a whole) can
+    // reach the fallback below.
     let mut problem = SraProblem::new(inst, cfg.objective).with_drain(drain);
     problem.planner = cfg.planner;
     if rec.is_active() {
@@ -234,31 +263,30 @@ pub fn solve_traced(
     let (best, plan, iterations, fallback_used, stats, trajectory) = match planned {
         Ok(plan) => (best, plan, iterations, false, stats, trajectory),
         Err(ClusterError::PlanningDeadlock { .. }) => {
-            // Fallback: a slower search whose feasibility check requires
-            // plannability, so its best is schedulable by construction
-            // (the search starts from a plannable solution, hence the
-            // result is never worse than that start).
-            let strict = SraProblem::new(inst, cfg.objective)
-                .with_drain(drain)
-                .with_plan_every(cfg.planner);
-            // The fallback must stay monolithic: plan-every feasibility is
-            // a global property the decomposed merge cannot track.
-            let strict_cfg = SraConfig {
+            // Fallback: the ordinary gated monolithic search on a quarter
+            // budget. A best that passed the `accept_best` gate plans here
+            // too (the gate only tightens the planner's give-up budget); if
+            // the search finds none and its start deadlocks as well, that
+            // is the error.
+            let fallback_cfg = SraConfig {
                 iters: (cfg.iters / 4).max(500),
                 partitions: 0,
                 ..*cfg
             };
             if rec.is_active() {
                 rec.add("sra.fallbacks", 1);
-                rec.span_open("sra", "fallback", vec![("iters", strict_cfg.iters.into())]);
+                rec.span_open(
+                    "sra",
+                    "fallback",
+                    vec![("iters", fallback_cfg.iters.into())],
+                );
             }
-            let fallen = run_search(&strict, &strict_cfg, cfg.seed.wrapping_add(1), rec);
+            let fallen = run_search(&problem, &fallback_cfg, cfg.seed.wrapping_add(1), rec);
             if rec.is_active() {
                 rec.span_close("sra", "fallback", vec![("ok", fallen.is_ok().into())]);
             }
             let (b2, it2, stats2, traj2) = fallen?;
-            let plan = plan_migration(inst, &inst.initial, b2.placement(), &cfg.planner)
-                .expect("plan-every search only accepts plannable candidates");
+            let plan = plan_migration(inst, &inst.initial, b2.placement(), &cfg.planner)?;
             (b2, plan, iterations + it2, true, stats2, traj2)
         }
         Err(e) => return Err(e),
@@ -326,9 +354,9 @@ pub fn solve_traced(
 
 /// Runs the search phase: the cooperative decomposed solver when
 /// `cfg.partitions > 1`, otherwise the serial engine or the parallel
-/// portfolio. All paths drive the **one** unified `Engine<M>` spine over
-/// the allocation-free in-place edit model (`InPlaceModel` over
-/// `SraState`). Public so the benches can time the search without the
+/// portfolio. All paths drive the **one** unified `Engine` spine over the
+/// allocation-free in-place edit protocol (`SraProblem` over `SraState`).
+/// Public so the benches can time the search without the
 /// planning/verification phases.
 pub fn run_search(
     problem: &SraProblem<'_>,
@@ -340,39 +368,16 @@ pub fn run_search(
         return crate::decomposed::decomposed_search(problem, cfg, seed, rec);
     }
     let initial = starting_solution(problem)?;
-    let lns_cfg = LnsConfig {
-        max_iters: cfg.iters,
-        time_limit: cfg.time_limit,
-        intensity: cfg.intensity,
-        log_trajectory: cfg.log_trajectory,
-        ..Default::default()
-    };
     if cfg.workers <= 1 {
-        let engine = Engine::in_place(
-            problem,
-            initial,
-            default_destroys_in_place(cfg.destroy_cap),
-            default_repairs_in_place(),
-            cfg.acceptance.build(cfg.iters),
-            lns_cfg,
-        );
-        let out = engine.run_recorded(seed, rec);
+        let out = cfg
+            .engine(problem, initial, cfg.iters)
+            .run_recorded(seed, rec);
         Ok((out.best, out.iterations, Some(out.stats), out.trajectory))
     } else {
         let out = portfolio_search(
-            &initial,
             seed,
             cfg.workers,
-            lns_cfg,
-            |start| {
-                InPlaceModel::new(
-                    problem,
-                    start,
-                    default_destroys_in_place(cfg.destroy_cap),
-                    default_repairs_in_place(),
-                )
-            },
-            || cfg.acceptance.build(cfg.iters),
+            || cfg.engine(problem, initial.clone(), cfg.iters),
             rec,
         );
         let iters = out.worker_results.iter().map(|w| w.iterations).sum();

@@ -31,7 +31,7 @@
 //! [`RESYNC_EVERY`] commits.
 
 use crate::problem::SraProblem;
-use rex_cluster::{plan_migration, Assignment, Instance, MachineId, ShardId, UndoLog};
+use rex_cluster::{Assignment, Instance, MachineId, ShardId, UndoLog};
 use rex_lns::{LnsProblem, LnsProblemInPlace};
 
 /// Full cache resynchronization period, in commits. With the compensated
@@ -509,17 +509,7 @@ impl LnsProblemInPlace for SraProblem<'_> {
                 return false;
             }
         }
-        if self.plan_every {
-            plan_migration(
-                self.inst,
-                &self.inst.initial,
-                state.asg.placement(),
-                &self.planner,
-            )
-            .is_ok()
-        } else {
-            true
-        }
+        true
     }
 
     fn state_accept_best(&self, state: &SraState) -> bool {

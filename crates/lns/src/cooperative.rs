@@ -12,7 +12,7 @@
 //! * every job's seed is fixed by the caller **before** the parallel
 //!   section — for decomposed rounds a pure function of `(base_seed,
 //!   round, partition)`, [`round_seed`];
-//! * every job's [`EditModel`] is likewise built by the caller before the
+//! * every job's [`Engine`] is likewise built by the caller before the
 //!   parallel section, so worker launch performs no hidden setup;
 //! * jobs run over the deterministic rayon shim, whose `collect` places
 //!   results by index, so the output order is the job order regardless of
@@ -24,9 +24,8 @@
 //! Together those give the decomposed-solver determinism contract:
 //! byte-identical results for any `REX_THREADS`.
 
-use crate::accept::Acceptance;
-use crate::engine::{Engine, LnsConfig, SearchOutcome};
-use crate::problem::EditModel;
+use crate::engine::{Engine, SearchOutcome};
+use crate::problem::LnsProblemInPlace;
 use rayon::prelude::*;
 
 /// splitmix64 finalizer: bijective avalanche mixing.
@@ -49,36 +48,25 @@ pub fn round_seed(base: u64, round: u64, partition: usize) -> u64 {
         .wrapping_add(partition as u64 + 1))
 }
 
-/// One worker's assignment for a cooperative round: the ready-to-run edit
-/// model over its sub-problem (starting solution already installed) and
-/// its predetermined seed.
-///
-/// Models and seeds are constructed by the caller *before* the parallel
-/// section — the round itself performs no per-worker setup beyond building
-/// the engine, so worker launch does no hidden cloning.
-pub struct RoundJob<M: EditModel> {
-    /// The edit model this worker drives (sub-problem + start solution).
-    pub model: M,
+/// One worker's assignment for a cooperative round: the ready-to-run
+/// engine over its sub-problem (starting solution, operators, acceptance
+/// and budget already installed) and its predetermined seed.
+pub struct RoundJob<'p, P: LnsProblemInPlace> {
+    /// The engine this worker runs.
+    pub engine: Engine<'p, P>,
     /// Seed from [`round_seed`].
     pub seed: u64,
 }
 
 /// Runs every job of one round in parallel and returns the outcomes in job
-/// order. Results are a pure function of the jobs and the configuration —
-/// thread count is unobservable.
-pub fn cooperative_round<M>(
-    jobs: Vec<RoundJob<M>>,
-    engine_cfg: LnsConfig,
-    make_acceptance: impl Fn() -> Box<dyn Acceptance> + Sync,
-) -> Vec<SearchOutcome<M::Solution>>
+/// order. Results are a pure function of the jobs — thread count is
+/// unobservable.
+pub fn cooperative_round<P>(jobs: Vec<RoundJob<'_, P>>) -> Vec<SearchOutcome<P::Solution>>
 where
-    M: EditModel + Send,
+    P: LnsProblemInPlace + Sync,
 {
     jobs.into_par_iter()
-        .map(|job| {
-            let engine = Engine::new(job.model, make_acceptance(), engine_cfg);
-            engine.run(job.seed)
-        })
+        .map(|job| job.engine.run(job.seed))
         .collect()
 }
 
@@ -86,7 +74,7 @@ where
 mod tests {
     use super::*;
     use crate::accept::SimulatedAnnealing;
-    use crate::problem::InPlaceModel;
+    use crate::engine::LnsConfig;
     use crate::toy::{
         GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
     };
@@ -96,11 +84,11 @@ mod tests {
         let problems: Vec<PartitionProblem> = (0..3)
             .map(|i| PartitionProblem::random(20 + 4 * i, 3, 11 + i as u64))
             .collect();
-        let jobs: Vec<RoundJob<InPlaceModel<'_, PartitionProblem>>> = problems
+        let jobs: Vec<RoundJob<'_, PartitionProblem>> = problems
             .iter()
             .enumerate()
             .map(|(p, problem)| RoundJob {
-                model: InPlaceModel::new(
+                engine: Engine::new(
                     problem,
                     problem.all_in_first_bin(),
                     vec![
@@ -108,18 +96,16 @@ mod tests {
                         Box::new(WorstBinRemoveInPlace),
                     ],
                     vec![Box::new(GreedyInsertInPlace)],
+                    Box::new(SimulatedAnnealing::for_normalized_loads(400)),
+                    LnsConfig {
+                        max_iters: 400,
+                        ..Default::default()
+                    },
                 ),
                 seed: round_seed(seed, 0, p),
             })
             .collect();
-        cooperative_round(
-            jobs,
-            LnsConfig {
-                max_iters: 400,
-                ..Default::default()
-            },
-            || Box::new(SimulatedAnnealing::for_normalized_loads(400)),
-        )
+        cooperative_round(jobs)
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! Every solve path in the workspace (serial SRA, the seed portfolio,
 //! cooperative decomposed rounds, the runtime controller, benches, the
-//! CLI) drives this single [`Engine`] through the
-//! [`EditModel`](crate::problem::EditModel) protocol. There is exactly one
-//! iteration loop: acceptance policies, adaptive operator weights,
-//! budget/termination handling, and `rex-obs` trace events live here and
-//! nowhere else.
+//! CLI) drives this single [`Engine`], which drives the problem's
+//! [`LnsProblemInPlace`] protocol directly. There is exactly one iteration
+//! loop: acceptance policies, adaptive operator weights, the iteration
+//! budget, and `rex-obs` trace events live here and nowhere else. A run is
+//! a pure function of `(problem, start, operators, acceptance, config,
+//! seed)` — there is no wall-clock budget.
 
 use crate::accept::Acceptance;
-use crate::problem::{DestroyInPlace, EditModel, InPlaceModel, LnsProblemInPlace, RepairInPlace};
+use crate::problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
 use crate::weights::{IterationOutcome, OperatorWeights};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -32,18 +33,12 @@ fn outcome_label(outcome: IterationOutcome, cause: &'static str) -> &'static str
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct LnsConfig {
-    /// Maximum number of destroy/repair iterations.
+    /// Number of destroy/repair iterations.
     pub max_iters: u64,
-    /// Optional wall-clock budget; checked every 64 iterations.
-    pub time_limit: Option<Duration>,
     /// Destroy intensity is drawn uniformly from this `(min, max)` range
     /// each iteration (interpreted by the destroy operators, typically as
     /// the fraction of elements to remove).
     pub intensity: (f64, f64),
-    /// ALNS weight-smoothing factor ρ (see [`OperatorWeights`]).
-    pub rho: f64,
-    /// Iterations per ALNS weight-update segment.
-    pub segment_len: u64,
     /// Record the best-objective trajectory (for convergence plots).
     pub log_trajectory: bool,
 }
@@ -52,10 +47,7 @@ impl Default for LnsConfig {
     fn default() -> Self {
         Self {
             max_iters: 5_000,
-            time_limit: None,
             intensity: (0.05, 0.35),
-            rho: 0.8,
-            segment_len: 100,
             log_trajectory: false,
         }
     }
@@ -126,45 +118,68 @@ pub struct SearchOutcome<S> {
     pub trajectory: Vec<TrajectoryPoint>,
 }
 
-/// The unified ALNS engine: owns an [`EditModel`] (working position +
-/// operator portfolio) and an acceptance criterion, and runs the one
-/// destroy/repair/accept loop over them.
-pub struct Engine<M: EditModel> {
-    model: M,
+/// The unified ALNS engine: owns the working [`LnsProblemInPlace::State`]
+/// of one problem, the operator portfolio, and an acceptance criterion,
+/// and runs the one destroy/repair/accept loop over them:
+///
+/// ```text
+/// destroy(i) → repair(j) → state_feasible? → state_objective → accept?
+///     → commit [snapshot on a new best]   or   → revert
+/// ```
+pub struct Engine<'p, P: LnsProblemInPlace> {
+    problem: &'p P,
+    state: P::State,
+    destroys: Vec<Box<dyn DestroyInPlace<P>>>,
+    repairs: Vec<Box<dyn RepairInPlace<P>>>,
     acceptance: Box<dyn Acceptance>,
     config: LnsConfig,
 }
 
-impl<M: EditModel> Engine<M> {
-    /// Creates an engine over an already-positioned model.
+impl<'p, P: LnsProblemInPlace> Engine<'p, P> {
+    /// Wraps `initial` into a working state over `problem` and builds the
+    /// engine.
     ///
     /// # Panics
-    /// If either of the model's operator lists is empty, or the intensity
+    /// If `initial` is infeasible (the search contract requires a feasible
+    /// starting incumbent), either operator list is empty, or the intensity
     /// range is not within `(0, 1]` with `min <= max`.
-    pub fn new(model: M, acceptance: Box<dyn Acceptance>, config: LnsConfig) -> Self {
+    pub fn new(
+        problem: &'p P,
+        initial: P::Solution,
+        destroys: Vec<Box<dyn DestroyInPlace<P>>>,
+        repairs: Vec<Box<dyn RepairInPlace<P>>>,
+        acceptance: Box<dyn Acceptance>,
+        config: LnsConfig,
+    ) -> Self {
         assert!(
-            model.destroy_count() > 0,
-            "need at least one destroy operator"
+            problem.is_feasible(&initial),
+            "LNS must start from a feasible solution"
         );
-        assert!(
-            model.repair_count() > 0,
-            "need at least one repair operator"
-        );
+        assert!(!destroys.is_empty(), "need at least one destroy operator");
+        assert!(!repairs.is_empty(), "need at least one repair operator");
         let (lo, hi) = config.intensity;
         assert!(
             lo > 0.0 && hi <= 1.0 && lo <= hi,
             "bad intensity range ({lo}, {hi})"
         );
         Self {
-            model,
+            problem,
+            state: problem.make_state(initial),
+            destroys,
+            repairs,
             acceptance,
             config,
         }
     }
 
-    /// Runs the search from the model's current position with the given
+    /// The configuration this engine runs under.
+    pub fn config(&self) -> &LnsConfig {
+        &self.config
+    }
+
+    /// Runs the search from the starting solution with the given
     /// deterministic seed.
-    pub fn run(self, seed: u64) -> SearchOutcome<M::Solution> {
+    pub fn run(self, seed: u64) -> SearchOutcome<P::Solution> {
         self.run_recorded(seed, &mut Recorder::noop())
     }
 
@@ -175,33 +190,33 @@ impl<M: EditModel> Engine<M> {
     /// plus a `("lns", "resync")` event whenever a commit performs a full
     /// cache resynchronization. With a [`Recorder::Noop`] the only
     /// per-iteration cost over [`run`] is one enum-discriminant check —
-    /// the model's observability hooks are not even called.
+    /// the problem's observability hooks are not even called.
     ///
     /// Recording never perturbs the search: the RNG, acceptance, and weight
     /// updates are untouched, so the returned [`SearchOutcome`] is
     /// bit-identical with and without tracing.
     ///
     /// [`run`]: Engine::run
-    pub fn run_recorded(mut self, seed: u64, rec: &mut Recorder) -> SearchOutcome<M::Solution> {
+    pub fn run_recorded(self, seed: u64, rec: &mut Recorder) -> SearchOutcome<P::Solution> {
+        let Self {
+            problem,
+            mut state,
+            destroys,
+            repairs,
+            mut acceptance,
+            config,
+        } = self;
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut dweights = OperatorWeights::new(
-            self.model.destroy_count(),
-            self.config.rho,
-            self.config.segment_len,
-        );
-        let mut rweights = OperatorWeights::new(
-            self.model.repair_count(),
-            self.config.rho,
-            self.config.segment_len,
-        );
+        let mut dweights = OperatorWeights::new(destroys.len());
+        let mut rweights = OperatorWeights::new(repairs.len());
         let mut stats = EngineStats::default();
         let mut trajectory = Vec::new();
 
-        let mut best = self.model.snapshot();
-        let mut f_current = self.model.objective();
+        let mut best = problem.snapshot(&state);
+        let mut f_current = problem.state_objective(&mut state);
         let mut f_best = f_current;
-        if self.config.log_trajectory {
+        if config.log_trajectory {
             trajectory.push(TrajectoryPoint {
                 iteration: 0,
                 elapsed_secs: 0.0,
@@ -216,27 +231,17 @@ impl<M: EditModel> Engine<M> {
                 "run",
                 vec![
                     ("seed", seed.into()),
-                    ("max_iters", self.config.max_iters.into()),
-                    ("destroys", self.model.destroy_count().into()),
-                    ("repairs", self.model.repair_count().into()),
+                    ("max_iters", config.max_iters.into()),
+                    ("destroys", destroys.len().into()),
+                    ("repairs", repairs.len().into()),
                     ("initial_objective", f_best.into()),
                 ],
             );
-            last_resyncs = self.model.resyncs();
+            last_resyncs = problem.state_resyncs(&state);
         }
 
-        let (ilo, ihi) = self.config.intensity;
-        let mut iters = 0u64;
-        while iters < self.config.max_iters {
-            if iters.is_multiple_of(64) {
-                if let Some(limit) = self.config.time_limit {
-                    if start.elapsed() >= limit {
-                        break;
-                    }
-                }
-            }
-            iters += 1;
-
+        let (ilo, ihi) = config.intensity;
+        for iters in 1..=config.max_iters {
             let di = dweights.pick(&mut rng);
             let ri = rweights.pick(&mut rng);
             let intensity = if ilo < ihi {
@@ -248,31 +253,35 @@ impl<M: EditModel> Engine<M> {
             let recording = rec.is_active();
             let mut cause = "rejected";
             let mut delta = f64::NAN; // serialized as null when not evaluated
-            self.model.destroy(di, intensity, &mut rng);
-            let destroyed = if recording { self.model.destroyed() } else { 0 };
-            let repaired = self.model.repair(ri, &mut rng);
+            destroys[di].destroy(problem, &mut state, intensity, &mut rng);
+            let destroyed = if recording {
+                problem.state_destroyed(&state)
+            } else {
+                0
+            };
+            let repaired = repairs[ri].repair(problem, &mut state, &mut rng);
             let undo_depth = if recording {
-                self.model.undo_depth()
+                problem.state_undo_depth(&state)
             } else {
                 0
             };
             let outcome = if !repaired {
-                self.model.revert();
+                problem.revert(&mut state);
                 stats.repair_failures += 1;
                 cause = "repair_failed";
                 IterationOutcome::Rejected
-            } else if !self.model.feasible() {
-                self.model.revert();
+            } else if !problem.state_feasible(&state) {
+                problem.revert(&mut state);
                 stats.infeasible += 1;
                 cause = "infeasible";
                 IterationOutcome::Rejected
             } else {
-                let f_cand = self.model.objective();
+                let f_cand = problem.state_objective(&mut state);
                 delta = f_cand - f_current;
-                if self.acceptance.accept(f_cand, f_current, f_best, &mut rng) {
+                if acceptance.accept(f_cand, f_current, f_best, &mut rng) {
                     stats.accepted += 1;
                     let gate_ok = f_cand < f_best && {
-                        let ok = self.model.accept_best();
+                        let ok = problem.state_accept_best(&state);
                         if !ok {
                             stats.best_gate_rejections += 1;
                         }
@@ -280,9 +289,9 @@ impl<M: EditModel> Engine<M> {
                     };
                     let outcome = if gate_ok {
                         stats.new_bests += 1;
-                        best = self.model.snapshot();
+                        best = problem.snapshot(&state);
                         f_best = f_cand;
-                        if self.config.log_trajectory {
+                        if config.log_trajectory {
                             trajectory.push(TrajectoryPoint {
                                 iteration: iters,
                                 elapsed_secs: start.elapsed().as_secs_f64(),
@@ -296,11 +305,11 @@ impl<M: EditModel> Engine<M> {
                     } else {
                         IterationOutcome::Accepted
                     };
-                    self.model.commit();
+                    problem.commit(&mut state);
                     f_current = f_cand;
                     outcome
                 } else {
-                    self.model.revert();
+                    problem.revert(&mut state);
                     stats.rejected += 1;
                     IterationOutcome::Rejected
                 }
@@ -311,8 +320,8 @@ impl<M: EditModel> Engine<M> {
                     "lns",
                     "iter",
                     vec![
-                        ("destroy", self.model.destroy_name(di).into()),
-                        ("repair", self.model.repair_name(ri).into()),
+                        ("destroy", destroys[di].name().into()),
+                        ("repair", repairs[ri].name().into()),
                         ("intensity", intensity.into()),
                         ("destroyed", destroyed.into()),
                         ("undo_depth", undo_depth.into()),
@@ -321,18 +330,19 @@ impl<M: EditModel> Engine<M> {
                     ],
                 );
                 record_outcome_metrics(rec, outcome, cause, delta);
-                let resyncs = self.model.resyncs();
+                let resyncs = problem.state_resyncs(&state);
                 if resyncs != last_resyncs {
                     rec.event("lns", "resync", vec![("total", resyncs.into())]);
                     rec.add("lns.resyncs", resyncs - last_resyncs);
                     last_resyncs = resyncs;
                 }
             }
-            self.acceptance.step();
+            acceptance.step();
             dweights.record(di, outcome);
             rweights.record(ri, outcome);
         }
 
+        let iters = config.max_iters;
         if rec.is_active() {
             rec.set_tick(iters);
             rec.span_close(
@@ -349,17 +359,17 @@ impl<M: EditModel> Engine<M> {
             );
         }
 
-        stats.destroy_ops = (0..self.model.destroy_count())
+        stats.destroy_ops = (0..destroys.len())
             .map(|i| OperatorStat {
-                name: self.model.destroy_name(i).to_string(),
+                name: destroys[i].name().to_string(),
                 uses: dweights.uses(i),
                 bests: dweights.bests(i),
                 weight: dweights.weight(i),
             })
             .collect();
-        stats.repair_ops = (0..self.model.repair_count())
+        stats.repair_ops = (0..repairs.len())
             .map(|i| OperatorStat {
-                name: self.model.repair_name(i).to_string(),
+                name: repairs[i].name().to_string(),
                 uses: rweights.uses(i),
                 bests: rweights.bests(i),
                 weight: rweights.weight(i),
@@ -374,29 +384,6 @@ impl<M: EditModel> Engine<M> {
             stats,
             trajectory,
         }
-    }
-}
-
-impl<'p, P: LnsProblemInPlace> Engine<InPlaceModel<'p, P>> {
-    /// Convenience constructor for the production path: wraps `initial`
-    /// into an [`InPlaceModel`] over `problem` and builds the engine.
-    ///
-    /// # Panics
-    /// If `initial` is infeasible, either operator list is empty, or the
-    /// intensity range is invalid.
-    pub fn in_place(
-        problem: &'p P,
-        initial: P::Solution,
-        destroys: Vec<Box<dyn DestroyInPlace<P>>>,
-        repairs: Vec<Box<dyn RepairInPlace<P>>>,
-        acceptance: Box<dyn Acceptance>,
-        config: LnsConfig,
-    ) -> Self {
-        Self::new(
-            InPlaceModel::new(problem, initial, destroys, repairs),
-            acceptance,
-            config,
-        )
     }
 }
 
@@ -429,10 +416,10 @@ fn record_outcome_metrics(
 mod tests {
     use super::*;
     use crate::accept::{HillClimb, SimulatedAnnealing};
-    use crate::problem::{CloneOracle, LnsProblem};
+    use crate::problem::LnsProblem;
     use crate::toy::{
-        GreedyInsertInPlace, PartitionProblem, PartitionState, RandomRemoveInPlace,
-        WorstBinRemoveInPlace,
+        CloneOracle, GreedyInsertInPlace, OracleOp, PartitionProblem, PartitionState,
+        RandomRemoveInPlace, WorstBinRemoveInPlace,
     };
 
     fn toy_destroys() -> Vec<Box<dyn DestroyInPlace<PartitionProblem>>> {
@@ -450,8 +437,8 @@ mod tests {
         problem: &PartitionProblem,
         initial: Vec<usize>,
         iters: u64,
-    ) -> Engine<InPlaceModel<'_, PartitionProblem>> {
-        Engine::in_place(
+    ) -> Engine<'_, PartitionProblem> {
+        Engine::new(
             problem,
             initial,
             toy_destroys(),
@@ -533,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_stops_early() {
-        let problem = PartitionProblem::random(50, 4, 8);
-        let engine = Engine::in_place(
-            &problem,
-            problem.all_in_first_bin(),
-            vec![Box::new(RandomRemoveInPlace) as Box<dyn DestroyInPlace<PartitionProblem>>],
-            toy_repairs(),
-            Box::new(HillClimb),
-            LnsConfig {
-                max_iters: u64::MAX / 2,
-                time_limit: Some(Duration::from_millis(50)),
-                ..Default::default()
-            },
-        );
-        let start = Instant::now();
-        let out = engine.run(1);
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert!(out.iterations > 0);
-    }
-
-    #[test]
     fn accept_best_gate_filters_bests() {
         /// Wraps the toy problem, refusing any best with an odd bin for
         /// item 0 — the engine must then keep the best among even-bin
@@ -614,7 +580,7 @@ mod tests {
             }
         }
         let gated = Gated(PartitionProblem::random(30, 3, 4));
-        let engine = Engine::in_place(
+        let engine = Engine::new(
             &gated,
             gated.0.all_in_first_bin(),
             vec![Box::new(D2) as Box<dyn DestroyInPlace<Gated>>],
@@ -634,7 +600,7 @@ mod tests {
     #[should_panic]
     fn rejects_empty_operator_lists() {
         let problem = PartitionProblem::random(5, 2, 1);
-        let _ = Engine::in_place(
+        let _ = Engine::new(
             &problem,
             problem.all_in_first_bin(),
             Vec::new(),
@@ -649,7 +615,7 @@ mod tests {
     fn rejects_infeasible_start() {
         let problem = PartitionProblem::random(5, 2, 1);
         let bad = problem.infeasible_solution();
-        let _ = Engine::in_place(
+        let _ = Engine::new(
             &problem,
             bad,
             toy_destroys(),
@@ -661,8 +627,8 @@ mod tests {
 
     #[test]
     fn clone_oracle_matches_in_place_bit_exactly() {
-        // The oracle rejects by restoring a saved whole-state clone; the
-        // production model rejects by unwinding the undo log. Identical
+        // The oracle problem reverts by restoring a saved whole-state clone;
+        // the production problem reverts by unwinding the undo log. Identical
         // outcomes prove the undo machinery is bit-exact. (The full
         // differential suite, including traces and the parallel drivers,
         // lives in tests/spine_vs_legacy.rs.)
@@ -674,13 +640,22 @@ mod tests {
             ..Default::default()
         };
         let spine = Engine::new(
-            InPlaceModel::new(&problem, initial.clone(), toy_destroys(), toy_repairs()),
+            &problem,
+            initial.clone(),
+            toy_destroys(),
+            toy_repairs(),
             Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
             cfg,
         )
         .run(17);
         let oracle = Engine::new(
-            CloneOracle::new(&problem, initial, toy_destroys(), toy_repairs()),
+            &CloneOracle(&problem),
+            initial,
+            vec![
+                Box::new(OracleOp(RandomRemoveInPlace)),
+                Box::new(OracleOp(WorstBinRemoveInPlace)),
+            ],
+            vec![Box::new(OracleOp(GreedyInsertInPlace))],
             Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
             cfg,
         )

@@ -16,22 +16,20 @@
 //!   [`problem::RepairInPlace`] — the allocation-free in-place edit
 //!   protocol (destroy/repair mutate one working state; rejected edits are
 //!   reverted from an undo log instead of discarding a clone),
-//! * [`problem::EditModel`] — the engine-facing edit surface; the
-//!   production implementation is [`problem::InPlaceModel`] (undo-log
-//!   reverts), and [`problem::CloneOracle`] is a test-only differential
-//!   oracle that reverts by cloning a saved state,
 //! * [`accept`] — hill-climbing, simulated annealing, record-to-record,
 //! * [`weights::OperatorWeights`] — adaptive operator selection,
-//! * [`engine::Engine`] — **the one iteration loop** (`Engine<M:
-//!   EditModel>`): adaptive operator choice, acceptance, budget handling,
-//!   trace events, and the best-objective trajectory recorder all live
-//!   here and nowhere else,
+//! * [`engine::Engine`] — **the one iteration loop** (`Engine<P:
+//!   LnsProblemInPlace>`, driving the problem directly): adaptive operator
+//!   choice, acceptance, the iteration budget, trace events, and the
+//!   best-objective trajectory recorder all live here and nowhere else,
 //! * [`portfolio`] — a rayon-parallel multi-start runner with a
-//!   deterministic reduction, generic over the edit model,
+//!   deterministic reduction,
 //! * [`cooperative`] — deterministic parallel execution of one decomposed
 //!   round (one worker per sub-problem),
 //! * [`toy`] — a tiny number-partitioning problem used by the tests and the
-//!   documentation examples.
+//!   documentation examples, and [`toy::CloneOracle`], the test-only
+//!   wrapper problem that reverts by restoring a saved state clone (the
+//!   differential reference for a problem's undo-log revert).
 //!
 //! Determinism: every run is driven by a caller-supplied `u64` seed; the
 //! portfolio derives worker seeds as `seed ⊕ worker` and reduces with an
@@ -55,8 +53,5 @@ pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed, RoundJob};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, TrajectoryPoint};
 pub use portfolio::{portfolio_search, worker_seed, PortfolioOutcome};
-pub use problem::{
-    CloneOracle, DestroyInPlace, EditModel, InPlaceModel, LnsProblem, LnsProblemInPlace,
-    RepairInPlace,
-};
+pub use problem::{DestroyInPlace, LnsProblem, LnsProblemInPlace, RepairInPlace};
 pub use weights::OperatorWeights;

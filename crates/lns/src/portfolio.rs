@@ -8,14 +8,12 @@
 //! index), so the outcome is reproducible regardless of thread scheduling —
 //! the determinism discipline the HPC guides call for.
 //!
-//! The portfolio is generic over [`EditModel`]: each worker gets its own
-//! model (built by the caller's factory from a clone of the shared initial
-//! solution) and drives the one unified [`crate::Engine`].
+//! Each worker gets its own [`Engine`] (built by the caller's factory,
+//! typically from a clone of the shared initial solution).
 
-use crate::accept::Acceptance;
 use crate::cooperative::{cooperative_round, RoundJob};
-use crate::engine::LnsConfig;
-use crate::problem::EditModel;
+use crate::engine::Engine;
+use crate::problem::LnsProblemInPlace;
 use rex_obs::Recorder;
 use serde::Serialize;
 
@@ -48,14 +46,14 @@ pub fn worker_seed(base: u64, worker: usize) -> u64 {
     base ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1))
 }
 
-/// Runs `workers` independent searches (each under `engine_cfg`) in
-/// parallel and returns the best, narrating the reduction into `rec` when
-/// it is recording: a `("lns", "portfolio")` span holding one
-/// `("lns", "worker")` summary event per worker, in worker order.
+/// Runs `workers` independent searches in parallel and returns the best,
+/// narrating the reduction into `rec` when it is recording: a
+/// `("lns", "portfolio")` span holding one `("lns", "worker")` summary
+/// event per worker, in worker order.
 ///
-/// `make_model` is invoked once per worker on a clone of `initial`, before
-/// the parallel section, so each worker owns private operator and state
-/// storage and worker launch does no hidden setup.
+/// `make_engine` is invoked once per worker, before the parallel section,
+/// so each worker owns private operator and state storage and worker
+/// launch does no hidden setup.
 ///
 /// Workers themselves run **untraced** — per-iteration events from
 /// concurrently running workers would interleave nondeterministically, so
@@ -63,16 +61,22 @@ pub fn worker_seed(base: u64, worker: usize) -> u64 {
 /// emitted sequentially after the parallel section, which keeps the trace
 /// byte-identical across thread counts (satellite determinism contract; see
 /// `tests/threads_determinism.rs`).
-pub fn portfolio_search<M: EditModel + Send>(
-    initial: &M::Solution,
+pub fn portfolio_search<'p, P>(
     base_seed: u64,
     workers: usize,
-    engine_cfg: LnsConfig,
-    make_model: impl Fn(M::Solution) -> M,
-    make_acceptance: impl Fn() -> Box<dyn Acceptance> + Sync,
+    make_engine: impl Fn() -> Engine<'p, P>,
     rec: &mut Recorder,
-) -> PortfolioOutcome<M::Solution> {
+) -> PortfolioOutcome<P::Solution>
+where
+    P: LnsProblemInPlace + Sync + 'p,
+{
     assert!(workers >= 1, "portfolio needs at least one worker");
+    let jobs: Vec<RoundJob<'p, P>> = (0..workers)
+        .map(|w| RoundJob {
+            engine: make_engine(),
+            seed: worker_seed(base_seed, w),
+        })
+        .collect();
     if rec.is_active() {
         rec.span_open(
             "lns",
@@ -80,17 +84,11 @@ pub fn portfolio_search<M: EditModel + Send>(
             vec![
                 ("workers", workers.into()),
                 ("base_seed", base_seed.into()),
-                ("max_iters", engine_cfg.max_iters.into()),
+                ("max_iters", jobs[0].engine.config().max_iters.into()),
             ],
         );
     }
-    let jobs: Vec<RoundJob<M>> = (0..workers)
-        .map(|w| RoundJob {
-            model: make_model(initial.clone()),
-            seed: worker_seed(base_seed, w),
-        })
-        .collect();
-    let outcomes = cooperative_round(jobs, engine_cfg, make_acceptance);
+    let outcomes = cooperative_round(jobs);
 
     let worker_results: Vec<WorkerResult> = outcomes
         .iter()
@@ -146,7 +144,7 @@ pub fn portfolio_search<M: EditModel + Send>(
 mod tests {
     use super::*;
     use crate::accept::SimulatedAnnealing;
-    use crate::problem::InPlaceModel;
+    use crate::engine::LnsConfig;
     use crate::toy::{
         GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
     };
@@ -154,27 +152,25 @@ mod tests {
     fn run_recorded(workers: usize, seed: u64, rec: &mut Recorder) -> PortfolioOutcome<Vec<usize>> {
         let problem = PartitionProblem::random(40, 4, 77);
         let initial = problem.all_in_first_bin();
-        let engine_cfg = LnsConfig {
-            max_iters: 1_500,
-            ..Default::default()
-        };
         portfolio_search(
-            &initial,
             seed,
             workers,
-            engine_cfg,
-            |start| {
-                InPlaceModel::new(
+            || {
+                Engine::new(
                     &problem,
-                    start,
+                    initial.clone(),
                     vec![
                         Box::new(RandomRemoveInPlace),
                         Box::new(WorstBinRemoveInPlace),
                     ],
                     vec![Box::new(GreedyInsertInPlace)],
+                    Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
+                    LnsConfig {
+                        max_iters: 1_500,
+                        ..Default::default()
+                    },
                 )
             },
-            || Box::new(SimulatedAnnealing::for_normalized_loads(1_500)),
             rec,
         )
     }

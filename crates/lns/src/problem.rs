@@ -1,6 +1,6 @@
-//! The domain interface implemented by problems solved with this framework,
-//! and the [`EditModel`] abstraction the unified [`crate::engine::Engine`]
-//! drives.
+//! The domain interface implemented by problems solved with this framework:
+//! the one trait pair ([`LnsProblemInPlace`] plus its operators) the
+//! [`crate::engine::Engine`] drives directly.
 
 use rand::rngs::StdRng;
 
@@ -150,290 +150,13 @@ pub trait RepairInPlace<P: LnsProblemInPlace>: Send + Sync {
     fn repair(&self, problem: &P, state: &mut P::State, rng: &mut StdRng) -> bool;
 }
 
-/// What the unified [`crate::engine::Engine`] drives: a working search
-/// position plus an operator portfolio, behind one mutation protocol.
-///
-/// The engine never sees problems, states, or operator lists — only a
-/// model. One iteration is:
-///
-/// ```text
-/// destroy(i) → repair(j) → feasible()? → objective() → accept?
-///     → commit() [snapshot() on a new best]   or   → revert()
-/// ```
-///
-/// Implementations must keep [`revert`] bit-exact (the engine relies on it
-/// to discard rejected bursts) and keep [`objective`] consistent with the
-/// solution a subsequent [`snapshot`] returns.
-///
-/// The production implementation is [`InPlaceModel`]; [`CloneOracle`]
-/// exists only to differentially test it.
-///
-/// [`revert`]: EditModel::revert
-/// [`objective`]: EditModel::objective
-/// [`snapshot`]: EditModel::snapshot
-pub trait EditModel {
-    /// The complete-solution type snapshots return.
-    type Solution: Clone + Send;
-
-    /// Number of destroy operators in the portfolio (≥ 1 for the engine).
-    fn destroy_count(&self) -> usize;
-
-    /// Number of repair operators in the portfolio (≥ 1 for the engine).
-    fn repair_count(&self) -> usize;
-
-    /// Stable name of destroy operator `i` (stats, traces, ablations).
-    fn destroy_name(&self, i: usize) -> &str;
-
-    /// Stable name of repair operator `i`.
-    fn repair_name(&self, i: usize) -> &str;
-
-    /// Applies destroy operator `i` at the given intensity.
-    fn destroy(&mut self, i: usize, intensity: f64, rng: &mut StdRng);
-
-    /// Applies repair operator `i`; `false` when no feasible completion was
-    /// found (the engine then reverts the burst).
-    fn repair(&mut self, i: usize, rng: &mut StdRng) -> bool;
-
-    /// Hard-constraint check of the current (edited, uncommitted) position.
-    fn feasible(&self) -> bool;
-
-    /// Objective of the current position; **lower is better**.
-    fn objective(&mut self) -> f64;
-
-    /// The [`LnsProblem::accept_best`] gate, evaluated on the current
-    /// position.
-    fn accept_best(&self) -> bool;
-
-    /// Clones the current solution out of the model (new bests only).
-    fn snapshot(&self) -> Self::Solution;
-
-    /// Accepts the pending edits as the new baseline.
-    fn commit(&mut self);
-
-    /// Discards every edit since the last commit, bit-exactly.
-    fn revert(&mut self);
-
-    // ---- observability hooks (see the LnsProblemInPlace counterparts) ----
-
-    /// Elements currently detached and awaiting repair.
-    fn destroyed(&self) -> usize {
-        0
-    }
-
-    /// Edits in the undo log since the last commit.
-    fn undo_depth(&self) -> usize {
-        0
-    }
-
-    /// Full cache resynchronizations performed so far.
-    fn resyncs(&self) -> u64 {
-        0
-    }
-}
-
-/// The production [`EditModel`]: one mutable [`LnsProblemInPlace::State`]
-/// edited in place, with rejection handled by unwinding the state's undo
-/// log.
-pub struct InPlaceModel<'p, P: LnsProblemInPlace> {
-    problem: &'p P,
-    state: P::State,
-    destroys: Vec<Box<dyn DestroyInPlace<P>>>,
-    repairs: Vec<Box<dyn RepairInPlace<P>>>,
-}
-
-impl<'p, P: LnsProblemInPlace> InPlaceModel<'p, P> {
-    /// Wraps `initial` into a working state over `problem`.
-    ///
-    /// # Panics
-    /// If `initial` is infeasible — the search contract requires a feasible
-    /// starting incumbent.
-    pub fn new(
-        problem: &'p P,
-        initial: P::Solution,
-        destroys: Vec<Box<dyn DestroyInPlace<P>>>,
-        repairs: Vec<Box<dyn RepairInPlace<P>>>,
-    ) -> Self {
-        assert!(
-            problem.is_feasible(&initial),
-            "LNS must start from a feasible solution"
-        );
-        let state = problem.make_state(initial);
-        Self {
-            problem,
-            state,
-            destroys,
-            repairs,
-        }
-    }
-}
-
-impl<P: LnsProblemInPlace> EditModel for InPlaceModel<'_, P> {
-    type Solution = P::Solution;
-
-    fn destroy_count(&self) -> usize {
-        self.destroys.len()
-    }
-    fn repair_count(&self) -> usize {
-        self.repairs.len()
-    }
-    fn destroy_name(&self, i: usize) -> &str {
-        self.destroys[i].name()
-    }
-    fn repair_name(&self, i: usize) -> &str {
-        self.repairs[i].name()
-    }
-    fn destroy(&mut self, i: usize, intensity: f64, rng: &mut StdRng) {
-        self.destroys[i].destroy(self.problem, &mut self.state, intensity, rng);
-    }
-    fn repair(&mut self, i: usize, rng: &mut StdRng) -> bool {
-        self.repairs[i].repair(self.problem, &mut self.state, rng)
-    }
-    fn feasible(&self) -> bool {
-        self.problem.state_feasible(&self.state)
-    }
-    fn objective(&mut self) -> f64 {
-        self.problem.state_objective(&mut self.state)
-    }
-    fn accept_best(&self) -> bool {
-        self.problem.state_accept_best(&self.state)
-    }
-    fn snapshot(&self) -> P::Solution {
-        self.problem.snapshot(&self.state)
-    }
-    fn commit(&mut self) {
-        self.problem.commit(&mut self.state);
-    }
-    fn revert(&mut self) {
-        self.problem.revert(&mut self.state);
-    }
-    fn destroyed(&self) -> usize {
-        self.problem.state_destroyed(&self.state)
-    }
-    fn undo_depth(&self) -> usize {
-        self.problem.state_undo_depth(&self.state)
-    }
-    fn resyncs(&self) -> u64 {
-        self.problem.state_resyncs(&self.state)
-    }
-}
-
-/// The **differential-test oracle**: identical to [`InPlaceModel`] in every
-/// way — same operators, same arithmetic, same RNG consumption — except
-/// that rejection restores a saved whole-state clone instead of unwinding
-/// the undo log.
-///
-/// A search driven through this model is therefore bit-identical to one
-/// driven through [`InPlaceModel`] *if and only if* the problem's
-/// [`LnsProblemInPlace::revert`] is bit-exact, which is exactly what the
-/// `spine_vs_legacy` suite asserts. Requires `P::State: Clone`, so it is
-/// only instantiable over test problems with cloneable states (the real
-/// SRA state deliberately is not).
-#[doc(hidden)] // test-only: never use this on a production path — every
-               // rejected iteration pays a whole-state clone restore.
-pub struct CloneOracle<'p, P: LnsProblemInPlace>
-where
-    P::State: Clone,
-{
-    problem: &'p P,
-    state: P::State,
-    saved: P::State,
-    destroys: Vec<Box<dyn DestroyInPlace<P>>>,
-    repairs: Vec<Box<dyn RepairInPlace<P>>>,
-}
-
-impl<'p, P: LnsProblemInPlace> CloneOracle<'p, P>
-where
-    P::State: Clone,
-{
-    /// Wraps `initial` into a working state plus its saved twin.
-    ///
-    /// # Panics
-    /// If `initial` is infeasible (same contract as [`InPlaceModel::new`]).
-    pub fn new(
-        problem: &'p P,
-        initial: P::Solution,
-        destroys: Vec<Box<dyn DestroyInPlace<P>>>,
-        repairs: Vec<Box<dyn RepairInPlace<P>>>,
-    ) -> Self {
-        assert!(
-            problem.is_feasible(&initial),
-            "LNS must start from a feasible solution"
-        );
-        let state = problem.make_state(initial);
-        let saved = state.clone();
-        Self {
-            problem,
-            state,
-            saved,
-            destroys,
-            repairs,
-        }
-    }
-}
-
-impl<P: LnsProblemInPlace> EditModel for CloneOracle<'_, P>
-where
-    P::State: Clone,
-{
-    type Solution = P::Solution;
-
-    fn destroy_count(&self) -> usize {
-        self.destroys.len()
-    }
-    fn repair_count(&self) -> usize {
-        self.repairs.len()
-    }
-    fn destroy_name(&self, i: usize) -> &str {
-        self.destroys[i].name()
-    }
-    fn repair_name(&self, i: usize) -> &str {
-        self.repairs[i].name()
-    }
-    fn destroy(&mut self, i: usize, intensity: f64, rng: &mut StdRng) {
-        self.destroys[i].destroy(self.problem, &mut self.state, intensity, rng);
-    }
-    fn repair(&mut self, i: usize, rng: &mut StdRng) -> bool {
-        self.repairs[i].repair(self.problem, &mut self.state, rng)
-    }
-    fn feasible(&self) -> bool {
-        self.problem.state_feasible(&self.state)
-    }
-    fn objective(&mut self) -> f64 {
-        self.problem.state_objective(&mut self.state)
-    }
-    fn accept_best(&self) -> bool {
-        self.problem.state_accept_best(&self.state)
-    }
-    fn snapshot(&self) -> P::Solution {
-        self.problem.snapshot(&self.state)
-    }
-    fn commit(&mut self) {
-        // The real commit first (identical resync cadence to the in-place
-        // model), then refresh the rollback point.
-        self.problem.commit(&mut self.state);
-        self.saved = self.state.clone();
-    }
-    fn revert(&mut self) {
-        self.state = self.saved.clone();
-    }
-    fn destroyed(&self) -> usize {
-        self.problem.state_destroyed(&self.state)
-    }
-    fn undo_depth(&self) -> usize {
-        self.problem.state_undo_depth(&self.state)
-    }
-    fn resyncs(&self) -> u64 {
-        self.problem.state_resyncs(&self.state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::toy::{GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace};
 
     // The traits are exercised end-to-end by engine tests; here we only
-    // check object safety in the form the models use (trait objects).
+    // check object safety in the form the engine uses (trait objects).
     #[test]
     fn in_place_operators_are_object_safe() {
         let destroys: Vec<Box<dyn DestroyInPlace<PartitionProblem>>> =
@@ -442,41 +165,5 @@ mod tests {
             vec![Box::new(GreedyInsertInPlace)];
         assert_eq!(destroys[0].name(), "random-remove");
         assert_eq!(repairs[0].name(), "greedy-insert");
-    }
-
-    #[test]
-    fn models_expose_the_operator_portfolio() {
-        let problem = PartitionProblem::random(12, 3, 7);
-        let model = InPlaceModel::new(
-            &problem,
-            problem.all_in_first_bin(),
-            vec![Box::new(RandomRemoveInPlace)],
-            vec![Box::new(GreedyInsertInPlace)],
-        );
-        assert_eq!(model.destroy_count(), 1);
-        assert_eq!(model.repair_count(), 1);
-        assert_eq!(model.destroy_name(0), "random-remove");
-        assert_eq!(model.repair_name(0), "greedy-insert");
-
-        let oracle = CloneOracle::new(
-            &problem,
-            problem.all_in_first_bin(),
-            vec![Box::new(RandomRemoveInPlace)],
-            vec![Box::new(GreedyInsertInPlace)],
-        );
-        assert_eq!(oracle.destroy_name(0), "random-remove");
-        assert_eq!(oracle.repair_name(0), "greedy-insert");
-    }
-
-    #[test]
-    #[should_panic(expected = "feasible")]
-    fn in_place_model_rejects_infeasible_start() {
-        let problem = PartitionProblem::random(5, 2, 1);
-        let _ = InPlaceModel::new(
-            &problem,
-            problem.infeasible_solution(),
-            vec![Box::new(RandomRemoveInPlace)],
-            vec![Box::new(GreedyInsertInPlace)],
-        );
     }
 }

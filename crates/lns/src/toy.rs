@@ -5,7 +5,7 @@
 //! so the framework can be tested (and its documentation exemplified)
 //! without dragging in the cluster domain. Its [`PartitionState`] derives
 //! `Clone`, which is what lets the `spine_vs_legacy` differential suite
-//! instantiate the [`crate::problem::CloneOracle`] over it.
+//! wrap it in the [`CloneOracle`] defined at the bottom of this module.
 
 use crate::problem::{DestroyInPlace, LnsProblem, LnsProblemInPlace, RepairInPlace};
 use rand::rngs::StdRng;
@@ -81,7 +81,7 @@ impl LnsProblem for PartitionProblem {
 /// cached bin sums, the unassigned-item list, and an undo log. Exists to
 /// exercise (and document) the in-place edit protocol without the cluster
 /// domain. Derives `Clone` (unlike the real SRA state) so the
-/// [`crate::problem::CloneOracle`] can snapshot and restore it whole.
+/// [`CloneOracle`] can snapshot and restore it whole.
 #[derive(Clone, Debug)]
 pub struct PartitionState {
     /// `sol[i]` = bin of item `i`, or [`UNASSIGNED`].
@@ -323,6 +323,127 @@ impl RepairInPlace<PartitionProblem> for GreedyInsertInPlace {
         removed.clear();
         state.removed = removed;
         true
+    }
+}
+
+/// The **differential-test oracle**: wraps a problem whose state is
+/// cloneable and behaves identically — same operators (through
+/// [`OracleOp`]), same arithmetic, same RNG consumption — except that
+/// [`revert`] restores a saved whole-state clone instead of unwinding the
+/// undo log. Its state is the pair `(live, saved)`.
+///
+/// A search over the wrapper is therefore bit-identical to one over the
+/// wrapped problem *if and only if* the wrapped problem's `revert` is
+/// bit-exact, which is what the `spine_vs_legacy` suite asserts. It can
+/// only check problems with `State: Clone` — the toy problems here; the
+/// real SRA state deliberately is not cloneable, and its revert is pinned
+/// by `tests/prop_edit_protocol.rs` instead. Every rejected iteration pays
+/// a whole-state clone: never use it on a production path.
+///
+/// [`revert`]: LnsProblemInPlace::revert
+pub struct CloneOracle<'p, P>(pub &'p P);
+
+impl<P: LnsProblemInPlace> LnsProblem for CloneOracle<'_, P>
+where
+    P::State: Clone,
+{
+    type Solution = P::Solution;
+
+    fn objective(&self, sol: &P::Solution) -> f64 {
+        self.0.objective(sol)
+    }
+    fn is_feasible(&self, sol: &P::Solution) -> bool {
+        self.0.is_feasible(sol)
+    }
+    fn accept_best(&self, sol: &P::Solution) -> bool {
+        self.0.accept_best(sol)
+    }
+}
+
+impl<P: LnsProblemInPlace> LnsProblemInPlace for CloneOracle<'_, P>
+where
+    P::State: Clone,
+{
+    /// `(live, saved)`: the working state and its last committed twin.
+    type State = (P::State, P::State);
+
+    fn make_state(&self, sol: P::Solution) -> Self::State {
+        let live = self.0.make_state(sol);
+        let saved = live.clone();
+        (live, saved)
+    }
+    fn state_objective(&self, state: &mut Self::State) -> f64 {
+        self.0.state_objective(&mut state.0)
+    }
+    fn state_feasible(&self, state: &Self::State) -> bool {
+        self.0.state_feasible(&state.0)
+    }
+    fn state_accept_best(&self, state: &Self::State) -> bool {
+        self.0.state_accept_best(&state.0)
+    }
+    fn snapshot(&self, state: &Self::State) -> P::Solution {
+        self.0.snapshot(&state.0)
+    }
+    fn revert(&self, state: &mut Self::State) {
+        state.0.clone_from(&state.1);
+    }
+    fn commit(&self, state: &mut Self::State) {
+        // The real commit first (identical resync cadence to the wrapped
+        // problem), then refresh the rollback point.
+        self.0.commit(&mut state.0);
+        state.1.clone_from(&state.0);
+    }
+    fn state_destroyed(&self, state: &Self::State) -> usize {
+        self.0.state_destroyed(&state.0)
+    }
+    fn state_undo_depth(&self, state: &Self::State) -> usize {
+        self.0.state_undo_depth(&state.0)
+    }
+    fn state_resyncs(&self, state: &Self::State) -> u64 {
+        self.0.state_resyncs(&state.0)
+    }
+}
+
+/// Adapts an operator of `P` to [`CloneOracle<P>`]: forwards to the wrapped
+/// operator on the live half of the oracle's state.
+pub struct OracleOp<T>(pub T);
+
+impl<P, T> DestroyInPlace<CloneOracle<'_, P>> for OracleOp<T>
+where
+    P: LnsProblemInPlace,
+    P::State: Clone,
+    T: DestroyInPlace<P>,
+{
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn destroy(
+        &self,
+        problem: &CloneOracle<'_, P>,
+        state: &mut (P::State, P::State),
+        intensity: f64,
+        rng: &mut StdRng,
+    ) {
+        self.0.destroy(problem.0, &mut state.0, intensity, rng);
+    }
+}
+
+impl<P, T> RepairInPlace<CloneOracle<'_, P>> for OracleOp<T>
+where
+    P: LnsProblemInPlace,
+    P::State: Clone,
+    T: RepairInPlace<P>,
+{
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn repair(
+        &self,
+        problem: &CloneOracle<'_, P>,
+        state: &mut (P::State, P::State),
+        rng: &mut StdRng,
+    ) -> bool {
+        self.0.repair(problem.0, &mut state.0, rng)
     }
 }
 

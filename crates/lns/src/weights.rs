@@ -34,6 +34,12 @@ impl IterationOutcome {
     }
 }
 
+/// Smoothing factor ρ: `w ← ρ·w + (1−ρ)·segment_score_per_use`.
+const RHO: f64 = 0.8;
+
+/// Iterations per weight-update segment.
+const SEGMENT_LEN: u64 = 100;
+
 /// Roulette-wheel weights over `n` operators with segment-wise smoothing.
 #[derive(Clone, Debug, Serialize)]
 pub struct OperatorWeights {
@@ -42,10 +48,6 @@ pub struct OperatorWeights {
     segment_uses: Vec<u64>,
     total_uses: Vec<u64>,
     total_best: Vec<u64>,
-    /// Smoothing factor: `w ← ρ·w + (1−ρ)·segment_score_per_use`.
-    rho: f64,
-    /// Iterations per weight-update segment.
-    segment_len: u64,
     since_update: u64,
 }
 
@@ -53,19 +55,15 @@ impl OperatorWeights {
     /// Uniform initial weights over `n` operators.
     ///
     /// # Panics
-    /// If `n == 0`, `rho ∉ [0,1]`, or `segment_len == 0`.
-    pub fn new(n: usize, rho: f64, segment_len: u64) -> Self {
+    /// If `n == 0`.
+    pub fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one operator");
-        assert!((0.0..=1.0).contains(&rho));
-        assert!(segment_len > 0);
         Self {
             weights: vec![1.0; n],
             segment_scores: vec![0.0; n],
             segment_uses: vec![0; n],
             total_uses: vec![0; n],
             total_best: vec![0; n],
-            rho,
-            segment_len,
             since_update: 0,
         }
     }
@@ -103,7 +101,7 @@ impl OperatorWeights {
             self.total_best[i] += 1;
         }
         self.since_update += 1;
-        if self.since_update >= self.segment_len {
+        if self.since_update >= SEGMENT_LEN {
             self.apply_segment();
         }
     }
@@ -112,7 +110,7 @@ impl OperatorWeights {
         for i in 0..self.weights.len() {
             if self.segment_uses[i] > 0 {
                 let earned = self.segment_scores[i] / self.segment_uses[i] as f64;
-                self.weights[i] = self.rho * self.weights[i] + (1.0 - self.rho) * earned;
+                self.weights[i] = RHO * self.weights[i] + (1.0 - RHO) * earned;
                 // Keep every operator drawable: weight floor.
                 self.weights[i] = self.weights[i].max(0.05);
             }
@@ -145,7 +143,7 @@ mod tests {
 
     #[test]
     fn pick_covers_all_operators() {
-        let w = OperatorWeights::new(4, 0.8, 50);
+        let w = OperatorWeights::new(4);
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = [false; 4];
         for _ in 0..1000 {
@@ -156,8 +154,8 @@ mod tests {
 
     #[test]
     fn successful_operator_gains_weight() {
-        let mut w = OperatorWeights::new(2, 0.5, 10);
-        for _ in 0..10 {
+        let mut w = OperatorWeights::new(2);
+        for _ in 0..SEGMENT_LEN {
             // Alternate: op 0 always finds new bests, op 1 always rejected.
             w.record(0, IterationOutcome::NewBest);
             w.record(1, IterationOutcome::Rejected);
@@ -172,12 +170,13 @@ mod tests {
 
     #[test]
     fn weight_floor_keeps_losers_drawable() {
-        let mut w = OperatorWeights::new(2, 0.0, 2);
-        for _ in 0..100 {
+        let mut w = OperatorWeights::new(2);
+        // 40 segments: 0.8^40 is far below the floor.
+        for _ in 0..20 * SEGMENT_LEN {
             w.record(0, IterationOutcome::NewBest);
             w.record(1, IterationOutcome::Rejected);
         }
-        assert!(w.weight(1) >= 0.05);
+        assert_eq!(w.weight(1), 0.05);
         let mut rng = StdRng::seed_from_u64(3);
         let picked1 = (0..20_000).filter(|_| w.pick(&mut rng) == 1).count();
         assert!(picked1 > 0, "floored operator must still be drawn");
@@ -185,9 +184,12 @@ mod tests {
 
     #[test]
     fn biased_weights_bias_the_draw() {
-        let mut w = OperatorWeights::new(2, 0.0, 1);
-        // One segment: op 0 earns the max score.
-        w.record(0, IterationOutcome::NewBest);
+        let mut w = OperatorWeights::new(2);
+        // 60 segments of op 0 earning the max score: its weight converges
+        // to 9.0; op 1 is never drawn, so its weight stays 1.0.
+        for _ in 0..60 * SEGMENT_LEN {
+            w.record(0, IterationOutcome::NewBest);
+        }
         let mut rng = StdRng::seed_from_u64(9);
         let n = 50_000;
         let zero = (0..n).filter(|_| w.pick(&mut rng) == 0).count();
@@ -197,7 +199,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut w = OperatorWeights::new(1, 0.8, 100);
+        let mut w = OperatorWeights::new(1);
         w.record(0, IterationOutcome::NewBest);
         w.record(0, IterationOutcome::Accepted);
         assert_eq!(w.uses(0), 2);
@@ -207,7 +209,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_operators_panics() {
-        OperatorWeights::new(0, 0.8, 10);
+        OperatorWeights::new(0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property-based tests of the ALNS engine's contract, driven through the
-//! toy partitioning problem over the unified `Engine<InPlaceModel>` spine.
+//! toy partitioning problem over the unified `Engine` spine.
 
 use proptest::prelude::*;
 use rex_lns::toy::{
@@ -17,7 +17,7 @@ fn run_engine(
     initial: Vec<usize>,
     seed: u64,
 ) -> SearchOutcome<Vec<usize>> {
-    Engine::in_place(
+    Engine::new(
         problem,
         initial,
         vec![

@@ -1,10 +1,11 @@
-//! Differential suite: the unified `Engine<M>` spine vs the clone-based
-//! oracle (`CloneOracle`), which preserves the legacy clone-engine edit
-//! mechanics — revert by restoring a saved clone, commit by re-cloning —
-//! behind the same `EditModel` protocol.
+//! Differential suite: the unified `Engine` spine over the toy problem vs
+//! the same engine over the clone-based oracle (`toy::CloneOracle`), a
+//! wrapper problem that preserves the legacy clone-engine edit mechanics —
+//! revert by restoring a saved clone, commit by re-cloning — behind the
+//! same `LnsProblemInPlace` protocol.
 //!
 //! The contract proven here is the refactor's safety net: for fixed seeds
-//! the production undo-log model and the oracle produce **bit-identical**
+//! the production undo-log revert and the oracle produce **bit-identical**
 //! incumbents, objectives, per-operator stats, trajectories, and rex-obs
 //! trace JSONL, on every solver path (monolithic serial, parallel
 //! portfolio, cooperative rounds), traced and untraced, for
@@ -14,28 +15,20 @@
 //! process-global.
 
 use rex_lns::toy::{
-    GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
+    CloneOracle, GreedyInsertInPlace, OracleOp, PartitionProblem, RandomRemoveInPlace,
+    WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    cooperative_round, portfolio_search, round_seed, Acceptance, CloneOracle, DestroyInPlace,
-    EditModel, Engine, HillClimb, InPlaceModel, LnsConfig, RepairInPlace, RoundJob, SearchOutcome,
-    SimulatedAnnealing,
+    cooperative_round, portfolio_search, round_seed, Acceptance, Engine, HillClimb, LnsConfig,
+    LnsProblemInPlace, RoundJob, SearchOutcome, SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
 const ITERS: u64 = 900;
 const SEED: u64 = 4242;
 
-fn destroys() -> Vec<Box<dyn DestroyInPlace<PartitionProblem>>> {
-    vec![
-        Box::new(RandomRemoveInPlace),
-        Box::new(WorstBinRemoveInPlace),
-    ]
-}
-
-fn repairs() -> Vec<Box<dyn RepairInPlace<PartitionProblem>>> {
-    vec![Box::new(GreedyInsertInPlace)]
-}
+type Oracle<'p> = CloneOracle<'p, PartitionProblem>;
+type Outcomes = Vec<SearchOutcome<Vec<usize>>>;
 
 fn acceptance() -> Box<dyn Acceptance> {
     Box::new(SimulatedAnnealing::for_normalized_loads(ITERS as usize))
@@ -49,12 +42,42 @@ fn engine_cfg() -> LnsConfig {
     }
 }
 
-fn in_place(problem: &PartitionProblem, start: Vec<usize>) -> InPlaceModel<'_, PartitionProblem> {
-    InPlaceModel::new(problem, start, destroys(), repairs())
+/// The production engine: undo-log reverts.
+fn in_place(
+    problem: &PartitionProblem,
+    start: Vec<usize>,
+    acceptance: Box<dyn Acceptance>,
+) -> Engine<'_, PartitionProblem> {
+    Engine::new(
+        problem,
+        start,
+        vec![
+            Box::new(RandomRemoveInPlace),
+            Box::new(WorstBinRemoveInPlace),
+        ],
+        vec![Box::new(GreedyInsertInPlace)],
+        acceptance,
+        engine_cfg(),
+    )
 }
 
-fn oracle(problem: &PartitionProblem, start: Vec<usize>) -> CloneOracle<'_, PartitionProblem> {
-    CloneOracle::new(problem, start, destroys(), repairs())
+/// The same engine over the oracle wrapper: clone-restore reverts.
+fn oracle<'p>(
+    problem: &'p Oracle<'p>,
+    start: Vec<usize>,
+    acceptance: Box<dyn Acceptance>,
+) -> Engine<'p, Oracle<'p>> {
+    Engine::new(
+        problem,
+        start,
+        vec![
+            Box::new(OracleOp(RandomRemoveInPlace)),
+            Box::new(OracleOp(WorstBinRemoveInPlace)),
+        ],
+        vec![Box::new(OracleOp(GreedyInsertInPlace))],
+        acceptance,
+        engine_cfg(),
+    )
 }
 
 /// Bit-exact comparison of two search outcomes; floats compared by bits,
@@ -105,35 +128,18 @@ fn run_monolithic(
     String,
     String,
 ) {
-    // Untraced, both models.
-    let plain_ip = Engine::new(
-        in_place(problem, initial.to_vec()),
-        acceptance(),
-        engine_cfg(),
-    )
-    .run(SEED);
-    let plain_or = Engine::new(
-        oracle(problem, initial.to_vec()),
-        acceptance(),
-        engine_cfg(),
-    )
-    .run(SEED);
+    let wrapped = CloneOracle(problem);
+    // Untraced, both problems.
+    let plain_ip = in_place(problem, initial.to_vec(), acceptance()).run(SEED);
+    let plain_or = oracle(&wrapped, initial.to_vec(), acceptance()).run(SEED);
 
-    // Traced, both models. Tracing must not perturb the search.
+    // Traced, both problems. Tracing must not perturb the search.
     let mut rec_ip = Recorder::active();
-    let traced_ip = Engine::new(
-        in_place(problem, initial.to_vec()),
-        acceptance(),
-        engine_cfg(),
-    )
-    .run_recorded(SEED, &mut rec_ip);
+    let traced_ip =
+        in_place(problem, initial.to_vec(), acceptance()).run_recorded(SEED, &mut rec_ip);
     let mut rec_or = Recorder::active();
-    let traced_or = Engine::new(
-        oracle(problem, initial.to_vec()),
-        acceptance(),
-        engine_cfg(),
-    )
-    .run_recorded(SEED, &mut rec_or);
+    let traced_or =
+        oracle(&wrapped, initial.to_vec(), acceptance()).run_recorded(SEED, &mut rec_or);
 
     assert_outcomes_identical(
         &plain_ip,
@@ -154,24 +160,19 @@ fn run_portfolio(
     problem: &PartitionProblem,
     initial: &[usize],
 ) -> (Vec<usize>, f64, String, String) {
+    let wrapped = CloneOracle(problem);
     let mut rec_ip = Recorder::active();
     let out_ip = portfolio_search(
-        &initial.to_vec(),
         SEED,
         5,
-        engine_cfg(),
-        |start| in_place(problem, start),
-        acceptance,
+        || in_place(problem, initial.to_vec(), acceptance()),
         &mut rec_ip,
     );
     let mut rec_or = Recorder::active();
     let out_or = portfolio_search(
-        &initial.to_vec(),
         SEED,
         5,
-        engine_cfg(),
-        |start| oracle(problem, start),
-        acceptance,
+        || oracle(&wrapped, initial.to_vec(), acceptance()),
         &mut rec_or,
     );
     assert_eq!(out_ip.winner, out_or.winner, "portfolio winner differs");
@@ -194,23 +195,23 @@ fn run_portfolio(
     )
 }
 
-fn run_cooperative<'p, M>(
-    problem: &'p PartitionProblem,
+/// One cooperative round of HillClimb engines, one per start.
+fn run_cooperative<'p, P>(
     initials: &[Vec<usize>],
-    make_model: impl Fn(&'p PartitionProblem, Vec<usize>) -> M,
-) -> Vec<SearchOutcome<Vec<usize>>>
+    engine: impl Fn(Vec<usize>, Box<dyn Acceptance>) -> Engine<'p, P>,
+) -> Outcomes
 where
-    M: EditModel<Solution = Vec<usize>> + Send,
+    P: LnsProblemInPlace<Solution = Vec<usize>> + Sync + 'p,
 {
-    let jobs: Vec<RoundJob<M>> = initials
+    let jobs = initials
         .iter()
         .enumerate()
         .map(|(k, start)| RoundJob {
-            model: make_model(problem, start.clone()),
+            engine: engine(start.clone(), Box::new(HillClimb)),
             seed: round_seed(SEED, 0, k),
         })
         .collect();
-    cooperative_round(jobs, engine_cfg(), || Box::new(HillClimb))
+    cooperative_round(jobs)
 }
 
 #[test]
@@ -235,7 +236,7 @@ fn spine_matches_clone_oracle_on_every_path() {
     let (mono_ref, _, mono_jsonl_ref, mono_jsonl_oracle) = run_monolithic(&problem, &initial);
     assert_eq!(
         mono_jsonl_ref, mono_jsonl_oracle,
-        "monolithic trace JSONL differs between models"
+        "monolithic trace JSONL differs between problems"
     );
     assert!(!mono_jsonl_ref.is_empty());
 
@@ -243,11 +244,12 @@ fn spine_matches_clone_oracle_on_every_path() {
         run_portfolio(&problem, &initial);
     assert_eq!(
         pf_jsonl_ref, pf_jsonl_oracle,
-        "portfolio trace JSONL differs between models"
+        "portfolio trace JSONL differs between problems"
     );
 
-    let coop_ip_ref = run_cooperative(&problem, &coop_starts, |p, s| in_place(p, s));
-    let coop_or_ref = run_cooperative(&problem, &coop_starts, |p, s| oracle(p, s));
+    let wrapped = CloneOracle(&problem);
+    let coop_ip_ref = run_cooperative(&coop_starts, |s, acc| in_place(&problem, s, acc));
+    let coop_or_ref = run_cooperative(&coop_starts, |s, acc| oracle(&wrapped, s, acc));
     assert_eq!(coop_ip_ref.len(), coop_starts.len());
     for (k, (a, b)) in coop_ip_ref.iter().zip(&coop_or_ref).enumerate() {
         assert_outcomes_identical(a, b, &format!("cooperative job {k}"));
@@ -281,8 +283,8 @@ fn spine_matches_clone_oracle_on_every_path() {
             "portfolio oracle trace @{threads}t"
         );
 
-        let coop_ip = run_cooperative(&problem, &coop_starts, |p, s| in_place(p, s));
-        let coop_or = run_cooperative(&problem, &coop_starts, |p, s| oracle(p, s));
+        let coop_ip = run_cooperative(&coop_starts, |s, acc| in_place(&problem, s, acc));
+        let coop_or = run_cooperative(&coop_starts, |s, acc| oracle(&wrapped, s, acc));
         for (k, ((a, b), r)) in coop_ip.iter().zip(&coop_or).zip(&coop_ip_ref).enumerate() {
             assert_outcomes_identical(r, a, &format!("cooperative job {k} @{threads}t"));
             assert_outcomes_identical(r, b, &format!("cooperative oracle job {k} @{threads}t"));

@@ -8,51 +8,72 @@
 //! function because the override is process-global.
 
 use rex_lns::toy::{
-    GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
+    CloneOracle, GreedyInsertInPlace, OracleOp, PartitionProblem, RandomRemoveInPlace,
+    WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    portfolio_search, CloneOracle, DestroyInPlace, EditModel, InPlaceModel, LnsConfig,
-    PortfolioOutcome, RepairInPlace, SimulatedAnnealing,
+    portfolio_search, DestroyInPlace, Engine, LnsConfig, LnsProblemInPlace, PortfolioOutcome,
+    RepairInPlace, SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
 const WORKERS: usize = 6;
 const SEED: u64 = 2024;
 
-type Destroys = Vec<Box<dyn DestroyInPlace<PartitionProblem>>>;
-type Repairs = Vec<Box<dyn RepairInPlace<PartitionProblem>>>;
+type Destroys<P> = Vec<Box<dyn DestroyInPlace<P>>>;
+type Repairs<P> = Vec<Box<dyn RepairInPlace<P>>>;
 
-/// The toy portfolio over the model `new_model` builds: the production
-/// undo-log [`InPlaceModel::new`], or the clone-based differential oracle
-/// [`CloneOracle::new`] — identical operator protocol and RNG consumption,
-/// reverts by cloning a saved state instead of replaying the undo log.
-fn run<'p, M: EditModel<Solution = Vec<usize>> + Send>(
-    problem: &'p PartitionProblem,
+/// The toy portfolio over `problem` with the operators `ops` builds: the
+/// production [`PartitionProblem`] (undo-log reverts), or the clone-based
+/// differential oracle [`CloneOracle`] around it — identical operator
+/// protocol and RNG consumption, reverts by cloning a saved state instead
+/// of replaying the undo log.
+fn run<P: LnsProblemInPlace<Solution = Vec<usize>> + Sync>(
+    problem: &P,
     initial: &[usize],
-    new_model: impl Fn(&'p PartitionProblem, Vec<usize>, Destroys, Repairs) -> M,
+    ops: impl Fn() -> (Destroys<P>, Repairs<P>),
     rec: &mut Recorder,
 ) -> PortfolioOutcome<Vec<usize>> {
     portfolio_search(
-        &initial.to_vec(),
         SEED,
         WORKERS,
-        LnsConfig {
-            max_iters: 1_200,
-            ..Default::default()
-        },
-        |start| {
-            new_model(
+        || {
+            let (destroys, repairs) = ops();
+            Engine::new(
                 problem,
-                start,
-                vec![
-                    Box::new(RandomRemoveInPlace),
-                    Box::new(WorstBinRemoveInPlace),
-                ],
-                vec![Box::new(GreedyInsertInPlace)],
+                initial.to_vec(),
+                destroys,
+                repairs,
+                Box::new(SimulatedAnnealing::for_normalized_loads(1_200)),
+                LnsConfig {
+                    max_iters: 1_200,
+                    ..Default::default()
+                },
             )
         },
-        || Box::new(SimulatedAnnealing::for_normalized_loads(1_200)),
         rec,
+    )
+}
+
+fn in_place_ops() -> (Destroys<PartitionProblem>, Repairs<PartitionProblem>) {
+    (
+        vec![
+            Box::new(RandomRemoveInPlace),
+            Box::new(WorstBinRemoveInPlace),
+        ],
+        vec![Box::new(GreedyInsertInPlace)],
+    )
+}
+
+type Oracle<'p> = CloneOracle<'p, PartitionProblem>;
+
+fn oracle_ops<'p>() -> (Destroys<Oracle<'p>>, Repairs<Oracle<'p>>) {
+    (
+        vec![
+            Box::new(OracleOp(RandomRemoveInPlace)),
+            Box::new(OracleOp(WorstBinRemoveInPlace)),
+        ],
+        vec![Box::new(OracleOp(GreedyInsertInPlace))],
     )
 }
 
@@ -88,19 +109,20 @@ fn assert_same(a: &PortfolioOutcome<Vec<usize>>, b: &PortfolioOutcome<Vec<usize>
 #[test]
 fn portfolio_results_and_traces_are_thread_count_independent() {
     let problem = PartitionProblem::random(40, 4, 77);
+    let oracle = CloneOracle(&problem);
     let initial = problem.all_in_first_bin();
 
     // Reference runs with the default thread count.
     rayon::set_threads_override(None);
     let mut rec_ref = Recorder::active();
-    let in_place_ref = run(&problem, &initial, InPlaceModel::new, &mut rec_ref);
+    let in_place_ref = run(&problem, &initial, in_place_ops, &mut rec_ref);
     let jsonl_ref = rec_ref.to_jsonl();
     assert!(!jsonl_ref.is_empty());
 
-    // The oracle model follows the exact same trajectory as the undo-log
-    // model — the spine's differential contract, here at portfolio scope.
+    // The oracle problem follows the exact same trajectory as the undo-log
+    // problem — the spine's differential contract, here at portfolio scope.
     let mut rec_oracle = Recorder::active();
-    let oracle_ref = run(&problem, &initial, CloneOracle::new, &mut rec_oracle);
+    let oracle_ref = run(&oracle, &initial, oracle_ops, &mut rec_oracle);
     assert_same(&in_place_ref, &oracle_ref, "oracle portfolio");
     assert_eq!(
         rec_oracle.to_jsonl(),
@@ -112,7 +134,7 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
         rayon::set_threads_override(Some(threads));
 
         let mut rec = Recorder::active();
-        let p = run(&problem, &initial, InPlaceModel::new, &mut rec);
+        let p = run(&problem, &initial, in_place_ops, &mut rec);
         assert_same(
             &in_place_ref,
             &p,
@@ -125,7 +147,7 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
         );
 
         let mut rec_o = Recorder::active();
-        let o = run(&problem, &initial, CloneOracle::new, &mut rec_o);
+        let o = run(&oracle, &initial, oracle_ops, &mut rec_o);
         assert_same(&in_place_ref, &o, &format!("oracle portfolio @{threads}t"));
         assert_eq!(
             rec_o.to_jsonl(),

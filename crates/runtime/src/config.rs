@@ -5,10 +5,9 @@
 //! no other inputs and no hidden clocks.
 
 use crate::hotshard::HotShardConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which rebalancing policy the controller runs when it decides to act.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControllerPolicy {
     /// Never rebalance. Mandatory fault evacuations still execute — an
     /// operator cannot leave shards on a dead machine — so `Off` isolates
@@ -46,7 +45,7 @@ impl std::str::FromStr for ControllerPolicy {
 }
 
 /// When and how the controller decides to rebalance.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
     /// The rebalancing policy.
     pub policy: ControllerPolicy,
@@ -95,7 +94,7 @@ impl Default for ControllerConfig {
 }
 
 /// A scheduled fault.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum FaultSpec {
     /// Machine `machine` fails at tick `at`: its shards become degraded
     /// (served at the saturation latency) until the runtime evacuates
@@ -125,7 +124,7 @@ pub enum FaultSpec {
 }
 
 /// Periodic demand drift (delegates to `rex_workload::evolve::next_epoch`).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DriftSpec {
     /// Ticks between drift epochs.
     pub every_ticks: u64,
@@ -137,7 +136,7 @@ pub struct DriftSpec {
 
 /// Periodic Zipfian popularity drift — the workload plane's load script
 /// (delegates to `rex_workload::popularity::apply_popularity`).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PopularitySpec {
     /// Ticks between popularity epochs.
     pub every_ticks: u64,
@@ -150,7 +149,7 @@ pub struct PopularitySpec {
 }
 
 /// Complete runtime configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Simulation horizon in ticks.
     pub ticks: u64,
@@ -173,9 +172,7 @@ pub struct RuntimeConfig {
     /// sample out to *all* serving machines; `> 0` draws that many
     /// demand-weighted shard picks per sample instead — the event engine's
     /// per-query fanout mirrored at tick granularity, which also scales
-    /// arrivals by the live weight ratio during a flash crowd
-    /// (`#[serde(default)]` keeps older config files loadable).
-    #[serde(default)]
+    /// arrivals by the live weight ratio during a flash crowd.
     pub fanout: usize,
     /// Utilization clamp for the `1/(1−ρ)` service model.
     pub rho_max: f64,
@@ -189,18 +186,14 @@ pub struct RuntimeConfig {
     pub sample_interval: u64,
     /// Controller configuration.
     pub controller: ControllerConfig,
-    /// Hot-shard control-plane configuration (disabled by default;
-    /// `#[serde(default)]` keeps older config files loadable).
-    #[serde(default)]
+    /// Hot-shard control-plane configuration (disabled by default).
     pub hotshard: HotShardConfig,
     /// Scheduled faults.
     pub faults: Vec<FaultSpec>,
     /// Periodic demand drift, if any.
     pub drift: Option<DriftSpec>,
     /// Periodic Zipfian popularity drift, if any (the workload plane's
-    /// load script; `#[serde(default)]` keeps older config files
-    /// loadable).
-    #[serde(default)]
+    /// load script).
     pub popularity: Option<PopularitySpec>,
 }
 
@@ -525,8 +518,8 @@ mod tests {
             ..Default::default()
         };
         let w = rex_cluster::WorkloadSpec::from_scenario(spec.clone());
-        let a = serde_json::to_string(&RuntimeConfig::from_scenario(&spec)).unwrap();
-        let b = serde_json::to_string(&RuntimeConfig::from_workload(&w, 16)).unwrap();
+        let a = format!("{:?}", RuntimeConfig::from_scenario(&spec));
+        let b = format!("{:?}", RuntimeConfig::from_workload(&w, 16));
         assert_eq!(a, b);
     }
 
@@ -595,110 +588,5 @@ mod tests {
         };
         cfg.hotshard.enabled = true;
         assert!(cfg.validate().unwrap_err().contains("mutually"));
-    }
-
-    /// `popularity` is `#[serde(default)]`: configs from before the
-    /// workload plane existed must still load (and keep the plane off).
-    #[test]
-    fn config_without_popularity_key_loads_with_default() {
-        let json = serde_json::to_string(&RuntimeConfig::default()).unwrap();
-        let stripped = json.replace("\"popularity\":null", "");
-        let stripped = stripped.replace(",}", "}").replace("{,", "{");
-        assert_ne!(stripped, json, "popularity must serialize");
-        let back: RuntimeConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(back.popularity.is_none());
-        back.validate().unwrap();
-    }
-
-    /// `fanout` is `#[serde(default)]`: configs from before sampled-fanout
-    /// mode load with the legacy fan-to-all behavior.
-    #[test]
-    fn config_without_fanout_key_loads_with_legacy_default() {
-        let json = serde_json::to_string(&RuntimeConfig::default()).unwrap();
-        let stripped = json.replace("\"fanout\":0,", "");
-        assert_ne!(stripped, json, "fanout must serialize");
-        let back: RuntimeConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.fanout, 0);
-        back.validate().unwrap();
-    }
-
-    #[test]
-    fn config_serde_roundtrip() {
-        let cfg = RuntimeConfig {
-            faults: vec![FaultSpec::Crash {
-                at: 10,
-                machine: 2,
-                recover_at: Some(50),
-            }],
-            drift: Some(DriftSpec {
-                every_ticks: 100,
-                sigma: 0.2,
-                target_utilization: 0.75,
-            }),
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: RuntimeConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.ticks, cfg.ticks);
-        assert_eq!(back.faults.len(), 1);
-        back.validate().unwrap();
-    }
-
-    /// `hotshard` is `#[serde(default)]` so config files from before the
-    /// control plane existed must still load (and get the disabled
-    /// default, not zeros).
-    #[test]
-    fn config_without_hotshard_key_loads_with_default() {
-        let json = serde_json::to_string(&RuntimeConfig::default()).unwrap();
-        // Splice the key out rather than hand-writing the whole config:
-        // the test should keep passing as unrelated fields evolve.
-        let key = "\"hotshard\":";
-        let start = json.find(key).expect("config must serialize hotshard");
-        let mut depth = 0usize;
-        let mut end = start + key.len();
-        for (off, c) in json[start + key.len()..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = start + key.len() + off + c.len_utf8();
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(depth == 0 && end > start + key.len(), "unbalanced braces");
-        // Drop one adjacent comma so the remaining object stays valid.
-        let took_leading_comma = json[..start].ends_with(',');
-        let start = if took_leading_comma { start - 1 } else { start };
-        let end = if !took_leading_comma && json[end..].starts_with(',') {
-            end + 1
-        } else {
-            end
-        };
-        let stripped = format!("{}{}", &json[..start], &json[end..]);
-        let back: RuntimeConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(!back.hotshard.enabled);
-        assert_eq!(
-            back.hotshard.poll_interval,
-            crate::HotShardConfig::default().poll_interval
-        );
-        back.validate().unwrap();
-    }
-
-    /// `HotShardConfig` carries a container-level `#[serde(default)]`:
-    /// a partial object fills absent keys from `Self::default()` — the
-    /// non-zero defaults, not the field types' zero values.
-    #[test]
-    fn partial_hotshard_object_fills_from_self_default() {
-        let cfg: crate::HotShardConfig = serde_json::from_str("{\"enabled\": true}").unwrap();
-        assert!(cfg.enabled);
-        let dflt = crate::HotShardConfig::default();
-        assert_eq!(cfg.poll_interval, dflt.poll_interval);
-        assert_eq!(cfg.operator_limit, dflt.operator_limit);
-        assert!(cfg.ewma_alpha > 0.0);
-        cfg.validate().unwrap();
     }
 }

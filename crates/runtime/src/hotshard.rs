@@ -35,13 +35,11 @@ use crate::exec::{batch_durations, MigrationKind, PlannedMigration};
 use rex_cluster::{Instance, ShardId};
 use rex_core::{solve_delta, SolveOptions};
 use rex_obs::Recorder;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration for the hot-shard control plane. Disabled by default;
-/// enable with `rex simulate --hotshard` or `enabled: true` in config.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-#[serde(default)]
+/// enable with `rex simulate --hotshard`.
+#[derive(Clone, Copy, Debug)]
 pub struct HotShardConfig {
     /// Master switch; when false the control plane never polls.
     pub enabled: bool,

@@ -30,10 +30,10 @@ done
 # the wall clock varies.
 export REX_THREADS="${REX_THREADS:-8}"
 
-# --features simd: the committed records measure the runtime-dispatched
-# SIMD scan kernels (bit-identical to the scalar oracle, so only timing
-# changes); kernel_scan records compare the two paths directly.
-cargo build --release -q -p rex-bench --bin bench_json --features simd
+# The records measure the runtime-dispatched SIMD scan kernels `rex` runs
+# (bit-identical to the scalar oracle, so only timing differs); kernel_scan
+# records compare the two paths directly.
+cargo build --release -q -p rex-bench --bin bench_json
 
 if [ "$check" = 1 ]; then
     ./target/release/bench_json --check BENCH_solver.json >/dev/null
