@@ -254,106 +254,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// SoA load-scan kernels vs the scalar reference loop they replaced. The
-/// chunked, branch-free accumulators (`rex_cluster::kernels`) are what the
-/// full-recompute sites (`peak_load`, `load_stats`, `BalanceReport`,
-/// state resync) now run on.
-fn bench_kernel_scan(c: &mut Criterion) {
-    use rex_cluster::kernels;
-    // Deterministic pseudo-random loads, fleet-sized.
-    let loads: Vec<f64> = (0..4096u64)
-        .map(|i| {
-            let z = i
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(0x2545_F491_4F6C_DD1D);
-            (z >> 11) as f64 / (1u64 << 53) as f64
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("kernel_scan");
-    group.bench_function("scalar_peak_sumsq_4096", |bench| {
-        bench.iter(|| {
-            let mut peak = f64::NEG_INFINITY;
-            let mut sumsq = 0.0;
-            for &x in black_box(&loads) {
-                if x > peak {
-                    peak = x;
-                }
-                sumsq += x * x;
-            }
-            black_box((peak, sumsq))
-        })
-    });
-    group.bench_function("soa_peak_sumsq_4096", |bench| {
-        bench.iter(|| black_box(kernels::peak_and_sumsq(black_box(&loads))))
-    });
-    group.bench_function("soa_full_scan_4096", |bench| {
-        bench.iter(|| black_box(kernels::scan(black_box(&loads))))
-    });
-    group.finish();
-}
-
-/// The tentpole head-to-head: the PR 3 portfolio (8 duplicated full-fleet
-/// searches) vs the cooperative decomposed solver (8 shard-disjoint
-/// neighborhoods + recombination rounds) at the same iteration budget.
-/// Default size is the mid `exp_scalability` tier; set `REX_BENCH_LARGE=1`
-/// to add the largest (400 machines / 4000 shards) tier — the acceptance
-/// measurement recorded in BENCH_solver.json (`scripts/bench_to_json.sh`).
-fn bench_decomposed_solve(c: &mut Criterion) {
-    use rex_core::{run_search, SraConfig};
-    use rex_obs::Recorder;
-
-    let mut sizes = vec![(100usize, 1_000usize)];
-    if std::env::var("REX_BENCH_LARGE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        sizes.push((400, 4_000));
-    }
-    let mut group = c.benchmark_group("decomposed_solve");
-    group.sample_size(10);
-    for (m, s) in sizes {
-        let inst = generate(&SynthConfig {
-            n_machines: m,
-            n_exchange: (m / 10).max(1),
-            n_shards: s,
-            stringency: 0.8,
-            family: DemandFamily::Correlated,
-            placement: Placement::Hotspot(0.4),
-            seed: 17,
-            ..Default::default()
-        })
-        .expect("generate");
-        let base = SraConfig {
-            iters: 800,
-            seed: 17,
-            objective: Objective::pure(rex_cluster::ObjectiveKind::PeakLoad),
-            ..Default::default()
-        };
-        let problem = SraProblem::new(&inst, base.objective);
-        group.bench_function(&format!("portfolio_w8_{m}x{s}"), |bench| {
-            let cfg = SraConfig { workers: 8, ..base };
-            bench.iter(|| {
-                let (best, _, _, _) =
-                    run_search(&problem, &cfg, cfg.seed, &mut Recorder::noop()).expect("search");
-                black_box(best.peak_load(&inst))
-            })
-        });
-        group.bench_function(&format!("decomposed_k8_{m}x{s}"), |bench| {
-            let cfg = SraConfig {
-                partitions: 8,
-                ..base
-            };
-            bench.iter(|| {
-                let (best, _, _, _) =
-                    run_search(&problem, &cfg, cfg.seed, &mut Recorder::noop()).expect("search");
-                black_box(best.peak_load(&inst))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_qos_and_timeline(c: &mut Criterion) {
     use rex_cluster::migration::timeline::{time_plan, TimelineConfig};
     use rex_cluster::plan_migration;
@@ -407,8 +307,6 @@ criterion_group!(
     bench_compress,
     bench_lns_iteration_throughput,
     bench_obs_overhead,
-    bench_kernel_scan,
-    bench_decomposed_solve,
     bench_qos_and_timeline
 );
 criterion_main!(benches);

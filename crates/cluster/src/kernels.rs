@@ -293,13 +293,6 @@ pub fn peak(loads: &[f64]) -> f64 {
     scan(loads).peak.max(0.0)
 }
 
-/// Peak and `Σ loads²` of a non-negative load vector in one pass.
-#[inline]
-pub fn peak_and_sumsq(loads: &[f64]) -> (f64, f64) {
-    let s = scan(loads);
-    (s.peak.max(0.0), s.sumsq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,9 +348,6 @@ mod tests {
     #[test]
     fn peak_of_empty_is_zero() {
         assert_eq!(peak(&[]), 0.0);
-        let (p, s) = peak_and_sumsq(&[]);
-        assert_eq!(p, 0.0);
-        assert_eq!(s, 0.0);
     }
 
     #[test]

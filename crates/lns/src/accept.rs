@@ -27,10 +27,6 @@ pub trait Acceptance: Send {
 
     /// Advances schedule state (called once per iteration, after `accept`).
     fn step(&mut self) {}
-
-    /// Clones the criterion into a fresh box with initial schedule state
-    /// (used by the portfolio to hand each worker its own copy).
-    fn fresh(&self) -> Box<dyn Acceptance>;
 }
 
 /// Accept only strict improvements over the incumbent.
@@ -44,10 +40,6 @@ impl Acceptance for HillClimb {
 
     fn accept(&mut self, candidate: f64, current: f64, _best: f64, _rng: &mut StdRng) -> bool {
         candidate < current
-    }
-
-    fn fresh(&self) -> Box<dyn Acceptance> {
-        Box::new(*self)
     }
 }
 
@@ -107,10 +99,6 @@ impl Acceptance for SimulatedAnnealing {
     fn step(&mut self) {
         self.temperature = (self.temperature * self.cooling).max(self.t_min);
     }
-
-    fn fresh(&self) -> Box<dyn Acceptance> {
-        Box::new(Self::new(self.t0, self.cooling, self.t_min))
-    }
 }
 
 /// Record-to-record travel: accept any candidate within `deviation × best`
@@ -136,10 +124,6 @@ impl Acceptance for RecordToRecord {
 
     fn accept(&mut self, candidate: f64, _current: f64, best: f64, _rng: &mut StdRng) -> bool {
         candidate <= best * (1.0 + self.deviation)
-    }
-
-    fn fresh(&self) -> Box<dyn Acceptance> {
-        Box::new(*self)
     }
 }
 
@@ -205,16 +189,6 @@ mod tests {
         assert!(rrt.accept(1.05, 2.0, 1.0, &mut r)); // within 10% of record
         assert!(!rrt.accept(1.2, 2.0, 1.0, &mut r)); // outside band
         assert!(rrt.accept(0.9, 2.0, 1.0, &mut r)); // better than record
-    }
-
-    #[test]
-    fn fresh_resets_schedule() {
-        let mut sa = SimulatedAnnealing::new(1.0, 0.5, 1e-9);
-        sa.step();
-        sa.step();
-        assert!(sa.temperature() < 1.0);
-        let fresh = sa.fresh();
-        assert_eq!(fresh.name(), "simulated-annealing");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! they draw randomness only from the named policy RNG stream the engine
 //! passes in — determinism is the engine's job, not theirs.
 //!
-//! The engine is generic over `P: RoutingPolicy` (the bench monomorphizes
-//! the hot loop per policy); [`AnyPolicy`] is the enum adapter the CLI and
-//! experiment binaries use so one binary can run every policy.
+//! The engine holds an [`AnyPolicy`], the enum adapter that lets one
+//! engine run every policy the config can name.
 
 use crate::config::{PolicyKind, RouterConfig};
 use crate::prequal::{Prequal, ProbeStats};
@@ -163,8 +162,8 @@ impl RoutingPolicy for PowerOfD {
     }
 }
 
-/// Enum adapter: one engine instantiation that can run every policy
-/// (static dispatch per arm; the bench uses the concrete types instead).
+/// Enum adapter: the one engine runs every policy through it (static
+/// dispatch per arm).
 pub enum AnyPolicy {
     /// See [`Random`].
     Random(Random),

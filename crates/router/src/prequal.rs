@@ -293,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn fresh_reply_supersedes_same_replica() {
+    fn newer_reply_supersedes_same_replica() {
         let st = ReplicaState::new(1, 4, 100.0);
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = policy(1);

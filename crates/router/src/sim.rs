@@ -1,5 +1,5 @@
 //! The query-level routing simulation: one event loop over the calendar
-//! queue, generic over the routing policy.
+//! queue.
 //!
 //! A run is a pure function of `(Instance, RouterConfig)`: arrivals,
 //! service draws, policy randomness, and the flash-crowd hot set each use
@@ -107,18 +107,17 @@ struct Counters {
     dropped_samples: u64,
 }
 
-/// The router engine. Build with [`Router::new`] (enum policy from the
-/// config) or [`Router::with_policy`] (concrete policy, monomorphized hot
-/// loop — what the bench uses), then call [`Router::run`] or
+/// The router engine. Build with [`Router::new`] (the policy named by the
+/// config, dispatched through [`AnyPolicy`]), then call [`Router::run`] or
 /// [`Router::run_traced`].
-pub struct Router<P: RoutingPolicy> {
+pub struct Router {
     cfg: RouterConfig,
     queue: CalendarQueue,
     st: ReplicaState,
     ms: MachineState,
     shares: Vec<f64>,
     slab: QuerySlab,
-    policy: P,
+    policy: AnyPolicy,
     rng_arrival: StdRng,
     rng_service: StdRng,
     rng_policy: StdRng,
@@ -141,19 +140,11 @@ pub struct Router<P: RoutingPolicy> {
     counters: Counters,
 }
 
-impl Router<AnyPolicy> {
-    /// Engine with the policy named by `cfg.policy`.
-    pub fn new(inst: &Instance, cfg: &RouterConfig) -> Self {
-        let policy = AnyPolicy::from_config(cfg, inst.n_shards());
-        Self::with_policy(inst, cfg, policy)
-    }
-}
-
-impl<P: RoutingPolicy> Router<P> {
-    /// Engine over `inst`'s fleet with an explicit policy instance.
+impl Router {
+    /// Engine over `inst`'s fleet with the policy named by `cfg.policy`.
     /// Everything the run needs is allocated here; the event loop then
     /// runs allocation-free once warm (`tests/alloc_event_core.rs`).
-    pub fn with_policy(inst: &Instance, cfg: &RouterConfig, policy: P) -> Self {
+    pub fn new(inst: &Instance, cfg: &RouterConfig) -> Self {
         cfg.validate();
         assert!(
             inst.n_machines() >= 1 && inst.n_shards() >= 1,
@@ -230,7 +221,7 @@ impl<P: RoutingPolicy> Router<P> {
             ms,
             shares,
             slab: QuerySlab::with_capacity(concurrent),
-            policy,
+            policy: AnyPolicy::from_config(cfg, n_s),
             rng_arrival: StdRng::seed_from_u64(cfg.seed ^ 0xA117_77A1_0000_0001),
             rng_service: StdRng::seed_from_u64(cfg.seed ^ 0x5E1C_E000_0000_0002),
             rng_policy: StdRng::seed_from_u64(cfg.seed ^ 0x7011_C700_0000_0003),

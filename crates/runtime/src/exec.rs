@@ -30,6 +30,17 @@ pub enum MigrationKind {
     HotShard,
 }
 
+impl MigrationKind {
+    /// Stable lowercase name for trace events.
+    pub fn name(&self) -> &'static str {
+        match self {
+            MigrationKind::Load => "load",
+            MigrationKind::Evacuation => "evacuation",
+            MigrationKind::HotShard => "hotshard",
+        }
+    }
+}
+
 /// A plan adopted for execution, with its timing precomputed.
 #[derive(Clone, Debug)]
 pub struct PlannedMigration {

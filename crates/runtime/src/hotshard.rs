@@ -32,7 +32,9 @@
 
 use crate::config::ensure;
 use crate::exec::{batch_durations, MigrationKind, PlannedMigration};
-use rex_cluster::{Instance, ShardId};
+use crate::metrics::Counters;
+use crate::sim::LiveCluster;
+use rex_cluster::{Assignment, Instance, MachineId, ShardId};
 use rex_core::{solve_delta, SolveOptions};
 use rex_obs::Recorder;
 use std::collections::VecDeque;
@@ -441,6 +443,391 @@ impl OperatorScheduler {
     }
 }
 
+// ---- the plane ------------------------------------------------------------
+
+/// The hot-shard control plane's live state. The simulation holds
+/// `Option<HotShardPlane>` — `None` when [`HotShardConfig::enabled`] is
+/// off, in which case no poll is ever scheduled — and calls in at three
+/// points: every poll ([`HotShardPlane::poll`]), every crash
+/// ([`HotShardPlane::on_crash`]), and when a plan the plane issued leaves
+/// the executor ([`HotShardPlane::plan_finished`]).
+pub(crate) struct HotShardPlane {
+    /// Hot-peer cache of per-shard EWMA load fractions.
+    cache: EwmaCache,
+    /// Operator scheduler for split/merge/migrate.
+    sched: OperatorScheduler,
+    /// Sibling pairs produced by splits, `(parent, child)` — merge
+    /// candidates while both stay under the hysteresis band.
+    siblings: Vec<(ShardId, ShardId)>,
+    /// The running operator whose plan is currently in flight.
+    plan_op: Option<u64>,
+    /// Hard shard-count cap resolved at construction.
+    max_shards: usize,
+}
+
+/// What the simulation lends the plane for one call: the cluster to
+/// observe and reshape, the counters it bumps, the recorder it narrates to.
+pub(crate) struct PlaneCtx<'a> {
+    pub cl: &'a mut LiveCluster,
+    pub counters: &'a mut Counters,
+    pub obs: &'a mut Recorder,
+}
+
+impl HotShardPlane {
+    /// The plane for a fleet of `n_shards`, or `None` when disabled (a
+    /// disabled plane's knobs are unvalidated, so nothing is built from
+    /// them).
+    pub fn new(hs: &HotShardConfig, n_shards: usize) -> Option<Self> {
+        hs.enabled.then(|| Self {
+            cache: EwmaCache::new(hs.cache_capacity, hs.ewma_alpha),
+            sched: OperatorScheduler::new(hs.operator_limit, hs.operator_expiry_ticks),
+            siblings: Vec::new(),
+            plan_op: None,
+            max_shards: if hs.max_shards == 0 {
+                n_shards.saturating_mul(4)
+            } else {
+                hs.max_shards
+            },
+        })
+    }
+
+    /// One observation/decision/execution round. `idle` says the executor
+    /// has no plan in flight; a returned plan is the caller's to adopt.
+    pub fn poll(&mut self, tick: u64, idle: bool, cx: &mut PlaneCtx) -> Option<PlannedMigration> {
+        self.observe_shard_loads(tick, cx.cl, cx.obs);
+        let expired = self.sched.expire(tick);
+        if !expired.is_empty() {
+            cx.counters.hotshard_expired += expired.len() as u64;
+            if cx.obs.is_active() {
+                cx.obs.event(
+                    "runtime",
+                    "hotshard_expired",
+                    vec![("operators", expired.len().into())],
+                );
+            }
+        }
+        self.propose_operators(tick, cx.cl, cx.obs);
+        if idle {
+            self.run_operators(tick, cx)
+        } else {
+            None
+        }
+    }
+
+    /// Cancel-on-crash: the fleet shape is about to change under an
+    /// evacuation; every queued/running operator's premise is stale.
+    pub fn on_crash(&mut self, m: MachineId, counters: &mut Counters, obs: &mut Recorder) {
+        let cancelled = self.sched.cancel_all();
+        counters.hotshard_cancelled += cancelled.len() as u64;
+        self.plan_op = None;
+        if obs.is_active() && !cancelled.is_empty() {
+            obs.event(
+                "runtime",
+                "hotshard_cancelled",
+                vec![
+                    ("machine", m.idx().into()),
+                    ("operators", cancelled.len().into()),
+                ],
+            );
+            obs.add("runtime.hotshard_cancelled", cancelled.len() as u64);
+        }
+    }
+
+    /// A [`MigrationKind::HotShard`] plan left the executor: the operator
+    /// that owns it frees its slot, completed or aborted (a crash-abort
+    /// already cancelled it).
+    pub fn plan_finished(&mut self) {
+        if let Some(op) = self.plan_op.take() {
+            self.sched.complete(op);
+        }
+    }
+
+    /// Feeds every hosted shard's load fraction of its machine's capacity
+    /// (CPU dimension, active spikes included) into the hot-peer cache.
+    fn observe_shard_loads(&mut self, tick: u64, cl: &LiveCluster, obs: &mut Recorder) {
+        let hot = cl.cfg.hotshard.split_fraction;
+        for (i, &x) in cl.spike_extras().iter().enumerate() {
+            let m = cl.asg.placement()[i];
+            if cl.failed[m.idx()] {
+                continue;
+            }
+            let cap = cl.inst.machines[m.idx()].capacity[0];
+            let frac = (cl.inst.demand(ShardId::from(i))[0] + x) / cap;
+            self.cache.observe(tick, ShardId::from(i), frac, hot);
+        }
+        if obs.is_active() {
+            if let Some(e) = self.cache.hottest() {
+                obs.gauge("runtime.hotshard_ewma_peak", e.ewma);
+            }
+            obs.gauge("runtime.hotshard_cache_len", self.cache.len() as f64);
+        }
+    }
+
+    /// Turns the cache's view into operators: split the hottest shard
+    /// above the split threshold; merge sibling pairs once both halves
+    /// have cooled below the merge threshold (the gap is the hysteresis
+    /// band). Admission dedup keeps one operator per shard in flight.
+    fn propose_operators(&mut self, tick: u64, cl: &LiveCluster, obs: &mut Recorder) {
+        let hs = cl.cfg.hotshard;
+        if let Some(e) = self.cache.hottest() {
+            if e.ewma > hs.split_fraction && cl.inst.n_shards() < self.max_shards {
+                if let Some(id) = self
+                    .sched
+                    .admit(tick, OperatorKind::Split { shard: e.shard })
+                {
+                    if obs.is_active() {
+                        obs.event(
+                            "runtime",
+                            "hotshard_admit_split",
+                            vec![
+                                ("op", id.into()),
+                                ("shard", e.shard.idx().into()),
+                                ("ewma", e.ewma.into()),
+                            ],
+                        );
+                    }
+                }
+            }
+        }
+        for &(keep, drop) in &self.siblings {
+            let (Some(a), Some(b)) = (self.cache.get(keep), self.cache.get(drop)) else {
+                continue;
+            };
+            if a < hs.merge_fraction && b < hs.merge_fraction {
+                if let Some(id) = self.sched.admit(tick, OperatorKind::Merge { keep, drop }) {
+                    if obs.is_active() {
+                        obs.event(
+                            "runtime",
+                            "hotshard_admit_merge",
+                            vec![
+                                ("op", id.into()),
+                                ("keep", keep.idx().into()),
+                                ("drop", drop.idx().into()),
+                            ],
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Starts ready operators until one produces a plan. Membership
+    /// mutations (split/merge) and plan adoption both require an idle
+    /// executor and no failed machine still hosting shards — the same
+    /// invariant the controller plans under.
+    fn run_operators(&mut self, tick: u64, cx: &mut PlaneCtx) -> Option<PlannedMigration> {
+        while !cx.cl.any_failed_hosting() {
+            let op = self.sched.start_next()?;
+            let pm = match op.kind {
+                OperatorKind::Split { shard } => {
+                    self.exec_split(tick, op.id, shard, cx);
+                    None
+                }
+                OperatorKind::Merge { keep, drop } => self.exec_merge(op.id, keep, drop, cx),
+                OperatorKind::Migrate { shards } => self.exec_delta_migrate(op.id, shards, cx),
+            };
+            if pm.is_some() {
+                self.plan_op = Some(op.id);
+                return pm;
+            }
+        }
+        None
+    }
+
+    /// Splits `shard` in place (instant: a split is metadata, not a copy)
+    /// and queues the delta migration that gives one half a new home.
+    fn exec_split(&mut self, tick: u64, opid: u64, shard: ShardId, cx: &mut PlaneCtx) {
+        if shard.idx() >= cx.cl.inst.n_shards() || cx.cl.inst.n_shards() >= self.max_shards {
+            self.sched.complete(opid);
+            return;
+        }
+        let child = cx.cl.inst.split_shard(shard);
+        // A spiked parent's flash crowd splits with its demand.
+        for state in cx.cl.spikes.iter_mut().flatten() {
+            if state.contains(&shard) {
+                state.push(child);
+            }
+        }
+        cx.cl.asg = Assignment::from_initial(&cx.cl.inst);
+        self.cache
+            .split(tick, shard, child, cx.cl.cfg.hotshard.split_fraction);
+        self.siblings.push((shard, child));
+        cx.counters.shard_splits += 1;
+        if cx.obs.is_active() {
+            cx.obs.event(
+                "runtime",
+                "hotshard_split",
+                vec![
+                    ("op", opid.into()),
+                    ("parent", shard.idx().into()),
+                    ("child", child.idx().into()),
+                ],
+            );
+            cx.obs.add("runtime.hotshard_splits", 1);
+        }
+        self.sched.complete(opid);
+        // Both halves sit on the still-hot machine; ask the solver for a
+        // better placement of exactly these two shards.
+        self.sched.admit(
+            tick,
+            OperatorKind::Migrate {
+                shards: vec![shard, child],
+            },
+        );
+    }
+
+    /// Merges `drop` back into `keep`. Instant when co-located; otherwise
+    /// returns a directed single-move plan bringing `drop` to `keep`'s
+    /// machine first (the merge re-admits once they share a host).
+    fn exec_merge(
+        &mut self,
+        opid: u64,
+        keep: ShardId,
+        drop: ShardId,
+        cx: &mut PlaneCtx,
+    ) -> Option<PlannedMigration> {
+        let n = cx.cl.inst.n_shards();
+        if keep == drop || keep.idx() >= n || drop.idx() >= n {
+            self.sched.complete(opid);
+            return None;
+        }
+        let dest = cx.cl.asg.placement()[keep.idx()];
+        if cx.cl.asg.placement()[drop.idx()] != dest {
+            // Directed co-location move, transient-verified by the planner.
+            let mut target = cx.cl.asg.placement().to_vec();
+            target[drop.idx()] = dest;
+            return match rex_cluster::plan_migration(
+                &cx.cl.inst,
+                &cx.cl.inst.initial,
+                &target,
+                &rex_cluster::PlannerConfig::default(),
+            ) {
+                Ok(plan) if !plan.batches.is_empty() => {
+                    let durations = batch_durations(
+                        &cx.cl.inst,
+                        &plan,
+                        cx.cl.cfg.copy_bandwidth,
+                        cx.cl.cfg.batch_overhead_ticks,
+                    );
+                    Some(PlannedMigration {
+                        target,
+                        returned: Vec::new(),
+                        plan,
+                        durations,
+                        kind: MigrationKind::HotShard,
+                    })
+                }
+                _ => {
+                    // No feasible co-location right now; retry on a later
+                    // poll if the pair is still cold.
+                    self.sched.complete(opid);
+                    None
+                }
+            };
+        }
+        // `Err` is a stale premise (ids shifted since admission): drop the op.
+        if let Ok(renamed) = cx.cl.inst.merge_shards(keep, drop) {
+            self.forget_merged(&mut cx.cl.spikes, keep, drop, renamed);
+            cx.cl.asg = Assignment::from_initial(&cx.cl.inst);
+            cx.counters.shard_merges += 1;
+            if cx.obs.is_active() {
+                cx.obs.event(
+                    "runtime",
+                    "hotshard_merge",
+                    vec![
+                        ("op", opid.into()),
+                        ("keep", keep.idx().into()),
+                        ("dropped", drop.idx().into()),
+                    ],
+                );
+                cx.obs.add("runtime.hotshard_merges", 1);
+            }
+        }
+        self.sched.complete(opid);
+        None
+    }
+
+    /// `drop` was merged into `keep` and, when `renamed` is `Some(moved)`,
+    /// the old last shard `moved` now answers to `drop`'s id: the one
+    /// place that scrubs and renumbers every structure holding shard ids —
+    /// the spike hot sets, the cache, the scheduler and the sibling list.
+    fn forget_merged(
+        &mut self,
+        spikes: &mut [Option<Vec<ShardId>>],
+        keep: ShardId,
+        drop: ShardId,
+        renamed: Option<ShardId>,
+    ) {
+        for state in spikes.iter_mut().flatten() {
+            state.retain(|&sid| sid != drop);
+        }
+        self.cache.remove(drop);
+        self.cache.remove(keep); // EWMA of the half is stale
+        self.siblings
+            .retain(|&(a, b)| a != drop && b != drop && !(a == keep && b == keep));
+        let Some(moved) = renamed else { return };
+        let fix = |sid: &mut ShardId| {
+            if *sid == moved {
+                *sid = drop;
+            }
+        };
+        spikes.iter_mut().flatten().flatten().for_each(fix);
+        self.cache.remap(moved, drop);
+        self.sched.remap_shard(moved, drop);
+        for (a, b) in self.siblings.iter_mut() {
+            fix(a);
+            fix(b);
+        }
+    }
+
+    /// Delta-solves a new placement for exactly `shards` on the planning
+    /// snapshot; a non-empty plan is returned for adoption.
+    fn exec_delta_migrate(
+        &mut self,
+        opid: u64,
+        shards: Vec<ShardId>,
+        cx: &mut PlaneCtx,
+    ) -> Option<PlannedMigration> {
+        let n = cx.cl.inst.n_shards();
+        let changed: Vec<ShardId> = shards.into_iter().filter(|s| s.idx() < n).collect();
+        if changed.is_empty() {
+            self.sched.complete(opid);
+            return None;
+        }
+        let snapshot = cx.cl.build_snapshot();
+        let seed = cx.cl.plan_seed();
+        match plan_hotshard_migration(
+            &snapshot,
+            &changed,
+            &cx.cl.cfg.hotshard,
+            seed,
+            cx.cl.cfg.copy_bandwidth,
+            cx.cl.cfg.batch_overhead_ticks,
+        ) {
+            Ok(pm) if !pm.plan.batches.is_empty() => return Some(pm),
+            Ok(_) => {
+                // The best delta placement keeps everything put.
+                if cx.obs.is_active() {
+                    cx.obs
+                        .event("runtime", "hotshard_plan_empty", vec![("op", opid.into())]);
+                }
+            }
+            Err(e) => {
+                cx.counters.plans_failed += 1;
+                if cx.obs.is_active() {
+                    cx.obs.event(
+                        "runtime",
+                        "hotshard_plan_failed",
+                        vec![("op", opid.into()), ("error", e.into())],
+                    );
+                }
+            }
+        }
+        self.sched.complete(opid);
+        None
+    }
+}
+
 // ---- planning -------------------------------------------------------------
 
 /// Plans a hot-shard migration: a delta solve over exactly `changed` on
@@ -616,6 +1003,65 @@ mod tests {
                 shards: vec![s(2), s(3)]
             }
         );
+    }
+
+    #[test]
+    fn disabled_config_builds_no_plane() {
+        assert!(HotShardPlane::new(&HotShardConfig::default(), 16).is_none());
+    }
+
+    #[test]
+    fn merge_renumbers_the_last_shard_in_every_structure() {
+        use crate::config::{FaultSpec, RuntimeConfig};
+        let mut b = rex_cluster::InstanceBuilder::new(1);
+        let m = b.machine(&[100.0]);
+        for _ in 0..4 {
+            b.shard(&[8.0], 2.0, m);
+        }
+        let cfg = RuntimeConfig {
+            hotshard: HotShardConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            faults: vec![FaultSpec::Spike {
+                at: 0,
+                duration: 10,
+                factor: 2.0,
+                shard_fraction: 0.25,
+            }],
+            ..Default::default()
+        };
+        let mut cl = LiveCluster::new(b.build().unwrap(), cfg);
+        cl.spikes[0] = Some(vec![s(0)]);
+        let mut plane = HotShardPlane::new(&cl.cfg.hotshard, 4).unwrap();
+        let (mut counters, mut obs) = (Counters::default(), Recorder::noop());
+        let cx = &mut PlaneCtx {
+            cl: &mut cl,
+            counters: &mut counters,
+            obs: &mut obs,
+        };
+        plane.cache.observe(0, s(0), 0.6, 0.9);
+        plane.cache.observe(0, s(1), 0.2, 0.9);
+        // Split 1 → child 4, then 0 → child 5 (the last shard, spiked like
+        // its parent), each queueing a follow-up migrate of its two halves.
+        plane.exec_split(1, 100, s(1), cx);
+        let first = plane.sched.start_next().unwrap();
+        plane.sched.complete(first.id); // retire Migrate{1, 4}
+        plane.exec_split(1, 101, s(0), cx);
+        assert_eq!(plane.siblings, vec![(s(1), s(4)), (s(0), s(5))]);
+        assert_eq!(cx.cl.spikes[0], Some(vec![s(0), s(5)]));
+
+        // Merging 4 back into 1 swap-removes id 4: shard 5 now answers to 4.
+        let plan = plane.exec_merge(102, s(1), s(4), cx);
+        assert!(plan.is_none(), "co-located halves merge instantly");
+        assert_eq!((cx.cl.inst.n_shards(), cx.counters.shard_merges), (5, 1));
+        assert_eq!(plane.siblings, vec![(s(0), s(4))]);
+        assert_eq!(cx.cl.spikes[0], Some(vec![s(0), s(4)]));
+        assert_eq!(plane.cache.get(s(4)), Some(0.3), "child 5's halved EWMA");
+        assert!(plane.cache.get(s(5)).is_none() && plane.cache.get(s(1)).is_none());
+        let queued: Vec<_> = plane.sched.pending().map(|op| op.kind.clone()).collect();
+        let shards = vec![s(0), s(4)];
+        assert_eq!(queued, vec![OperatorKind::Migrate { shards }]);
     }
 
     #[test]

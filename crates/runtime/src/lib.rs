@@ -23,7 +23,8 @@
 //!   hysteresis band, and an operator scheduler feeding the solver deltas.
 //! * [`metrics`] — counters, gauges, HDR-style latency histograms, and the
 //!   byte-deterministic JSON export.
-//! * [`sim`] — the [`Simulation`] event loop tying it all together.
+//! * [`sim`] — the [`Simulation`] control brain: the event loop over an
+//!   arrival plane (tick or event engine) and the optional hot-shard plane.
 //!
 //! Determinism is a hard contract: a run is a pure function of
 //! `(Instance, RuntimeConfig)`, and two same-seed runs export byte-identical
