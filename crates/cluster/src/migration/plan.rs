@@ -76,19 +76,20 @@ pub fn plan_migration(
 
     // Collect required relocations, largest demand first: big shards are the
     // hardest to place, scheduling them early leaves the most flexibility.
-    let mut pending: Vec<Pending> = (0..inst.n_shards())
+    // The norm (a square root) is taken once per shard, not per comparison.
+    let mut by_norm: Vec<(f64, Pending)> = (0..inst.n_shards())
         .filter(|&i| initial[i] != target[i])
-        .map(|i| Pending {
-            shard: ShardId::from(i),
-            target: target[i],
-            is_return: false,
+        .map(|i| {
+            let relocation = Pending {
+                shard: ShardId::from(i),
+                target: target[i],
+                is_return: false,
+            };
+            (inst.shards[i].demand.norm(), relocation)
         })
         .collect();
-    pending.sort_by(|a, b| {
-        let da = inst.shards[a.shard.idx()].demand.norm();
-        let db = inst.shards[b.shard.idx()].demand.norm();
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    by_norm.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+    let mut pending: Vec<Pending> = by_norm.into_iter().map(|(_, p)| p).collect();
 
     let min_moves = pending.len();
     let budget = ((min_moves as f64) * cfg.move_budget_factor).ceil() as usize + 8;
@@ -110,9 +111,15 @@ pub fn plan_migration(
     // `moved_in[s]`: the last round whose batch moved shard `s`.
     let mut moved_in = vec![0u32; inst.n_shards()];
     let mut round = 0u32;
+    // The last source-freeing parking, and the one that was recognised as a
+    // livelock (with the number of park/return cycles skipped).
+    let mut last_parking: Option<Parking> = None;
+    let mut livelock: Option<(Move, usize)> = None;
 
     while !pending.is_empty() {
         round += 1;
+        #[cfg(test)]
+        ROUNDS.with(|r| r.set(r.get() + 1));
         // One blocked set per round: the staging fallbacks below only run
         // when the batch is empty, i.e. on the same `(cur, pending)`.
         mark_blocked_sources(inst, &cur, &pending, &mut blocked);
@@ -145,6 +152,16 @@ pub fn plan_migration(
             } else if let Some(mv) =
                 find_source_freeing_move(inst, &cur, &pending, &is_pending, &blocked)
             {
+                let parking = Parking::observe(&cur, mv, executed);
+                if last_parking.is_some_and(|prev| parking.repeats(&prev)) {
+                    // Same planner state as two moves ago: the park/return
+                    // pair repeats until the budget check below fires, so
+                    // skip every whole cycle and let the last ≤ 2 moves run.
+                    let cycles = (budget - executed) / 2;
+                    executed += 2 * cycles;
+                    livelock = Some((mv, cycles));
+                }
+                last_parking = Some(parking);
                 cur.move_shard(inst, mv.shard, mv.to);
                 executed += 1;
                 // The parked shard must end where the target says: back on
@@ -188,12 +205,11 @@ pub fn plan_migration(
                 .unwrap_or(false)
             {
                 eprintln!("--- planner move budget exhausted ({executed} > {budget}) ---");
-                for (i, b) in plan.batches.iter().enumerate().rev().take(12) {
-                    let s: Vec<String> = b
-                        .iter()
-                        .map(|m| format!("{}:{}→{}", m.shard, m.from, m.to))
-                        .collect();
-                    eprintln!("  batch {i}: {}", s.join(", "));
+                if let Some((mv, cycles)) = livelock {
+                    eprintln!(
+                        "  livelock: {} parks {}→{} and returns; {cycles} cycles skipped",
+                        mv.shard, mv.from, mv.to
+                    );
                 }
                 trace_deadlock(inst, &cur, &pending);
             }
@@ -203,6 +219,61 @@ pub fn plan_migration(
         }
     }
     Ok(plan)
+}
+
+/// What the planner looked like when it chose a source-freeing parking —
+/// the part of its state the parking and the parked shard's return touch.
+#[derive(Clone, Copy)]
+struct Parking {
+    mv: Move,
+    /// `executed` when the parking was chosen.
+    executed: usize,
+    /// Usage of `mv.from` and `mv.to` just before the parking.
+    usage: [ResourceVec; 2],
+    /// `mv.shard` was the last entry of `shards_on(mv.from)`, so leaving
+    /// and coming back (swap-remove, push) keeps that list's order.
+    last_on_source: bool,
+}
+
+impl Parking {
+    fn observe(cur: &Assignment, mv: Move, executed: usize) -> Self {
+        Self {
+            mv,
+            executed,
+            usage: [cur.usage(mv.from), cur.usage(mv.to)],
+            last_on_source: cur.shards_on(mv.from).last() == Some(&mv.shard),
+        }
+    }
+
+    /// True when the planner state at `self` provably equals the state at
+    /// `prev`, its previous parking. The same `Move` with `executed` exactly
+    /// 2 higher means the one move in between was the parked shard's return
+    /// (it is back on `mv.from`): its `Pending` entry was pushed last and
+    /// retired by `retain` (the rest keeps its order), `is_pending` and
+    /// `staged` are what they were, every other shard and usage row is
+    /// untouched, `shards_on(mv.to)` popped what it pushed and
+    /// `shards_on(mv.from)` kept its order because the shard was last. The
+    /// two usage rows the round trip re-derived in floating point
+    /// (`(u − d) + d` need not be `u`) are compared outright.
+    fn repeats(&self, prev: &Parking) -> bool {
+        #[cfg(test)]
+        if FAST_FORWARD_OFF.with(|off| off.get()) {
+            return false;
+        }
+        self.mv == prev.mv
+            && self.executed == prev.executed + 2
+            && prev.last_on_source
+            && self.usage == prev.usage
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Planner rounds run on this thread (tests assert work, not time).
+    static ROUNDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// Switches the livelock fast-forward off: the reference the
+    /// differential test compares `plan_migration` with.
+    static FAST_FORWARD_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Greedily packs a batch of concurrently executable moves.
@@ -817,6 +888,156 @@ mod tests {
             }
             assert!(counts.values().all(|&c| c <= 3), "{counts:?}");
         }
+    }
+
+    /// `plan_migration` with the planner rounds it ran; `fast_forward:
+    /// false` is the reference loop that walks every park/return cycle.
+    fn plan_counting_rounds(
+        inst: &Instance,
+        target: &[MachineId],
+        fast_forward: bool,
+    ) -> (Result<Vec<Vec<Move>>, ClusterError>, u32) {
+        ROUNDS.with(|r| r.set(0));
+        FAST_FORWARD_OFF.with(|off| off.set(!fast_forward));
+        let res = plan_migration(inst, &inst.initial, target, &PlannerConfig::default());
+        FAST_FORWARD_OFF.with(|off| off.set(false));
+        (res.map(|plan| plan.batches), ROUNDS.with(|r| r.get()))
+    }
+
+    #[test]
+    fn park_return_livelock_is_fast_forwarded_to_the_same_error() {
+        // The shape the stringent solves hit (`s619: m14→m17` and back, 416–
+        // 484 times a gate call): m0 is a sealed source — big (8.0) may not
+        // leave while free < α·8 = 1.6 — whose one co-resident fits exactly
+        // one other host (m2). Parking it unblocks the source, but big's
+        // target m1 never has the 9.6 an arrival needs, so the next round's
+        // one-move batch brings the co-resident home and the state repeats.
+        // 200 easy filler moves widen the budget to 1214 moves.
+        let mut b = InstanceBuilder::new(1).alpha(0.2);
+        let m: Vec<MachineId> = (0..5).map(|_| b.machine(&[10.0])).collect();
+        let big = b.shard(&[8.0], 1.0, m[0]);
+        b.shard(&[1.5], 1.0, m[0]);
+        b.shard(&[1.0], 1.0, m[1]);
+        b.shard(&[8.5], 1.0, m[3]);
+        b.shard(&[8.5], 1.0, m[4]);
+        let fillers: Vec<ShardId> = (0..200).map(|_| b.shard(&[0.001], 1.0, m[3])).collect();
+        let inst = b.build().unwrap();
+        let mut target = inst.initial.clone();
+        target[big.idx()] = m[1];
+        for s in fillers {
+            target[s.idx()] = m[4];
+        }
+
+        let (fast, rounds) = plan_counting_rounds(&inst, &target, true);
+        let (slow, reference_rounds) = plan_counting_rounds(&inst, &target, false);
+        assert_eq!(
+            fast,
+            Err(ClusterError::PlanningDeadlock { remaining_moves: 2 })
+        );
+        assert_eq!(fast, slow);
+        assert!(reference_rounds > 1000, "{reference_rounds}");
+        // Fillers, park, return, park again (the first repeat) — then at
+        // most the two moves the fast-forward leaves to the ordinary exit.
+        let first_repeat = 4;
+        assert!(rounds <= first_repeat + 2, "{rounds} rounds");
+    }
+
+    /// A fleet at 0.85–0.95 fill with copy overhead, and a capacity-feasible
+    /// target a few random moves away — tight enough that sources seal,
+    /// parkings bounce and budgets run out. A third of the fleets also carry
+    /// the livelock's own shape (a sealed source whose big shard is bound for
+    /// a machine that holds `d` but never `(1+α)·d`), so the fast-forward
+    /// meets every budget parity the random moves around it produce.
+    fn tight_instance(seed: u64) -> (Instance, Vec<MachineId>) {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = rng.random_range(1..3usize);
+        let alpha = [0.1, 0.2, 0.3][rng.random_range(0..3usize)];
+        let mut b = InstanceBuilder::new(dims).alpha(alpha);
+        let n_machines = rng.random_range(3..10usize);
+        let mut n_random_shards = 0usize;
+        for mi in 0..n_machines {
+            let m = b.machine(&vec![10.0; dims]);
+            // The last machine keeps room; the rest fill to 0.85–0.95.
+            let fill = if mi + 1 == n_machines {
+                rng.random_range(2.0..8.0)
+            } else {
+                rng.random_range(8.5..9.5)
+            };
+            let mut used = 0.0;
+            while used < fill {
+                let d = f64::min(fill - used + 1e-3, rng.random_range(0.2..3.0));
+                let demand: Vec<f64> = (0..dims).map(|_| d * rng.random_range(0.9..1.0)).collect();
+                b.shard(&demand, 1.0, m);
+                n_random_shards += 1;
+                used += d;
+            }
+        }
+        let bound_for = (rng.random_range(0..3) == 0).then(|| {
+            let (sealed, full) = (b.machine(&vec![10.0; dims]), b.machine(&vec![10.0; dims]));
+            let big: f64 = rng.random_range(4.0..6.5);
+            let small: f64 = rng.random_range(0.3..1.2);
+            let free = alpha * big * 0.9; // < α·big: big may not leave
+            let s = b.shard(&vec![big; dims], 1.0, sealed);
+            b.shard(&vec![10.0 - free - big - small; dims], 1.0, sealed);
+            b.shard(&vec![small; dims], 1.0, sealed);
+            b.shard(&vec![10.0 - big * (1.0 + alpha / 2.0); dims], 1.0, full);
+            (s, full)
+        });
+        for _ in 0..rng.random_range(0..3) {
+            b.exchange_machine(&vec![10.0; dims]);
+        }
+        let inst = b.build().unwrap();
+        let mut asg = Assignment::from_initial(&inst);
+        if let Some((s, full)) = bound_for {
+            asg.move_shard(&inst, s, full);
+        }
+        // Mostly moves whose target holds `d` but not the `(1+α)·d` an
+        // arrival needs: deliverable only after a departure, if at all.
+        for _ in 0..rng.random_range(1..10 * n_machines) {
+            let s = ShardId::from(rng.random_range(0..n_random_shards));
+            let to = MachineId::from(rng.random_range(0..n_machines));
+            let inflight = inst.demand(s).scaled(1.0 + alpha);
+            let roomy = asg
+                .usage_rows()
+                .fits_after_add(to.idx(), &inflight, inst.capacity(to));
+            if asg.fits(&inst, s, to) && (!roomy || rng.random_range(0..8) == 0) {
+                asg.move_shard(&inst, s, to);
+            }
+        }
+        (inst, asg.into_placement())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The fast-forward changes no `Ok` plan and no `Err` payload.
+        #[test]
+        fn fast_forward_equals_the_walked_out_loop(seed in proptest::prelude::any::<u64>()) {
+            let (inst, target) = tight_instance(seed);
+            let (fast, rounds) = plan_counting_rounds(&inst, &target, true);
+            let (slow, reference_rounds) = plan_counting_rounds(&inst, &target, false);
+            proptest::prop_assert_eq!(&fast, &slow);
+            proptest::prop_assert!(rounds <= reference_rounds);
+            if let Ok(batches) = fast {
+                let plan = MigrationPlan { batches };
+                verify_schedule(&inst, &inst.initial, &target, &plan).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn the_differential_fixtures_reach_the_livelock() {
+        let (mut livelocks, mut planned) = (0, 0);
+        for seed in 0..300 {
+            let (inst, target) = tight_instance(seed);
+            let (fast, rounds) = plan_counting_rounds(&inst, &target, true);
+            let (_, reference_rounds) = plan_counting_rounds(&inst, &target, false);
+            livelocks += usize::from(rounds < reference_rounds);
+            planned += usize::from(fast.is_ok());
+        }
+        assert!(livelocks >= 50, "only {livelocks} of 300 fixtures livelock");
+        assert!(planned >= 50, "only {planned} of 300 fixtures plan");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The shard-reassignment problem in the LNS framework's terms.
 
+use crate::state::SraState;
 use rex_cluster::{
-    plan_migration, Assignment, Instance, MachineId, Objective, PlannerConfig, ShardId,
+    plan_migration, Assignment, Instance, MachineId, Objective, PlannerConfig, ShardId, EPS,
 };
 use rex_lns::LnsProblem;
 
@@ -160,6 +161,22 @@ impl<'a> SraProblem<'a> {
         Some(load_after + penalty)
     }
 
+    /// Hoists what every [`Self::insertion_score`] of detached shard `s`
+    /// shares, for a scan that scores it against many machines.
+    #[inline]
+    pub(crate) fn row_scorer<'s>(&'s self, state: &'s SraState, s: ShardId) -> RowScorer<'s> {
+        RowScorer {
+            p: self,
+            shard: s,
+            demand: self.inst.demand(s).as_slice(),
+            inflight: state.inflight.row(s.idx()),
+            pen: state.pen[s.idx()],
+            delta: state.delta[s.idx()],
+            init: self.inst.initial[s.idx()],
+            escapable: self.escapable[s.idx()],
+        }
+    }
+
     /// The vacancy budget available to a repair pass: how many currently
     /// vacant machines may be occupied while still leaving `k_return`
     /// vacant at the end — plus one reserved vacancy per draining machine
@@ -197,6 +214,92 @@ impl<'a> SraProblem<'a> {
     }
 }
 
+/// [`SraProblem::insertion_score`] with one shard's constants hoisted: the
+/// demand row, `(1+α)·d`, the migration penalty, `δ_s`, the initial machine
+/// and escapability are read once per scan instead of once per machine, and
+/// usage and capacity come from the two packed row tables. Every rounded
+/// addition, comparison and division is the one `insertion_score` performs,
+/// in its order — true per-machine divisions, no reciprocals — so the score
+/// is the same bits on any fleet, heterogeneous capacities included.
+pub(crate) struct RowScorer<'s> {
+    p: &'s SraProblem<'s>,
+    shard: ShardId,
+    demand: &'s [f64],
+    inflight: &'s [f64],
+    pen: f64,
+    delta: f64,
+    /// The shard's initial machine: scanned first, never penalized.
+    pub(crate) init: MachineId,
+    escapable: bool,
+}
+
+impl RowScorer<'_> {
+    /// Lower bound on [`Self::score`] for every admissible machine, from
+    /// cached quantities only: the machine's load now, plus the least the
+    /// shard can add to it (`SraState::delta`, where the rounding argument
+    /// lives), plus the migration penalty off the initial machine. Both
+    /// additions are rounded and monotone, so along the load-sorted scan
+    /// order the bound never decreases — once it reaches the slot a scan is
+    /// trying to beat, neither this machine nor any later one can displace
+    /// that slot.
+    #[inline]
+    pub(crate) fn bound(&self, state: &SraState, m: MachineId) -> f64 {
+        let pen = if m == self.init { 0.0 } else { self.pen };
+        state.loads[m.idx()] + self.delta + pen
+    }
+
+    /// `insertion_score(shard, m)`, bit for bit (`None` ⇔ `None`).
+    #[inline]
+    pub(crate) fn score(&self, state: &SraState, m: MachineId) -> Option<f64> {
+        let score = self.score_row(state, m);
+        debug_assert_eq!(
+            score.map(f64::to_bits),
+            self.p
+                .insertion_score(&state.asg, self.shard, m)
+                .map(f64::to_bits),
+            "row scorer and insertion_score disagree for {} on {m}",
+            self.shard
+        );
+        debug_assert!(
+            score.is_none_or(|v| self.bound(state, m) <= v),
+            "inadmissible bound for {} on {m}: {} > {score:?}",
+            self.shard,
+            self.bound(state, m)
+        );
+        score
+    }
+
+    #[inline]
+    fn score_row(&self, state: &SraState, m: MachineId) -> Option<f64> {
+        let home = m == self.init;
+        if self.p.drained[m.idx()] || !(home || self.escapable) {
+            return None;
+        }
+        // Staying home needs `d`, arriving needs `(1+α)·d` (`admissible`).
+        let needed = if home { self.demand } else { self.inflight };
+        let usage = state.asg.usage_rows().row(m.idx());
+        let cap = state.caps.row(m.idx());
+        let mut load_after = 0.0f64;
+        for (((&u, &c), &d), &need) in usage.iter().zip(cap).zip(self.demand).zip(needed) {
+            if u + need > c + EPS {
+                return None;
+            }
+            let u = u + d;
+            let r = if c > 0.0 {
+                u / c
+            } else if u > EPS {
+                f64::INFINITY
+            } else {
+                0.0
+            };
+            if r > load_after {
+                load_after = r;
+            }
+        }
+        Some(load_after + if home { 0.0 } else { self.pen })
+    }
+}
+
 impl LnsProblem for SraProblem<'_> {
     type Solution = Assignment;
 
@@ -222,9 +325,12 @@ impl LnsProblem for SraProblem<'_> {
 
     fn accept_best(&self, sol: &Assignment) -> bool {
         if self.plan_on_best {
-            // The gate runs on every would-be best, so failures must be
-            // cheap: a tighter move budget than the final planning pass.
-            // Anything needing > 2× staging churn is a poor best anyway.
+            // The gate runs on every would-be best, under a tighter move
+            // budget than the final planning pass: anything needing > 2×
+            // staging churn is a poor best anyway. The budget does not bound
+            // what a failure costs — the planner does, by fast-forwarding
+            // the park/return livelock every failing call ends in, so a
+            // failure costs about what a success does.
             let gate_cfg = PlannerConfig {
                 move_budget_factor: self.planner.move_budget_factor.min(2.0),
                 ..self.planner

@@ -131,8 +131,11 @@ pub struct SraState {
     pub(crate) pool: Vec<u32>,
     /// Scoring scratch for destroy operators.
     pub(crate) scored: Vec<(f64, u32)>,
-    /// Best/second-best cache for the incremental regret-2 repair.
-    pub(crate) regret: Vec<RegretEntry>,
+    /// One frontier per detached shard, for the regret-2 repair.
+    pub(crate) regret: Vec<Frontier>,
+    /// Per-shard `(1+α)·demand` packed row-major (static): what an arrival
+    /// needs free, hoisted out of every admissibility check.
+    pub(crate) inflight: rex_cluster::PackedVecs,
     /// Per-shard migration penalty (`insertion_penalty`, assignment-free):
     /// together with `loads` and `delta` it lower-bounds any insertion
     /// score, letting repair scans skip machines that cannot beat the
@@ -156,27 +159,66 @@ pub struct SraState {
     pub(crate) demand_norm: Vec<f64>,
     /// Machine capacities packed row-major (row `m` = machine `m`), the
     /// static sibling of `Assignment::usage_rows` — lets resync run the
-    /// fused cache-blocked `ratio_scan_rows` kernel over two flat arrays.
-    caps: rex_cluster::PackedVecs,
+    /// fused cache-blocked `ratio_scan_rows` kernel over two flat arrays,
+    /// and the repair scans score a machine from two adjacent rows.
+    pub(crate) caps: rex_cluster::PackedVecs,
 }
 
-/// Cached top-3 insertion choices of one detached shard, sorted by score.
-/// Slots 0 and 1 (best / second-best) are always value-exact — they define
-/// the regret. Slot 2 may be [`REGRET_ABSENT`] (provably no third feasible
-/// machine) or [`REGRET_UNKNOWN`] (not tracked; its score then stores a
-/// lower bound on every machine outside the entry). Invariant: any machine
-/// not named in `m` scores at least `s[2]`.
+/// Slots per [`Frontier`]. A timing sweep alone does not pick a depth (3–8
+/// measure within noise of each other on the benchmark's fleets; 16 is
+/// clearly slower: every scan runs further before it may break). What picks
+/// it is ties: a frontier's *scores* are exact at any depth, but which of
+/// several machines tied to the bit comes first depends on when the entry
+/// was last scanned, and a three-deep entry is scanned exactly when the
+/// three-slot cache it replaced was. On tie-heavy fleets (the router's
+/// integer-count traffic snapshots) a deeper entry picks a different,
+/// equally good machine, and every byte downstream moves.
+pub(crate) const REGRET_K: usize = 3;
+
+/// The cheapest insertions of one detached shard: `m[..n]` are `n ≤ K`
+/// allowed, admissible machines and `s[..n]` their exact scores, ascending
+/// (`∞` past `n`, so `s[1] − s[0]` is the regret as it stands). No slot
+/// scores above `bound` and every machine outside the entry scores at least
+/// `bound`, so the `n` scores are the `n` lowest of the whole fleet; `bound`
+/// is `∞` when the last scan found fewer than `K` machines — the entry is
+/// then the complete feasible set. Best and second-best are exact while
+/// `n ≥ 2` or `bound` is `∞`. Equal scores keep the scan's order (the
+/// shard's initial machine first, then `order`), a re-scored machine going
+/// behind its equals.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RegretEntry {
-    pub(crate) m: [u32; 3],
-    pub(crate) s: [f64; 3],
+pub(crate) struct Frontier {
+    pub(crate) m: [u32; REGRET_K],
+    pub(crate) s: [f64; REGRET_K],
+    pub(crate) n: usize,
+    pub(crate) bound: f64,
 }
 
-/// Slot sentinel: no such feasible machine exists (score `INFINITY`).
-pub(crate) const REGRET_ABSENT: u32 = u32::MAX;
-/// Slot sentinel: a third-best exists but is not tracked; the slot's score
-/// is a lower bound on it (and on all other unscanned machines).
-pub(crate) const REGRET_UNKNOWN: u32 = u32::MAX - 1;
+impl Frontier {
+    pub(crate) const EMPTY: Self = Self {
+        m: [0; REGRET_K],
+        s: [f64::INFINITY; REGRET_K],
+        n: 0,
+        bound: f64::INFINITY,
+    };
+
+    /// Files `(m, score)` at slot `pos ≤ n`, pushing the later slots down
+    /// (the last one out when the entry is full).
+    pub(crate) fn insert(&mut self, pos: usize, m: MachineId, score: f64) {
+        let last = self.n.min(REGRET_K - 1);
+        self.m.copy_within(pos..last, pos + 1);
+        self.s.copy_within(pos..last, pos + 1);
+        (self.m[pos], self.s[pos]) = (m.idx() as u32, score);
+        self.n = last + 1;
+    }
+
+    /// Drops slot `k < n`, closing the gap.
+    pub(crate) fn remove(&mut self, k: usize) {
+        self.m.copy_within(k + 1..self.n, k);
+        self.s.copy_within(k + 1..self.n, k);
+        self.n -= 1;
+        self.s[self.n] = f64::INFINITY;
+    }
+}
 
 /// `δ_s` for every shard: a lower bound on how much any admissible
 /// insertion of `s` raises the receiving machine's load, so that
@@ -249,6 +291,13 @@ impl SraState {
             pool: Vec::new(),
             scored: Vec::new(),
             regret: Vec::new(),
+            inflight: {
+                let mut rows = rex_cluster::PackedVecs::zeroed(inst.dims, inst.n_shards());
+                for (i, s) in inst.shards.iter().enumerate() {
+                    rows.set(i, &s.demand.scaled(1.0 + inst.alpha));
+                }
+                rows
+            },
             pen: (0..inst.n_shards())
                 .map(|i| p.insertion_penalty(ShardId::from(i)))
                 .collect(),

@@ -42,9 +42,9 @@ gates=0
 
 # run_variant THREADS BIN_DIR VARIANT NAME BIN ARGS...: runs BIN_DIR/BIN
 # with REX_THREADS=THREADS; artifacts go to $work/VARIANT/. In ARGS, `@out`
-# / `@trace` / `@rec` name this gate's artifacts and `@rec:OTHER` another
-# gate's recording; stdout is captured as `NAME.stdout`. Commands see the
-# variant directory through one symlink, so a path echoed to stdout is the
+# / `@trace` / `@rec` name this gate's artifacts and `@rec:OTHER` /
+# `@out:OTHER` another gate's; stdout is captured as `NAME.stdout`. Commands
+# see the variant directory through one symlink, so a path echoed to stdout is the
 # same string in every variant.
 run_variant() {
     local threads=$1 dir=$2 variant=$3 name=$4 bin=$5
@@ -55,6 +55,7 @@ run_variant() {
         case $a in
             @out | @trace | @rec) a=$d/$name.${a#@} ;;
             @rec:*) a=$d/${a#@rec:}.rec ;;
+            @out:*) a=$d/${a#@out:}.out ;;
         esac
         args+=("$a")
     done
@@ -86,6 +87,22 @@ fail() {
     echo "determinism gate FAILED: $*" >&2
     exit 1
 }
+
+echo "=== rex generate, rex solve ==="
+# The paper's regime: stringency 0.90 with copy overhead, where would-be
+# bests are rejected by the plannability gate and the planner livelocks.
+gen="--family correlated --placement hotspot"
+gate gen-stringent rex generate $gen --machines 100 --exchange 8 --shards 1000 --stringency 0.90 --alpha 0.1 --seed 11 --out @out
+gate gen-small rex generate $gen --machines 32 --exchange 3 --shards 320 --stringency 0.90 --seed 4 --out @out
+# Evacuating a machine is infeasible at 0.90; the drain gate gets room.
+gate gen-roomy rex generate $gen --machines 32 --exchange 3 --shards 320 --stringency 0.50 --seed 4 --out @out
+gate solve-serial rex solve --inst @out:gen-stringent --iters 400 --seed 11 --out @out
+gate solve-small rex solve --inst @out:gen-small --iters 400 --seed 4 --out @out
+# The merged best deadlocks the final plan: `solve` takes its fallback.
+gate solve-fallback rex solve --inst @out:gen-small --partitions 4 --iters 400 --seed 4 --out @out
+gate solve-depth2 rex solve --inst @out:gen-stringent --partitions 2 --depth 2 --iters 400 --seed 11 --out @out
+gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
+gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out
 
 echo "=== rex simulate ==="
 gate sim rex simulate --ticks 2000 --seed 7 --quiet --out @out --trace @trace
