@@ -247,7 +247,7 @@ fn measure() -> Vec<Record> {
         let base = SraConfig {
             iters,
             seed: 17,
-            objective: Objective::pure(rex_cluster::ObjectiveKind::PeakLoad),
+            objective: Objective::pure(),
             ..Default::default()
         };
         let size = format!("{m}x{s}");
@@ -364,7 +364,7 @@ fn measure() -> Vec<Record> {
                     seed: 17,
                     partitions: 8,
                     depth,
-                    objective: Objective::pure(rex_cluster::ObjectiveKind::PeakLoad),
+                    objective: Objective::pure(),
                     ..Default::default()
                 },
             );

@@ -74,7 +74,7 @@ fn main() {
         ..Default::default()
     })
     .expect("generate");
-    let problem = SraProblem::new(&inst, Objective::pure(rex_cluster::ObjectiveKind::PeakLoad));
+    let problem = SraProblem::new(&inst, Objective::pure());
     let iters = scaled(8_000) as u64;
     let seed = 29;
 
@@ -110,7 +110,7 @@ fn main() {
     // the same smoothed scale as `full` for comparability: the no-smoothing
     // variant's best is re-evaluated with the smoothing term added back.
     {
-        let mut raw = SraProblem::new(&inst, Objective::pure(rex_cluster::ObjectiveKind::PeakLoad));
+        let mut raw = SraProblem::new(&inst, Objective::pure());
         raw.smoothing = 0.0;
         let engine = Engine::new(
             &raw,
@@ -131,8 +131,7 @@ fn main() {
         );
     }
     {
-        let ungated = SraProblem::new(&inst, Objective::pure(rex_cluster::ObjectiveKind::PeakLoad))
-            .without_plan_checks();
+        let ungated = SraProblem::new(&inst, Objective::pure()).without_plan_checks();
         let obj = run(&ungated, destroys(None), repairs(None), iters, seed);
         // NOTE: this best may be undeliverable — that is the point.
         push(

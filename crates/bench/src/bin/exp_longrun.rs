@@ -15,7 +15,7 @@
 //! operator actually tunes.
 
 use rex_bench::{f2, f4, scaled, Table};
-use rex_cluster::{Assignment, Instance, Objective, ObjectiveKind};
+use rex_cluster::{Assignment, Instance, Objective};
 use rex_core::{solve, SraConfig};
 use rex_workload::evolve::{commit_exchange, next_epoch, DriftConfig};
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
@@ -46,10 +46,7 @@ fn run_policy(
             let cfg = SraConfig {
                 iters,
                 seed: 1000 + epoch as u64,
-                objective: Objective {
-                    kind: ObjectiveKind::PeakLoad,
-                    lambda,
-                },
+                objective: Objective { lambda },
                 ..Default::default()
             };
             let res = solve(&inst, &cfg).expect("solve");

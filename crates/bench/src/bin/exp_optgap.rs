@@ -52,7 +52,6 @@ fn main() {
             &ExactConfig {
                 max_nodes: 20_000_000,
                 lambda: 0.0,
-                ..Default::default()
             },
         )
         .expect("exact");
@@ -61,7 +60,7 @@ fn main() {
             &SraConfig {
                 iters,
                 seed: 100 + i as u64,
-                objective: Objective::pure(rex_cluster::ObjectiveKind::PeakLoad),
+                objective: Objective::pure(),
                 ..Default::default()
             },
         )

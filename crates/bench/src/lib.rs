@@ -146,7 +146,7 @@ pub fn sra_cfg(iters: u64, seed: u64) -> SraConfig {
     SraConfig {
         iters,
         seed,
-        objective: rex_cluster::Objective::pure(rex_cluster::ObjectiveKind::PeakLoad),
+        objective: rex_cluster::Objective::pure(),
         ..Default::default()
     }
 }

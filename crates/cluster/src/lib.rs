@@ -16,8 +16,11 @@
 //!   per-machine usage, supporting O(D) moves and load queries,
 //! * [`migration`] — the transient-resource-aware migration planner and the
 //!   independent step simulator that verifies any produced schedule,
-//! * [`metrics`] — balance metrics (peak load, imbalance, Jain fairness) and
-//!   migration statistics.
+//! * [`metrics`] — balance metrics (peak load, imbalance, Jain fairness),
+//!   migration statistics and the nearest-rank latency percentiles,
+//! * [`service`] / [`zipf`] — what both simulation engines and the workload
+//!   plane share: the `1/(1−ρ)` service model with its diurnal profile, and
+//!   the Zipf sampler behind [`LoadScriptSpec::zipf_alpha`].
 //!
 //! Everything downstream (`rex-core`'s SRA, the baselines, the solver, the
 //! benches) is built on these types.
@@ -36,6 +39,7 @@ pub mod resources;
 pub mod scenario;
 pub mod service;
 pub mod shard;
+pub mod zipf;
 
 pub use arena::PackedVecs;
 pub use assignment::{Assignment, UndoLog};
@@ -45,7 +49,7 @@ pub use kernels::LoadScan;
 pub use machine::{Machine, MachineId};
 pub use metrics::BalanceReport;
 pub use migration::{plan_migration, verify_schedule, MigrationPlan, Move, PlannerConfig};
-pub use objective::{Objective, ObjectiveKind};
+pub use objective::Objective;
 pub use partition::{partition_fleet, partition_subfleet, PartitionSpec};
 pub use resources::{ResourceVec, MAX_DIMS};
 pub use scenario::{
@@ -53,6 +57,7 @@ pub use scenario::{
     ScenarioSpec, SpikeSpec, SraSpec, WorkloadSpec,
 };
 pub use shard::{Shard, ShardId};
+pub use zipf::Zipf;
 
 /// Numerical tolerance used for all capacity comparisons.
 ///

@@ -2,70 +2,41 @@
 //!
 //! The paper's IP minimizes the peak normalized load, optionally trading it
 //! off against one-time migration cost with a weight `λ` (the "linearly
-//! constrained" objective of the abstract). An alternative L2 objective is
-//! provided for the ablation study: it rewards *overall* smoothness rather
-//! than only shaving the single hottest machine.
+//! constrained" objective of the abstract).
 
 use crate::assignment::Assignment;
 use crate::instance::Instance;
 use crate::machine::MachineId;
 use serde::{Deserialize, Serialize};
 
-/// Which balance term the objective minimizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ObjectiveKind {
-    /// Minimize the maximum machine load (paper's primary objective).
-    PeakLoad,
-    /// Minimize the root-mean-square of machine loads.
-    L2Imbalance,
-}
-
-/// A weighted objective: balance term + `lambda` × migration cost.
+/// A weighted objective: peak machine load (the paper's balance term) +
+/// `lambda` × migration cost.
 ///
 /// Migration cost is normalized by the total move cost of all shards, so
 /// `lambda` is scale-free: `lambda = 0.1` means "moving *everything* is as
 /// bad as 0.1 of load".
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Objective {
-    /// Balance term.
-    pub kind: ObjectiveKind,
     /// Weight of the normalized migration-cost term (>= 0).
     pub lambda: f64,
 }
 
 impl Default for Objective {
     fn default() -> Self {
-        Self {
-            kind: ObjectiveKind::PeakLoad,
-            lambda: 0.01,
-        }
+        Self { lambda: 0.01 }
     }
 }
 
 impl Objective {
     /// A pure balance objective (no migration-cost term).
-    pub fn pure(kind: ObjectiveKind) -> Self {
-        Self { kind, lambda: 0.0 }
-    }
-
-    /// Evaluates the balance term only.
-    pub fn balance_term(&self, inst: &Instance, asg: &Assignment) -> f64 {
-        match self.kind {
-            ObjectiveKind::PeakLoad => asg.peak_load(inst),
-            ObjectiveKind::L2Imbalance => {
-                let n = inst.n_machines();
-                let s = crate::kernels::scan_with(n, |i| {
-                    asg.machine_load(inst, crate::machine::MachineId::from(i))
-                });
-                (s.sumsq / n as f64).sqrt()
-            }
-        }
+    pub fn pure() -> Self {
+        Self { lambda: 0.0 }
     }
 
     /// Full objective value for `asg`, with migration cost measured against
     /// `reference` (normally the instance's initial placement).
     pub fn value(&self, inst: &Instance, asg: &Assignment, reference: &[MachineId]) -> f64 {
-        let balance = self.balance_term(inst, asg);
+        let balance = asg.peak_load(inst);
         if self.lambda == 0.0 {
             return balance;
         }
@@ -98,19 +69,8 @@ mod tests {
     fn peak_objective_matches_peak_load() {
         let inst = inst();
         let asg = Assignment::from_initial(&inst);
-        let obj = Objective::pure(ObjectiveKind::PeakLoad);
+        let obj = Objective::pure();
         assert!((obj.value(&inst, &asg, &inst.initial) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l2_objective_rewards_spreading() {
-        let inst = inst();
-        let mut asg = Assignment::from_initial(&inst);
-        let obj = Objective::pure(ObjectiveKind::L2Imbalance);
-        let before = obj.value(&inst, &asg, &inst.initial);
-        asg.move_shard(&inst, ShardId(1), MachineId(1));
-        let after = obj.value(&inst, &asg, &inst.initial);
-        assert!(after < before, "spreading load must reduce the L2 term");
     }
 
     #[test]
@@ -118,14 +78,8 @@ mod tests {
         let inst = inst();
         let mut asg = Assignment::from_initial(&inst);
         asg.move_shard(&inst, ShardId(1), MachineId(1));
-        let free = Objective {
-            kind: ObjectiveKind::PeakLoad,
-            lambda: 0.0,
-        };
-        let taxed = Objective {
-            kind: ObjectiveKind::PeakLoad,
-            lambda: 1.0,
-        };
+        let free = Objective { lambda: 0.0 };
+        let taxed = Objective { lambda: 1.0 };
         let v0 = free.value(&inst, &asg, &inst.initial);
         let v1 = taxed.value(&inst, &asg, &inst.initial);
         // One of two shards moved, each with cost 1.0 → normalized cost 0.5.
@@ -136,11 +90,8 @@ mod tests {
     fn no_move_no_penalty() {
         let inst = inst();
         let asg = Assignment::from_initial(&inst);
-        let taxed = Objective {
-            kind: ObjectiveKind::PeakLoad,
-            lambda: 5.0,
-        };
-        let pure = Objective::pure(ObjectiveKind::PeakLoad);
+        let taxed = Objective { lambda: 5.0 };
+        let pure = Objective::pure();
         assert_eq!(
             taxed.value(&inst, &asg, &inst.initial),
             pure.value(&inst, &asg, &inst.initial)

@@ -30,6 +30,15 @@ pub const DEFAULT_RHO_MAX: f64 = 0.98;
 /// `ln` finite when a uniform draw lands exactly on 1.0.
 pub const MIN_LOG_ARG: f64 = 1e-12;
 
+/// Relative traffic weight of each hour (diurnal double hump: morning and
+/// evening peaks, night trough). The weights sum to 25.85, not 24: every
+/// reader normalizes by the sum. The runtime's load envelope and
+/// searchsim's query log both read this one table.
+pub const DIURNAL: [f64; 24] = [
+    0.35, 0.25, 0.2, 0.2, 0.25, 0.4, 0.7, 1.1, 1.5, 1.7, 1.6, 1.5, 1.45, 1.5, 1.55, 1.5, 1.4, 1.35,
+    1.45, 1.6, 1.55, 1.3, 0.9, 0.55,
+];
+
 /// Clamps a utilization into `[0, ρ_max]`.
 ///
 /// Identical operation order to both historical call sites
@@ -141,6 +150,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn diurnal_profile_is_pinned() {
+        // Moved from `rex-searchsim`; both engines' gauges depend on every
+        // entry and on the left-to-right sum.
+        assert_eq!(DIURNAL.iter().sum::<f64>().to_bits(), 25.85f64.to_bits());
+        let moment: f64 = (0..24).map(|h| h as f64 * DIURNAL[h]).sum();
+        assert_eq!(moment.to_bits(), 0x4075da6666666666); // 349.65
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! A Zipf(α) sampler over ranks `0..n`.
 //!
-//! Term frequencies in text and term popularity in query logs both follow
-//! power laws; this sampler drives everything stochastic in the simulator.
-//! It precomputes the CDF once (O(n)) and samples by binary search
-//! (O(log n)) — sampling dominates corpus generation, so the table is worth
-//! its memory.
+//! Term frequencies in text, term popularity in query logs and shard
+//! popularity under a load script ([`crate::LoadScriptSpec::zipf_alpha`])
+//! all follow power laws; this one sampler serves the workload plane's
+//! popularity walk and everything stochastic in `rex-searchsim`. It
+//! precomputes the CDF once (O(n)) and samples by binary search (O(log n))
+//! — sampling dominates corpus generation, so the table is worth its
+//! memory.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -120,6 +122,18 @@ mod tests {
                 z.pmf(k)
             );
         }
+    }
+
+    #[test]
+    fn first_draws_and_masses_are_pinned() {
+        // Taken while the sampler still lived in `rex-searchsim`: the move
+        // must not change a bit of any corpus, query log or popularity walk.
+        let z = Zipf::new(50, 1.2);
+        let mut r = rng();
+        let draws: Vec<usize> = (0..12).map(|_| z.sample(&mut r)).collect();
+        assert_eq!(draws, [0, 0, 4, 34, 0, 0, 0, 0, 13, 0, 17, 10]);
+        assert_eq!(z.pmf(0).to_bits(), 0x3fd3566de8216546);
+        assert_eq!(z.pmf(49).to_bits(), 0x3f66a378e3e18500);
     }
 
     #[test]

@@ -207,19 +207,17 @@ pub fn decomposed_search(
     let mut best_val = LnsProblem::objective(problem, &best);
     let mut iterations = 0u64;
 
-    if rec.is_active() {
-        rec.span_open(
-            "sra",
-            "decomposed",
-            vec![
-                ("partitions", rounds.k.into()),
-                ("depth", rounds.depth.into()),
-                ("rounds", ROUNDS.into()),
-                ("sub_iters", rounds.sub_iters.into()),
-                ("boundary_iters", rounds.boundary_iters.into()),
-            ],
-        );
-    }
+    rec.span_open(
+        "sra",
+        "decomposed",
+        &[
+            ("partitions", rounds.k.into()),
+            ("depth", rounds.depth.into()),
+            ("rounds", ROUNDS.into()),
+            ("sub_iters", rounds.sub_iters.into()),
+            ("boundary_iters", rounds.boundary_iters.into()),
+        ],
+    );
 
     for round in 0..ROUNDS {
         let (next, round_iters, val) = rounds.hierarchical_round(round, &current, rec)?;
@@ -231,16 +229,14 @@ pub fn decomposed_search(
         }
     }
 
-    if rec.is_active() {
-        rec.span_close(
-            "sra",
-            "decomposed",
-            vec![
-                ("best_objective", best_val.into()),
-                ("iterations", iterations.into()),
-            ],
-        );
-    }
+    rec.span_close(
+        "sra",
+        "decomposed",
+        &[
+            ("best_objective", best_val.into()),
+            ("iterations", iterations.into()),
+        ],
+    );
     Ok((best, iterations, None, Vec::new()))
 }
 
@@ -388,17 +384,15 @@ impl Rounds<'_, '_> {
             &mut internal,
         );
 
-        if rec.is_active() {
-            rec.span_open(
-                "sra",
-                "round",
-                vec![
-                    ("round", round.into()),
-                    ("depth", self.depth.into()),
-                    ("leaves", leaves.len().into()),
-                ],
-            );
-        }
+        rec.span_open(
+            "sra",
+            "round",
+            &[
+                ("round", round.into()),
+                ("depth", self.depth.into()),
+                ("leaves", leaves.len().into()),
+            ],
+        );
 
         // Stage 1: solve every leaf in one flat cooperative round (no
         // nested parallelism — the tree only shapes *which* sub-instances
@@ -406,22 +400,20 @@ impl Rounds<'_, '_> {
         let mut merged = current.placement().to_vec();
         let leaf_runs = self.solve_level(round, &leaves, 0, self.sub_iters, &mut merged);
         let mut iterations: u64 = leaf_runs.iter().map(|(_, out)| out.iterations).sum();
-        if rec.is_active() {
-            for (i, out) in &leaf_runs {
-                rec.event(
-                    "lns",
-                    "partition",
-                    vec![
-                        ("round", round.into()),
-                        ("partition", (*i).into()),
-                        ("machines", leaves[*i].machines.len().into()),
-                        ("shards", leaves[*i].shards.len().into()),
-                        ("seed", round_seed(self.seed, round, *i).into()),
-                        ("objective", out.best_objective.into()),
-                        ("iterations", out.iterations.into()),
-                    ],
-                );
-            }
+        for (i, out) in &leaf_runs {
+            rec.event(
+                "lns",
+                "partition",
+                &[
+                    ("round", round.into()),
+                    ("partition", (*i).into()),
+                    ("machines", leaves[*i].machines.len().into()),
+                    ("shards", leaves[*i].shards.len().into()),
+                    ("seed", round_seed(self.seed, round, *i).into()),
+                    ("objective", out.best_objective.into()),
+                    ("iterations", out.iterations.into()),
+                ],
+            );
         }
         let mut next_job = leaves.len();
 
@@ -447,9 +439,7 @@ impl Rounds<'_, '_> {
         iterations += out.iterations;
         let next = out.best;
         let val = LnsProblem::objective(problem, &next);
-        if rec.is_active() {
-            rec.span_close("sra", "round", vec![("objective", val.into())]);
-        }
+        rec.span_close("sra", "round", &[("objective", val.into())]);
         Ok((next, iterations, val))
     }
 }
@@ -458,7 +448,7 @@ impl Rounds<'_, '_> {
 mod tests {
     use super::*;
     use crate::sra::{solve, solve_traced, solve_with_drain, AcceptanceKind};
-    use rex_cluster::{InstanceBuilder, Objective, ObjectiveKind};
+    use rex_cluster::{InstanceBuilder, Objective};
 
     /// A fleet big enough to split: `hot` heavily loaded machines, `cool`
     /// lightly loaded ones, a tail of vacancies, one exchange machine.
@@ -491,7 +481,7 @@ mod tests {
         SraConfig {
             iters: 2_000,
             partitions,
-            objective: Objective::pure(ObjectiveKind::PeakLoad),
+            objective: Objective::pure(),
             acceptance: AcceptanceKind::SimulatedAnnealing,
             ..Default::default()
         }

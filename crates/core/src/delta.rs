@@ -96,17 +96,15 @@ pub fn solve_delta(
             found: changed.iter().map(|s| s.idx()).max().unwrap_or(0) + 1,
         });
     }
-    if rec.is_active() {
-        rec.span_open(
-            "sra",
-            "delta",
-            vec![
-                ("changed", changed.len().into()),
-                ("seed", cfg.seed.into()),
-                ("iters", cfg.iters.into()),
-            ],
-        );
-    }
+    rec.span_open(
+        "sra",
+        "delta",
+        &[
+            ("changed", changed.len().into()),
+            ("seed", cfg.seed.into()),
+            ("iters", cfg.iters.into()),
+        ],
+    );
     let problem = SraProblem::new(inst, cfg.objective);
     let initial = Assignment::from_initial(inst);
     let destroys: Vec<Box<dyn DestroyInPlace<SraProblem<'_>>>> = vec![Box::new(TargetedRemoval {
@@ -134,17 +132,15 @@ pub fn solve_delta(
     verify_schedule(inst, &inst.initial, best.placement(), &plan)?;
     best.check_target(inst)?;
     let objective_value = cfg.objective.value(inst, &best, &inst.initial);
-    if rec.is_active() {
-        rec.span_close(
-            "sra",
-            "delta",
-            vec![
-                ("objective", objective_value.into()),
-                ("iterations", out.iterations.into()),
-                ("plan_batches", plan.batches.len().into()),
-            ],
-        );
-    }
+    rec.span_close(
+        "sra",
+        "delta",
+        &[
+            ("objective", objective_value.into()),
+            ("iterations", out.iterations.into()),
+            ("plan_batches", plan.batches.len().into()),
+        ],
+    );
     Ok(DeltaOutcome {
         assignment: best,
         plan,
@@ -156,7 +152,7 @@ pub fn solve_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_cluster::{InstanceBuilder, MachineId, Objective, ObjectiveKind};
+    use rex_cluster::{InstanceBuilder, MachineId, Objective};
 
     /// m0 hot (8 shards), m1 cool (1 shard), m2 exchange.
     fn imbalanced() -> Instance {
@@ -174,7 +170,7 @@ mod tests {
     fn cfg() -> SraConfig {
         SraConfig {
             iters: 400,
-            objective: Objective::pure(ObjectiveKind::PeakLoad),
+            objective: Objective::pure(),
             ..Default::default()
         }
     }

@@ -16,7 +16,7 @@
 //! Out-of-range values are rejected with a typed [`ConfigError`] instead of
 //! being silently clamped or panicking deep inside the solver.
 
-use crate::sra::{AcceptanceKind, SraConfig};
+use crate::sra::SraConfig;
 use rex_cluster::Instance;
 
 /// A solver configuration value rejected at the [`SolveOptions`] boundary.
@@ -133,24 +133,6 @@ impl SolveOptions {
         self
     }
 
-    /// Acceptance criterion.
-    pub fn acceptance(mut self, acceptance: AcceptanceKind) -> Self {
-        self.cfg.acceptance = acceptance;
-        self
-    }
-
-    /// Destroy intensity range (fraction of shards).
-    pub fn intensity(mut self, lo: f64, hi: f64) -> Self {
-        self.cfg.intensity = (lo, hi);
-        self
-    }
-
-    /// Maximum shards detached per iteration.
-    pub fn destroy_cap(mut self, cap: usize) -> Self {
-        self.cfg.destroy_cap = cap;
-        self
-    }
-
     /// Parallel portfolio width (`1` = serial engine).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
@@ -173,12 +155,6 @@ impl SolveOptions {
     /// Deterministic seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Record the best-objective trajectory (serial runs only).
-    pub fn log_trajectory(mut self, log: bool) -> Self {
-        self.cfg.log_trajectory = log;
         self
     }
 
@@ -267,31 +243,25 @@ mod tests {
     }
 
     #[test]
-    fn bad_intensity_rejected() {
-        for (lo, hi) in [
-            (0.0, 0.5),
-            (-0.1, 0.5),
-            (0.5, 0.2),
-            (0.1, 1.5),
-            (f64::NAN, 0.5),
-            (0.1, f64::NAN),
-        ] {
-            let err = SolveOptions::new().intensity(lo, hi).build().unwrap_err();
-            assert!(
-                matches!(err, ConfigError::BadIntensity { .. }),
-                "({lo}, {hi}) -> {err:?}"
-            );
+    fn preset_fields_no_setter_reaches_are_still_validated() {
+        let preset = |intensity, destroy_cap| {
+            SolveOptions::from_config(SraConfig {
+                intensity,
+                destroy_cap,
+                ..Default::default()
+            })
+            .build()
+        };
+        for range in [(0.0, 0.5), (0.5, 0.2), (0.1, 1.5), (f64::NAN, 0.5)] {
+            let err = preset(range, 32).unwrap_err();
+            assert!(matches!(err, ConfigError::BadIntensity { .. }), "{err:?}");
         }
-        // The boundaries themselves are legal.
-        SolveOptions::new().intensity(0.001, 1.0).build().unwrap();
-    }
-
-    #[test]
-    fn zero_destroy_cap_rejected() {
         assert_eq!(
-            SolveOptions::new().destroy_cap(0).build().unwrap_err(),
+            preset((0.1, 0.4), 0).unwrap_err(),
             ConfigError::ZeroDestroyCap
         );
+        // The boundaries themselves are legal.
+        preset((0.001, 1.0), 1).unwrap();
     }
 
     #[test]

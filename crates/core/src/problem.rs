@@ -345,7 +345,7 @@ impl LnsProblem for SraProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_cluster::{InstanceBuilder, ObjectiveKind};
+    use rex_cluster::InstanceBuilder;
 
     fn inst() -> Instance {
         let mut b = InstanceBuilder::new(1).label("p");
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn objective_matches_cluster_objective_without_smoothing() {
         let inst = inst();
-        let mut p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let mut p = SraProblem::new(&inst, Objective::pure());
         p.smoothing = 0.0;
         let asg = Assignment::from_initial(&inst);
         assert!((LnsProblem::objective(&p, &asg) - 0.6).abs() < 1e-12);
@@ -377,7 +377,7 @@ mod tests {
         b.shard(&[8.0], 1.0, m0); // fixed peak holder
         b.shard(&[4.0], 1.0, m1);
         let inst = b.build().unwrap();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         let concentrated = Assignment::from_initial(&inst); // loads .8, .4, 0
         let mut spread = Assignment::from_initial(&inst);
         spread.move_shard(&inst, ShardId(1), MachineId(2)); // same loads, same msq
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn insertion_score_prefers_lighter_machine() {
         let inst = inst();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         let mut asg = Assignment::from_initial(&inst);
         asg.detach_shard(&inst, ShardId(0));
         let s0 = p.insertion_score(&asg, ShardId(0), MachineId(1)).unwrap(); // load 0.8
@@ -446,13 +446,7 @@ mod tests {
     #[test]
     fn insertion_score_penalizes_moving_away_from_initial() {
         let inst = inst();
-        let p = SraProblem::new(
-            &inst,
-            Objective {
-                kind: ObjectiveKind::PeakLoad,
-                lambda: 1.0,
-            },
-        );
+        let p = SraProblem::new(&inst, Objective { lambda: 1.0 });
         let mut asg = Assignment::from_initial(&inst);
         asg.detach_shard(&inst, ShardId(1)); // initial machine: m1
                                              // Same resulting machine load is impossible here, so compare the

@@ -387,7 +387,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
-    use rex_cluster::{Assignment, Instance, InstanceBuilder, Objective, ObjectiveKind};
+    use rex_cluster::{Assignment, Instance, InstanceBuilder, Objective};
     use rex_lns::{LnsProblem, LnsProblemInPlace};
 
     fn rng() -> StdRng {
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn greedy_best_fit_balances() {
         let inst = inst();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         let mut state = detach_all_state(&p);
         assert!(RepairInPlace::repair(
             &GreedyBestFit,
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn repairs_respect_vacancy_quota() {
         let inst = inst(); // k_return = 1
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         for repair in default_repairs_in_place() {
             let mut state = detach_all_state(&p);
             assert!(
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn regret2_produces_feasible_balanced_solution() {
         let inst = inst();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         let mut state = detach_all_state(&p);
         assert!(RepairInPlace::repair(
             &Regret2Insert,
@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn randomized_greedy_is_feasible_across_seeds() {
         let inst = inst();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         for seed in 0..10 {
             let mut r = StdRng::seed_from_u64(seed);
             let mut state = detach_all_state(&p);
@@ -487,7 +487,7 @@ mod tests {
     #[test]
     fn greedy_is_deterministic() {
         let inst = inst();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         let mut sa = detach_all_state(&p);
         let mut sb = detach_all_state(&p);
         assert!(RepairInPlace::repair(
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn in_place_repairs_complete_detached_states() {
         let inst = inst();
-        let p = SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad));
+        let p = SraProblem::new(&inst, Objective::pure());
         for repair in default_repairs_in_place() {
             let mut state = detach_all_state(&p);
             let ok = repair.repair(&p, &mut state, &mut rng());
@@ -742,7 +742,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let inst = mixed_fleet(&mut rng, dims, machines, shards);
             let drained = drained_machines(&mut rng, &inst, drains);
-            let p = SraProblem::new(&inst, Objective { kind: ObjectiveKind::PeakLoad, lambda })
+            let p = SraProblem::new(&inst, Objective { lambda })
                 .with_drain(&drained);
             let mut state = burst_state(&p, &mut rng, machines);
             let removed = std::mem::take(&mut state.removed);
@@ -804,7 +804,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let inst = mixed_fleet(&mut rng, dims, machines, shards);
             let drained = drained_machines(&mut rng, &inst, drains);
-            let p = SraProblem::new(&inst, Objective { kind: ObjectiveKind::PeakLoad, lambda })
+            let p = SraProblem::new(&inst, Objective { lambda })
                 .with_drain(&drained);
             regret2_against_full_rescans(&p, seed, machines)?;
         }

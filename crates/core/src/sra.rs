@@ -210,21 +210,19 @@ pub fn solve_traced(
 ) -> Result<SraResult, ClusterError> {
     inst.validate()?;
     let start = Instant::now();
-    if rec.is_active() {
-        rec.span_open(
-            "sra",
-            "solve",
-            vec![
-                ("machines", inst.n_machines().into()),
-                ("shards", inst.n_shards().into()),
-                ("k_return", inst.k_return.into()),
-                ("drain", drain.len().into()),
-                ("seed", cfg.seed.into()),
-                ("iters", cfg.iters.into()),
-                ("workers", cfg.workers.into()),
-            ],
-        );
-    }
+    rec.span_open(
+        "sra",
+        "solve",
+        &[
+            ("machines", inst.n_machines().into()),
+            ("shards", inst.n_shards().into()),
+            ("k_return", inst.k_return.into()),
+            ("drain", drain.len().into()),
+            ("seed", cfg.seed.into()),
+            ("iters", cfg.iters.into()),
+            ("workers", cfg.workers.into()),
+        ],
+    );
 
     // Global bests are gated on plannability (`accept_best`), so a serial
     // or portfolio result is schedulable by construction; only the
@@ -232,34 +230,26 @@ pub fn solve_traced(
     // reach the fallback below.
     let mut problem = SraProblem::new(inst, cfg.objective).with_drain(drain);
     problem.planner = cfg.planner;
-    if rec.is_active() {
-        rec.span_open("sra", "search", vec![]);
-    }
+    rec.span_open("sra", "search", &[]);
     let searched = run_search(&problem, cfg, cfg.seed, rec);
-    if rec.is_active() {
-        rec.span_close("sra", "search", vec![("ok", searched.is_ok().into())]);
-    }
+    rec.span_close("sra", "search", &[("ok", searched.is_ok().into())]);
     let (best, iterations, stats, trajectory) = searched?;
 
-    if rec.is_active() {
-        rec.span_open("sra", "plan", vec![]);
-    }
+    rec.span_open("sra", "plan", &[]);
     let planned = plan_migration(inst, &inst.initial, best.placement(), &cfg.planner);
-    if rec.is_active() {
-        rec.span_close(
-            "sra",
-            "plan",
-            vec![(
-                "outcome",
-                match &planned {
-                    Ok(_) => "ok",
-                    Err(ClusterError::PlanningDeadlock { .. }) => "deadlock",
-                    Err(_) => "error",
-                }
-                .into(),
-            )],
-        );
-    }
+    rec.span_close(
+        "sra",
+        "plan",
+        &[(
+            "outcome",
+            match &planned {
+                Ok(_) => "ok",
+                Err(ClusterError::PlanningDeadlock { .. }) => "deadlock",
+                Err(_) => "error",
+            }
+            .into(),
+        )],
+    );
     let (best, plan, iterations, fallback_used, stats, trajectory) = match planned {
         Ok(plan) => (best, plan, iterations, false, stats, trajectory),
         Err(ClusterError::PlanningDeadlock { .. }) => {
@@ -273,18 +263,10 @@ pub fn solve_traced(
                 partitions: 0,
                 ..*cfg
             };
-            if rec.is_active() {
-                rec.add("sra.fallbacks", 1);
-                rec.span_open(
-                    "sra",
-                    "fallback",
-                    vec![("iters", fallback_cfg.iters.into())],
-                );
-            }
+            rec.add("sra.fallbacks", 1);
+            rec.span_open("sra", "fallback", &[("iters", fallback_cfg.iters.into())]);
             let fallen = run_search(&problem, &fallback_cfg, cfg.seed.wrapping_add(1), rec);
-            if rec.is_active() {
-                rec.span_close("sra", "fallback", vec![("ok", fallen.is_ok().into())]);
-            }
+            rec.span_close("sra", "fallback", &[("ok", fallen.is_ok().into())]);
             let (b2, it2, stats2, traj2) = fallen?;
             let plan = plan_migration(inst, &inst.initial, b2.placement(), &cfg.planner)?;
             (b2, plan, iterations + it2, true, stats2, traj2)
@@ -295,17 +277,9 @@ pub fn solve_traced(
     // Independent verification: the planner and the simulator implement the
     // transient semantics separately; disagreement is a bug worth failing
     // loudly on.
-    if rec.is_active() {
-        rec.span_open(
-            "sra",
-            "verify",
-            vec![("batches", plan.batches.len().into())],
-        );
-    }
+    rec.span_open("sra", "verify", &[("batches", plan.batches.len().into())]);
     let verified = verify_schedule(inst, &inst.initial, best.placement(), &plan);
-    if rec.is_active() {
-        rec.span_close("sra", "verify", vec![("ok", verified.is_ok().into())]);
-    }
+    rec.span_close("sra", "verify", &[("ok", verified.is_ok().into())]);
     verified?;
     best.check_target(inst)?;
 
@@ -321,20 +295,18 @@ pub fn solve_traced(
     returned_machines.sort_by_key(|m| (!inst.machines[m.idx()].exchange, m.idx()));
     returned_machines.truncate(inst.k_return);
 
-    if rec.is_active() {
-        rec.gauge("sra.objective", objective_value);
-        rec.span_close(
-            "sra",
-            "solve",
-            vec![
-                ("objective", objective_value.into()),
-                ("iterations", iterations.into()),
-                ("fallback_used", fallback_used.into()),
-                ("plan_batches", plan.batches.len().into()),
-                ("returned", returned_machines.len().into()),
-            ],
-        );
-    }
+    rec.gauge("sra.objective", objective_value);
+    rec.span_close(
+        "sra",
+        "solve",
+        &[
+            ("objective", objective_value.into()),
+            ("iterations", iterations.into()),
+            ("fallback_used", fallback_used.into()),
+            ("plan_batches", plan.batches.len().into()),
+            ("returned", returned_machines.len().into()),
+        ],
+    );
 
     Ok(SraResult {
         objective_value,
@@ -459,7 +431,7 @@ pub(crate) fn starting_solution(problem: &SraProblem<'_>) -> Result<Assignment, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_cluster::{InstanceBuilder, ObjectiveKind};
+    use rex_cluster::InstanceBuilder;
 
     /// Imbalanced: one hot machine, one cool machine, one exchange machine.
     fn imbalanced() -> Instance {
@@ -477,7 +449,7 @@ mod tests {
     fn quick_cfg() -> SraConfig {
         SraConfig {
             iters: 2_000,
-            objective: Objective::pure(ObjectiveKind::PeakLoad),
+            objective: Objective::pure(),
             ..Default::default()
         }
     }

@@ -524,11 +524,7 @@ impl LnsProblemInPlace for SraProblem<'_> {
 
     fn state_objective(&self, state: &mut SraState) -> f64 {
         let n = self.inst.n_machines() as f64;
-        let balance = match self.objective.kind {
-            rex_cluster::ObjectiveKind::PeakLoad => state.current_peak(),
-            rex_cluster::ObjectiveKind::L2Imbalance => (state.sumsq.value() / n).sqrt(),
-        };
-        let mut value = balance;
+        let mut value = state.current_peak();
         let total = self.total_move_cost();
         if self.objective.lambda != 0.0 && total > 0.0 {
             value += self.objective.lambda * state.mig_cost.value() / total;
@@ -622,7 +618,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-    use rex_cluster::{InstanceBuilder, Objective, ObjectiveKind};
+    use rex_cluster::{InstanceBuilder, Objective};
 
     fn inst() -> rex_cluster::Instance {
         let mut b = InstanceBuilder::new(2).label("state");
@@ -679,37 +675,35 @@ mod tests {
     #[test]
     fn delta_objective_tracks_full_recompute_over_random_edits() {
         let inst = inst();
-        for kind in [ObjectiveKind::PeakLoad, ObjectiveKind::L2Imbalance] {
-            let p = SraProblem::new(&inst, Objective { kind, lambda: 0.3 });
-            let mut state = p.make_state(Assignment::from_initial(&inst));
-            let mut rng = StdRng::seed_from_u64(7);
-            for round in 0..500 {
-                let s = ShardId::from(rng.random_range(0..inst.n_shards()));
-                state.detach(&p, s);
-                // Reattach somewhere it fits (possibly where it came from).
-                let mut target = None;
-                for mi in 0..inst.n_machines() {
-                    let m = MachineId::from(mi);
-                    if state.asg.fits(&inst, s, m) {
-                        target = Some(m);
-                        if rng.random_range(0..2) == 1 {
-                            break;
-                        }
+        let p = SraProblem::new(&inst, Objective { lambda: 0.3 });
+        let mut state = p.make_state(Assignment::from_initial(&inst));
+        let mut rng = StdRng::seed_from_u64(7);
+        for round in 0..500 {
+            let s = ShardId::from(rng.random_range(0..inst.n_shards()));
+            state.detach(&p, s);
+            // Reattach somewhere it fits (possibly where it came from).
+            let mut target = None;
+            for mi in 0..inst.n_machines() {
+                let m = MachineId::from(mi);
+                if state.asg.fits(&inst, s, m) {
+                    target = Some(m);
+                    if rng.random_range(0..2) == 1 {
+                        break;
                     }
                 }
-                state.removed.clear();
-                state.attach(&p, s, target.expect("shard fits somewhere"));
-                let delta = p.state_objective(&mut state);
-                let full = full_objective(&p, &state.asg);
-                assert!(
-                    (delta - full).abs() < 1e-9,
-                    "round {round}: delta {delta} vs full {full}"
-                );
-                if round % 3 == 0 {
-                    LnsProblemInPlace::revert(&p, &mut state);
-                } else {
-                    LnsProblemInPlace::commit(&p, &mut state);
-                }
+            }
+            state.removed.clear();
+            state.attach(&p, s, target.expect("shard fits somewhere"));
+            let delta = p.state_objective(&mut state);
+            let full = full_objective(&p, &state.asg);
+            assert!(
+                (delta - full).abs() < 1e-9,
+                "round {round}: delta {delta} vs full {full}"
+            );
+            if round % 3 == 0 {
+                LnsProblemInPlace::revert(&p, &mut state);
+            } else {
+                LnsProblemInPlace::commit(&p, &mut state);
             }
         }
     }
@@ -721,13 +715,7 @@ mod tests {
         // running `sumsq`/`mig_cost` within the 1e-9 band of a from-scratch
         // recompute.
         let inst = inst();
-        let p = SraProblem::new(
-            &inst,
-            Objective {
-                kind: ObjectiveKind::L2Imbalance,
-                lambda: 0.3,
-            },
-        );
+        let p = SraProblem::new(&inst, Objective { lambda: 0.3 });
         let mut state = p.make_state(Assignment::from_initial(&inst));
         let mut rng = StdRng::seed_from_u64(91);
         for round in 0..20_000u32 {

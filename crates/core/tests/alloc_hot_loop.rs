@@ -16,7 +16,7 @@
 //! parallel tests in the same binary would race the counter.
 
 use rand::{rngs::StdRng, SeedableRng};
-use rex_cluster::{Assignment, Objective, ObjectiveKind};
+use rex_cluster::{Assignment, Objective};
 use rex_core::{default_destroys_in_place, default_repairs_in_place, SraProblem};
 use rex_lns::{LnsProblem, LnsProblemInPlace};
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
@@ -66,8 +66,7 @@ fn steady_state_hot_loop_does_not_allocate() {
     .expect("generate");
     // No plan checks: `plan_migration` builds fresh schedules and is not
     // part of the per-iteration hot path this test pins down.
-    let problem =
-        SraProblem::new(&inst, Objective::pure(ObjectiveKind::PeakLoad)).without_plan_checks();
+    let problem = SraProblem::new(&inst, Objective::pure()).without_plan_checks();
     let initial = Assignment::from_initial(&inst);
     assert!(LnsProblem::is_feasible(&problem, &initial));
 

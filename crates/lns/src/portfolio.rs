@@ -77,17 +77,15 @@ where
             seed: worker_seed(base_seed, w),
         })
         .collect();
-    if rec.is_active() {
-        rec.span_open(
-            "lns",
-            "portfolio",
-            vec![
-                ("workers", workers.into()),
-                ("base_seed", base_seed.into()),
-                ("max_iters", jobs[0].engine.config().max_iters.into()),
-            ],
-        );
-    }
+    rec.span_open(
+        "lns",
+        "portfolio",
+        &[
+            ("workers", workers.into()),
+            ("base_seed", base_seed.into()),
+            ("max_iters", jobs[0].engine.config().max_iters.into()),
+        ],
+    );
     let outcomes = cooperative_round(jobs);
 
     let worker_results: Vec<WorkerResult> = outcomes
@@ -110,28 +108,26 @@ where
         })
         .expect("at least one worker");
 
-    if rec.is_active() {
-        for w in &worker_results {
-            rec.event(
-                "lns",
-                "worker",
-                vec![
-                    ("worker", w.worker.into()),
-                    ("seed", worker_seed(base_seed, w.worker).into()),
-                    ("objective", w.objective.into()),
-                    ("iterations", w.iterations.into()),
-                ],
-            );
-        }
-        rec.span_close(
+    for w in &worker_results {
+        rec.event(
             "lns",
-            "portfolio",
-            vec![
-                ("winner", winner.into()),
-                ("best_objective", best_outcome.best_objective.into()),
+            "worker",
+            &[
+                ("worker", w.worker.into()),
+                ("seed", worker_seed(base_seed, w.worker).into()),
+                ("objective", w.objective.into()),
+                ("iterations", w.iterations.into()),
             ],
         );
     }
+    rec.span_close(
+        "lns",
+        "portfolio",
+        &[
+            ("winner", winner.into()),
+            ("best_objective", best_outcome.best_objective.into()),
+        ],
+    );
     PortfolioOutcome {
         best: best_outcome.best,
         best_objective: best_outcome.best_objective,

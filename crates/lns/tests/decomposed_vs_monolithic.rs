@@ -13,7 +13,7 @@
 //!    thread-sensitive check lives in one `#[test]`), and rex-obs
 //!    recording never perturbs the outcome.
 
-use rex_cluster::{verify_schedule, Objective, ObjectiveKind};
+use rex_cluster::{verify_schedule, Objective};
 use rex_core::{solve, solve_traced, SraConfig, SraResult};
 use rex_obs::Recorder;
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
@@ -37,7 +37,7 @@ fn cfg(partitions: usize) -> SraConfig {
         iters: 1_500,
         partitions,
         seed: 23,
-        objective: Objective::pure(ObjectiveKind::PeakLoad),
+        objective: Objective::pure(),
         ..Default::default()
     }
 }
@@ -247,7 +247,7 @@ mod prop {
                     iters: 400,
                     partitions: 4,
                     seed,
-                    objective: Objective::pure(ObjectiveKind::PeakLoad),
+                    objective: Objective::pure(),
                     ..Default::default()
                 },
             )
@@ -298,7 +298,7 @@ mod prop {
                 iters: 600,
                 partitions: 4,
                 seed,
-                objective: Objective::pure(ObjectiveKind::PeakLoad),
+                objective: Objective::pure(),
                 ..Default::default()
             };
             let flat = solve(&inst, &base).expect("flat solve");

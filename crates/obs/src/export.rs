@@ -36,9 +36,6 @@ fn push_json_value(out: &mut String, v: &Value) {
         Value::U64(x) => {
             let _ = write!(out, "{x}");
         }
-        Value::I64(x) => {
-            let _ = write!(out, "{x}");
-        }
         Value::F64(x) if x.is_finite() => {
             let _ = write!(out, "{x}");
         }
@@ -160,18 +157,18 @@ mod tests {
     fn jsonl_shape_is_stable() {
         let mut r = Recorder::active();
         r.set_tick(3);
-        r.span_open("sra", "solve", vec![("seed", 7u64.into())]);
+        r.span_open("sra", "solve", &[("seed", 7u64.into())]);
         r.event(
             "lns",
             "iter",
-            vec![
+            &[
                 ("op", "greedy".into()),
                 ("delta", (-0.5f64).into()),
                 ("nan", f64::NAN.into()),
                 ("ok", true.into()),
             ],
         );
-        r.span_close("sra", "solve", vec![]);
+        r.span_close("sra", "solve", &[]);
         let jsonl = r.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -203,10 +200,10 @@ mod tests {
     #[test]
     fn summary_counts_spans_once() {
         let mut r = Recorder::active();
-        r.span_open("sra", "solve", vec![]);
-        r.event("lns", "iter", vec![]);
-        r.event("lns", "iter", vec![]);
-        r.span_close("sra", "solve", vec![]);
+        r.span_open("sra", "solve", &[]);
+        r.event("lns", "iter", &[]);
+        r.event("lns", "iter", &[]);
+        r.span_close("sra", "solve", &[]);
         r.add("accepted", 2);
         r.gauge("peak", 0.9);
         r.observe("delta", 0.25);

@@ -14,12 +14,24 @@
 //! [`Recorder`] is a two-state enum, not a trait object and not a macro:
 //!
 //! * [`Recorder::Noop`] — the disabled path. Every method begins with a
-//!   discriminant check and returns immediately; hot loops additionally
-//!   guard event construction behind [`Recorder::is_active`] so a disabled
-//!   recorder costs one predictable branch per iteration.
+//!   discriminant check and returns immediately.
 //! * [`Recorder::active`] — buffers [`EventRecord`]s and aggregates
 //!   [`metrics`] (counters, gauges, fixed-bucket histograms) in `BTreeMap`s
 //!   (deterministic iteration order for the summary).
+//!
+//! ## Calling convention
+//!
+//! Fields are plain data: a call site passes a borrowed stack array,
+//! `rec.event("sra", "start", &[("peak", peak.into()), ("ok", true.into())])`,
+//! and a [`Value`] is a scalar or a `Cow<'static, str>` (a literal borrows;
+//! only an owned `String` allocates, where the caller built it). A disabled
+//! call therefore builds a few scalars on the stack and returns — it cannot
+//! allocate, so call sites record unconditionally. Only the active variant
+//! copies the slice into an [`EventRecord`]. What a caller may still test
+//! [`Recorder::is_active`] for is the cost of *computing* a field (a fleet
+//! scan, an operator name rendered to a `String`), never the call itself;
+//! the one such place on a hot path is the LNS engine's per-iteration
+//! `("lns", "iter")` event, behind one flag read once per iteration.
 //!
 //! ## Event taxonomy
 //!
@@ -40,6 +52,7 @@ pub mod export;
 pub mod metrics;
 
 use metrics::{Gauge, Histogram};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A typed field value attached to an event.
@@ -47,13 +60,11 @@ use std::collections::BTreeMap;
 pub enum Value {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Float (serialized with Rust's shortest-roundtrip formatter; NaN and
     /// infinities serialize as `null`).
     F64(f64),
-    /// Text (owned: operator names etc. live shorter than the trace).
-    Str(String),
+    /// Text: a literal borrows, a name rendered at run time is owned.
+    Str(Cow<'static, str>),
     /// Boolean.
     Bool(bool),
 }
@@ -68,24 +79,19 @@ impl From<usize> for Value {
         Value::U64(v as u64)
     }
 }
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
 impl From<f64> for Value {
     fn from(v: f64) -> Self {
         Value::F64(v)
     }
 }
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(Cow::Borrowed(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 impl From<bool> for Value {
@@ -167,8 +173,8 @@ impl Recorder {
         Recorder::Active(Box::default())
     }
 
-    /// True when events are being recorded. Hot loops must guard event
-    /// construction behind this so the disabled path never allocates.
+    /// True when events are being recorded. Recording calls never need
+    /// this test; it exists to skip computing a field that is itself costly.
     #[inline]
     pub fn is_active(&self) -> bool {
         matches!(self, Recorder::Active(_))
@@ -185,20 +191,12 @@ impl Recorder {
         }
     }
 
-    /// Current logical time (0 when disabled).
-    pub fn tick(&self) -> u64 {
-        match self {
-            Recorder::Noop => 0,
-            Recorder::Active(t) => t.tick,
-        }
-    }
-
     /// Records a point event.
     pub fn event(
         &mut self,
         layer: &'static str,
         name: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: &[(&'static str, Value)],
     ) {
         if let Recorder::Active(t) = self {
             t.push(layer, name, EventKind::Point, fields);
@@ -211,7 +209,7 @@ impl Recorder {
         &mut self,
         layer: &'static str,
         name: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: &[(&'static str, Value)],
     ) {
         if let Recorder::Active(t) = self {
             let seq = t.push(layer, name, EventKind::SpanOpen, fields);
@@ -226,7 +224,7 @@ impl Recorder {
         &mut self,
         layer: &'static str,
         name: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: &[(&'static str, Value)],
     ) {
         if let Recorder::Active(t) = self {
             let Some(open_seq) = t.span_stack.pop() else {
@@ -310,7 +308,7 @@ impl Trace {
         layer: &'static str,
         name: &'static str,
         kind: EventKind,
-        fields: Vec<(&'static str, Value)>,
+        fields: &[(&'static str, Value)],
     ) -> u64 {
         let seq = self.seq;
         self.seq += 1;
@@ -325,7 +323,7 @@ impl Trace {
             layer,
             name,
             kind,
-            fields,
+            fields: fields.to_vec(),
         });
         seq
     }
@@ -336,28 +334,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_records_nothing() {
-        let mut r = Recorder::noop();
-        assert!(!r.is_active());
-        r.set_tick(5);
-        r.event("lns", "iter", vec![("x", 1u64.into())]);
-        r.span_open("sra", "search", vec![]);
-        r.add("n", 3);
-        r.gauge("g", 1.0);
-        r.observe("h", 2.0);
-        assert!(r.events().is_empty());
-        assert_eq!(r.counter("n"), 0);
-        assert_eq!(r.to_jsonl(), "");
-    }
-
-    #[test]
     fn sequence_is_monotonic_and_tick_sticks() {
         let mut r = Recorder::active();
         r.set_tick(7);
-        r.event("lns", "a", vec![]);
-        r.event("lns", "b", vec![]);
+        r.event("lns", "a", &[]);
+        r.event("lns", "b", &[]);
         r.set_tick(9);
-        r.event("lns", "c", vec![]);
+        r.event("lns", "c", &[]);
         let ev = r.events();
         assert_eq!(ev.len(), 3);
         assert_eq!((ev[0].tick, ev[0].seq), (7, 0));
@@ -368,11 +351,11 @@ mod tests {
     #[test]
     fn spans_nest_and_backreference() {
         let mut r = Recorder::active();
-        r.span_open("sra", "solve", vec![]);
-        r.span_open("sra", "search", vec![]);
-        r.event("lns", "iter", vec![]);
-        r.span_close("sra", "search", vec![]);
-        r.span_close("sra", "solve", vec![("ok", true.into())]);
+        r.span_open("sra", "solve", &[]);
+        r.span_open("sra", "search", &[]);
+        r.event("lns", "iter", &[]);
+        r.span_close("sra", "search", &[]);
+        r.span_close("sra", "solve", &[("ok", true.into())]);
         let ev = r.events();
         assert_eq!(ev[0].depth, 0);
         assert_eq!(ev[1].depth, 1);
@@ -387,7 +370,7 @@ mod tests {
     #[test]
     fn unbalanced_span_close_is_a_noop() {
         let mut r = Recorder::active();
-        r.span_close("sra", "search", vec![]);
+        r.span_close("sra", "search", &[]);
         assert!(r.events().is_empty());
     }
 
@@ -405,13 +388,13 @@ mod tests {
         let record = || {
             let mut r = Recorder::active();
             r.set_tick(1);
-            r.span_open("sra", "solve", vec![("seed", 42u64.into())]);
+            r.span_open("sra", "solve", &[("seed", 42u64.into())]);
             for i in 0..10u64 {
                 r.set_tick(i);
                 r.event(
                     "lns",
                     "iter",
-                    vec![
+                    &[
                         ("destroy", "random-remove".into()),
                         ("delta", (-0.125f64 * i as f64).into()),
                         ("accepted", (i % 2 == 0).into()),
@@ -419,7 +402,7 @@ mod tests {
                 );
                 r.observe("lns.delta", 0.125 * i as f64);
             }
-            r.span_close("sra", "solve", vec![]);
+            r.span_close("sra", "solve", &[]);
             (r.to_jsonl(), r.summary())
         };
         let (a_jsonl, a_summary) = record();

@@ -19,7 +19,7 @@
 
 use crate::config::SraCoupling;
 use crate::state::{MachineState, ReplicaState};
-use rex_cluster::{Instance, InstanceBuilder, Objective, ObjectiveKind};
+use rex_cluster::{Instance, InstanceBuilder, Objective};
 use rex_core::{run_search, SraConfig, SraProblem};
 use rex_obs::Recorder;
 
@@ -190,8 +190,7 @@ impl Coupling {
         spike_share: &[f64],
     ) -> usize {
         let snap = self.snapshot(st, ms);
-        let problem =
-            SraProblem::new(&snap, Objective::pure(ObjectiveKind::PeakLoad)).without_plan_checks();
+        let problem = SraProblem::new(&snap, Objective::pure()).without_plan_checks();
         let seed = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -200,7 +199,7 @@ impl Coupling {
             iters: self.cfg.iters,
             seed,
             workers: 1,
-            objective: Objective::pure(ObjectiveKind::PeakLoad),
+            objective: Objective::pure(),
             ..Default::default()
         };
         let (best, _iters, _, _) =

@@ -26,6 +26,7 @@ use crate::state::{MachineState, QuerySlab, ReplicaState};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
+use rex_cluster::metrics::nearest_rank_percentiles;
 use rex_cluster::service;
 use rex_cluster::Instance;
 use rex_obs::Recorder;
@@ -260,22 +261,20 @@ impl Router {
     /// directly only when driving the loop tick-by-tick with
     /// [`Router::step`], and only once.
     pub fn start(&mut self, rec: &mut Recorder) {
-        if rec.is_active() {
-            rec.span_open(
-                "router",
-                "run",
-                vec![
-                    ("policy", self.policy.kind().name().into()),
-                    ("machines", self.ms.len().into()),
-                    ("shards", self.shares.len().into()),
-                    ("replication", (self.cfg.replication as u64).into()),
-                    ("fanout", (self.cfg.fanout as u64).into()),
-                    ("horizon_us", self.cfg.horizon_us.into()),
-                    ("seed", self.cfg.seed.into()),
-                    ("sra", self.coupling.is_some().into()),
-                ],
-            );
-        }
+        rec.span_open(
+            "router",
+            "run",
+            &[
+                ("policy", self.policy.kind().name().into()),
+                ("machines", self.ms.len().into()),
+                ("shards", self.shares.len().into()),
+                ("replication", (self.cfg.replication as u64).into()),
+                ("fanout", (self.cfg.fanout as u64).into()),
+                ("horizon_us", self.cfg.horizon_us.into()),
+                ("seed", self.cfg.seed.into()),
+                ("sra", self.coupling.is_some().into()),
+            ],
+        );
         self.queue.schedule(1, EventKind::ArrivalPump);
         if let Some(c) = &self.cfg.sra {
             self.queue.schedule(c.every_us, EventKind::SraPoll);
@@ -474,14 +473,12 @@ impl Router {
         for m in 0..self.ms.len() {
             self.ms.recompute(m);
         }
-        if rec.is_active() {
-            rec.set_tick(t);
-            rec.event(
-                "router",
-                if on { "spike_start" } else { "spike_end" },
-                vec![("tick_us", t.into())],
-            );
-        }
+        rec.set_tick(t);
+        rec.event(
+            "router",
+            if on { "spike_start" } else { "spike_end" },
+            &[("tick_us", t.into())],
+        );
     }
 
     fn spawn_query(&mut self, t: u64) {
@@ -565,15 +562,13 @@ impl Router {
             &zeros
         };
         let applied = c.poll(&mut self.st, &mut self.ms, &self.shares, spike_share);
-        if rec.is_active() {
-            rec.set_tick(t);
-            rec.event(
-                "router",
-                "sra_poll",
-                vec![("tick_us", t.into()), ("moves", (applied as u64).into())],
-            );
-            rec.add("router_sra_moves", applied as u64);
-        }
+        rec.set_tick(t);
+        rec.event(
+            "router",
+            "sra_poll",
+            &[("tick_us", t.into()), ("moves", (applied as u64).into())],
+        );
+        rec.add("router_sra_moves", applied as u64);
         if t < self.cfg.horizon_us {
             let every = self.cfg.sra.expect("coupling implies sra config").every_us;
             self.queue.schedule(t + every, EventKind::SraPoll);
@@ -585,7 +580,7 @@ impl Router {
     /// for step-driven callers ([`Router::start`] / [`Router::step`] /
     /// [`Router::advance_to`]); [`Router::run_traced`] calls it last.
     pub fn finish(self, rec: &mut Recorder) -> RouterReport {
-        let (p50, p95, p99) = rex_searchsim::qos::timeline_percentiles(&self.samples, 0.0);
+        let (p50, p95, p99) = nearest_rank_percentiles(&self.samples);
         let mean = if self.samples.is_empty() {
             0.0
         } else {
@@ -597,27 +592,25 @@ impl Router {
             .coupling
             .as_ref()
             .map_or((0, 0), |c| (c.solves, c.moves_applied));
-        if rec.is_active() {
-            rec.add("router_queries", self.counters.queries);
-            rec.add("router_subrequests", self.counters.subrequests);
-            rec.add("router_events", self.counters.events);
-            rec.add("router_probes_sent", self.counters.probes_sent);
-            rec.add("router_probe_replies", self.counters.probe_replies);
-            rec.add("router_pool_hits", probe.pool_hits);
-            rec.add("router_pool_misses", probe.pool_misses);
-            rec.gauge("router_p50_us", p50);
-            rec.gauge("router_p95_us", p95);
-            rec.gauge("router_p99_us", p99);
-            rec.span_close(
-                "router",
-                "run",
-                vec![
-                    ("queries", self.counters.queries.into()),
-                    ("events", self.counters.events.into()),
-                    ("p99_us", p99.into()),
-                ],
-            );
-        }
+        rec.add("router_queries", self.counters.queries);
+        rec.add("router_subrequests", self.counters.subrequests);
+        rec.add("router_events", self.counters.events);
+        rec.add("router_probes_sent", self.counters.probes_sent);
+        rec.add("router_probe_replies", self.counters.probe_replies);
+        rec.add("router_pool_hits", probe.pool_hits);
+        rec.add("router_pool_misses", probe.pool_misses);
+        rec.gauge("router_p50_us", p50);
+        rec.gauge("router_p95_us", p95);
+        rec.gauge("router_p99_us", p99);
+        rec.span_close(
+            "router",
+            "run",
+            &[
+                ("queries", self.counters.queries.into()),
+                ("events", self.counters.events.into()),
+                ("p99_us", p99.into()),
+            ],
+        );
         RouterReport {
             policy: self.policy.kind().name().to_string(),
             seed: self.cfg.seed,

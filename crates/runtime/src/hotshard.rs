@@ -498,13 +498,11 @@ impl HotShardPlane {
         let expired = self.sched.expire(tick);
         if !expired.is_empty() {
             cx.counters.hotshard_expired += expired.len() as u64;
-            if cx.obs.is_active() {
-                cx.obs.event(
-                    "runtime",
-                    "hotshard_expired",
-                    vec![("operators", expired.len().into())],
-                );
-            }
+            cx.obs.event(
+                "runtime",
+                "hotshard_expired",
+                &[("operators", expired.len().into())],
+            );
         }
         self.propose_operators(tick, cx.cl, cx.obs);
         if idle {
@@ -520,11 +518,11 @@ impl HotShardPlane {
         let cancelled = self.sched.cancel_all();
         counters.hotshard_cancelled += cancelled.len() as u64;
         self.plan_op = None;
-        if obs.is_active() && !cancelled.is_empty() {
+        if !cancelled.is_empty() {
             obs.event(
                 "runtime",
                 "hotshard_cancelled",
-                vec![
+                &[
                     ("machine", m.idx().into()),
                     ("operators", cancelled.len().into()),
                 ],
@@ -555,6 +553,7 @@ impl HotShardPlane {
             let frac = (cl.inst.demand(ShardId::from(i))[0] + x) / cap;
             self.cache.observe(tick, ShardId::from(i), frac, hot);
         }
+        // Protects the cache scan in `hottest()`.
         if obs.is_active() {
             if let Some(e) = self.cache.hottest() {
                 obs.gauge("runtime.hotshard_ewma_peak", e.ewma);
@@ -575,17 +574,15 @@ impl HotShardPlane {
                     .sched
                     .admit(tick, OperatorKind::Split { shard: e.shard })
                 {
-                    if obs.is_active() {
-                        obs.event(
-                            "runtime",
-                            "hotshard_admit_split",
-                            vec![
-                                ("op", id.into()),
-                                ("shard", e.shard.idx().into()),
-                                ("ewma", e.ewma.into()),
-                            ],
-                        );
-                    }
+                    obs.event(
+                        "runtime",
+                        "hotshard_admit_split",
+                        &[
+                            ("op", id.into()),
+                            ("shard", e.shard.idx().into()),
+                            ("ewma", e.ewma.into()),
+                        ],
+                    );
                 }
             }
         }
@@ -595,17 +592,15 @@ impl HotShardPlane {
             };
             if a < hs.merge_fraction && b < hs.merge_fraction {
                 if let Some(id) = self.sched.admit(tick, OperatorKind::Merge { keep, drop }) {
-                    if obs.is_active() {
-                        obs.event(
-                            "runtime",
-                            "hotshard_admit_merge",
-                            vec![
-                                ("op", id.into()),
-                                ("keep", keep.idx().into()),
-                                ("drop", drop.idx().into()),
-                            ],
-                        );
-                    }
+                    obs.event(
+                        "runtime",
+                        "hotshard_admit_merge",
+                        &[
+                            ("op", id.into()),
+                            ("keep", keep.idx().into()),
+                            ("drop", drop.idx().into()),
+                        ],
+                    );
                 }
             }
         }
@@ -653,18 +648,16 @@ impl HotShardPlane {
             .split(tick, shard, child, cx.cl.cfg.hotshard.split_fraction);
         self.siblings.push((shard, child));
         cx.counters.shard_splits += 1;
-        if cx.obs.is_active() {
-            cx.obs.event(
-                "runtime",
-                "hotshard_split",
-                vec![
-                    ("op", opid.into()),
-                    ("parent", shard.idx().into()),
-                    ("child", child.idx().into()),
-                ],
-            );
-            cx.obs.add("runtime.hotshard_splits", 1);
-        }
+        cx.obs.event(
+            "runtime",
+            "hotshard_split",
+            &[
+                ("op", opid.into()),
+                ("parent", shard.idx().into()),
+                ("child", child.idx().into()),
+            ],
+        );
+        cx.obs.add("runtime.hotshard_splits", 1);
         self.sched.complete(opid);
         // Both halves sit on the still-hot machine; ask the solver for a
         // better placement of exactly these two shards.
@@ -730,18 +723,16 @@ impl HotShardPlane {
             self.forget_merged(&mut cx.cl.spikes, keep, drop, renamed);
             cx.cl.asg = Assignment::from_initial(&cx.cl.inst);
             cx.counters.shard_merges += 1;
-            if cx.obs.is_active() {
-                cx.obs.event(
-                    "runtime",
-                    "hotshard_merge",
-                    vec![
-                        ("op", opid.into()),
-                        ("keep", keep.idx().into()),
-                        ("dropped", drop.idx().into()),
-                    ],
-                );
-                cx.obs.add("runtime.hotshard_merges", 1);
-            }
+            cx.obs.event(
+                "runtime",
+                "hotshard_merge",
+                &[
+                    ("op", opid.into()),
+                    ("keep", keep.idx().into()),
+                    ("dropped", drop.idx().into()),
+                ],
+            );
+            cx.obs.add("runtime.hotshard_merges", 1);
         }
         self.sched.complete(opid);
         None
@@ -807,20 +798,16 @@ impl HotShardPlane {
             Ok(pm) if !pm.plan.batches.is_empty() => return Some(pm),
             Ok(_) => {
                 // The best delta placement keeps everything put.
-                if cx.obs.is_active() {
-                    cx.obs
-                        .event("runtime", "hotshard_plan_empty", vec![("op", opid.into())]);
-                }
+                cx.obs
+                    .event("runtime", "hotshard_plan_empty", &[("op", opid.into())]);
             }
             Err(e) => {
                 cx.counters.plans_failed += 1;
-                if cx.obs.is_active() {
-                    cx.obs.event(
-                        "runtime",
-                        "hotshard_plan_failed",
-                        vec![("op", opid.into()), ("error", e.into())],
-                    );
-                }
+                cx.obs.event(
+                    "runtime",
+                    "hotshard_plan_failed",
+                    &[("op", opid.into()), ("error", e.into())],
+                );
             }
         }
         self.sched.complete(opid);

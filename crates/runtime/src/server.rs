@@ -20,12 +20,12 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use rex_cluster::{service, Assignment, Instance, MachineId, ResourceVec};
-use rex_searchsim::queries::DIURNAL;
+use rex_cluster::service::{self, DIURNAL};
+use rex_cluster::{Assignment, Instance, MachineId, ResourceVec};
 
 /// Normalized, amplitude-damped diurnal multiplier for a tick.
 ///
-/// The raw searchsim curve is normalized to mean 1.0 over a day, then its
+/// The raw [`DIURNAL`] curve is normalized to mean 1.0 over a day, then its
 /// swing is scaled by `amplitude` around that mean (`1 + (raw − 1)·a`), so
 /// the mean stays 1.0 for every amplitude. A provisioned fleet sizes
 /// capacity for peak traffic, so its *utilization* swing is much smaller

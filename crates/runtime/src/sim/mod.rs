@@ -282,12 +282,13 @@ impl Simulation {
 
     fn run_core(mut self, rec: &mut Recorder) -> (MetricsExport, Vec<TraceLine>) {
         self.obs = std::mem::take(rec);
+        // Protects the label clone, the one owned field.
         if self.obs.is_active() {
             self.obs.span_open(
                 "runtime",
                 "simulate",
-                vec![
-                    ("instance", self.base_label.as_str().into()),
+                &[
+                    ("instance", self.base_label.clone().into()),
                     ("policy", self.live.cfg.controller.policy.name().into()),
                     ("seed", self.live.cfg.seed.into()),
                     ("ticks", self.live.cfg.ticks.into()),
@@ -301,30 +302,26 @@ impl Simulation {
             if event == Event::End {
                 break;
             }
-            if self.obs.is_active() {
-                self.obs.set_tick(tick);
-            }
+            self.obs.set_tick(tick);
             self.handle(tick, event);
         }
         let tail = self.arrivals.finish(&mut self.obs);
         record_arrivals(&mut self.bus, &self.live, tail);
         self.final_gauge();
-        if self.obs.is_active() {
-            self.obs.set_tick(self.live.cfg.ticks);
-            let c = &self.bus.counters;
-            self.obs.span_close(
-                "runtime",
-                "simulate",
-                vec![
-                    ("rebalances_triggered", c.rebalances_triggered.into()),
-                    ("rebalances_completed", c.rebalances_completed.into()),
-                    ("rebalances_aborted", c.rebalances_aborted.into()),
-                    ("moves_committed", c.moves_committed.into()),
-                    ("evacuations", c.evacuations.into()),
-                    ("transient_violations", c.transient_violations.into()),
-                ],
-            );
-        }
+        self.obs.set_tick(self.live.cfg.ticks);
+        let c = &self.bus.counters;
+        self.obs.span_close(
+            "runtime",
+            "simulate",
+            &[
+                ("rebalances_triggered", c.rebalances_triggered.into()),
+                ("rebalances_completed", c.rebalances_completed.into()),
+                ("rebalances_aborted", c.rebalances_aborted.into()),
+                ("moves_committed", c.moves_committed.into()),
+                ("evacuations", c.evacuations.into()),
+                ("transient_violations", c.transient_violations.into()),
+            ],
+        );
         let trace = self.wtrace.take().unwrap_or_default();
         let export = MetricsExport {
             meta: RunMeta {
@@ -506,14 +503,12 @@ impl Simulation {
         if idle && self.controller.should_trigger(tick) {
             self.controller.note_trigger(tick);
             self.bus.counters.rebalances_triggered += 1;
-            if self.obs.is_active() {
-                self.obs.event(
-                    "runtime",
-                    "trigger",
-                    vec![("policy", self.live.cfg.controller.policy.name().into())],
-                );
-                self.obs.add("runtime.triggers", 1);
-            }
+            self.obs.event(
+                "runtime",
+                "trigger",
+                &[("policy", self.live.cfg.controller.policy.name().into())],
+            );
+            self.obs.add("runtime.triggers", 1);
             let snapshot = self.live.build_snapshot();
             let failed = self.live.failed_list();
             let seed = self.live.plan_seed();
@@ -530,18 +525,14 @@ impl Simulation {
                     // The solver found nothing better than staying put;
                     // count it as a completed (empty) rebalance.
                     self.bus.counters.rebalances_completed += 1;
-                    if self.obs.is_active() {
-                        self.obs
-                            .event("runtime", "plan_empty", vec![("seed", seed.into())]);
-                    }
+                    self.obs
+                        .event("runtime", "plan_empty", &[("seed", seed.into())]);
                 }
                 Err(_) => {
                     self.bus.counters.plans_failed += 1;
-                    if self.obs.is_active() {
-                        self.obs
-                            .event("runtime", "plan_failed", vec![("seed", seed.into())]);
-                        self.obs.add("runtime.plans_failed", 1);
-                    }
+                    self.obs
+                        .event("runtime", "plan_failed", &[("seed", seed.into())]);
+                    self.obs.add("runtime.plans_failed", 1);
                 }
             }
         }
@@ -558,21 +549,19 @@ impl Simulation {
         }
         let id = self.next_plan_id;
         self.next_plan_id += 1;
-        if self.obs.is_active() {
-            let moves: usize = pm.plan.batches.iter().map(Vec::len).sum();
-            self.obs.event(
-                "runtime",
-                "plan_adopted",
-                vec![
-                    ("plan", id.into()),
-                    ("kind", pm.kind.name().into()),
-                    ("batches", pm.plan.batches.len().into()),
-                    ("moves", moves.into()),
-                ],
-            );
-            self.obs.add("runtime.plans_adopted", 1);
-            self.obs.observe("runtime.plan_moves", moves as f64);
-        }
+        let moves: usize = pm.plan.batches.iter().map(Vec::len).sum();
+        self.obs.event(
+            "runtime",
+            "plan_adopted",
+            &[
+                ("plan", id.into()),
+                ("kind", pm.kind.name().into()),
+                ("batches", pm.plan.batches.len().into()),
+                ("moves", moves.into()),
+            ],
+        );
+        self.obs.add("runtime.plans_adopted", 1);
+        self.obs.observe("runtime.plan_moves", moves as f64);
         self.active = Some(ActivePlan {
             id,
             pm,
@@ -591,10 +580,8 @@ impl Simulation {
             return; // plan aborted before it started; stale event
         };
         a.started = true;
-        if self.obs.is_active() {
-            self.obs
-                .event("runtime", "plan_start", vec![("plan", id.into())]);
-        }
+        self.obs
+            .event("runtime", "plan_start", &[("plan", id.into())]);
         self.start_batch(tick);
     }
 
@@ -616,21 +603,18 @@ impl Simulation {
         }
         let duration = a.pm.durations[a.next_batch];
         let id = a.id;
-        if self.obs.is_active() {
-            let a = self.active.as_ref().expect("checked above");
-            self.obs.event(
-                "runtime",
-                "batch",
-                vec![
-                    ("plan", id.into()),
-                    ("index", a.next_batch.into()),
-                    ("moves", a.pm.plan.batches[a.next_batch].len().into()),
-                    ("remaining", a.moves_remaining().into()),
-                    ("duration", duration.into()),
-                ],
-            );
-            self.obs.add("runtime.batches", 1);
-        }
+        self.obs.event(
+            "runtime",
+            "batch",
+            &[
+                ("plan", id.into()),
+                ("index", a.next_batch.into()),
+                ("moves", batch.len().into()),
+                ("remaining", a.moves_remaining().into()),
+                ("duration", duration.into()),
+            ],
+        );
+        self.obs.add("runtime.batches", 1);
         self.queue
             .schedule(tick + duration, Event::BatchComplete(id));
     }
@@ -664,17 +648,15 @@ impl Simulation {
     fn finalize_plan(&mut self, tick: u64, completed: bool) {
         let a = self.active.take().expect("finalize without a plan");
         self.abort_requested = false;
-        if self.obs.is_active() {
-            self.obs.event(
-                "runtime",
-                "plan_done",
-                vec![
-                    ("plan", a.id.into()),
-                    ("completed", completed.into()),
-                    ("kind", a.pm.kind.name().into()),
-                ],
-            );
-        }
+        self.obs.event(
+            "runtime",
+            "plan_done",
+            &[
+                ("plan", a.id.into()),
+                ("completed", completed.into()),
+                ("kind", a.pm.kind.name().into()),
+            ],
+        );
         if completed {
             match a.pm.kind {
                 MigrationKind::Load => self.bus.counters.rebalances_completed += 1,
@@ -781,17 +763,15 @@ impl Simulation {
             machine: m.0,
             ..TraceLine::at(tick, "crash")
         });
-        if self.obs.is_active() {
-            self.obs.event(
-                "runtime",
-                "crash",
-                vec![
-                    ("machine", m.idx().into()),
-                    ("mid_plan", self.active.is_some().into()),
-                ],
-            );
-            self.obs.add("runtime.crashes", 1);
-        }
+        self.obs.event(
+            "runtime",
+            "crash",
+            &[
+                ("machine", m.idx().into()),
+                ("mid_plan", self.active.is_some().into()),
+            ],
+        );
+        self.obs.add("runtime.crashes", 1);
         if let Some(plane) = self.hotshard.as_mut() {
             plane.on_crash(m, &mut self.bus.counters, &mut self.obs);
         }
@@ -822,10 +802,8 @@ impl Simulation {
             machine: m.0,
             ..TraceLine::at(tick, "recover")
         });
-        if self.obs.is_active() {
-            self.obs
-                .event("runtime", "recover", vec![("machine", m.idx().into())]);
-        }
+        self.obs
+            .event("runtime", "recover", &[("machine", m.idx().into())]);
         // The machine rejoins as healthy capacity: its vacancy counts
         // toward the return quota again. Mid-plan the bookkeeping waits
         // for `finalize_plan`, which normalizes anyway.
@@ -852,13 +830,11 @@ impl Simulation {
             shards: ids.iter().map(|s| s.0).collect(),
             ..TraceLine::at(tick, "spike_start")
         });
-        if self.obs.is_active() {
-            self.obs.event(
-                "runtime",
-                "spike_start",
-                vec![("fault", idx.into()), ("shards", ids.len().into())],
-            );
-        }
+        self.obs.event(
+            "runtime",
+            "spike_start",
+            &[("fault", idx.into()), ("shards", ids.len().into())],
+        );
         self.live.spikes[idx] = Some(ids);
         self.bus.counters.spikes_started += 1;
     }
@@ -870,10 +846,8 @@ impl Simulation {
                 fault: idx,
                 ..TraceLine::at(tick, "spike_end")
             });
-            if self.obs.is_active() {
-                self.obs
-                    .event("runtime", "spike_end", vec![("fault", idx.into())]);
-            }
+            self.obs
+                .event("runtime", "spike_end", &[("fault", idx.into())]);
         }
     }
 
@@ -901,10 +875,8 @@ impl Simulation {
             Ok(pm) if !pm.plan.batches.is_empty() => self.adopt(tick, pm),
             Ok(_) | Err(_) => {
                 self.bus.counters.plans_failed += 1;
-                if self.obs.is_active() {
-                    self.obs
-                        .event("runtime", "evac_retry", vec![("seed", seed.into())]);
-                }
+                self.obs
+                    .event("runtime", "evac_retry", &[("seed", seed.into())]);
                 self.queue.schedule(retry_at, Event::EvacCheck);
             }
         }
@@ -937,13 +909,11 @@ impl Simulation {
             Ok((inst, _clamped)) => {
                 self.install_demands(inst);
                 self.bus.counters.drift_epochs += 1;
-                if self.obs.is_active() {
-                    self.obs.event(
-                        "runtime",
-                        "drift",
-                        vec![("epoch", self.bus.counters.drift_epochs.into())],
-                    );
-                }
+                self.obs.event(
+                    "runtime",
+                    "drift",
+                    &[("epoch", self.bus.counters.drift_epochs.into())],
+                );
             }
             Err(_) => {
                 // Extremely unlikely (next_epoch clamps); skip this epoch.
@@ -987,13 +957,11 @@ impl Simulation {
                     ranks,
                     ..TraceLine::at(tick, "popularity")
                 });
-                if self.obs.is_active() {
-                    self.obs.event(
-                        "runtime",
-                        "popularity",
-                        vec![("epoch", self.bus.counters.popularity_epochs.into())],
-                    );
-                }
+                self.obs.event(
+                    "runtime",
+                    "popularity",
+                    &[("epoch", self.bus.counters.popularity_epochs.into())],
+                );
             }
             Err(_) => {
                 // Extremely unlikely (apply_popularity clamps); skip this

@@ -5,10 +5,10 @@
 //! per-document RNG derived from `(seed, doc_id)` so the corpus is
 //! bit-identical regardless of thread count.
 
-use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
+use rex_cluster::Zipf;
 use serde::{Deserialize, Serialize};
 
 /// Corpus generation parameters.

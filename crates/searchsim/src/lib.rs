@@ -36,7 +36,6 @@ pub mod index;
 pub mod qos;
 pub mod queries;
 pub mod shards;
-pub mod zipf;
 
 pub use bridge::{build_instance, BridgeConfig};
 pub use corpus::{Corpus, CorpusConfig};
@@ -44,4 +43,3 @@ pub use engine::{SearchEngine, SearchStats};
 pub use index::{InvertedIndex, Posting, QueryMode, SearchResult};
 pub use queries::{Query, QueryConfig, QueryLog};
 pub use shards::{partition, ShardingStrategy};
-pub use zipf::Zipf;

@@ -13,6 +13,7 @@
 //! straggler machine sets the response time, which is exactly why peak
 //! load is the objective the paper minimizes.
 
+use rex_cluster::metrics::nearest_rank_percentiles;
 use rex_cluster::{Instance, MigrationPlan, ResourceVec};
 use serde::Serialize;
 
@@ -121,27 +122,18 @@ pub fn qos_of_plan(inst: &Instance, plan: &MigrationPlan, cfg: &QosConfig) -> Qo
     }
 }
 
-/// Nearest-rank `(p50, p95, p99)` percentiles of the migration timeline.
-/// Each batch is one sample (batches are the executor's time steps); an
-/// empty plan has a one-point timeline at the steady-state latency
-/// `before`, so all three percentiles collapse to it.
-///
-/// Nearest-rank means `samples_sorted[ceil(p/100 · n) − 1]` with the rank
-/// clamped to at least 1 — every returned value is an actual sample, never
-/// an interpolation, and `p50 ≤ p95 ≤ p99 ≤ max` always holds. Public so
-/// the property-test suite can exercise the boundary cases directly.
+/// Nearest-rank `(p50, p95, p99)` percentiles of the migration timeline
+/// ([`nearest_rank_percentiles`]). Each batch is one sample (batches are
+/// the executor's time steps); an empty plan has a one-point timeline at
+/// the steady-state latency `before`, so all three percentiles collapse to
+/// it. Public so the property-test suite can exercise the boundary cases
+/// directly.
 pub fn timeline_percentiles(per_batch: &[f64], before: f64) -> (f64, f64, f64) {
-    let mut samples: Vec<f64> = if per_batch.is_empty() {
-        vec![before]
+    if per_batch.is_empty() {
+        (before, before, before)
     } else {
-        per_batch.to_vec()
-    };
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let pick = |p: f64| {
-        let rank = ((p / 100.0) * samples.len() as f64).ceil().max(1.0) as usize;
-        samples[rank - 1]
-    };
-    (pick(50.0), pick(95.0), pick(99.0))
+        nearest_rank_percentiles(per_batch)
+    }
 }
 
 #[cfg(test)]
@@ -239,77 +231,6 @@ mod tests {
         let mut sorted = q.per_batch.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(q.p50, sorted[4]);
-    }
-
-    // `timeline_percentiles` also serves the query-level router
-    // (`rex-router`), which feeds it *event-level* latency samples — one
-    // per completed query, in completion order, values nowhere near
-    // tick-aligned and frequently duplicated (many queries finish with the
-    // same service time). The tests below pin the function's behavior on
-    // exactly those stream shapes, independent of any migration plan.
-
-    #[test]
-    fn percentiles_of_a_single_event_stream_collapse_to_it() {
-        // One completed query: every percentile IS that sample, and the
-        // `before` fallback must not leak in.
-        let (p50, p95, p99) = timeline_percentiles(&[137.25], 1.0);
-        assert_eq!((p50, p95, p99), (137.25, 137.25, 137.25));
-        // Empty stream: the fallback is the only sample.
-        let (p50, p95, p99) = timeline_percentiles(&[], 42.5);
-        assert_eq!((p50, p95, p99), (42.5, 42.5, 42.5));
-    }
-
-    #[test]
-    fn percentiles_of_duplicate_heavy_streams_stay_exact() {
-        // Duplicate completion latencies — e.g. idle-server queries all
-        // finishing in exactly the base service time — must not confuse
-        // the rank arithmetic: ranks fall *inside* the duplicate run and
-        // return the duplicated value.
-        let mut s = vec![400.0; 97];
-        s.extend_from_slice(&[812.5, 1203.0, 9001.0]); // 3 stragglers
-        let (p50, p95, p99) = timeline_percentiles(&s, 0.0);
-        assert_eq!(p50, 400.0);
-        assert_eq!(p95, 400.0); // rank 95 of 100 is still in the run
-        assert_eq!(p99, 1203.0); // rank 99: second straggler
-                                 // All-duplicates: every percentile is the one value.
-        let (p50, _, p99) = timeline_percentiles(&[7.5; 64], 0.0);
-        assert_eq!((p50, p99), (7.5, 7.5));
-    }
-
-    #[test]
-    fn percentiles_of_unaligned_event_streams_are_order_free() {
-        // Non-tick-aligned micro-latency samples in completion order (the
-        // router pushes them as queries finish, not sorted): the result
-        // must match the same multiset sorted, and every returned value
-        // must be an actual sample (nearest-rank never interpolates).
-        let stream = [
-            1000.7, 402.3, 401.9, 403.1, 17234.6, 402.3, 980.0, 402.3, 55.1, 402.4,
-        ];
-        let mut sorted = stream.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let (p50, p95, p99) = timeline_percentiles(&stream, 0.0);
-        assert_eq!((p50, p95, p99), timeline_percentiles(&sorted, 0.0));
-        for v in [p50, p95, p99] {
-            assert!(stream.contains(&v), "{v} is not a sample");
-        }
-        assert!(p50 <= p95 && p95 <= p99);
-        // 10 samples: rank(50) = 5 → 5th smallest; rank(95|99) = 10 → max.
-        assert_eq!(p50, sorted[4]);
-        assert_eq!(p95, sorted[9]);
-        assert_eq!(p99, sorted[9]);
-    }
-
-    #[test]
-    fn nearest_rank_boundaries_at_round_counts() {
-        // n = 100 puts every rank exactly on a sample index: pXX is the
-        // XX-th smallest, with no off-by-one in the ceil.
-        let stream: Vec<f64> = (1..=100).rev().map(|i| i as f64 + 0.5).collect();
-        let (p50, p95, p99) = timeline_percentiles(&stream, 0.0);
-        assert_eq!((p50, p95, p99), (50.5, 95.5, 99.5));
-        // n = 101 tips each rank over to the next sample.
-        let stream: Vec<f64> = (1..=101).rev().map(|i| i as f64).collect();
-        let (p50, p95, p99) = timeline_percentiles(&stream, 0.0);
-        assert_eq!((p50, p95, p99), (51.0, 96.0, 100.0));
     }
 
     #[test]

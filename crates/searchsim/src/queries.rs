@@ -6,9 +6,10 @@
 //! curve. Both knobs shape the per-shard CPU demand the bridge extracts.
 
 use crate::index::QueryMode;
-use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use rex_cluster::service::DIURNAL;
+use rex_cluster::Zipf;
 use serde::{Deserialize, Serialize};
 
 /// One query.
@@ -59,14 +60,6 @@ pub struct QueryLog {
     /// The queries, in arrival order.
     pub queries: Vec<Query>,
 }
-
-/// Relative traffic weight of each hour (diurnal double hump: morning and
-/// evening peaks, night trough). Sums to 24 so a uniform profile would be
-/// all-ones.
-pub const DIURNAL: [f64; 24] = [
-    0.35, 0.25, 0.2, 0.2, 0.25, 0.4, 0.7, 1.1, 1.5, 1.7, 1.6, 1.5, 1.45, 1.5, 1.55, 1.5, 1.4, 1.35,
-    1.45, 1.6, 1.55, 1.3, 0.9, 0.55,
-];
 
 impl QueryLog {
     /// Generates a log (deterministic in `cfg.seed`).

@@ -16,7 +16,6 @@
 
 use crate::bounds::{capacity_classes, peak_lower_bound};
 use rex_cluster::{Assignment, ClusterError, Instance, MachineId, ResourceVec, ShardId};
-use std::time::{Duration, Instant};
 
 /// Exact-solver knobs.
 #[derive(Clone, Copy, Debug)]
@@ -24,8 +23,6 @@ pub struct ExactConfig {
     /// Node budget; the search returns the incumbent (not proven optimal)
     /// when exceeded.
     pub max_nodes: u64,
-    /// Optional wall-clock budget.
-    pub time_limit: Option<Duration>,
     /// Migration-cost weight (matching [`rex_cluster::Objective::lambda`]).
     pub lambda: f64,
 }
@@ -34,7 +31,6 @@ impl Default for ExactConfig {
     fn default() -> Self {
         Self {
             max_nodes: 5_000_000,
-            time_limit: None,
             lambda: 0.0,
         }
     }
@@ -62,7 +58,6 @@ struct Search<'a> {
     classes: Vec<usize>,
     total_cost: f64,
     global_lb: f64,
-    start: Instant,
     // Mutable search state.
     usage: Vec<ResourceVec>,
     counts: Vec<u32>,
@@ -77,7 +72,7 @@ struct Search<'a> {
     truncated: bool,
 }
 
-/// Solves the instance exactly (within the configured budgets).
+/// Solves the instance exactly (within the node budget).
 pub fn branch_and_bound(inst: &Instance, cfg: &ExactConfig) -> Result<ExactResult, ClusterError> {
     inst.validate()?;
 
@@ -102,7 +97,6 @@ pub fn branch_and_bound(inst: &Instance, cfg: &ExactConfig) -> Result<ExactResul
         classes: capacity_classes(inst),
         total_cost: inst.shards.iter().map(|s| s.move_cost).sum(),
         global_lb: peak_lower_bound(inst),
-        start: Instant::now(),
         usage: vec![ResourceVec::zero(inst.dims); inst.n_machines()],
         counts: vec![0; inst.n_machines()],
         loads: vec![0.0; inst.n_machines()],
@@ -132,14 +126,6 @@ impl Search<'_> {
         if self.nodes > self.cfg.max_nodes {
             self.truncated = true;
             return;
-        }
-        if self.nodes.is_multiple_of(4096) {
-            if let Some(limit) = self.cfg.time_limit {
-                if self.start.elapsed() >= limit {
-                    self.truncated = true;
-                    return;
-                }
-            }
         }
 
         if depth == self.order.len() {

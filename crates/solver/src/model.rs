@@ -313,10 +313,7 @@ mod tests {
         let mut asg = Assignment::from_initial(&i);
         asg.move_shard(&i, ShardId(0), rex_cluster::MachineId(1));
         let vars = m.variables_from_placement(&i, asg.placement());
-        let obj = rex_cluster::Objective {
-            kind: rex_cluster::ObjectiveKind::PeakLoad,
-            lambda,
-        };
+        let obj = rex_cluster::Objective { lambda };
         let expect = obj.value(&i, &asg, &i.initial);
         assert!((m.objective_value(&vars) - expect).abs() < 1e-9);
     }

@@ -18,8 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rex_cluster::{ClusterError, Instance, MachineId};
-use rex_searchsim::zipf::Zipf;
+use rex_cluster::{ClusterError, Instance, MachineId, Zipf};
 
 /// A drifting rank permutation over shards with Zipf(α) weights per rank.
 #[derive(Clone, Debug)]

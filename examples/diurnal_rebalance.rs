@@ -13,10 +13,10 @@
 
 use resource_exchange::cluster::{Instance, InstanceBuilder, MachineId};
 use resource_exchange::core::{solve, SraConfig};
-use resource_exchange::searchsim::corpus::{Corpus, CorpusConfig};
-use resource_exchange::searchsim::engine::SearchEngine;
-use resource_exchange::searchsim::queries::{QueryConfig, QueryLog};
-use resource_exchange::searchsim::shards::ShardingStrategy;
+use rex_searchsim::corpus::{Corpus, CorpusConfig};
+use rex_searchsim::engine::SearchEngine;
+use rex_searchsim::queries::{QueryConfig, QueryLog};
+use rex_searchsim::shards::ShardingStrategy;
 
 /// Builds an instance whose CPU dimension is the given per-shard cost
 /// vector (mem/disk from the index), normalized to 75% fleet utilization.

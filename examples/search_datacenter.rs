@@ -12,9 +12,9 @@
 
 use resource_exchange::baselines::{GreedyRebalancer, Rebalancer};
 use resource_exchange::core::{solve, SraConfig};
-use resource_exchange::searchsim::bridge::{build_instance, BridgeConfig};
-use resource_exchange::searchsim::corpus::CorpusConfig;
-use resource_exchange::searchsim::queries::QueryConfig;
+use rex_searchsim::bridge::{build_instance, BridgeConfig};
+use rex_searchsim::corpus::CorpusConfig;
+use rex_searchsim::queries::QueryConfig;
 
 fn main() {
     let cfg = BridgeConfig {

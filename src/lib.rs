@@ -10,11 +10,9 @@
 //!
 //! * [`cluster`] — machines, shards, resources, assignments, and the
 //!   transient-aware migration planner/simulator,
-//! * [`searchsim`] — the mini search engine producing "real-like"
-//!   workloads,
-//! * [`workload`] — synthetic and searchsim-backed instance generators,
+//! * [`workload`] — synthetic instance generators, the named suite and
+//!   the drifting popularity walk,
 //! * [`lns`] — the generic adaptive large-neighborhood-search framework,
-//! * [`solver`] — the IP model, lower bounds, and exact branch-and-bound,
 //! * [`core`] — **SRA**, the paper's exchange-aware reassignment
 //!   algorithm,
 //! * [`baselines`] — greedy / local-search / FFD / random-walk
@@ -26,6 +24,12 @@
 //!   arrivals, per-shard fan-out, and pluggable replica routing (random /
 //!   round-robin / power-of-d / prequal / token) at millions of simulated
 //!   events per second, with optional mid-run SRA reassignment.
+//!
+//! Two workspace crates stay off the product graph — the `rex` binary
+//! links neither — and are named directly by the tests, the examples and
+//! `rex-bench`: `crates/searchsim` (the mini search engine producing
+//! "real-like" workloads) and `crates/solver` (the IP model, lower
+//! bounds, and exact branch-and-bound).
 //!
 //! ## Quickstart
 //!
@@ -54,6 +58,4 @@ pub use rex_lns as lns;
 pub use rex_obs as obs;
 pub use rex_router as router;
 pub use rex_runtime as runtime;
-pub use rex_searchsim as searchsim;
-pub use rex_solver as solver;
 pub use rex_workload as workload;

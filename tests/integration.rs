@@ -5,14 +5,14 @@
 use resource_exchange::baselines::{
     FfdRepacker, GreedyRebalancer, LocalSearchRebalancer, Rebalancer,
 };
-use resource_exchange::cluster::{verify_schedule, Assignment, Objective, ObjectiveKind};
+use resource_exchange::cluster::{verify_schedule, Assignment, Objective};
 use resource_exchange::core::{solve, SraConfig};
-use resource_exchange::searchsim::bridge::{build_instance, BridgeConfig};
-use resource_exchange::searchsim::corpus::CorpusConfig;
-use resource_exchange::searchsim::queries::QueryConfig;
-use resource_exchange::solver::{branch_and_bound, peak_lower_bound, ExactConfig, IpModel};
 use resource_exchange::workload::standard_suite;
 use resource_exchange::workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use rex_searchsim::bridge::{build_instance, BridgeConfig};
+use rex_searchsim::corpus::CorpusConfig;
+use rex_searchsim::queries::QueryConfig;
+use rex_solver::{branch_and_bound, peak_lower_bound, ExactConfig, IpModel};
 
 fn quick_sra(iters: u64, seed: u64) -> SraConfig {
     SraConfig {
@@ -91,7 +91,7 @@ fn sra_close_to_exact_optimum_on_tiny_instances() {
             &SraConfig {
                 iters: 3_000,
                 seed,
-                objective: Objective::pure(ObjectiveKind::PeakLoad),
+                objective: Objective::pure(),
                 ..Default::default()
             },
         )

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use resource_exchange::cluster::{verify_schedule, MachineId};
 use resource_exchange::core::{solve, solve_with_drain, SraConfig};
-use resource_exchange::solver::IpModel;
 use resource_exchange::workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use rex_solver::IpModel;
 
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
     (

@@ -4,8 +4,8 @@
 use resource_exchange::cluster::migration::timeline::{time_plan, TimelineConfig};
 use resource_exchange::cluster::{plan_migration, PlannerConfig};
 use resource_exchange::core::{solve, SraConfig};
-use resource_exchange::searchsim::qos::{qos_of_plan, QosConfig};
 use resource_exchange::workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use rex_searchsim::qos::{qos_of_plan, QosConfig};
 
 fn solved() -> (
     resource_exchange::cluster::Instance,
