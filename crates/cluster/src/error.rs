@@ -51,6 +51,13 @@ pub enum ClusterError {
     /// A shard merge was requested for shards that are not distinct,
     /// not both present, or not co-located on one machine.
     BadMerge { keep: ShardId, drop: ShardId },
+    /// A synthetic-generator setting is out of range (a zero count,
+    /// stringency outside `(0,1)`, too few shards to reach it, ...).
+    BadGenerator { reason: String },
+    /// No initial placement packs the generated demands: neither the
+    /// requested placement nor the balanced fallback finds a machine with
+    /// room for `shard`.
+    Unpackable { shard: ShardId, stringency: f64 },
 }
 
 impl fmt::Display for ClusterError {
@@ -124,6 +131,14 @@ impl fmt::Display for ClusterError {
                     f,
                     "cannot merge shard {drop} into {keep}: shards must be \
                      distinct, present, and co-located"
+                )
+            }
+            BadGenerator { reason } => write!(f, "generator: {reason}"),
+            Unpackable { shard, stringency } => {
+                write!(
+                    f,
+                    "shard {shard} fits on no machine: the demands do not pack \
+                     at stringency {stringency}"
                 )
             }
         }

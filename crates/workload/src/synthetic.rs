@@ -11,9 +11,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rex_cluster::{
     ClusterError, FleetSpec, GenerationSpec, Instance, InstanceBuilder, MachineId, ResourceVec,
-    WorkloadSpec,
+    ShardId, WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
+
+mod place;
 
 /// How shard demand vectors are drawn (before normalization).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -180,8 +182,10 @@ fn capacity_scales(cfg: &SynthConfig) -> (Vec<f64>, Vec<f64>) {
 /// Generates an instance.
 ///
 /// # Errors
-/// Propagates instance validation errors; generation itself panics only on
-/// nonsensical parameters (zero counts, stringency outside `(0,1)`).
+/// [`ClusterError::BadGenerator`] on settings it cannot honour (zero
+/// counts, stringency outside `(0,1)`, too few shards to reach it, `Drift`
+/// on one dimension), [`ClusterError::Unpackable`] when no placement packs
+/// the demands, and instance validation errors.
 pub fn generate(cfg: &SynthConfig) -> Result<Instance, ClusterError> {
     let (loaded_scales, exchange_scales) = capacity_scales(cfg);
     let label = format!(
@@ -245,32 +249,16 @@ fn generate_with_scales(
     exchange_scales: &[f64],
     label: String,
 ) -> Result<Instance, ClusterError> {
-    assert!(cfg.n_machines > 0 && cfg.n_shards > 0 && cfg.dims >= 1);
     assert_eq!(loaded_scales.len(), cfg.n_machines);
-    assert!(
-        cfg.stringency > 0.0 && cfg.stringency < 1.0,
-        "stringency must be in (0,1)"
-    );
-    if cfg.placement == Placement::Drift {
-        assert!(cfg.dims >= 2, "Drift placement needs >= 2 dimensions");
-    }
+    validate(cfg, loaded_scales)?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Raw demands, then per-dimension normalization to the target total —
     // with individual demands capped at MAX_SHARD_FRAC of a machine so
     // heavy-tailed families stay placeable. Clamping and rescaling
     // alternate until both the total and the cap hold.
-    const MAX_SHARD_FRAC: f64 = 0.45;
-    let loaded_capacity: f64 = loaded_scales.iter().sum();
-    // Shards must stay placeable on the *smallest* machine.
-    let min_scale = loaded_scales.iter().cloned().fold(f64::INFINITY, f64::min);
-    let shard_cap = MAX_SHARD_FRAC * min_scale;
+    let (target, shard_cap) = demand_target(cfg, loaded_scales);
     let mut demands = draw_demands(cfg, &mut rng);
-    let target = loaded_capacity * cfg.stringency;
-    assert!(
-        target <= cfg.n_shards as f64 * shard_cap,
-        "too few shards to reach the target utilization under the per-shard cap"
-    );
     for r in 0..cfg.dims {
         for _ in 0..32 {
             let total: f64 = demands.iter().map(|d| d[r]).sum();
@@ -289,9 +277,9 @@ fn generate_with_scales(
         }
     }
 
-    let placement = match place(cfg, &demands, loaded_scales, &mut rng) {
-        Some(p) => p,
-        None => {
+    let placement = match place::place(cfg, &demands, loaded_scales, &mut rng) {
+        Ok(p) => p,
+        Err(_) => {
             // The decorated placement (hotspot/drift) can fail on tight
             // multi-dimensional packings; fall back to a plain balanced
             // best-fit-decreasing start, which packs whenever anything
@@ -300,12 +288,12 @@ fn generate_with_scales(
                 placement: Placement::BalancedBfd,
                 ..*cfg
             };
-            place(&fallback, &demands, loaded_scales, &mut rng).ok_or(
-                rex_cluster::ClusterError::BadReturnCount {
-                    k_return: cfg.n_exchange,
-                    machines: cfg.n_machines,
-                },
-            )?
+            place::place(&fallback, &demands, loaded_scales, &mut rng).map_err(|shard| {
+                ClusterError::Unpackable {
+                    shard: ShardId::from(shard),
+                    stringency: cfg.stringency,
+                }
+            })?
         }
     };
 
@@ -333,6 +321,51 @@ fn generate_with_scales(
         );
     }
     b.build()
+}
+
+/// No shard demands more than this share of the smallest loaded machine,
+/// so heavy-tailed families stay placeable.
+const MAX_SHARD_FRAC: f64 = 0.45;
+
+/// The total demand per dimension normalization aims at, and the per-shard
+/// demand cap.
+fn demand_target(cfg: &SynthConfig, loaded_scales: &[f64]) -> (f64, f64) {
+    let loaded_capacity: f64 = loaded_scales.iter().sum();
+    let min_scale = loaded_scales.iter().cloned().fold(f64::INFINITY, f64::min);
+    (loaded_capacity * cfg.stringency, MAX_SHARD_FRAC * min_scale)
+}
+
+/// Rejects settings the generator cannot honour, before anything is drawn.
+fn validate(cfg: &SynthConfig, loaded_scales: &[f64]) -> Result<(), ClusterError> {
+    let reason = if cfg.n_machines == 0 {
+        "machines must be at least 1".to_string()
+    } else if cfg.n_shards == 0 {
+        "shards must be at least 1".to_string()
+    } else if cfg.dims == 0 {
+        "dims must be at least 1".to_string()
+    } else if !(cfg.stringency > 0.0 && cfg.stringency < 1.0) {
+        format!("stringency must be in (0,1), got {}", cfg.stringency)
+    } else if cfg.placement == Placement::Drift && cfg.dims < 2 {
+        format!(
+            "drift placement needs at least 2 dimensions, got {}",
+            cfg.dims
+        )
+    } else if !loaded_scales.iter().all(|&s| s > 0.0 && s.is_finite()) {
+        "machine capacity scales must be positive and finite".to_string()
+    } else {
+        let (target, shard_cap) = demand_target(cfg, loaded_scales);
+        if target <= cfg.n_shards as f64 * shard_cap {
+            return Ok(());
+        }
+        format!(
+            "{} shards cannot reach stringency {} with each capped at {MAX_SHARD_FRAC} \
+             of the smallest machine (at least {} needed)",
+            cfg.n_shards,
+            cfg.stringency,
+            (target / shard_cap).ceil()
+        )
+    };
+    Err(ClusterError::BadGenerator { reason })
 }
 
 /// Raw (un-normalized) demand vectors per family.
@@ -373,91 +406,6 @@ fn draw_demands(cfg: &SynthConfig, rng: &mut StdRng) -> Vec<Vec<f64>> {
             })
             .collect(),
     }
-}
-
-/// Builds the initial placement (machine index per shard).
-fn place(
-    cfg: &SynthConfig,
-    demands: &[Vec<f64>],
-    scales: &[f64],
-    rng: &mut StdRng,
-) -> Option<Vec<usize>> {
-    let m = cfg.n_machines;
-    let dims = cfg.dims;
-    let mut order: Vec<usize> = (0..demands.len()).collect();
-    let peak = |d: &[f64]| d.iter().cloned().fold(0.0f64, f64::max);
-    order.sort_by(|&a, &b| {
-        peak(&demands[b])
-            .partial_cmp(&peak(&demands[a]))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    let mut usage = vec![vec![0.0f64; dims]; m];
-    let mut placement = vec![0usize; demands.len()];
-    let fits = |usage: &[Vec<f64>], host: usize, d: &[f64], headroom: f64| -> bool {
-        (0..dims).all(|r| usage[host][r] + d[r] <= headroom * scales[host])
-    };
-
-    let assign = |i: usize, host: usize, usage: &mut Vec<Vec<f64>>, placement: &mut Vec<usize>| {
-        for r in 0..dims {
-            usage[host][r] += demands[i][r];
-        }
-        placement[i] = host;
-    };
-
-    match cfg.placement {
-        Placement::BalancedBfd => {
-            for &i in &order {
-                let host = (0..m)
-                    .filter(|&h| fits(&usage, h, &demands[i], 1.0))
-                    .min_by(|&a, &b| {
-                        (peak(&usage[a]) / scales[a])
-                            .partial_cmp(&(peak(&usage[b]) / scales[b]))
-                            .unwrap()
-                    })?;
-                assign(i, host, &mut usage, &mut placement);
-            }
-        }
-        Placement::Hotspot(frac) => {
-            let hot = ((m as f64 * frac).ceil() as usize).clamp(1, m);
-            for &i in &order {
-                // First fit into the hot set (up to 93% full), overflow
-                // best-fit into the rest. The 7% headroom keeps hot
-                // machines *serviceable*: filling further would seal them
-                // outright under the α·d departure overhead (with α = 0.2
-                // even a 0.35-demand shard could no longer leave), turning
-                // every instance into one with an unimprovable floor.
-                let host = (0..hot)
-                    .find(|&h| fits(&usage, h, &demands[i], 0.93))
-                    .or_else(|| {
-                        (0..m)
-                            .filter(|&h| fits(&usage, h, &demands[i], 1.0))
-                            .min_by(|&a, &b| {
-                                (peak(&usage[a]) / scales[a])
-                                    .partial_cmp(&(peak(&usage[b]) / scales[b]))
-                                    .unwrap()
-                            })
-                    })?;
-                assign(i, host, &mut usage, &mut placement);
-            }
-        }
-        Placement::Drift => {
-            for &i in &order {
-                let tail_peak = |u: &[f64]| u[1..].iter().cloned().fold(0.0f64, f64::max);
-                // Balanced on dims 1.. with a small random tie-breaker;
-                // dim 0 is ignored (it "changed since the layout").
-                let host = (0..m)
-                    .filter(|&h| fits(&usage, h, &demands[i], 1.0))
-                    .min_by(|&a, &b| {
-                        (tail_peak(&usage[a]) / scales[a], rng.random::<f64>())
-                            .partial_cmp(&(tail_peak(&usage[b]) / scales[b], 0.5))
-                            .unwrap()
-                    })?;
-                assign(i, host, &mut usage, &mut placement);
-            }
-        }
-    }
-    Some(placement)
 }
 
 #[cfg(test)]
@@ -747,22 +695,82 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn drift_requires_two_dims() {
         let cfg = SynthConfig {
             dims: 1,
             ..base(DemandFamily::Uniform, Placement::Drift)
         };
-        let _ = generate(&cfg);
+        assert!(generate(&cfg).is_err());
     }
 
     #[test]
-    #[should_panic]
     fn stringency_one_is_rejected() {
         let cfg = SynthConfig {
             stringency: 1.0,
             ..Default::default()
         };
-        let _ = generate(&cfg);
+        assert!(generate(&cfg).is_err());
+    }
+
+    #[test]
+    fn out_of_range_settings_are_errors_not_panics() {
+        let d = SynthConfig::default();
+        for (cfg, says) in [
+            (SynthConfig { n_machines: 0, ..d }, "machines"),
+            (SynthConfig { n_shards: 0, ..d }, "shards"),
+            (SynthConfig { dims: 0, ..d }, "dims"),
+            (
+                SynthConfig {
+                    dims: 1,
+                    placement: Placement::Drift,
+                    ..d
+                },
+                "2 dimensions",
+            ),
+            (
+                SynthConfig {
+                    stringency: f64::NAN,
+                    ..d
+                },
+                "stringency",
+            ),
+            (
+                SynthConfig {
+                    n_machines: 100,
+                    n_shards: 5,
+                    ..d
+                },
+                "167 needed",
+            ),
+        ] {
+            match generate(&cfg) {
+                Err(ClusterError::BadGenerator { reason }) => {
+                    assert!(reason.contains(says), "{reason}")
+                }
+                other => panic!("{cfg:?}: expected BadGenerator, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unpackable_demands_name_the_shard_not_the_return_count() {
+        // `rex generate --machines 200 --exchange 20 --shards 3000
+        // --stringency 0.95 --family uniform`: 3-dimensional uniform
+        // demands at 0.95 pack under neither the hot set nor the balanced
+        // fallback. This used to report `BadReturnCount`.
+        let cfg = SynthConfig {
+            n_machines: 200,
+            n_exchange: 20,
+            n_shards: 3000,
+            stringency: 0.95,
+            family: DemandFamily::Uniform,
+            ..Default::default()
+        };
+        let err = generate(&cfg).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::Unpackable { stringency, .. } if stringency == 0.95),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("do not pack at stringency 0.95"));
     }
 }

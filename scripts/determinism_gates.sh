@@ -96,6 +96,12 @@ gate gen-stringent rex generate $gen --machines 100 --exchange 8 --shards 1000 -
 gate gen-small rex generate $gen --machines 32 --exchange 3 --shards 320 --stringency 0.90 --seed 4 --out @out
 # Evacuating a machine is infeasible at 0.90; the drain gate gets room.
 gate gen-roomy rex generate $gen --machines 32 --exchange 3 --shards 320 --stringency 0.50 --seed 4 --out @out
+# The generator's placements: the benchmark's `solve_decomposed` shape and
+# a balanced two-tier fleet find hosts through the load index and the
+# hot-set summary; drift keeps its fleet scan.
+gate gen-web rex generate $gen --machines 1000 --exchange 125 --shards 10000 --stringency 0.75 --seed 11000 --out @out
+gate gen-balanced rex generate --placement balanced --profile two-tier --machines 64 --exchange 4 --shards 640 --seed 5 --out @out
+gate gen-drift rex generate --placement drift --machines 64 --exchange 4 --shards 640 --seed 5 --out @out
 gate solve-serial rex solve --inst @out:gen-stringent --iters 400 --seed 11 --out @out
 gate solve-small rex solve --inst @out:gen-small --iters 400 --seed 4 --out @out
 # The merged best deadlocks the final plan: `solve` takes its fallback.

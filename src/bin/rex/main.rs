@@ -1444,6 +1444,31 @@ mod tests {
     }
 
     #[test]
+    fn generator_settings_are_errors_not_panics() {
+        // Each of these used to panic at an `assert!` in the generator.
+        let out = std::env::temp_dir().join("rex-cli-bad-gen.json");
+        let out = out.to_str().unwrap();
+        for (flags, says) in [
+            (&[("stringency", "1.0")][..], "stringency"),
+            (&[("machines", "0")], "machines"),
+            (&[("shards", "0")], "shards"),
+            (&[("dims", "0")], "dims"),
+            (&[("placement", "drift"), ("dims", "1")], "2 dimensions"),
+            (&[("shards", "5"), ("machines", "100")], "167 needed"),
+        ] {
+            let mut a = args(flags);
+            a.insert("out".into(), out.into());
+            let e = cmd_generate(&a).unwrap_err();
+            assert!(e.contains(says) && !e.contains('\n'), "{flags:?}: {e}");
+        }
+        // The other commands synthesize through the same path.
+        let zero = args(&[("machines", "0")]);
+        for cmd in [cmd_simulate, cmd_route, cmd_converge, cmd_trace] {
+            assert!(cmd(&zero).unwrap_err().contains("machines"));
+        }
+    }
+
+    #[test]
     fn example_workload_files_stay_valid() {
         let het = load_workload("examples/workload_heterogeneous.json").unwrap();
         assert!(het.fleet.is_some() && het.load.is_some());
