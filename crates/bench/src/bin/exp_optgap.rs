@@ -2,7 +2,9 @@
 //!
 //! SRA vs the exact branch-and-bound on tiny instances (the only regime
 //! where exactness is affordable). Reports the fractional lower bound,
-//! the proven optimum, SRA's result, and the gaps.
+//! the proven optimum, SRA's result, and the gaps. The order bound ≤
+//! optimum ≤ SRA (the latter on proven-optimal rows) is asserted, so a
+//! smoke run fails if it breaks.
 
 use rex_bench::{f4, pct, scaled, Table};
 use rex_cluster::Objective;
@@ -66,6 +68,23 @@ fn main() {
         )
         .expect("sra");
 
+        // The shape, asserted: bound ≤ optimum on every row, and no
+        // solver beats a proven optimum.
+        let name = format!("m={m},x={x},s={s}");
+        assert!(
+            lb <= exact.peak + 1e-9,
+            "{name}: lower bound {lb} above the optimum {}",
+            exact.peak
+        );
+        if exact.proven_optimal {
+            assert!(
+                exact.peak <= sra.final_report.peak + 1e-9,
+                "{name}: SRA peak {} below the proven optimum {}",
+                sra.final_report.peak,
+                exact.peak
+            );
+        }
+
         let gap = (sra.final_report.peak - exact.peak) / exact.peak.max(1e-12);
         // The IP (like the paper's) optimizes the *target*; the optimum may
         // be unreachable by any transient-feasible schedule — SRA's gap on
@@ -78,7 +97,7 @@ fn main() {
         )
         .is_ok();
         t.row(vec![
-            format!("m={m},x={x},s={s}"),
+            name,
             f4(lb),
             f4(exact.peak),
             if exact.proven_optimal {

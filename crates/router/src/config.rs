@@ -228,51 +228,63 @@ impl RouterConfig {
         }
     }
 
-    /// Panics on out-of-range knobs — mirrors `RuntimeConfig::validate`:
-    /// a config is checked once, at the boundary, before any event fires.
-    pub fn validate(&self) {
-        assert!(self.horizon_us > 0, "horizon_us must be positive");
-        assert!(self.qps > 0.0, "qps must be positive");
-        assert!(self.replication >= 1, "replication must be at least 1");
-        assert!(self.fanout >= 1, "fanout must be at least 1");
-        assert!(
+    /// Range-checks every knob; the error is one line naming the offending
+    /// field — mirrors `RuntimeConfig::validate`: a config is checked once,
+    /// at the boundary, before any event fires. Input-facing callers (the
+    /// CLI) surface it as-is; [`crate::Router::new`] panics on it.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(self.horizon_us > 0, "horizon_us must be positive")?;
+        ensure(self.qps > 0.0, "qps must be positive")?;
+        ensure(self.replication >= 1, "replication must be at least 1")?;
+        ensure(self.fanout >= 1, "fanout must be at least 1")?;
+        ensure(
             self.base_service_us > 0.0,
-            "base_service_us must be positive"
-        );
-        assert!(
+            "base_service_us must be positive",
+        )?;
+        ensure(
             self.rho_max > 0.0 && self.rho_max < 1.0,
-            "rho_max must lie in (0, 1)"
-        );
-        assert!(self.d_choices >= 1, "d_choices must be at least 1");
-        assert!(self.probe_rtt_us >= 1, "probe_rtt_us must be at least 1");
-        assert!(self.probe_pool >= 1, "probe_pool must be at least 1");
-        assert!(self.probe_rate >= 0.0, "probe_rate must be non-negative");
-        assert!(self.probe_expiry_us > 0, "probe_expiry_us must be positive");
-        assert!(
+            "rho_max must lie in (0, 1)",
+        )?;
+        ensure(self.d_choices >= 1, "d_choices must be at least 1")?;
+        ensure(self.probe_rtt_us >= 1, "probe_rtt_us must be at least 1")?;
+        ensure(self.probe_pool >= 1, "probe_pool must be at least 1")?;
+        ensure(self.probe_rate >= 0.0, "probe_rate must be non-negative")?;
+        ensure(self.probe_expiry_us > 0, "probe_expiry_us must be positive")?;
+        ensure(
             self.probe_max_uses >= 1,
-            "probe_max_uses must be at least 1"
-        );
-        assert!(
+            "probe_max_uses must be at least 1",
+        )?;
+        ensure(
             self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "ewma_alpha must lie in (0, 1]"
-        );
-        assert!(self.sample_every >= 1, "sample_every must be at least 1");
+            "ewma_alpha must lie in (0, 1]",
+        )?;
+        ensure(self.sample_every >= 1, "sample_every must be at least 1")?;
         if let Some(s) = &self.spike {
-            assert!(s.duration_us > 0, "spike duration_us must be positive");
-            assert!(s.factor >= 1.0, "spike factor must be at least 1");
-            assert!(
+            ensure(s.duration_us > 0, "spike duration_us must be positive")?;
+            ensure(s.factor >= 1.0, "spike factor must be at least 1")?;
+            ensure(
                 (0.0..=1.0).contains(&s.shard_fraction),
-                "spike shard_fraction must lie in [0, 1]"
-            );
+                "spike shard_fraction must lie in [0, 1]",
+            )?;
         }
         if let Some(c) = &self.sra {
-            assert!(c.every_us > 0, "sra every_us must be positive");
-            assert!(c.iters > 0, "sra iters must be positive");
-            assert!(
+            ensure(c.every_us > 0, "sra every_us must be positive")?;
+            ensure(c.iters > 0, "sra iters must be positive")?;
+            ensure(
                 c.snapshot_utilization > 0.0 && c.snapshot_utilization < 1.0,
-                "sra snapshot_utilization must lie in (0, 1)"
-            );
+                "sra snapshot_utilization must lie in (0, 1)",
+            )?;
         }
+        Ok(())
+    }
+}
+
+/// `Ok` when `ok` holds, otherwise `msg` as the error.
+fn ensure(ok: bool, msg: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg.into())
     }
 }
 
@@ -282,7 +294,7 @@ mod tests {
 
     #[test]
     fn default_config_validates() {
-        RouterConfig::default().validate();
+        RouterConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -303,22 +315,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rho_max")]
     fn bad_rho_max_is_rejected() {
-        RouterConfig {
+        let e = RouterConfig {
             rho_max: 1.0,
             ..Default::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("rho_max"), "{e}");
     }
 
     #[test]
-    #[should_panic(expected = "replication")]
     fn zero_replication_is_rejected() {
-        RouterConfig {
+        let e = RouterConfig {
             replication: 0,
             ..Default::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("replication"), "{e}");
     }
 }

@@ -145,8 +145,12 @@ impl Router {
     /// Engine over `inst`'s fleet with the policy named by `cfg.policy`.
     /// Everything the run needs is allocated here; the event loop then
     /// runs allocation-free once warm (`tests/alloc_event_core.rs`).
+    /// Panics on a config [`RouterConfig::validate`] rejects; input-facing
+    /// callers run that check first and report its error.
     pub fn new(inst: &Instance, cfg: &RouterConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         assert!(
             inst.n_machines() >= 1 && inst.n_shards() >= 1,
             "router needs a non-empty fleet"

@@ -570,11 +570,14 @@ fn cmd_route(args: &HashMap<String, String>) -> Result<(), String> {
 
 /// Runs the router over a finished config and prints/writes the report —
 /// the tail both `route` arms (flag-built and workload-built) share.
+/// Out-of-range knobs are an input error, not the panic `Router::new`
+/// reserves for bugs.
 fn run_route(
     args: &HashMap<String, String>,
     inst: &Instance,
     cfg: &RouterConfig,
 ) -> Result<(), String> {
+    cfg.validate()?;
     let mut rec = trace_recorder(args);
     let report = router::run_traced(inst, cfg, &mut rec);
     if let Some(path) = args.get("trace") {
@@ -1441,6 +1444,26 @@ mod tests {
             assert!(e.contains("machine 999"), "{e}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn route_knobs_out_of_range_are_errors_not_panics() {
+        // `Router::new` panics on each of these; `run_route` must reject
+        // them first, with one line.
+        for (flag, value, says) in [
+            ("qps", "0", "qps"),
+            ("horizon", "0", "horizon_us"),
+            ("service", "0", "base_service_us"),
+            ("replication", "0", "replication"),
+            ("spike-factor", "0.5", "spike factor"),
+        ] {
+            let mut a = args(&[("machines", "4"), ("shards", "16"), (flag, value)]);
+            if flag == "spike-factor" {
+                a.insert("spike-at".into(), "10".into());
+            }
+            let e = cmd_route(&a).unwrap_err();
+            assert!(e.contains(says) && !e.contains('\n'), "--{flag}: {e}");
+        }
     }
 
     #[test]
