@@ -20,10 +20,25 @@ use crate::resources::ResourceVec;
 
 /// Row-major packed table of resource vectors: `dims` consecutive `f64`s
 /// per row, no padding. Backs `Assignment`'s per-machine usage.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct PackedVecs {
     dims: usize,
     data: Vec<f64>,
+}
+
+impl Clone for PackedVecs {
+    fn clone(&self) -> Self {
+        Self {
+            dims: self.dims,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.dims = source.dims;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl PackedVecs {

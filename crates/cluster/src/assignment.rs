@@ -102,7 +102,7 @@ impl UndoLog {
 }
 
 /// A placement of every shard onto a machine, with derived per-machine state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Assignment {
     /// `placement[s]` = machine currently hosting shard `s`.
     placement: Vec<MachineId>,
@@ -115,6 +115,26 @@ pub struct Assignment {
     shards_on: Vec<Vec<ShardId>>,
     /// `pos[s]` = index of shard `s` within `shards_on[placement[s]]`.
     pos: Vec<u32>,
+}
+
+impl Clone for Assignment {
+    fn clone(&self) -> Self {
+        Self {
+            placement: self.placement.clone(),
+            usage: self.usage.clone(),
+            shards_on: self.shards_on.clone(),
+            pos: self.pos.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers, per-machine shard lists included — the
+    /// migration planner resets its working copy this way on every plan.
+    fn clone_from(&mut self, source: &Self) {
+        self.placement.clone_from(&source.placement);
+        self.usage.clone_from(&source.usage);
+        self.shards_on.clone_from(&source.shards_on);
+        self.pos.clone_from(&source.pos);
+    }
 }
 
 impl Assignment {

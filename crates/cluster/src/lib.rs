@@ -48,7 +48,7 @@ pub use instance::{Instance, InstanceBuilder};
 pub use kernels::LoadScan;
 pub use machine::{Machine, MachineId};
 pub use metrics::BalanceReport;
-pub use migration::{plan_migration, verify_schedule, MigrationPlan, Move, PlannerConfig};
+pub use migration::{plan_migration, verify_schedule, MigrationPlan, Move, Planner, PlannerConfig};
 pub use objective::Objective;
 pub use partition::{partition_fleet, partition_subfleet, PartitionSpec};
 pub use resources::{ResourceVec, MAX_DIMS};

@@ -37,7 +37,7 @@ mod plan;
 mod sim;
 pub mod timeline;
 
-pub use plan::{plan_migration, PlannerConfig};
+pub use plan::{plan_migration, Planner, PlannerConfig};
 pub use sim::verify_schedule;
 pub use timeline::{time_plan, Timeline, TimelineConfig};
 

@@ -1,15 +1,21 @@
 //! The migration planner: batched greedy scheduling with two-hop staging.
+//!
+//! A [`Planner`] is bound to one instance and one initial placement and
+//! plans any number of targets from it; [`plan_migration`] is the one-shot
+//! form. Both run the one planning loop below.
 
 use super::{MigrationPlan, Move};
+use crate::arena::PackedVecs;
 use crate::assignment::Assignment;
 use crate::error::ClusterError;
 use crate::instance::Instance;
 use crate::machine::MachineId;
 use crate::resources::ResourceVec;
 use crate::shard::ShardId;
+use crate::EPS;
 
 /// Planner tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlannerConfig {
     /// Maximum concurrent moves per batch (`0` = unlimited). Real
     /// datacenters cap concurrent index copies to bound network pressure.
@@ -43,6 +49,46 @@ struct Pending {
     /// has source-blocked departures, otherwise the parked shard would
     /// bounce home immediately and undo the freeing (a livelock).
     is_return: bool,
+    /// Whether `(1+α)·d` fits on `target`.
+    arrival: Fit,
+    /// Whether `α·d` fits on the machine hosting the shard.
+    departure: Fit,
+    /// The last batch skipped this move without adding it — resolved, held
+    /// or blocked — and neither of its machines has changed since, so the
+    /// next batch would skip it again (see [`refresh`]).
+    quiet: bool,
+}
+
+impl Pending {
+    fn new(shard: ShardId, target: MachineId, is_return: bool) -> Self {
+        Self {
+            shard,
+            target,
+            is_return,
+            arrival: Fit::UNKNOWN,
+            departure: Fit::UNKNOWN,
+            quiet: false,
+        }
+    }
+}
+
+/// One side of a pending move's capacity test *without* in-batch extra, as
+/// computed in round `round`; it stands until a move touches that machine.
+/// Extra only adds — `(u+e)+b ≥ u+b` for `e ≥ 0` under monotone rounding —
+/// so a side that fails here fails with any extra: a blocked move is not
+/// re-tested until its source or target changes.
+#[derive(Clone, Copy, Debug)]
+struct Fit {
+    round: u32,
+    ok: bool,
+}
+
+impl Fit {
+    /// Not computed yet: older than any touch.
+    const UNKNOWN: Fit = Fit {
+        round: 0,
+        ok: false,
+    };
 }
 
 /// Plans a transient-feasible migration schedule from `initial` to `target`.
@@ -51,7 +97,8 @@ struct Pending {
 /// *not* required to satisfy the vacancy quota here (callers check that with
 /// [`Assignment::check_target`]); the planner only guarantees that the
 /// returned schedule respects capacities at every instant and ends exactly
-/// at `target`.
+/// at `target`. A caller planning many targets from one placement keeps a
+/// [`Planner`] instead: same plans, set up once.
 ///
 /// # Errors
 ///
@@ -71,88 +118,231 @@ pub fn plan_migration(
             found: initial.len().min(target.len()),
         });
     }
+    Planner::new(inst, initial)?.plan(target, cfg)
+}
 
-    let mut cur = Assignment::from_placement(inst, initial.to_vec())?;
+/// The migration planner for one instance and one initial placement.
+///
+/// Everything a plan needs that does not depend on the target is built
+/// once: the initial [`Assignment`], the shard order by demand norm, and
+/// every shard's `(1+α)·d` and `α·d` rows. Each [`Planner::plan`] resets
+/// its working state from these without allocating, so the plannability
+/// gate of a search can call it on every would-be best. Plans are
+/// byte-identical to [`plan_migration`]'s.
+pub struct Planner<'a> {
+    inst: &'a Instance,
+    /// The initial placement; every plan starts from a copy.
+    start: Assignment,
+    /// All shards, largest demand norm first (equal norms by id): the order
+    /// relocations are scheduled in. Big shards are the hardest to place;
+    /// scheduling them early leaves the most flexibility.
+    by_norm: Vec<ShardId>,
+    /// `norm[s]`: the demand norm of shard `s`.
+    norm: Vec<f64>,
+    /// Row `s`: `(1+α)·d`, what shard `s` needs free to arrive.
+    inflight: PackedVecs,
+    /// Row `s`: `α·d`, what shard `s` needs free to depart.
+    overhead: PackedVecs,
+    work: Work,
+}
 
-    // Collect required relocations, largest demand first: big shards are the
-    // hardest to place, scheduling them early leaves the most flexibility.
-    // The norm (a square root) is taken once per shard, not per comparison.
-    let mut by_norm: Vec<(f64, Pending)> = (0..inst.n_shards())
-        .filter(|&i| initial[i] != target[i])
-        .map(|i| {
-            let relocation = Pending {
-                shard: ShardId::from(i),
-                target: target[i],
-                is_return: false,
-            };
-            (inst.shards[i].demand.norm(), relocation)
+/// A plan's working state, reset by every [`Planner::plan`].
+struct Work {
+    cur: Assignment,
+    pending: Vec<Pending>,
+    /// Each shard may be parked on an intermediate host at most once: its
+    /// blockage is resolved by *other* machines draining, not by shuttling
+    /// it between staging hosts.
+    staged: Vec<bool>,
+    /// `is_pending[s]`: shard `s` has an entry in `pending` (at most one).
+    is_pending: Vec<bool>,
+    /// `pos[s]`: the index of shard `s`'s entry in `pending`.
+    pos: Vec<u32>,
+    /// `by_target[m]`: shards whose entry targets `m` (retired ones until
+    /// [`refresh`] next visits `m`).
+    by_target: Vec<Vec<ShardId>>,
+    /// `moved_in[s]`: the last round whose batch moved shard `s`.
+    moved_in: Vec<u32>,
+    /// The blocked-source set (see [`refresh`]).
+    blocked: Vec<bool>,
+    /// In-batch extra, `dims` values per machine; all-zero between rounds.
+    extra: Vec<f64>,
+    /// `touched[m]`: the last round whose moves changed machine `m`.
+    touched: Vec<u32>,
+    /// The machines the last round's moves changed (every machine before
+    /// the first round).
+    dirty: Vec<MachineId>,
+}
+
+impl<'a> Planner<'a> {
+    /// Binds a planner to `inst` and the placement every plan starts from.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::BadPlacementLength`] or
+    /// [`ClusterError::UnknownMachine`] when `initial` is not a placement
+    /// of `inst`.
+    pub fn new(inst: &'a Instance, initial: &[MachineId]) -> Result<Self, ClusterError> {
+        let start = Assignment::from_placement(inst, initial.to_vec())?;
+        let n = inst.n_shards();
+        // The norm (a square root) is taken once per shard, not per
+        // comparison; the sort is stable, so equal norms keep id order.
+        let norm: Vec<f64> = inst.shards.iter().map(|s| s.demand.norm()).collect();
+        let mut by_norm: Vec<ShardId> = (0..n).map(ShardId::from).collect();
+        by_norm.sort_by(|a, b| {
+            norm[b.idx()]
+                .partial_cmp(&norm[a.idx()])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut inflight = PackedVecs::zeroed(inst.dims, n);
+        let mut overhead = PackedVecs::zeroed(inst.dims, n);
+        for (i, s) in inst.shards.iter().enumerate() {
+            inflight.set(i, &s.demand.scaled(1.0 + inst.alpha));
+            overhead.set(i, &s.demand.scaled(inst.alpha));
+        }
+        let work = Work {
+            cur: start.clone(),
+            pending: Vec::new(),
+            staged: vec![false; n],
+            is_pending: vec![false; n],
+            pos: vec![0; n],
+            by_target: vec![Vec::new(); inst.n_machines()],
+            moved_in: vec![0; n],
+            blocked: vec![false; inst.n_machines()],
+            extra: vec![0.0; inst.n_machines() * inst.dims],
+            touched: vec![0; inst.n_machines()],
+            dirty: Vec::new(),
+        };
+        Ok(Self {
+            inst,
+            start,
+            by_norm,
+            norm,
+            inflight,
+            overhead,
+            work,
         })
-        .collect();
-    by_norm.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut pending: Vec<Pending> = by_norm.into_iter().map(|(_, p)| p).collect();
-
-    let min_moves = pending.len();
-    let budget = ((min_moves as f64) * cfg.move_budget_factor).ceil() as usize + 8;
-    let mut executed = 0usize;
-    let mut plan = MigrationPlan::default();
-    // Each shard may be parked on an intermediate host at most once: its
-    // blockage is resolved by *other* machines draining, not by shuttling
-    // it between staging hosts.
-    let mut staged = vec![false; inst.n_shards()];
-    // Per-round scratch, allocated once: a gate call runs hundreds of
-    // rounds over the same fleet.
-    let mut blocked = vec![false; inst.n_machines()];
-    let mut extra = vec![ResourceVec::zero(inst.dims); inst.n_machines()];
-    // `is_pending[s]`: shard `s` has an entry in `pending`.
-    let mut is_pending = vec![false; inst.n_shards()];
-    for p in &pending {
-        is_pending[p.shard.idx()] = true;
     }
-    // `moved_in[s]`: the last round whose batch moved shard `s`.
-    let mut moved_in = vec![0u32; inst.n_shards()];
-    let mut round = 0u32;
-    // The last source-freeing parking, and the one that was recognised as a
-    // livelock (with the number of park/return cycles skipped).
-    let mut last_parking: Option<Parking> = None;
-    let mut livelock: Option<(Move, usize)> = None;
 
-    while !pending.is_empty() {
-        round += 1;
-        #[cfg(test)]
-        ROUNDS.with(|r| r.set(r.get() + 1));
-        // One blocked set per round: the staging fallbacks below only run
-        // when the batch is empty, i.e. on the same `(cur, pending)`.
-        mark_blocked_sources(inst, &cur, &pending, &mut blocked);
-        let batch = collect_batch(inst, &cur, &pending, cfg, &blocked, &mut extra);
-        if !batch.is_empty() {
-            // Commit the batch, retiring completed relocations.
-            for mv in &batch {
-                cur.move_shard(inst, mv.shard, mv.to);
-                moved_in[mv.shard.idx()] = round;
-                executed += 1;
-            }
-            pending.retain(|p| {
-                let keep = moved_in[p.shard.idx()] != round || cur.machine_of(p.shard) != p.target;
-                is_pending[p.shard.idx()] = keep;
-                keep
+    /// Plans a transient-feasible migration schedule from the bound initial
+    /// placement to `target`: the plan (or error) [`plan_migration`] returns
+    /// for the same arguments.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::BadPlacementLength`] when `target` has the wrong
+    /// length, and [`ClusterError::PlanningDeadlock`] as for
+    /// [`plan_migration`].
+    pub fn plan(
+        &mut self,
+        target: &[MachineId],
+        cfg: &PlannerConfig,
+    ) -> Result<MigrationPlan, ClusterError> {
+        let Planner {
+            inst,
+            start,
+            by_norm,
+            norm,
+            inflight,
+            overhead,
+            work,
+        } = self;
+        let inst = *inst;
+        if target.len() != inst.n_shards() {
+            return Err(ClusterError::BadPlacementLength {
+                expected: inst.n_shards(),
+                found: target.len(),
             });
-            plan.batches.push(batch);
-        } else {
-            // Deadlock: every pending move is transiently infeasible. First
-            // try parking a pending shard on an intermediate machine with
-            // headroom (target-side staging); if that fails, free a blocked
-            // move's *source* by parking a co-resident shard elsewhere and
-            // scheduling its return (source-side staging, only relevant
-            // when alpha > 0 charges copy overhead on the source).
-            if let Some(mv) = find_staging_move(inst, &cur, &pending, &staged, &blocked) {
+        }
+        let Work {
+            cur,
+            pending,
+            staged,
+            is_pending,
+            pos,
+            by_target,
+            moved_in,
+            blocked,
+            extra,
+            touched,
+            dirty,
+        } = work;
+        cur.clone_from(start);
+        let initial = start.placement();
+        pending.clear();
+        pending.extend(
+            by_norm
+                .iter()
+                .filter(|s| initial[s.idx()] != target[s.idx()])
+                .map(|&s| Pending::new(s, target[s.idx()], false)),
+        );
+        staged.fill(false);
+        is_pending.fill(false);
+        by_target.iter_mut().for_each(Vec::clear);
+        for (i, p) in pending.iter().enumerate() {
+            is_pending[p.shard.idx()] = true;
+            pos[p.shard.idx()] = i as u32;
+            by_target[p.target.idx()].push(p.shard);
+        }
+        moved_in.fill(0);
+        extra.fill(0.0);
+        touched.fill(0);
+        dirty.clear();
+        dirty.extend((0..inst.n_machines()).map(MachineId::from));
+
+        let min_moves = pending.len();
+        let budget = ((min_moves as f64) * cfg.move_budget_factor).ceil() as usize + 8;
+        let mut executed = 0usize;
+        let mut plan = MigrationPlan::default();
+        let mut round = 0u32;
+        // The last source-freeing parking, and the one that was recognised as a
+        // livelock (with the number of park/return cycles skipped).
+        let mut last_parking: Option<Parking> = None;
+        let mut livelock: Option<(Move, usize)> = None;
+
+        while !pending.is_empty() {
+            round += 1;
+            #[cfg(test)]
+            ROUNDS.with(|r| r.set(r.get() + 1));
+            let view = View {
+                inst,
+                norm,
+                inflight,
+                overhead,
+                cur,
+                touched,
+                round,
+            };
+            // One blocked set per round: the staging fallbacks below only run
+            // when the batch is empty, i.e. on the same `(cur, pending)`.
+            refresh(&view, pending, is_pending, pos, by_target, dirty, blocked);
+            dirty.clear();
+            let batch = collect_batch(&view, pending, cfg, blocked, extra);
+            // An empty batch is a deadlock: every pending move is
+            // transiently infeasible. First try parking a pending shard on
+            // an intermediate machine with headroom (target-side staging);
+            // if that fails, free a blocked move's *source* by parking a
+            // co-resident shard elsewhere and scheduling its return
+            // (source-side staging, only relevant when alpha > 0 charges
+            // copy overhead on the source).
+            if !batch.is_empty() {
+                // Commit the batch, retiring completed relocations.
+                for mv in &batch {
+                    apply(inst, cur, touched, dirty, mv, round);
+                    moved_in[mv.shard.idx()] = round;
+                    executed += 1;
+                }
+                retain(pending, is_pending, pos, |p| {
+                    moved_in[p.shard.idx()] != round || cur.machine_of(p.shard) != p.target
+                });
+                plan.batches.push(batch);
+            } else if let Some(mv) = find_staging_move(&view, pending, staged, blocked) {
                 staged[mv.shard.idx()] = true;
-                cur.move_shard(inst, mv.shard, mv.to);
+                apply(inst, cur, touched, dirty, &mv, round);
                 executed += 1;
                 plan.batches.push(vec![mv]);
-            } else if let Some(mv) =
-                find_source_freeing_move(inst, &cur, &pending, &is_pending, &blocked)
-            {
-                let parking = Parking::observe(&cur, mv, executed);
+            } else if let Some(mv) = find_source_freeing_move(&view, pending, is_pending, blocked) {
+                let parking = Parking::observe(cur, mv, executed);
                 if last_parking.is_some_and(|prev| parking.repeats(&prev)) {
                     // Same planner state as two moves ago: the park/return
                     // pair repeats until the budget check below fires, so
@@ -162,63 +352,172 @@ pub fn plan_migration(
                     livelock = Some((mv, cycles));
                 }
                 last_parking = Some(parking);
-                cur.move_shard(inst, mv.shard, mv.to);
+                apply(inst, cur, touched, dirty, &mv, round);
                 executed += 1;
                 // The parked shard must end where the target says: back on
                 // the machine it came from (it was not part of the diff).
-                pending.push(Pending {
-                    shard: mv.shard,
-                    target: mv.from,
-                    is_return: true,
-                });
+                pos[mv.shard.idx()] = pending.len() as u32;
+                pending.push(Pending::new(mv.shard, mv.from, true));
                 is_pending[mv.shard.idx()] = true;
+                by_target[mv.from.idx()].push(mv.shard);
                 plan.batches.push(vec![mv]);
-            } else if let Some(mv) = find_held_arrival(inst, &cur, &pending) {
+            } else if let Some(mv) = find_held_arrival(&view, pending) {
                 // Every remaining blockage is a *hold* protecting a machine
                 // whose own departures cannot be freed anyway: release the
                 // smallest held arrival so the rest of the plan proceeds.
-                cur.move_shard(inst, mv.shard, mv.to);
+                apply(inst, cur, touched, dirty, &mv, round);
                 executed += 1;
-                pending.retain(|p| {
-                    let keep = p.shard != mv.shard || cur.machine_of(p.shard) != p.target;
-                    is_pending[p.shard.idx()] = keep;
-                    keep
+                retain(pending, is_pending, pos, |p| {
+                    p.shard != mv.shard || cur.machine_of(p.shard) != p.target
                 });
                 plan.batches.push(vec![mv]);
             } else {
                 // Debugging aid: REX_PLAN_TRACE=1 dumps why each pending
                 // move is blocked at the moment of the deadlock.
-                if std::env::var("REX_PLAN_TRACE")
-                    .map(|v| v == "1")
-                    .unwrap_or(false)
-                {
-                    trace_deadlock(inst, &cur, &pending);
+                if plan_trace_enabled() {
+                    trace_deadlock(inst, cur, pending);
+                }
+                return Err(ClusterError::PlanningDeadlock {
+                    remaining_moves: pending.len(),
+                });
+            }
+            if executed > budget {
+                if plan_trace_enabled() {
+                    eprintln!("--- planner move budget exhausted ({executed} > {budget}) ---");
+                    if let Some((mv, cycles)) = livelock {
+                        eprintln!(
+                            "  livelock: {} parks {}→{} and returns; {cycles} cycles skipped",
+                            mv.shard, mv.from, mv.to
+                        );
+                    }
+                    trace_deadlock(inst, cur, pending);
                 }
                 return Err(ClusterError::PlanningDeadlock {
                     remaining_moves: pending.len(),
                 });
             }
         }
-        if executed > budget {
-            if std::env::var("REX_PLAN_TRACE")
-                .map(|v| v == "1")
-                .unwrap_or(false)
-            {
-                eprintln!("--- planner move budget exhausted ({executed} > {budget}) ---");
-                if let Some((mv, cycles)) = livelock {
-                    eprintln!(
-                        "  livelock: {} parks {}→{} and returns; {cycles} cycles skipped",
-                        mv.shard, mv.from, mv.to
-                    );
-                }
-                trace_deadlock(inst, &cur, &pending);
-            }
-            return Err(ClusterError::PlanningDeadlock {
-                remaining_moves: pending.len(),
-            });
+        Ok(plan)
+    }
+}
+
+/// `REX_PLAN_TRACE=1`: dump every deadlock and exhausted budget to stderr.
+fn plan_trace_enabled() -> bool {
+    std::env::var("REX_PLAN_TRACE")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+}
+
+/// Executes `mv`: stamps both of its machines with `round` and lists them
+/// in `dirty` once.
+fn apply(
+    inst: &Instance,
+    cur: &mut Assignment,
+    touched: &mut [u32],
+    dirty: &mut Vec<MachineId>,
+    mv: &Move,
+    round: u32,
+) {
+    cur.move_shard(inst, mv.shard, mv.to);
+    for m in [mv.from, mv.to] {
+        if touched[m.idx()] != round {
+            touched[m.idx()] = round;
+            dirty.push(m);
         }
     }
-    Ok(plan)
+}
+
+/// `pending.retain(keep)`, keeping `is_pending` and `pos` in step.
+fn retain(
+    pending: &mut Vec<Pending>,
+    is_pending: &mut [bool],
+    pos: &mut [u32],
+    mut keep: impl FnMut(&Pending) -> bool,
+) {
+    let mut kept = 0;
+    for i in 0..pending.len() {
+        let p = pending[i];
+        if keep(&p) {
+            pos[p.shard.idx()] = kept as u32;
+            pending[kept] = p;
+            kept += 1;
+        } else {
+            is_pending[p.shard.idx()] = false;
+        }
+    }
+    pending.truncate(kept);
+}
+
+/// What a round's capacity tests read.
+struct View<'v> {
+    inst: &'v Instance,
+    norm: &'v [f64],
+    inflight: &'v PackedVecs,
+    overhead: &'v PackedVecs,
+    cur: &'v Assignment,
+    touched: &'v [u32],
+    round: u32,
+}
+
+impl View<'_> {
+    /// `usage(m) + add ≤ C(m)` within [`EPS`], now.
+    #[inline]
+    fn fits(&self, m: MachineId, add: &[f64]) -> bool {
+        fits(
+            self.cur.usage_rows().row(m.idx()),
+            add,
+            self.inst.capacity(m).as_slice(),
+        )
+    }
+
+    /// `(1+α)·d` of `p`'s shard fits on `p.target` now (no batch extra).
+    #[inline]
+    fn arrival_fits(&self, p: &mut Pending) -> bool {
+        if p.arrival.round <= self.touched[p.target.idx()] {
+            p.arrival = Fit {
+                round: self.round,
+                ok: self.fits(p.target, self.inflight.row(p.shard.idx())),
+            };
+        }
+        p.arrival.ok
+    }
+
+    /// `α·d` of `p`'s shard fits on `from`, the machine hosting it now. A
+    /// shard that moved since the last test sits on a machine touched since.
+    #[inline]
+    fn departure_fits(&self, p: &mut Pending, from: MachineId) -> bool {
+        if p.departure.round <= self.touched[from.idx()] {
+            p.departure = Fit {
+                round: self.round,
+                ok: self.fits(from, self.overhead.row(p.shard.idx())),
+            };
+        }
+        p.departure.ok
+    }
+}
+
+/// `u + add ≤ cap` within [`EPS`] per component —
+/// [`ResourceVec::fits_after_add`] on rows.
+#[inline]
+fn fits(u: &[f64], add: &[f64], cap: &[f64]) -> bool {
+    for ((&u, &a), &c) in u.iter().zip(add).zip(cap) {
+        if u + a > c + EPS {
+            return false;
+        }
+    }
+    true
+}
+
+/// `(u + extra) + add ≤ cap` within [`EPS`] per component —
+/// [`PackedVecs::fits_after_add2`] on rows.
+#[inline]
+fn fits2(u: &[f64], extra: &[f64], add: &[f64], cap: &[f64]) -> bool {
+    for (((&u, &e), &a), &c) in u.iter().zip(extra).zip(add).zip(cap) {
+        if (u + e) + a > c + EPS {
+            return false;
+        }
+    }
+    true
 }
 
 /// What the planner looked like when it chose a source-freeing parking —
@@ -254,7 +553,8 @@ impl Parking {
     /// untouched, `shards_on(mv.to)` popped what it pushed and
     /// `shards_on(mv.from)` kept its order because the shard was last. The
     /// two usage rows the round trip re-derived in floating point
-    /// (`(u − d) + d` need not be `u`) are compared outright.
+    /// (`(u − d) + d` need not be `u`) are compared outright. The cached
+    /// [`Fit`]s are not state: each equals the test it caches.
     fn repeats(&self, prev: &Parking) -> bool {
         #[cfg(test)]
         if FAST_FORWARD_OFF.with(|off| off.get()) {
@@ -291,46 +591,58 @@ thread_local! {
 /// first would consume the very headroom the departure's copy overhead
 /// needs (and parked shards would bounce straight home, undoing the
 /// freeing) — departures come first on congested machines. `extra` is
-/// all-zero scratch (one row per machine) and is handed back all-zero.
+/// all-zero scratch (`dims` values per machine) and is handed back all-zero.
 fn collect_batch(
-    inst: &Instance,
-    cur: &Assignment,
-    pending: &[Pending],
+    view: &View<'_>,
+    pending: &mut [Pending],
     cfg: &PlannerConfig,
     hold_arrivals: &[bool],
-    extra: &mut [ResourceVec],
+    extra: &mut [f64],
 ) -> Vec<Move> {
-    let alpha = inst.alpha;
+    let dims = view.inst.dims;
+    let row = |m: usize| m * dims..(m + 1) * dims;
+    let usage = view.cur.usage_rows();
     let mut batch = Vec::new();
-    for p in pending {
+    for p in pending.iter_mut() {
         if cfg.max_batch_moves != 0 && batch.len() >= cfg.max_batch_moves {
             break;
         }
-        let from = cur.machine_of(p.shard);
+        if p.quiet {
+            continue;
+        }
+        let from = view.cur.machine_of(p.shard);
+        p.quiet = true;
         if from == p.target {
             continue; // already resolved by an earlier staging hop
         }
         if hold_arrivals[p.target.idx()] {
             continue; // arrival deferred until the target's departures clear
         }
-        let d = &inst.shards[p.shard.idx()].demand;
-        let inflight = d.scaled(1.0 + alpha);
-        let overhead = d.scaled(alpha);
-
-        let t = p.target.idx();
-        let f = from.idx();
-        // Packed-row checks: materializing a ResourceVec per candidate here
-        // dominates planning time at web-scale fleets (thousands of pending
-        // moves × tens of batches).
-        let target_ok =
-            cur.usage_rows()
-                .fits_after_add2(t, &extra[t], &inflight, inst.capacity(p.target));
-        let source_ok =
-            cur.usage_rows()
-                .fits_after_add2(f, &extra[f], &overhead, inst.capacity(from));
-        if target_ok && source_ok {
-            extra[t] += &inflight;
-            extra[f] += &overhead;
+        // Blocked without extra means blocked with it.
+        if !view.arrival_fits(p) || !view.departure_fits(p, from) {
+            continue;
+        }
+        p.quiet = false;
+        let (t, f) = (p.target.idx(), from.idx());
+        let inflight = view.inflight.row(p.shard.idx());
+        let overhead = view.overhead.row(p.shard.idx());
+        if fits2(
+            usage.row(t),
+            &extra[row(t)],
+            inflight,
+            view.inst.capacity(p.target).as_slice(),
+        ) && fits2(
+            usage.row(f),
+            &extra[row(f)],
+            overhead,
+            view.inst.capacity(from).as_slice(),
+        ) {
+            for (e, &x) in extra[row(t)].iter_mut().zip(inflight) {
+                *e += x;
+            }
+            for (e, &x) in extra[row(f)].iter_mut().zip(overhead) {
+                *e += x;
+            }
             batch.push(Move {
                 shard: p.shard,
                 from,
@@ -338,38 +650,55 @@ fn collect_batch(
             });
         }
     }
-    let zero = ResourceVec::zero(inst.dims);
     for mv in &batch {
-        extra[mv.from.idx()] = zero;
-        extra[mv.to.idx()] = zero;
+        extra[row(mv.from.idx())].fill(0.0);
+        extra[row(mv.to.idx())].fill(0.0);
     }
     batch
 }
 
-/// Machines with a source-blocked ordinary (non-return) pending departure:
-/// `out[m]` is set when some shard must leave `m` but `m` lacks the `α·d`
-/// copy headroom right now. Such machines must not receive arrivals or host
-/// parked shards until their departures clear.
-fn mark_blocked_sources(inst: &Instance, cur: &Assignment, pending: &[Pending], out: &mut [bool]) {
-    out.fill(false);
-    if inst.alpha <= 0.0 {
-        return;
-    }
-    for p in pending {
-        if p.is_return {
-            continue;
+/// Brings the round's state up to date for the `dirty` machines — the only
+/// ones whose usage, residents or pending departures changed since the
+/// last round, so everything else carries over.
+///
+/// * `blocked[m]`, the blocked-source set: some shard must leave `m` by an
+///   ordinary (non-return) move but `m` lacks its `α·d` copy headroom right
+///   now. Such machines must not receive arrivals or host parked shards
+///   until their departures clear.
+/// * The moves whose shard sits on, or whose target is, a dirty machine
+///   stop being quiet: a held move's hold and a blocked move's capacity
+///   tests read only those two machines.
+fn refresh(
+    view: &View<'_>,
+    pending: &mut [Pending],
+    is_pending: &[bool],
+    pos: &[u32],
+    by_target: &mut [Vec<ShardId>],
+    dirty: &[MachineId],
+    blocked: &mut [bool],
+) {
+    for &m in dirty {
+        let mut departure_blocked = false;
+        for &s in view.cur.shards_on(m) {
+            if !is_pending[s.idx()] {
+                continue;
+            }
+            let p = &mut pending[pos[s.idx()] as usize];
+            p.quiet = false;
+            if view.inst.alpha > 0.0 && !p.is_return && p.target != m && !view.departure_fits(p, m)
+            {
+                departure_blocked = true;
+            }
         }
-        let from = cur.machine_of(p.shard);
-        if from == p.target {
-            continue;
-        }
-        let overhead = inst.shards[p.shard.idx()].demand.scaled(inst.alpha);
-        if !cur
-            .usage_rows()
-            .fits_after_add(from.idx(), &overhead, inst.capacity(from))
-        {
-            out[from.idx()] = true;
-        }
+        blocked[m.idx()] = departure_blocked;
+        by_target[m.idx()].retain(|&s| {
+            if !is_pending[s.idx()] {
+                return false;
+            }
+            let p = &mut pending[pos[s.idx()] as usize];
+            p.quiet &= p.target != m;
+            p.target == m
+        });
     }
 }
 
@@ -379,14 +708,13 @@ fn mark_blocked_sources(inst: &Instance, cur: &Assignment, pending: &[Pending], 
 /// admissible hosts the one with the lowest resulting load is chosen, so
 /// staging perturbs the balance as little as possible.
 fn find_staging_move(
-    inst: &Instance,
-    cur: &Assignment,
-    pending: &[Pending],
+    view: &View<'_>,
+    pending: &mut [Pending],
     staged: &[bool],
     blocked: &[bool],
 ) -> Option<Move> {
-    let alpha = inst.alpha;
-    for p in pending {
+    let (inst, cur) = (view.inst, view.cur);
+    for p in pending.iter_mut() {
         if p.is_return || staged[p.shard.idx()] {
             continue; // parked shards wait for departures; re-staging them
                       // would circle them around the fleet forever
@@ -395,27 +723,19 @@ fn find_staging_move(
         if from == p.target {
             continue;
         }
-        let d = &inst.shards[p.shard.idx()].demand;
-        let inflight = d.scaled(1.0 + alpha);
-        let overhead = d.scaled(alpha);
-
         // Stage only moves whose target is *physically* full right now.
         // A move that fits but was held back (its target has blocked
         // departures) needs patience, not staging — staging it would
         // ping-pong the shard between intermediate hosts forever.
-        if cur
-            .usage_rows()
-            .fits_after_add(p.target.idx(), &inflight, inst.capacity(p.target))
-        {
+        if view.arrival_fits(p) {
             continue;
         }
         // Source must be able to bear the copy overhead at all.
-        if !cur
-            .usage_rows()
-            .fits_after_add(from.idx(), &overhead, inst.capacity(from))
-        {
+        if !view.departure_fits(p, from) {
             continue;
         }
+        let d = inst.demand(p.shard);
+        let inflight = view.inflight.row(p.shard.idx());
 
         let mut best: Option<(bool, f64, MachineId)> = None; // (vacant, -load, id)
         for mid in 0..inst.n_machines() {
@@ -423,10 +743,7 @@ fn find_staging_move(
             if v == from || v == p.target || blocked[v.idx()] {
                 continue;
             }
-            if !cur
-                .usage_rows()
-                .fits_after_add(v.idx(), &inflight, inst.capacity(v))
-            {
+            if !view.fits(v, inflight) {
                 continue;
             }
             let load_after = cur
@@ -459,17 +776,16 @@ fn find_staging_move(
 /// shard is scheduled to return afterwards (the caller appends that pending
 /// entry), so the final placement is unchanged.
 fn find_source_freeing_move(
-    inst: &Instance,
-    cur: &Assignment,
-    pending: &[Pending],
+    view: &View<'_>,
+    pending: &mut [Pending],
     is_pending: &[bool],
     blocked: &[bool],
 ) -> Option<Move> {
+    let (inst, cur) = (view.inst, view.cur);
     if inst.alpha <= 0.0 {
         return None; // sources can never block without copy overhead
     }
-    let alpha = inst.alpha;
-    for p in pending {
+    for p in pending.iter_mut() {
         if p.is_return {
             continue; // returns resolve via departures, not more parking
         }
@@ -477,15 +793,11 @@ fn find_source_freeing_move(
         if from == p.target {
             continue;
         }
-        let d = &inst.shards[p.shard.idx()].demand;
-        let overhead = d.scaled(alpha);
         // Only source-blocked moves are candidates here.
-        if cur
-            .usage_rows()
-            .fits_after_add(from.idx(), &overhead, inst.capacity(from))
-        {
+        if view.departure_fits(p, from) {
             continue;
         }
+        let overhead = view.overhead.row(p.shard.idx());
         // Co-resident shards that are not themselves pending (pending ones
         // are handled by target-side staging), largest-unblocking first.
         let mut best: Option<(bool, f64, Move)> = None; // (unblocks, -d_norm, move)
@@ -493,34 +805,24 @@ fn find_source_freeing_move(
             if s == p.shard || is_pending[s.idx()] {
                 continue;
             }
-            let ds = &inst.shards[s.idx()].demand;
-            let inflight = ds.scaled(1.0 + alpha);
-            let s_overhead = ds.scaled(alpha);
+            let ds = inst.demand(s);
             // Moving s itself must be transiently possible from this source.
-            if !cur
-                .usage_rows()
-                .fits_after_add(from.idx(), &s_overhead, inst.capacity(from))
-            {
+            if !view.fits(from, view.overhead.row(s.idx())) {
                 continue;
             }
             // Does parking s free enough for p's overhead?
             let mut after = cur.usage(from);
             after.saturating_sub_assign(ds);
-            let unblocks = after.fits_after_add(&overhead, inst.capacity(from));
+            let unblocks = fits(after.as_slice(), overhead, inst.capacity(from).as_slice());
             // Find the best host for s.
+            let inflight = view.inflight.row(s.idx());
             let mut host: Option<(bool, f64, MachineId)> = None;
             for mid in 0..inst.n_machines() {
                 let v = MachineId::from(mid);
                 // Never park on the blocked move's own target (the parked
                 // shard would consume exactly the room the move needs) nor
                 // on another blocked source.
-                if v == from
-                    || v == p.target
-                    || blocked[v.idx()]
-                    || !cur
-                        .usage_rows()
-                        .fits_after_add(v.idx(), &inflight, inst.capacity(v))
-                {
+                if v == from || v == p.target || blocked[v.idx()] || !view.fits(v, inflight) {
                     continue;
                 }
                 let load_after =
@@ -534,7 +836,7 @@ fn find_source_freeing_move(
             if let Some((_, _, v)) = host {
                 let key = (
                     unblocks,
-                    ds.norm(),
+                    view.norm[s.idx()],
                     Move {
                         shard: s,
                         from,
@@ -561,25 +863,15 @@ fn find_source_freeing_move(
 /// physically feasible on both sides *right now* and was only skipped by
 /// the arrival hold. Smallest demand first, so the protected machine is
 /// perturbed as little as possible.
-fn find_held_arrival(inst: &Instance, cur: &Assignment, pending: &[Pending]) -> Option<Move> {
-    let alpha = inst.alpha;
+fn find_held_arrival(view: &View<'_>, pending: &mut [Pending]) -> Option<Move> {
     let mut best: Option<(f64, Move)> = None;
-    for p in pending {
-        let from = cur.machine_of(p.shard);
+    for p in pending.iter_mut() {
+        let from = view.cur.machine_of(p.shard);
         if from == p.target {
             continue;
         }
-        let d = &inst.shards[p.shard.idx()].demand;
-        let inflight = d.scaled(1.0 + alpha);
-        let overhead = d.scaled(alpha);
-        if cur
-            .usage_rows()
-            .fits_after_add(p.target.idx(), &inflight, inst.capacity(p.target))
-            && cur
-                .usage_rows()
-                .fits_after_add(from.idx(), &overhead, inst.capacity(from))
-        {
-            let key = d.norm();
+        if view.arrival_fits(p) && view.departure_fits(p, from) {
+            let key = view.norm[p.shard.idx()];
             if best.as_ref().is_none_or(|(b, _)| key < *b) {
                 best = Some((
                     key,
@@ -596,7 +888,7 @@ fn find_held_arrival(inst: &Instance, cur: &Assignment, pending: &[Pending]) -> 
 }
 
 /// Prints a per-move blockage report to stderr (enabled by
-/// `REX_PLAN_TRACE=1`; see the deadlock branch of [`plan_migration`]).
+/// `REX_PLAN_TRACE=1`; see the deadlock branch of [`Planner::plan`]).
 fn trace_deadlock(inst: &Instance, cur: &Assignment, pending: &[Pending]) {
     eprintln!("--- planner deadlock: {} moves pending ---", pending.len());
     if let Err(e) = cur.validate_consistency(inst) {
@@ -641,6 +933,9 @@ fn trace_deadlock(inst: &Instance, cur: &Assignment, pending: &[Pending]) {
         );
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1024,6 +1319,21 @@ mod tests {
                 verify_schedule(&inst, &inst.initial, &target, &plan).unwrap();
             }
         }
+
+        /// A target that plans under the gate's budget (factor 2) gets the
+        /// same plan under the final plan's (factor 6): a call that succeeds
+        /// never fast-forwards and never reaches its budget.
+        #[test]
+        fn a_plan_at_factor_two_is_the_plan_at_factor_six(seed in proptest::prelude::any::<u64>()) {
+            let (inst, target) = tight_instance(seed);
+            let mut planner = Planner::new(&inst, &inst.initial).unwrap();
+            for max_batch_moves in [0, 4] {
+                let at = |move_budget_factor| PlannerConfig { max_batch_moves, move_budget_factor };
+                if let Ok(two) = planner.plan(&target, &at(2.0)) {
+                    proptest::prop_assert_eq!(Ok(two.batches), outcome(planner.plan(&target, &at(6.0))));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1050,5 +1360,177 @@ mod tests {
             &PlannerConfig::default(),
         );
         assert!(matches!(res, Err(ClusterError::BadPlacementLength { .. })));
+    }
+
+    /// The settings every differential target is planned under: unlimited
+    /// and capped batches, the gate's budget factor and the final plan's.
+    const CONFIGS: [PlannerConfig; 4] = [
+        PlannerConfig {
+            max_batch_moves: 0,
+            move_budget_factor: 2.0,
+        },
+        PlannerConfig {
+            max_batch_moves: 0,
+            move_budget_factor: 6.0,
+        },
+        PlannerConfig {
+            max_batch_moves: 4,
+            move_budget_factor: 2.0,
+        },
+        PlannerConfig {
+            max_batch_moves: 4,
+            move_budget_factor: 6.0,
+        },
+    ];
+
+    /// Plan bytes on `Ok`, the payload on `Err`.
+    type Outcome = Result<Vec<Vec<Move>>, ClusterError>;
+
+    fn outcome(res: Result<MigrationPlan, ClusterError>) -> Outcome {
+        res.map(|plan| plan.batches)
+    }
+
+    /// What the planning loop did before the planner kept its state.
+    fn reference(inst: &Instance, target: &[MachineId], cfg: &PlannerConfig) -> Outcome {
+        outcome(reference::plan_migration(inst, &inst.initial, target, cfg))
+    }
+
+    #[test]
+    fn the_fixtures_plan_like_the_reference() {
+        for seed in 0..300 {
+            let (inst, target) = tight_instance(seed);
+            // Half of the relocations, then all of them, under every
+            // setting — through one planner, so leaked scratch would show.
+            let half: Vec<MachineId> = (0..inst.n_shards())
+                .map(|i| {
+                    if i % 2 == 0 {
+                        target[i]
+                    } else {
+                        inst.initial[i]
+                    }
+                })
+                .collect();
+            let mut planner = Planner::new(&inst, &inst.initial).unwrap();
+            for cfg in &CONFIGS {
+                for t in [&half, &target] {
+                    let want = reference(&inst, t, cfg);
+                    assert_eq!(outcome(planner.plan(t, cfg)), want, "seed {seed} {cfg:?}");
+                    assert_eq!(outcome(plan_migration(&inst, &inst.initial, t, cfg)), want);
+                }
+            }
+        }
+    }
+
+    /// A 100+8 × 1000 fleet shaped like the benchmark's stringent inputs:
+    /// three correlated dimensions normalized to `stringency` of the loaded
+    /// capacity (each capped at 0.45 of a machine), placed largest first
+    /// onto the first 40 machines up to 0.93, the rest best fit; α = 0.1.
+    fn stringent_fleet(stringency: f64, seed: u64) -> Instance {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let machines = 100;
+        let mut demands: Vec<[f64; 3]> = (0..1000)
+            .map(|_| {
+                let size = rng.random_range(0.2..2.0f64).powi(2);
+                std::array::from_fn(|_| 0.7 * size + 0.3 * rng.random_range(0.1..1.0))
+            })
+            .collect();
+        for r in 0..3 {
+            let total: f64 = demands.iter().map(|d| d[r]).sum();
+            for d in &mut demands {
+                d[r] = (d[r] * stringency * machines as f64 / total).min(0.45);
+            }
+        }
+        let peak = |d: &[f64; 3]| d.iter().copied().fold(0.0, f64::max);
+        demands.sort_by(|a, b| peak(b).total_cmp(&peak(a)));
+        let fits = |u: &[f64; 3], d: &[f64; 3], cap: f64| (0..3).all(|r| u[r] + d[r] <= cap);
+        let mut usage = vec![[0.0f64; 3]; machines];
+        let mut b = InstanceBuilder::new(3).alpha(0.1);
+        let ms: Vec<MachineId> = (0..machines).map(|_| b.machine(&[1.0; 3])).collect();
+        for _ in 0..8 {
+            b.exchange_machine(&[1.0; 3]);
+        }
+        for d in &demands {
+            let host = (0..40)
+                .find(|&m| fits(&usage[m], d, 0.93))
+                .or_else(|| {
+                    (0..machines)
+                        .filter(|&m| fits(&usage[m], d, 1.0))
+                        .min_by(|&x, &y| peak(&usage[x]).total_cmp(&peak(&usage[y])))
+                })
+                .expect("the fleet packs");
+            for r in 0..3 {
+                usage[host][r] += d[r];
+            }
+            b.shard(d, d[2].max(1e-9), ms[host]);
+        }
+        b.build().unwrap()
+    }
+
+    /// A search-like sequence of targets: each makes ten more moves, half of
+    /// them a shard off the hottest machine onto the least loaded one with
+    /// `(1+α)·d` free, half a random shard onto a random machine with `d`
+    /// free — which only a schedule that empties it first can deliver.
+    fn gate_like_targets(inst: &Instance, n: usize, seed: u64) -> Vec<Vec<MachineId>> {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut asg = Assignment::from_initial(inst);
+        let mut out = Vec::new();
+        while out.len() < n {
+            for _ in 0..10 {
+                if rng.random_range(0..2) == 0 {
+                    let s = ShardId::from(rng.random_range(0..inst.n_shards()));
+                    let to = MachineId::from(rng.random_range(0..inst.n_machines()));
+                    if asg.fits(inst, s, to) {
+                        asg.move_shard(inst, s, to);
+                    }
+                    continue;
+                }
+                let loads = asg.loads(inst);
+                let by_load = |a: &usize, b: &usize| loads[*a].total_cmp(&loads[*b]);
+                let hot = (0..inst.n_machines()).max_by(by_load).unwrap();
+                let on = asg.shards_on(MachineId::from(hot));
+                let s = on[rng.random_range(0..on.len())];
+                let inflight = inst.demand(s).scaled(1.0 + inst.alpha);
+                let to = (0..inst.n_machines())
+                    .filter(|&m| {
+                        m != hot
+                            && asg.usage_rows().fits_after_add(
+                                m,
+                                &inflight,
+                                inst.capacity(MachineId::from(m)),
+                            )
+                    })
+                    .min_by(by_load);
+                if let Some(to) = to {
+                    asg.move_shard(inst, s, MachineId::from(to));
+                }
+            }
+            out.push(asg.placement().to_vec());
+        }
+        out
+    }
+
+    #[test]
+    fn generated_fleets_plan_like_the_reference_through_one_planner() {
+        let (mut planned, mut deadlocked) = (0, 0);
+        for (i, stringency) in [0.85, 0.90, 0.95].into_iter().enumerate() {
+            let inst = stringent_fleet(stringency, 11 + i as u64);
+            let targets = gate_like_targets(&inst, 6, i as u64);
+            for cfg in &CONFIGS {
+                // Forward, then back: every target is proposed twice.
+                let mut planner = Planner::new(&inst, &inst.initial).unwrap();
+                for t in targets.iter().chain(targets.iter().rev()) {
+                    let got = outcome(planner.plan(t, cfg));
+                    assert_eq!(got, reference(&inst, t, cfg), "{stringency} {cfg:?}");
+                    planned += usize::from(got.is_ok());
+                    deadlocked += usize::from(got.is_err());
+                }
+            }
+        }
+        assert!(
+            planned > 0 && deadlocked > 0,
+            "{planned} planned, {deadlocked} deadlocked"
+        );
     }
 }

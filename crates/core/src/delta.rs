@@ -20,9 +20,7 @@ use crate::repair::default_repairs_in_place;
 use crate::sra::SraConfig;
 use crate::state::SraState;
 use rand::rngs::StdRng;
-use rex_cluster::{
-    plan_migration, verify_schedule, Assignment, ClusterError, Instance, MigrationPlan, ShardId,
-};
+use rex_cluster::{verify_schedule, Assignment, ClusterError, Instance, MigrationPlan, ShardId};
 use rex_lns::{DestroyInPlace, Engine};
 use rex_obs::Recorder;
 
@@ -128,7 +126,7 @@ pub fn solve_delta(
             .all(|(i, (a, b))| a == b || changed.contains(&ShardId::from(i))),
         "delta solve moved a shard outside the changed set"
     );
-    let plan = plan_migration(inst, &inst.initial, best.placement(), &cfg.planner)?;
+    let plan = problem.plan(best.placement(), &cfg.planner)?;
     verify_schedule(inst, &inst.initial, best.placement(), &plan)?;
     best.check_target(inst)?;
     let objective_value = cfg.objective.value(inst, &best, &inst.initial);

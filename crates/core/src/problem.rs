@@ -2,9 +2,12 @@
 
 use crate::state::SraState;
 use rex_cluster::{
-    plan_migration, Assignment, Instance, MachineId, Objective, PlannerConfig, ShardId, EPS,
+    plan_migration, Assignment, ClusterError, Instance, MachineId, MigrationPlan, Objective,
+    Planner, PlannerConfig, ShardId, EPS,
 };
 use rex_lns::LnsProblem;
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// The reassignment problem bound to an instance and an objective.
 pub struct SraProblem<'a> {
@@ -34,6 +37,93 @@ pub struct SraProblem<'a> {
     /// `drained[m]`: machine `m` is being decommissioned — it must end
     /// vacant and may not receive any insertion. Empty = no drain.
     drained: Vec<bool>,
+    /// The solve's one planner and what it has already planned. Locked
+    /// because portfolio workers share the problem; never keyed by address
+    /// (a controller snapshot can reuse a freed one).
+    gate: Mutex<Gate<'a>>,
+}
+
+/// Failing placements the gate remembers (with the one passing placement
+/// and its plan, at most nine placements per solve).
+const FAILED_MEMO: usize = 8;
+
+/// The plannability gate's state across the calls of one solve.
+#[derive(Default)]
+struct Gate<'a> {
+    /// Bound to `(inst, inst.initial)` on the first call; ungated problems
+    /// (decomposed leaves) never build one.
+    planner: Option<Planner<'a>>,
+    /// The last placement that planned, the config it planned under, and
+    /// its plan — in a serial search, the current best.
+    planned: Option<(PlannerConfig, Vec<MachineId>, MigrationPlan)>,
+    /// Placements that failed, with their configs, oldest first.
+    failed: VecDeque<(PlannerConfig, Vec<MachineId>)>,
+    /// Plans actually run; gate calls beyond these were answered by the memo.
+    runs: usize,
+}
+
+impl<'a> Gate<'a> {
+    /// `plan_migration(inst, &inst.initial, target, cfg)` through the
+    /// solve's planner.
+    fn plan(
+        &mut self,
+        inst: &'a Instance,
+        target: &[MachineId],
+        cfg: &PlannerConfig,
+    ) -> Result<MigrationPlan, ClusterError> {
+        let planner = match self.planner.take() {
+            Some(planner) => planner,
+            None => Planner::new(inst, &inst.initial)?,
+        };
+        self.runs += 1;
+        self.planner.insert(planner).plan(target, cfg)
+    }
+
+    /// Whether `target` plans under `cfg`; a placement already planned
+    /// under the same config is answered from the memo.
+    fn passes(&mut self, inst: &'a Instance, target: &[MachineId], cfg: &PlannerConfig) -> bool {
+        let same = |c: &PlannerConfig, t: &[MachineId]| c == cfg && t == target;
+        if self.planned.as_ref().is_some_and(|(c, t, _)| same(c, t)) {
+            return true;
+        }
+        if self.failed.iter().any(|(c, t)| same(c, t)) {
+            return false;
+        }
+        match self.plan(inst, target, cfg) {
+            Ok(plan) => {
+                self.planned = Some((*cfg, target.to_vec(), plan));
+                true
+            }
+            Err(_) => {
+                if self.failed.len() == FAILED_MEMO {
+                    self.failed.pop_front();
+                }
+                self.failed.push_back((*cfg, target.to_vec()));
+                false
+            }
+        }
+    }
+
+    /// The schedule to `target` under `cfg`. A success is the same plan
+    /// under any larger budget — it never fast-forwarded a livelock and
+    /// never reached its own budget — so the gate's plan for `target` is
+    /// reused when `cfg` batches alike and budgets at least as much.
+    fn final_plan(
+        &mut self,
+        inst: &'a Instance,
+        target: &[MachineId],
+        cfg: &PlannerConfig,
+    ) -> Result<MigrationPlan, ClusterError> {
+        let replays = |(c, t, _): &&(PlannerConfig, Vec<MachineId>, MigrationPlan)| {
+            c.max_batch_moves == cfg.max_batch_moves
+                && c.move_budget_factor <= cfg.move_budget_factor
+                && t == target
+        };
+        match self.planned.as_ref().filter(replays) {
+            Some((_, _, plan)) => Ok(plan.clone()),
+            None => self.plan(inst, target, cfg),
+        }
+    }
 }
 
 /// Smallest-first departure cascade for one machine: a shard can leave once
@@ -82,6 +172,7 @@ impl<'a> SraProblem<'a> {
             total_move_cost,
             escapable: compute_escapable(inst),
             drained: vec![false; inst.n_machines()],
+            gate: Mutex::default(),
         }
     }
 
@@ -107,6 +198,37 @@ impl<'a> SraProblem<'a> {
     pub fn without_plan_checks(mut self) -> Self {
         self.plan_on_best = false;
         self
+    }
+
+    /// The migration schedule from the initial placement to `target`:
+    /// `plan_migration(inst, &inst.initial, target, cfg)`, byte for byte,
+    /// planned through this solve's planner. When the plannability gate
+    /// already planned `target` (a best it accepted), that plan is reused.
+    ///
+    /// # Errors
+    ///
+    /// As [`plan_migration`].
+    pub fn plan(
+        &self,
+        target: &[MachineId],
+        cfg: &PlannerConfig,
+    ) -> Result<MigrationPlan, ClusterError> {
+        match self.gate() {
+            Some(mut gate) => gate.final_plan(self.inst, target, cfg),
+            None => plan_migration(self.inst, &self.inst.initial, target, cfg),
+        }
+    }
+
+    /// The gate state, or `None` while another portfolio worker holds it —
+    /// that caller plans one-shot instead: the same answer, no waiting.
+    fn gate(&self) -> Option<MutexGuard<'_, Gate<'a>>> {
+        match self.gate.try_lock() {
+            Ok(gate) => Some(gate),
+            // Every update leaves the gate usable (a plan resets all its
+            // working state first), so a panicked holder's state is too.
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Whether inserting shard `s` on machine `m` is *transiently
@@ -164,7 +286,7 @@ impl<'a> SraProblem<'a> {
     /// Hoists what every [`Self::insertion_score`] of detached shard `s`
     /// shares, for a scan that scores it against many machines.
     #[inline]
-    pub(crate) fn row_scorer<'s>(&'s self, state: &'s SraState, s: ShardId) -> RowScorer<'s> {
+    pub(crate) fn row_scorer<'s>(&'s self, state: &'s SraState, s: ShardId) -> RowScorer<'s, 'a> {
         RowScorer {
             p: self,
             shard: s,
@@ -221,8 +343,8 @@ impl<'a> SraProblem<'a> {
 /// addition, comparison and division is the one `insertion_score` performs,
 /// in its order — true per-machine divisions, no reciprocals — so the score
 /// is the same bits on any fleet, heterogeneous capacities included.
-pub(crate) struct RowScorer<'s> {
-    p: &'s SraProblem<'s>,
+pub(crate) struct RowScorer<'s, 'a> {
+    p: &'s SraProblem<'a>,
     shard: ShardId,
     demand: &'s [f64],
     inflight: &'s [f64],
@@ -233,7 +355,7 @@ pub(crate) struct RowScorer<'s> {
     escapable: bool,
 }
 
-impl RowScorer<'_> {
+impl RowScorer<'_, '_> {
     /// Lower bound on [`Self::score`] for every admissible machine, from
     /// cached quantities only: the machine's load now, plus the least the
     /// shard can add to it (`SraState::delta`, where the rounding argument
@@ -335,7 +457,11 @@ impl LnsProblem for SraProblem<'_> {
                 move_budget_factor: self.planner.move_budget_factor.min(2.0),
                 ..self.planner
             };
-            plan_migration(self.inst, &self.inst.initial, sol.placement(), &gate_cfg).is_ok()
+            match self.gate() {
+                Some(mut gate) => gate.passes(self.inst, sol.placement(), &gate_cfg),
+                None => plan_migration(self.inst, &self.inst.initial, sol.placement(), &gate_cfg)
+                    .is_ok(),
+            }
         } else {
             true
         }
@@ -456,6 +582,63 @@ mod tests {
         // Both machines are empty (m1 after detach, m2 always), equal
         // capacity, so load_after is equal and the difference is the penalty.
         assert!((away - back - 1.0 * 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_gate_plans_each_placement_once_and_final_plans_reuse_it() {
+        use rex_workload::synthetic::{generate, SynthConfig};
+        let inst = generate(&SynthConfig {
+            n_machines: 32,
+            n_exchange: 3,
+            n_shards: 320,
+            stringency: 0.9,
+            seed: 4,
+            ..Default::default()
+        })
+        .unwrap();
+        let p = SraProblem::new(&inst, Objective::default());
+        let runs = || p.gate.lock().unwrap().runs;
+        let cfg = crate::SraConfig {
+            iters: 300,
+            ..Default::default()
+        };
+        let (best, ..) =
+            crate::sra::run_search(&p, &cfg, 4, &mut rex_obs::Recorder::noop()).unwrap();
+        let searched = runs();
+        assert!(searched > 0);
+
+        // The final plan of an accepted best is the gate's, under the
+        // larger budget, without planning again.
+        assert_ne!(best.placement(), &inst.initial[..]);
+        assert!(p.accept_best(&best));
+        let planner = PlannerConfig::default();
+        let reused = p.plan(best.placement(), &planner).unwrap();
+        assert_eq!(runs(), searched);
+        let fresh = plan_migration(&inst, &inst.initial, best.placement(), &planner).unwrap();
+        assert_eq!(reused.batches, fresh.batches);
+
+        // A placement that failed at the gate's budget is not planned again.
+        let mut stuck = best.clone();
+        let mut fails = false;
+        for s in (0..inst.n_shards()).map(ShardId::from) {
+            for m in (0..inst.n_machines()).map(MachineId::from) {
+                if !fails && stuck.fits(&inst, s, m) {
+                    stuck.move_shard(&inst, s, m);
+                    fails = !p.accept_best(&stuck);
+                }
+            }
+        }
+        assert!(fails, "no undeliverable placement found");
+        let before = runs();
+        assert!(!p.accept_best(&stuck));
+        assert_eq!(runs(), before);
+        // A different budget is a different question.
+        assert_eq!(
+            p.plan(stuck.placement(), &planner).map(|plan| plan.batches),
+            plan_migration(&inst, &inst.initial, stuck.placement(), &planner)
+                .map(|plan| plan.batches)
+        );
+        assert_eq!(runs(), before + 1);
     }
 
     #[test]

@@ -160,7 +160,7 @@ fn place(
 fn best_machine_cached(
     state: &SraState,
     ctx: &InsertCtx,
-    sc: &RowScorer<'_>,
+    sc: &RowScorer<'_, '_>,
 ) -> Option<(MachineId, f64)> {
     let init_m = sc.init;
     let mut best: Option<(MachineId, f64)> = None;
@@ -196,7 +196,12 @@ fn best_machine_cached(
 /// provably scores at least the final `s[K-1]`, which becomes the entry's
 /// `bound`. Returns false when no machine is feasible (the repair must
 /// fail).
-fn scan_regret(state: &SraState, ctx: &InsertCtx, sc: &RowScorer<'_>, e: &mut Frontier) -> bool {
+fn scan_regret(
+    state: &SraState,
+    ctx: &InsertCtx,
+    sc: &RowScorer<'_, '_>,
+    e: &mut Frontier,
+) -> bool {
     *e = Frontier::EMPTY;
     let init_m = sc.init;
     let consider = |m: MachineId, e: &mut Frontier| {
@@ -237,7 +242,7 @@ fn scan_regret(state: &SraState, ctx: &InsertCtx, sc: &RowScorer<'_>, e: &mut Fr
 /// and a scan is required.
 fn reinsert(
     state: &SraState,
-    sc: &RowScorer<'_>,
+    sc: &RowScorer<'_, '_>,
     e: &mut Frontier,
     k: usize,
     m: MachineId,

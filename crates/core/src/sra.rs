@@ -5,8 +5,8 @@ use crate::problem::SraProblem;
 use crate::repair::default_repairs_in_place;
 use rex_cluster::metrics::MigrationStats;
 use rex_cluster::{
-    plan_migration, verify_schedule, Assignment, BalanceReport, ClusterError, Instance, MachineId,
-    MigrationPlan, Objective, PlannerConfig,
+    verify_schedule, Assignment, BalanceReport, ClusterError, Instance, MachineId, MigrationPlan,
+    Objective, PlannerConfig,
 };
 use rex_lns::{
     portfolio_search, Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblem,
@@ -235,8 +235,10 @@ pub fn solve_traced(
     rec.span_close("sra", "search", &[("ok", searched.is_ok().into())]);
     let (best, iterations, stats, trajectory) = searched?;
 
+    // The final plan reuses the gate's plan when the gate accepted `best`
+    // (`SraProblem::plan`): the same bytes, planned once.
     rec.span_open("sra", "plan", &[]);
-    let planned = plan_migration(inst, &inst.initial, best.placement(), &cfg.planner);
+    let planned = problem.plan(best.placement(), &cfg.planner);
     rec.span_close(
         "sra",
         "plan",
@@ -268,7 +270,7 @@ pub fn solve_traced(
             let fallen = run_search(&problem, &fallback_cfg, cfg.seed.wrapping_add(1), rec);
             rec.span_close("sra", "fallback", &[("ok", fallen.is_ok().into())]);
             let (b2, it2, stats2, traj2) = fallen?;
-            let plan = plan_migration(inst, &inst.initial, b2.placement(), &cfg.planner)?;
+            let plan = problem.plan(b2.placement(), &cfg.planner)?;
             (b2, plan, iterations + it2, true, stats2, traj2)
         }
         Err(e) => return Err(e),

@@ -381,8 +381,8 @@ impl RuntimeConfig {
     }
 
     /// [`validate`](Self::validate), plus every crash fault must name a machine
-    /// of a fleet of `n_machines` — everything [`crate::Simulation::new`]
-    /// would otherwise panic on.
+    /// of a fleet of `n_machines` — the configuration half of what
+    /// [`crate::Simulation::try_new`] rejects.
     pub fn validate_for(&self, n_machines: usize) -> Result<(), String> {
         self.validate()?;
         for f in &self.faults {

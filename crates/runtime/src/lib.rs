@@ -36,9 +36,9 @@
 //! [`Simulation::from_workload_event`] (event mode, the only place the
 //! embedded router backend is built); the `from_scenario` constructors
 //! delegate to them on the degenerate workload. [`RuntimeConfig::validate`] /
-//! [`RuntimeConfig::validate_for`] are the fallible range checks
-//! input-facing callers run first — [`Simulation::new`] panics on what
-//! they reject.
+//! [`RuntimeConfig::validate_for`] are the fallible range checks;
+//! input-facing callers construct through [`Simulation::try_new`], which
+//! returns their message, while [`Simulation::new`] panics on it.
 //!
 //! Observability: [`Simulation::run_traced`] narrates controller decisions,
 //! per-batch migration progress, and fault injection into a

@@ -139,18 +139,19 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation over `inst`. Panics on invalid configuration or
-    /// fault specs referencing unknown machines — everything
-    /// [`RuntimeConfig::validate_for`] rejects; input-facing callers run that
-    /// check first and report its error.
-    pub fn new(inst: Instance, cfg: RuntimeConfig) -> Self {
-        if let Err(e) = cfg.validate_for(inst.n_machines()) {
-            panic!("{e}");
-        }
-        inst.validate().expect("instance must validate");
+    /// Builds a simulation over `inst`.
+    ///
+    /// # Errors
+    ///
+    /// The message of [`RuntimeConfig::validate_for`] (an out-of-range
+    /// setting, a fault naming a machine past the fleet), else that of
+    /// [`Instance::validate`].
+    pub fn try_new(inst: Instance, cfg: RuntimeConfig) -> Result<Self, String> {
+        cfg.validate_for(inst.n_machines())?;
+        inst.validate().map_err(|e| e.to_string())?;
         let live = LiveCluster::new(inst, cfg);
         let (inst, cfg) = (&live.inst, &live.cfg);
-        Self {
+        Ok(Self {
             initial_report: BalanceReport::compute(inst, &live.asg),
             base_label: inst.label.clone(),
             loan_k: inst.k_return,
@@ -171,7 +172,16 @@ impl Simulation {
             rho: Vec::new(),
             spike_cpu: Vec::new(),
             live,
-        }
+        })
+    }
+
+    /// [`Simulation::try_new`] for configurations known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// On everything [`Simulation::try_new`] rejects, with its message.
+    pub fn new(inst: Instance, cfg: RuntimeConfig) -> Self {
+        Self::try_new(inst, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Tick-mode simulation of an engine-neutral [`ScenarioSpec`]:
@@ -1123,6 +1133,27 @@ mod tests {
             ..Default::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn try_new_returns_what_new_panics_on() {
+        let crash = RuntimeConfig {
+            faults: vec![FaultSpec::Crash {
+                at: 5,
+                machine: 99,
+                recover_at: None,
+            }],
+            ..Default::default()
+        };
+        let e = Simulation::try_new(hotspot(), crash).err().unwrap();
+        assert!(e.contains("machine 99") && e.contains("12"), "{e}");
+        let mut bad = hotspot();
+        bad.k_return = 99;
+        let e = Simulation::try_new(bad.clone(), RuntimeConfig::default())
+            .err()
+            .unwrap();
+        assert_eq!(e, bad.validate().unwrap_err().to_string());
+        assert!(Simulation::try_new(hotspot(), RuntimeConfig::default()).is_ok());
     }
 
     #[test]

@@ -116,7 +116,15 @@ impl Default for SynthConfig {
 /// profile is a special case of the workload plane's [`FleetSpec`]
 /// (DESIGN.md §16), so profile-driven generation routes through the same
 /// table as `--workload` files.
-pub fn profile_fleet(cfg: &SynthConfig) -> FleetSpec {
+///
+/// # Errors
+///
+/// [`ClusterError::BadGenerator`] for a `TwoTier` profile whose
+/// `big_fraction` lies outside `[0, 1]` or whose `ratio` is not above 1,
+/// and a `BigExchange` profile whose `factor` is not above 1 (NaN
+/// included).
+pub fn profile_fleet(cfg: &SynthConfig) -> Result<FleetSpec, ClusterError> {
+    let bad = |reason: String| Err(ClusterError::BadGenerator { reason });
     let (generations, exchange_scale) = match cfg.profile {
         MachineProfile::Homogeneous => (
             vec![GenerationSpec {
@@ -130,7 +138,14 @@ pub fn profile_fleet(cfg: &SynthConfig) -> FleetSpec {
             big_fraction,
             ratio,
         } => {
-            assert!((0.0..=1.0).contains(&big_fraction) && ratio > 1.0);
+            if !(0.0..=1.0).contains(&big_fraction) {
+                return bad(format!(
+                    "two-tier big fraction must be in [0, 1], got {big_fraction}"
+                ));
+            }
+            if ratio.is_nan() || ratio <= 1.0 {
+                return bad(format!("two-tier ratio must be above 1, got {ratio}"));
+            }
             let n_big =
                 (((cfg.n_machines as f64) * big_fraction).round() as usize).min(cfg.n_machines);
             let mut generations = Vec::new();
@@ -151,7 +166,9 @@ pub fn profile_fleet(cfg: &SynthConfig) -> FleetSpec {
             (generations, 1.0)
         }
         MachineProfile::BigExchange { factor } => {
-            assert!(factor > 1.0);
+            if factor.is_nan() || factor <= 1.0 {
+                return bad(format!("big-exchange factor must be above 1, got {factor}"));
+            }
             (
                 vec![GenerationSpec {
                     name: "base".into(),
@@ -162,21 +179,12 @@ pub fn profile_fleet(cfg: &SynthConfig) -> FleetSpec {
             )
         }
     };
-    FleetSpec {
+    Ok(FleetSpec {
         generations,
         exchange: cfg.n_exchange,
         exchange_scale,
         racks: 0,
-    }
-}
-
-/// Per-machine capacity scale factors implied by the profile: first the
-/// loaded machines, then the exchange machines.
-fn capacity_scales(cfg: &SynthConfig) -> (Vec<f64>, Vec<f64>) {
-    let fleet = profile_fleet(cfg);
-    let loaded = fleet.loaded_scales();
-    let exchange = vec![fleet.exchange_scale; fleet.exchange];
-    (loaded, exchange)
+    })
 }
 
 /// Generates an instance.
@@ -184,10 +192,13 @@ fn capacity_scales(cfg: &SynthConfig) -> (Vec<f64>, Vec<f64>) {
 /// # Errors
 /// [`ClusterError::BadGenerator`] on settings it cannot honour (zero
 /// counts, stringency outside `(0,1)`, too few shards to reach it, `Drift`
-/// on one dimension), [`ClusterError::Unpackable`] when no placement packs
-/// the demands, and instance validation errors.
+/// on one dimension, a machine profile [`profile_fleet`] rejects),
+/// [`ClusterError::Unpackable`] when no placement packs the demands, and
+/// instance validation errors.
 pub fn generate(cfg: &SynthConfig) -> Result<Instance, ClusterError> {
-    let (loaded_scales, exchange_scales) = capacity_scales(cfg);
+    let fleet = profile_fleet(cfg)?;
+    let loaded_scales = fleet.loaded_scales();
+    let exchange_scales = vec![fleet.exchange_scale; fleet.exchange];
     let label = format!(
         "synth({:?},{:?},m={},x={},s={},u={:.2},seed={})",
         cfg.family,
@@ -209,14 +220,15 @@ pub fn generate(cfg: &SynthConfig) -> Result<Instance, ClusterError> {
 /// With a degenerate fleet (one generation at scale 1, exchange scale 1)
 /// this produces bit-identical instances to [`generate`] modulo the label.
 ///
-/// # Panics
-/// Panics when the workload carries no fleet table — callers decide the
-/// instance source before lowering.
+/// # Errors
+/// [`ClusterError::BadGenerator`] when the workload carries no fleet table,
+/// and what [`generate`] returns for the resulting settings.
 pub fn generate_workload(w: &WorkloadSpec, base: &SynthConfig) -> Result<Instance, ClusterError> {
-    let fleet = w
-        .fleet
-        .as_ref()
-        .expect("generate_workload needs a workload with a fleet table");
+    let Some(fleet) = w.fleet.as_ref() else {
+        return Err(ClusterError::BadGenerator {
+            reason: "a workload without a fleet table has no machines to generate".into(),
+        });
+    };
     let cfg = SynthConfig {
         n_machines: fleet.n_machines(),
         n_exchange: fleet.exchange,
@@ -465,10 +477,40 @@ mod tests {
                 profile,
                 ..Default::default()
             };
-            let fleet = profile_fleet(&cfg);
+            let fleet = profile_fleet(&cfg).unwrap();
             assert_eq!(fleet.loaded_scales(), loaded, "{profile:?}");
             assert_eq!(vec![fleet.exchange_scale; fleet.exchange], exchange);
         }
+    }
+
+    #[test]
+    fn out_of_range_profiles_are_errors_not_panics() {
+        let two_tier = |big_fraction, ratio| MachineProfile::TwoTier {
+            big_fraction,
+            ratio,
+        };
+        let big_exchange = |factor| MachineProfile::BigExchange { factor };
+        for profile in [
+            two_tier(-0.1, 2.0),
+            two_tier(1.5, 2.0),
+            two_tier(f64::NAN, 2.0),
+            two_tier(0.5, 1.0),
+            two_tier(0.5, f64::NAN),
+            big_exchange(1.0),
+            big_exchange(f64::NAN),
+        ] {
+            let cfg = SynthConfig {
+                profile,
+                ..Default::default()
+            };
+            assert!(profile_fleet(&cfg).is_err(), "{profile:?}");
+            assert!(
+                matches!(generate(&cfg), Err(ClusterError::BadGenerator { .. })),
+                "{profile:?}"
+            );
+        }
+        let fleetless = WorkloadSpec::from_scenario(Default::default());
+        assert!(generate_workload(&fleetless, &SynthConfig::default()).is_err());
     }
 
     #[test]
@@ -531,7 +573,7 @@ mod tests {
                 seed: 11,
                 ..Default::default()
             },
-            fleet: Some(profile_fleet(&base)),
+            fleet: Some(profile_fleet(&base).unwrap()),
             load: None,
             rack_crashes: Vec::new(),
         };

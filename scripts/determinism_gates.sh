@@ -100,12 +100,19 @@ gate gen-roomy rex generate $gen --machines 32 --exchange 3 --shards 320 --strin
 # a balanced two-tier fleet find hosts through the load index and the
 # hot-set summary; drift keeps its fleet scan.
 gate gen-web rex generate $gen --machines 1000 --exchange 125 --shards 10000 --stringency 0.75 --seed 11000 --out @out
+gate gen-web-85 rex generate $gen --machines 1000 --exchange 125 --shards 10000 --stringency 0.85 --seed 11006 --out @out
 gate gen-balanced rex generate --placement balanced --profile two-tier --machines 64 --exchange 4 --shards 640 --seed 5 --out @out
 gate gen-drift rex generate --placement drift --machines 64 --exchange 4 --shards 640 --seed 5 --out @out
 gate solve-serial rex solve --inst @out:gen-stringent --iters 400 --seed 11 --out @out
+# A longer serial search: more gate calls, and rejected targets proposed
+# again (the gate's memo answers those).
+gate solve-serial-long rex solve --inst @out:gen-stringent --iters 1200 --seed 11 --out @out
 gate solve-small rex solve --inst @out:gen-small --iters 400 --seed 4 --out @out
 # The merged best deadlocks the final plan: `solve` takes its fallback.
 gate solve-fallback rex solve --inst @out:gen-small --partitions 4 --iters 400 --seed 4 --out @out
+# The same at web scale: the merged best of this 1125×10000 solve at 0.85
+# deadlocks, and the fallback's gate and final plan share one planner.
+gate solve-web-fallback rex solve --inst @out:gen-web-85 --partitions 8 --iters 600 --seed 11 --out @out
 gate solve-depth2 rex solve --inst @out:gen-stringent --partitions 2 --depth 2 --iters 400 --seed 11 --out @out
 gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
 gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out

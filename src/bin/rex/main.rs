@@ -402,18 +402,17 @@ fn cmd_simulate(args: &HashMap<String, String>) -> Result<(), String> {
         let cfg = simulate_flag_config(args, seed, &inst)?;
         (inst, cfg, None, None)
     };
-    // Out-of-range flags and faults naming machines past the fleet are
-    // input errors, not the panics `Simulation::new` reserves for bugs.
-    cfg.validate_for(inst.n_machines())?;
-    // `Simulation::new` consumes the config; remember whether the
-    // hot-shard control plane is on — the summary gates its block on the
-    // plane being *active*, not on its counters being nonzero.
+    // The simulation consumes the config; remember whether the hot-shard
+    // control plane is on — the summary gates its block on the plane being
+    // *active*, not on its counters being nonzero.
     let hotshard_enabled = cfg.hotshard.enabled;
     let quiet = has(args, "quiet");
     let mut rec = trace_recorder(args);
     // The trace header embeds the exact starting instance.
     let recording = args.get("record-trace").map(|path| (path, inst.clone()));
-    let mut sim = Simulation::new(inst, cfg);
+    // Out-of-range flags and faults naming machines past the fleet are
+    // input errors.
+    let mut sim = Simulation::try_new(inst, cfg)?;
     if let Some(script) = replay {
         sim.set_replay(script);
     }
@@ -664,11 +663,11 @@ fn cmd_converge(args: &HashMap<String, String>) -> Result<(), String> {
                 .into(),
         );
     }
-    // A crash naming a machine past the fleet is an input error, not the
-    // panic `Simulation::new` reserves for bugs.
-    RuntimeConfig::from_workload(&w, inst.n_machines()).validate_for(inst.n_machines())?;
+    // A crash naming a machine past the fleet is an input error; the event
+    // engine below lowers the same, now checked, configuration.
+    let cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
+    let mut tick_sim = Simulation::try_new(inst.clone(), cfg)?;
     let policy = get_or(args, "policy", "round_robin").parse::<PolicyKind>()?;
-    let mut tick_sim = Simulation::from_workload(inst.clone(), &w);
     let mut event_sim =
         Simulation::from_workload_event(inst.clone(), &w, policy, has(args, "ewma"));
     if let Some(script) = replay {
@@ -1418,8 +1417,8 @@ mod tests {
 
     #[test]
     fn out_of_range_faults_and_horizons_are_errors_not_panics() {
-        // `Simulation::new` panics on each of these; the CLI must reject
-        // them first, with one line.
+        // `Simulation::new` panics on each of these; the CLI constructs
+        // through `Simulation::try_new` and reports one line.
         let sim = [("crash-at", "5"), ("crash-machine", "999"), ("ticks", "50")];
         let e = cmd_simulate(&args(&sim)).unwrap_err();
         assert!(e.contains("machine 999") && e.contains("18"), "{e}");
