@@ -6,14 +6,15 @@
 //! * repair operators: full portfolio vs each alone,
 //! * acceptance criterion: SA vs hill-climb vs record-to-record.
 
-use rex_bench::{f4, pct, scaled, Table};
+use crate::{f4, instance, pct, scaled, synth, Table};
 use rex_cluster::{Assignment, Objective};
 use rex_core::{
     GreedyBestFit, MachineExchangeRemoval, RandomRemoval, RandomizedGreedy, Regret2Insert,
     RelatedRemoval, SraProblem, WorstMachineRemoval,
 };
-use rex_lns::{DestroyInPlace, Engine, LnsConfig, RepairInPlace, SimulatedAnnealing};
-use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use rex_lns::{
+    DestroyInPlace, Engine, LnsConfig, RepairInPlace, SearchOutcome, SimulatedAnnealing,
+};
 
 type D<'a> = Box<dyn DestroyInPlace<SraProblem<'a>>>;
 type R<'a> = Box<dyn RepairInPlace<SraProblem<'a>>>;
@@ -41,13 +42,13 @@ fn repairs<'a>(only: Option<&str>) -> Vec<R<'a>> {
     }
 }
 
-fn run<'a>(
+fn run_lns<'a>(
     problem: &'a SraProblem<'a>,
     ds: Vec<D<'a>>,
     rs: Vec<R<'a>>,
     iters: u64,
     seed: u64,
-) -> f64 {
+) -> SearchOutcome<Assignment> {
     let engine = Engine::new(
         problem,
         Assignment::from_initial(problem.inst),
@@ -59,29 +60,20 @@ fn run<'a>(
             ..Default::default()
         },
     );
-    engine.run(seed).best_objective
+    engine.run(seed)
 }
 
-fn main() {
-    let inst = generate(&SynthConfig {
-        n_machines: scaled(24),
-        n_exchange: 3,
-        n_shards: scaled(240),
-        stringency: 0.85,
-        family: DemandFamily::Correlated,
-        placement: Placement::Hotspot(0.4),
-        seed: 29,
-        ..Default::default()
-    })
-    .expect("generate");
+pub fn run() {
+    let inst = instance(synth(scaled(24), 3, scaled(240), 0.85, 29));
     let problem = SraProblem::new(&inst, Objective::pure());
     let iters = scaled(8_000) as u64;
     let seed = 29;
+    let run = |p, ds, rs| run_lns(p, ds, rs, iters, seed).best_objective;
 
     let initial_peak = Assignment::from_initial(&inst).peak_load(&inst);
-    let full = run(&problem, destroys(None), repairs(None), iters, seed);
+    let full = run(&problem, destroys(None), repairs(None));
 
-    let mut t = Table::new(&["variant", "best objective", "vs full", "vs initial"]);
+    let mut t = Table::new("variant | best objective | vs full | vs initial");
     let mut push = |name: String, obj: f64| {
         t.row(vec![
             name,
@@ -98,51 +90,35 @@ fn main() {
         "related-removal",
         "machine-exchange",
     ] {
-        let obj = run(&problem, destroys(Some(op)), repairs(None), iters, seed);
+        let obj = run(&problem, destroys(Some(op)), repairs(None));
         push(format!("without destroy `{op}`"), obj);
     }
     for op in ["greedy-best-fit", "regret-2", "randomized-greedy"] {
-        let obj = run(&problem, destroys(None), repairs(Some(op)), iters, seed);
+        let obj = run(&problem, destroys(None), repairs(Some(op)));
         push(format!("repair `{op}` only"), obj);
     }
 
     // Design-choice ablations (DESIGN.md §1.7). Objectives are reported on
     // the same smoothed scale as `full` for comparability: the no-smoothing
     // variant's best is re-evaluated with the smoothing term added back.
-    {
-        let mut raw = SraProblem::new(&inst, Objective::pure());
-        raw.smoothing = 0.0;
-        let engine = Engine::new(
-            &raw,
-            Assignment::from_initial(&inst),
-            destroys(None),
-            repairs(None),
-            Box::new(SimulatedAnnealing::for_normalized_loads(iters as usize)),
-            LnsConfig {
-                max_iters: iters,
-                ..Default::default()
-            },
-        );
-        let out = engine.run(seed);
-        let (peak, msq) = out.best.load_stats(&inst);
-        push(
-            "without plateau smoothing".into(),
-            peak + problem.smoothing * msq,
-        );
-    }
-    {
-        let ungated = SraProblem::new(&inst, Objective::pure()).without_plan_checks();
-        let obj = run(&ungated, destroys(None), repairs(None), iters, seed);
-        // NOTE: this best may be undeliverable — that is the point.
-        push(
-            "without plannability gate (may be undeliverable)".into(),
-            obj,
-        );
-    }
+    let mut raw = SraProblem::new(&inst, Objective::pure());
+    raw.smoothing = 0.0;
+    let out = run_lns(&raw, destroys(None), repairs(None), iters, seed);
+    let (peak, msq) = out.best.load_stats(&inst);
+    push(
+        "without plateau smoothing".into(),
+        peak + problem.smoothing * msq,
+    );
+    let ungated = SraProblem::new(&inst, Objective::pure()).without_plan_checks();
+    // NOTE: this best may be undeliverable — that is the point.
+    push(
+        "without plannability gate (may be undeliverable)".into(),
+        run(&ungated, destroys(None), repairs(None)),
+    );
 
     t.print("E9 / Table 5 — SRA operator ablation (same instance and seed)");
     println!(
         "\nAcceptance-criterion ablation is covered by E4's per-criterion convergence series."
     );
-    println!("Expected shape: removing `worst-machine` or `machine-exchange` hurts most; single-repair variants trail the adaptive portfolio.");
+    println!("Expected shape: no single destroy operator is load-bearing (leaving any one out stays within 0.2% of full SRA); `regret-2` alone and `randomized-greedy` alone trail the adaptive portfolio.");
 }

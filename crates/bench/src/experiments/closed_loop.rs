@@ -21,31 +21,24 @@
 //! machine still hosting shards, migration traffic, and the executor's
 //! independent transient-constraint violation count (must be zero).
 
-use rex_bench::{f2, f4, scaled, scaled_fleet, Table};
-use rex_runtime::{
-    ControllerConfig, ControllerPolicy, DriftSpec, FaultSpec, RuntimeConfig, Simulation,
-};
-use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use crate::{instance, run_policy, scaled, scaled_fleet, synth, Table};
+use rex_runtime::{ControllerConfig, ControllerPolicy, DriftSpec, FaultSpec, RuntimeConfig};
+use rex_workload::synthetic::{DemandFamily, Placement, SynthConfig};
 
-fn main() {
+const COLS: &str = "trig | done | abort | evac | steady peak | final peak | lat p50 | lat p99 | degraded % | traffic | viol";
+
+pub fn run() {
     let machines = scaled_fleet(24);
     let shards = scaled(240).max(6 * machines);
     let ticks = scaled(12_000) as u64;
-    let inst = generate(&SynthConfig {
-        n_machines: machines,
-        n_exchange: (machines / 8).max(1),
-        n_shards: shards,
+    let inst = instance(SynthConfig {
         // Tight capacity + heavy-tailed shard sizes: the regime where
         // single-shard relocation hits fit walls and the exchange machines
         // earn their keep (cf. E2, where greedy improves zipf by only ~1%).
-        stringency: 0.65,
         family: DemandFamily::Zipf,
-        alpha: 0.1,
         placement: Placement::Hotspot(0.35),
-        seed: 20,
-        ..Default::default()
-    })
-    .expect("generate");
+        ..synth(machines, (machines / 8).max(1), shards, 0.65, 20)
+    });
 
     let base = RuntimeConfig {
         ticks,
@@ -85,21 +78,7 @@ fn main() {
         ..Default::default()
     };
 
-    let mut t = Table::new(&[
-        "policy",
-        "trig",
-        "done",
-        "abort",
-        "evac",
-        "steady peak",
-        "final peak",
-        "lat p50",
-        "lat p99",
-        "degraded %",
-        "traffic",
-        "viol",
-    ]);
-
+    let mut t = Table::new(&format!("policy | {COLS}"));
     for policy in [
         ControllerPolicy::Off,
         ControllerPolicy::Greedy,
@@ -107,29 +86,7 @@ fn main() {
     ] {
         let mut cfg = base.clone();
         cfg.controller.policy = policy;
-        let e = Simulation::new(inst.clone(), cfg).run();
-        assert_eq!(
-            e.counters.transient_violations,
-            0,
-            "{}: executor observed a transient violation",
-            policy.name()
-        );
-        let degraded =
-            100.0 * e.counters.queries_degraded as f64 / e.counters.queries_arrived.max(1) as f64;
-        t.row(vec![
-            policy.name().into(),
-            e.counters.rebalances_triggered.to_string(),
-            e.counters.rebalances_completed.to_string(),
-            e.counters.rebalances_aborted.to_string(),
-            e.counters.evacuations.to_string(),
-            f4(e.steady_state_peak()),
-            f4(e.final_report.peak),
-            f2(e.latency.p50),
-            f2(e.latency.p99),
-            f2(degraded),
-            f2(e.counters.migration_traffic),
-            e.counters.transient_violations.to_string(),
-        ]);
+        t.row(run_policy(policy.name(), &inst, cfg, COLS).1);
     }
 
     t.print("E13 — closed-loop control: SRA vs greedy vs no controller");

@@ -29,14 +29,14 @@
 //!
 //! Deterministic: same flags → byte-identical stdout (CI diffs two runs).
 
-use rex_bench::{f2, pct, scaled, Table};
+use crate::{f2, instance, pct, quick, scaled, Table};
 use rex_cluster::{CrashSpec, Instance, ScenarioSpec, SpikeSpec, SraSpec};
 use rex_router::PolicyKind;
 use rex_runtime::{MetricsExport, Simulation};
-use rex_workload::synthetic::{generate, Placement, SynthConfig};
+use rex_workload::synthetic::{Placement, SynthConfig};
 
 fn fleet(seed: u64) -> Instance {
-    generate(&SynthConfig {
+    instance(SynthConfig {
         n_machines: 8,
         n_shards: 64,
         dims: 1,
@@ -45,7 +45,6 @@ fn fleet(seed: u64) -> Instance {
         seed,
         ..Default::default()
     })
-    .expect("generate")
 }
 
 /// The machine hosting the least initial demand (the crash target: keeps
@@ -70,7 +69,7 @@ fn gauge_json(e: &MetricsExport) -> String {
     serde_json::to_string(&e.gauges).expect("gauges serialize")
 }
 
-fn main() {
+pub fn run() {
     // ---- Part 1: scenario differential -------------------------------
     let short = scaled(600) as u64;
     let long = scaled(4_000) as u64;
@@ -111,22 +110,16 @@ fn main() {
         ("crash+sra", crash_fleet, crash_sra, PolicyKind::PowerOfD),
     ];
 
-    let mut t1 = Table::new(&[
-        "scenario",
-        "util gauges",
-        "tick p50",
-        "event p50",
-        "tick p99",
-        "event p99",
-        "p99 error",
-    ]);
+    let mut t1 = Table::new(
+        "scenario | util gauges | tick p50 | event p50 | tick p99 | event p99 | p99 error",
+    );
     for (name, inst, spec, policy) in &scenarios {
         let tick = Simulation::from_scenario(inst.clone(), spec).run();
         let event = Simulation::from_scenario_event(inst.clone(), spec, *policy, false).run();
         let exact = gauge_json(&tick) == gauge_json(&event);
         assert!(exact, "{name}: utilization gauges must be byte-identical");
         let err = rel_diff(tick.latency.p99, event.latency.p99);
-        if !rex_bench::quick() {
+        if !quick() {
             assert!(err <= 0.15, "{name}: p99 error {err:.3} left the band");
         }
         t1.row(vec![
@@ -142,15 +135,9 @@ fn main() {
     t1.print("E16 — tick vs event engine on one lowered scenario (latency in service units)");
 
     // ---- Part 2: load sweep ------------------------------------------
-    let mut t2 = Table::new(&[
-        "qps/tick",
-        "tick p50",
-        "event p50",
-        "p50 error",
-        "tick p99",
-        "event p99",
-        "p99 error",
-    ]);
+    let mut t2 = Table::new(
+        "qps/tick | tick p50 | event p50 | p50 error | tick p99 | event p99 | p99 error",
+    );
     let sweep_fleet = fleet(11);
     for qpt in [1.0, 2.0, 4.0, 8.0, 16.0] {
         let spec = ScenarioSpec {
@@ -186,7 +173,7 @@ fn main() {
     };
     let policy_fleet = fleet(14);
     let tick = Simulation::from_scenario(policy_fleet.clone(), &spec).run();
-    let mut t3 = Table::new(&["policy", "event p50", "event p99", "p99 vs tick"]);
+    let mut t3 = Table::new("policy | event p50 | event p99 | p99 vs tick");
     for policy in [
         PolicyKind::Random,
         PolicyKind::RoundRobin,
@@ -225,13 +212,7 @@ fn main() {
         .zip(&ewma.gauges)
         .map(|(a, b)| (a.peak_util - b.peak_util).abs())
         .fold(0.0f64, f64::max);
-    let mut t4 = Table::new(&[
-        "controller signal",
-        "moves",
-        "rebalances",
-        "p99",
-        "max abs Δ peak-util",
-    ]);
+    let mut t4 = Table::new("controller signal | moves | rebalances | p99 | max abs Δ peak-util");
     for (label, e) in [("ground-truth gauges", &truth), ("router EWMA", &ewma)] {
         t4.row(vec![
             label.to_string(),

@@ -24,9 +24,9 @@
 //! migration traffic, and the executor's transient-violation count
 //! (must be 0).
 
-use rex_bench::{f2, f4, scaled, Table};
+use crate::{pick, quick, run_policy, scaled, Table};
 use rex_cluster::{FleetSpec, GenerationSpec, LoadScriptSpec, ScenarioSpec, SraSpec, WorkloadSpec};
-use rex_runtime::{ControllerPolicy, RuntimeConfig, Simulation};
+use rex_runtime::{ControllerPolicy, RuntimeConfig};
 use rex_workload::synthetic::{generate_workload, Placement, SynthConfig};
 
 /// The one spec both parts lower: a 16-machine, three-generation fleet
@@ -114,7 +114,7 @@ fn build(w: &WorkloadSpec) -> rex_cluster::Instance {
     .expect("heterogeneous workload generates")
 }
 
-fn main() {
+pub fn run() {
     let ticks = scaled(8_000) as u64;
 
     // Part 1: the identical workload through the three controller policies.
@@ -122,19 +122,9 @@ fn main() {
     let inst = build(&w);
     let n = inst.n_machines();
 
-    let mut t1 = Table::new(&[
-        "policy",
-        "trig",
-        "done",
-        "pop epochs",
-        "steady peak",
-        "final peak",
-        "lat p50",
-        "lat p99",
-        "traffic",
-        "viol",
-    ]);
-
+    let cols =
+        "trig | done | pop epochs | steady peak | final peak | lat p50 | lat p99 | traffic | viol";
+    let mut t1 = Table::new(&format!("policy | {cols}"));
     let mut steady = Vec::new();
     for policy in [
         ControllerPolicy::Off,
@@ -144,36 +134,19 @@ fn main() {
         let mut cfg = RuntimeConfig::from_workload(&w, n);
         cfg.controller.policy = policy;
         cfg.copy_bandwidth = 0.5;
-        let e = Simulation::new(inst.clone(), cfg).run();
-        assert_eq!(
-            e.counters.transient_violations,
-            0,
-            "{}: executor observed a transient violation",
-            policy.name()
-        );
+        let (e, row) = run_policy(policy.name(), &inst, cfg, cols);
         assert!(
             e.counters.popularity_epochs > 0,
             "{}: the popularity plane never fired",
             policy.name()
         );
         steady.push(e.steady_state_peak());
-        t1.row(vec![
-            policy.name().into(),
-            e.counters.rebalances_triggered.to_string(),
-            e.counters.rebalances_completed.to_string(),
-            e.counters.popularity_epochs.to_string(),
-            f4(e.steady_state_peak()),
-            f4(e.final_report.peak),
-            f2(e.latency.p50),
-            f2(e.latency.p99),
-            f2(e.counters.migration_traffic),
-            e.counters.transient_violations.to_string(),
-        ]);
+        t1.row(row);
     }
     // Quick mode shrinks the horizon so far that plans span whole epochs;
     // the separation claim only holds at full scale.
     assert!(
-        rex_bench::quick() || steady[2] < steady[0],
+        quick() || steady[2] < steady[0],
         "SRA must beat no-controller on a drifting heterogeneous fleet \
          (sra {:.4} vs off {:.4})",
         steady[2],
@@ -201,38 +174,18 @@ fn main() {
     );
 
     // Part 2: how much exchangeable pool does the drift regime need?
-    let ks: Vec<usize> = if rex_bench::quick() {
-        vec![0, 1, 2]
-    } else {
-        vec![0, 1, 2, 4, 8]
-    };
-    let mut t2 = Table::new(&[
-        "k (exchange)",
-        "trig",
-        "done",
-        "steady peak",
-        "final peak",
-        "lat p99",
-        "traffic",
-    ]);
+    let ks: Vec<usize> = pick(vec![0, 1, 2], vec![0, 1, 2, 4, 8]);
+    let cols = "trig | done | steady peak | final peak | lat p99 | traffic";
+    let mut t2 = Table::new(&format!("k (exchange) | {cols}"));
     let mut peaks = Vec::new();
     for &k in &ks {
         let w = hetero_workload(k, ticks);
         let inst = build(&w);
         let mut cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
         cfg.copy_bandwidth = 0.5;
-        let e = Simulation::new(inst, cfg).run();
-        assert_eq!(e.counters.transient_violations, 0, "k={k}: violation");
+        let (e, row) = run_policy(&k.to_string(), &inst, cfg, cols);
         peaks.push(e.steady_state_peak());
-        t2.row(vec![
-            k.to_string(),
-            e.counters.rebalances_triggered.to_string(),
-            e.counters.rebalances_completed.to_string(),
-            f4(e.steady_state_peak()),
-            f4(e.final_report.peak),
-            f2(e.latency.p99),
-            f2(e.counters.migration_traffic),
-        ]);
+        t2.row(row);
     }
     t2.print("E17b — exchangeable-pool sweep on the drifting heterogeneous fleet");
 

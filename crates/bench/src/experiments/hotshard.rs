@@ -23,11 +23,9 @@
 //! drops below the 0.92 trigger threshold), tail latency, and the
 //! executor's transient-violation count (must be 0).
 
-use rex_bench::{f2, f4, scaled, Table};
+use crate::{counter_cell, run_policy, scaled, Table};
 use rex_cluster::{Instance, InstanceBuilder, MachineId};
-use rex_runtime::{
-    ControllerConfig, ControllerPolicy, FaultSpec, HotShardConfig, RuntimeConfig, Simulation,
-};
+use rex_runtime::{ControllerConfig, ControllerPolicy, FaultSpec, HotShardConfig, RuntimeConfig};
 
 /// Eight 100-capacity machines plus two exchange machines. Machine 0 hosts
 /// one 44-demand shard (the crowd's target — largest demand in the fleet,
@@ -45,7 +43,7 @@ fn one_hot_fleet() -> Instance {
     b.build().expect("one-hot fleet validates")
 }
 
-fn main() {
+pub fn run() {
     let ticks = scaled(8_000) as u64;
     let crowd_at = ticks / 4;
     let inst = one_hot_fleet();
@@ -74,19 +72,9 @@ fn main() {
         ..Default::default()
     };
 
-    let mut t = Table::new(&[
-        "policy",
-        "trig",
-        "done",
-        "splits",
-        "merges",
-        "hs migr",
-        "steady peak",
-        "final peak",
-        "recovery",
-        "lat p99",
-        "viol",
-    ]);
+    let mut t = Table::new(
+        "policy | trig | done | splits | merges | hs migr | steady peak | final peak | recovery | lat p99 | viol",
+    );
 
     for hotshard in [false, true] {
         let mut cfg = base.clone();
@@ -100,12 +88,9 @@ fn main() {
             };
         }
         let threshold = cfg.controller.peak_threshold;
-        let e = Simulation::new(inst.clone(), cfg).run();
         let name = if hotshard { "sra+hotshard" } else { "sra" };
-        assert_eq!(
-            e.counters.transient_violations, 0,
-            "{name}: executor observed a transient violation"
-        );
+        let cols = "trig | done | splits | merges | hs migr | steady peak | final peak";
+        let (e, mut row) = run_policy(name, &inst, cfg, cols);
         // First gauge tick at/after the crowd start where peak utilization
         // is back under the controller's trigger threshold for good.
         let recovery = e
@@ -122,21 +107,14 @@ fn main() {
             })
             .last()
             .flatten();
-        t.row(vec![
-            name.into(),
-            e.counters.rebalances_triggered.to_string(),
-            e.counters.rebalances_completed.to_string(),
-            e.counters.shard_splits.to_string(),
-            e.counters.shard_merges.to_string(),
-            e.counters.hotshard_migrations.to_string(),
-            f4(e.steady_state_peak()),
-            f4(e.final_report.peak),
+        row.extend([
             recovery
                 .map(|t| format!("{} ticks", t - crowd_at))
                 .unwrap_or_else(|| "never".into()),
-            f2(e.latency.p99),
-            e.counters.transient_violations.to_string(),
+            counter_cell(&e, "lat p99"),
+            counter_cell(&e, "viol"),
         ]);
+        t.row(row);
 
         if hotshard {
             assert!(

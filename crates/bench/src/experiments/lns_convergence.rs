@@ -5,25 +5,14 @@
 //! (Formerly `exp_convergence`; renamed when E16 took that name for the
 //! cross-engine convergence harness.)
 
-use rex_bench::{f4, scaled, Table};
+use crate::{f4, instance, scaled, sra_cfg, synth, Table};
 use rex_core::{solve, AcceptanceKind, SraConfig};
-use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
-fn main() {
-    let inst = generate(&SynthConfig {
-        n_machines: scaled(24),
-        n_exchange: 3,
-        n_shards: scaled(240),
-        stringency: 0.85,
-        family: DemandFamily::Correlated,
-        placement: Placement::Hotspot(0.4),
-        seed: 11,
-        ..Default::default()
-    })
-    .expect("generate");
+pub fn run() {
+    let inst = instance(synth(scaled(24), 3, scaled(240), 0.85, 11));
 
     let iters = scaled(12_000) as u64;
-    let mut t = Table::new(&["acceptance", "iteration", "time (s)", "best objective"]);
+    let mut t = Table::new("acceptance | iteration | time (s) | best objective");
 
     for acc in [
         AcceptanceKind::SimulatedAnnealing,
@@ -33,7 +22,7 @@ fn main() {
         let cfg = SraConfig {
             acceptance: acc,
             log_trajectory: true,
-            ..rex_bench::sra_cfg(iters, 11)
+            ..sra_cfg(iters, 11)
         };
         let res = solve(&inst, &cfg).expect("solve");
         let name = format!("{acc:?}");
@@ -55,5 +44,5 @@ fn main() {
 
     t.print("E4 / Figure 4 — best objective vs iteration (per acceptance criterion)");
     println!("\nSeries to plot: one line per acceptance criterion, x = iteration (or time), y = best objective.");
-    println!("Expected shape: SA dips below hill-climb's plateau; RRT sits between.");
+    println!("Expected shape: all three criteria end within ~0.5% of each other; on this instance SA's exploration does not beat plain hill-climbing (full run: hill-climb 0.8869, SA 0.8874, RRT 0.8906).");
 }

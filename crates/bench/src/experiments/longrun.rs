@@ -14,11 +14,10 @@
 //! cumulative migration traffic — the balance-vs-churn trade-off an
 //! operator actually tunes.
 
-use rex_bench::{f2, f4, scaled, Table};
+use crate::{f2, f4, instance, pick, scaled, scaled_fleet, synth, Table};
 use rex_cluster::{Assignment, Instance, Objective};
 use rex_core::{solve, SraConfig};
 use rex_workload::evolve::{commit_exchange, next_epoch, DriftConfig};
-use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
 struct PolicyOutcome {
     peaks: Vec<f64>,
@@ -76,29 +75,12 @@ fn run_policy(
     out
 }
 
-fn main() {
-    let base = generate(&SynthConfig {
-        n_machines: rex_bench::scaled_fleet(24),
-        n_exchange: 3,
-        n_shards: scaled(240),
-        stringency: 0.78,
-        alpha: 0.1,
-        family: DemandFamily::Correlated,
-        placement: Placement::Hotspot(0.4),
-        seed: 51,
-        ..Default::default()
-    })
-    .expect("generate");
-    let epochs = if rex_bench::quick() { 4 } else { 20 };
+pub fn run() {
+    let base = instance(synth(scaled_fleet(24), 3, scaled(240), 0.78, 51));
+    let epochs = pick(4, 20);
     let iters = scaled(4_000) as u64;
 
-    let mut t = Table::new(&[
-        "policy",
-        "rebalances",
-        "mean peak",
-        "worst peak",
-        "cumulative traffic",
-    ]);
+    let mut t = Table::new("policy | rebalances | mean peak | worst peak | cumulative traffic");
     for (name, lambda, threshold) in [
         ("eager (λ=0)", 0.0, None),
         ("move-averse (λ=0.05)", 0.05, None),

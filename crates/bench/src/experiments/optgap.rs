@@ -6,14 +6,13 @@
 //! optimum ≤ SRA (the latter on proven-optimal rows) is asserted, so a
 //! smoke run fails if it breaks.
 
-use rex_bench::{f4, pct, scaled, Table};
-use rex_cluster::Objective;
+use crate::{f4, instance, pct, scaled, sra_cfg, synth, yes_no, Table};
 use rex_cluster::{plan_migration, PlannerConfig};
-use rex_core::{solve, SraConfig};
+use rex_core::solve;
 use rex_solver::{branch_and_bound, peak_lower_bound, ExactConfig};
-use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
+use rex_workload::synthetic::{DemandFamily, Placement, SynthConfig};
 
-fn main() {
+pub fn run() {
     let iters = scaled(4_000) as u64;
     let shapes: Vec<(usize, usize, usize)> = vec![
         // (machines, exchange, shards)
@@ -24,29 +23,17 @@ fn main() {
         (5, 2, 14),
     ];
 
-    let mut t = Table::new(&[
-        "instance",
-        "LB (fractional)",
-        "optimal peak",
-        "proven",
-        "optimum deliverable",
-        "SRA peak",
-        "gap vs opt",
-        "B&B nodes",
-    ]);
+    let mut t = Table::new(
+        "instance | LB (fractional) | optimal peak | proven | optimum deliverable | SRA peak | gap vs opt | B&B nodes",
+    );
 
     for (i, &(m, x, s)) in shapes.iter().enumerate() {
-        let inst = generate(&SynthConfig {
-            n_machines: m,
-            n_exchange: x,
-            n_shards: s,
-            stringency: 0.75,
+        let seed = 100 + i as u64;
+        let inst = instance(SynthConfig {
             family: DemandFamily::Uniform,
             placement: Placement::Hotspot(0.5),
-            seed: 100 + i as u64,
-            ..Default::default()
-        })
-        .expect("generate");
+            ..synth(m, x, s, 0.75, seed)
+        });
 
         let lb = peak_lower_bound(&inst);
         let exact = branch_and_bound(
@@ -57,16 +44,7 @@ fn main() {
             },
         )
         .expect("exact");
-        let sra = solve(
-            &inst,
-            &SraConfig {
-                iters,
-                seed: 100 + i as u64,
-                objective: Objective::pure(),
-                ..Default::default()
-            },
-        )
-        .expect("sra");
+        let sra = solve(&inst, &sra_cfg(iters, seed)).expect("sra");
 
         // The shape, asserted: bound ≤ optimum on every row, and no
         // solver beats a proven optimum.
@@ -100,16 +78,8 @@ fn main() {
             name,
             f4(lb),
             f4(exact.peak),
-            if exact.proven_optimal {
-                "yes".into()
-            } else {
-                "no".into()
-            },
-            if deliverable {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
+            String::from(if exact.proven_optimal { "yes" } else { "no" }),
+            yes_no(deliverable),
             f4(sra.final_report.peak),
             pct(gap),
             exact.nodes.to_string(),

@@ -27,7 +27,7 @@
 //! Every run is deterministic: same flags → byte-identical reports (the
 //! CI routing-determinism job re-proves this over the CLI).
 
-use rex_bench::{f2, scaled, Table};
+use crate::{f2, scaled, Table};
 use rex_router::{FlashCrowd, PolicyKind, RouterConfig, RouterReport, SraCoupling};
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
@@ -88,14 +88,12 @@ fn row(t: &mut Table, name: &str, r: &RouterReport) {
     ]);
 }
 
-fn main() {
+pub fn run() {
     let horizon = scaled(160_000) as u64;
     let inst = fleet();
 
     // Part 1: the five policies on the identical arrival sequence.
-    let mut t1 = Table::new(&[
-        "policy", "queries", "mean", "p50", "p95", "p99", "probes", "solves", "moves",
-    ]);
+    let mut t1 = Table::new("policy | queries | mean | p50 | p95 | p99 | probes | solves | moves");
     let mut p99 = std::collections::HashMap::new();
     let mut queries = Vec::new();
     for policy in PolicyKind::ALL {
@@ -135,9 +133,8 @@ fn main() {
     t1.print("E15a — routing policies under a 3x flash crowd (identical arrivals)");
 
     // Part 2: layer ablation — exchange alone, routing alone, both.
-    let mut t2 = Table::new(&[
-        "scenario", "queries", "mean", "p50", "p95", "p99", "probes", "solves", "moves",
-    ]);
+    let mut t2 =
+        Table::new("scenario | queries | mean | p50 | p95 | p99 | probes | solves | moves");
     let scenarios: [(&str, PolicyKind, Option<SraCoupling>); 3] = [
         ("sra_only", PolicyKind::Random, Some(sra(horizon))),
         ("prequal_only", PolicyKind::Prequal, None),

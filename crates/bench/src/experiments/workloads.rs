@@ -4,7 +4,7 @@
 //! datacenters"; this binary reports the statistics of our stand-ins: the
 //! five synthetic families and the searchsim-derived realistic instance.
 
-use rex_bench::{f2, f4, quick, scaled, Table};
+use crate::{f2, f4, pick, scaled, scaled_fleet, Table};
 use rex_cluster::{Assignment, BalanceReport, Instance};
 use rex_searchsim::bridge::{build_instance, BridgeConfig};
 use rex_searchsim::corpus::CorpusConfig;
@@ -42,20 +42,12 @@ fn stats_row(name: &str, inst: &Instance) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let machines = rex_bench::scaled_fleet(32);
+pub fn run() {
+    let machines = scaled_fleet(32);
     let shards = scaled(320);
-    let mut t = Table::new(&[
-        "workload",
-        "machines",
-        "exchange",
-        "shards",
-        "dims",
-        "utilization",
-        "init peak",
-        "init imbalance",
-        "top/median demand",
-    ]);
+    let mut t = Table::new(
+        "workload | machines | exchange | shards | dims | utilization | init peak | init imbalance | top/median demand",
+    );
 
     for entry in standard_suite(machines, machines / 8, shards, 0.8) {
         let inst = (entry.generate)(42);
@@ -65,13 +57,13 @@ fn main() {
     // Searchsim-derived "real-like" instance.
     let bridge = BridgeConfig {
         corpus: CorpusConfig {
-            n_docs: if quick() { 1_000 } else { 20_000 },
-            vocab: if quick() { 2_000 } else { 30_000 },
+            n_docs: pick(1_000, 20_000),
+            vocab: pick(2_000, 30_000),
             seed: 42,
             ..Default::default()
         },
         queries: QueryConfig {
-            n_queries: if quick() { 500 } else { 20_000 },
+            n_queries: pick(500, 20_000),
             seed: 43,
             ..Default::default()
         },

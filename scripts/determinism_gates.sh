@@ -6,7 +6,7 @@
 #
 # Every gate below is one command run with REX_THREADS=1 and REX_THREADS=8
 # by the binaries in target/release (build them first: `cargo build
-# --release --bin rex && cargo build --release -p rex-bench --bins`).
+# --release --bin rex && cargo build --release -p rex-bench --bin exp`).
 # Each file the command writes (--out, --trace, --record-trace) and each
 # captured stdout must be non-empty and `cmp`-identical across the two
 # thread counts — which is also the same-seed-twice check. `same A B` lines
@@ -15,7 +15,7 @@
 #
 # --against: the parent-commit mode for behaviour-preserving refactors.
 # Each command additionally runs under the other build (the given `rex`,
-# and the `exp_*` binaries beside it) and every artifact must be
+# and the `exp` binary beside it) and every artifact must be
 # `cmp`-identical to this build's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -175,7 +175,7 @@ gate help rex --help
 export REX_QUICK=1
 test -s "$work/t1/help.stdout"
 for e in closed_loop hotshard routing convergence heterogeneous longrun; do
-    gate "exp_$e" "exp_$e"
+    gate "exp_$e" exp "$e"
     test -s "$work/t1/exp_$e.stdout"
 done
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates every reconstructed table/figure into results/.
+# Regenerates every reconstructed table/figure into results/ (`exp <name>`
+# writes results/exp_<name>.md) and checks each experiment's asserted shape.
 # Usage: scripts/run_experiments.sh [--quick | --smoke]
 #   --quick  REX_QUICK=1 (scaled-down instances), outputs still written
 #   --smoke  like --quick, but outputs go to a scratch dir: a fast
@@ -7,13 +8,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-outdir=results
+outdir=results mode=full
 case "${1:-}" in
     --quick)
         export REX_QUICK=1
+        mode=quick
         ;;
     --smoke)
         export REX_QUICK=1
+        mode=quick
         outdir=$(mktemp -d)
         trap 'rm -rf "$outdir"' EXIT
         ;;
@@ -25,19 +28,26 @@ case "${1:-}" in
         ;;
 esac
 
-cargo build --release -p rex-bench --bins
+cargo build --release -p rex-bench --bin exp
 cargo build --release --bin rex
 mkdir -p "$outdir"
 
+# Every experiment runs and writes its output under a one-line header
+# naming the command and mode; one whose asserted shape breaks (or that
+# fails otherwise) is listed at the end and fails the run.
+failed=()
 for exp in workloads headline exchange_sweep lns_convergence migration \
            scalability optgap stringency ablation alpha qos longrun \
            closed_loop hotshard routing convergence heterogeneous; do
-    echo "=== exp_${exp} ==="
-    if ! ./target/release/exp_${exp} | tee "$outdir/exp_${exp}.md"; then
-        echo "FAILED: exp_${exp} (see output above)" >&2
-        exit 1
-    fi
+    echo "=== exp ${exp} ==="
+    out=$outdir/exp_${exp}.md
+    echo "<!-- \`exp ${exp}\`, ${mode} mode, written by scripts/run_experiments.sh -->" >"$out"
+    ./target/release/exp "$exp" | tee -a "$out" || failed+=("$exp")
 done
+if [ ${#failed[@]} -gt 0 ]; then
+    echo "FAILED: exp ${failed[*]} (see output above)" >&2
+    exit 1
+fi
 
 scripts/determinism_gates.sh
 
