@@ -663,6 +663,51 @@ mod tests {
         assert_eq!(spine.stats.new_bests, oracle.stats.new_bests);
     }
 
+    fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn serial_run_matches_the_frozen_clone_restore_run() {
+        // Recorded while a clone-restore reference problem (revert = copy
+        // back a saved whole-state clone) still ran beside the undo-log
+        // revert and matched it bit for bit: incumbent checksum, objective
+        // bits, iterations, checksums of the `Debug` stats and of the
+        // (iteration, objective bits) trajectory — traced and untraced —
+        // and the length + FNV-1a of the trace JSONL.
+        let problem = PartitionProblem::random(48, 4, 11);
+        let initial = problem.all_in_first_bin();
+        let plain = engine_on(&problem, initial.clone(), 900).run(4242);
+        let mut rec = Recorder::active();
+        let traced = engine_on(&problem, initial, 900).run_recorded(4242, &mut rec);
+        for out in [&plain, &traced] {
+            let got = (
+                fnv1a(out.best.iter().map(|&b| b as u64)),
+                out.best_objective.to_bits(),
+                out.iterations,
+                fnv1a(format!("{:?}", out.stats).bytes().map(u64::from)),
+                fnv1a(
+                    out.trajectory
+                        .iter()
+                        .flat_map(|p| [p.iteration, p.objective.to_bits()]),
+                ),
+            );
+            let want = (
+                0x8bff_cd2d_2591_0916,
+                0x3ff0_0180_a733_0f0b,
+                900,
+                0xa305_21d4_f064_37e5,
+                0xd4e6_0cfa_835b_5f6f,
+            );
+            assert_eq!(got, want);
+        }
+        let jsonl = rec.to_jsonl();
+        let got = (jsonl.len(), fnv1a(jsonl.bytes().map(u64::from)));
+        assert_eq!(got, (219_642, 0x9164_903f_3dcc_278c));
+    }
+
     #[test]
     fn recording_does_not_perturb_the_search() {
         let problem = PartitionProblem::random(30, 3, 5);

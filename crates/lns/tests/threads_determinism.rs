@@ -1,19 +1,20 @@
-//! Portfolio determinism is independent of the thread count.
+//! Portfolio and cooperative-round determinism is independent of the
+//! thread count.
 //!
 //! The vendored rayon shim exposes `set_threads_override` exactly so this
 //! suite can prove the contract DESIGN.md §8 states: the winner, the best
-//! objective, and every per-worker summary are a pure function of
-//! `(problem, seed, config)` — the number of OS threads that happened to
-//! execute the workers is unobservable. Everything runs in ONE `#[test]`
-//! function because the override is process-global.
+//! objective, every per-worker summary and every cooperative job's outcome
+//! are a pure function of `(problem, seed, config)` — the number of OS
+//! threads that happened to execute the workers is unobservable. Everything
+//! runs in ONE `#[test]` function because the override is process-global.
 
 use rex_lns::toy::{
     CloneOracle, GreedyInsertInPlace, OracleOp, PartitionProblem, RandomRemoveInPlace,
     WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    portfolio_search, DestroyInPlace, Engine, LnsConfig, LnsProblemInPlace, PortfolioOutcome,
-    RepairInPlace, SimulatedAnnealing,
+    cooperative_round, portfolio_search, round_seed, DestroyInPlace, Engine, HillClimb, LnsConfig,
+    LnsProblemInPlace, PortfolioOutcome, RepairInPlace, RoundJob, SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
@@ -77,6 +78,58 @@ fn oracle_ops<'p>() -> (Destroys<Oracle<'p>>, Repairs<Oracle<'p>>) {
     )
 }
 
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One cooperative round of three HillClimb engines over the toy problem,
+/// one per feasible start (items `5k..5k+5` rotated into bin `k + 1`), as
+/// the decomposed solver runs its partition sub-problems. Per job:
+/// incumbent checksum, objective bits, (iteration, objective bits)
+/// trajectory checksum.
+fn run_cooperative(problem: &PartitionProblem) -> Vec<(u64, u64, u64)> {
+    let jobs = (0..3)
+        .map(|k| {
+            let mut start = problem.all_in_first_bin();
+            for item in start.iter_mut().skip(k * 5).take(5) {
+                *item = (k + 1) % 4;
+            }
+            let (destroys, repairs) = in_place_ops();
+            RoundJob {
+                engine: Engine::new(
+                    problem,
+                    start,
+                    destroys,
+                    repairs,
+                    Box::new(HillClimb),
+                    LnsConfig {
+                        max_iters: 900,
+                        log_trajectory: true,
+                        ..Default::default()
+                    },
+                ),
+                seed: round_seed(SEED, 0, k),
+            }
+        })
+        .collect();
+    cooperative_round(jobs)
+        .iter()
+        .map(|o| {
+            let trajectory = o
+                .trajectory
+                .iter()
+                .flat_map(|p| [p.iteration, p.objective.to_bits()]);
+            (
+                fnv1a(o.best.iter().map(|&b| b as u64)),
+                o.best_objective.to_bits(),
+                fnv1a(trajectory),
+            )
+        })
+        .collect()
+}
+
 fn assert_same(a: &PortfolioOutcome<Vec<usize>>, b: &PortfolioOutcome<Vec<usize>>, label: &str) {
     assert_eq!(a.winner, b.winner, "{label}: winner differs");
     assert_eq!(
@@ -111,9 +164,21 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
     let problem = PartitionProblem::random(40, 4, 77);
     let oracle = CloneOracle(&problem);
     let initial = problem.all_in_first_bin();
+    let coop_problem = PartitionProblem::random(48, 4, 11);
+    #[rustfmt::skip] // one pin per job
+    let coop_pins = vec![
+        (0xf4bdbfd197b58f1c, 0x3ff00164a4267bc0, 0xe181f0c7e057c46b),
+        (0x8aee7e78ae2834d5, 0x3ff001b97a6c6c5d, 0x25c0ab39eb4afde3),
+        (0x97847b1d4e218849, 0x3ff000dd453e8a3a, 0x96a7980cf7a743ca),
+    ];
 
     // Reference runs with the default thread count.
     rayon::set_threads_override(None);
+    assert_eq!(
+        run_cooperative(&coop_problem),
+        coop_pins,
+        "cooperative round"
+    );
     let mut rec_ref = Recorder::active();
     let in_place_ref = run(&problem, &initial, in_place_ops, &mut rec_ref);
     let jsonl_ref = rec_ref.to_jsonl();
@@ -153,6 +218,12 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
             rec_o.to_jsonl(),
             jsonl_ref,
             "oracle trace not byte-identical with {threads} threads"
+        );
+
+        assert_eq!(
+            run_cooperative(&coop_problem),
+            coop_pins,
+            "cooperative round @{threads}t"
         );
     }
 
