@@ -64,7 +64,7 @@ use rex_cluster::{
     Shard, ShardId,
 };
 use rex_lns::{
-    cooperative_round, round_seed, EngineStats, LnsProblem, RoundJob, SearchOutcome,
+    cooperative_round, round_seed, EngineStats, LnsProblemInPlace, RoundJob, SearchOutcome,
     TrajectoryPoint,
 };
 use rex_obs::Recorder;
@@ -204,7 +204,7 @@ pub fn decomposed_search(
 
     let mut current = starting_solution(problem)?;
     let mut best = current.clone();
-    let mut best_val = LnsProblem::objective(problem, &best);
+    let mut best_val = LnsProblemInPlace::objective(problem, &best);
     let mut iterations = 0u64;
 
     rec.span_open(
@@ -438,7 +438,7 @@ impl Rounds<'_, '_> {
             .run_recorded(round_seed(self.seed, round, next_job), rec);
         iterations += out.iterations;
         let next = out.best;
-        let val = LnsProblem::objective(problem, &next);
+        let val = LnsProblemInPlace::objective(problem, &next);
         rec.span_close("sra", "round", &[("objective", val.into())]);
         Ok((next, iterations, val))
     }

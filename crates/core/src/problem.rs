@@ -5,7 +5,6 @@ use rex_cluster::{
     plan_migration, Assignment, ClusterError, Instance, MachineId, MigrationPlan, Objective,
     Planner, PlannerConfig, ShardId, EPS,
 };
-use rex_lns::LnsProblem;
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -422,30 +421,11 @@ impl RowScorer<'_, '_> {
     }
 }
 
-impl LnsProblem for SraProblem<'_> {
-    type Solution = Assignment;
-
-    fn objective(&self, sol: &Assignment) -> f64 {
-        let base = self.objective.value(self.inst, sol, &self.inst.initial);
-        if self.smoothing > 0.0 {
-            let (_, mean_sq) = sol.load_stats(self.inst);
-            base + self.smoothing * mean_sq
-        } else {
-            base
-        }
-    }
-
-    fn is_feasible(&self, sol: &Assignment) -> bool {
-        if !sol.is_complete()
-            || !sol.is_capacity_feasible(self.inst)
-            || sol.vacant_count() < self.inst.k_return + self.drained.iter().filter(|&&d| d).count()
-        {
-            return false;
-        }
-        (0..self.drained.len()).all(|m| !self.drained[m] || sol.is_vacant(MachineId::from(m)))
-    }
-
-    fn accept_best(&self, sol: &Assignment) -> bool {
+impl SraProblem<'_> {
+    /// The global-best gate (`state_accept_best` evaluated on a whole
+    /// solution): with `plan_on_best`, `sol` may become the best only if a
+    /// transient-feasible migration schedule to it exists.
+    pub fn accept_best(&self, sol: &Assignment) -> bool {
         if self.plan_on_best {
             // The gate runs on every would-be best, under a tighter move
             // budget than the final planning pass: anything needing > 2×
@@ -472,6 +452,7 @@ impl LnsProblem for SraProblem<'_> {
 mod tests {
     use super::*;
     use rex_cluster::InstanceBuilder;
+    use rex_lns::LnsProblemInPlace;
 
     fn inst() -> Instance {
         let mut b = InstanceBuilder::new(1).label("p");
@@ -489,7 +470,7 @@ mod tests {
         let mut p = SraProblem::new(&inst, Objective::pure());
         p.smoothing = 0.0;
         let asg = Assignment::from_initial(&inst);
-        assert!((LnsProblem::objective(&p, &asg) - 0.6).abs() < 1e-12);
+        assert!((LnsProblemInPlace::objective(&p, &asg) - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -512,7 +493,7 @@ mod tests {
                                                             // peak, so instead compare against splitting demand: not possible
                                                             // with 2 shards — assert the smoothed objective equals peak + w·msq.
         let (peak, msq) = concentrated.load_stats(&inst);
-        let got = LnsProblem::objective(&p, &concentrated);
+        let got = LnsProblemInPlace::objective(&p, &concentrated);
         assert!((got - (peak + p.smoothing * msq)).abs() < 1e-12);
         let _ = spread;
     }

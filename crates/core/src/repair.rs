@@ -267,11 +267,11 @@ impl RepairInPlace<SraProblem<'_>> for Regret2Insert {
         "regret-2"
     }
 
-    /// Incremental regret loop over one exact [`Frontier`] per detached
+    /// Incremental regret loop over one exact `Frontier` per detached
     /// shard: an attach on machine `m` only changes scores *on* `m` (and
     /// only for the worse — usage grows monotonically), so an entry that
     /// does not name `m` is untouched, one that does is patched by
-    /// [`reinsert`], and only an entry patched down to fewer than two
+    /// `reinsert`, and only an entry patched down to fewer than two
     /// machines is rescanned. The exception is the vacancy budget reaching
     /// zero — that flips the allowed-set for every vacant machine, so
     /// everything is rescanned once.
@@ -393,7 +393,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rex_cluster::{Assignment, Instance, InstanceBuilder, Objective};
-    use rex_lns::{LnsProblem, LnsProblemInPlace};
+    use rex_lns::LnsProblemInPlace;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)
@@ -430,7 +430,7 @@ mod tests {
             &mut rng()
         ));
         let sol = state.solution();
-        assert!(LnsProblem::is_feasible(&p, sol));
+        assert!(p.is_feasible(sol));
         // Greedy LPT on {6,3,2} over two usable machines (one must stay
         // vacant): 6 | 3+2 → peak 0.6.
         assert!(
@@ -470,7 +470,7 @@ mod tests {
             &mut state,
             &mut rng()
         ));
-        assert!(LnsProblem::is_feasible(&p, state.solution()));
+        assert!(p.is_feasible(state.solution()));
         assert!(state.solution().peak_load(&inst) <= 0.9 + 1e-9);
     }
 
@@ -485,7 +485,7 @@ mod tests {
                 RepairInPlace::repair(&RandomizedGreedy { sample: 2 }, &p, &mut state, &mut r),
                 "seed {seed}"
             );
-            assert!(LnsProblem::is_feasible(&p, state.solution()), "seed {seed}");
+            assert!(p.is_feasible(state.solution()), "seed {seed}");
         }
     }
 
@@ -531,7 +531,7 @@ mod tests {
             assert!(state.removed().is_empty());
             assert!(p.state_feasible(&state), "{}", repair.name());
             assert!(
-                LnsProblem::is_feasible(&p, state.solution()),
+                p.is_feasible(state.solution()),
                 "{} produced an infeasible solution",
                 repair.name()
             );

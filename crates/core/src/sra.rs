@@ -9,7 +9,7 @@ use rex_cluster::{
     Objective, PlannerConfig,
 };
 use rex_lns::{
-    portfolio_search, Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblem,
+    portfolio_search, Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblemInPlace,
     RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
 };
 use rex_obs::Recorder;

@@ -25,14 +25,14 @@
 //! [`rex_cluster::UndoLog`] restores placements and snapshots first-touch
 //! usage vectors, per-machine loads are recomputed from those restored
 //! usages (a pure function, hence bit-identical), and the scalar
-//! accumulators are copied back from the [`ScalarBase`] taken at the last
+//! accumulators are copied back from the `ScalarBase` taken at the last
 //! commit. Accumulator drift (`sumsq`, `mig_cost` are running sums of
 //! floating-point deltas) is bounded by a full resynchronization every
-//! [`RESYNC_EVERY`] commits.
+//! `RESYNC_EVERY` commits.
 
 use crate::problem::SraProblem;
 use rex_cluster::{Assignment, Instance, MachineId, ShardId, UndoLog};
-use rex_lns::{LnsProblem, LnsProblemInPlace};
+use rex_lns::LnsProblemInPlace;
 
 /// Full cache resynchronization period, in commits. With the compensated
 /// accumulators below, each update leaves at most one *delta-sized*
@@ -98,7 +98,7 @@ struct ScalarBase {
 
 /// Mutable search state for the in-place SRA hot loop.
 ///
-/// Operators access it through [`SraState::detach`] / [`SraState::attach`]
+/// Operators access it through `SraState::detach` / `SraState::attach`
 /// (which keep every cache coherent and feed the undo log) and the
 /// read-only accessors; the engine drives revert/commit through
 /// [`LnsProblemInPlace`].
@@ -516,7 +516,27 @@ impl SraState {
 }
 
 impl LnsProblemInPlace for SraProblem<'_> {
+    type Solution = Assignment;
     type State = SraState;
+
+    fn objective(&self, sol: &Assignment) -> f64 {
+        let base = self.objective.value(self.inst, sol, &self.inst.initial);
+        if self.smoothing > 0.0 {
+            let (_, mean_sq) = sol.load_stats(self.inst);
+            base + self.smoothing * mean_sq
+        } else {
+            base
+        }
+    }
+
+    fn is_feasible(&self, sol: &Assignment) -> bool {
+        sol.is_complete()
+            && sol.is_capacity_feasible(self.inst)
+            && sol.vacant_count() >= self.reserved_vacancies()
+            && (0..self.inst.n_machines())
+                .map(MachineId::from)
+                .all(|m| !self.is_drained(m) || sol.is_vacant(m))
+    }
 
     fn make_state(&self, sol: Assignment) -> SraState {
         SraState::new(self, sol)
@@ -635,7 +655,7 @@ mod tests {
     }
 
     fn full_objective(p: &SraProblem<'_>, asg: &Assignment) -> f64 {
-        LnsProblem::objective(p, asg)
+        LnsProblemInPlace::objective(p, asg)
     }
 
     #[test]

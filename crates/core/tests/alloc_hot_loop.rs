@@ -18,7 +18,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use rex_cluster::{Assignment, Objective};
 use rex_core::{default_destroys_in_place, default_repairs_in_place, SraProblem};
-use rex_lns::{LnsProblem, LnsProblemInPlace};
+use rex_lns::LnsProblemInPlace;
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +68,7 @@ fn steady_state_hot_loop_does_not_allocate() {
     // part of the per-iteration hot path this test pins down.
     let problem = SraProblem::new(&inst, Objective::pure()).without_plan_checks();
     let initial = Assignment::from_initial(&inst);
-    assert!(LnsProblem::is_feasible(&problem, &initial));
+    assert!(problem.is_feasible(&initial));
 
     let destroys = default_destroys_in_place(32);
     let repairs = default_repairs_in_place();

@@ -10,12 +10,12 @@
 //! ablation benches can swap acceptance criteria and operator sets without
 //! touching the domain logic in `rex-core`:
 //!
-//! * [`problem::LnsProblem`] — the domain interface (objective,
-//!   feasibility, best-gate),
-//! * [`problem::LnsProblemInPlace`], [`problem::DestroyInPlace`],
-//!   [`problem::RepairInPlace`] — the allocation-free in-place edit
+//! * [`problem::LnsProblemInPlace`] — the one problem trait: objective,
+//!   feasibility, the best-gate, and the allocation-free in-place edit
 //!   protocol (destroy/repair mutate one working state; rejected edits are
-//!   reverted from an undo log instead of discarding a clone),
+//!   reverted from an undo log instead of discarding a clone), with its
+//!   operator traits [`problem::DestroyInPlace`] and
+//!   [`problem::RepairInPlace`],
 //! * [`accept`] — hill-climbing, simulated annealing, record-to-record,
 //! * [`weights::OperatorWeights`] — adaptive operator selection,
 //! * [`engine::Engine`] — **the one iteration loop** (`Engine<P:
@@ -27,9 +27,7 @@
 //! * [`cooperative`] — deterministic parallel execution of one decomposed
 //!   round (one worker per sub-problem),
 //! * [`toy`] — a tiny number-partitioning problem used by the tests and the
-//!   documentation examples, and [`toy::CloneOracle`], the test-only
-//!   wrapper problem that reverts by restoring a saved state clone (the
-//!   differential reference for a problem's undo-log revert).
+//!   documentation examples.
 //!
 //! Determinism: every run is driven by a caller-supplied `u64` seed; the
 //! portfolio derives worker seeds as `seed ⊕ worker` and reduces with an
@@ -53,5 +51,5 @@ pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed, RoundJob};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, TrajectoryPoint};
 pub use portfolio::{portfolio_search, worker_seed, PortfolioOutcome};
-pub use problem::{DestroyInPlace, LnsProblem, LnsProblemInPlace, RepairInPlace};
+pub use problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
 pub use weights::OperatorWeights;

@@ -1,45 +1,18 @@
 //! The domain interface implemented by problems solved with this framework:
-//! the one trait pair ([`LnsProblemInPlace`] plus its operators) the
-//! [`crate::engine::Engine`] drives directly.
+//! the one problem trait, [`LnsProblemInPlace`], and its destroy/repair
+//! operator traits, which the [`crate::engine::Engine`] drives directly.
 
 use rand::rngs::StdRng;
 
-/// A problem solvable by (A)LNS.
+/// A problem solvable by (A)LNS, through the **in-place edit protocol**.
 ///
 /// `Solution` is a complete, evaluable state. The framework never inspects
-/// it — it only shuttles solutions between the operators and compares
-/// objective values (lower is better).
-pub trait LnsProblem {
-    /// A complete candidate solution.
-    type Solution: Clone + Send;
-
-    /// Objective value of a solution; **lower is better**. Must be finite
-    /// for feasible solutions.
-    fn objective(&self, sol: &Self::Solution) -> f64;
-
-    /// Whether the solution satisfies all hard constraints. The engine only
-    /// ever accepts feasible candidates and only ever starts from a feasible
-    /// incumbent.
-    fn is_feasible(&self, sol: &Self::Solution) -> bool;
-
-    /// Extra gate applied only when a candidate would become the new global
-    /// best. A candidate failing this check may still be accepted as the
-    /// incumbent (diversification), but is never recorded as the best.
-    ///
-    /// Use for expensive "deliverability" checks that would be wasteful on
-    /// every candidate — SRA uses it to require that the best placement
-    /// admit a transient-feasible migration schedule.
-    fn accept_best(&self, _sol: &Self::Solution) -> bool {
-        true
-    }
-}
-
-/// The **in-place edit protocol**: the production hot path.
+/// it — it only hands solutions in and out and compares objective values
+/// (lower is better).
 ///
 /// Cloning the incumbent every iteration (and fully re-evaluating the
-/// clone) dominates iteration cost on large solutions. Problems
-/// implementing this trait instead let the engine mutate **one** working
-/// [`State`]:
+/// clone) would dominate iteration cost on large solutions, so the engine
+/// instead mutates **one** working [`State`]:
 ///
 /// * [`DestroyInPlace`] / [`RepairInPlace`] edit the state directly, with
 ///   every edit recorded in an undo log inside the state;
@@ -54,21 +27,33 @@ pub trait LnsProblem {
 /// * a full solution is cloned out ([`snapshot`]) only when a new global
 ///   best is recorded — the one remaining allocation on the accept path.
 ///
-/// Semantics must match the whole-solution view: `state_objective` /
-/// `state_feasible` / `state_accept_best` agree with
-/// [`LnsProblem::objective`] / [`LnsProblem::is_feasible`] /
-/// [`LnsProblem::accept_best`] evaluated on the state's solution (the
-/// objective up to the documented drift bound).
+/// `state_objective` / `state_feasible` agree with [`objective`] /
+/// [`is_feasible`] evaluated on the state's solution (the objective up to
+/// the documented drift bound).
 ///
 /// [`State`]: LnsProblemInPlace::State
 /// [`revert`]: LnsProblemInPlace::revert
 /// [`commit`]: LnsProblemInPlace::commit
 /// [`state_objective`]: LnsProblemInPlace::state_objective
 /// [`snapshot`]: LnsProblemInPlace::snapshot
-pub trait LnsProblemInPlace: LnsProblem {
+/// [`objective`]: LnsProblemInPlace::objective
+/// [`is_feasible`]: LnsProblemInPlace::is_feasible
+pub trait LnsProblemInPlace {
+    /// A complete candidate solution.
+    type Solution: Clone + Send;
+
     /// Mutable search state: the working solution plus whatever caches make
     /// delta evaluation cheap, plus the undo log.
     type State: Send;
+
+    /// Objective value of a solution; **lower is better**. Must be finite
+    /// for feasible solutions.
+    fn objective(&self, sol: &Self::Solution) -> f64;
+
+    /// Whether the solution satisfies all hard constraints. The engine only
+    /// ever accepts feasible candidates and only ever starts from a feasible
+    /// incumbent.
+    fn is_feasible(&self, sol: &Self::Solution) -> bool;
 
     /// Wraps a solution into a state (one full evaluation; called once per
     /// engine run, not per iteration).
@@ -82,7 +67,13 @@ pub trait LnsProblemInPlace: LnsProblem {
     /// Hard-constraint check of the current (edited, uncommitted) state.
     fn state_feasible(&self, state: &Self::State) -> bool;
 
-    /// The [`LnsProblem::accept_best`] gate, evaluated on the state.
+    /// Extra gate applied only when a candidate would become the new global
+    /// best. A candidate failing this check may still be accepted as the
+    /// incumbent (diversification), but is never recorded as the best.
+    ///
+    /// Use for expensive "deliverability" checks that would be wasteful on
+    /// every candidate — SRA uses it to require that the best placement
+    /// admit a transient-feasible migration schedule.
     fn state_accept_best(&self, _state: &Self::State) -> bool {
         true
     }

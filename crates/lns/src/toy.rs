@@ -3,11 +3,10 @@
 //! Assign `n` weighted items to `k` bins, minimizing the maximum bin sum —
 //! the 1-dimensional skeleton of the shard-reassignment problem. It exists
 //! so the framework can be tested (and its documentation exemplified)
-//! without dragging in the cluster domain. Its [`PartitionState`] derives
-//! `Clone`, which is what lets the `spine_vs_legacy` differential suite
-//! wrap it in the [`CloneOracle`] defined at the bottom of this module.
+//! without dragging in the cluster domain. Its undo-log revert is pinned
+//! bit-exact by `in_place_destroy_repair_revert_restores_exactly` below.
 
-use crate::problem::{DestroyInPlace, LnsProblem, LnsProblemInPlace, RepairInPlace};
+use crate::problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -55,34 +54,26 @@ impl PartitionProblem {
         }
         sums
     }
-}
 
-impl LnsProblem for PartitionProblem {
-    type Solution = Vec<usize>;
-
-    fn objective(&self, sol: &Self::Solution) -> f64 {
-        // Normalize by the perfectly balanced value so objectives sit near 1.
+    /// The fullest bin's sum over the perfectly balanced one, so objectives
+    /// sit near 1.
+    fn peak_ratio(&self, sums: &[f64]) -> f64 {
         let total: f64 = self.items.iter().sum();
         let ideal = total / self.bins as f64;
-        let peak = self.bin_sums(sol).into_iter().fold(0.0, f64::max);
+        let peak = sums.iter().copied().fold(0.0, f64::max);
         if ideal > 0.0 {
             peak / ideal
         } else {
             0.0
         }
     }
-
-    fn is_feasible(&self, sol: &Self::Solution) -> bool {
-        sol.len() == self.items.len() && sol.iter().all(|&b| b < self.bins)
-    }
 }
 
 /// In-place search state for [`PartitionProblem`]: the solution plus
 /// cached bin sums, the unassigned-item list, and an undo log. Exists to
 /// exercise (and document) the in-place edit protocol without the cluster
-/// domain. Derives `Clone` (unlike the real SRA state) so the
-/// [`CloneOracle`] can snapshot and restore it whole.
-#[derive(Clone, Debug)]
+/// domain.
+#[derive(Debug)]
 pub struct PartitionState {
     /// `sol[i]` = bin of item `i`, or [`UNASSIGNED`].
     sol: Vec<usize>,
@@ -153,7 +144,16 @@ impl PartitionState {
 }
 
 impl LnsProblemInPlace for PartitionProblem {
+    type Solution = Vec<usize>;
     type State = PartitionState;
+
+    fn objective(&self, sol: &Self::Solution) -> f64 {
+        self.peak_ratio(&self.bin_sums(sol))
+    }
+
+    fn is_feasible(&self, sol: &Self::Solution) -> bool {
+        sol.len() == self.items.len() && sol.iter().all(|&b| b < self.bins)
+    }
 
     fn make_state(&self, sol: Vec<usize>) -> PartitionState {
         let sums = self.bin_sums(&sol);
@@ -175,14 +175,7 @@ impl LnsProblemInPlace for PartitionProblem {
     }
 
     fn state_objective(&self, state: &mut PartitionState) -> f64 {
-        let total: f64 = self.items.iter().sum();
-        let ideal = total / self.bins as f64;
-        let peak = state.sums.iter().copied().fold(0.0, f64::max);
-        if ideal > 0.0 {
-            peak / ideal
-        } else {
-            0.0
-        }
+        self.peak_ratio(&state.sums)
     }
 
     fn state_feasible(&self, state: &PartitionState) -> bool {
@@ -266,7 +259,7 @@ impl DestroyInPlace<PartitionProblem> for WorstBinRemoveInPlace {
             .sums
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0);
         let mut victims = std::mem::take(&mut state.scratch);
@@ -302,14 +295,14 @@ impl RepairInPlace<PartitionProblem> for GreedyInsertInPlace {
         _rng: &mut StdRng,
     ) -> bool {
         let mut removed = std::mem::take(&mut state.removed);
-        removed.sort_by(|&a, &b| problem.items[b].partial_cmp(&problem.items[a]).unwrap());
+        removed.sort_by(|&a, &b| problem.items[b].total_cmp(&problem.items[a]));
         for idx in 0..removed.len() {
             let i = removed[idx];
             let lightest = state
                 .sums
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .min_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(b, _)| b);
             let Some(bin) = lightest else {
                 // Hand the unplaced tail back so the state stays coherent
@@ -323,127 +316,6 @@ impl RepairInPlace<PartitionProblem> for GreedyInsertInPlace {
         removed.clear();
         state.removed = removed;
         true
-    }
-}
-
-/// The **differential-test oracle**: wraps a problem whose state is
-/// cloneable and behaves identically — same operators (through
-/// [`OracleOp`]), same arithmetic, same RNG consumption — except that
-/// [`revert`] restores a saved whole-state clone instead of unwinding the
-/// undo log. Its state is the pair `(live, saved)`.
-///
-/// A search over the wrapper is therefore bit-identical to one over the
-/// wrapped problem *if and only if* the wrapped problem's `revert` is
-/// bit-exact, which is what the `spine_vs_legacy` suite asserts. It can
-/// only check problems with `State: Clone` — the toy problems here; the
-/// real SRA state deliberately is not cloneable, and its revert is pinned
-/// by `tests/prop_edit_protocol.rs` instead. Every rejected iteration pays
-/// a whole-state clone: never use it on a production path.
-///
-/// [`revert`]: LnsProblemInPlace::revert
-pub struct CloneOracle<'p, P>(pub &'p P);
-
-impl<P: LnsProblemInPlace> LnsProblem for CloneOracle<'_, P>
-where
-    P::State: Clone,
-{
-    type Solution = P::Solution;
-
-    fn objective(&self, sol: &P::Solution) -> f64 {
-        self.0.objective(sol)
-    }
-    fn is_feasible(&self, sol: &P::Solution) -> bool {
-        self.0.is_feasible(sol)
-    }
-    fn accept_best(&self, sol: &P::Solution) -> bool {
-        self.0.accept_best(sol)
-    }
-}
-
-impl<P: LnsProblemInPlace> LnsProblemInPlace for CloneOracle<'_, P>
-where
-    P::State: Clone,
-{
-    /// `(live, saved)`: the working state and its last committed twin.
-    type State = (P::State, P::State);
-
-    fn make_state(&self, sol: P::Solution) -> Self::State {
-        let live = self.0.make_state(sol);
-        let saved = live.clone();
-        (live, saved)
-    }
-    fn state_objective(&self, state: &mut Self::State) -> f64 {
-        self.0.state_objective(&mut state.0)
-    }
-    fn state_feasible(&self, state: &Self::State) -> bool {
-        self.0.state_feasible(&state.0)
-    }
-    fn state_accept_best(&self, state: &Self::State) -> bool {
-        self.0.state_accept_best(&state.0)
-    }
-    fn snapshot(&self, state: &Self::State) -> P::Solution {
-        self.0.snapshot(&state.0)
-    }
-    fn revert(&self, state: &mut Self::State) {
-        state.0.clone_from(&state.1);
-    }
-    fn commit(&self, state: &mut Self::State) {
-        // The real commit first (identical resync cadence to the wrapped
-        // problem), then refresh the rollback point.
-        self.0.commit(&mut state.0);
-        state.1.clone_from(&state.0);
-    }
-    fn state_destroyed(&self, state: &Self::State) -> usize {
-        self.0.state_destroyed(&state.0)
-    }
-    fn state_undo_depth(&self, state: &Self::State) -> usize {
-        self.0.state_undo_depth(&state.0)
-    }
-    fn state_resyncs(&self, state: &Self::State) -> u64 {
-        self.0.state_resyncs(&state.0)
-    }
-}
-
-/// Adapts an operator of `P` to [`CloneOracle<P>`]: forwards to the wrapped
-/// operator on the live half of the oracle's state.
-pub struct OracleOp<T>(pub T);
-
-impl<P, T> DestroyInPlace<CloneOracle<'_, P>> for OracleOp<T>
-where
-    P: LnsProblemInPlace,
-    P::State: Clone,
-    T: DestroyInPlace<P>,
-{
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn destroy(
-        &self,
-        problem: &CloneOracle<'_, P>,
-        state: &mut (P::State, P::State),
-        intensity: f64,
-        rng: &mut StdRng,
-    ) {
-        self.0.destroy(problem.0, &mut state.0, intensity, rng);
-    }
-}
-
-impl<P, T> RepairInPlace<CloneOracle<'_, P>> for OracleOp<T>
-where
-    P: LnsProblemInPlace,
-    P::State: Clone,
-    T: RepairInPlace<P>,
-{
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn repair(
-        &self,
-        problem: &CloneOracle<'_, P>,
-        state: &mut (P::State, P::State),
-        rng: &mut StdRng,
-    ) -> bool {
-        self.0.repair(problem.0, &mut state.0, rng)
     }
 }
 

@@ -6,7 +6,7 @@ use rex_lns::toy::{
     GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    Acceptance, DestroyInPlace, Engine, HillClimb, LnsConfig, LnsProblem, RecordToRecord,
+    Acceptance, DestroyInPlace, Engine, HillClimb, LnsConfig, LnsProblemInPlace, RecordToRecord,
     RepairInPlace, SearchOutcome, SimulatedAnnealing,
 };
 

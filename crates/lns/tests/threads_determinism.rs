@@ -9,37 +9,31 @@
 //! runs in ONE `#[test]` function because the override is process-global.
 
 use rex_lns::toy::{
-    CloneOracle, GreedyInsertInPlace, OracleOp, PartitionProblem, RandomRemoveInPlace,
-    WorstBinRemoveInPlace,
+    GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
 };
 use rex_lns::{
     cooperative_round, portfolio_search, round_seed, DestroyInPlace, Engine, HillClimb, LnsConfig,
-    LnsProblemInPlace, PortfolioOutcome, RepairInPlace, RoundJob, SimulatedAnnealing,
+    PortfolioOutcome, RepairInPlace, RoundJob, SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
 const WORKERS: usize = 6;
 const SEED: u64 = 2024;
 
-type Destroys<P> = Vec<Box<dyn DestroyInPlace<P>>>;
-type Repairs<P> = Vec<Box<dyn RepairInPlace<P>>>;
+type Destroys = Vec<Box<dyn DestroyInPlace<PartitionProblem>>>;
+type Repairs = Vec<Box<dyn RepairInPlace<PartitionProblem>>>;
 
-/// The toy portfolio over `problem` with the operators `ops` builds: the
-/// production [`PartitionProblem`] (undo-log reverts), or the clone-based
-/// differential oracle [`CloneOracle`] around it — identical operator
-/// protocol and RNG consumption, reverts by cloning a saved state instead
-/// of replaying the undo log.
-fn run<P: LnsProblemInPlace<Solution = Vec<usize>> + Sync>(
-    problem: &P,
+/// The toy portfolio over `problem`.
+fn run(
+    problem: &PartitionProblem,
     initial: &[usize],
-    ops: impl Fn() -> (Destroys<P>, Repairs<P>),
     rec: &mut Recorder,
 ) -> PortfolioOutcome<Vec<usize>> {
     portfolio_search(
         SEED,
         WORKERS,
         || {
-            let (destroys, repairs) = ops();
+            let (destroys, repairs) = toy_ops();
             Engine::new(
                 problem,
                 initial.to_vec(),
@@ -56,25 +50,13 @@ fn run<P: LnsProblemInPlace<Solution = Vec<usize>> + Sync>(
     )
 }
 
-fn in_place_ops() -> (Destroys<PartitionProblem>, Repairs<PartitionProblem>) {
+fn toy_ops() -> (Destroys, Repairs) {
     (
         vec![
             Box::new(RandomRemoveInPlace),
             Box::new(WorstBinRemoveInPlace),
         ],
         vec![Box::new(GreedyInsertInPlace)],
-    )
-}
-
-type Oracle<'p> = CloneOracle<'p, PartitionProblem>;
-
-fn oracle_ops<'p>() -> (Destroys<Oracle<'p>>, Repairs<Oracle<'p>>) {
-    (
-        vec![
-            Box::new(OracleOp(RandomRemoveInPlace)),
-            Box::new(OracleOp(WorstBinRemoveInPlace)),
-        ],
-        vec![Box::new(OracleOp(GreedyInsertInPlace))],
     )
 }
 
@@ -96,7 +78,7 @@ fn run_cooperative(problem: &PartitionProblem) -> Vec<(u64, u64, u64)> {
             for item in start.iter_mut().skip(k * 5).take(5) {
                 *item = (k + 1) % 4;
             }
-            let (destroys, repairs) = in_place_ops();
+            let (destroys, repairs) = toy_ops();
             RoundJob {
                 engine: Engine::new(
                     problem,
@@ -162,7 +144,6 @@ fn assert_same(a: &PortfolioOutcome<Vec<usize>>, b: &PortfolioOutcome<Vec<usize>
 #[test]
 fn portfolio_results_and_traces_are_thread_count_independent() {
     let problem = PartitionProblem::random(40, 4, 77);
-    let oracle = CloneOracle(&problem);
     let initial = problem.all_in_first_bin();
     let coop_problem = PartitionProblem::random(48, 4, 11);
     #[rustfmt::skip] // one pin per job
@@ -180,44 +161,20 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
         "cooperative round"
     );
     let mut rec_ref = Recorder::active();
-    let in_place_ref = run(&problem, &initial, in_place_ops, &mut rec_ref);
+    let portfolio_ref = run(&problem, &initial, &mut rec_ref);
     let jsonl_ref = rec_ref.to_jsonl();
     assert!(!jsonl_ref.is_empty());
-
-    // The oracle problem follows the exact same trajectory as the undo-log
-    // problem — the spine's differential contract, here at portfolio scope.
-    let mut rec_oracle = Recorder::active();
-    let oracle_ref = run(&oracle, &initial, oracle_ops, &mut rec_oracle);
-    assert_same(&in_place_ref, &oracle_ref, "oracle portfolio");
-    assert_eq!(
-        rec_oracle.to_jsonl(),
-        jsonl_ref,
-        "oracle trace not byte-identical"
-    );
 
     for threads in [1usize, 2, 3, 8] {
         rayon::set_threads_override(Some(threads));
 
         let mut rec = Recorder::active();
-        let p = run(&problem, &initial, in_place_ops, &mut rec);
-        assert_same(
-            &in_place_ref,
-            &p,
-            &format!("in-place portfolio @{threads}t"),
-        );
+        let p = run(&problem, &initial, &mut rec);
+        assert_same(&portfolio_ref, &p, &format!("portfolio @{threads}t"));
         assert_eq!(
             rec.to_jsonl(),
             jsonl_ref,
             "trace not byte-identical with {threads} threads"
-        );
-
-        let mut rec_o = Recorder::active();
-        let o = run(&oracle, &initial, oracle_ops, &mut rec_o);
-        assert_same(&in_place_ref, &o, &format!("oracle portfolio @{threads}t"));
-        assert_eq!(
-            rec_o.to_jsonl(),
-            jsonl_ref,
-            "oracle trace not byte-identical with {threads} threads"
         );
 
         assert_eq!(

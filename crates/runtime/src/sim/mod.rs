@@ -17,7 +17,7 @@
 //! Whenever no plan is in flight, `inst.initial` equals the live placement
 //! and every exchange-flagged machine is vacant — i.e. the live `Instance`
 //! always validates, so it can be snapshotted and handed to any solver
-//! as-is. [`Simulation::normalize_membership`] restores the invariant after
+//! as-is. `Simulation::normalize_membership` restores the invariant after
 //! every plan completion or abort; completed SRA plans additionally rotate
 //! the exchange loan onto the machines the solver handed back (the paper's
 //! per-epoch exchange cycle).

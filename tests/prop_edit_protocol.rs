@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use resource_exchange::cluster::{Assignment, Objective};
 use resource_exchange::core::{default_destroys_in_place, default_repairs_in_place, SraProblem};
-use resource_exchange::lns::{LnsProblem, LnsProblemInPlace};
+use resource_exchange::lns::LnsProblemInPlace;
 use resource_exchange::workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
@@ -171,7 +171,7 @@ proptest! {
             let repaired = repairs[ri].repair(&p, &mut state, &mut rng);
             if repaired {
                 let delta = p.state_objective(&mut state);
-                let full = LnsProblem::objective(&p, state.solution());
+                let full = LnsProblemInPlace::objective(&p, state.solution());
                 prop_assert!(
                     (delta - full).abs() < 1e-9,
                     "round {}: delta {} vs full {}", round, delta, full
@@ -184,7 +184,7 @@ proptest! {
             }
             // The objective of the settled state always matches too.
             let delta = p.state_objective(&mut state);
-            let full = LnsProblem::objective(&p, state.solution());
+            let full = LnsProblemInPlace::objective(&p, state.solution());
             prop_assert!((delta - full).abs() < 1e-9, "settled: {} vs {}", delta, full);
         }
     }
