@@ -927,4 +927,192 @@ mod tests {
         assert!(p99_of(PolicyKind::RoundRobin) <= random);
         assert!(p99_of(PolicyKind::Token) <= random);
     }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A fleet loaded enough that service times outgrow the wheel span, so
+    /// completions detour through the overflow heap.
+    fn hot_fleet() -> Instance {
+        generate(&SynthConfig {
+            n_machines: 8,
+            n_exchange: 0,
+            n_shards: 96,
+            dims: 1,
+            stringency: 0.9,
+            placement: Placement::Hotspot(0.3),
+            family: DemandFamily::Uniform,
+            seed: 21,
+            ..Default::default()
+        })
+        .expect("generate")
+    }
+
+    /// The arrival schedule's edges: spikes that start at µs 0, run past
+    /// the horizon or end exactly at it; SRA polls every µs (the poll
+    /// shares each µs with the pump) and every other µs; Prequal probes;
+    /// three replicas under Token; thinned sampling; a one-µs horizon;
+    /// sparse arrivals over completions that overflow the wheel.
+    fn schedule_edge_grid() -> Vec<(&'static str, Instance, RouterConfig)> {
+        let spike = |at_us, duration_us| {
+            Some(FlashCrowd {
+                at_us,
+                duration_us,
+                factor: 3.0,
+                shard_fraction: 0.1,
+            })
+        };
+        let short_sra = |every_us| RouterConfig {
+            horizon_us: 400,
+            qps: 200_000.0,
+            spike: spike(100, 100),
+            sra: Some(SraCoupling {
+                every_us,
+                iters: 10,
+                snapshot_utilization: 0.6,
+            }),
+            ..stable_cfg()
+        };
+        let sparse = RouterConfig {
+            horizon_us: 40_000,
+            qps: 2_000.0,
+            base_service_us: 300.0,
+            policy: PolicyKind::Random,
+            ..stable_cfg()
+        };
+        vec![
+            (
+                "spike-at-0",
+                fleet(3),
+                RouterConfig {
+                    spike: spike(0, 5_000),
+                    ..stable_cfg()
+                },
+            ),
+            (
+                "spike-past-horizon",
+                fleet(3),
+                RouterConfig {
+                    spike: spike(20_000, 50_000),
+                    ..stable_cfg()
+                },
+            ),
+            (
+                "spike-ends-at-horizon",
+                fleet(3),
+                RouterConfig {
+                    spike: spike(10_000, 20_000),
+                    ..stable_cfg()
+                },
+            ),
+            ("sra-every-1", fleet(11), short_sra(1)),
+            ("sra-every-2", fleet(11), short_sra(2)),
+            (
+                "prequal",
+                fleet(5),
+                RouterConfig {
+                    policy: PolicyKind::Prequal,
+                    spike: spike(8_000, 8_000),
+                    ..stable_cfg()
+                },
+            ),
+            (
+                "token-r3",
+                fleet(7),
+                RouterConfig {
+                    policy: PolicyKind::Token,
+                    replication: 3,
+                    ..stable_cfg()
+                },
+            ),
+            (
+                "sample-every-3",
+                fleet(9),
+                RouterConfig {
+                    sample_every: 3,
+                    ..stable_cfg()
+                },
+            ),
+            (
+                "horizon-1",
+                fleet(3),
+                RouterConfig {
+                    horizon_us: 1,
+                    qps: 2_000_000.0,
+                    ..stable_cfg()
+                },
+            ),
+            ("sparse-overflow", hot_fleet(), sparse.clone()),
+            (
+                "sparse-overflow-sra",
+                hot_fleet(),
+                RouterConfig {
+                    spike: spike(15_000, 10_000),
+                    sra: Some(SraCoupling {
+                        every_us: 5_000,
+                        iters: 50,
+                        snapshot_utilization: 0.6,
+                    }),
+                    ..sparse
+                },
+            ),
+        ]
+    }
+
+    /// FNV-1a of the report JSON and of the traced JSONL for every grid
+    /// run, recorded at commit 6b49d94 (when the arrival pump was a queue
+    /// event re-armed every µs). Any change to arrival order, event order
+    /// within a µs, spike/poll timing or a counter moves one of these.
+    #[test]
+    fn schedule_edges_match_the_frozen_reports() {
+        let frozen: [(&str, u64, u64); 11] = [
+            ("spike-at-0", 0x9d1f_2f5c_863a_99b4, 0xe3e2_724d_7313_65d1),
+            (
+                "spike-past-horizon",
+                0x3127_8e43_4218_a9a1,
+                0x2633_2273_37b3_52c1,
+            ),
+            (
+                "spike-ends-at-horizon",
+                0xf848_b995_7c10_6cbe,
+                0x00fe_2e09_8f81_117d,
+            ),
+            ("sra-every-1", 0x28b6_323f_3711_2491, 0x77ac_7210_5bb3_4900),
+            ("sra-every-2", 0xa9b2_28c2_2626_43ef, 0x7f54_43a6_d0c1_37a9),
+            ("prequal", 0xb4a4_c498_d6e1_848c, 0xb24d_6a50_094f_ab76),
+            ("token-r3", 0x12d1_772e_04f0_28c0, 0x7bff_0c7e_80b6_310a),
+            (
+                "sample-every-3",
+                0x54b2_d66f_13e2_20b6,
+                0x58b7_9a4d_68ed_0e9f,
+            ),
+            ("horizon-1", 0x1f27_05c6_e1fe_3714, 0xca91_59ae_5a06_6607),
+            (
+                "sparse-overflow",
+                0x4db8_0f8a_1e69_c1f4,
+                0x491e_71c5_c704_7f74,
+            ),
+            (
+                "sparse-overflow-sra",
+                0xd29f_e654_0dbc_814f,
+                0xed1c_3dbc_8211_bfc7,
+            ),
+        ];
+        let got: Vec<(&str, u64, u64)> = schedule_edge_grid()
+            .into_iter()
+            .map(|(name, inst, cfg)| {
+                let mut rec = Recorder::active();
+                let report = run_traced(&inst, &cfg, &mut rec).to_json();
+                (
+                    name,
+                    fnv1a(report.as_bytes()),
+                    fnv1a(rec.to_jsonl().as_bytes()),
+                )
+            })
+            .collect();
+        assert_eq!(got, frozen);
+    }
 }
