@@ -132,6 +132,11 @@ impl Coupling {
         }
     }
 
+    /// Poll period (micro-ticks).
+    pub(crate) fn every_us(&self) -> u64 {
+        self.cfg.every_us
+    }
+
     /// Notes one query arrival on `shard`.
     #[inline]
     pub fn note_arrival(&mut self, shard: u32) {

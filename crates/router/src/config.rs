@@ -3,6 +3,15 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The most latency samples a config may ask the router to hold: 2²⁶, a
+/// 512 MiB buffer of `f64`. `Router::new` reserves the buffer up front for
+/// every sample the horizon can yield, so this caps what one config can
+/// make it reserve — a typed error instead of an allocation abort. The
+/// largest run in the repo, the benchmark's `converge_events` (10 s of
+/// simulated time at 80 000 qps), needs about 820 000, some eighty times
+/// fewer.
+pub const MAX_SAMPLES: u64 = 1 << 26;
+
 /// Which replica-selection policy the router runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
@@ -261,6 +270,10 @@ impl RouterConfig {
         ensure(self.sample_every >= 1, "sample_every must be at least 1")?;
         if let Some(s) = &self.spike {
             ensure(s.duration_us > 0, "spike duration_us must be positive")?;
+            ensure(
+                s.at_us.checked_add(s.duration_us).is_some(),
+                "spike at_us + duration_us overflows the micro-tick clock",
+            )?;
             ensure(s.factor >= 1.0, "spike factor must be at least 1")?;
             ensure(
                 (0.0..=1.0).contains(&s.shard_fraction),
@@ -274,6 +287,18 @@ impl RouterConfig {
                 c.snapshot_utilization > 0.0 && c.snapshot_utilization < 1.0,
                 "sra snapshot_utilization must lie in (0, 1)",
             )?;
+        }
+        // Every query the horizon admits at the peak rate (a flash crowd
+        // raises it by at most its factor), thinned by `sample_every`.
+        let peak_per_us = self.qps / 1_000_000.0 * self.spike.map_or(1.0, |s| s.factor);
+        let samples = self.horizon_us as f64 * peak_per_us / self.sample_every as f64;
+        if samples.is_nan() || samples > MAX_SAMPLES as f64 {
+            return Err(format!(
+                "horizon_us {} at qps {} yields up to {samples:.3e} latency samples; \
+                 the buffer holds at most {MAX_SAMPLES} (shorten the horizon or raise \
+                 sample_every)",
+                self.horizon_us, self.qps
+            ));
         }
         Ok(())
     }
@@ -323,6 +348,38 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(e.contains("rho_max"), "{e}");
+    }
+
+    #[test]
+    fn hostile_horizons_and_spike_windows_are_rejected() {
+        let e = RouterConfig {
+            horizon_us: 100_000_000_000_000,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("latency samples"), "{e}");
+        // Thinning brings the same horizon back under the limit.
+        RouterConfig {
+            horizon_us: 100_000_000_000_000,
+            qps: 30_000.0,
+            sample_every: 100_000_000,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap();
+        let e = RouterConfig {
+            spike: Some(FlashCrowd {
+                at_us: u64::MAX - 5,
+                duration_us: 10_000,
+                factor: 3.0,
+                shard_fraction: 0.1,
+            }),
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("overflows"), "{e}");
     }
 
     #[test]

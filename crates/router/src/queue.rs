@@ -32,8 +32,9 @@
 /// 16 bytes, so buckets move raw words around.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// Per-micro-tick arrival batch: admits this tick's queries and
-    /// re-arms itself for the next tick.
+    /// The arrival pump as a queue event re-armed every micro-tick: the
+    /// reference the router's computed arrival schedule is tested against.
+    #[cfg(test)]
     ArrivalPump,
     /// A subrequest finished on `replica` for query-slab slot `query`.
     SubComplete {
@@ -186,18 +187,7 @@ impl CalendarQueue {
             return None;
         }
         loop {
-            // Pull overflow entries that now fit the window. Pop order is
-            // (time, seq), so same-time entries append in schedule order.
-            while let Some(std::cmp::Reverse(head)) = self.overflow.peek().copied() {
-                if head.time - self.now >= self.span() {
-                    break;
-                }
-                self.overflow.pop();
-                self.buckets[(head.time & self.mask) as usize].push(Event {
-                    time: head.time,
-                    kind: head.kind,
-                });
-            }
+            self.pull_as_of(self.now);
             // Scan the window for the first populated bucket.
             for dt in 1..=self.span() {
                 let t = self.now + dt;
@@ -226,6 +216,30 @@ impl CalendarQueue {
                 return None;
             }
             self.now = head.time - 1;
+        }
+    }
+
+    /// Pulls into the wheel every overflow entry a drain with the clock at
+    /// `at` pulls: those due before `at + span`. Pop order is `(time, seq)`,
+    /// so same-time entries append in schedule order.
+    ///
+    /// Every drain pulls at its own clock first. A caller that skips
+    /// micro-ticks a per-tick drain would have visited (the router computes
+    /// its arrival schedule instead of queueing a pump every µs) calls this
+    /// with the last skipped micro-tick before handling a tick, so each
+    /// bucket keeps the order per-tick draining gives it. `at` must not
+    /// exceed `now`; a clock no later than one already pulled at is a no-op.
+    pub(crate) fn pull_as_of(&mut self, at: u64) {
+        debug_assert!(at <= self.now);
+        while let Some(std::cmp::Reverse(head)) = self.overflow.peek().copied() {
+            if head.time - at >= self.span() {
+                break;
+            }
+            self.overflow.pop();
+            self.buckets[(head.time & self.mask) as usize].push(Event {
+                time: head.time,
+                kind: head.kind,
+            });
         }
     }
 
@@ -368,6 +382,38 @@ mod tests {
             order.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
             vec![60, 100]
         );
+    }
+
+    #[test]
+    fn pulling_at_a_skipped_clock_keeps_per_tick_bucket_order() {
+        let overflowed = EventKind::SubComplete {
+            replica: 0,
+            query: 0,
+        };
+        let direct = EventKind::SubComplete {
+            replica: 1,
+            query: 1,
+        };
+        let order = |catch_up: bool| {
+            let mut q = CalendarQueue::with_capacity(8, 2, 2);
+            q.schedule(12, overflowed); // beyond the span: overflow heap
+            q.schedule(6, EventKind::SraPoll);
+            let (t, b, n) = q.next_tick().unwrap();
+            assert_eq!(t, 6);
+            if catch_up {
+                q.pull_as_of(t - 1);
+            }
+            q.schedule(12, direct); // within the span: straight to the wheel
+            q.finish_tick(b, n);
+            drain_all(&mut q)
+                .into_iter()
+                .map(|(_, kind)| kind)
+                .collect::<Vec<_>>()
+        };
+        // Draining ticks 1..=5 one at a time pulls `overflowed` at tick 5,
+        // before `direct` is scheduled; a drain that jumped to 6 has not.
+        assert_eq!(order(true), vec![overflowed, direct]);
+        assert_eq!(order(false), vec![direct, overflowed]);
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! whose mean follows the machine's `1/(1−ρ)` straggler factor — the same
 //! shape `rex_runtime::server` uses at tick granularity. After the arrival
 //! horizon the pump stops and in-flight work drains.
+//!
+//! The pump is not a queue event. Most micro-ticks admit no query (80 qps
+//! per 1 000-µs tick admits one every 12.5 µs), so the router computes its
+//! arrival schedule instead: it walks idle micro-ticks with the same
+//! floating-point accumulator adds and stops at the next one that admits a
+//! query or flips the flash crowd (DESIGN.md §13). Every report byte is
+//! what a pump re-armed each micro-tick gives.
 
 use crate::bridge::{build_fleet, move_primary, Coupling};
 use crate::config::{HotSetMode, RouterConfig};
@@ -48,7 +55,9 @@ pub struct RouterReport {
     pub queries: u64,
     /// Subrequests dispatched.
     pub subrequests: u64,
-    /// Events processed by the calendar queue (the bench denominator).
+    /// Events processed (the bench denominator): every queued event plus
+    /// one per micro-tick of the arrival horizon, idle or not — the count
+    /// a pump event re-armed each micro-tick gives.
     pub events: u64,
     /// Most queries simultaneously in flight.
     pub peak_in_flight: u64,
@@ -131,6 +140,8 @@ pub struct Router {
     lambda_base: f64,
     lambda_spike: f64,
     arrival_acc: f64,
+    /// The next micro-tick the arrival schedule has not covered.
+    pump_t: u64,
     /// Flash-crowd state: per-shard surcharge while active (`(factor−1) ·
     /// share`, one replica's worth), and whether the crowd is on.
     hot_extra: Vec<f64>,
@@ -139,6 +150,9 @@ pub struct Router {
     samples: Vec<f64>,
     sample_gate: u64,
     counters: Counters,
+    /// Every event handled, in order (the pump's own events excluded).
+    #[cfg(test)]
+    handled: Vec<(u64, EventKind)>,
 }
 
 impl Router {
@@ -205,16 +219,16 @@ impl Router {
         });
         let max_queries = ((cfg.horizon_us - spike_ticks) as f64 * lambda_base
             + spike_ticks as f64 * lambda_spike)
-            .ceil() as usize
-            + 2;
-        let sample_cap = max_queries / cfg.sample_every as usize + 2;
+            .ceil() as usize;
+        // `validate` bounds the samples, not the queries: the add saturates.
+        let sample_cap = max_queries.saturating_add(2) / cfg.sample_every as usize + 2;
         let concurrent = (lambda_spike * cfg.base_service_us * 16.0) as usize + 64;
         let span = (cfg.probe_rtt_us as usize * 2)
             .max(cfg.base_service_us as usize * 8)
             .max(1024);
 
         // Bucket capacity covers the common per-tick event clusters
-        // (arrival pump + co-scheduled completions and probe replies);
+        // (co-scheduled completions and probe replies);
         // sizing it to the mean-per-tick event rate with generous headroom
         // keeps steady-state bucket doublings off the hot loop.
         let per_tick = ((lambda_spike * cfg.fanout as f64 * 3.0) as usize + 2)
@@ -237,12 +251,15 @@ impl Router {
             lambda_base,
             lambda_spike,
             arrival_acc: 0.0,
+            pump_t: 1,
             hot_extra,
             spike_active: false,
             coupling: cfg.sra.map(|c| Coupling::new(c, n_s, cfg.seed)),
             samples: Vec::with_capacity(sample_cap),
             sample_gate: 0,
             counters: Counters::default(),
+            #[cfg(test)]
+            handled: Vec::new(),
             cfg: cfg.clone(),
         }
     }
@@ -260,10 +277,9 @@ impl Router {
         self.finish(rec)
     }
 
-    /// Arms the initial events (the arrival pump and, when coupled, the
-    /// first SRA poll). [`Router::run_traced`] calls this; call it
-    /// directly only when driving the loop tick-by-tick with
-    /// [`Router::step`], and only once.
+    /// Opens the run span and arms the first SRA poll when coupled.
+    /// [`Router::run_traced`] calls this; call it directly only when
+    /// driving the loop tick-by-tick with [`Router::step`], and only once.
     pub fn start(&mut self, rec: &mut Recorder) {
         rec.span_open(
             "router",
@@ -279,29 +295,26 @@ impl Router {
                 ("sra", self.coupling.is_some().into()),
             ],
         );
-        self.queue.schedule(1, EventKind::ArrivalPump);
+        #[cfg(test)]
+        if PER_US_PUMP.with(std::cell::Cell::get) {
+            self.pump_t = u64::MAX;
+            self.queue.schedule(1, EventKind::ArrivalPump);
+        }
         if let Some(c) = &self.cfg.sra {
             self.queue.schedule(c.every_us, EventKind::SraPoll);
         }
     }
 
-    /// Processes the next populated micro-tick. Returns `false` once the
-    /// queue is drained (the run is over). Exposed so the allocation test
-    /// can bracket a steady-state window with counter reads.
+    /// Processes the next micro-tick with work: its queued events and, if
+    /// the arrival schedule falls due there, the pump. Returns `false` once
+    /// the queue is drained and the horizon passed (the run is over).
+    /// Exposed so the allocation test can bracket a steady-state window
+    /// with counter reads.
     pub fn step(&mut self, rec: &mut Recorder) -> bool {
-        let Some((t, bucket, n)) = self.queue.next_tick() else {
-            return false;
-        };
-        for i in 0..n {
-            let ev = self.queue.event_at(bucket, i);
-            self.handle(t, ev.kind, rec);
-        }
-        self.queue.finish_tick(bucket, n);
-        self.counters.events += n as u64;
-        true
+        self.step_until(u64::MAX, rec)
     }
 
-    /// Processes every populated micro-tick at or before `limit_us`, then
+    /// Processes every micro-tick with work at or before `limit_us`, then
     /// returns with the queue's clock parked at the limit. This is the
     /// backend-mode driver: `rex_runtime::Simulation` owns the outer tick
     /// loop and advances the embedded router one tick-width at a time
@@ -309,14 +322,88 @@ impl Router {
     /// horizon). Interleaving `advance_to` windows is event-for-event
     /// identical to one free-running [`Router::run`] over the same config.
     pub fn advance_to(&mut self, limit_us: u64, rec: &mut Recorder) {
-        while let Some((t, bucket, n)) = self.queue.next_tick_until(limit_us) {
+        while self.step_until(limit_us, rec) {}
+    }
+
+    /// [`Router::step`] bounded by `limit`.
+    ///
+    /// The order rule of the computed schedule: the pump at µs `t` runs
+    /// after every queued event of `t` — where a pump event re-armed at
+    /// `t − 1` sat in the bucket — except that a poll every µs was armed
+    /// after that pump event and so runs after the pump.
+    fn step_until(&mut self, limit: u64, rec: &mut Recorder) -> bool {
+        let due = self.pump_due();
+        let (t, drained) = match self
+            .queue
+            .next_tick_until(due.map_or(limit, |d| d.min(limit)))
+        {
+            Some((t, bucket, n)) => (t, Some((bucket, n))),
+            None => match due {
+                Some(d) if d <= limit => (d, None),
+                _ => return false,
+            },
+        };
+        if t - 1 <= self.cfg.horizon_us {
+            // A pump event at every µs of the horizon made the queue drain
+            // each one, and each drain pulled the overflow that came in
+            // reach. (Past the horizon nothing is scheduled any more, so
+            // when overflow enters the wheel no longer orders anything.)
+            self.queue.pull_as_of(t - 1);
+        }
+        let mut pump = due == Some(t);
+        let poll_after_pump = self.cfg.sra.is_some_and(|c| c.every_us == 1);
+        if let Some((bucket, n)) = drained {
             for i in 0..n {
-                let ev = self.queue.event_at(bucket, i);
-                self.handle(t, ev.kind, rec);
+                let kind = self.queue.event_at(bucket, i).kind;
+                if pump && poll_after_pump && kind == EventKind::SraPoll {
+                    self.scheduled_pump(t, rec);
+                    pump = false;
+                }
+                self.handle(t, kind, rec);
             }
             self.queue.finish_tick(bucket, n);
             self.counters.events += n as u64;
         }
+        if pump {
+            self.scheduled_pump(t, rec);
+        }
+        true
+    }
+
+    /// The next micro-tick the arrival schedule must be processed at: the
+    /// first from `pump_t` on that admits a query or flips the flash crowd.
+    /// The idle micro-ticks before it are covered here with the
+    /// accumulator adds the pump makes, one counted event each. `None` once
+    /// the walk passes the horizon.
+    fn pump_due(&mut self) -> Option<u64> {
+        let lambda = if self.spike_active {
+            self.lambda_spike
+        } else {
+            self.lambda_base
+        };
+        while self.pump_t <= self.cfg.horizon_us {
+            let t = self.pump_t;
+            if self.spike_flips_at(t) {
+                return Some(t);
+            }
+            // An idle µs subtracts `0 as f64` from the accumulator, which
+            // keeps its bits: skipping the subtraction changes nothing.
+            let acc = self.arrival_acc + lambda;
+            if acc >= 1.0 {
+                return Some(t);
+            }
+            self.arrival_acc = acc;
+            self.pump_t = t + 1;
+            self.counters.events += 1;
+        }
+        None
+    }
+
+    /// The pump at the micro-tick [`Router::pump_due`] returned.
+    fn scheduled_pump(&mut self, t: u64, rec: &mut Recorder) {
+        self.pump(t, rec);
+        self.pump_t = t + 1;
+        self.counters.events += 1;
     }
 
     /// Mirrors an external control-plane decision (a runtime executor
@@ -346,10 +433,12 @@ impl Router {
         self.ms.set_failed(m, down);
     }
 
-    /// Latency samples collected so far (µs). Backend mode drains this
-    /// incrementally with a cursor; the buffer only grows.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// Takes the latency samples (µs) collected since the last drain.
+    /// Backend mode drains once per runtime tick, so the buffer only ever
+    /// holds one tick's worth; [`Router::finish`]'s percentiles cover the
+    /// samples no drain took.
+    pub fn drain_samples(&mut self) -> std::vec::Drain<'_, f64> {
+        self.samples.drain(..)
     }
 
     /// Queries admitted so far.
@@ -400,8 +489,18 @@ impl Router {
 
     #[inline]
     fn handle(&mut self, t: u64, kind: EventKind, rec: &mut Recorder) {
+        #[cfg(test)]
+        if kind != EventKind::ArrivalPump {
+            self.handled.push((t, kind));
+        }
         match kind {
-            EventKind::ArrivalPump => self.pump(t, rec),
+            #[cfg(test)]
+            EventKind::ArrivalPump => {
+                self.pump(t, rec);
+                if t < self.cfg.horizon_us {
+                    self.queue.schedule(t + 1, EventKind::ArrivalPump);
+                }
+            }
             EventKind::SubComplete { replica, query } => {
                 let r = replica as usize;
                 self.st.queue_depth[r] -= 1;
@@ -434,14 +533,10 @@ impl Router {
         }
     }
 
-    /// One micro-tick of arrivals; re-arms itself until the horizon.
+    /// One micro-tick of arrivals.
     fn pump(&mut self, t: u64, rec: &mut Recorder) {
-        if let Some(sp) = self.cfg.spike {
-            if !self.spike_active && t >= sp.at_us && t < sp.at_us + sp.duration_us {
-                self.set_spike(true, rec, t);
-            } else if self.spike_active && t >= sp.at_us + sp.duration_us {
-                self.set_spike(false, rec, t);
-            }
+        if self.spike_flips_at(t) {
+            self.set_spike(!self.spike_active, rec, t);
         }
         self.arrival_acc += if self.spike_active {
             self.lambda_spike
@@ -453,9 +548,20 @@ impl Router {
         for _ in 0..n {
             self.spawn_query(t);
         }
-        if t < self.cfg.horizon_us {
-            self.queue.schedule(t + 1, EventKind::ArrivalPump);
-        }
+    }
+
+    /// Whether the pump at `t` turns the flash crowd on (inside its window
+    /// while off) or off (past it while on).
+    #[inline]
+    fn spike_flips_at(&self, t: u64) -> bool {
+        self.cfg.spike.is_some_and(|sp| {
+            let end = sp.at_us + sp.duration_us;
+            if self.spike_active {
+                t >= end
+            } else {
+                t >= sp.at_us && t < end
+            }
+        })
     }
 
     /// Toggles the flash crowd: arrival weights switch distribution and
@@ -574,7 +680,7 @@ impl Router {
         );
         rec.add("router_sra_moves", applied as u64);
         if t < self.cfg.horizon_us {
-            let every = self.cfg.sra.expect("coupling implies sra config").every_us;
+            let every = c.every_us();
             self.queue.schedule(t + every, EventKind::SraPoll);
         }
     }
@@ -641,6 +747,14 @@ impl Router {
             max_us: max,
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Re-arms the arrival pump as a queue event every µs, as the router
+    /// ran before its schedule was computed: the reference the schedule
+    /// proptest compares the computed loop with.
+    static PER_US_PUMP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Convenience: build + run with the config's policy, no recording.
@@ -1114,5 +1228,156 @@ mod tests {
             })
             .collect();
         assert_eq!(got, frozen);
+    }
+
+    /// What one config gives with the computed schedule, or with the pump
+    /// re-armed as a queue event every µs: the free-running report, trace
+    /// and handled-event stream; then, driving in `window`-µs slices as the
+    /// runtime backend does, the query count and sample bits each drain
+    /// takes and the report after the tail.
+    #[allow(clippy::type_complexity)]
+    fn schedule_bytes(
+        inst: &Instance,
+        cfg: &RouterConfig,
+        window: u64,
+        per_us_pump: bool,
+    ) -> (
+        String,
+        String,
+        Vec<(u64, EventKind)>,
+        Vec<(u64, Vec<u64>)>,
+        String,
+    ) {
+        PER_US_PUMP.with(|p| p.set(per_us_pump));
+        let mut rec = Recorder::active();
+        let mut r = Router::new(inst, cfg);
+        r.start(&mut rec);
+        while r.step(&mut rec) {}
+        let handled = std::mem::take(&mut r.handled);
+        let free = r.finish(&mut rec).to_json();
+        let trace = rec.to_jsonl();
+        let mut r = Router::new(inst, cfg);
+        let mut rec = Recorder::noop();
+        r.start(&mut rec);
+        let mut drains = Vec::new();
+        let mut limit = 0;
+        while limit < cfg.horizon_us {
+            limit += window;
+            r.advance_to(limit, &mut rec);
+            drains.push((r.queries(), r.drain_samples().map(f64::to_bits).collect()));
+        }
+        r.advance_to(u64::MAX, &mut rec);
+        drains.push((r.queries(), r.drain_samples().map(f64::to_bits).collect()));
+        let windowed = r.finish(&mut rec).to_json();
+        PER_US_PUMP.with(|p| p.set(false));
+        (free, trace, handled, drains, windowed)
+    }
+
+    /// An overloaded fleet at 25-µs service: backlogged replicas complete
+    /// beyond the wheel span (overflow heap) while light ones complete
+    /// within it, and on these seeds one of each lands on the same µs
+    /// right after an idle gap. Without the catch-up pull at the skipped
+    /// µs the two swap — report bytes happen to survive, the event stream
+    /// does not.
+    #[test]
+    fn overflow_keeps_its_place_across_idle_gaps() {
+        for seed in [7, 38] {
+            let inst = generate(&SynthConfig {
+                n_machines: 6,
+                n_exchange: 0,
+                n_shards: 36,
+                dims: 1,
+                stringency: 0.9,
+                placement: Placement::Hotspot(0.3),
+                family: DemandFamily::Uniform,
+                seed,
+                ..Default::default()
+            })
+            .expect("generate");
+            let cfg = RouterConfig {
+                horizon_us: 4_000,
+                qps: 200_000.0,
+                base_service_us: 25.0,
+                policy: PolicyKind::Prequal,
+                replication: 1,
+                seed,
+                ..stable_cfg()
+            };
+            assert_eq!(
+                schedule_bytes(&inst, &cfg, 1_000, false),
+                schedule_bytes(&inst, &cfg, 1_000, true),
+                "seed {seed}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        /// The computed arrival schedule against the per-µs pump event it
+        /// replaced, over random fleets and configs: sparse to dense
+        /// arrivals, loads whose service times overflow the wheel, every
+        /// policy, spikes anywhere relative to the horizon, SRA polls every
+        /// µs, every other µs or rarely, and backend windows of any width.
+        #[test]
+        fn computed_schedule_matches_the_per_us_pump(
+            seed in 0u64..10_000,
+            stringency in 0.3f64..0.95,
+            horizon_us in 1u64..4_000,
+            log_qps in 2.5f64..6.3,
+            base_service_us in 20.0f64..500.0,
+            policy in 0usize..5,
+            replication in 1usize..4,
+            sample_every in 1u64..4,
+            spike in 0u64..3,
+            spike_at in 0u64..5_000,
+            spike_len in 1u64..5_000,
+            sra_every in 0u64..4,
+            window in 1u64..3_000,
+        ) {
+            let inst = generate(&SynthConfig {
+                n_machines: 6,
+                n_exchange: 0,
+                n_shards: 36,
+                dims: 1,
+                stringency,
+                placement: Placement::Hotspot(0.3),
+                family: DemandFamily::Uniform,
+                seed,
+                ..Default::default()
+            })
+            .expect("generate");
+            // Polls every µs or two run a solve each: keep those runs short.
+            let horizon_us = if matches!(sra_every, 1 | 2) {
+                horizon_us.min(300)
+            } else {
+                horizon_us
+            };
+            let cfg = RouterConfig {
+                horizon_us,
+                qps: 10f64.powf(log_qps),
+                base_service_us,
+                policy: PolicyKind::ALL[policy],
+                replication,
+                sample_every,
+                spike: (spike > 0).then_some(FlashCrowd {
+                    at_us: spike_at,
+                    duration_us: spike_len,
+                    factor: 1.0 + spike as f64,
+                    shard_fraction: 0.2,
+                }),
+                sra: (sra_every > 0).then_some(SraCoupling {
+                    every_us: if sra_every == 3 { horizon_us / 3 + 1 } else { sra_every },
+                    iters: 8,
+                    snapshot_utilization: 0.6,
+                }),
+                seed,
+                ..stable_cfg()
+            };
+            proptest::prop_assert_eq!(
+                schedule_bytes(&inst, &cfg, window, false),
+                schedule_bytes(&inst, &cfg, window, true)
+            );
+        }
     }
 }

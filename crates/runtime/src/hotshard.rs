@@ -644,6 +644,7 @@ impl HotShardPlane {
             }
         }
         cx.cl.asg = Assignment::from_initial(&cx.cl.inst);
+        cx.cl.demand_epoch += 1;
         self.cache
             .split(tick, shard, child, cx.cl.cfg.hotshard.split_fraction);
         self.siblings.push((shard, child));
@@ -722,6 +723,7 @@ impl HotShardPlane {
         if let Ok(renamed) = cx.cl.inst.merge_shards(keep, drop) {
             self.forget_merged(&mut cx.cl.spikes, keep, drop, renamed);
             cx.cl.asg = Assignment::from_initial(&cx.cl.inst);
+            cx.cl.demand_epoch += 1;
             cx.counters.shard_merges += 1;
             cx.obs.event(
                 "runtime",

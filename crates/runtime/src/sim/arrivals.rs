@@ -9,7 +9,8 @@
 //! [`finish`](ArrivalPlane::finish) once after the horizon — and each plane
 //! owns everything only its engine needs: the tick plane its two RNG
 //! streams and the sampled-fanout weight tables, the event plane the
-//! embedded router and its drain cursors (DESIGN.md §7, §14).
+//! embedded router and its query count at the last drain (DESIGN.md §7,
+//! §14).
 
 use super::LiveCluster;
 use crate::server::{
@@ -95,10 +96,14 @@ pub(crate) struct TickArrivals {
     arrivals_rng: StdRng,
     latency_rng: StdRng,
     /// Sampled-fanout arrival weights (`cfg.fanout > 0` only): per-shard
-    /// weight, its cumulative table, and the total.
+    /// weight, its cumulative table, the total, and the live/base
+    /// total-weight ratio, as built at `LiveCluster::demand_epoch`
+    /// `weights_epoch` (`None` before the first build).
     shard_weight: Vec<f64>,
     cum_weight: Vec<f64>,
     total_weight: f64,
+    weight_ratio: f64,
+    weights_epoch: Option<u64>,
     // Scratch buffers reused across ticks.
     rho: Vec<f64>,
     spike_cpu: Vec<f64>,
@@ -115,6 +120,8 @@ impl TickArrivals {
             shard_weight: Vec::new(),
             cum_weight: Vec::new(),
             total_weight: 0.0,
+            weight_ratio: 1.0,
+            weights_epoch: None,
             rho: Vec::new(),
             spike_cpu: Vec::new(),
             serving: Vec::new(),
@@ -130,7 +137,7 @@ impl TickArrivals {
             // Sampled-fanout mode scales arrivals by the live/base weight
             // ratio — a flash crowd raises traffic exactly the way the
             // event engine's `lambda_spike = lambda_base · ts / tb` does.
-            lambda *= self.refresh_arrival_weights(cl);
+            lambda *= self.arrival_weight_ratio(cl);
         }
         let n = poisson(&mut self.arrivals_rng, lambda);
         self.samples.clear();
@@ -179,40 +186,64 @@ impl TickArrivals {
         }
     }
 
-    /// Rebuilds the sampled-fanout arrival weights: per-shard CPU demand
-    /// times any active spike factors. Returns the live/base total-weight
-    /// ratio.
-    ///
-    /// Overlapping spikes compound *multiplicatively* here (`d·Πfᵢ`), as
-    /// they do in the planning snapshot — a different rule from
-    /// [`LiveCluster::spike_cpu`], whose gauges *add* `(fᵢ−1)·d` per spike.
-    /// The snapshot still dominates the gauges because
-    /// `Πfᵢ − 1 ≥ Σ(fᵢ − 1)` whenever every `fᵢ ≥ 1`.
-    fn refresh_arrival_weights(&mut self, cl: &LiveCluster) -> f64 {
-        let n = cl.inst.n_shards();
-        self.shard_weight.clear();
-        for i in 0..n {
-            self.shard_weight.push(cl.inst.demand(ShardId::from(i))[0]);
+    /// The live/base total-weight ratio of the sampled-fanout arrival
+    /// weights, rebuilding them first if `cl.demand_epoch` moved since the
+    /// last build — between a cluster's demand or spike changes the tables
+    /// are the same every tick.
+    fn arrival_weight_ratio(&mut self, cl: &LiveCluster) -> f64 {
+        if self.weights_epoch != Some(cl.demand_epoch) {
+            (self.total_weight, self.weight_ratio) =
+                build_arrival_weights(cl, &mut self.shard_weight, &mut self.cum_weight);
+            self.weights_epoch = Some(cl.demand_epoch);
         }
-        let base_total: f64 = self.shard_weight.iter().sum();
-        for (factor, shards) in cl.active_spikes() {
-            for &s in shards {
-                self.shard_weight[s.idx()] *= factor;
-            }
-        }
-        self.cum_weight.clear();
-        let mut total = 0.0;
-        for &w in &self.shard_weight {
-            total += w;
-            self.cum_weight.push(total);
-        }
-        self.total_weight = total;
-        if base_total > 0.0 {
-            total / base_total
-        } else {
-            1.0
+        debug_assert!(
+            {
+                let (mut w, mut cum) = (Vec::new(), Vec::new());
+                let (total, ratio) = build_arrival_weights(cl, &mut w, &mut cum);
+                cum == self.cum_weight
+                    && total.to_bits() == self.total_weight.to_bits()
+                    && ratio.to_bits() == self.weight_ratio.to_bits()
+            },
+            "arrival weights kept across a change that skipped `demand_epoch`"
+        );
+        self.weight_ratio
+    }
+}
+
+/// Builds the sampled-fanout arrival weights into `weight` and their
+/// running sums into `cum`: per-shard CPU demand times any active spike
+/// factors. Returns the total weight and the live/base total-weight ratio.
+///
+/// Overlapping spikes compound *multiplicatively* here (`d·Πfᵢ`), as they
+/// do in the planning snapshot — a different rule from
+/// [`LiveCluster::spike_cpu`], whose gauges *add* `(fᵢ−1)·d` per spike. The
+/// snapshot still dominates the gauges because `Πfᵢ − 1 ≥ Σ(fᵢ − 1)`
+/// whenever every `fᵢ ≥ 1`.
+fn build_arrival_weights(
+    cl: &LiveCluster,
+    weight: &mut Vec<f64>,
+    cum: &mut Vec<f64>,
+) -> (f64, f64) {
+    weight.clear();
+    weight.extend((0..cl.inst.n_shards()).map(|i| cl.inst.demand(ShardId::from(i))[0]));
+    let base_total: f64 = weight.iter().sum();
+    for (factor, shards) in cl.active_spikes() {
+        for &s in shards {
+            weight[s.idx()] *= factor;
         }
     }
+    cum.clear();
+    let mut total = 0.0;
+    for &w in weight.iter() {
+        total += w;
+        cum.push(total);
+    }
+    let ratio = if base_total > 0.0 {
+        total / base_total
+    } else {
+        1.0
+    };
+    (total, ratio)
 }
 
 /// The embedded query-level engine of *event mode*
@@ -229,8 +260,6 @@ pub(crate) struct EventBackend {
     /// Divisor turning router µs latencies into the tick engine's
     /// relative units (service mean 1.0 at ρ = 0).
     base_service_us: f64,
-    /// Samples already drained from the router's buffer.
-    cursor: usize,
     /// Router query count at the last drain.
     queries_seen: u64,
     /// Feed the controller router-observed EWMA utilization instead of
@@ -251,7 +280,6 @@ impl EventBackend {
             router,
             tick_us: scenario.tick_us,
             base_service_us: scenario.base_service_us,
-            cursor: 0,
             queries_seen: 0,
             ewma_controller,
             started: false,
@@ -279,14 +307,12 @@ impl EventBackend {
         let q = self.router.queries();
         let queries = q - self.queries_seen;
         self.queries_seen = q;
-        let samples = self.router.samples();
         self.samples.clear();
         self.samples.extend(
-            samples[self.cursor..]
-                .iter()
+            self.router
+                .drain_samples()
                 .map(|s| s / self.base_service_us),
         );
-        self.cursor = samples.len();
         Arrived {
             queries,
             latencies: &self.samples,

@@ -99,6 +99,10 @@ pub(crate) struct LiveCluster {
     pub spikes: Vec<Option<Vec<ShardId>>>,
     /// In-flight copy footprint per machine (zero outside batches).
     pub transient: Vec<ResourceVec>,
+    /// Moves whenever a shard's demand or the active spike set changes
+    /// (spike start and end, a demand epoch, a split, a merge); the tick
+    /// plane rebuilds its arrival weights only then.
+    pub demand_epoch: u64,
     /// Monotonic solve-attempt counter; seeds each planning call.
     plan_attempts: u64,
 }
@@ -846,11 +850,13 @@ impl Simulation {
             &[("fault", idx.into()), ("shards", ids.len().into())],
         );
         self.live.spikes[idx] = Some(ids);
+        self.live.demand_epoch += 1;
         self.bus.counters.spikes_started += 1;
     }
 
     fn on_spike_end(&mut self, tick: u64, idx: usize) {
         if self.live.spikes[idx].take().is_some() {
+            self.live.demand_epoch += 1;
             self.bus.counters.spikes_ended += 1;
             self.record(TraceLine {
                 fault: idx,
@@ -898,6 +904,7 @@ impl Simulation {
         inst.label = self.base_label.clone();
         self.live.inst = inst;
         self.live.asg = Assignment::from_initial(&self.live.inst);
+        self.live.demand_epoch += 1;
     }
 
     fn on_drift(&mut self, tick: u64) {
@@ -1007,6 +1014,7 @@ impl LiveCluster {
             failed: vec![false; n],
             spikes: vec![None; cfg.faults.len()],
             transient: vec![ResourceVec::zero(inst.dims); n],
+            demand_epoch: 0,
             plan_attempts: 0,
             inst,
             cfg,

@@ -7,6 +7,8 @@
 # Every gate below is one command run with REX_THREADS=1 and REX_THREADS=8
 # by the binaries in target/release (build them first: `cargo build
 # --release --bin rex && cargo build --release -p rex-bench --bin exp`).
+# For `rex converge` that is also sequential against parallel: its two
+# engines run one after the other at 1 thread and side by side above.
 # Each file the command writes (--out, --trace, --record-trace) and each
 # captured stdout must be non-empty and `cmp`-identical across the two
 # thread counts — which is also the same-seed-twice check. `same A B` lines
@@ -152,6 +154,11 @@ gate conv-ewma rex converge $cv --ewma --out @out
 for p in random round_robin power_of_d prequal token; do
     gate "conv-$p" rex converge --ticks 400 --seed 11 --policy $p --crash-at 150 --recover-at 200 --quiet --out @out
 done
+# The router's arrival schedule at its edges: a crowd from the earliest
+# tick the gauge-parity check accepts (2) running past the horizon, a
+# crash and recovery, and the controller fed router-observed latency.
+gate conv-edge rex converge --ticks 300 --seed 11 --spike-at 2 --spike-duration 1000 \
+    --crash-at 100 --recover-at 200 --ewma --quiet --out @out
 # The same recorded stream drives both engines.
 gate conv-rack rex converge --workload examples/workload_rackfault.json --quiet --out @out --record-trace @rec
 gate conv-rack-replay rex converge --replay-trace @rec:conv-rack --quiet --out @out
@@ -164,6 +171,9 @@ rt="--machines 12 --shards 96 --seed 11 --policy prequal --horizon 30000
 gate route rex route $rt --out @out --trace @trace
 gate route-plain rex route $rt --out @out
 same route.out route-plain.out
+# A poll every µs shares each µs with the arrival pump and runs after it.
+gate route-sra-1 rex route --horizon 3000 --qps 100000 --sra --sra-every 1 \
+    --sra-iters 20 --quiet --out @out
 
 echo "=== rex trace (solver) ==="
 gate trace-serial rex trace --seed 42 --iters 2000 --out @out

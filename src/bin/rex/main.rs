@@ -637,7 +637,9 @@ fn run_route(
 /// engine, and reports the differential (DESIGN.md §14): utilization
 /// gauges must be byte-identical, latency percentiles agree within the
 /// convergence band. Rack crashes forward through `set_failed` and
-/// evacuation in each engine.
+/// evacuation in each engine. The two engines share no state and each is
+/// a deterministic single-threaded simulation, so they run side by side
+/// (`rayon::join`; one after the other at `REX_THREADS=1`).
 fn cmd_converge(args: &HashMap<String, String>) -> Result<(), String> {
     let base = SynthConfig {
         n_machines: 8,
@@ -674,12 +676,17 @@ fn cmd_converge(args: &HashMap<String, String>) -> Result<(), String> {
         tick_sim.set_replay(script.clone());
         event_sim.set_replay(script);
     }
-    let (tick, lines) = if args.contains_key("record-trace") {
-        tick_sim.run_recorded(&mut Recorder::noop())
-    } else {
-        (tick_sim.run(), Vec::new())
-    };
-    let event = event_sim.run();
+    let record = args.contains_key("record-trace");
+    let ((tick, lines), event) = rayon::join(
+        move || {
+            if record {
+                tick_sim.run_recorded(&mut Recorder::noop())
+            } else {
+                (tick_sim.run(), Vec::new())
+            }
+        },
+        move || event_sim.run(),
+    );
     if let Some(path) = args.get("record-trace") {
         std::fs::write(path, trace::write_jsonl(&w, &inst, &lines)).map_err(|e| e.to_string())?;
         if !has(args, "quiet") {
@@ -1191,6 +1198,26 @@ mod tests {
         assert!(field("probes_sent") > 0, "prequal must probe");
         assert!(field("sra_solves") > 0, "--sra must couple the solver");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn route_rejects_hostile_horizons_and_spike_windows() {
+        // Used to abort reserving 64 TB for the sample buffer.
+        let e = cmd_route(&args(&[
+            ("machines", "4"),
+            ("shards", "8"),
+            ("horizon", "100000000000000"),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("latency samples"), "{e}");
+        // Used to wrap `at_us + duration_us` silently.
+        let e = cmd_route(&args(&[
+            ("machines", "4"),
+            ("shards", "8"),
+            ("spike-at", "18446744073709551610"),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("overflows"), "{e}");
     }
 
     #[test]
