@@ -69,22 +69,11 @@ pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
     assert!(cfg.n_shards > 0 && cfg.n_machines > 0);
     assert!((0.0..1.0).contains(&cfg.stringency) && cfg.stringency > 0.0);
 
-    let corpus = Corpus::generate(&cfg.corpus);
-    let engine = SearchEngine::build(&corpus, cfg.n_shards, cfg.strategy);
-    let queries = QueryLog::generate(&QueryConfig {
-        vocab: cfg.corpus.vocab,
-        ..cfg.queries
-    });
-    let stats = engine.replay(&queries, cfg.top_k);
-
     // Raw per-shard demands.
-    let cpu: Vec<f64> = stats.cost_per_shard.iter().map(|&c| c as f64).collect();
-    let mem: Vec<f64> = (0..cfg.n_shards)
-        .map(|i| engine.shard(i).size_bytes() as f64)
-        .collect();
-    let disk: Vec<f64> = (0..cfg.n_shards)
-        .map(|i| engine.shard(i).n_tokens() as f64 * 4.0)
-        .collect();
+    let raw = measure(cfg);
+    let cpu: Vec<f64> = raw.cost.iter().map(|&c| c as f64).collect();
+    let mem: Vec<f64> = raw.size_bytes.iter().map(|&b| b as f64).collect();
+    let disk: Vec<f64> = raw.n_tokens.iter().map(|&t| t as f64 * 4.0).collect();
 
     // Normalize each dimension so its total is `n_machines * stringency`,
     // against homogeneous unit-capacity machines — with individual demands
@@ -173,6 +162,36 @@ pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
         b.shard(&[cpu[i], mem[i], disk[i]], mem[i], machines[placement[i]]);
     }
     b.build()
+}
+
+/// What the pipeline measures per shard, before any normalization.
+struct Measured {
+    /// Postings traversed replaying the query log.
+    cost: Vec<u64>,
+    /// Index storage footprint.
+    size_bytes: Vec<u64>,
+    /// Indexed tokens.
+    n_tokens: Vec<u64>,
+}
+
+/// Corpus → shards → index → query replay.
+fn measure(cfg: &BridgeConfig) -> Measured {
+    let corpus = Corpus::generate(&cfg.corpus);
+    let engine = SearchEngine::build(&corpus, cfg.n_shards, cfg.strategy);
+    let queries = QueryLog::generate(&QueryConfig {
+        vocab: cfg.corpus.vocab,
+        ..cfg.queries
+    });
+    let stats = engine.replay(&queries, cfg.top_k);
+    Measured {
+        cost: stats.cost_per_shard,
+        size_bytes: (0..cfg.n_shards)
+            .map(|i| engine.shard(i).size_bytes())
+            .collect(),
+        n_tokens: (0..cfg.n_shards)
+            .map(|i| engine.shard(i).n_tokens())
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -269,5 +288,135 @@ mod tests {
         for s in &inst.shards {
             assert!((s.move_cost - s.demand[1]).abs() < 1e-12);
         }
+    }
+
+    fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a of the raw `(cost, size_bytes, n_tokens)` of every shard, of
+    /// and of every demand and move-cost bit, `initial` and the label.
+    fn pin(cfg: &BridgeConfig) -> (u64, u64) {
+        let raw = measure(cfg);
+        let inst = build_instance(cfg).unwrap();
+        (
+            fnv1a(
+                (0..cfg.n_shards).flat_map(|i| [raw.cost[i], raw.size_bytes[i], raw.n_tokens[i]]),
+            ),
+            fnv1a(
+                inst.shards
+                    .iter()
+                    .flat_map(|s| {
+                        let d = s.demand.as_slice().iter().map(|x| x.to_bits());
+                        d.chain([s.move_cost.to_bits()]).collect::<Vec<_>>()
+                    })
+                    .chain(inst.initial.iter().map(|m| m.idx() as u64))
+                    .chain(inst.label.bytes().map(u64::from)),
+            ),
+        )
+    }
+
+    /// The configurations the pins cover: the unit tests', the
+    /// integration test's, each query mode alone, one close enough to the
+    /// per-shard cap that the clamp loop runs, and one with empty shards.
+    fn pinned_cfgs() -> Vec<(&'static str, BridgeConfig)> {
+        let small = small_cfg();
+        vec![
+            ("small", small),
+            (
+                "integration",
+                BridgeConfig {
+                    corpus: CorpusConfig {
+                        n_docs: 1_500,
+                        vocab: 3_000,
+                        seed: 1,
+                        ..Default::default()
+                    },
+                    queries: QueryConfig {
+                        n_queries: 800,
+                        seed: 2,
+                        ..Default::default()
+                    },
+                    n_shards: 32,
+                    n_machines: 6,
+                    n_exchange: 1,
+                    stringency: 0.78,
+                    ..Default::default()
+                },
+            ),
+            (
+                "all-or",
+                BridgeConfig {
+                    queries: QueryConfig {
+                        and_fraction: 0.0,
+                        ..small.queries
+                    },
+                    ..small
+                },
+            ),
+            (
+                "all-and",
+                BridgeConfig {
+                    queries: QueryConfig {
+                        and_fraction: 1.0,
+                        ..small.queries
+                    },
+                    ..small
+                },
+            ),
+            (
+                "near-cap",
+                BridgeConfig {
+                    n_machines: 9,
+                    stringency: 0.75,
+                    ..small
+                },
+            ),
+            (
+                "empty-shards",
+                BridgeConfig {
+                    corpus: CorpusConfig {
+                        n_docs: 10,
+                        ..small.corpus
+                    },
+                    ..small
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn bridge_instances_match_their_frozen_pins() {
+        // Recorded before the engine lost its ranker and the codec its
+        // decoder; the replay is the only parallel reduction in the
+        // pipeline, so the pins hold at every thread count.
+        let want = [
+            ("small", 0xf4c9_dae6_8fe2_6423, 0xd7eb_05d4_d9d0_ab1b),
+            ("integration", 0xe922_baad_e00e_39a9, 0x638e_4627_fc6e_40b8),
+            ("all-or", 0xb79e_67d5_7be2_1278, 0xabe9_b749_e572_4f93),
+            ("all-and", 0x1520_af22_8c6f_095b, 0x6896_c283_90fc_5803),
+            ("near-cap", 0xf4c9_dae6_8fe2_6423, 0xb511_4662_c569_d076),
+            ("empty-shards", 0xa0f2_9929_d752_6e86, 0xcc81_2bb5_80df_433f),
+        ];
+        let cfgs = pinned_cfgs();
+        for threads in [1, 2, 8] {
+            rayon::set_threads_override(Some(threads));
+            let got: Vec<_> = cfgs
+                .iter()
+                .map(|(name, cfg)| {
+                    let (raw, inst) = pin(cfg);
+                    (*name, raw, inst)
+                })
+                .collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+        rayon::set_threads_override(None);
+
+        // The configurations cover what they claim to.
+        let near_cap = build_instance(&cfgs[4].1).unwrap();
+        assert!(near_cap.shards.iter().any(|s| s.demand[0] == 0.45));
+        assert!(measure(&cfgs[5].1).n_tokens.contains(&0));
     }
 }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rex_searchsim::compress::{varbyte_decode, varbyte_encode, CompressedPostings};
 use rex_searchsim::index::{InvertedIndex, Posting, QueryMode};
+use rex_searchsim::shards::group_docs;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -63,6 +64,29 @@ proptest! {
         let fs: Vec<String> = full.iter().map(|r| format!("{:.9}", r.score)).collect();
         let ps: Vec<String> = pruned.iter().map(|r| format!("{:.9}", r.score)).collect();
         prop_assert_eq!(fs, ps);
+    }
+
+    /// OR cost is Σ df over the query's distinct terms, and df is additive
+    /// over a document partition: the shards' costs sum to the unsharded
+    /// index's.
+    #[test]
+    fn or_cost_is_additive_over_shards(
+        seed in any::<u64>(),
+        terms in proptest::collection::vec(0u32..40, 0..6),
+        n_shards in 1usize..6,
+    ) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let docs: Vec<Vec<u32>> = (0..rng.random_range(0..60))
+            .map(|_| (0..rng.random_range(1..20)).map(|_| rng.random_range(0..40u32)).collect())
+            .collect();
+        let shard_of: Vec<u32> = docs.iter().map(|_| rng.random_range(0..n_shards as u32)).collect();
+        let sharded: u64 = group_docs(&docs, &shard_of, n_shards)
+            .iter()
+            .map(|d| InvertedIndex::build(d).search(&terms, QueryMode::Or, 10).1)
+            .sum();
+        let whole = InvertedIndex::build(&docs).search(&terms, QueryMode::Or, 10).1;
+        prop_assert_eq!(sharded, whole);
     }
 
     /// Conjunctive results are a subset of disjunctive results' documents.

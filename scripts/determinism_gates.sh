@@ -184,7 +184,9 @@ echo "=== rex --help, experiment stdout ==="
 gate help rex --help
 export REX_QUICK=1
 test -s "$work/t1/help.stdout"
-for e in closed_loop hotshard routing convergence heterogeneous longrun; do
+# E1's last row is the search-derived instance, so its stdout gates the
+# whole bridge (corpus, index, parallel query replay, normalization).
+for e in workloads qos closed_loop hotshard routing convergence heterogeneous longrun; do
     gate "exp_$e" exp "$e"
     test -s "$work/t1/exp_$e.stdout"
 done
