@@ -32,8 +32,9 @@ pub const MIN_LOG_ARG: f64 = 1e-12;
 
 /// Relative traffic weight of each hour (diurnal double hump: morning and
 /// evening peaks, night trough). The weights sum to 25.85, not 24: every
-/// reader normalizes by the sum. The runtime's load envelope and
-/// searchsim's query log both read this one table.
+/// reader normalizes by the sum. Only the runtime reads it now (its
+/// diurnal load factor, `rex_runtime::server`); searchsim's query log has
+/// no arrival hour.
 pub const DIURNAL: [f64; 24] = [
     0.35, 0.25, 0.2, 0.2, 0.25, 0.4, 0.7, 1.1, 1.5, 1.7, 1.6, 1.5, 1.45, 1.5, 1.55, 1.5, 1.4, 1.35,
     1.45, 1.6, 1.55, 1.3, 0.9, 0.55,

@@ -17,21 +17,17 @@
 use crate::corpus::{Corpus, CorpusConfig};
 use crate::engine::SearchEngine;
 use crate::queries::{QueryConfig, QueryLog};
-use crate::shards::ShardingStrategy;
-use rex_cluster::{ClusterError, Instance, InstanceBuilder, MachineId};
-use serde::{Deserialize, Serialize};
+use rex_cluster::{ClusterError, Instance, InstanceBuilder, MachineId, ShardId};
 
 /// Bridge parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BridgeConfig {
     /// Corpus generation.
     pub corpus: CorpusConfig,
     /// Query-log generation (its `vocab` is overridden to the corpus').
     pub queries: QueryConfig,
-    /// Number of index shards.
+    /// Number of index shards (skewed-range partitioned).
     pub n_shards: usize,
-    /// Sharding strategy.
-    pub strategy: ShardingStrategy,
     /// Number of (loaded) machines.
     pub n_machines: usize,
     /// Number of borrowed exchange machines appended.
@@ -40,8 +36,6 @@ pub struct BridgeConfig {
     pub stringency: f64,
     /// Transient migration-overhead factor.
     pub alpha: f64,
-    /// Results per query (top-k) during replay.
-    pub top_k: usize,
 }
 
 impl Default for BridgeConfig {
@@ -50,24 +44,67 @@ impl Default for BridgeConfig {
             corpus: CorpusConfig::default(),
             queries: QueryConfig::default(),
             n_shards: 64,
-            strategy: ShardingStrategy::SkewedRange,
             n_machines: 8,
             n_exchange: 2,
             stringency: 0.8,
             alpha: 0.1,
-            top_k: 10,
         }
     }
+}
+
+/// No shard demands more than this share of a machine in any dimension.
+const MAX_SHARD_FRAC: f64 = 0.45;
+
+/// Rejects settings the pipeline cannot honour, before anything is built.
+fn validate(cfg: &BridgeConfig) -> Result<(), ClusterError> {
+    let counts = [
+        ("shards", cfg.n_shards),
+        ("machines", cfg.n_machines),
+        ("docs", cfg.corpus.n_docs),
+        ("vocab", cfg.corpus.vocab),
+        ("queries", cfg.queries.n_queries),
+        ("max_terms", cfg.queries.max_terms),
+    ];
+    let reason = if let Some((name, _)) = counts.iter().find(|(_, n)| *n == 0) {
+        format!("{name} must be at least 1")
+    } else if !(cfg.stringency > 0.0 && cfg.stringency < 1.0) {
+        format!("stringency must be in (0,1), got {}", cfg.stringency)
+    } else if !(0.0..=1.0).contains(&cfg.queries.and_fraction) {
+        format!(
+            "and_fraction must be in [0,1], got {}",
+            cfg.queries.and_fraction
+        )
+    } else {
+        let target = cfg.n_machines as f64 * cfg.stringency;
+        if target <= cfg.n_shards as f64 * MAX_SHARD_FRAC {
+            return Ok(());
+        }
+        format!(
+            "{} shards cannot reach stringency {} on {} machines with each capped at \
+             {MAX_SHARD_FRAC} of a machine (at least {} needed)",
+            cfg.n_shards,
+            cfg.stringency,
+            cfg.n_machines,
+            (target / MAX_SHARD_FRAC).ceil()
+        )
+    };
+    Err(ClusterError::BadGenerator { reason })
 }
 
 /// Runs the full pipeline (corpus → index → replay → instance).
 ///
 /// The returned instance has `dims = 3` (cpu, mem, disk), homogeneous
-/// machines, and a weighted round-robin initial placement that is feasible
-/// by construction (capacities are grown until it fits).
+/// unit-capacity machines, and a weighted round-robin initial placement.
+///
+/// # Errors
+///
+/// [`ClusterError::BadGenerator`] on settings the pipeline cannot honour
+/// (a zero count, stringency outside `(0,1)`, `and_fraction` outside
+/// `[0,1]`, too few shards to reach the stringency under the per-shard
+/// cap), [`ClusterError::Unpackable`] when the placement finds no machine
+/// with room for a shard, and instance validation errors.
 pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
-    assert!(cfg.n_shards > 0 && cfg.n_machines > 0);
-    assert!((0.0..1.0).contains(&cfg.stringency) && cfg.stringency > 0.0);
+    validate(cfg)?;
 
     // Raw per-shard demands.
     let raw = measure(cfg);
@@ -80,12 +117,7 @@ pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
     // capped at 45% of a machine (clamp-and-rescale, like the synthetic
     // generator): skewed query traffic can concentrate enough cost on the
     // head shard that it would otherwise exceed a whole machine.
-    const MAX_SHARD_FRAC: f64 = 0.45;
     let target = cfg.n_machines as f64 * cfg.stringency;
-    assert!(
-        target <= cfg.n_shards as f64 * MAX_SHARD_FRAC,
-        "too few shards for the requested utilization under the per-shard cap"
-    );
     let scale = |v: &[f64]| -> Vec<f64> {
         let mut out = v.to_vec();
         for _ in 0..32 {
@@ -110,8 +142,8 @@ pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
     let disk = scale(&disk);
 
     let mut b = InstanceBuilder::new(3).alpha(cfg.alpha).label(format!(
-        "searchsim(shards={},machines={},stringency={:.2},{:?})",
-        cfg.n_shards, cfg.n_machines, cfg.stringency, cfg.strategy
+        "searchsim(shards={},machines={},stringency={:.2},SkewedRange)",
+        cfg.n_shards, cfg.n_machines, cfg.stringency
     ));
     let machines: Vec<MachineId> = (0..cfg.n_machines)
         .map(|_| b.machine(&[1.0, 1.0, 1.0]))
@@ -122,8 +154,7 @@ pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
 
     // Weighted round-robin placement by dominant dimension: sort shards by
     // peak demand descending, place each on the machine with the lowest
-    // current peak usage *ignoring* later drift — then verify feasibility
-    // (guaranteed at stringency < 1 for these sizes, and validated anyway).
+    // current peak usage *ignoring* later drift.
     let mut order: Vec<usize> = (0..cfg.n_shards).collect();
     let peak = |i: usize| cpu[i].max(mem[i]).max(disk[i]);
     order.sort_by(|&a, &b| {
@@ -151,7 +182,10 @@ pub fn build_instance(cfg: &BridgeConfig) -> Result<Instance, ClusterError> {
                 let lb = usage[b][1].max(usage[b][2]);
                 la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
             })
-            .expect("stringency < 1 leaves room for every shard");
+            .ok_or(ClusterError::Unpackable {
+                shard: ShardId(i as u32),
+                stringency: cfg.stringency,
+            })?;
         usage[host][0] += cpu[i];
         usage[host][1] += mem[i];
         usage[host][2] += disk[i];
@@ -177,14 +211,13 @@ struct Measured {
 /// Corpus → shards → index → query replay.
 fn measure(cfg: &BridgeConfig) -> Measured {
     let corpus = Corpus::generate(&cfg.corpus);
-    let engine = SearchEngine::build(&corpus, cfg.n_shards, cfg.strategy);
+    let engine = SearchEngine::build(&corpus, cfg.n_shards);
     let queries = QueryLog::generate(&QueryConfig {
         vocab: cfg.corpus.vocab,
         ..cfg.queries
     });
-    let stats = engine.replay(&queries, cfg.top_k);
     Measured {
-        cost: stats.cost_per_shard,
+        cost: engine.replay(&queries),
         size_bytes: (0..cfg.n_shards)
             .map(|i| engine.shard(i).size_bytes())
             .collect(),
@@ -220,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn builds_valid_instance() {
+    fn builds_a_valid_instance_at_the_requested_stringency() {
         let inst = build_instance(&small_cfg()).unwrap();
         inst.validate().unwrap();
         assert_eq!(inst.dims, 3);
@@ -228,21 +261,15 @@ mod tests {
         assert_eq!(inst.n_exchange(), 1);
         assert_eq!(inst.n_shards(), 16);
         assert_eq!(inst.k_return, 1);
-    }
-
-    #[test]
-    fn stringency_is_hit() {
         // Demand per dimension totals n_machines × 0.7 = 2.8; capacity
         // including the exchange machine is 5.0 → aggregate 0.56, while
         // utilization over the loaded fleet alone is the requested 0.7.
-        let inst = build_instance(&small_cfg()).unwrap();
-        assert!(
-            (inst.stringency() - 0.56).abs() < 1e-6,
-            "stringency {}",
-            inst.stringency()
-        );
-        let loaded_util = inst.total_demand()[0] / 4.0;
-        assert!((loaded_util - 0.7).abs() < 1e-6);
+        assert!((inst.stringency() - 0.56).abs() < 1e-6);
+        assert!((inst.total_demand()[0] / 4.0 - 0.7).abs() < 1e-6);
+        // A migration copies the index, so move cost is the memory demand.
+        for s in &inst.shards {
+            assert!((s.move_cost - s.demand[1]).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -256,16 +283,6 @@ mod tests {
             top > 2.0 * median,
             "top={top} median={median}: query skew must show"
         );
-    }
-
-    #[test]
-    fn deterministic() {
-        let a = build_instance(&small_cfg()).unwrap();
-        let b = build_instance(&small_cfg()).unwrap();
-        assert_eq!(a.initial, b.initial);
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert!(x.demand.approx_eq(&y.demand, 0.0));
-        }
     }
 
     #[test]
@@ -283,11 +300,44 @@ mod tests {
     }
 
     #[test]
-    fn move_cost_tracks_memory_demand() {
-        let inst = build_instance(&small_cfg()).unwrap();
-        for s in &inst.shards {
-            assert!((s.move_cost - s.demand[1]).abs() < 1e-12);
+    fn bridge_settings_are_errors_not_panics() {
+        type Edit = fn(&mut BridgeConfig);
+        let cases: [(Edit, &str); 12] = [
+            (|c| c.n_shards = 0, "shards must be"),
+            (|c| c.n_machines = 0, "machines must be"),
+            (|c| c.corpus.n_docs = 0, "docs must be"),
+            (|c| c.corpus.vocab = 0, "vocab must be"),
+            (|c| c.queries.n_queries = 0, "queries must be"),
+            (|c| c.queries.max_terms = 0, "max_terms must be"),
+            (|c| c.stringency = 0.0, "stringency"),
+            (|c| c.stringency = 1.0, "stringency"),
+            (|c| c.stringency = f64::NAN, "stringency"),
+            (|c| c.queries.and_fraction = 1.5, "and_fraction"),
+            (|c| c.queries.and_fraction = f64::NAN, "and_fraction"),
+            // 10 machines at 0.7 need 7.0 / 0.45 → 16 shards.
+            (
+                |c| (c.n_shards, c.n_machines) = (15, 10),
+                "at least 16 needed",
+            ),
+        ];
+        for (edit, says) in cases {
+            let mut cfg = small_cfg();
+            edit(&mut cfg);
+            match build_instance(&cfg) {
+                Err(ClusterError::BadGenerator { reason }) => {
+                    assert!(reason.contains(says), "{reason}")
+                }
+                other => panic!("{cfg:?}: expected BadGenerator, got {other:?}"),
+            }
         }
+        // Nearly every shard clamps at 0.45 and a machine holds two: the
+        // placement runs out of room and names the shard.
+        let mut tight = small_cfg();
+        (tight.n_shards, tight.n_machines, tight.stringency) = (20, 9, 0.99);
+        assert!(matches!(
+            build_instance(&tight),
+            Err(ClusterError::Unpackable { .. })
+        ));
     }
 
     fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
@@ -296,7 +346,7 @@ mod tests {
         })
     }
 
-    /// FNV-1a of the raw `(cost, size_bytes, n_tokens)` of every shard, of
+    /// FNV-1a of the raw `(cost, size_bytes, n_tokens)` of every shard,
     /// and of every demand and move-cost bit, `initial` and the label.
     fn pin(cfg: &BridgeConfig) -> (u64, u64) {
         let raw = measure(cfg);

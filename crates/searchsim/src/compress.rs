@@ -1,156 +1,44 @@
-//! Posting-list compression: delta + variable-byte encoding.
+//! Posting-list storage size: delta + variable-byte encoding.
 //!
 //! Real engines never store raw `(doc, tf)` pairs; doc ids are
 //! delta-encoded (sorted lists have small gaps) and the gaps varbyte-coded.
 //! The bridge's shard *memory* demand and *move cost* are therefore based
 //! on the compressed footprint, which — unlike the raw posting count —
 //! grows sub-linearly for dense lists (small gaps → 1 byte each) and is
-//! exactly what a migration actually copies over the network.
+//! exactly what a migration actually copies over the network. Only that
+//! footprint is ever read, so this module counts the encoded bytes instead
+//! of producing them.
 
 use crate::index::Posting;
 
-/// Appends `v` to `out` in variable-byte code (7 bits per byte, high bit =
+/// Bytes `v` takes in variable-byte code (7 bits per byte, high bit =
 /// continuation).
 #[inline]
-pub fn varbyte_encode(mut v: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+pub fn varbyte_len(mut v: u64) -> u64 {
+    let mut n = 1;
+    while v >= 0x80 {
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+        n += 1;
     }
+    n
 }
 
-/// Decodes one varbyte integer starting at `pos`; returns `(value,
-/// next_pos)`, or `None` on truncated input.
-#[inline]
-pub fn varbyte_decode(buf: &[u8], mut pos: usize) -> Option<(u64, usize)> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(pos)?;
-        pos += 1;
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some((v, pos));
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None; // malformed: more than 10 continuation bytes
-        }
+/// Encoded size of a sorted posting list: per posting, the varbyte doc-id
+/// gap (the first posting's absolute id) and the varbyte `tf − 1`.
+///
+/// # Panics
+/// If doc ids are not strictly increasing (debug builds).
+pub fn compressed_size(postings: &[Posting]) -> u64 {
+    let mut bytes = 0;
+    let mut prev = 0u64;
+    for (i, p) in postings.iter().enumerate() {
+        let doc = p.doc as u64;
+        debug_assert!(i == 0 || doc > prev, "postings must be strictly increasing");
+        // tf is almost always tiny; it is stored as tf-1 (tf >= 1).
+        bytes += varbyte_len(doc - prev) + varbyte_len((p.tf.max(1) - 1) as u64);
+        prev = doc;
     }
-}
-
-/// A compressed posting list: delta-coded doc ids and tf values, varbyte
-/// packed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CompressedPostings {
-    bytes: Vec<u8>,
-    len: usize,
-}
-
-impl CompressedPostings {
-    /// Compresses a sorted posting list.
-    ///
-    /// # Panics
-    /// If doc ids are not strictly increasing (debug builds).
-    pub fn compress(postings: &[Posting]) -> Self {
-        let mut bytes = Vec::with_capacity(postings.len() * 2);
-        let mut prev = 0u64;
-        for (i, p) in postings.iter().enumerate() {
-            let doc = p.doc as u64;
-            debug_assert!(i == 0 || doc > prev, "postings must be strictly increasing");
-            let gap = if i == 0 { doc } else { doc - prev };
-            varbyte_encode(gap, &mut bytes);
-            // tf is almost always tiny; store tf-1 (tf >= 1).
-            varbyte_encode((p.tf.max(1) - 1) as u64, &mut bytes);
-            prev = doc;
-        }
-        Self {
-            bytes,
-            len: postings.len(),
-        }
-    }
-
-    /// Number of postings.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Compressed size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Decompresses back to the posting list.
-    pub fn decompress(&self) -> Vec<Posting> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut pos = 0usize;
-        let mut doc = 0u64;
-        for i in 0..self.len {
-            let (gap, p1) = varbyte_decode(&self.bytes, pos).expect("self-produced data is valid");
-            let (tfm1, p2) = varbyte_decode(&self.bytes, p1).expect("self-produced data is valid");
-            doc = if i == 0 { gap } else { doc + gap };
-            pos = p2;
-            out.push(Posting {
-                doc: doc as u32,
-                tf: tfm1 as u32 + 1,
-            });
-        }
-        out
-    }
-
-    /// Iterates without materializing (for cost-model experiments).
-    pub fn iter(&self) -> CompressedIter<'_> {
-        CompressedIter {
-            bytes: &self.bytes,
-            pos: 0,
-            remaining: self.len,
-            doc: 0,
-            first: true,
-        }
-    }
-}
-
-/// Streaming decoder over a compressed posting list.
-pub struct CompressedIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    doc: u64,
-    first: bool,
-}
-
-impl Iterator for CompressedIter<'_> {
-    type Item = Posting;
-
-    fn next(&mut self) -> Option<Posting> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let (gap, p1) = varbyte_decode(self.bytes, self.pos)?;
-        let (tfm1, p2) = varbyte_decode(self.bytes, p1)?;
-        self.doc = if self.first { gap } else { self.doc + gap };
-        self.first = false;
-        self.pos = p2;
-        self.remaining -= 1;
-        Some(Posting {
-            doc: self.doc as u32,
-            tf: tfm1 as u32 + 1,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
+    bytes
 }
 
 #[cfg(test)]
@@ -162,66 +50,38 @@ mod tests {
     }
 
     #[test]
-    fn varbyte_roundtrip_boundaries() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            varbyte_encode(v, &mut buf);
-            let (back, pos) = varbyte_decode(&buf, 0).unwrap();
-            assert_eq!(back, v);
-            assert_eq!(pos, buf.len());
+    fn varbyte_len_boundaries() {
+        for (v, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX as u64, 5),
+            (u64::MAX, 10),
+        ] {
+            assert_eq!(varbyte_len(v), len, "{v}");
         }
     }
 
     #[test]
-    fn varbyte_small_values_take_one_byte() {
-        let mut buf = Vec::new();
-        varbyte_encode(127, &mut buf);
-        assert_eq!(buf.len(), 1);
-        varbyte_encode(128, &mut buf);
-        assert_eq!(buf.len(), 3);
-    }
-
-    #[test]
-    fn varbyte_decode_rejects_truncation() {
-        let mut buf = Vec::new();
-        varbyte_encode(1_000_000, &mut buf);
-        assert!(varbyte_decode(&buf[..buf.len() - 1], 0).is_none());
-        assert!(varbyte_decode(&[], 0).is_none());
-    }
-
-    #[test]
-    fn varbyte_decode_rejects_overlong() {
-        let buf = [0x80u8; 11];
-        assert!(varbyte_decode(&buf, 0).is_none());
-    }
-
-    #[test]
-    fn compress_roundtrip() {
+    fn gaps_and_tf_are_counted() {
+        // Gaps 0, 3, 1, 996, 999 000 take 1+1+1+2+3 bytes; tf−1 values
+        // 0, 1, 0, 6, 0 one byte each.
         let l = list(&[(0, 1), (3, 2), (4, 1), (1000, 7), (1_000_000, 1)]);
-        let c = CompressedPostings::compress(&l);
-        assert_eq!(c.len(), 5);
-        assert_eq!(c.decompress(), l);
-        let streamed: Vec<Posting> = c.iter().collect();
-        assert_eq!(streamed, l);
-    }
-
-    #[test]
-    fn empty_list() {
-        let c = CompressedPostings::compress(&[]);
-        assert!(c.is_empty());
-        assert_eq!(c.size_bytes(), 0);
-        assert!(c.decompress().is_empty());
-        assert_eq!(c.iter().count(), 0);
+        assert_eq!(compressed_size(&l), 8 + 5);
+        // The first doc id is stored absolute.
+        assert_eq!(compressed_size(&list(&[(5_000_000, 3)])), 4 + 1);
+        assert_eq!(compressed_size(&[]), 0);
     }
 
     #[test]
     fn dense_lists_compress_well() {
         // Gaps of 1, tf 1: 2 bytes per posting.
         let l: Vec<Posting> = (0..10_000).map(|d| Posting { doc: d, tf: 1 }).collect();
-        let c = CompressedPostings::compress(&l);
-        assert_eq!(c.size_bytes(), 2 * 10_000);
+        assert_eq!(compressed_size(&l), 2 * 10_000);
         // Raw storage would be 8 bytes per posting.
-        assert!(c.size_bytes() < std::mem::size_of::<Posting>() * l.len() / 3);
+        assert!(compressed_size(&l) < (std::mem::size_of::<Posting>() * l.len() / 3) as u64);
     }
 
     #[test]
@@ -233,15 +93,6 @@ mod tests {
                 tf: 1,
             })
             .collect();
-        let cd = CompressedPostings::compress(&dense);
-        let cs = CompressedPostings::compress(&sparse);
-        assert!(cs.size_bytes() > cd.size_bytes());
-    }
-
-    #[test]
-    fn first_doc_id_is_absolute() {
-        let l = list(&[(5_000_000, 3)]);
-        let c = CompressedPostings::compress(&l);
-        assert_eq!(c.decompress(), l);
+        assert!(compressed_size(&sparse) > compressed_size(&dense));
     }
 }

@@ -9,10 +9,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 use rex_cluster::Zipf;
-use serde::{Deserialize, Serialize};
 
 /// Corpus generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CorpusConfig {
     /// Number of documents.
     pub n_docs: usize,
@@ -47,8 +46,6 @@ impl Default for CorpusConfig {
 pub struct Corpus {
     /// Per-document term ids (unsorted, with repetitions = term frequency).
     pub docs: Vec<Vec<u32>>,
-    /// Vocabulary size the corpus was drawn from.
-    pub vocab: usize,
 }
 
 /// Standard-normal sample via Box–Muller (avoids a distribution dependency).
@@ -77,40 +74,12 @@ impl Corpus {
                 (0..len).map(|_| zipf.sample(&mut rng) as u32).collect()
             })
             .collect();
-        Self {
-            docs,
-            vocab: cfg.vocab,
-        }
+        Self { docs }
     }
 
     /// Number of documents.
     pub fn n_docs(&self) -> usize {
         self.docs.len()
-    }
-
-    /// Total token count.
-    pub fn n_tokens(&self) -> usize {
-        self.docs.iter().map(Vec::len).sum()
-    }
-
-    /// Mean document length.
-    pub fn mean_len(&self) -> f64 {
-        self.n_tokens() as f64 / self.n_docs() as f64
-    }
-
-    /// Document frequency of each term (how many docs contain it).
-    pub fn document_frequencies(&self) -> Vec<u32> {
-        let mut df = vec![0u32; self.vocab];
-        let mut seen = vec![u32::MAX; self.vocab];
-        for (d, doc) in self.docs.iter().enumerate() {
-            for &t in doc {
-                if seen[t as usize] != d as u32 {
-                    seen[t as usize] = d as u32;
-                    df[t as usize] += 1;
-                }
-            }
-        }
-        df
     }
 }
 
@@ -132,14 +101,7 @@ mod tests {
         let c = Corpus::generate(&small_cfg());
         assert_eq!(c.n_docs(), 500);
         assert!(c.docs.iter().all(|d| !d.is_empty()));
-        assert!(c.docs.iter().flatten().all(|&t| (t as usize) < c.vocab));
-    }
-
-    #[test]
-    fn deterministic_across_calls() {
-        let a = Corpus::generate(&small_cfg());
-        let b = Corpus::generate(&small_cfg());
-        assert_eq!(a.docs, b.docs);
+        assert!(c.docs.iter().flatten().all(|&t| t < 1_000));
     }
 
     #[test]
@@ -158,7 +120,7 @@ mod tests {
             n_docs: 2_000,
             ..small_cfg()
         });
-        let mean = c.mean_len();
+        let mean = c.docs.iter().map(Vec::len).sum::<usize>() as f64 / c.n_docs() as f64;
         // exp(4.6 + 0.5²/2) ≈ 112; allow wide tolerance.
         assert!((60.0..200.0).contains(&mean), "mean len {mean}");
         let max = c.docs.iter().map(Vec::len).max().unwrap();
@@ -168,7 +130,7 @@ mod tests {
     #[test]
     fn term_frequencies_are_skewed() {
         let c = Corpus::generate(&small_cfg());
-        let mut tf = vec![0usize; c.vocab];
+        let mut tf = vec![0usize; 1_000];
         for t in c.docs.iter().flatten() {
             tf[*t as usize] += 1;
         }
@@ -179,15 +141,5 @@ mod tests {
             tf[0],
             tf[500]
         );
-    }
-
-    #[test]
-    fn document_frequencies_bounded_by_ndocs() {
-        let c = Corpus::generate(&small_cfg());
-        let df = c.document_frequencies();
-        assert_eq!(df.len(), c.vocab);
-        assert!(df.iter().all(|&x| (x as usize) <= c.n_docs()));
-        // The most common term appears in most documents.
-        assert!(df[0] as usize > c.n_docs() / 2);
     }
 }

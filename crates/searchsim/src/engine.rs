@@ -1,50 +1,28 @@
-//! The document-partitioned search engine: fan-out, aggregate, account.
+//! The document-partitioned search engine: shard, index, account.
 
 use crate::corpus::Corpus;
-use crate::index::{InvertedIndex, SearchResult};
+use crate::index::InvertedIndex;
 use crate::queries::QueryLog;
-use crate::shards::{group_docs, partition, ShardingStrategy};
+use crate::shards::{group_docs, partition};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// Per-shard accounting after replaying a query log.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct SearchStats {
-    /// Postings traversed per shard (CPU-cost proxy).
-    pub cost_per_shard: Vec<u64>,
-    /// Queries that touched each shard (document-partitioned engines fan
-    /// every query to every shard, so this equals the log length unless a
-    /// shard has no matching terms at all — we still count the visit).
-    pub queries_per_shard: Vec<u64>,
-    /// Total results returned.
-    pub total_hits: u64,
-}
-
-/// A document-partitioned engine: every query fans out to all shards and
-/// the per-shard top-k lists merge into a global top-k.
+/// A document-partitioned engine: every query fans out to all shards.
 #[derive(Debug)]
 pub struct SearchEngine {
     shards: Vec<InvertedIndex>,
-    /// Which shard each corpus document landed on.
-    pub shard_of: Vec<u32>,
 }
 
 impl SearchEngine {
-    /// Indexes a corpus into `n_shards` shards (index building is
-    /// parallelized over shards).
-    pub fn build(corpus: &Corpus, n_shards: usize, strategy: ShardingStrategy) -> Self {
-        let shard_of = partition(corpus.n_docs(), n_shards, strategy);
+    /// Indexes a corpus into `n_shards` skewed-range shards (index
+    /// building is parallelized over shards).
+    pub fn build(corpus: &Corpus, n_shards: usize) -> Self {
+        let shard_of = partition(corpus.n_docs(), n_shards);
         let grouped = group_docs(&corpus.docs, &shard_of, n_shards);
-        let shards: Vec<InvertedIndex> = grouped
+        let shards = grouped
             .par_iter()
             .map(|docs| InvertedIndex::build(docs))
             .collect();
-        Self { shards, shard_of }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        Self { shards }
     }
 
     /// Access to a shard's index.
@@ -52,90 +30,27 @@ impl SearchEngine {
         &self.shards[i]
     }
 
-    /// Executes one query: fans out, merges per-shard top-k, and returns
-    /// `(global top-k, per-shard cost)`.
-    pub fn search(
-        &self,
-        terms: &[u32],
-        mode: crate::index::QueryMode,
-        k: usize,
-    ) -> (Vec<SearchResult>, Vec<u64>) {
-        let mut merged = Vec::new();
-        let mut costs = Vec::with_capacity(self.shards.len());
-        for ix in &self.shards {
-            let (hits, cost) = ix.search(terms, mode, k);
-            costs.push(cost);
-            merged.extend(hits);
-        }
-        merged.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        merged.truncate(k);
-        (merged, costs)
-    }
-
-    /// Replays the log like [`SearchEngine::replay`], but buckets per-shard
-    /// cost by hour-of-day: `out[hour][shard]`. This is what a diurnal
-    /// rebalancing pipeline consumes — shard CPU demand at the traffic
-    /// peak differs from the daily mean.
-    pub fn replay_hourly(&self, log: &QueryLog, k: usize) -> Vec<Vec<u64>> {
-        let n = self.shards.len();
-        log.queries
-            .par_iter()
-            .map(|q| {
-                let (_, costs) = self.search(&q.terms, q.mode, k);
-                (q.hour as usize, costs)
-            })
-            .fold(
-                || vec![vec![0u64; n]; 24],
-                |mut acc, (hour, costs)| {
-                    for (a, c) in acc[hour].iter_mut().zip(&costs) {
-                        *a += c;
-                    }
-                    acc
-                },
-            )
-            .reduce(
-                || vec![vec![0u64; n]; 24],
-                |mut a, b| {
-                    for (ha, hb) in a.iter_mut().zip(&b) {
-                        for (x, y) in ha.iter_mut().zip(hb) {
-                            *x += y;
-                        }
-                    }
-                    a
-                },
-            )
-    }
-
-    /// Replays a whole query log (parallel over queries, reduced with a
-    /// deterministic element-wise sum) and returns per-shard accounting.
-    pub fn replay(&self, log: &QueryLog, k: usize) -> SearchStats {
-        let n = self.shards.len();
-        let (cost, hits) = log
+    /// Postings each shard traverses serving the whole log: every query's
+    /// per-shard costs are computed in parallel, then summed in log order
+    /// (u64 sums, so the thread count cannot move a byte).
+    pub fn replay(&self, log: &QueryLog) -> Vec<u64> {
+        let per_query: Vec<Vec<u64>> = log
             .queries
             .par_iter()
             .map(|q| {
-                let (hits, costs) = self.search(&q.terms, q.mode, k);
-                (costs, hits.len() as u64)
+                self.shards
+                    .iter()
+                    .map(|ix| ix.cost(&q.terms, q.mode))
+                    .collect()
             })
-            .reduce(
-                || (vec![0u64; n], 0u64),
-                |(mut ca, ha), (cb, hb)| {
-                    for (a, b) in ca.iter_mut().zip(&cb) {
-                        *a += b;
-                    }
-                    (ca, ha + hb)
-                },
-            );
-        SearchStats {
-            cost_per_shard: cost,
-            queries_per_shard: vec![log.len() as u64; n],
-            total_hits: hits,
+            .collect();
+        let mut total = vec![0u64; self.shards.len()];
+        for costs in &per_query {
+            for (t, c) in total.iter_mut().zip(costs) {
+                *t += c;
+            }
         }
+        total
     }
 }
 
@@ -143,178 +58,45 @@ impl SearchEngine {
 mod tests {
     use super::*;
     use crate::corpus::CorpusConfig;
-    use crate::index::QueryMode;
     use crate::queries::QueryConfig;
 
-    fn small_engine(n_shards: usize, strategy: ShardingStrategy) -> (Corpus, SearchEngine) {
+    fn small_engine(n_shards: usize) -> (Corpus, SearchEngine) {
         let corpus = Corpus::generate(&CorpusConfig {
             n_docs: 400,
             vocab: 500,
             seed: 21,
             ..Default::default()
         });
-        let engine = SearchEngine::build(&corpus, n_shards, strategy);
+        let engine = SearchEngine::build(&corpus, n_shards);
         (corpus, engine)
     }
 
     #[test]
     fn shards_cover_all_docs() {
-        let (corpus, engine) = small_engine(4, ShardingStrategy::Hash);
+        let (corpus, engine) = small_engine(4);
         let total: usize = (0..4).map(|i| engine.shard(i).n_docs()).sum();
         assert_eq!(total, corpus.n_docs());
     }
 
     #[test]
-    fn sharded_search_matches_monolithic_hit_count() {
-        let (corpus, engine) = small_engine(4, ShardingStrategy::Hash);
-        let mono = InvertedIndex::build(&corpus.docs);
-        for terms in [vec![0u32], vec![0, 1], vec![3, 7, 12]] {
-            let (mono_hits, _) = mono.search(&terms, QueryMode::Or, usize::MAX);
-            let (shard_hits, _) = engine.search(&terms, QueryMode::Or, usize::MAX);
-            assert_eq!(mono_hits.len(), shard_hits.len(), "terms {terms:?}");
-        }
-    }
-
-    #[test]
-    fn search_costs_have_one_entry_per_shard() {
-        let (_, engine) = small_engine(3, ShardingStrategy::Range);
-        let (_, costs) = engine.search(&[0], QueryMode::Or, 10);
-        assert_eq!(costs.len(), 3);
-        assert!(costs.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn replay_accumulates_costs() {
-        let (_, engine) = small_engine(4, ShardingStrategy::Hash);
+    fn replay_sums_every_query_on_every_shard() {
+        let (_, engine) = small_engine(4);
         let log = QueryLog::generate(&QueryConfig {
             n_queries: 200,
             vocab: 500,
             seed: 2,
             ..Default::default()
         });
-        let stats = engine.replay(&log, 10);
-        assert_eq!(stats.cost_per_shard.len(), 4);
-        assert!(stats.cost_per_shard.iter().all(|&c| c > 0));
-        assert!(stats.total_hits > 0);
-        assert_eq!(stats.queries_per_shard, vec![200u64; 4]);
-    }
-
-    #[test]
-    fn hourly_replay_sums_to_total() {
-        let (_, engine) = small_engine(4, ShardingStrategy::Hash);
-        let log = QueryLog::generate(&QueryConfig {
-            n_queries: 250,
-            vocab: 500,
-            seed: 6,
-            ..Default::default()
-        });
-        let total = engine.replay(&log, 10);
-        let hourly = engine.replay_hourly(&log, 10);
-        assert_eq!(hourly.len(), 24);
-        for s in 0..4 {
-            let sum: u64 = hourly.iter().map(|h| h[s]).sum();
-            assert_eq!(sum, total.cost_per_shard[s], "shard {s}");
-        }
-        // The diurnal peak hour carries more cost than the trough.
-        let by_hour: Vec<u64> = hourly.iter().map(|h| h.iter().sum()).collect();
-        assert!(by_hour[9] > by_hour[2]);
-    }
-
-    #[test]
-    fn replay_is_deterministic_despite_parallelism() {
-        let (_, engine) = small_engine(4, ShardingStrategy::Hash);
-        let log = QueryLog::generate(&QueryConfig {
-            n_queries: 300,
-            vocab: 500,
-            seed: 5,
-            ..Default::default()
-        });
-        let a = engine.replay(&log, 10);
-        let b = engine.replay(&log, 10);
-        assert_eq!(a.cost_per_shard, b.cost_per_shard);
-        assert_eq!(a.total_hits, b.total_hits);
-    }
-
-    /// Differential check of the vendored rayon shim at its real call
-    /// sites: `replay` and `replay_hourly` go through `fold(..).reduce(..)`
-    /// / `map(..).reduce(..)`; here the same sums are recomputed with a
-    /// hand-rolled `std::thread` chunked reduction and must match exactly
-    /// (u64 addition is associative, so any split is equivalent).
-    #[test]
-    fn replay_matches_hand_rolled_chunked_reduction() {
-        let (_, engine) = small_engine(4, ShardingStrategy::Hash);
-        let log = QueryLog::generate(&QueryConfig {
-            n_queries: 300,
-            vocab: 500,
-            seed: 9,
-            ..Default::default()
-        });
-        let n = engine.n_shards();
-
-        for workers in [1usize, 3, 7] {
-            let chunk = log.queries.len().div_ceil(workers).max(1);
-            let partials: Vec<(Vec<u64>, u64, Vec<Vec<u64>>)> = std::thread::scope(|scope| {
-                log.queries
-                    .chunks(chunk)
-                    .map(|qs| {
-                        let engine = &engine;
-                        scope.spawn(move || {
-                            let mut cost = vec![0u64; n];
-                            let mut hits = 0u64;
-                            let mut hourly = vec![vec![0u64; n]; 24];
-                            for q in qs {
-                                let (h, c) = engine.search(&q.terms, q.mode, 10);
-                                hits += h.len() as u64;
-                                for (a, x) in cost.iter_mut().zip(&c) {
-                                    *a += x;
-                                }
-                                for (a, x) in hourly[q.hour as usize].iter_mut().zip(&c) {
-                                    *a += x;
-                                }
-                            }
-                            (cost, hits, hourly)
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            });
-            let mut cost = vec![0u64; n];
-            let mut hits = 0u64;
-            let mut hourly = vec![vec![0u64; n]; 24];
-            for (pc, ph, phh) in partials {
-                for (a, x) in cost.iter_mut().zip(&pc) {
-                    *a += x;
-                }
-                hits += ph;
-                for (ha, hb) in hourly.iter_mut().zip(&phh) {
-                    for (a, x) in ha.iter_mut().zip(hb) {
-                        *a += x;
-                    }
-                }
-            }
-
-            let stats = engine.replay(&log, 10);
-            assert_eq!(stats.cost_per_shard, cost, "{workers}-way replay");
-            assert_eq!(stats.total_hits, hits, "{workers}-way replay hits");
-            assert_eq!(
-                engine.replay_hourly(&log, 10),
-                hourly,
-                "{workers}-way hourly"
-            );
-        }
-    }
-
-    #[test]
-    fn range_sharding_is_more_skewed_than_hash() {
-        // With iid document lengths the two strategies differ mainly in
-        // variance; both must at least produce valid, non-empty shards.
-        let (_, hash) = small_engine(4, ShardingStrategy::Hash);
-        let (_, range) = small_engine(4, ShardingStrategy::Range);
-        for e in [&hash, &range] {
-            let total: usize = (0..4).map(|i| e.shard(i).n_postings()).sum();
-            assert!(total > 0);
+        let cost = engine.replay(&log);
+        assert_eq!(cost.len(), 4);
+        assert!(cost.iter().all(|&c| c > 0));
+        for (i, &c) in cost.iter().enumerate() {
+            let serial: u64 = log
+                .queries
+                .iter()
+                .map(|q| engine.shard(i).cost(&q.terms, q.mode))
+                .sum();
+            assert_eq!(c, serial, "shard {i}");
         }
     }
 }

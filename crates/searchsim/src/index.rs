@@ -1,15 +1,15 @@
-//! Inverted index with instrumented query evaluation.
+//! Inverted index with a posting-list cost model.
 //!
-//! One [`InvertedIndex`] indexes one shard's documents. Evaluation reports
-//! the number of postings traversed — the classic machine-independent proxy
-//! for query CPU cost (what dynamic-pruning papers measure) — which the
-//! bridge turns into shard CPU demand.
+//! One [`InvertedIndex`] indexes one shard's documents.
+//! [`InvertedIndex::cost`] reports the postings a query's evaluation
+//! traverses — the classic machine-independent proxy for query CPU cost
+//! (what dynamic-pruning papers measure) — which the bridge turns into
+//! shard CPU demand. Nothing is scored: the bridge reads only the cost.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One posting: a document and the term's frequency in it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Posting {
     /// Document id (local to the shard's doc table).
     pub doc: u32,
@@ -18,48 +18,35 @@ pub struct Posting {
 }
 
 /// How a query's terms combine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryMode {
-    /// Disjunctive (OR): any term matches; BM25-style scoring.
+    /// Disjunctive (OR): any term matches; every list is read in full.
     Or,
     /// Conjunctive (AND): all terms must match; galloping intersection.
     And,
 }
 
-/// A scored search hit.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SearchResult {
-    /// Document id (shard-local).
-    pub doc: u32,
-    /// Relevance score.
-    pub score: f64,
-}
-
 /// An inverted index over one shard's documents.
 ///
-/// Postings are held uncompressed for evaluation speed; the *storage*
-/// model ([`InvertedIndex::size_bytes`]) uses the delta+varbyte footprint
-/// from [`crate::compress`], because that is what resides in RAM on a real
+/// Postings are held uncompressed; the *storage* model
+/// ([`InvertedIndex::size_bytes`]) uses the delta+varbyte footprint from
+/// [`crate::compress`], because that is what resides in RAM on a real
 /// serving node and what a shard migration copies.
 #[derive(Clone, Debug, Default)]
 pub struct InvertedIndex {
     postings: HashMap<u32, Vec<Posting>>,
-    doc_lens: Vec<u32>,
+    n_docs: usize,
     n_tokens: u64,
     compressed_bytes: u64,
-    /// Per-term maximum tf, for MaxScore upper bounds.
-    max_tf: HashMap<u32, u32>,
 }
 
 impl InvertedIndex {
     /// Builds the index from documents (each a bag of term ids).
     pub fn build(docs: &[Vec<u32>]) -> Self {
         let mut postings: HashMap<u32, Vec<Posting>> = HashMap::new();
-        let mut doc_lens = Vec::with_capacity(docs.len());
         let mut n_tokens = 0u64;
         let mut tf_buf: HashMap<u32, u32> = HashMap::new();
         for (d, doc) in docs.iter().enumerate() {
-            doc_lens.push(doc.len() as u32);
             n_tokens += doc.len() as u64;
             tf_buf.clear();
             for &t in doc {
@@ -81,29 +68,19 @@ impl InvertedIndex {
         }
         let compressed_bytes = postings
             .values()
-            .map(|l| crate::compress::CompressedPostings::compress(l).size_bytes() as u64)
+            .map(|l| crate::compress::compressed_size(l))
             .sum();
-        let max_tf = postings
-            .iter()
-            .map(|(&t, l)| (t, l.iter().map(|p| p.tf).max().unwrap_or(0)))
-            .collect();
         Self {
             postings,
-            doc_lens,
+            n_docs: docs.len(),
             n_tokens,
             compressed_bytes,
-            max_tf,
         }
     }
 
     /// Number of indexed documents.
     pub fn n_docs(&self) -> usize {
-        self.doc_lens.len()
-    }
-
-    /// Total number of postings.
-    pub fn n_postings(&self) -> usize {
-        self.postings.values().map(Vec::len).sum()
+        self.n_docs
     }
 
     /// Total indexed tokens (raw collection size proxy).
@@ -114,12 +91,7 @@ impl InvertedIndex {
     /// Index storage footprint in bytes: compressed postings (delta +
     /// varbyte) plus the term dictionary and the document-length table.
     pub fn size_bytes(&self) -> u64 {
-        self.compressed_bytes + (self.postings.len() * 16) as u64 + (self.doc_lens.len() * 4) as u64
-    }
-
-    /// Compressed postings bytes alone (no dictionary overhead).
-    pub fn compressed_postings_bytes(&self) -> u64 {
-        self.compressed_bytes
+        self.compressed_bytes + (self.postings.len() * 16) as u64 + (self.n_docs * 4) as u64
     }
 
     /// Posting list of a term (empty slice if absent).
@@ -132,222 +104,47 @@ impl InvertedIndex {
         self.postings(term).len()
     }
 
-    /// BM25-flavoured idf (never negative).
-    fn idf(&self, term: u32) -> f64 {
-        let n = self.n_docs() as f64;
-        let df = self.df(term) as f64;
-        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
-    }
-
-    /// Evaluates a query; returns the top-`k` hits and the number of
-    /// postings traversed (the CPU-cost proxy). Duplicate query terms are
-    /// collapsed.
-    pub fn search(&self, terms: &[u32], mode: QueryMode, k: usize) -> (Vec<SearchResult>, u64) {
+    /// Postings a query's evaluation traverses (the CPU-cost proxy).
+    /// Duplicate query terms are collapsed. OR reads every list in full,
+    /// so its cost is Σ df; AND walks the rarest list and gallops through
+    /// the others.
+    pub fn cost(&self, terms: &[u32], mode: QueryMode) -> u64 {
         let mut terms = terms.to_vec();
         terms.sort_unstable();
         terms.dedup();
         match mode {
-            QueryMode::Or => self.search_or(&terms, k),
-            QueryMode::And => self.search_and(&terms, k),
+            QueryMode::Or => terms.iter().map(|&t| self.df(t) as u64).sum(),
+            QueryMode::And => self.and_cost(&terms),
         }
     }
 
-    /// BM25 contribution of one posting (k1 = 1.2, b = 0.75).
-    #[inline]
-    fn bm25(idf: f64, tf: f64, dl: f64, avg_len: f64) -> f64 {
-        idf * tf * 2.2 / (tf + 1.2 * (0.25 + 0.75 * dl / avg_len))
-    }
-
-    /// Upper bound of a term's BM25 contribution over all documents
-    /// (achieved at tf = max_tf, dl → 0).
-    #[inline]
-    fn term_upper_bound(&self, term: u32) -> f64 {
-        let max_tf = *self.max_tf.get(&term).unwrap_or(&0) as f64;
-        if max_tf == 0.0 {
-            return 0.0;
-        }
-        self.idf(term) * max_tf * 2.2 / (max_tf + 1.2 * 0.25)
-    }
-
-    /// Rank-safe dynamic-pruning disjunctive top-`k` (document-at-a-time
-    /// MaxScore): returns exactly the scores exhaustive OR evaluation
-    /// would, traversing fewer postings — the standard trick serving
-    /// nodes use, included here so the cost model can quantify how much
-    /// pruning shifts shard CPU demand.
-    pub fn search_or_pruned(&self, terms: &[u32], k: usize) -> (Vec<SearchResult>, u64) {
-        let mut terms = terms.to_vec();
-        terms.sort_unstable();
-        terms.dedup();
-        if terms.is_empty() || k == 0 || self.n_docs() == 0 {
-            return (Vec::new(), 0);
-        }
-        let avg_len = self.n_tokens as f64 / self.n_docs() as f64;
-
-        // Lists with their idf and upper bounds, cheapest bound first.
-        struct TermList<'a> {
-            list: &'a [Posting],
-            idf: f64,
-            ub: f64,
-            cursor: usize,
-        }
-        let mut lists: Vec<TermList<'_>> = terms
-            .iter()
-            .filter(|&&t| !self.postings(t).is_empty())
-            .map(|&t| TermList {
-                list: self.postings(t),
-                idf: self.idf(t),
-                ub: self.term_upper_bound(t),
-                cursor: 0,
-            })
-            .collect();
-        if lists.is_empty() {
-            return (Vec::new(), 0);
-        }
-        lists.sort_by(|a, b| a.ub.partial_cmp(&b.ub).unwrap_or(std::cmp::Ordering::Equal));
-        let prefix_ub: Vec<f64> = lists
-            .iter()
-            .scan(0.0, |acc, l| {
-                *acc += l.ub;
-                Some(*acc)
-            })
-            .collect();
-
-        // Top-k kept sorted ascending by score (ties: larger doc first so
-        // the smallest doc wins the tie, matching the exhaustive order).
-        let mut topk: Vec<SearchResult> = Vec::with_capacity(k);
-        let threshold = |topk: &Vec<SearchResult>| -> f64 {
-            if topk.len() == k {
-                topk[0].score
-            } else {
-                f64::NEG_INFINITY
-            }
-        };
-        let mut cost = 0u64;
-
-        loop {
-            let theta = threshold(&topk);
-            // First essential list: the cheapest list whose cumulative
-            // bound can still beat θ. Everything below it is non-essential.
-            let first_essential = match prefix_ub.iter().position(|&p| p > theta) {
-                Some(i) => i,
-                None => break, // no document can enter the top-k anymore
-            };
-            // Pivot: smallest current doc among essential lists.
-            let mut pivot: Option<u32> = None;
-            for l in &lists[first_essential..] {
-                if let Some(p) = l.list.get(l.cursor) {
-                    pivot = Some(pivot.map_or(p.doc, |d: u32| d.min(p.doc)));
-                }
-            }
-            let Some(pivot) = pivot else { break };
-
-            // Score the pivot: essential lists by cursor advance,
-            // non-essential by gallop, abandoning when the remaining
-            // bounds cannot lift it over θ.
-            let dl = self.doc_lens[pivot as usize] as f64;
-            let mut score = 0.0;
-            for l in lists[first_essential..].iter_mut() {
-                if let Some(p) = l.list.get(l.cursor) {
-                    if p.doc == pivot {
-                        score += Self::bm25(l.idf, p.tf as f64, dl, avg_len);
-                        l.cursor += 1;
-                        cost += 1;
-                    }
-                }
-            }
-            for i in (0..first_essential).rev() {
-                if score + prefix_ub[i] <= theta {
-                    break; // cannot reach the top-k: stop probing
-                }
-                let l = &mut lists[i];
-                let rest = &l.list[l.cursor..];
-                // Binary skip to the pivot; the cursor advances so later
-                // pivots resume from here.
-                let idx = rest.partition_point(|p| p.doc < pivot);
-                cost += (rest.len().max(2) as f64).log2() as u64;
-                l.cursor += idx;
-                if let Some(p) = l.list.get(l.cursor) {
-                    if p.doc == pivot {
-                        score += Self::bm25(l.idf, p.tf as f64, dl, avg_len);
-                        l.cursor += 1;
-                        cost += 1;
-                    }
-                }
-            }
-
-            // Insert into the top-k.
-            if score > theta || topk.len() < k {
-                let pos = topk.partition_point(|r| {
-                    (r.score, std::cmp::Reverse(r.doc)) < (score, std::cmp::Reverse(pivot))
-                });
-                topk.insert(pos, SearchResult { doc: pivot, score });
-                if topk.len() > k {
-                    topk.remove(0);
-                }
-            }
-        }
-
-        topk.reverse(); // descending score, ties by ascending doc
-        (topk, cost)
-    }
-
-    /// Term-at-a-time disjunctive evaluation: cost = Σ posting-list lengths.
-    fn search_or(&self, terms: &[u32], k: usize) -> (Vec<SearchResult>, u64) {
-        let mut acc: HashMap<u32, f64> = HashMap::new();
-        let mut cost = 0u64;
-        let avg_len = if self.n_docs() > 0 {
-            self.n_tokens as f64 / self.n_docs() as f64
-        } else {
-            1.0
-        };
-        for &t in terms {
-            let idf = self.idf(t);
-            for p in self.postings(t) {
-                cost += 1;
-                // BM25 with k1=1.2, b=0.75.
-                let tf = p.tf as f64;
-                let dl = self.doc_lens[p.doc as usize] as f64;
-                let score = idf * tf * 2.2 / (tf + 1.2 * (0.25 + 0.75 * dl / avg_len));
-                *acc.entry(p.doc).or_insert(0.0) += score;
-            }
-        }
-        (top_k(acc, k), cost)
-    }
-
-    /// Conjunctive evaluation: galloping intersection driven by the rarest
-    /// term; cost = candidates examined + gallop probes.
-    fn search_and(&self, terms: &[u32], k: usize) -> (Vec<SearchResult>, u64) {
-        if terms.is_empty() {
-            return (Vec::new(), 0);
-        }
+    /// Conjunctive cost: one per candidate of the rarest list, plus the
+    /// gallop probes that look for it in the other lists until one lacks
+    /// it.
+    fn and_cost(&self, terms: &[u32]) -> u64 {
         let mut lists: Vec<&[Posting]> = terms.iter().map(|&t| self.postings(t)).collect();
         lists.sort_by_key(|l| l.len());
-        if lists[0].is_empty() {
-            return (Vec::new(), lists[0].len() as u64);
-        }
+        let Some((rarest, others)) = lists.split_first() else {
+            return 0;
+        };
         let mut cost = 0u64;
-        let mut acc: HashMap<u32, f64> = HashMap::new();
-        'outer: for p in lists[0] {
+        for p in *rarest {
             cost += 1;
-            let mut tf_sum = p.tf as u64;
-            for other in &lists[1..] {
-                match gallop(other, p.doc, &mut cost) {
-                    Some(tf) => tf_sum += tf as u64,
-                    None => continue 'outer,
+            for other in others {
+                if !gallop(other, p.doc, &mut cost) {
+                    break;
                 }
             }
-            // Simple conjunctive score: summed tf, dampened.
-            acc.insert(p.doc, (1.0 + tf_sum as f64).ln());
         }
-        (top_k(acc, k), cost)
+        cost
     }
 }
 
 /// Galloping (exponential + binary) search for `doc` in a sorted posting
-/// list; returns its tf and charges probes to `cost`.
-fn gallop(list: &[Posting], doc: u32, cost: &mut u64) -> Option<u32> {
+/// list; returns whether it is there and charges probes to `cost`.
+fn gallop(list: &[Posting], doc: u32, cost: &mut u64) -> bool {
     if list.is_empty() {
-        return None;
+        return false;
     }
     let mut hi = 1usize;
     while hi < list.len() && list[hi].doc < doc {
@@ -359,26 +156,7 @@ fn gallop(list: &[Posting], doc: u32, cost: &mut u64) -> Option<u32> {
     let hi = (hi + 1).min(list.len());
     let slice = &list[lo..hi];
     *cost += (slice.len() as f64).log2().max(1.0) as u64;
-    match slice.binary_search_by_key(&doc, |p| p.doc) {
-        Ok(i) => Some(slice[i].tf),
-        Err(_) => None,
-    }
-}
-
-/// Extracts the top-`k` accumulator entries by score (ties by doc id).
-fn top_k(acc: HashMap<u32, f64>, k: usize) -> Vec<SearchResult> {
-    let mut hits: Vec<SearchResult> = acc
-        .into_iter()
-        .map(|(doc, score)| SearchResult { doc, score })
-        .collect();
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.doc.cmp(&b.doc))
-    });
-    hits.truncate(k);
-    hits
+    slice.binary_search_by_key(&doc, |p| p.doc).is_ok()
 }
 
 #[cfg(test)]
@@ -400,8 +178,8 @@ mod tests {
         assert_eq!(ix.df(2), 2);
         assert_eq!(ix.df(3), 1);
         assert_eq!(ix.df(99), 0);
-        assert_eq!(ix.n_postings(), 7);
-        assert!(ix.size_bytes() > 0);
+        // 7 postings of 2 bytes each, 4 terms × 16, 3 docs × 4.
+        assert_eq!(ix.size_bytes(), 14 + 64 + 12);
     }
 
     #[test]
@@ -412,156 +190,46 @@ mod tests {
     }
 
     #[test]
-    fn or_search_finds_all_matching_docs() {
-        let ix = InvertedIndex::build(&docs());
-        let (hits, cost) = ix.search(&[0], QueryMode::Or, 10);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(cost, 2, "cost = posting list length");
-        // doc0 has tf 2 and is shorter: it must outrank doc2.
-        assert_eq!(hits[0].doc, 0);
-    }
-
-    #[test]
     fn or_cost_is_sum_of_list_lengths() {
         let ix = InvertedIndex::build(&docs());
-        let (_, cost) = ix.search(&[0, 1, 2], QueryMode::Or, 10);
-        assert_eq!(cost, (ix.df(0) + ix.df(1) + ix.df(2)) as u64);
-    }
-
-    #[test]
-    fn and_search_intersects() {
-        let ix = InvertedIndex::build(&docs());
-        let (hits, _) = ix.search(&[0, 2], QueryMode::And, 10);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].doc, 2);
-        let (hits, _) = ix.search(&[1, 3], QueryMode::And, 10);
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn and_cost_at_most_or_cost() {
-        let ix = InvertedIndex::build(&docs());
-        let (_, or_cost) = ix.search(&[0, 2], QueryMode::Or, 10);
-        let (_, and_cost) = ix.search(&[0, 2], QueryMode::And, 10);
-        assert!(and_cost <= or_cost * 2, "and={and_cost} or={or_cost}");
-    }
-
-    #[test]
-    fn top_k_truncates_and_orders() {
-        let ix = InvertedIndex::build(&docs());
-        let (hits, _) = ix.search(&[0, 1, 2, 3], QueryMode::Or, 2);
-        assert_eq!(hits.len(), 2);
-        assert!(hits[0].score >= hits[1].score);
-    }
-
-    #[test]
-    fn missing_term_scores_nothing() {
-        let ix = InvertedIndex::build(&docs());
-        let (hits, cost) = ix.search(&[42], QueryMode::Or, 10);
-        assert!(hits.is_empty());
-        assert_eq!(cost, 0);
-        let (hits, _) = ix.search(&[42, 0], QueryMode::And, 10);
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn empty_query() {
-        let ix = InvertedIndex::build(&docs());
-        let (hits, cost) = ix.search(&[], QueryMode::Or, 10);
-        assert!(hits.is_empty());
-        assert_eq!(cost, 0);
-        let (hits, _) = ix.search(&[], QueryMode::And, 10);
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn empty_index() {
-        let ix = InvertedIndex::build(&[]);
-        let (hits, cost) = ix.search(&[0], QueryMode::Or, 10);
-        assert!(hits.is_empty());
-        assert_eq!(cost, 0);
-    }
-
-    #[test]
-    fn pruned_or_matches_exhaustive_scores() {
-        use crate::corpus::{Corpus, CorpusConfig};
-        let corpus = Corpus::generate(&CorpusConfig {
-            n_docs: 800,
-            vocab: 600,
-            seed: 77,
-            ..Default::default()
-        });
-        let ix = InvertedIndex::build(&corpus.docs);
-        for (terms, k) in [
-            (vec![0u32], 10),
-            (vec![0, 3, 17], 10),
-            (vec![5, 50, 200, 400], 5),
-            (vec![1, 2], 1),
-            (vec![599], 20),
-        ] {
-            let (full, _) = ix.search(&terms, QueryMode::Or, k);
-            let (pruned, _) = ix.search_or_pruned(&terms, k);
-            let fs: Vec<String> = full.iter().map(|r| format!("{:.9}", r.score)).collect();
-            let ps: Vec<String> = pruned.iter().map(|r| format!("{:.9}", r.score)).collect();
-            assert_eq!(fs, ps, "terms {terms:?} k {k}: rank-safety violated");
-        }
-    }
-
-    #[test]
-    fn pruned_or_is_cheaper_for_small_k() {
-        use crate::corpus::{Corpus, CorpusConfig};
-        let corpus = Corpus::generate(&CorpusConfig {
-            n_docs: 3_000,
-            vocab: 2_000,
-            seed: 78,
-            ..Default::default()
-        });
-        let ix = InvertedIndex::build(&corpus.docs);
-        // The canonical MaxScore-friendly shape: a rare, high-idf term
-        // plus a very common one. The common list turns non-essential as
-        // soon as the top-k fills with rare-term matches, and its tail is
-        // skipped rather than traversed.
-        let rare = (0..2_000u32)
-            .rev()
-            .find(|&t| ix.df(t) >= 3)
-            .expect("some rare term");
-        let terms = vec![0u32, rare];
-        let (_, full_cost) = ix.search(&terms, QueryMode::Or, 3);
-        let (_, pruned_cost) = ix.search_or_pruned(&terms, 3);
-        assert!(
-            pruned_cost < full_cost,
-            "pruned {pruned_cost} should beat exhaustive {full_cost} (rare term {rare})"
+        assert_eq!(ix.cost(&[0], QueryMode::Or), 2);
+        assert_eq!(
+            ix.cost(&[0, 1, 2], QueryMode::Or),
+            (ix.df(0) + ix.df(1) + ix.df(2)) as u64
         );
     }
 
     #[test]
-    fn pruned_or_edge_cases() {
+    fn and_cost_walks_the_rarest_list_and_gallops() {
         let ix = InvertedIndex::build(&docs());
-        let (hits, cost) = ix.search_or_pruned(&[], 10);
-        assert!(hits.is_empty());
-        assert_eq!(cost, 0);
-        let (hits, _) = ix.search_or_pruned(&[42], 10);
-        assert!(hits.is_empty());
-        let (hits, _) = ix.search_or_pruned(&[0], 0);
-        assert!(hits.is_empty());
-        let empty = InvertedIndex::build(&[]);
-        let (hits, _) = empty.search_or_pruned(&[0], 10);
-        assert!(hits.is_empty());
+        // Rarest list [3] = {doc2}: one candidate, then one probe finds it
+        // in [0] = {doc0, doc2}.
+        assert_eq!(ix.cost(&[0, 3], QueryMode::And), 2);
+        // In [1] = {doc0, doc1} the gallop steps past the end (one probe)
+        // and misses in a one-posting window (one more).
+        assert_eq!(ix.cost(&[1, 3], QueryMode::And), 3);
+        // Two lists of equal length: [0] drives, each candidate costs one
+        // plus one probe into [2] — here as much as the OR walk.
+        assert_eq!(ix.cost(&[0, 2], QueryMode::And), 4);
+        assert_eq!(ix.cost(&[0, 2], QueryMode::Or), 4);
+    }
+
+    #[test]
+    fn missing_terms_and_empty_queries_cost_nothing() {
+        let ix = InvertedIndex::build(&docs());
+        assert_eq!(ix.cost(&[42], QueryMode::Or), 0);
+        assert_eq!(ix.cost(&[42, 0], QueryMode::And), 0);
+        assert_eq!(ix.cost(&[], QueryMode::Or), 0);
+        assert_eq!(ix.cost(&[], QueryMode::And), 0);
+        assert_eq!(InvertedIndex::build(&[]).cost(&[0], QueryMode::Or), 0);
     }
 
     #[test]
     fn duplicate_query_terms_are_collapsed() {
         let ix = InvertedIndex::build(&docs());
-        let (a, _) = ix.search(&[0, 0, 0], QueryMode::Or, 10);
-        let (b, _) = ix.search(&[0], QueryMode::Or, 10);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn compressed_size_is_populated() {
-        let ix = InvertedIndex::build(&docs());
-        assert!(ix.compressed_postings_bytes() > 0);
-        assert!(ix.size_bytes() > ix.compressed_postings_bytes());
+        for mode in [QueryMode::Or, QueryMode::And] {
+            assert_eq!(ix.cost(&[0, 0, 2, 0], mode), ix.cost(&[0, 2], mode));
+        }
     }
 
     #[test]
@@ -571,11 +239,11 @@ mod tests {
             .map(|&d| Posting { doc: d, tf: d })
             .collect();
         let mut cost = 0;
-        assert_eq!(gallop(&list, 9, &mut cost), Some(9));
-        assert_eq!(gallop(&list, 10, &mut cost), None);
-        assert_eq!(gallop(&list, 2, &mut cost), Some(2));
-        assert_eq!(gallop(&list, 20, &mut cost), Some(20));
-        assert_eq!(gallop(&list, 21, &mut cost), None);
+        assert!(gallop(&list, 9, &mut cost));
+        assert!(!gallop(&list, 10, &mut cost));
+        assert!(gallop(&list, 2, &mut cost));
+        assert!(gallop(&list, 20, &mut cost));
+        assert!(!gallop(&list, 21, &mut cost));
         assert!(cost > 0);
     }
 }

@@ -14,8 +14,8 @@
 //! load is the objective the paper minimizes.
 
 use rex_cluster::metrics::nearest_rank_percentiles;
+use rex_cluster::service::latency_factor;
 use rex_cluster::{Instance, MigrationPlan, ResourceVec};
-use serde::Serialize;
 
 /// QoS model parameters.
 #[derive(Clone, Copy, Debug)]
@@ -32,7 +32,7 @@ impl Default for QosConfig {
 }
 
 /// Latency profile of a migration.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct QosReport {
     /// Relative fan-out latency before the migration starts.
     pub before: f64,
@@ -65,15 +65,15 @@ impl QosReport {
 }
 
 /// Straggler latency of a usage state: `max_m 1/(1 − min(load_m, ρ_max))`
-/// over occupied machines.
+/// over occupied machines ([`latency_factor`]).
 fn fanout_latency(inst: &Instance, usage: &[ResourceVec], cfg: &QosConfig) -> f64 {
     let mut worst: f64 = 1.0;
     for (m, u) in usage.iter().enumerate() {
         if u.is_zero() {
             continue; // vacant machines serve nothing
         }
-        let rho = u.max_ratio(&inst.machines[m].capacity).min(cfg.rho_max);
-        worst = worst.max(1.0 / (1.0 - rho));
+        let rho = u.max_ratio(&inst.machines[m].capacity);
+        worst = worst.max(latency_factor(rho, cfg.rho_max));
     }
     worst
 }

@@ -1,30 +1,26 @@
 //! Synthetic query logs.
 //!
-//! Production query logs differ from the corpus in two load-bearing ways we
+//! Production query logs differ from the corpus in a load-bearing way we
 //! reproduce: query-term popularity follows its *own* Zipf law (typically
-//! more skewed than the corpus), and traffic intensity follows a diurnal
-//! curve. Both knobs shape the per-shard CPU demand the bridge extracts.
+//! more skewed than the corpus). That skew, with the mix of OR and AND
+//! queries, shapes the per-shard CPU demand the bridge extracts.
 
 use crate::index::QueryMode;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rex_cluster::service::DIURNAL;
 use rex_cluster::Zipf;
-use serde::{Deserialize, Serialize};
 
 /// One query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Query {
     /// Term ids.
     pub terms: Vec<u32>,
     /// Evaluation mode.
     pub mode: QueryMode,
-    /// Hour-of-day slot `0..24` the query arrives in.
-    pub hour: u8,
 }
 
 /// Query-log generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QueryConfig {
     /// Number of queries.
     pub n_queries: usize,
@@ -68,17 +64,6 @@ impl QueryLog {
         assert!((0.0..=1.0).contains(&cfg.and_fraction));
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let zipf = Zipf::new(cfg.vocab, cfg.term_alpha);
-
-        // Hour sampler from the diurnal profile.
-        let total: f64 = DIURNAL.iter().sum();
-        let mut hour_cdf = [0.0f64; 24];
-        let mut acc = 0.0;
-        for (h, &w) in DIURNAL.iter().enumerate() {
-            acc += w / total;
-            hour_cdf[h] = acc;
-        }
-        hour_cdf[23] = 1.0;
-
         let queries = (0..cfg.n_queries)
             .map(|_| {
                 // Geometric-ish length: P(len = l) halves per extra term.
@@ -93,31 +78,13 @@ impl QueryLog {
                 } else {
                     QueryMode::Or
                 };
-                let u = rng.random::<f64>();
-                let hour = hour_cdf.iter().position(|&c| u <= c).unwrap_or(23) as u8;
-                Query { terms, mode, hour }
+                // The draw that once picked the query's arrival hour: kept
+                // so every later query keeps its terms and mode.
+                let _: f64 = rng.random();
+                Query { terms, mode }
             })
             .collect();
         Self { queries }
-    }
-
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// True when the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// Queries per hour-of-day.
-    pub fn hourly_histogram(&self) -> [usize; 24] {
-        let mut h = [0usize; 24];
-        for q in &self.queries {
-            h[q.hour as usize] += 1;
-        }
-        h
     }
 }
 
@@ -137,20 +104,11 @@ mod tests {
     #[test]
     fn generation_shape() {
         let log = QueryLog::generate(&cfg());
-        assert_eq!(log.len(), 5_000);
-        assert!(!log.is_empty());
+        assert_eq!(log.queries.len(), 5_000);
         for q in &log.queries {
             assert!(!q.terms.is_empty() && q.terms.len() <= 5);
             assert!(q.terms.iter().all(|&t| (t as usize) < 1_000));
-            assert!(q.hour < 24);
         }
-    }
-
-    #[test]
-    fn deterministic() {
-        let a = QueryLog::generate(&cfg());
-        let b = QueryLog::generate(&cfg());
-        assert_eq!(a.queries, b.queries);
     }
 
     #[test]
@@ -164,7 +122,7 @@ mod tests {
             .iter()
             .filter(|q| q.mode == QueryMode::And)
             .count();
-        let frac = ands as f64 / log.len() as f64;
+        let frac = ands as f64 / log.queries.len() as f64;
         assert!((0.25..0.35).contains(&frac), "frac={frac}");
     }
 
@@ -175,17 +133,6 @@ mod tests {
             ..cfg()
         });
         assert!(log.queries.iter().all(|q| q.mode == QueryMode::Or));
-    }
-
-    #[test]
-    fn diurnal_peak_beats_trough() {
-        let log = QueryLog::generate(&QueryConfig {
-            n_queries: 20_000,
-            ..cfg()
-        });
-        let h = log.hourly_histogram();
-        // Hour 9 (weight 1.7) should see several times hour 2 (weight 0.2).
-        assert!(h[9] > 3 * h[2], "h9={} h2={}", h[9], h[2]);
     }
 
     #[test]
@@ -205,7 +152,7 @@ mod tests {
         let log = QueryLog::generate(&cfg());
         let ones = log.queries.iter().filter(|q| q.terms.len() == 1).count();
         assert!(
-            ones * 2 > log.len(),
+            ones * 2 > log.queries.len(),
             "single-term queries should be the majority"
         );
     }

@@ -1,67 +1,34 @@
 //! Document partitioning into index shards.
 
-use serde::{Deserialize, Serialize};
-
-/// How documents are split across shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardingStrategy {
-    /// Hash partitioning: doc `d` → shard `hash(d) % n` — shards get
-    /// statistically similar slices (the production default).
-    Hash,
-    /// Range partitioning: equal contiguous doc-id ranges.
-    Range,
-    /// Skewed range partitioning: contiguous ranges whose sizes follow a
-    /// power law (`size_i ∝ 1/(i+1)^0.7`) — modeling index shards built
-    /// from crawl segments or verticals of very different sizes. This is
-    /// what produces the heavy-tailed per-shard demands that make
-    /// balancing interesting.
-    SkewedRange,
-}
-
-/// Fibonacci-hash of a document id (good avalanche for sequential ids).
-#[inline]
-fn hash_doc(d: usize) -> u64 {
-    (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Assigns each document to a shard; returns `shard_of[d]`.
-pub fn partition(n_docs: usize, n_shards: usize, strategy: ShardingStrategy) -> Vec<u32> {
+///
+/// Shards are contiguous doc-id ranges whose sizes follow a power law
+/// (`size_i ∝ 1/(i+1)^0.7`, largest first) — modeling index shards built
+/// from crawl segments or verticals of very different sizes. This is what
+/// produces the heavy-tailed per-shard demands that make balancing
+/// interesting. With fewer documents than shards, some shards stay empty.
+pub fn partition(n_docs: usize, n_shards: usize) -> Vec<u32> {
     assert!(n_shards > 0, "need at least one shard");
-    match strategy {
-        ShardingStrategy::Hash => (0..n_docs)
-            .map(|d| (hash_doc(d) % n_shards as u64) as u32)
-            .collect(),
-        ShardingStrategy::Range => {
-            // Ceil-sized contiguous ranges.
-            let per = n_docs.div_ceil(n_shards).max(1);
-            (0..n_docs)
-                .map(|d| ((d / per) as u32).min(n_shards as u32 - 1))
-                .collect()
-        }
-        ShardingStrategy::SkewedRange => {
-            // Power-law range sizes, largest first.
-            let weights: Vec<f64> = (0..n_shards)
-                .map(|i| 1.0 / ((i + 1) as f64).powf(0.7))
-                .collect();
-            let total: f64 = weights.iter().sum();
-            let mut boundaries = Vec::with_capacity(n_shards);
-            let mut acc = 0.0;
-            for w in &weights {
-                acc += w / total;
-                boundaries.push((acc * n_docs as f64).round() as usize);
-            }
-            *boundaries.last_mut().expect("non-empty") = n_docs;
-            let mut out = Vec::with_capacity(n_docs);
-            let mut shard = 0usize;
-            for d in 0..n_docs {
-                while d >= boundaries[shard] && shard + 1 < n_shards {
-                    shard += 1;
-                }
-                out.push(shard as u32);
-            }
-            out
-        }
+    let weights: Vec<f64> = (0..n_shards)
+        .map(|i| 1.0 / ((i + 1) as f64).powf(0.7))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut boundaries = Vec::with_capacity(n_shards);
+    let mut acc = 0.0;
+    for w in &weights {
+        acc += w / total;
+        boundaries.push((acc * n_docs as f64).round() as usize);
     }
+    boundaries[n_shards - 1] = n_docs;
+    let mut out = Vec::with_capacity(n_docs);
+    let mut shard = 0usize;
+    for d in 0..n_docs {
+        while d >= boundaries[shard] && shard + 1 < n_shards {
+            shard += 1;
+        }
+        out.push(shard as u32);
+    }
+    out
 }
 
 /// Groups documents by shard: `out[shard]` = the shard's document contents.
@@ -80,51 +47,17 @@ mod tests {
 
     #[test]
     fn every_doc_gets_a_shard() {
-        for strategy in [
-            ShardingStrategy::Hash,
-            ShardingStrategy::Range,
-            ShardingStrategy::SkewedRange,
-        ] {
-            let p = partition(1000, 7, strategy);
-            assert_eq!(p.len(), 1000);
-            assert!(p.iter().all(|&s| s < 7));
-            // Every shard is non-empty at this scale.
-            for s in 0..7 {
-                assert!(p.contains(&s), "{strategy:?} left shard {s} empty");
-            }
+        let p = partition(1000, 7);
+        assert_eq!(p.len(), 1000);
+        // Every shard is non-empty at this scale.
+        for s in 0..7 {
+            assert!(p.contains(&s), "shard {s} left empty");
         }
     }
 
     #[test]
-    fn hash_partitioning_is_roughly_even() {
-        let p = partition(10_000, 10, ShardingStrategy::Hash);
-        let mut counts = [0usize; 10];
-        for &s in &p {
-            counts[s as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((800..1200).contains(&c), "counts {counts:?}");
-        }
-    }
-
-    #[test]
-    fn range_partitioning_is_contiguous() {
-        let p = partition(100, 4, ShardingStrategy::Range);
-        assert!(p.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(p[0], 0);
-        assert_eq!(p[99], 3);
-    }
-
-    #[test]
-    fn range_handles_non_divisible_counts() {
-        let p = partition(10, 3, ShardingStrategy::Range);
-        assert!(p.iter().all(|&s| s < 3));
-        assert_eq!(p.iter().filter(|&&s| s == 0).count(), 4);
-    }
-
-    #[test]
-    fn skewed_range_sizes_follow_power_law() {
-        let p = partition(10_000, 8, ShardingStrategy::SkewedRange);
+    fn sizes_follow_power_law() {
+        let p = partition(10_000, 8);
         let mut counts = vec![0usize; 8];
         for &s in &p {
             counts[s as usize] += 1;
@@ -150,12 +83,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_shards_panics() {
-        partition(10, 0, ShardingStrategy::Hash);
+        partition(10, 0);
     }
 
     #[test]
-    fn more_shards_than_docs() {
-        let p = partition(3, 8, ShardingStrategy::Range);
-        assert_eq!(p, vec![0, 1, 2]);
+    fn more_shards_than_docs_leaves_some_empty() {
+        let p = partition(3, 8);
+        assert_eq!(p.len(), 3);
+        assert!(p.windows(2).all(|w| w[0] < w[1]));
+        assert!(p.iter().all(|&s| s < 8));
     }
 }

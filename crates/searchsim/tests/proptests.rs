@@ -1,70 +1,11 @@
 //! Property-based tests for the search-engine substrate.
 
 use proptest::prelude::*;
-use rex_searchsim::compress::{varbyte_decode, varbyte_encode, CompressedPostings};
-use rex_searchsim::index::{InvertedIndex, Posting, QueryMode};
+use rex_searchsim::index::{InvertedIndex, QueryMode};
 use rex_searchsim::shards::group_docs;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Varbyte round-trips any u64 sequence.
-    #[test]
-    fn varbyte_roundtrip(values in proptest::collection::vec(any::<u64>(), 0..64)) {
-        let mut buf = Vec::new();
-        for &v in &values {
-            varbyte_encode(v, &mut buf);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            let (back, next) = varbyte_decode(&buf, pos).expect("self-encoded data decodes");
-            prop_assert_eq!(back, v);
-            pos = next;
-        }
-        prop_assert_eq!(pos, buf.len());
-    }
-
-    /// Posting compression round-trips arbitrary sorted lists.
-    #[test]
-    fn postings_roundtrip(
-        gaps in proptest::collection::vec(1u32..10_000, 0..200),
-        tfs in proptest::collection::vec(1u32..500, 0..200),
-    ) {
-        let n = gaps.len().min(tfs.len());
-        let mut doc = 0u32;
-        let mut list = Vec::with_capacity(n);
-        for i in 0..n {
-            doc = doc.saturating_add(gaps[i]);
-            list.push(Posting { doc, tf: tfs[i] });
-        }
-        let c = CompressedPostings::compress(&list);
-        prop_assert_eq!(c.decompress(), list.clone());
-        let streamed: Vec<Posting> = c.iter().collect();
-        prop_assert_eq!(streamed, list);
-    }
-
-    /// MaxScore returns exactly the exhaustive top-k scores (rank safety)
-    /// on random tiny corpora and random queries.
-    #[test]
-    fn maxscore_is_rank_safe(
-        seed in any::<u64>(),
-        term_picks in proptest::collection::vec(0u32..60, 1..5),
-        k in 1usize..12,
-    ) {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let docs: Vec<Vec<u32>> = (0..rng.random_range(1..80))
-            .map(|_| {
-                (0..rng.random_range(1..30)).map(|_| rng.random_range(0..60u32)).collect()
-            })
-            .collect();
-        let ix = InvertedIndex::build(&docs);
-        let (full, _) = ix.search(&term_picks, QueryMode::Or, k);
-        let (pruned, _) = ix.search_or_pruned(&term_picks, k);
-        let fs: Vec<String> = full.iter().map(|r| format!("{:.9}", r.score)).collect();
-        let ps: Vec<String> = pruned.iter().map(|r| format!("{:.9}", r.score)).collect();
-        prop_assert_eq!(fs, ps);
-    }
 
     /// OR cost is Σ df over the query's distinct terms, and df is additive
     /// over a document partition: the shards' costs sum to the unsharded
@@ -83,29 +24,9 @@ proptest! {
         let shard_of: Vec<u32> = docs.iter().map(|_| rng.random_range(0..n_shards as u32)).collect();
         let sharded: u64 = group_docs(&docs, &shard_of, n_shards)
             .iter()
-            .map(|d| InvertedIndex::build(d).search(&terms, QueryMode::Or, 10).1)
+            .map(|d| InvertedIndex::build(d).cost(&terms, QueryMode::Or))
             .sum();
-        let whole = InvertedIndex::build(&docs).search(&terms, QueryMode::Or, 10).1;
+        let whole = InvertedIndex::build(&docs).cost(&terms, QueryMode::Or);
         prop_assert_eq!(sharded, whole);
-    }
-
-    /// Conjunctive results are a subset of disjunctive results' documents.
-    #[test]
-    fn and_is_subset_of_or(
-        seed in any::<u64>(),
-        terms in proptest::collection::vec(0u32..40, 1..4),
-    ) {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let docs: Vec<Vec<u32>> = (0..60)
-            .map(|_| (0..rng.random_range(1..20)).map(|_| rng.random_range(0..40u32)).collect())
-            .collect();
-        let ix = InvertedIndex::build(&docs);
-        let (or_hits, _) = ix.search(&terms, QueryMode::Or, usize::MAX);
-        let (and_hits, _) = ix.search(&terms, QueryMode::And, usize::MAX);
-        let or_docs: std::collections::HashSet<u32> = or_hits.iter().map(|r| r.doc).collect();
-        for h in and_hits {
-            prop_assert!(or_docs.contains(&h.doc));
-        }
     }
 }

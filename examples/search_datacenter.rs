@@ -34,7 +34,6 @@ fn main() {
         n_exchange: 2,
         stringency: 0.82,
         alpha: 0.15,
-        ..Default::default()
     };
     println!("building corpus, index, and query workload…");
     let inst = build_instance(&cfg).expect("bridge pipeline");
