@@ -185,8 +185,9 @@ gate help rex --help
 export REX_QUICK=1
 test -s "$work/t1/help.stdout"
 # E1's last row is the search-derived instance, so its stdout gates the
-# whole bridge (corpus, index, parallel query replay, normalization).
-for e in workloads qos closed_loop hotshard routing convergence heterogeneous longrun; do
+# whole bridge (corpus, index, parallel query replay, normalization). E5
+# and E11 print `time_plan`'s makespans, E11 the in-flight latency profile.
+for e in workloads migration qos closed_loop hotshard routing convergence heterogeneous longrun; do
     gate "exp_$e" exp "$e"
     test -s "$work/t1/exp_$e.stdout"
 done
