@@ -12,10 +12,9 @@
 
 use crate::{f2, instance, scaled, scaled_fleet, sra_cfg, synth, Table};
 use rex_baselines::{GreedyRebalancer, Rebalancer};
-use rex_cluster::migration::timeline::{time_plan, TimelineConfig};
+use rex_cluster::migration::timeline::{latency_profile, time_plan, TimelineConfig};
 use rex_cluster::{plan_migration, Instance, MigrationPlan, PlannerConfig};
 use rex_core::solve;
-use rex_searchsim::qos::{qos_of_plan, QosConfig};
 use rex_workload::synthetic::SynthConfig;
 
 pub fn run() {
@@ -61,7 +60,7 @@ pub fn run() {
 /// One schedule's row: its target's peak, batches, modelled makespan at one
 /// traffic unit per second per NIC plus 2 s per batch, and its latency profile.
 fn schedule_row(inst: &Instance, name: &str, peak: f64, plan: &MigrationPlan) -> Vec<String> {
-    let q = qos_of_plan(inst, plan, &QosConfig::default());
+    let q = latency_profile(inst, plan);
     let tl_cfg = TimelineConfig {
         machine_bandwidth: 1.0,
         batch_overhead_secs: 2.0,

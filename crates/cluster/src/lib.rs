@@ -14,8 +14,11 @@
 //!   transient migration-overhead factor,
 //! * [`Assignment`] — a mutable placement with incrementally maintained
 //!   per-machine usage, supporting O(D) moves and load queries,
-//! * [`migration`] — the transient-resource-aware migration planner and the
-//!   independent step simulator that verifies any produced schedule,
+//! * [`migration`] — the transient-resource-aware migration planner, the
+//!   independent step simulator that verifies any produced schedule, and
+//!   what a schedule costs while it runs: its wall-clock timing and the
+//!   straggler-latency profile of its in-flight batches
+//!   ([`migration::timeline`]),
 //! * [`metrics`] — balance metrics (peak load, imbalance, Jain fairness),
 //!   migration statistics and the nearest-rank latency percentiles,
 //! * [`service`] / [`zipf`] — what both simulation engines and the workload

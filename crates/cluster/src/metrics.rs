@@ -311,6 +311,10 @@ mod tests {
         let stream: Vec<f64> = (1..=101).rev().map(|i| i as f64).collect();
         let (p50, p95, p99) = nearest_rank_percentiles(&stream);
         assert_eq!((p50, p95, p99), (51.0, 96.0, 100.0));
+        // n = 20: rank(95) = 19 lands one below the max; rank(99) = 20.
+        let stream: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        let (p50, p95, p99) = nearest_rank_percentiles(&stream);
+        assert_eq!((p50, p95, p99), (10.0, 19.0, 20.0));
     }
 
     #[test]

@@ -39,9 +39,11 @@ pub mod timeline;
 
 pub use plan::{plan_migration, Planner, PlannerConfig};
 pub use sim::verify_schedule;
-pub use timeline::{time_plan, Timeline, TimelineConfig};
+pub use timeline::{latency_profile, time_plan, QosReport, Timeline, TimelineConfig};
 
+use crate::instance::Instance;
 use crate::machine::MachineId;
+use crate::resources::ResourceVec;
 use crate::shard::ShardId;
 use serde::{Deserialize, Serialize};
 
@@ -76,7 +78,7 @@ impl MigrationPlan {
 
     /// Total migration traffic: the sum of `move_cost` over every executed
     /// move. A shard staged through an intermediate machine pays twice.
-    pub fn total_cost(&self, inst: &crate::instance::Instance) -> f64 {
+    pub fn total_cost(&self, inst: &Instance) -> f64 {
         self.batches
             .iter()
             .flatten()
@@ -98,6 +100,21 @@ impl MigrationPlan {
     /// Iterates over all moves in execution order.
     pub fn moves(&self) -> impl Iterator<Item = &Move> {
         self.batches.iter().flatten()
+    }
+}
+
+/// Adds the transient footprint of `batch` into `out` (one entry per
+/// machine): `(1+α)·d` on each target, then `α·d` on its source, move by
+/// move in batch order. The runtime executor, its event-boundary check and
+/// [`timeline::latency_profile`] all read this one footprint;
+/// [`verify_schedule`] and the planner keep their own arithmetic, so each
+/// cross-checks the others.
+pub fn batch_footprint(inst: &Instance, batch: &[Move], out: &mut [ResourceVec]) {
+    let alpha = inst.alpha;
+    for mv in batch {
+        let d = &inst.shards[mv.shard.idx()].demand;
+        out[mv.to.idx()] += &d.scaled(1.0 + alpha);
+        out[mv.from.idx()] += &d.scaled(alpha);
     }
 }
 
@@ -149,5 +166,27 @@ mod tests {
         assert_eq!(plan.n_moves(), 0);
         assert_eq!(plan.n_batches(), 0);
         assert_eq!(plan.extra_hops(), 0);
+    }
+
+    #[test]
+    fn footprint_charges_both_sides() {
+        let mut b = InstanceBuilder::new(1).alpha(0.5);
+        let m0 = b.machine(&[10.0]);
+        let m1 = b.machine(&[10.0]);
+        b.shard(&[4.0], 1.0, m0);
+        let inst = b.build().unwrap();
+        let mv = Move {
+            shard: ShardId(0),
+            from: m0,
+            to: m1,
+        };
+        let mut fp = vec![ResourceVec::zero(1); 2];
+        batch_footprint(&inst, &[mv], &mut fp);
+        assert!((fp[0].as_slice()[0] - 2.0).abs() < 1e-12); // α·d
+        assert!((fp[1].as_slice()[0] - 6.0).abs() < 1e-12); // (1+α)·d
+
+        // It adds into `out`: a second call doubles the footprint.
+        batch_footprint(&inst, &[mv], &mut fp);
+        assert!((fp[1].as_slice()[0] - 12.0).abs() < 1e-12);
     }
 }

@@ -1,21 +1,23 @@
 //! Timed execution of migration plans inside the event loop.
 //!
-//! A plan's batches execute sequentially; a batch lasts as long as its
-//! busiest NIC needs (`(bytes_in + bytes_out) / copy_bandwidth`, the same
-//! half-duplex model as `rex_cluster::migration::timeline`) plus a fixed
-//! coordination overhead. While a batch is in flight its transient
-//! footprint — `(1+α)·d` on the target, `α·d` on the source — is added to
-//! the machines' effective load, and the footprint is **constant for the
-//! whole batch**: copies start at the batch boundary and the commit happens
-//! at the next boundary. Event boundaries (batch starts and batch ends) are
+//! A plan's batches execute sequentially; a batch lasts as many ticks as
+//! [`time_plan`] gives it seconds (busiest NIC's `(bytes_in + bytes_out) /
+//! copy_bandwidth`), rounded up, plus a fixed coordination overhead. While
+//! a batch is in flight its transient footprint ([`batch_footprint`]:
+//! `(1+α)·d` on the target, `α·d` on the source) is added to the machines'
+//! effective load, and the footprint is **constant for the whole batch**:
+//! copies start at the batch boundary and the commit happens at the next
+//! boundary. Event boundaries (batch starts and batch ends) are
 //! therefore the only instants where the usage state changes, and checking
 //! the transient constraint there checks it everywhere.
 //!
-//! [`verify_event_boundaries`] re-derives that check from scratch (a third
-//! independent implementation of the transient semantics, next to the
-//! planner's reservations and `verify_schedule`'s replay) so property tests
-//! can cross-examine all three.
+//! [`verify_event_boundaries`] re-derives that check from the footprint
+//! the executor charges (a third implementation of the transient
+//! semantics, independent of the planner's reservations and
+//! `verify_schedule`'s replay) so property tests can cross-examine all
+//! three.
 
+use rex_cluster::migration::{batch_footprint, time_plan, TimelineConfig};
 use rex_cluster::{Instance, MachineId, MigrationPlan, ResourceVec};
 
 /// Why a migration plan was adopted.
@@ -57,44 +59,26 @@ pub struct PlannedMigration {
     pub kind: MigrationKind,
 }
 
-/// Per-batch durations in ticks: busiest NIC's bytes over `copy_bandwidth`,
-/// rounded up, plus `overhead_ticks`, and at least one tick — a batch can
-/// never commit at the instant it starts.
+/// Per-batch durations in ticks: [`time_plan`]'s seconds at
+/// `copy_bandwidth` (no per-batch overhead), rounded up, plus
+/// `overhead_ticks`, and at least one tick — a batch can never commit at
+/// the instant it starts.
+///
+/// # Panics
+/// If `copy_bandwidth` is not positive.
 pub fn batch_durations(
     inst: &Instance,
     plan: &MigrationPlan,
     copy_bandwidth: f64,
     overhead_ticks: u64,
 ) -> Vec<u64> {
-    assert!(copy_bandwidth > 0.0, "copy bandwidth must be positive");
-    let mut out = Vec::with_capacity(plan.batches.len());
-    let mut nic = vec![0.0f64; inst.n_machines()];
-    for batch in &plan.batches {
-        for x in nic.iter_mut() {
-            *x = 0.0;
-        }
-        for mv in batch {
-            let bytes = inst.shards[mv.shard.idx()].move_cost;
-            nic[mv.from.idx()] += bytes;
-            nic[mv.to.idx()] += bytes;
-        }
-        let busiest = nic.iter().cloned().fold(0.0f64, f64::max);
-        let ticks = (busiest / copy_bandwidth).ceil() as u64 + overhead_ticks;
-        out.push(ticks.max(1));
-    }
-    out
-}
-
-/// Writes the transient footprint of `batch` into `out` (which must be
-/// zeroed, one entry per machine): `(1+α)·d` on each target, `α·d` on each
-/// source.
-pub fn batch_footprint(inst: &Instance, batch: &[rex_cluster::Move], out: &mut [ResourceVec]) {
-    let alpha = inst.alpha;
-    for mv in batch {
-        let d = &inst.shards[mv.shard.idx()].demand;
-        out[mv.to.idx()] += &d.scaled(1.0 + alpha);
-        out[mv.from.idx()] += &d.scaled(alpha);
-    }
+    let cfg = TimelineConfig {
+        machine_bandwidth: copy_bandwidth,
+        batch_overhead_secs: 0.0,
+    };
+    let timeline = time_plan(inst, plan, &cfg);
+    let ticks = |secs: f64| (secs.ceil() as u64 + overhead_ticks).max(1);
+    timeline.batch_secs.into_iter().map(ticks).collect()
 }
 
 /// A transient-capacity violation at an event boundary.
@@ -189,19 +173,6 @@ mod tests {
         assert_eq!(batch_durations(&inst, &plan, 2.0, 2), vec![5]);
         // Fractional transfer rounds up; floor of one tick.
         assert_eq!(batch_durations(&inst, &plan, 100.0, 0), vec![1]);
-    }
-
-    #[test]
-    fn footprint_charges_both_sides() {
-        let mut b = InstanceBuilder::new(1).alpha(0.5);
-        let m0 = b.machine(&[10.0]);
-        let _m1 = b.machine(&[10.0]);
-        b.shard(&[4.0], 1.0, m0);
-        let inst = b.build().unwrap();
-        let mut fp = vec![ResourceVec::zero(1); 2];
-        batch_footprint(&inst, &[mv(0, 0, 1)], &mut fp);
-        assert!((fp[0].as_slice()[0] - 2.0).abs() < 1e-12); // α·d
-        assert!((fp[1].as_slice()[0] - 6.0).abs() < 1e-12); // (1+α)·d
     }
 
     #[test]

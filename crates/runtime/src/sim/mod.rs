@@ -50,12 +50,13 @@ mod arrivals;
 use crate::config::{ControllerPolicy, FaultSpec, RuntimeConfig};
 use crate::controller::{plan_evacuation, plan_load_rebalance, Controller};
 use crate::events::{Event, EventQueue};
-use crate::exec::{batch_footprint, MigrationKind, PlannedMigration};
+use crate::exec::{MigrationKind, PlannedMigration};
 use crate::hotshard::{HotShardPlane, PlaneCtx};
 use crate::metrics::{GaugeSample, MetricsBus, MetricsExport, RunMeta};
 use crate::server::{diurnal_multiplier, effective_rho};
 use crate::trace::{ReplayScript, TraceLine};
 use arrivals::{ArrivalPlane, Arrived, EventBackend, TickArrivals};
+use rex_cluster::migration::batch_footprint;
 use rex_cluster::{
     Assignment, BalanceReport, Instance, MachineId, ResourceVec, ScenarioSpec, ShardId,
     WorkloadSpec,

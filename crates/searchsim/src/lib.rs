@@ -27,15 +27,14 @@
 //! The result: shard demand vectors that are heavy-tailed and correlated
 //! across dimensions — the properties that make search-engine rebalancing
 //! hard — produced by an actual retrieval stack rather than drawn from a
-//! distribution. [`qos`] rides along: the straggler-latency profile of a
-//! running migration schedule.
+//! distribution. What a migration costs while it runs (E11's latency
+//! profile) lives beside its timing in `rex_cluster::migration::timeline`.
 
 pub mod bridge;
 pub mod compress;
 pub mod corpus;
 pub mod engine;
 pub mod index;
-pub mod qos;
 pub mod queries;
 pub mod shards;
 

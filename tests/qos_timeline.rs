@@ -2,16 +2,17 @@
 //! pipeline outputs.
 
 use resource_exchange::baselines::{GreedyRebalancer, Rebalancer};
-use resource_exchange::cluster::migration::timeline::{time_plan, TimelineConfig};
+use resource_exchange::cluster::migration::timeline::{
+    latency_profile, time_plan, QosReport, TimelineConfig,
+};
 use resource_exchange::cluster::{plan_migration, Instance, MigrationPlan, PlannerConfig};
 use resource_exchange::core::{solve, SraConfig};
 use resource_exchange::runtime::batch_durations;
 use resource_exchange::workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
-use rex_searchsim::qos::{qos_of_plan, QosConfig, QosReport};
 
 /// The latency profile under the default saturation clamp.
 fn qos(inst: &Instance, plan: &MigrationPlan) -> QosReport {
-    qos_of_plan(inst, plan, &QosConfig::default())
+    latency_profile(inst, plan)
 }
 
 fn instance(alpha: f64) -> Instance {
