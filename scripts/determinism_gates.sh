@@ -118,6 +118,12 @@ gate solve-web-fallback rex solve --inst @out:gen-web-85 --partitions 8 --iters 
 gate solve-depth2 rex solve --inst @out:gen-stringent --partitions 2 --depth 2 --iters 400 --seed 11 --out @out
 gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
 gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out
+# Both deployable baselines and the FFD repack (best-fit decreasing, the
+# loop evacuation shares) on the two 0.90 files.
+for m in greedy local-search ffd; do
+    gate "baseline-$m" rex baseline --inst @out:gen-stringent --method $m
+    gate "baseline-$m-small" rex baseline --inst @out:gen-small --method $m
+done
 
 echo "=== rex simulate ==="
 gate sim rex simulate --ticks 2000 --seed 7 --quiet --out @out --trace @trace
@@ -187,7 +193,10 @@ test -s "$work/t1/help.stdout"
 # E1's last row is the search-derived instance, so its stdout gates the
 # whole bridge (corpus, index, parallel query replay, normalization). E5
 # and E11 print `time_plan`'s makespans, E11 the in-flight latency profile.
-for e in workloads migration qos closed_loop hotshard routing convergence heterogeneous longrun; do
+# E3, E7, E8, E9 and E10 run every baseline or SRA's operators and print no
+# wall-clock column (E2, E4 and E6 do, so they stay out).
+for e in workloads exchange_sweep migration optgap stringency ablation alpha qos \
+    closed_loop hotshard routing convergence heterogeneous longrun; do
     gate "exp_$e" exp "$e"
     test -s "$work/t1/exp_$e.stdout"
 done
