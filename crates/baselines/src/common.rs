@@ -1,7 +1,9 @@
 //! The shared baseline interface.
 
 use rex_cluster::metrics::MigrationStats;
-use rex_cluster::{Assignment, BalanceReport, ClusterError, Instance, MigrationPlan};
+use rex_cluster::{
+    Assignment, BalanceReport, ClusterError, Instance, MachineId, MigrationPlan, ShardId,
+};
 use std::time::Duration;
 
 /// A load-balancing method that transforms an instance's initial placement
@@ -77,12 +79,7 @@ impl RebalanceResult {
 /// Whether a single move of shard `s` (demand `d`) from `f` to `t` is
 /// transiently feasible right now, executed as its own batch: the target
 /// must hold `(1+α)·d` extra and the source `α·d` extra.
-pub fn single_move_feasible(
-    inst: &Instance,
-    asg: &Assignment,
-    s: rex_cluster::ShardId,
-    t: rex_cluster::MachineId,
-) -> bool {
+pub fn single_move_feasible(inst: &Instance, asg: &Assignment, s: ShardId, t: MachineId) -> bool {
     let f = asg.machine_of(s);
     if f == t {
         return false;
@@ -97,18 +94,62 @@ pub fn single_move_feasible(
 /// Machines a no-exchange baseline may place shards on: the original fleet
 /// (exchange machines stay vacant, so the return quota is satisfied by
 /// construction).
-pub fn eligible_machines(inst: &Instance, use_exchange: bool) -> Vec<rex_cluster::MachineId> {
+pub fn eligible_machines(inst: &Instance) -> Vec<MachineId> {
     inst.machines
         .iter()
-        .filter(|m| use_exchange || !m.exchange)
+        .filter(|m| !m.exchange)
         .map(|m| m.id)
         .collect()
+}
+
+/// Best-fit decreasing: detaches `shards` from `asg`, then re-places them
+/// largest demand norm first (ties by id), each on the machine of
+/// `machines` with the lowest load after the add — the first strict
+/// minimum in `machines` order among those it [`Assignment::fits`].
+///
+/// # Errors
+///
+/// The first shard that fits on none of `machines`; `asg` is then left
+/// with that shard and every later one detached.
+pub fn best_fit_decreasing(
+    inst: &Instance,
+    asg: &mut Assignment,
+    mut shards: Vec<ShardId>,
+    machines: &[MachineId],
+) -> Result<(), ShardId> {
+    shards.sort_by(|&a, &b| {
+        inst.demand(b)
+            .norm()
+            .partial_cmp(&inst.demand(a).norm())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    for &s in &shards {
+        asg.detach_shard(inst, s);
+    }
+    for s in shards {
+        let mut best: Option<(MachineId, f64)> = None;
+        for &m in machines {
+            if !asg.fits(inst, s, m) {
+                continue;
+            }
+            let mut u = asg.usage(m);
+            u += inst.demand(s);
+            let load = u.max_ratio(inst.capacity(m));
+            if best.is_none_or(|(_, b)| load < b) {
+                best = Some((m, load));
+            }
+        }
+        let (m, _) = best.ok_or(s)?;
+        asg.attach_shard(inst, s, m);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_cluster::{InstanceBuilder, MachineId, ShardId};
+    use rex_cluster::InstanceBuilder;
 
     fn inst(alpha: f64) -> Instance {
         let mut b = InstanceBuilder::new(1).alpha(alpha);
@@ -157,13 +198,31 @@ mod tests {
     }
 
     #[test]
-    fn eligible_machines_excludes_exchange_by_default() {
+    fn eligible_machines_excludes_exchange() {
         let i = inst(0.0);
+        assert_eq!(eligible_machines(&i), vec![MachineId(0), MachineId(1)]);
+    }
+
+    #[test]
+    fn best_fit_decreasing_places_largest_first_and_reports_misfits() {
+        let mut b = InstanceBuilder::new(1);
+        let m0 = b.machine(&[10.0]);
+        let m1 = b.machine(&[10.0]);
+        b.shard(&[2.0], 1.0, m0);
+        b.shard(&[5.0], 1.0, m0);
+        b.shard(&[4.0], 1.0, m1);
+        let i = b.build().unwrap();
+        // 5 → m0 (a tie: the first minimum), 4 → m1, 2 → m1 (0.6 < 0.7).
+        let all: Vec<ShardId> = (0..3).map(ShardId).collect();
+        let mut asg = Assignment::from_initial(&i);
+        best_fit_decreasing(&i, &mut asg, all.clone(), &[m0, m1]).unwrap();
+        assert_eq!(asg.placement(), &[m1, m0, m1]);
+        // On m0 alone, 5 + 4 leaves no room for the last (smallest) shard.
+        let mut asg = Assignment::from_initial(&i);
         assert_eq!(
-            eligible_machines(&i, false),
-            vec![MachineId(0), MachineId(1)]
+            best_fit_decreasing(&i, &mut asg, all, &[m0]),
+            Err(ShardId(0))
         );
-        assert_eq!(eligible_machines(&i, true).len(), 3);
     }
 
     #[test]

@@ -1,29 +1,25 @@
 //! First-fit-decreasing repack: the transient-oblivious quality bound.
 
-use crate::common::{eligible_machines, RebalanceResult, Rebalancer};
+use crate::common::{best_fit_decreasing, eligible_machines, RebalanceResult, Rebalancer};
 use rex_cluster::{
-    plan_migration, verify_schedule, Assignment, ClusterError, Instance, PlannerConfig, ShardId,
+    plan_migration, verify_schedule, Assignment, ClusterError, Instance, MachineId, PlannerConfig,
+    ShardId,
 };
 use std::time::Instant;
 
 /// Repacks every shard from scratch, largest demand first, each onto the
-/// eligible machine with the lowest resulting load — **ignoring** where
-/// shards currently are and whether the repack could ever be scheduled
-/// under transient constraints.
+/// original-fleet machine with the lowest resulting load — **ignoring**
+/// where shards currently are and whether the repack could ever be
+/// scheduled under transient constraints.
 ///
 /// This is not a deployable method; it answers "how balanced could this
 /// fleet be if migration were free?", which upper-bounds every scheduler
-/// including SRA. After packing, a migration plan is *attempted*; on
-/// stringent instances it routinely deadlocks, and the result is returned
-/// with `schedulable = false` — that gap is the paper's motivation made
-/// visible.
+/// including SRA. After packing, a migration plan is *attempted* with the
+/// default planner; on stringent instances it routinely deadlocks, and the
+/// result is returned with `schedulable = false` — that gap is the paper's
+/// motivation made visible.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FfdRepacker {
-    /// Whether exchange machines may be used.
-    pub use_exchange: bool,
-    /// Planner used for the (best-effort) schedulability attempt.
-    pub planner: PlannerConfig,
-}
+pub struct FfdRepacker;
 
 impl Rebalancer for FfdRepacker {
     fn name(&self) -> &str {
@@ -33,48 +29,21 @@ impl Rebalancer for FfdRepacker {
     fn rebalance(&self, inst: &Instance) -> Result<RebalanceResult, ClusterError> {
         inst.validate()?;
         let start = Instant::now();
-        let machines = eligible_machines(inst, self.use_exchange);
-
-        // Order shards by decreasing demand norm (ties by id: determinism).
-        let mut order: Vec<ShardId> = (0..inst.n_shards()).map(ShardId::from).collect();
-        order.sort_by(|&a, &b| {
-            inst.demand(b)
-                .norm()
-                .partial_cmp(&inst.demand(a).norm())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-
-        // Start from an empty fleet: detach everything, then best-fit.
         let mut asg = Assignment::from_initial(inst);
-        for s in order.iter() {
-            asg.detach_shard(inst, *s);
-        }
-        for &s in &order {
-            let mut best: Option<(rex_cluster::MachineId, f64)> = None;
-            for &m in &machines {
-                if !asg.fits(inst, s, m) {
-                    continue;
-                }
-                let mut u = asg.usage(m);
-                u += inst.demand(s);
-                let load = u.max_ratio(inst.capacity(m));
-                let better = match best {
-                    None => true,
-                    Some((_, b)) => load < b,
-                };
-                if better {
-                    best = Some((m, load));
-                }
+        let all = (0..inst.n_shards()).map(ShardId::from).collect();
+        best_fit_decreasing(inst, &mut asg, all, &eligible_machines(inst)).map_err(|_| {
+            ClusterError::TargetOverload {
+                machine: MachineId(0),
             }
-            let (m, _) = best.ok_or(ClusterError::TargetOverload {
-                machine: rex_cluster::MachineId(0),
-            })?;
-            asg.attach_shard(inst, s, m);
-        }
+        })?;
 
         // Best-effort schedulability.
-        let plan = match plan_migration(inst, &inst.initial, asg.placement(), &self.planner) {
+        let plan = match plan_migration(
+            inst,
+            &inst.initial,
+            asg.placement(),
+            &PlannerConfig::default(),
+        ) {
             Ok(p) => {
                 verify_schedule(inst, &inst.initial, asg.placement(), &p)?;
                 Some(p)
@@ -90,7 +59,7 @@ impl Rebalancer for FfdRepacker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_cluster::{InstanceBuilder, MachineId};
+    use rex_cluster::InstanceBuilder;
 
     #[test]
     fn ffd_reaches_near_optimal_balance() {
@@ -101,7 +70,7 @@ mod tests {
             b.shard(&[w], 1.0, if i % 2 == 0 { m0 } else { m1 });
         }
         let inst = b.build().unwrap();
-        let r = FfdRepacker::default().rebalance(&inst).unwrap();
+        let r = FfdRepacker.rebalance(&inst).unwrap();
         // Total 16 over two machines → ideal 0.8; FFD achieves it here.
         assert!(
             (r.final_report.peak - 0.8).abs() < 1e-9,
@@ -122,7 +91,7 @@ mod tests {
         b.shard(&[5.0], 1.0, m1);
         b.shard(&[4.0], 1.0, m1);
         let inst = b.build().unwrap();
-        let r = FfdRepacker::default().rebalance(&inst).unwrap();
+        let r = FfdRepacker.rebalance(&inst).unwrap();
         // FFD packs 9 alone and 5+4 together (peak 0.9) — identical peak,
         // but the 9-shard may land on m1 requiring an unschedulable shuffle.
         assert!((r.final_report.peak - 0.9).abs() < 1e-9);
@@ -132,7 +101,7 @@ mod tests {
     }
 
     #[test]
-    fn ffd_ignores_exchange_by_default_and_uses_it_when_told() {
+    fn ffd_ignores_exchange_machines() {
         let mut b = InstanceBuilder::new(1);
         let m0 = b.machine(&[10.0]);
         let _m1 = b.machine(&[10.0]);
@@ -141,27 +110,19 @@ mod tests {
             b.shard(&[1.0], 1.0, m0);
         }
         let inst = b.build().unwrap();
-        let without = FfdRepacker::default().rebalance(&inst).unwrap();
-        assert!(without.assignment.is_vacant(MachineId(2)));
-        assert!((without.final_report.peak - 0.5).abs() < 1e-9);
-        let with = FfdRepacker {
-            use_exchange: true,
-            ..Default::default()
-        }
-        .rebalance(&inst)
-        .unwrap();
-        assert!((with.final_report.peak - 0.3).abs() < 1e-9);
+        let r = FfdRepacker.rebalance(&inst).unwrap();
+        assert!(r.assignment.is_vacant(MachineId(2)));
+        assert!((r.final_report.peak - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn ffd_errors_when_a_shard_cannot_fit_anywhere() {
-        // A shard that only fits on the exchange machine, which FFD (in the
-        // faithful no-exchange mode) may not use... such instances cannot be
-        // built (initial placement must be feasible on original machines),
-        // so instead: force failure via use_exchange=false with shards that
-        // only pack onto 3 machines when 2 are eligible. Capacities: the
-        // shards fit initially (4+4 ≤ 10 each) and FFD repacks fine — use
-        // unequal dims to create a genuine failure.
+        // A shard that fits only on the exchange machine, which FFD may not
+        // use... such instances cannot be built (initial placement must be
+        // feasible on original machines), so instead: shards that only pack
+        // onto 3 machines when 2 are eligible. Capacities: the shards fit
+        // initially (4+4 ≤ 10 each) and FFD repacks fine — use unequal
+        // dims to create a genuine failure.
         let mut b = InstanceBuilder::new(2);
         let m0 = b.machine(&[10.0, 2.0]);
         let m1 = b.machine(&[10.0, 2.0]);
@@ -174,7 +135,7 @@ mod tests {
         // must take the other machine, 8-shard is already placed — all fit.
         // This instance packs; assert success rather than failure, and keep
         // the error path covered by the unit test in `repair.rs`.
-        let r = FfdRepacker::default().rebalance(&inst).unwrap();
+        let r = FfdRepacker.rebalance(&inst).unwrap();
         assert!(r.final_report.peak <= 1.0 + 1e-9);
     }
 
@@ -191,8 +152,8 @@ mod tests {
             );
         }
         let inst = b.build().unwrap();
-        let a = FfdRepacker::default().rebalance(&inst).unwrap();
-        let b2 = FfdRepacker::default().rebalance(&inst).unwrap();
+        let a = FfdRepacker.rebalance(&inst).unwrap();
+        let b2 = FfdRepacker.rebalance(&inst).unwrap();
         assert_eq!(a.assignment.placement(), b2.assignment.placement());
     }
 }

@@ -9,25 +9,14 @@ use std::time::Instant;
 /// transiently feasible *executed on its own* (one move per batch — exactly
 /// how cautious production rebalancers ship index shards).
 ///
-/// Stops at the first iteration with no strictly improving feasible move,
-/// or after `max_moves`.
-#[derive(Clone, Copy, Debug)]
-pub struct GreedyRebalancer {
-    /// Upper bound on executed moves.
-    pub max_moves: usize,
-    /// Whether the borrowed exchange machines may be used (the paper's
-    /// baseline does not have them; `false` is the faithful setting).
-    pub use_exchange: bool,
-}
+/// Never uses the borrowed exchange machines (the paper's baseline does
+/// not have them). Stops at the first iteration with no strictly improving
+/// feasible move, or after `MAX_MOVES` (10 000).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GreedyRebalancer;
 
-impl Default for GreedyRebalancer {
-    fn default() -> Self {
-        Self {
-            max_moves: 10_000,
-            use_exchange: false,
-        }
-    }
-}
+/// Upper bound on the moves one greedy rebalance executes.
+const MAX_MOVES: usize = 10_000;
 
 impl Rebalancer for GreedyRebalancer {
     fn name(&self) -> &str {
@@ -37,11 +26,11 @@ impl Rebalancer for GreedyRebalancer {
     fn rebalance(&self, inst: &Instance) -> Result<RebalanceResult, ClusterError> {
         inst.validate()?;
         let start = Instant::now();
-        let targets = eligible_machines(inst, self.use_exchange);
+        let targets = eligible_machines(inst);
         let mut asg = Assignment::from_initial(inst);
         let mut plan = MigrationPlan::default();
 
-        for _ in 0..self.max_moves {
+        for _ in 0..MAX_MOVES {
             // Hottest machine.
             let (hot, hot_load) = match targets
                 .iter()
@@ -127,7 +116,7 @@ mod tests {
     #[test]
     fn greedy_balances_easy_instance() {
         let inst = skewed(0.0);
-        let r = GreedyRebalancer::default().rebalance(&inst).unwrap();
+        let r = GreedyRebalancer.rebalance(&inst).unwrap();
         assert!(r.schedulable);
         // 8 unit shards over two usable machines → 4/4.
         assert!(
@@ -139,35 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_never_uses_exchange_machines_by_default() {
+    fn greedy_never_uses_exchange_machines() {
         let inst = skewed(0.0);
-        let r = GreedyRebalancer::default().rebalance(&inst).unwrap();
+        let r = GreedyRebalancer.rebalance(&inst).unwrap();
         assert!(r.assignment.is_vacant(MachineId(2)));
-    }
-
-    #[test]
-    fn greedy_can_use_exchange_when_allowed() {
-        let inst = skewed(0.0);
-        let r = GreedyRebalancer {
-            use_exchange: true,
-            ..Default::default()
-        }
-        .rebalance(&inst)
-        .unwrap();
-        // 8 shards over three machines → peak 3/10.
-        assert!((r.final_report.peak - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn greedy_respects_move_budget() {
-        let inst = skewed(0.0);
-        let r = GreedyRebalancer {
-            max_moves: 2,
-            ..Default::default()
-        }
-        .rebalance(&inst)
-        .unwrap();
-        assert!(r.migration.total_moves <= 2);
     }
 
     #[test]
@@ -180,7 +144,7 @@ mod tests {
         b.shard(&[9.0], 1.0, m0);
         b.shard(&[5.0], 1.0, m1);
         let inst = b.build().unwrap();
-        let r = GreedyRebalancer::default().rebalance(&inst).unwrap();
+        let r = GreedyRebalancer.rebalance(&inst).unwrap();
         assert_eq!(r.migration.total_moves, 0);
         assert_eq!(r.final_report.peak, r.initial_report.peak);
     }
@@ -188,8 +152,8 @@ mod tests {
     #[test]
     fn greedy_is_deterministic() {
         let inst = skewed(0.1);
-        let a = GreedyRebalancer::default().rebalance(&inst).unwrap();
-        let b = GreedyRebalancer::default().rebalance(&inst).unwrap();
+        let a = GreedyRebalancer.rebalance(&inst).unwrap();
+        let b = GreedyRebalancer.rebalance(&inst).unwrap();
         assert_eq!(a.assignment.placement(), b.assignment.placement());
     }
 }

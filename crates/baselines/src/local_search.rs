@@ -12,29 +12,15 @@ use std::time::Instant;
 /// feasibility. Swaps execute as two sequential single-move batches (in
 /// whichever order is transiently feasible), so even a swap between two
 /// full machines needs a third machine with slack — exactly the limitation
-/// the paper's exchange machines remove.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalSearchRebalancer {
-    /// Upper bound on applied steps (a swap counts as one step, two moves).
-    pub max_steps: usize,
-    /// How many of the hottest machines act as move/swap sources each step.
-    pub top_sources: usize,
-    /// Whether swaps are in the neighborhood.
-    pub allow_swaps: bool,
-    /// Whether exchange machines may be used.
-    pub use_exchange: bool,
-}
+/// the paper's exchange machines remove. Exchange machines are never used.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocalSearchRebalancer;
 
-impl Default for LocalSearchRebalancer {
-    fn default() -> Self {
-        Self {
-            max_steps: 10_000,
-            top_sources: 3,
-            allow_swaps: true,
-            use_exchange: false,
-        }
-    }
-}
+/// Upper bound on applied steps (a swap counts as one step, two moves).
+const MAX_STEPS: usize = 10_000;
+
+/// How many of the hottest machines act as move/swap sources each step.
+const TOP_SOURCES: usize = 3;
 
 /// One candidate step.
 enum Step {
@@ -43,14 +29,6 @@ enum Step {
 }
 
 impl LocalSearchRebalancer {
-    /// Peak load over the eligible machines.
-    fn peak(&self, inst: &Instance, asg: &Assignment, machines: &[MachineId]) -> f64 {
-        machines
-            .iter()
-            .map(|&m| asg.machine_load(inst, m))
-            .fold(0.0, f64::max)
-    }
-
     /// Loads after hypothetically moving `s` to `t`, for the two machines
     /// involved.
     fn move_loads(
@@ -170,24 +148,19 @@ impl Rebalancer for LocalSearchRebalancer {
     fn rebalance(&self, inst: &Instance) -> Result<RebalanceResult, ClusterError> {
         inst.validate()?;
         let start = Instant::now();
-        let machines = eligible_machines(inst, self.use_exchange);
+        let machines = eligible_machines(inst);
         let mut asg = Assignment::from_initial(inst);
         let mut plan = MigrationPlan::default();
 
-        for _ in 0..self.max_steps {
-            let peak = self.peak(inst, &asg, &machines);
-
+        for _ in 0..MAX_STEPS {
             // Sources: the hottest machines.
             let mut by_load: Vec<(f64, MachineId)> = machines
                 .iter()
                 .map(|&m| (asg.machine_load(inst, m), m))
                 .collect();
             by_load.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(std::cmp::Ordering::Equal));
-            let sources: Vec<MachineId> = by_load
-                .iter()
-                .take(self.top_sources)
-                .map(|&(_, m)| m)
-                .collect();
+            let sources: Vec<MachineId> =
+                by_load.iter().take(TOP_SOURCES).map(|&(_, m)| m).collect();
 
             // Collect improving steps, best (lowest local peak) first. A
             // step must strictly reduce the max load of the two machines it
@@ -197,7 +170,6 @@ impl Rebalancer for LocalSearchRebalancer {
             // only capacity-checked — schedulability is probed at apply
             // time, falling through to the next candidate when the two-move
             // sequence cannot be ordered.
-            let _ = peak;
             let mut candidates: Vec<(f64, Step)> = Vec::new();
             for &h in &sources {
                 let load_h = asg.machine_load(inst, h);
@@ -217,18 +189,16 @@ impl Rebalancer for LocalSearchRebalancer {
                         }
                     }
                     // Swaps.
-                    if self.allow_swaps {
-                        for &t in &machines {
-                            if t == h {
-                                continue;
-                            }
-                            let pair_before = load_h.max(asg.machine_load(inst, t));
-                            for &b in asg.shards_on(t) {
-                                if let Some((la, lb)) = self.swap_fits(inst, &asg, s, b) {
-                                    let local = la.max(lb);
-                                    if local + 1e-12 < pair_before {
-                                        candidates.push((local, Step::Swap(s, b)));
-                                    }
+                    for &t in &machines {
+                        if t == h {
+                            continue;
+                        }
+                        let pair_before = load_h.max(asg.machine_load(inst, t));
+                        for &b in asg.shards_on(t) {
+                            if let Some((la, lb)) = self.swap_fits(inst, &asg, s, b) {
+                                let local = la.max(lb);
+                                if local + 1e-12 < pair_before {
+                                    candidates.push((local, Step::Swap(s, b)));
                                 }
                             }
                         }
@@ -288,7 +258,7 @@ mod tests {
             b.shard(&[1.0], 1.0, m0);
         }
         let inst = b.build().unwrap();
-        let r = LocalSearchRebalancer::default().rebalance(&inst).unwrap();
+        let r = LocalSearchRebalancer.rebalance(&inst).unwrap();
         assert!((r.final_report.peak - 0.3).abs() < 1e-9);
         assert!(r.schedulable);
     }
@@ -311,19 +281,7 @@ mod tests {
         b.shard(&[5.0], 1.0, m1);
         b.shard(&[2.0], 1.0, m1);
         let inst = b.build().unwrap();
-
-        let no_swaps = LocalSearchRebalancer {
-            allow_swaps: false,
-            ..Default::default()
-        }
-        .rebalance(&inst)
-        .unwrap();
-        assert!(
-            (no_swaps.final_report.peak - 0.9).abs() < 1e-9,
-            "moves alone cannot improve"
-        );
-
-        let with_swaps = LocalSearchRebalancer::default().rebalance(&inst).unwrap();
+        let with_swaps = LocalSearchRebalancer.rebalance(&inst).unwrap();
         assert!(
             (with_swaps.final_report.peak - 0.8).abs() < 1e-9,
             "swap should reach 0.8, got {}",
@@ -341,26 +299,8 @@ mod tests {
         b.shard(&[9.0], 1.0, m0);
         b.shard(&[8.0], 1.0, m1);
         let inst = b.build().unwrap();
-        let r = LocalSearchRebalancer::default().rebalance(&inst).unwrap();
+        let r = LocalSearchRebalancer.rebalance(&inst).unwrap();
         assert_eq!(r.migration.total_moves, 0);
-    }
-
-    #[test]
-    fn respects_step_budget() {
-        let mut b = InstanceBuilder::new(1);
-        let m0 = b.machine(&[20.0]);
-        let _m1 = b.machine(&[20.0]);
-        for _ in 0..12 {
-            b.shard(&[1.0], 1.0, m0);
-        }
-        let inst = b.build().unwrap();
-        let r = LocalSearchRebalancer {
-            max_steps: 3,
-            ..Default::default()
-        }
-        .rebalance(&inst)
-        .unwrap();
-        assert!(r.migration.total_moves <= 6); // ≤ 2 moves per step
     }
 
     #[test]
@@ -373,8 +313,8 @@ mod tests {
             b.shard(&[1.0 + (i as f64) * 0.3, 0.5], 1.0, host);
         }
         let inst = b.build().unwrap();
-        let a = LocalSearchRebalancer::default().rebalance(&inst).unwrap();
-        let b2 = LocalSearchRebalancer::default().rebalance(&inst).unwrap();
+        let a = LocalSearchRebalancer.rebalance(&inst).unwrap();
+        let b2 = LocalSearchRebalancer.rebalance(&inst).unwrap();
         assert_eq!(a.assignment.placement(), b2.assignment.placement());
     }
 }

@@ -8,16 +8,15 @@ use rex_cluster::{
 };
 use std::time::Instant;
 
-/// Applies `moves` random transiently-feasible shard moves. Any serious
-/// method must beat it; it also doubles as a workload perturber in tests.
+/// Applies `moves` random transiently-feasible shard moves among the
+/// original fleet (exchange machines stay vacant). Any serious method must
+/// beat it; it also doubles as a workload perturber in tests.
 #[derive(Clone, Copy, Debug)]
 pub struct RandomWalkRebalancer {
     /// Number of random moves attempted.
     pub moves: usize,
     /// Deterministic seed.
     pub seed: u64,
-    /// Whether exchange machines may be used.
-    pub use_exchange: bool,
 }
 
 impl Default for RandomWalkRebalancer {
@@ -25,7 +24,6 @@ impl Default for RandomWalkRebalancer {
         Self {
             moves: 100,
             seed: 0,
-            use_exchange: false,
         }
     }
 }
@@ -38,7 +36,7 @@ impl Rebalancer for RandomWalkRebalancer {
     fn rebalance(&self, inst: &Instance) -> Result<RebalanceResult, ClusterError> {
         inst.validate()?;
         let start = Instant::now();
-        let machines = eligible_machines(inst, self.use_exchange);
+        let machines = eligible_machines(inst);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut asg = Assignment::from_initial(inst);
         let mut plan = MigrationPlan::default();
@@ -118,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn never_touches_exchange_machines_by_default() {
+    fn never_touches_exchange_machines() {
         let inst = inst();
         let r = RandomWalkRebalancer {
             moves: 500,

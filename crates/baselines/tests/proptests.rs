@@ -40,9 +40,9 @@ proptest! {
     ) {
         let Some(inst) = build(seed, n_m, n_x, n_s, alpha) else { return Ok(()) };
         let methods: Vec<Box<dyn Rebalancer>> = vec![
-            Box::new(GreedyRebalancer::default()),
-            Box::new(LocalSearchRebalancer::default()),
-            Box::new(RandomWalkRebalancer { moves: 40, seed, ..Default::default() }),
+            Box::new(GreedyRebalancer),
+            Box::new(LocalSearchRebalancer),
+            Box::new(RandomWalkRebalancer { moves: 40, seed }),
         ];
         for m in methods {
             let r = m.rebalance(&inst).unwrap();
@@ -71,7 +71,7 @@ proptest! {
     #[test]
     fn ffd_contract(seed in any::<u64>(), n_s in 6usize..30) {
         let Some(inst) = build(seed, 4, 1, n_s, 0.1) else { return Ok(()) };
-        let ffd = FfdRepacker::default().rebalance(&inst).unwrap();
+        let ffd = FfdRepacker.rebalance(&inst).unwrap();
         prop_assert!(ffd.assignment.is_capacity_feasible(&inst));
         if let Some(plan) = &ffd.plan {
             verify_schedule(&inst, &inst.initial, ffd.assignment.placement(), plan).unwrap();

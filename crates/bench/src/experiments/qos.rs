@@ -44,9 +44,7 @@ pub fn run() {
     }
 
     // Greedy's own (single-move) schedule toward its own, weaker target.
-    let g = GreedyRebalancer::default()
-        .rebalance(&inst)
-        .expect("greedy");
+    let g = GreedyRebalancer.rebalance(&inst).expect("greedy");
     if let Some(plan) = &g.plan {
         let name = "greedy (its own target)";
         t.row(schedule_row(&inst, name, g.final_report.peak, plan));

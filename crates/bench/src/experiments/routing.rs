@@ -70,7 +70,6 @@ fn sra(horizon_us: u64) -> SraCoupling {
     SraCoupling {
         every_us: horizon_us / 10,
         iters: scaled(600) as u64,
-        snapshot_utilization: 0.6,
     }
 }
 

@@ -215,14 +215,10 @@ pub(crate) fn run_all_methods(inst: &Instance, sra_iters: u64, seed: u64) -> Vec
     }];
 
     let baselines: Vec<Box<dyn Rebalancer>> = vec![
-        Box::new(GreedyRebalancer::default()),
-        Box::new(LocalSearchRebalancer::default()),
-        Box::new(FfdRepacker::default()),
-        Box::new(RandomWalkRebalancer {
-            moves: 200,
-            seed,
-            ..Default::default()
-        }),
+        Box::new(GreedyRebalancer),
+        Box::new(LocalSearchRebalancer),
+        Box::new(FfdRepacker),
+        Box::new(RandomWalkRebalancer { moves: 200, seed }),
     ];
     for b in baselines {
         let r = b

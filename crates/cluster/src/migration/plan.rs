@@ -105,7 +105,8 @@ impl Fit {
 /// [`ClusterError::PlanningDeadlock`] if no transient-feasible schedule is
 /// found within the move budget. This genuinely happens in stringent
 /// environments without exchange machines — it is the phenomenon the paper
-/// is about, not a planner bug.
+/// is about, not a planner bug. [`ClusterError::UnknownMachine`] if either
+/// placement names a machine past the fleet.
 pub fn plan_migration(
     inst: &Instance,
     initial: &[MachineId],
@@ -231,7 +232,8 @@ impl<'a> Planner<'a> {
     /// # Errors
     ///
     /// [`ClusterError::BadPlacementLength`] when `target` has the wrong
-    /// length, and [`ClusterError::PlanningDeadlock`] as for
+    /// length, [`ClusterError::UnknownMachine`] when it names a machine
+    /// past the fleet, and [`ClusterError::PlanningDeadlock`] as for
     /// [`plan_migration`].
     pub fn plan(
         &mut self,
@@ -280,6 +282,14 @@ impl<'a> Planner<'a> {
         is_pending.fill(false);
         by_target.iter_mut().for_each(Vec::clear);
         for (i, p) in pending.iter().enumerate() {
+            // Only a pending shard's target can name a machine past the
+            // fleet: every other target is its (validated) initial machine.
+            if p.target.idx() >= inst.n_machines() {
+                return Err(ClusterError::UnknownMachine {
+                    shard: p.shard,
+                    machine: p.target,
+                });
+            }
             is_pending[p.shard.idx()] = true;
             pos[p.shard.idx()] = i as u32;
             by_target[p.target.idx()].push(p.shard);
@@ -1360,6 +1370,30 @@ mod tests {
             &PlannerConfig::default(),
         );
         assert!(matches!(res, Err(ClusterError::BadPlacementLength { .. })));
+    }
+
+    #[test]
+    fn targets_past_the_fleet_are_unknown_machines() {
+        let inst = swap_instance(true);
+        let past = MachineId::from(inst.n_machines());
+        let cfg = PlannerConfig::default();
+        let err = ClusterError::UnknownMachine {
+            shard: ShardId(1),
+            machine: past,
+        };
+        let hostile = [MachineId(1), past];
+        assert_eq!(
+            outcome(plan_migration(&inst, &inst.initial, &hostile, &cfg)),
+            Err(err)
+        );
+        // A planner that rejected one target still plans the next exactly.
+        let mut planner = Planner::new(&inst, &inst.initial).unwrap();
+        assert!(planner.plan(&hostile, &cfg).is_err());
+        let target = swap_target(&inst);
+        assert_eq!(
+            outcome(planner.plan(&target, &cfg)),
+            reference(&inst, &target, &cfg)
+        );
     }
 
     /// The settings every differential target is planned under: unlimited

@@ -18,6 +18,8 @@ use crate::shard::ShardId;
 /// confirms the final state equals `target`.
 ///
 /// Checks per batch:
+/// * each move's `to` is a machine of `inst` ([`ClusterError::UnknownMachine`]
+///   otherwise, as for an `initial` entry past the fleet),
 /// * each move's `from` matches the shard's current location,
 /// * no shard appears twice in one batch, and no move is a self-move,
 /// * for every machine `m`:
@@ -39,16 +41,27 @@ pub fn verify_schedule(
         });
     }
     let alpha = inst.alpha;
+    let unknown = |shard: ShardId, machine: MachineId| {
+        (machine.idx() >= inst.n_machines())
+            .then_some(ClusterError::UnknownMachine { shard, machine })
+    };
     let mut placement = initial.to_vec();
     let mut usage: Vec<ResourceVec> = vec![ResourceVec::zero(inst.dims); inst.n_machines()];
     for (i, &m) in placement.iter().enumerate() {
+        if let Some(e) = unknown(ShardId::from(i), m) {
+            return Err(e);
+        }
         usage[m.idx()] += &inst.shards[i].demand;
     }
 
     for (bi, batch) in plan.batches.iter().enumerate() {
-        // Consistency: sources match, no duplicates, no self-moves.
+        // Consistency: known targets, sources match, no duplicates, no
+        // self-moves.
         let mut seen: Vec<ShardId> = Vec::with_capacity(batch.len());
         for mv in batch {
+            if let Some(e) = unknown(mv.shard, mv.to) {
+                return Err(e);
+            }
             if mv.from == mv.to
                 || mv.shard.idx() >= inst.n_shards()
                 || placement[mv.shard.idx()] != mv.from
@@ -196,6 +209,30 @@ mod tests {
             verify_schedule(&inst, &inst.initial, &[MachineId(2)], &plan),
             Err(ClusterError::InconsistentMove { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_moves_and_placements_past_the_fleet() {
+        let inst = two_machines(0.0);
+        let plan = MigrationPlan {
+            batches: vec![vec![mv(0, 0, 2)]],
+        };
+        let target = vec![MachineId(2), MachineId(1)];
+        assert_eq!(
+            verify_schedule(&inst, &inst.initial, &target, &plan),
+            Err(ClusterError::UnknownMachine {
+                shard: ShardId(0),
+                machine: MachineId(2)
+            })
+        );
+        let initial = vec![MachineId(0), MachineId(7)];
+        assert_eq!(
+            verify_schedule(&inst, &initial, &initial, &MigrationPlan::default()),
+            Err(ClusterError::UnknownMachine {
+                shard: ShardId(1),
+                machine: MachineId(7)
+            })
+        );
     }
 
     #[test]

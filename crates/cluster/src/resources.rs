@@ -209,17 +209,6 @@ impl ResourceVec {
         acc.sqrt()
     }
 
-    /// Component-wise maximum.
-    #[inline]
-    pub fn component_max(&self, other: &ResourceVec) -> ResourceVec {
-        debug_assert_eq!(self.dims, other.dims);
-        let mut out = *self;
-        for i in 0..self.dims as usize {
-            out.vals[i] = out.vals[i].max(other.vals[i]);
-        }
-        out
-    }
-
     /// Component-wise minimum of remaining headroom: `cap - self`, clamped
     /// at zero.
     #[inline]
@@ -448,13 +437,6 @@ mod tests {
         let use_ = ResourceVec::from_slice(&[4.0, 7.0]);
         let h = use_.headroom(&cap);
         assert_eq!(h.as_slice(), &[6.0, 0.0]);
-    }
-
-    #[test]
-    fn component_max_works() {
-        let a = ResourceVec::from_slice(&[1.0, 5.0]);
-        let b = ResourceVec::from_slice(&[3.0, 2.0]);
-        assert_eq!(a.component_max(&b).as_slice(), &[3.0, 5.0]);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! controller's rebalance/evacuation planning, the benches — builds its
 //! configuration through [`SolveOptions`]:
 //!
-//! 1. start from the defaults ([`SolveOptions::new`]) or an existing
-//!    config ([`SolveOptions::from_config`]),
+//! 1. start from the defaults ([`SolveOptions::new`]),
 //! 2. layer overrides on top (controller policy knobs, CLI flags) with the
 //!    chained setters,
 //! 3. validate once at the boundary with [`SolveOptions::build`] (or
@@ -26,16 +25,6 @@ pub enum ConfigError {
     ZeroIterations,
     /// `workers` must be at least 1 (the portfolio needs a worker).
     ZeroWorkers,
-    /// The destroy intensity range must satisfy `0 < lo <= hi <= 1`.
-    BadIntensity {
-        /// Lower bound as given.
-        lo: f64,
-        /// Upper bound as given.
-        hi: f64,
-    },
-    /// `destroy_cap` must be at least 1 — destroying zero shards per
-    /// iteration makes every repair a no-op.
-    ZeroDestroyCap,
     /// The migration-cost weight `lambda` must be finite and non-negative.
     NegativeLambda {
         /// The offending weight.
@@ -67,13 +56,6 @@ impl std::fmt::Display for ConfigError {
         match *self {
             ConfigError::ZeroIterations => write!(f, "iters must be at least 1"),
             ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            ConfigError::BadIntensity { lo, hi } => {
-                write!(
-                    f,
-                    "intensity range ({lo}, {hi}) must satisfy 0 < lo <= hi <= 1"
-                )
-            }
-            ConfigError::ZeroDestroyCap => write!(f, "destroy-cap must be at least 1"),
             ConfigError::NegativeLambda { lambda } => {
                 write!(f, "lambda must be finite and non-negative, got {lambda}")
             }
@@ -113,12 +95,6 @@ impl SolveOptions {
         Self {
             cfg: SraConfig::default(),
         }
-    }
-
-    /// Starts from an existing configuration (e.g. a preset the caller
-    /// already carries) so further layers only override what they own.
-    pub fn from_config(cfg: SraConfig) -> Self {
-        Self { cfg }
     }
 
     /// LNS iteration budget (per worker).
@@ -168,13 +144,6 @@ impl SolveOptions {
         if cfg.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
-        let (lo, hi) = cfg.intensity;
-        if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi && hi <= 1.0) {
-            return Err(ConfigError::BadIntensity { lo, hi });
-        }
-        if cfg.destroy_cap == 0 {
-            return Err(ConfigError::ZeroDestroyCap);
-        }
         let lambda = cfg.objective.lambda;
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(ConfigError::NegativeLambda { lambda });
@@ -216,17 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn layering_keeps_untouched_fields() {
-        let base = SraConfig {
-            destroy_cap: 17,
-            ..Default::default()
-        };
-        let cfg = SolveOptions::from_config(base).iters(123).build().unwrap();
-        assert_eq!(cfg.iters, 123);
-        assert_eq!(cfg.destroy_cap, 17);
-    }
-
-    #[test]
     fn zero_iterations_rejected() {
         assert_eq!(
             SolveOptions::new().iters(0).build().unwrap_err(),
@@ -240,28 +198,6 @@ mod tests {
             SolveOptions::new().workers(0).build().unwrap_err(),
             ConfigError::ZeroWorkers
         );
-    }
-
-    #[test]
-    fn preset_fields_no_setter_reaches_are_still_validated() {
-        let preset = |intensity, destroy_cap| {
-            SolveOptions::from_config(SraConfig {
-                intensity,
-                destroy_cap,
-                ..Default::default()
-            })
-            .build()
-        };
-        for range in [(0.0, 0.5), (0.5, 0.2), (0.1, 1.5), (f64::NAN, 0.5)] {
-            let err = preset(range, 32).unwrap_err();
-            assert!(matches!(err, ConfigError::BadIntensity { .. }), "{err:?}");
-        }
-        assert_eq!(
-            preset((0.1, 0.4), 0).unwrap_err(),
-            ConfigError::ZeroDestroyCap
-        );
-        // The boundaries themselves are legal.
-        preset((0.001, 1.0), 1).unwrap();
     }
 
     #[test]
@@ -361,8 +297,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains('9') && msg.contains('4'), "{msg}");
         assert!(ConfigError::ZeroIterations.to_string().contains("iters"));
-        assert!(ConfigError::BadIntensity { lo: 0.0, hi: 2.0 }
-            .to_string()
-            .contains("intensity"));
     }
 }

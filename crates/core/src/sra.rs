@@ -40,6 +40,12 @@ impl AcceptanceKind {
     }
 }
 
+/// Destroy intensity range (fraction of shards) every SRA search draws from.
+const DESTROY_INTENSITY: (f64, f64) = (0.02, 0.25);
+
+/// Maximum shards one destroy detaches per iteration.
+const DESTROY_CAP: usize = 64;
+
 /// SRA configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SraConfig {
@@ -49,10 +55,6 @@ pub struct SraConfig {
     pub objective: Objective,
     /// Acceptance criterion.
     pub acceptance: AcceptanceKind,
-    /// Destroy intensity range (fraction of shards).
-    pub intensity: (f64, f64),
-    /// Maximum shards detached per iteration.
-    pub destroy_cap: usize,
     /// Parallel portfolio width; `1` runs the serial engine (which also
     /// records operator stats and the convergence trajectory).
     pub workers: usize,
@@ -82,8 +84,6 @@ impl Default for SraConfig {
             iters: 10_000,
             objective: Objective::default(),
             acceptance: AcceptanceKind::SimulatedAnnealing,
-            intensity: (0.02, 0.25),
-            destroy_cap: 64,
             workers: 1,
             partitions: 0,
             depth: 1,
@@ -96,11 +96,11 @@ impl Default for SraConfig {
 
 impl SraConfig {
     /// The one `SraConfig → LnsConfig` lowering: an engine budget of
-    /// `max_iters` under this configuration's search knobs.
+    /// `max_iters` at [`DESTROY_INTENSITY`].
     pub(crate) fn lns(&self, max_iters: u64) -> LnsConfig {
         LnsConfig {
             max_iters,
-            intensity: self.intensity,
+            intensity: DESTROY_INTENSITY,
             log_trajectory: self.log_trajectory,
         }
     }
@@ -116,7 +116,7 @@ impl SraConfig {
         Engine::new(
             problem,
             initial,
-            default_destroys_in_place(self.destroy_cap),
+            default_destroys_in_place(DESTROY_CAP),
             default_repairs_in_place(),
             self.acceptance.build(iters),
             self.lns(iters),

@@ -23,6 +23,10 @@ use rex_cluster::{Instance, InstanceBuilder, Objective};
 use rex_core::{run_search, SraConfig, SraProblem};
 use rex_obs::Recorder;
 
+/// Target mean utilization a traffic snapshot is normalized to (keeps the
+/// snapshot instance feasible even mid-flash-crowd).
+const SNAPSHOT_UTILIZATION: f64 = 0.6;
+
 /// Replica placement + machine state derived from `inst` (see module
 /// docs). Also returns `shares[s]`: the per-replica demand share of shard
 /// `s` in the machine-load accounting.
@@ -145,7 +149,7 @@ impl Coupling {
 
     /// Builds the observed-traffic snapshot instance: demand proportional
     /// to window counts (floor 1 so idle shards stay movable), normalized
-    /// to `snapshot_utilization` of total capacity and rescaled further if
+    /// to [`SNAPSHOT_UTILIZATION`] of total capacity and rescaled further if
     /// any machine's initial usage would overflow (a flash crowd can pile
     /// more observed demand on a machine than it has capacity — the
     /// *relative* imbalance is what the solver needs to see).
@@ -154,7 +158,7 @@ impl Coupling {
         let n_m = ms.len();
         let total_cap: f64 = ms.cap.iter().sum();
         let total_obs: f64 = self.window.iter().map(|&c| c.max(1) as f64).sum();
-        let scale = self.cfg.snapshot_utilization * total_cap / total_obs;
+        let scale = SNAPSHOT_UTILIZATION * total_cap / total_obs;
         let demand: Vec<f64> = self
             .window
             .iter()
@@ -275,7 +279,6 @@ mod tests {
             SraCoupling {
                 every_us: 1000,
                 iters: 800,
-                snapshot_utilization: 0.6,
             },
             12,
             7,
@@ -312,7 +315,6 @@ mod tests {
         let cfg = SraCoupling {
             every_us: 1000,
             iters: 400,
-            snapshot_utilization: 0.6,
         };
         let mut c = Coupling::new(cfg, 12, 7);
         // A nonzero surcharge on shard 2 travels with its primary.

@@ -104,9 +104,6 @@ pub struct SraCoupling {
     pub every_us: u64,
     /// LNS iterations per poll (kept small: the solve runs inline).
     pub iters: u64,
-    /// Target mean utilization the traffic snapshot is normalized to
-    /// (keeps the snapshot instance feasible even mid-flash-crowd).
-    pub snapshot_utilization: f64,
 }
 
 impl Default for SraCoupling {
@@ -114,7 +111,6 @@ impl Default for SraCoupling {
         Self {
             every_us: 50_000,
             iters: 600,
-            snapshot_utilization: 0.6,
         }
     }
 }
@@ -283,10 +279,6 @@ impl RouterConfig {
         if let Some(c) = &self.sra {
             ensure(c.every_us > 0, "sra every_us must be positive")?;
             ensure(c.iters > 0, "sra iters must be positive")?;
-            ensure(
-                c.snapshot_utilization > 0.0 && c.snapshot_utilization < 1.0,
-                "sra snapshot_utilization must lie in (0, 1)",
-            )?;
         }
         // Every query the horizon admits at the peak rate (a flash crowd
         // raises it by at most its factor), thinned by `sample_every`.

@@ -926,7 +926,6 @@ mod tests {
             sra: Some(SraCoupling {
                 every_us: 10_000,
                 iters: 300,
-                snapshot_utilization: 0.6,
             }),
             ..stable_cfg()
         };
@@ -952,7 +951,6 @@ mod tests {
             sra: Some(SraCoupling {
                 every_us: 10_000,
                 iters: 200,
-                snapshot_utilization: 0.6,
             }),
             ..stable_cfg()
         };
@@ -1086,7 +1084,6 @@ mod tests {
             sra: Some(SraCoupling {
                 every_us,
                 iters: 10,
-                snapshot_utilization: 0.6,
             }),
             ..stable_cfg()
         };
@@ -1168,7 +1165,6 @@ mod tests {
                     sra: Some(SraCoupling {
                         every_us: 5_000,
                         iters: 50,
-                        snapshot_utilization: 0.6,
                     }),
                     ..sparse
                 },
@@ -1369,7 +1365,6 @@ mod tests {
                 sra: (sra_every > 0).then_some(SraCoupling {
                     every_us: if sra_every == 3 { horizon_us / 3 + 1 } else { sra_every },
                     iters: 8,
-                    snapshot_utilization: 0.6,
                 }),
                 seed,
                 ..stable_cfg()

@@ -41,7 +41,6 @@ fn loaded_cfg() -> RouterConfig {
         sra: Some(SraCoupling {
             every_us: 8_000,
             iters: 300,
-            snapshot_utilization: 0.6,
         }),
         seed: 42,
         ..Default::default()

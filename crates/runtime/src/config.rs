@@ -180,10 +180,6 @@ pub struct RuntimeConfig {
     pub copy_bandwidth: f64,
     /// Fixed per-batch coordination overhead in ticks.
     pub batch_overhead_ticks: u64,
-    /// Ticks between a rebalance decision and its first batch starting.
-    pub plan_latency_ticks: u64,
-    /// Ticks between gauge samples.
-    pub sample_interval: u64,
     /// Controller configuration.
     pub controller: ControllerConfig,
     /// Hot-shard control-plane configuration (disabled by default).
@@ -210,8 +206,6 @@ impl Default for RuntimeConfig {
             rho_max: 0.98,
             copy_bandwidth: 1.0,
             batch_overhead_ticks: 1,
-            plan_latency_ticks: 2,
-            sample_interval: 10,
             controller: ControllerConfig::default(),
             hotshard: HotShardConfig::default(),
             faults: Vec::new(),
@@ -325,7 +319,6 @@ impl RuntimeConfig {
             "rho_max must lie in (0, 1)",
         )?;
         ensure(self.copy_bandwidth > 0.0, "copy_bandwidth must be positive")?;
-        ensure(self.sample_interval > 0, "sample_interval must be positive")?;
         ensure(
             self.controller.poll_interval > 0,
             "poll_interval must be positive",

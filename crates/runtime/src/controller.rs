@@ -4,8 +4,8 @@
 //! and, when the fleet has drifted past its thresholds (and the cooldown
 //! has expired), asks its policy for a migration plan against a *snapshot*
 //! of the live cluster. Planning is synchronous but its output only starts
-//! executing `plan_latency_ticks` later, modeling the decision-to-action
-//! gap of a real control loop.
+//! executing two ticks later (the simulation's `PLAN_LATENCY_TICKS`),
+//! modeling the decision-to-action gap of a real control loop.
 //!
 //! Failed machines are threaded through every policy as **drains**: they
 //! must end vacant and never receive shards, so a load-driven rebalance can
@@ -13,6 +13,7 @@
 
 use crate::config::{ControllerConfig, ControllerPolicy};
 use crate::exec::{batch_durations, MigrationKind, PlannedMigration};
+use rex_baselines::common::best_fit_decreasing;
 use rex_baselines::{GreedyRebalancer, Rebalancer};
 use rex_cluster::{plan_migration, Assignment, Instance, MachineId, PlannerConfig};
 use rex_core::{solve_with_drain, SolveOptions};
@@ -124,7 +125,7 @@ pub fn plan_load_rebalance(
             // quota must stay satisfiable for validation.
             let vacant = count_vacant(&inst);
             inst.k_return = inst.k_return.min(vacant);
-            let res = GreedyRebalancer::default()
+            let res = GreedyRebalancer
                 .rebalance(&inst)
                 .map_err(|e| e.to_string())?;
             let plan = res
@@ -191,10 +192,9 @@ pub fn plan_evacuation(
     })
 }
 
-/// Greedy evacuation target: every shard on a failed machine goes to the
-/// non-failed machine that minimizes the resulting load, biggest shards
-/// first. Returns `None` when a shard fits nowhere or the migration
-/// planner cannot schedule the target.
+/// Greedy evacuation target: the shards on failed machines re-placed by
+/// best-fit decreasing over every non-failed machine. Returns `None` when a
+/// shard fits nowhere or the migration planner cannot schedule the target.
 fn greedy_evacuation(
     snapshot: &Instance,
     failed: &[MachineId],
@@ -202,36 +202,17 @@ fn greedy_evacuation(
     overhead_ticks: u64,
 ) -> Option<PlannedMigration> {
     let mut asg = Assignment::from_initial(snapshot);
-    let mut to_move: Vec<rex_cluster::ShardId> = failed
+    let (down, hosts): (Vec<MachineId>, Vec<MachineId>) = (0..snapshot.n_machines())
+        .map(MachineId::from)
+        .partition(|m| failed.contains(m));
+    let to_move: Vec<_> = down
         .iter()
         .flat_map(|&m| asg.shards_on(m).to_vec())
         .collect();
     if to_move.is_empty() {
         return None;
     }
-    to_move.sort_by(|a, b| {
-        let (da, db) = (snapshot.demand(*a).norm(), snapshot.demand(*b).norm());
-        db.partial_cmp(&da)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.idx().cmp(&b.idx()))
-    });
-    for s in to_move {
-        let mut best: Option<(MachineId, f64)> = None;
-        for mi in 0..snapshot.n_machines() {
-            let m = MachineId::from(mi);
-            if failed.contains(&m) || !asg.fits(snapshot, s, m) {
-                continue;
-            }
-            let mut after = asg.usage(m);
-            after += snapshot.demand(s);
-            let load = after.max_ratio(snapshot.capacity(m));
-            if best.is_none_or(|(_, b)| load < b) {
-                best = Some((m, load));
-            }
-        }
-        let (target, _) = best?;
-        asg.move_shard(snapshot, s, target);
-    }
+    best_fit_decreasing(snapshot, &mut asg, to_move, &hosts).ok()?;
     let target = asg.into_placement();
     let plan = plan_migration(
         snapshot,

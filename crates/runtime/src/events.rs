@@ -21,7 +21,7 @@ pub enum Event {
     /// (self-rescheduling; never scheduled under `ControllerPolicy::Off`).
     ControllerPoll,
     /// The adopted migration plan with this id begins executing its first
-    /// batch (fires `plan_latency_ticks` after the decision). The id guards
+    /// batch (fires `PLAN_LATENCY_TICKS` after the decision). The id guards
     /// against stale events: a plan aborted before starting leaves its
     /// `PlanStart` in the queue, and the id mismatch makes it a no-op.
     PlanStart(u64),

@@ -57,10 +57,6 @@ pub struct HotShardConfig {
     /// Merge a sibling pair when both EWMAs are below this. Must sit below
     /// `split_fraction`; the gap is the hysteresis band.
     pub merge_fraction: f64,
-    /// Hard cap on total shards; `0` means 4× the initial shard count.
-    pub max_shards: usize,
-    /// Maximum operators running at once.
-    pub operator_limit: usize,
     /// Pending operators older than this are expired (dropped) unstarted.
     pub operator_expiry_ticks: u64,
     /// LNS iterations for the delta solve behind a hot-shard migration.
@@ -76,8 +72,6 @@ impl Default for HotShardConfig {
             cache_capacity: 64,
             split_fraction: 0.45,
             merge_fraction: 0.2,
-            max_shards: 0,
-            operator_limit: 2,
             operator_expiry_ticks: 400,
             delta_iters: 800,
         }
@@ -108,10 +102,6 @@ impl HotShardConfig {
             self.merge_fraction >= 0.0 && self.merge_fraction < self.split_fraction,
             "hotshard merge_fraction must lie in [0, split_fraction): \
              the gap is the hysteresis band",
-        )?;
-        ensure(
-            self.operator_limit > 0,
-            "hotshard operator_limit must be > 0",
         )?;
         ensure(self.delta_iters > 0, "hotshard delta_iters must be > 0")
     }
@@ -461,9 +451,16 @@ pub(crate) struct HotShardPlane {
     siblings: Vec<(ShardId, ShardId)>,
     /// The running operator whose plan is currently in flight.
     plan_op: Option<u64>,
-    /// Hard shard-count cap resolved at construction.
+    /// Hard shard-count cap: [`MAX_SHARDS_FACTOR`] × the initial count.
     max_shards: usize,
 }
+
+/// Splits stop once the fleet holds this many times its initial shard
+/// count (caps runaway splitting).
+const MAX_SHARDS_FACTOR: usize = 4;
+
+/// Maximum hot-shard operators running at once.
+const OPERATOR_LIMIT: usize = 2;
 
 /// What the simulation lends the plane for one call: the cluster to
 /// observe and reshape, the counters it bumps, the recorder it narrates to.
@@ -480,14 +477,10 @@ impl HotShardPlane {
     pub fn new(hs: &HotShardConfig, n_shards: usize) -> Option<Self> {
         hs.enabled.then(|| Self {
             cache: EwmaCache::new(hs.cache_capacity, hs.ewma_alpha),
-            sched: OperatorScheduler::new(hs.operator_limit, hs.operator_expiry_ticks),
+            sched: OperatorScheduler::new(OPERATOR_LIMIT, hs.operator_expiry_ticks),
             siblings: Vec::new(),
             plan_op: None,
-            max_shards: if hs.max_shards == 0 {
-                n_shards.saturating_mul(4)
-            } else {
-                hs.max_shards
-            },
+            max_shards: n_shards.saturating_mul(MAX_SHARDS_FACTOR),
         })
     }
 

@@ -66,6 +66,13 @@ use rex_router::{PolicyKind, Router, RouterConfig};
 use rex_workload::evolve::{next_epoch, DriftConfig};
 use rex_workload::popularity::{apply_popularity, PopularityWalk};
 
+/// Ticks between gauge samples.
+const SAMPLE_INTERVAL: u64 = 10;
+
+/// Ticks between a rebalance decision and its first batch starting: the
+/// decision-to-action gap of a real control loop.
+const PLAN_LATENCY_TICKS: u64 = 2;
+
 /// A plan being executed, one batch at a time.
 #[derive(Clone, Debug)]
 struct ActivePlan {
@@ -434,7 +441,7 @@ impl Simulation {
 
     fn on_sample(&mut self, tick: u64) {
         self.push_gauge(tick);
-        let next = tick + self.live.cfg.sample_interval;
+        let next = tick + SAMPLE_INTERVAL;
         if next < self.live.cfg.ticks {
             self.queue.schedule(next, Event::Sample);
         }
@@ -584,7 +591,7 @@ impl Simulation {
             started: false,
         });
         self.abort_requested = false;
-        let start = tick + self.live.cfg.plan_latency_ticks;
+        let start = tick + PLAN_LATENCY_TICKS;
         self.queue.schedule(start, Event::PlanStart(id));
     }
 

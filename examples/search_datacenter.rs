@@ -60,9 +60,7 @@ fn main() {
     .expect("SRA");
 
     println!("running greedy baseline (no exchange machines)…");
-    let greedy = GreedyRebalancer::default()
-        .rebalance(&inst)
-        .expect("greedy");
+    let greedy = GreedyRebalancer.rebalance(&inst).expect("greedy");
 
     println!(
         "\n              {:>10} {:>10} {:>12}",

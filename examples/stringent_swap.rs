@@ -35,12 +35,10 @@ fn build(with_exchange: bool) -> Instance {
 fn main() {
     // Without exchange machines, both deployable baselines are stuck.
     let stuck = build(false);
-    let ls = LocalSearchRebalancer::default()
+    let ls = LocalSearchRebalancer
         .rebalance(&stuck)
         .expect("local search");
-    let gr = GreedyRebalancer::default()
-        .rebalance(&stuck)
-        .expect("greedy");
+    let gr = GreedyRebalancer.rebalance(&stuck).expect("greedy");
     println!(
         "no exchange:  local-search {:.3} → {:.3} ({} moves), greedy {:.3} → {:.3} ({} moves)",
         ls.initial_report.peak,

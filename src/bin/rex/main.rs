@@ -265,9 +265,9 @@ fn cmd_solve(args: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_baseline(args: &HashMap<String, String>) -> Result<(), String> {
     let inst = load_instance(args)?;
     let method: Box<dyn Rebalancer> = match get_or(args, "method", "greedy") {
-        "greedy" => Box::new(GreedyRebalancer::default()),
-        "local-search" => Box::new(LocalSearchRebalancer::default()),
-        "ffd" => Box::new(FfdRepacker::default()),
+        "greedy" => Box::new(GreedyRebalancer),
+        "local-search" => Box::new(LocalSearchRebalancer),
+        "ffd" => Box::new(FfdRepacker),
         other => return Err(format!("unknown method `{other}`")),
     };
     let res = method.rebalance(&inst).map_err(|e| e.to_string())?;
@@ -546,7 +546,6 @@ fn cmd_route(args: &HashMap<String, String>) -> Result<(), String> {
         Some(SraCoupling {
             every_us: parse(get_or(args, "sra-every", "10000"), "u64")?,
             iters: parse(get_or(args, "sra-iters", "400"), "u64")?,
-            ..Default::default()
         })
     } else {
         None
@@ -1028,16 +1027,33 @@ mod tests {
             ("out", sol_path.to_str().unwrap()),
         ]))
         .unwrap();
+        let solved = std::fs::read_to_string(&sol_path).unwrap();
+        let verify = || {
+            cmd_verify(&args(&[
+                ("inst", inst_path.to_str().unwrap()),
+                ("solution", sol_path.to_str().unwrap()),
+            ]))
+        };
         // Tamper: claim a different final placement than the plan reaches.
-        let mut sol: SolutionFile =
-            serde_json::from_str(&std::fs::read_to_string(&sol_path).unwrap()).unwrap();
+        let mut sol: SolutionFile = serde_json::from_str(&solved).unwrap();
         sol.placement[0] = MachineId(if sol.placement[0].0 == 0 { 1 } else { 0 });
         std::fs::write(&sol_path, serde_json::to_string(&sol).unwrap()).unwrap();
-        assert!(cmd_verify(&args(&[
-            ("inst", inst_path.to_str().unwrap()),
-            ("solution", sol_path.to_str().unwrap()),
-        ]))
-        .is_err());
+        assert!(verify().is_err());
+        // Hostile: a last batch moves shard 0 to machine 5 of a 5-machine
+        // fleet. One line naming it, not an index panic.
+        let mut sol: SolutionFile = serde_json::from_str(&solved).unwrap();
+        let past = MachineId(5);
+        sol.plan
+            .batches
+            .push(vec![resource_exchange::cluster::Move {
+                shard: resource_exchange::cluster::ShardId(0),
+                from: sol.placement[0],
+                to: past,
+            }]);
+        sol.placement[0] = past;
+        std::fs::write(&sol_path, serde_json::to_string(&sol).unwrap()).unwrap();
+        let e = verify().unwrap_err();
+        assert!(e.contains("unknown machine m5") && !e.contains('\n'), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -132,12 +132,8 @@ fn sra_dominates_baselines_in_the_stringent_regime() {
     // iterations cheap enough that this stays well under the old 6k-clone
     // wall time, and the margin over local search is comfortable.
     let sra = solve(&inst, &quick_sra(8_000, 9)).expect("sra");
-    let greedy = GreedyRebalancer::default()
-        .rebalance(&inst)
-        .expect("greedy");
-    let ls = LocalSearchRebalancer::default()
-        .rebalance(&inst)
-        .expect("ls");
+    let greedy = GreedyRebalancer.rebalance(&inst).expect("greedy");
+    let ls = LocalSearchRebalancer.rebalance(&inst).expect("ls");
 
     assert!(
         sra.final_report.peak <= greedy.final_report.peak + 1e-9,
@@ -168,8 +164,8 @@ fn exchange_provably_unlocks_the_swap_locked_fleet() {
         "k = 0 must stay locked near 0.96, got {}",
         res0.final_report.peak
     );
-    let g = GreedyRebalancer::default().rebalance(&locked).unwrap();
-    let l = LocalSearchRebalancer::default().rebalance(&locked).unwrap();
+    let g = GreedyRebalancer.rebalance(&locked).unwrap();
+    let l = LocalSearchRebalancer.rebalance(&locked).unwrap();
     assert_eq!(g.migration.total_moves, 0, "greedy must be stuck");
     assert_eq!(l.migration.total_moves, 0, "local search must be stuck");
 
@@ -209,7 +205,7 @@ fn ffd_bound_is_never_beaten_by_deployable_methods_on_easy_instances() {
         ..Default::default()
     })
     .unwrap();
-    let ffd = FfdRepacker::default().rebalance(&inst).unwrap();
+    let ffd = FfdRepacker.rebalance(&inst).unwrap();
     let sra = solve(&inst, &quick_sra(3_000, 11)).unwrap();
     assert!(ffd.final_report.peak <= sra.final_report.peak + 0.02);
 }
@@ -256,10 +252,8 @@ fn baseline_schedules_verify_against_the_simulator() {
         ..Default::default()
     })
     .unwrap();
-    let methods: Vec<Box<dyn Rebalancer>> = vec![
-        Box::new(GreedyRebalancer::default()),
-        Box::new(LocalSearchRebalancer::default()),
-    ];
+    let methods: Vec<Box<dyn Rebalancer>> =
+        vec![Box::new(GreedyRebalancer), Box::new(LocalSearchRebalancer)];
     for m in methods {
         let r = m.rebalance(&inst).unwrap();
         let plan = r.plan.expect("deployable baselines always produce a plan");

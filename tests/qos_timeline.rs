@@ -159,7 +159,7 @@ const PINS: [[u64; 3]; 5] = [
 #[test]
 fn profiles_and_timings_match_the_frozen_pins() {
     let (inst, res) = solved();
-    let greedy = GreedyRebalancer::default().rebalance(&inst).unwrap();
+    let greedy = GreedyRebalancer.rebalance(&inst).unwrap();
     let inst0 = instance(0.0);
     let plans = [
         (&inst, res.plan.clone()),
