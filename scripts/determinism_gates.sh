@@ -180,6 +180,11 @@ same route.out route-plain.out
 # A poll every µs shares each µs with the arrival pump and runs after it.
 gate route-sra-1 rex route --horizon 3000 --qps 100000 --sra --sra-every 1 \
     --sra-iters 20 --quiet --out @out
+# Every policy on the same arrivals and crowd, with no SRA coupling.
+for p in random round_robin power_of_d prequal token; do
+    gate "route-$p" rex route --machines 12 --shards 96 --seed 11 --policy $p --horizon 30000 \
+        --qps 20000 --service 400 --spike-at 8000 --spike-duration 8000 --quiet --out @out
+done
 
 echo "=== rex trace (solver) ==="
 gate trace-serial rex trace --seed 42 --iters 2000 --out @out
