@@ -1,8 +1,6 @@
 //! Router configuration: the one validated struct a routing run is a pure
 //! function of (together with the [`rex_cluster::Instance`] it runs over).
 
-use serde::{Deserialize, Serialize};
-
 /// The most latency samples a config may ask the router to hold: 2²⁶, a
 /// 512 MiB buffer of `f64`. `Router::new` reserves the buffer up front for
 /// every sample the horizon can yield, so this caps what one config can
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_SAMPLES: u64 = 1 << 26;
 
 /// Which replica-selection policy the router runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Uniform random replica.
     Random,
@@ -66,7 +64,7 @@ impl std::str::FromStr for PolicyKind {
 }
 
 /// How the flash-crowd hot set is chosen at construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HotSetMode {
     /// A uniform random subset from the named spike stream (the original
     /// router behavior — stresses routing under an arbitrary crowd).
@@ -83,7 +81,7 @@ pub enum HotSetMode {
 /// A flash crowd: between `at_us` and `at_us + duration_us`, the arrival
 /// weight of `shard_fraction` of the shards is multiplied by `factor`
 /// (their machines also bear the matching extra utilization).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlashCrowd {
     /// Spike onset (micro-ticks).
     pub at_us: u64,
@@ -98,7 +96,7 @@ pub struct FlashCrowd {
 /// Periodic SRA coupling: every `every_us` the router snapshots observed
 /// per-shard traffic into an [`rex_cluster::Instance`] and runs the
 /// rex-core search; resulting moves mutate the replica map mid-run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SraCoupling {
     /// Poll period (micro-ticks).
     pub every_us: u64,
@@ -118,7 +116,7 @@ impl Default for SraCoupling {
 /// Everything a routing run is parameterized by. One micro-tick is one
 /// simulated microsecond; `horizon_us` bounds *arrivals* (in-flight work
 /// still drains afterwards).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Arrival horizon in micro-ticks (1 µs each).
     pub horizon_us: u64,
@@ -134,32 +132,12 @@ pub struct RouterConfig {
     pub rho_max: f64,
     /// Replica-selection policy.
     pub policy: PolicyKind,
-    /// `d` for [`PolicyKind::PowerOfD`] (and the pool-miss fallback).
+    /// `d` for [`PolicyKind::PowerOfD`] (and Prequal's pool-miss fallback,
+    /// at least 2 there).
     pub d_choices: usize,
-    /// Prequal: probe round-trip time (µs).
-    pub probe_rtt_us: u64,
-    /// Prequal: per-shard probe-pool capacity.
-    pub probe_pool: usize,
-    /// Prequal: probes issued per routed subrequest (may be fractional).
-    pub probe_rate: f64,
-    /// Prequal: pool entries older than this are discarded (µs).
-    pub probe_expiry_us: u64,
-    /// Prequal: a pool entry serves at most this many picks before it is
-    /// discarded (reuse budget).
-    pub probe_max_uses: u32,
-    /// Prequal: entries with requests-in-flight at or above this are hot.
-    pub hot_rif: u32,
-    /// Token: initial tokens per replica.
-    pub token_init: u32,
-    /// EWMA smoothing for per-replica latency estimates.
-    pub ewma_alpha: f64,
-    /// Record every k-th query latency into the percentile sample set.
-    pub sample_every: u64,
     /// Optional flash crowd.
     pub spike: Option<FlashCrowd>,
-    /// How a flash crowd's hot set is drawn (`#[serde(default)]` keeps
-    /// pre-PR 8 config files loadable).
-    #[serde(default)]
+    /// How a flash crowd's hot set is drawn.
     pub hot_set: HotSetMode,
     /// Optional mid-run SRA reassignment coupling.
     pub sra: Option<SraCoupling>,
@@ -179,15 +157,6 @@ impl Default for RouterConfig {
             rho_max: 0.98,
             policy: PolicyKind::PowerOfD,
             d_choices: 2,
-            probe_rtt_us: 300,
-            probe_pool: 16,
-            probe_rate: 1.0,
-            probe_expiry_us: 5_000,
-            probe_max_uses: 3,
-            hot_rif: 4,
-            token_init: 2,
-            ewma_alpha: 0.2,
-            sample_every: 1,
             spike: None,
             hot_set: HotSetMode::Random,
             sra: None,
@@ -219,7 +188,6 @@ impl RouterConfig {
             base_service_us: spec.base_service_us,
             rho_max: spec.rho_max,
             policy,
-            sample_every: 1,
             spike: spec.spike.map(|sp| FlashCrowd {
                 at_us: sp.at_tick * spec.tick_us,
                 duration_us: sp.duration_ticks * spec.tick_us,
@@ -251,19 +219,6 @@ impl RouterConfig {
             "rho_max must lie in (0, 1)",
         )?;
         ensure(self.d_choices >= 1, "d_choices must be at least 1")?;
-        ensure(self.probe_rtt_us >= 1, "probe_rtt_us must be at least 1")?;
-        ensure(self.probe_pool >= 1, "probe_pool must be at least 1")?;
-        ensure(self.probe_rate >= 0.0, "probe_rate must be non-negative")?;
-        ensure(self.probe_expiry_us > 0, "probe_expiry_us must be positive")?;
-        ensure(
-            self.probe_max_uses >= 1,
-            "probe_max_uses must be at least 1",
-        )?;
-        ensure(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "ewma_alpha must lie in (0, 1]",
-        )?;
-        ensure(self.sample_every >= 1, "sample_every must be at least 1")?;
         if let Some(s) = &self.spike {
             ensure(s.duration_us > 0, "spike duration_us must be positive")?;
             ensure(
@@ -281,14 +236,13 @@ impl RouterConfig {
             ensure(c.iters > 0, "sra iters must be positive")?;
         }
         // Every query the horizon admits at the peak rate (a flash crowd
-        // raises it by at most its factor), thinned by `sample_every`.
+        // raises it by at most its factor) is one sample.
         let peak_per_us = self.qps / 1_000_000.0 * self.spike.map_or(1.0, |s| s.factor);
-        let samples = self.horizon_us as f64 * peak_per_us / self.sample_every as f64;
+        let samples = self.horizon_us as f64 * peak_per_us;
         if samples.is_nan() || samples > MAX_SAMPLES as f64 {
             return Err(format!(
                 "horizon_us {} at qps {} yields up to {samples:.3e} latency samples; \
-                 the buffer holds at most {MAX_SAMPLES} (shorten the horizon or raise \
-                 sample_every)",
+                 the buffer holds at most {MAX_SAMPLES} (shorten the horizon)",
                 self.horizon_us, self.qps
             ));
         }
@@ -351,15 +305,6 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(e.contains("latency samples"), "{e}");
-        // Thinning brings the same horizon back under the limit.
-        RouterConfig {
-            horizon_us: 100_000_000_000_000,
-            qps: 30_000.0,
-            sample_every: 100_000_000,
-            ..Default::default()
-        }
-        .validate()
-        .unwrap();
         let e = RouterConfig {
             spike: Some(FlashCrowd {
                 at_us: u64::MAX - 5,

@@ -13,10 +13,11 @@
 //!   (integer micro-ticks, O(1) schedule, lazy min-heap overflow),
 //! * [`state`] — structure-of-arrays replica/machine/query state with
 //!   index handles and a free-list query slab (zero allocation once warm),
-//! * [`policy`] — the pluggable [`RoutingPolicy`] trait plus the
-//!   stateless/stateful baselines (random, round-robin, power-of-d),
+//! * [`policy`] — the one [`Policy`] enum: random, round-robin and
+//!   power-of-d inline, Prequal and token balancing in their own modules,
 //! * [`prequal`] — the async probe-pool policy with hot/cold
-//!   classification, probe reuse budgets, and expiry,
+//!   classification, probe reuse budgets, and expiry (its pool sizes and
+//!   deadlines are constants there),
 //! * [`token`] — Comte-style token-count balancing,
 //! * [`bridge`] — Instance → fleet derivation and the mid-run SRA
 //!   coupling that mutates the replica map while queries are in flight,
@@ -65,7 +66,7 @@ pub mod state;
 pub mod token;
 
 pub use config::{FlashCrowd, HotSetMode, PolicyKind, RouterConfig, SraCoupling};
-pub use policy::{AnyPolicy, PowerOfD, Random, RoundRobin, RoutingPolicy};
+pub use policy::Policy;
 pub use prequal::{Prequal, ProbeStats};
 pub use sim::{run, run_traced, Router, RouterReport};
 pub use token::TokenBalancer;

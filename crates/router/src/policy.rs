@@ -1,4 +1,4 @@
-//! Pluggable replica selection.
+//! Replica selection.
 //!
 //! A policy sees a shard's replica block plus the shared SoA state and
 //! returns one replica index. Policies are mutable (round-robin cursors,
@@ -6,8 +6,9 @@
 //! they draw randomness only from the named policy RNG stream the engine
 //! passes in — determinism is the engine's job, not theirs.
 //!
-//! The engine holds an [`AnyPolicy`], the enum adapter that lets one
-//! engine run every policy the config can name.
+//! The engine holds one [`Policy`], the arm `cfg.policy` names. `base` is
+//! the first replica of `shard`'s block and `r` the block size (see
+//! [`ReplicaState::base`]) in every method below.
 
 use crate::config::{PolicyKind, RouterConfig};
 use crate::prequal::{Prequal, ProbeStats};
@@ -16,196 +17,36 @@ use crate::token::TokenBalancer;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// Replica selection plus the feedback hooks the adaptive policies need.
-/// `base` is the first replica of `shard`'s block and `r` the block size
-/// (see [`ReplicaState::base`]).
-pub trait RoutingPolicy {
-    /// The policy's kind (stable name for spans and tables).
-    fn kind(&self) -> PolicyKind;
-
-    /// Picks the replica to serve one subrequest of `shard`.
-    fn pick(
-        &mut self,
-        shard: u32,
-        base: u32,
-        r: u32,
-        st: &ReplicaState,
-        now: u64,
-        rng: &mut StdRng,
-    ) -> u32;
-
-    /// Replica to probe alongside this pick (Prequal), if any. The engine
-    /// schedules the reply `probe_rtt_us` later.
-    fn probe_target(
-        &mut self,
-        _shard: u32,
-        _base: u32,
-        _r: u32,
-        _now: u64,
-        _rng: &mut StdRng,
-    ) -> Option<u32> {
-        None
-    }
-
-    /// A probe reply arrived: `rif`/`ewma_us` are the replica's state at
-    /// reply time.
-    fn on_probe_reply(&mut self, _shard: u32, _replica: u32, _rif: u32, _ewma_us: f64, _now: u64) {}
-
-    /// A subrequest completed on `replica`.
-    fn on_complete(&mut self, _replica: u32) {}
-
-    /// Probe-economy counters, if this policy probes (Prequal; the rest
-    /// report `None` and the run's probe fields stay zero).
-    fn probe_stats(&self) -> Option<ProbeStats> {
-        None
-    }
-}
-
-/// Uniform random replica — the floor every informed policy must beat.
-pub struct Random;
-
-impl RoutingPolicy for Random {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Random
-    }
-
-    #[inline]
-    fn pick(
-        &mut self,
-        _shard: u32,
-        base: u32,
-        r: u32,
-        _st: &ReplicaState,
-        _now: u64,
-        rng: &mut StdRng,
-    ) -> u32 {
-        base + rng.random_range(0..r)
-    }
-}
-
-/// Per-shard round-robin: perfectly even in counts, blind to state.
-pub struct RoundRobin {
-    next: Vec<u32>,
-}
-
-impl RoundRobin {
-    /// Cursors for `n_shards` shards.
-    pub fn new(n_shards: usize) -> Self {
-        Self {
-            next: vec![0; n_shards],
-        }
-    }
-}
-
-impl RoutingPolicy for RoundRobin {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::RoundRobin
-    }
-
-    #[inline]
-    fn pick(
-        &mut self,
-        shard: u32,
-        base: u32,
-        r: u32,
-        _st: &ReplicaState,
-        _now: u64,
-        _rng: &mut StdRng,
-    ) -> u32 {
-        let c = &mut self.next[shard as usize];
-        let picked = base + *c;
-        *c += 1;
-        if *c == r {
-            *c = 0;
-        }
-        picked
-    }
-}
-
-/// Best of `d` sampled replicas by queue depth (power of d choices,
-/// sampling with replacement; first minimum wins, so ties break
-/// deterministically toward the earlier draw).
-pub struct PowerOfD {
-    d: u32,
-}
-
-impl PowerOfD {
-    /// Power of `d` choices.
-    pub fn new(d: usize) -> Self {
-        Self { d: d as u32 }
-    }
-}
-
-impl RoutingPolicy for PowerOfD {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PowerOfD
-    }
-
-    #[inline]
-    fn pick(
-        &mut self,
-        _shard: u32,
-        base: u32,
-        r: u32,
-        st: &ReplicaState,
-        _now: u64,
-        rng: &mut StdRng,
-    ) -> u32 {
-        let mut best = base + rng.random_range(0..r);
-        for _ in 1..self.d {
-            let cand = base + rng.random_range(0..r);
-            if st.queue_depth[cand as usize] < st.queue_depth[best as usize] {
-                best = cand;
-            }
-        }
-        best
-    }
-}
-
-/// Enum adapter: the one engine runs every policy through it (static
-/// dispatch per arm).
-pub enum AnyPolicy {
-    /// See [`Random`].
-    Random(Random),
-    /// See [`RoundRobin`].
-    RoundRobin(RoundRobin),
-    /// See [`PowerOfD`].
-    PowerOfD(PowerOfD),
+/// Every replica-selection policy the config can name.
+pub enum Policy {
+    /// Uniform random replica — the floor every informed policy must beat.
+    Random,
+    /// Per-shard round-robin over one cursor per shard: perfectly even in
+    /// counts, blind to state.
+    RoundRobin(Vec<u32>),
+    /// Best of `d` sampled replicas by queue depth (`power_of_d`).
+    PowerOfD(u32),
     /// See [`Prequal`].
     Prequal(Prequal),
     /// See [`TokenBalancer`].
     Token(TokenBalancer),
 }
 
-impl AnyPolicy {
+impl Policy {
     /// Builds the policy `cfg.policy` names, sized for `n_shards`.
     pub fn from_config(cfg: &RouterConfig, n_shards: usize) -> Self {
         match cfg.policy {
-            PolicyKind::Random => AnyPolicy::Random(Random),
-            PolicyKind::RoundRobin => AnyPolicy::RoundRobin(RoundRobin::new(n_shards)),
-            PolicyKind::PowerOfD => AnyPolicy::PowerOfD(PowerOfD::new(cfg.d_choices)),
-            PolicyKind::Prequal => AnyPolicy::Prequal(Prequal::from_config(cfg, n_shards)),
-            PolicyKind::Token => AnyPolicy::Token(TokenBalancer::new(
-                n_shards * cfg.replication,
-                cfg.token_init,
-            )),
-        }
-    }
-}
-
-impl RoutingPolicy for AnyPolicy {
-    fn kind(&self) -> PolicyKind {
-        match self {
-            AnyPolicy::Random(p) => p.kind(),
-            AnyPolicy::RoundRobin(p) => p.kind(),
-            AnyPolicy::PowerOfD(p) => p.kind(),
-            AnyPolicy::Prequal(p) => p.kind(),
-            AnyPolicy::Token(p) => p.kind(),
+            PolicyKind::Random => Policy::Random,
+            PolicyKind::RoundRobin => Policy::RoundRobin(vec![0; n_shards]),
+            PolicyKind::PowerOfD => Policy::PowerOfD(cfg.d_choices as u32),
+            PolicyKind::Prequal => Policy::Prequal(Prequal::new(n_shards, cfg.d_choices)),
+            PolicyKind::Token => Policy::Token(TokenBalancer::new(n_shards * cfg.replication)),
         }
     }
 
+    /// Picks the replica to serve one subrequest of `shard`.
     #[inline]
-    fn pick(
+    pub fn pick(
         &mut self,
         shard: u32,
         base: u32,
@@ -215,51 +56,73 @@ impl RoutingPolicy for AnyPolicy {
         rng: &mut StdRng,
     ) -> u32 {
         match self {
-            AnyPolicy::Random(p) => p.pick(shard, base, r, st, now, rng),
-            AnyPolicy::RoundRobin(p) => p.pick(shard, base, r, st, now, rng),
-            AnyPolicy::PowerOfD(p) => p.pick(shard, base, r, st, now, rng),
-            AnyPolicy::Prequal(p) => p.pick(shard, base, r, st, now, rng),
-            AnyPolicy::Token(p) => p.pick(shard, base, r, st, now, rng),
+            Policy::Random => base + rng.random_range(0..r),
+            Policy::RoundRobin(next) => {
+                let c = &mut next[shard as usize];
+                let picked = base + *c;
+                *c += 1;
+                if *c == r {
+                    *c = 0;
+                }
+                picked
+            }
+            Policy::PowerOfD(d) => power_of_d(*d, base, r, st, rng),
+            Policy::Prequal(p) => p.pick(shard, base, r, st, now, rng),
+            Policy::Token(p) => p.pick(base, r),
         }
     }
 
+    /// Replica to probe alongside this pick (Prequal, every pick), if any.
+    /// The engine schedules the reply [`crate::sim::PROBE_RTT_US`] later.
     #[inline]
-    fn probe_target(
-        &mut self,
-        shard: u32,
-        base: u32,
-        r: u32,
-        now: u64,
-        rng: &mut StdRng,
-    ) -> Option<u32> {
+    pub fn probe_target(&mut self, shard: u32, base: u32, r: u32) -> Option<u32> {
         match self {
-            AnyPolicy::Prequal(p) => p.probe_target(shard, base, r, now, rng),
+            Policy::Prequal(p) => Some(p.probe_target(shard, base, r)),
             _ => None,
         }
     }
 
+    /// A probe reply arrived: `rif`/`ewma_us` are the replica's state at
+    /// reply time.
     #[inline]
-    fn on_probe_reply(&mut self, shard: u32, replica: u32, rif: u32, ewma_us: f64, now: u64) {
-        if let AnyPolicy::Prequal(p) = self {
+    pub fn on_probe_reply(&mut self, shard: u32, replica: u32, rif: u32, ewma_us: f64, now: u64) {
+        if let Policy::Prequal(p) = self {
             p.on_probe_reply(shard, replica, rif, ewma_us, now);
         }
     }
 
+    /// A subrequest completed on `replica`.
     #[inline]
-    fn on_complete(&mut self, replica: u32) {
-        match self {
-            AnyPolicy::Prequal(p) => p.on_complete(replica),
-            AnyPolicy::Token(p) => p.on_complete(replica),
-            _ => {}
+    pub fn on_complete(&mut self, replica: u32) {
+        if let Policy::Token(p) = self {
+            p.on_complete(replica);
         }
     }
 
-    fn probe_stats(&self) -> Option<ProbeStats> {
+    /// Probe-economy counters: Prequal's; zero for the policies that do
+    /// not probe.
+    pub fn probe_stats(&self) -> ProbeStats {
         match self {
-            AnyPolicy::Prequal(p) => p.probe_stats(),
-            _ => None,
+            Policy::Prequal(p) => p.stats,
+            _ => ProbeStats::default(),
         }
     }
+}
+
+/// Best of `d` replicas of the block drawn with replacement, by queue
+/// depth. The first minimum wins, so ties break deterministically toward
+/// the earlier draw; `d` draws are made whatever the depths (one when
+/// `d ≤ 1`).
+#[inline]
+pub(crate) fn power_of_d(d: u32, base: u32, r: u32, st: &ReplicaState, rng: &mut StdRng) -> u32 {
+    let mut best = base + rng.random_range(0..r);
+    for _ in 1..d {
+        let cand = base + rng.random_range(0..r);
+        if st.queue_depth[cand as usize] < st.queue_depth[best as usize] {
+            best = cand;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -277,7 +140,7 @@ mod tests {
     fn round_robin_cycles_per_shard() {
         let st = state();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut p = RoundRobin::new(2);
+        let mut p = Policy::RoundRobin(vec![0; 2]);
         let picks: Vec<u32> = (0..5).map(|_| p.pick(0, 0, 4, &st, 0, &mut rng)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0]);
         // Shard 1 has its own cursor.
@@ -291,7 +154,7 @@ mod tests {
         // With d = replica count a full scan is likely; over many picks the
         // deepest queue (replica 2, depth 7) must never win against
         // replica 1 (depth 0) when both are drawn.
-        let mut p = PowerOfD::new(4);
+        let mut p = Policy::PowerOfD(4);
         let mut wins = [0u32; 4];
         for _ in 0..400 {
             wins[p.pick(0, 0, 4, &st, 0, &mut rng) as usize] += 1;
@@ -305,7 +168,7 @@ mod tests {
     fn random_stays_in_block() {
         let st = state();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut p = Random;
+        let mut p = Policy::Random;
         for _ in 0..100 {
             let r = p.pick(1, 4, 4, &st, 0, &mut rng);
             assert!((4..8).contains(&r));
@@ -317,10 +180,28 @@ mod tests {
         let st = state();
         let run = |seed: u64| -> Vec<u32> {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut p = PowerOfD::new(2);
+            let mut p = Policy::PowerOfD(2);
             (0..50).map(|_| p.pick(0, 0, 4, &st, 0, &mut rng)).collect()
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10), "different streams should diverge");
+    }
+
+    /// Prequal's empty-pool pick is power of `max(d_choices, 2)`: from the
+    /// same seed it returns the replicas `PowerOfD` returns, draw for draw.
+    #[test]
+    fn prequal_pool_miss_is_power_of_d() {
+        let st = state();
+        for d_choices in [1usize, 2, 3] {
+            let picks = |mut p: Policy| -> Vec<u32> {
+                let mut rng = StdRng::seed_from_u64(17);
+                (0..60)
+                    .map(|i| p.pick(i % 2, (i % 2) * 4, 4, &st, 0, &mut rng))
+                    .collect()
+            };
+            let powd = Policy::PowerOfD(d_choices.max(2) as u32);
+            let prequal = Policy::Prequal(Prequal::new(2, d_choices));
+            assert_eq!(picks(prequal), picks(powd), "d_choices {d_choices}");
+        }
     }
 }

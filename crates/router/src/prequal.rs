@@ -1,21 +1,30 @@
 //! Prequal-style probing ("Load is not what you should balance",
 //! PAPERS.md): instead of balancing offered load, probe replicas
 //! asynchronously, keep a small per-shard pool of recent answers, classify
-//! entries **hot** (requests-in-flight at or above `hot_rif`) or **cold**,
-//! and route to the lowest-estimated-latency cold replica — falling back
-//! to lowest RIF when everything is hot, and to power-of-d over live queue
-//! depths when the pool is empty (probes still in flight or expired).
+//! entries **hot** (requests-in-flight at or above [`HOT_RIF`]) or
+//! **cold**, and route to the lowest-estimated-latency cold replica —
+//! falling back to lowest RIF when everything is hot, and to power-of-d
+//! over live queue depths when the pool is empty (probes still in flight
+//! or expired). Every pick sends one probe.
 //!
-//! Pool entries are reused across picks up to `probe_max_uses` times and
-//! expire after `probe_expiry_us`; both guards keep the router off stale
-//! signals without re-probing on every pick. All storage is flat arrays
-//! sized at construction — pool maintenance never allocates.
+//! Pool entries are reused across picks up to [`PROBE_MAX_USES`] times and
+//! expire after [`PROBE_EXPIRY_US`]; both guards keep the router off stale
+//! signals. All storage is flat arrays sized at construction — pool
+//! maintenance never allocates.
 
-use crate::config::{PolicyKind, RouterConfig};
-use crate::policy::RoutingPolicy;
+use crate::policy::power_of_d;
 use crate::state::ReplicaState;
 use rand::rngs::StdRng;
-use rand::RngExt;
+
+/// Per-shard probe-pool capacity.
+pub const PROBE_POOL: usize = 16;
+/// Pool entries older than this are discarded (µs).
+pub const PROBE_EXPIRY_US: u64 = 5_000;
+/// A pool entry serves at most this many picks before it is discarded
+/// (reuse budget).
+pub const PROBE_MAX_USES: u32 = 3;
+/// Entries with requests-in-flight at or above this are hot.
+pub const HOT_RIF: u32 = 4;
 
 /// One probe answer: the probed replica's state at reply time.
 #[derive(Clone, Copy, Debug)]
@@ -44,17 +53,9 @@ pub struct ProbeStats {
 
 /// The probing policy. See the module docs.
 pub struct Prequal {
-    /// Flat pool: shard `s` owns `pool[s·cap .. s·cap + len[s]]`.
+    /// Flat pool: shard `s` owns `pool[s·PROBE_POOL .. s·PROBE_POOL + len[s]]`.
     pool: Vec<ProbeEntry>,
     len: Vec<u32>,
-    cap: usize,
-    expiry_us: u64,
-    max_uses: u32,
-    hot_rif: u32,
-    /// Fractional probe budget: `probe_rate` accrues per pick, each whole
-    /// unit issues one probe.
-    probe_rate: f64,
-    probe_acc: f64,
     /// Round-robin probe cursor (probes sweep the block so the pool sees
     /// every replica, not just the random winner).
     probe_next: Vec<u32>,
@@ -64,9 +65,9 @@ pub struct Prequal {
 }
 
 impl Prequal {
-    /// A pool sized for `n_shards` shards from the config knobs.
-    pub fn from_config(cfg: &RouterConfig, n_shards: usize) -> Self {
-        let cap = cfg.probe_pool;
+    /// A pool sized for `n_shards` shards; an empty pool falls back to
+    /// power of `max(d_choices, 2)`.
+    pub fn new(n_shards: usize, d_choices: usize) -> Self {
         Self {
             pool: vec![
                 ProbeEntry {
@@ -76,17 +77,11 @@ impl Prequal {
                     born: 0,
                     uses: 0,
                 };
-                n_shards * cap
+                n_shards * PROBE_POOL
             ],
             len: vec![0; n_shards],
-            cap,
-            expiry_us: cfg.probe_expiry_us,
-            max_uses: cfg.probe_max_uses,
-            hot_rif: cfg.hot_rif,
-            probe_rate: cfg.probe_rate,
-            probe_acc: 0.0,
             probe_next: vec![0; n_shards],
-            d: cfg.d_choices.max(2) as u32,
+            d: d_choices.max(2) as u32,
             stats: ProbeStats::default(),
         }
     }
@@ -95,14 +90,14 @@ impl Prequal {
     /// order of survivors (swap-free compaction keeps it deterministic).
     fn sweep(&mut self, shard: u32, now: u64) {
         let s = shard as usize;
-        let start = s * self.cap;
+        let start = s * PROBE_POOL;
         let n = self.len[s] as usize;
         let mut kept = 0usize;
         for i in 0..n {
             let e = self.pool[start + i];
-            if now.saturating_sub(e.born) > self.expiry_us {
+            if now.saturating_sub(e.born) > PROBE_EXPIRY_US {
                 self.stats.expired += 1;
-            } else if e.uses >= self.max_uses {
+            } else if e.uses >= PROBE_MAX_USES {
                 self.stats.exhausted += 1;
             } else {
                 self.pool[start + kept] = e;
@@ -111,14 +106,9 @@ impl Prequal {
         }
         self.len[s] = kept as u32;
     }
-}
 
-impl RoutingPolicy for Prequal {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Prequal
-    }
-
-    fn pick(
+    /// Picks `shard`'s replica from its pool after sweeping it.
+    pub fn pick(
         &mut self,
         shard: u32,
         base: u32,
@@ -129,19 +119,12 @@ impl RoutingPolicy for Prequal {
     ) -> u32 {
         self.sweep(shard, now);
         let s = shard as usize;
-        let start = s * self.cap;
+        let start = s * PROBE_POOL;
         let n = self.len[s] as usize;
         if n == 0 {
             // Pool dry: power-of-d over live queue depths.
             self.stats.pool_misses += 1;
-            let mut best = base + rng.random_range(0..r);
-            for _ in 1..self.d {
-                let cand = base + rng.random_range(0..r);
-                if st.queue_depth[cand as usize] < st.queue_depth[best as usize] {
-                    best = cand;
-                }
-            }
-            return best;
+            return power_of_d(self.d, base, r, st, rng);
         }
         // Hot/cold classification: among cold entries take the lowest
         // estimated latency; if everything is hot, take the lowest RIF.
@@ -150,7 +133,7 @@ impl RoutingPolicy for Prequal {
         let mut hot_best: usize = 0;
         for i in 0..n {
             let e = &self.pool[start + i];
-            if e.rif < self.hot_rif {
+            if e.rif < HOT_RIF {
                 if cold_best.is_none_or(|b| e.ewma_us < self.pool[start + b].ewma_us) {
                     cold_best = Some(i);
                 }
@@ -170,35 +153,22 @@ impl RoutingPolicy for Prequal {
         self.pool[start + chosen].replica
     }
 
-    fn probe_target(
-        &mut self,
-        shard: u32,
-        base: u32,
-        r: u32,
-        _now: u64,
-        _rng: &mut StdRng,
-    ) -> Option<u32> {
-        self.probe_acc += self.probe_rate;
-        if self.probe_acc < 1.0 {
-            return None;
-        }
-        self.probe_acc -= 1.0;
+    /// The replica this pick probes: the next one of `shard`'s block in
+    /// round-robin order.
+    pub fn probe_target(&mut self, shard: u32, base: u32, r: u32) -> u32 {
         let c = &mut self.probe_next[shard as usize];
         let target = base + *c;
         *c += 1;
         if *c == r {
             *c = 0;
         }
-        Some(target)
+        target
     }
 
-    fn probe_stats(&self) -> Option<ProbeStats> {
-        Some(self.stats)
-    }
-
-    fn on_probe_reply(&mut self, shard: u32, replica: u32, rif: u32, ewma_us: f64, now: u64) {
+    /// Files a probe reply into `shard`'s pool.
+    pub fn on_probe_reply(&mut self, shard: u32, replica: u32, rif: u32, ewma_us: f64, now: u64) {
         let s = shard as usize;
-        let start = s * self.cap;
+        let start = s * PROBE_POOL;
         let n = self.len[s] as usize;
         let entry = ProbeEntry {
             replica,
@@ -214,7 +184,7 @@ impl RoutingPolicy for Prequal {
                 return;
             }
         }
-        if n < self.cap {
+        if n < PROBE_POOL {
             self.pool[start + n] = entry;
             self.len[s] += 1;
         } else {
@@ -237,17 +207,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn policy(n_shards: usize) -> Prequal {
-        Prequal::from_config(
-            &RouterConfig {
-                probe_pool: 3,
-                probe_expiry_us: 100,
-                probe_max_uses: 2,
-                hot_rif: 4,
-                probe_rate: 1.0,
-                ..Default::default()
-            },
-            n_shards,
-        )
+        Prequal::new(n_shards, 2)
     }
 
     #[test]
@@ -279,17 +239,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = policy(1);
         p.on_probe_reply(0, 1, 0, 10.0, 10);
-        // Two uses allowed...
-        assert_eq!(p.pick(0, 0, 4, &st, 20, &mut rng), 1);
-        assert_eq!(p.pick(0, 0, 4, &st, 21, &mut rng), 1);
+        // PROBE_MAX_USES (3) uses allowed...
+        for now in 20..23 {
+            assert_eq!(p.pick(0, 0, 4, &st, now, &mut rng), 1);
+        }
         // ...then the entry is swept and the pick falls back.
-        p.pick(0, 0, 4, &st, 22, &mut rng);
+        p.pick(0, 0, 4, &st, 23, &mut rng);
         assert_eq!(p.stats.exhausted, 1);
         assert_eq!(p.stats.pool_misses, 1);
-        // Expiry: a fresh entry dies after expiry_us.
+        // Expiry: a fresh entry lives PROBE_EXPIRY_US (5 000 µs), no longer.
         p.on_probe_reply(0, 2, 0, 10.0, 100);
-        p.pick(0, 0, 4, &st, 300, &mut rng);
+        assert_eq!(p.pick(0, 0, 4, &st, 5_100, &mut rng), 2);
+        p.pick(0, 0, 4, &st, 5_101, &mut rng);
         assert_eq!(p.stats.expired, 1);
+        assert_eq!(p.stats.pool_misses, 2);
     }
 
     #[test]
@@ -305,30 +268,39 @@ mod tests {
     }
 
     #[test]
-    fn probe_targets_sweep_the_block() {
+    fn full_pool_replaces_the_oldest_entry() {
+        let st = ReplicaState::new(1, 20, 100.0);
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = policy(1);
-        let targets: Vec<u32> = (0..5)
-            .filter_map(|_| p.probe_target(0, 0, 4, 0, &mut rng))
-            .collect();
-        assert_eq!(targets, vec![0, 1, 2, 3, 0]);
+        // Replica 0 answers first and coldest; fifteen hot replies fill
+        // the 16-entry pool, and the 17th reply evicts replica 0.
+        p.on_probe_reply(0, 0, 0, 1.0, 10);
+        for rep in 1..=PROBE_POOL as u32 {
+            p.on_probe_reply(0, rep, 5 + rep, 50.0, 10 + u64::from(rep));
+        }
+        let live = live_entries(&p, 0);
+        assert_eq!(live.len(), PROBE_POOL);
+        assert_eq!(
+            live[0].replica, PROBE_POOL as u32,
+            "the oldest slot is reused"
+        );
+        assert!(live.iter().all(|e| e.replica != 0));
+        // Everything left is hot: the lowest RIF (replica 1) wins.
+        assert_eq!(p.pick(0, 0, 20, &st, 40, &mut rng), 1);
+        assert_eq!(p.stats.hot_picks, 1);
     }
 
     #[test]
-    fn fractional_probe_rate_throttles() {
-        let mut rng = StdRng::seed_from_u64(1);
+    fn probe_targets_sweep_the_block() {
         let mut p = policy(1);
-        p.probe_rate = 0.25;
-        let issued = (0..100)
-            .filter_map(|_| p.probe_target(0, 0, 4, 0, &mut rng))
-            .count();
-        assert_eq!(issued, 25);
+        let targets: Vec<u32> = (0..5).map(|_| p.probe_target(0, 0, 4)).collect();
+        assert_eq!(targets, vec![0, 1, 2, 3, 0]);
     }
 
     /// Snapshot of one shard's live pool keyed by `(replica, born)` — the
     /// pair is unique because a fresh reply supersedes its replica's entry.
     fn live_entries(p: &Prequal, shard: u32) -> Vec<ProbeEntry> {
-        let start = shard as usize * p.cap;
+        let start = shard as usize * PROBE_POOL;
         p.pool[start..start + p.len[shard as usize] as usize].to_vec()
     }
 
@@ -344,33 +316,30 @@ mod tests {
         /// * the reuse budget decrements exactly once per routed pick — the
         ///   chosen entry's `uses` rises by one, every other surviving
         ///   entry is untouched.
+        ///
+        /// Seven ops in ten are replies over 20-replica blocks, so pools
+        /// fill past their 16 entries; one in forty jumps the clock past
+        /// the expiry and picks.
         #[test]
         fn pool_respects_capacity_expiry_and_reuse_budget(
             ops in proptest::collection::vec(
-                (0u8..=1, 0u32..3, 0u32..4, 0u32..10, 1.0f64..200.0, 0u64..60),
-                1..150,
+                (0u8..40, 0u32..2, 0u32..20, 0u32..10, 1.0f64..200.0, 0u64..60),
+                1..400,
             ),
         ) {
-            let n_shards = 3usize;
-            let r = 4u32;
-            let mut p = Prequal::from_config(
-                &RouterConfig {
-                    probe_pool: 3,
-                    probe_expiry_us: 100,
-                    probe_max_uses: 2,
-                    hot_rif: 4,
-                    probe_rate: 1.0,
-                    ..Default::default()
-                },
-                n_shards,
-            );
+            let n_shards = 2usize;
+            let r = 20u32;
+            let mut p = policy(n_shards);
             let st = ReplicaState::new(n_shards, r as usize, 100.0);
             let mut rng = StdRng::seed_from_u64(0x9E37);
             let mut now = 1u64;
             for &(op, shard, rep, rif, ewma, dt) in &ops {
                 now += dt;
+                if op == 39 {
+                    now += PROBE_EXPIRY_US;
+                }
                 let base = shard * r;
-                if op == 0 {
+                if op < 28 {
                     p.on_probe_reply(shard, base + rep, rif, ewma, now);
                 } else {
                     let before = live_entries(&p, shard);
@@ -389,10 +358,10 @@ mod tests {
                             .find(|e| e.replica == chosen)
                             .expect("pool hit must come from a pre-pick entry");
                         prop_assert!(
-                            now.saturating_sub(src.born) <= p.expiry_us,
+                            now.saturating_sub(src.born) <= PROBE_EXPIRY_US,
                             "expired probe selected"
                         );
-                        prop_assert!(src.uses < p.max_uses, "exhausted probe selected");
+                        prop_assert!(src.uses < PROBE_MAX_USES, "exhausted probe selected");
                         // Budget: exactly one entry gained exactly one use.
                         for e in &after {
                             let old = before
@@ -406,8 +375,8 @@ mod tests {
                         // Pool miss: the sweep must have found nothing live.
                         for e in &before {
                             prop_assert!(
-                                now.saturating_sub(e.born) > p.expiry_us
-                                    || e.uses >= p.max_uses,
+                                now.saturating_sub(e.born) > PROBE_EXPIRY_US
+                                    || e.uses >= PROBE_MAX_USES,
                                 "a live entry was ignored by a pool miss"
                             );
                         }
@@ -416,9 +385,9 @@ mod tests {
                 // Structural invariants after every operation.
                 for s in 0..n_shards as u32 {
                     let live = live_entries(&p, s);
-                    prop_assert!(live.len() <= p.cap, "pool over capacity");
+                    prop_assert!(live.len() <= PROBE_POOL, "pool over capacity");
                     for (i, a) in live.iter().enumerate() {
-                        prop_assert!(a.uses <= p.max_uses);
+                        prop_assert!(a.uses <= PROBE_MAX_USES);
                         for b in &live[..i] {
                             prop_assert_ne!(a.replica, b.replica);
                         }

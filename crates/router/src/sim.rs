@@ -27,7 +27,7 @@
 
 use crate::bridge::{build_fleet, move_primary, Coupling};
 use crate::config::{HotSetMode, RouterConfig};
-use crate::policy::{AnyPolicy, RoutingPolicy};
+use crate::policy::Policy;
 use crate::queue::{CalendarQueue, EventKind};
 use crate::state::{MachineState, QuerySlab, ReplicaState};
 use rand::rngs::StdRng;
@@ -38,6 +38,12 @@ use rex_cluster::service;
 use rex_cluster::Instance;
 use rex_obs::Recorder;
 use serde::Serialize;
+
+/// Prequal's probe round-trip time: a reply lands this many µs after its
+/// probe.
+pub const PROBE_RTT_US: u64 = 300;
+/// EWMA smoothing for per-replica latency estimates.
+pub const EWMA_ALPHA: f64 = 0.2;
 
 /// Everything one routing run reports. Serialization order is declaration
 /// order and every field is deterministic, so same-config runs write
@@ -117,9 +123,8 @@ struct Counters {
     dropped_samples: u64,
 }
 
-/// The router engine. Build with [`Router::new`] (the policy named by the
-/// config, dispatched through [`AnyPolicy`]), then call [`Router::run`] or
-/// [`Router::run_traced`].
+/// The router engine. Build with [`Router::new`] (the [`Policy`] arm the
+/// config names), then call [`Router::run`] or [`Router::run_traced`].
 pub struct Router {
     cfg: RouterConfig,
     queue: CalendarQueue,
@@ -127,7 +132,7 @@ pub struct Router {
     ms: MachineState,
     shares: Vec<f64>,
     slab: QuerySlab,
-    policy: AnyPolicy,
+    policy: Policy,
     rng_arrival: StdRng,
     rng_service: StdRng,
     rng_policy: StdRng,
@@ -148,7 +153,6 @@ pub struct Router {
     spike_active: bool,
     coupling: Option<Coupling>,
     samples: Vec<f64>,
-    sample_gate: u64,
     counters: Counters,
     /// Every event handled, in order (the pump's own events excluded).
     #[cfg(test)]
@@ -220,10 +224,10 @@ impl Router {
         let max_queries = ((cfg.horizon_us - spike_ticks) as f64 * lambda_base
             + spike_ticks as f64 * lambda_spike)
             .ceil() as usize;
-        // `validate` bounds the samples, not the queries: the add saturates.
-        let sample_cap = max_queries.saturating_add(2) / cfg.sample_every as usize + 2;
+        // `validate` bounds every query the horizon admits by MAX_SAMPLES.
+        let sample_cap = max_queries + 4;
         let concurrent = (lambda_spike * cfg.base_service_us * 16.0) as usize + 64;
-        let span = (cfg.probe_rtt_us as usize * 2)
+        let span = (PROBE_RTT_US as usize * 2)
             .max(cfg.base_service_us as usize * 8)
             .max(1024);
 
@@ -240,7 +244,7 @@ impl Router {
             ms,
             shares,
             slab: QuerySlab::with_capacity(concurrent),
-            policy: AnyPolicy::from_config(cfg, n_s),
+            policy: Policy::from_config(cfg, n_s),
             rng_arrival: StdRng::seed_from_u64(cfg.seed ^ 0xA117_77A1_0000_0001),
             rng_service: StdRng::seed_from_u64(cfg.seed ^ 0x5E1C_E000_0000_0002),
             rng_policy: StdRng::seed_from_u64(cfg.seed ^ 0x7011_C700_0000_0003),
@@ -256,7 +260,6 @@ impl Router {
             spike_active: false,
             coupling: cfg.sra.map(|c| Coupling::new(c, n_s, cfg.seed)),
             samples: Vec::with_capacity(sample_cap),
-            sample_gate: 0,
             counters: Counters::default(),
             #[cfg(test)]
             handled: Vec::new(),
@@ -285,7 +288,7 @@ impl Router {
             "router",
             "run",
             &[
-                ("policy", self.policy.kind().name().into()),
+                ("policy", self.cfg.policy.name().into()),
                 ("machines", self.ms.len().into()),
                 ("shards", self.shares.len().into()),
                 ("replication", (self.cfg.replication as u64).into()),
@@ -457,11 +460,6 @@ impl Router {
         &self.ms.spike_extra
     }
 
-    /// Per-machine failure flags.
-    pub fn machine_failed(&self) -> &[bool] {
-        &self.ms.failed
-    }
-
     /// Derives an *observed* utilization per machine from the replica
     /// latency EWMAs: mean observed sojourn factor over hosted replicas,
     /// inverted through the `1/(1−ρ)` service model
@@ -507,15 +505,11 @@ impl Router {
                 self.st.served[r] += 1;
                 self.policy.on_complete(replica);
                 if let Some(latency) = self.slab.complete_one(query, t) {
-                    self.sample_gate += 1;
-                    if self.sample_gate >= self.cfg.sample_every {
-                        self.sample_gate = 0;
-                        if self.samples.len() < self.samples.capacity() {
-                            self.samples.push(latency as f64);
-                            self.counters.sampled += 1;
-                        } else {
-                            self.counters.dropped_samples += 1;
-                        }
+                    if self.samples.len() < self.samples.capacity() {
+                        self.samples.push(latency as f64);
+                        self.counters.sampled += 1;
+                    } else {
+                        self.counters.dropped_samples += 1;
                     }
                 }
             }
@@ -624,13 +618,10 @@ impl Router {
         let replica = self
             .policy
             .pick(shard, base, r, &self.st, now, &mut self.rng_policy);
-        if let Some(target) = self
-            .policy
-            .probe_target(shard, base, r, now, &mut self.rng_policy)
-        {
+        if let Some(target) = self.policy.probe_target(shard, base, r) {
             self.counters.probes_sent += 1;
             self.queue.schedule(
-                now + self.cfg.probe_rtt_us,
+                now + PROBE_RTT_US,
                 EventKind::ProbeReply {
                     shard,
                     replica: target,
@@ -649,7 +640,7 @@ impl Router {
         self.st.busy_until[rep] = done;
         self.st.queue_depth[rep] += 1;
         let e = &mut self.st.ewma_us[rep];
-        *e += self.cfg.ewma_alpha * ((done - now) as f64 - *e);
+        *e += EWMA_ALPHA * ((done - now) as f64 - *e);
         self.counters.subrequests += 1;
         self.queue.schedule(
             done,
@@ -697,7 +688,7 @@ impl Router {
             self.samples.iter().sum::<f64>() / self.samples.len() as f64
         };
         let max = self.samples.iter().fold(0.0f64, |a, &b| a.max(b));
-        let probe = self.policy.probe_stats().unwrap_or_default();
+        let probe = self.policy.probe_stats();
         let (sra_solves, sra_moves) = self
             .coupling
             .as_ref()
@@ -722,7 +713,7 @@ impl Router {
             ],
         );
         RouterReport {
-            policy: self.policy.kind().name().to_string(),
+            policy: self.cfg.policy.name().to_string(),
             seed: self.cfg.seed,
             horizon_us: self.cfg.horizon_us,
             queries: self.counters.queries,
@@ -806,7 +797,7 @@ mod tests {
         let report = run(&inst, &stable_cfg());
         assert!(report.queries > 400, "30 ms at 20k qps admits ~600 queries");
         assert_eq!(report.subrequests, report.queries * 4);
-        assert_eq!(report.sampled, report.queries, "sample_every = 1 keeps all");
+        assert_eq!(report.sampled, report.queries, "every query is sampled");
         assert_eq!(report.dropped_samples, 0);
         assert!(report.p50_us <= report.p95_us);
         assert!(report.p95_us <= report.p99_us);
@@ -1012,7 +1003,7 @@ mod tests {
         assert_eq!(r.machine_loads()[to].to_bits(), (load_to + share).to_bits());
         // Failure flips pin the factor; observed ρ stays within [0, ρ_max].
         r.set_failed(from, true);
-        assert!(r.machine_failed()[from]);
+        assert!(r.ms.failed[from]);
         let mut rho = Vec::new();
         r.observed_machine_rho(&mut rho);
         assert_eq!(rho.len(), r.ms.len());
@@ -1066,7 +1057,7 @@ mod tests {
     /// The arrival schedule's edges: spikes that start at µs 0, run past
     /// the horizon or end exactly at it; SRA polls every µs (the poll
     /// shares each µs with the pump) and every other µs; Prequal probes;
-    /// three replicas under Token; thinned sampling; a one-µs horizon;
+    /// three replicas under Token; a one-µs horizon;
     /// sparse arrivals over completions that overflow the wheel.
     fn schedule_edge_grid() -> Vec<(&'static str, Instance, RouterConfig)> {
         let spike = |at_us, duration_us| {
@@ -1140,14 +1131,6 @@ mod tests {
                 },
             ),
             (
-                "sample-every-3",
-                fleet(9),
-                RouterConfig {
-                    sample_every: 3,
-                    ..stable_cfg()
-                },
-            ),
-            (
                 "horizon-1",
                 fleet(3),
                 RouterConfig {
@@ -1178,7 +1161,7 @@ mod tests {
     /// within a µs, spike/poll timing or a counter moves one of these.
     #[test]
     fn schedule_edges_match_the_frozen_reports() {
-        let frozen: [(&str, u64, u64); 11] = [
+        let frozen: [(&str, u64, u64); 10] = [
             ("spike-at-0", 0x9d1f_2f5c_863a_99b4, 0xe3e2_724d_7313_65d1),
             (
                 "spike-past-horizon",
@@ -1194,11 +1177,6 @@ mod tests {
             ("sra-every-2", 0xa9b2_28c2_2626_43ef, 0x7f54_43a6_d0c1_37a9),
             ("prequal", 0xb4a4_c498_d6e1_848c, 0xb24d_6a50_094f_ab76),
             ("token-r3", 0x12d1_772e_04f0_28c0, 0x7bff_0c7e_80b6_310a),
-            (
-                "sample-every-3",
-                0x54b2_d66f_13e2_20b6,
-                0x58b7_9a4d_68ed_0e9f,
-            ),
             ("horizon-1", 0x1f27_05c6_e1fe_3714, 0xca91_59ae_5a06_6607),
             (
                 "sparse-overflow",
@@ -1324,7 +1302,6 @@ mod tests {
             base_service_us in 20.0f64..500.0,
             policy in 0usize..5,
             replication in 1usize..4,
-            sample_every in 1u64..4,
             spike in 0u64..3,
             spike_at in 0u64..5_000,
             spike_len in 1u64..5_000,
@@ -1355,7 +1332,6 @@ mod tests {
                 base_service_us,
                 policy: PolicyKind::ALL[policy],
                 replication,
-                sample_every,
                 spike: (spike > 0).then_some(FlashCrowd {
                     at_us: spike_at,
                     duration_us: spike_len,

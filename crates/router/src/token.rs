@@ -2,28 +2,23 @@
 //! count; a subrequest goes to the replica of the shard's block holding
 //! the most tokens (ties break toward the lowest index), spends one token
 //! there, and the token is minted back when the subrequest completes. The
-//! count is therefore `init − in-flight`: a stateless-per-query,
+//! count is therefore [`TOKEN_INIT`] − in-flight: a stateless-per-query,
 //! feedback-driven balancer that needs no probes and no latency estimates.
 
-use crate::config::PolicyKind;
-use crate::policy::RoutingPolicy;
-use crate::state::ReplicaState;
-use rand::rngs::StdRng;
+/// Tokens each replica starts with.
+pub const TOKEN_INIT: u32 = 2;
 
 /// The token balancer. Counts may go negative under overload (every
 /// replica saturated); the argmax rule still spreads the excess evenly.
 pub struct TokenBalancer {
     tokens: Vec<i64>,
-    /// Tokens spent with no matching mint yet (diagnostics).
-    pub outstanding: u64,
 }
 
 impl TokenBalancer {
-    /// `init` tokens on each of `n_replicas` replicas.
-    pub fn new(n_replicas: usize, init: u32) -> Self {
+    /// [`TOKEN_INIT`] tokens on each of `n_replicas` replicas.
+    pub fn new(n_replicas: usize) -> Self {
         Self {
-            tokens: vec![i64::from(init); n_replicas],
-            outstanding: 0,
+            tokens: vec![i64::from(TOKEN_INIT); n_replicas],
         }
     }
 
@@ -31,23 +26,11 @@ impl TokenBalancer {
     pub fn tokens(&self, replica: u32) -> i64 {
         self.tokens[replica as usize]
     }
-}
 
-impl RoutingPolicy for TokenBalancer {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Token
-    }
-
+    /// Picks the replica of the block `base .. base + r` holding the most
+    /// tokens and spends one there.
     #[inline]
-    fn pick(
-        &mut self,
-        _shard: u32,
-        base: u32,
-        r: u32,
-        _st: &ReplicaState,
-        _now: u64,
-        _rng: &mut StdRng,
-    ) -> u32 {
+    pub fn pick(&mut self, base: u32, r: u32) -> u32 {
         let mut best = base;
         for cand in base + 1..base + r {
             if self.tokens[cand as usize] > self.tokens[best as usize] {
@@ -55,48 +38,43 @@ impl RoutingPolicy for TokenBalancer {
             }
         }
         self.tokens[best as usize] -= 1;
-        self.outstanding += 1;
         best
     }
 
+    /// Mints `replica`'s token back when its subrequest completes.
     #[inline]
-    fn on_complete(&mut self, replica: u32) {
+    pub fn on_complete(&mut self, replica: u32) {
         self.tokens[replica as usize] += 1;
-        self.outstanding = self.outstanding.saturating_sub(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn spends_and_mints_tokens() {
-        let st = ReplicaState::new(1, 3, 100.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut p = TokenBalancer::new(3, 2);
+        let mut p = TokenBalancer::new(3);
         // All equal: lowest index wins, then rotates as tokens deplete.
-        assert_eq!(p.pick(0, 0, 3, &st, 0, &mut rng), 0);
-        assert_eq!(p.pick(0, 0, 3, &st, 0, &mut rng), 1);
-        assert_eq!(p.pick(0, 0, 3, &st, 0, &mut rng), 2);
-        assert_eq!(p.pick(0, 0, 3, &st, 0, &mut rng), 0);
-        assert_eq!(p.outstanding, 4);
+        assert_eq!(p.pick(0, 3), 0);
+        assert_eq!(p.pick(0, 3), 1);
+        assert_eq!(p.pick(0, 3), 2);
+        assert_eq!(p.pick(0, 3), 0);
+        // Four in flight: init − in-flight per replica.
+        assert_eq!([p.tokens(0), p.tokens(1), p.tokens(2)], [0, 1, 1]);
         // A completion refills replica 2, making it the unique argmax.
         p.on_complete(2);
         p.on_complete(2);
         assert_eq!(p.tokens(2), 3);
-        assert_eq!(p.pick(0, 0, 3, &st, 0, &mut rng), 2);
-        assert_eq!(p.outstanding, 3);
+        assert_eq!(p.pick(0, 3), 2);
+        assert_eq!([p.tokens(0), p.tokens(1), p.tokens(2)], [0, 1, 2]);
     }
 
     #[test]
     fn overload_goes_negative_but_stays_even() {
-        let st = ReplicaState::new(1, 2, 100.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut p = TokenBalancer::new(2, 1);
+        let mut p = TokenBalancer::new(2);
         for _ in 0..10 {
-            p.pick(0, 0, 2, &st, 0, &mut rng);
+            p.pick(0, 2);
         }
         assert_eq!((p.tokens(0) - p.tokens(1)).abs(), 0);
         assert!(p.tokens(0) < 0);

@@ -52,11 +52,9 @@ pub struct ControllerConfig {
     /// Ticks between controller observations.
     pub poll_interval: u64,
     /// Trigger when the rolling mean of steady peak utilization exceeds
-    /// this.
+    /// this (or the mean imbalance exceeds
+    /// [`crate::controller::IMBALANCE_THRESHOLD`]).
     pub peak_threshold: f64,
-    /// Trigger when the rolling mean imbalance (peak/mean over occupied
-    /// machines) exceeds this.
-    pub imbalance_threshold: f64,
     /// Number of polls in the rolling window.
     pub window: usize,
     /// Minimum ticks between two triggered rebalances.
@@ -83,7 +81,6 @@ impl Default for ControllerConfig {
             policy: ControllerPolicy::Sra,
             poll_interval: 50,
             peak_threshold: 0.92,
-            imbalance_threshold: 1.15,
             window: 4,
             cooldown_ticks: 400,
             sra_iters: 3_000,

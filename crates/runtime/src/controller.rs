@@ -19,6 +19,10 @@ use rex_cluster::{plan_migration, Assignment, Instance, MachineId, PlannerConfig
 use rex_core::{solve_with_drain, SolveOptions};
 use std::collections::VecDeque;
 
+/// The controller also triggers when the rolling mean imbalance (peak /
+/// mean over occupied machines) exceeds this.
+pub const IMBALANCE_THRESHOLD: f64 = 1.15;
+
 /// Rolling-window trigger logic.
 #[derive(Clone, Debug)]
 pub struct Controller {
@@ -65,7 +69,7 @@ impl Controller {
             .window
             .iter()
             .fold((0.0, 0.0), |(p, i), &(wp, wi)| (p + wp, i + wi));
-        peak / n > self.cfg.peak_threshold || imb / n > self.cfg.imbalance_threshold
+        peak / n > self.cfg.peak_threshold || imb / n > IMBALANCE_THRESHOLD
     }
 
     /// Records a trigger and clears the window so post-rebalance
@@ -243,7 +247,6 @@ mod tests {
             window: 3,
             cooldown_ticks: 100,
             peak_threshold: 0.9,
-            imbalance_threshold: 1.2,
             ..Default::default()
         }
     }

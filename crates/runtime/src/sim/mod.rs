@@ -239,6 +239,12 @@ impl Simulation {
     /// If the workload carries a load script: the event engine has no
     /// diurnal/popularity counterpart to converge against — run those
     /// through the tick engine (`rex simulate`).
+    ///
+    /// The run (not this constructor) panics in its gauge-parity check if
+    /// the scenario's flash crowd starts at tick 0 or 1: the event engine
+    /// orders tick 0 differently from the tick engine (DESIGN.md §14), so
+    /// the earliest spike tick it accepts is 2. `rex converge` rejects an
+    /// earlier one with an error.
     pub fn from_workload_event(
         inst: Instance,
         w: &WorkloadSpec,

@@ -664,6 +664,14 @@ fn cmd_converge(args: &HashMap<String, String>) -> Result<(), String> {
                 .into(),
         );
     }
+    // The event engine's gauge parity breaks for a crowd starting before
+    // tick 2 (tick 0's event order, DESIGN.md §14): refuse it up front.
+    if let Some(sp) = w.scenario.spike.filter(|sp| sp.at_tick < 2) {
+        return Err(format!(
+            "spike at tick {}: converge's event engine accepts a spike from tick 2 on",
+            sp.at_tick
+        ));
+    }
     // A crash naming a machine past the fleet is an input error; the event
     // engine below lowers the same, now checked, configuration.
     let cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
@@ -1485,6 +1493,52 @@ mod tests {
             let e = cmd(&args(&[("workload", spec.to_str().unwrap())])).unwrap_err();
             assert!(e.contains("machine 999"), "{e}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn converge_rejects_a_spike_before_tick_2() {
+        for at in ["0", "1"] {
+            let e = cmd_converge(&args(&[("ticks", "50"), ("spike-at", at), ("quiet", "")]))
+                .unwrap_err();
+            assert!(
+                e.contains(&format!("spike at tick {at}"))
+                    && e.contains("tick 2")
+                    && !e.contains('\n'),
+                "{e}"
+            );
+        }
+        // The same crowd from a workload file, and from a trace recorded
+        // by the tick engine (which accepts it).
+        let dir = std::env::temp_dir().join("rex-cli-early-spike");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (spec, trace) = (dir.join("spike0.json"), dir.join("spike0.jsonl"));
+        std::fs::write(
+            &spec,
+            r#"{"scenario": {"ticks": 50, "tick_us": 1000, "qps_per_tick": 4.0,
+                "fanout": 4, "base_service_us": 100.0, "rho_max": 0.95,
+                "seed": 3, "crash": null, "sra": null,
+                "spike": {"at_tick": 0, "duration_ticks": 10,
+                          "factor": 2.0, "shard_fraction": 0.1}}}"#,
+        )
+        .unwrap();
+        let spec = spec.to_str().unwrap();
+        let e = cmd_converge(&args(&[("workload", spec), ("quiet", "")])).unwrap_err();
+        assert!(e.contains("spike at tick 0"), "{e}");
+        cmd_simulate(&args(&[
+            ("workload", spec),
+            ("record-trace", trace.to_str().unwrap()),
+            ("quiet", ""),
+        ]))
+        .unwrap();
+        let e = cmd_converge(&args(&[
+            ("replay-trace", trace.to_str().unwrap()),
+            ("quiet", ""),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("spike at tick 0"), "{e}");
+        // Tick 2 runs.
+        cmd_converge(&args(&[("ticks", "50"), ("spike-at", "2"), ("quiet", "")])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
