@@ -57,15 +57,7 @@ impl Policy {
     ) -> u32 {
         match self {
             Policy::Random => base + rng.random_range(0..r),
-            Policy::RoundRobin(next) => {
-                let c = &mut next[shard as usize];
-                let picked = base + *c;
-                *c += 1;
-                if *c == r {
-                    *c = 0;
-                }
-                picked
-            }
+            Policy::RoundRobin(next) => round_robin(next, shard, base, r),
             Policy::PowerOfD(d) => power_of_d(*d, base, r, st, rng),
             Policy::Prequal(p) => p.pick(shard, base, r, st, now, rng),
             Policy::Token(p) => p.pick(base, r),
@@ -107,6 +99,19 @@ impl Policy {
             _ => ProbeStats::default(),
         }
     }
+}
+
+/// The replica `shard`'s cursor in `next` points at; advances the cursor
+/// around the block.
+#[inline]
+pub(crate) fn round_robin(next: &mut [u32], shard: u32, base: u32, r: u32) -> u32 {
+    let c = &mut next[shard as usize];
+    let picked = base + *c;
+    *c += 1;
+    if *c == r {
+        *c = 0;
+    }
+    picked
 }
 
 /// Best of `d` replicas of the block drawn with replacement, by queue

@@ -12,7 +12,7 @@
 //! signals. All storage is flat arrays sized at construction — pool
 //! maintenance never allocates.
 
-use crate::policy::power_of_d;
+use crate::policy::{power_of_d, round_robin};
 use crate::state::ReplicaState;
 use rand::rngs::StdRng;
 
@@ -156,13 +156,7 @@ impl Prequal {
     /// The replica this pick probes: the next one of `shard`'s block in
     /// round-robin order.
     pub fn probe_target(&mut self, shard: u32, base: u32, r: u32) -> u32 {
-        let c = &mut self.probe_next[shard as usize];
-        let target = base + *c;
-        *c += 1;
-        if *c == r {
-            *c = 0;
-        }
-        target
+        round_robin(&mut self.probe_next, shard, base, r)
     }
 
     /// Files a probe reply into `shard`'s pool.
