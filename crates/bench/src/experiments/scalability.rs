@@ -22,7 +22,7 @@ pub fn run() {
     let iters = scaled(4_000) as u64;
 
     let mut t = Table::new(
-        "machines | shards | mode | final peak | improvement | iterations | time (s) | iters/s",
+        "machines | shards | mode | final peak | improvement | iterations | time (s) | iters/s | fallback",
     );
 
     let mut broken = Vec::new();
@@ -71,6 +71,7 @@ pub fn run() {
     println!("Expected shape: near-linear growth for the monolithic modes; the decomposed solver's per-iteration cost grows with machines/k, so its curve stays below the portfolio's (1.2–4.4× at full scale) at equal quality (every mode within 1% of serial's peak, asserted).");
     if !web.is_empty() {
         println!("Web-scale rows: `--partitions 8 --depth 2`, 2 000 iterations, decomposed only.");
+        println!("fallback = yes: the merged decomposed best deadlocked the final plan and the row is the serial fallback search's result (ROADMAP item 5).");
     }
     assert_shape(&broken);
 }
@@ -94,6 +95,14 @@ fn row(t: &mut Table, inst: &Instance, label: &str, cfg: &SraConfig) -> f64 {
         res.iterations.to_string(),
         format!("{secs:.2}"),
         format!("{:.0}", res.iterations as f64 / secs.max(1e-9)),
+        // Only a decomposed merged best can deadlock the final plan
+        // (DESIGN.md §1.5); its row says whether the serial fallback ran.
+        match (cfg.partitions > 1, res.fallback_used) {
+            (false, _) => "-",
+            (true, false) => "no",
+            (true, true) => "yes",
+        }
+        .to_string(),
     ]);
     res.final_report.peak
 }

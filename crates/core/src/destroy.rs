@@ -85,16 +85,13 @@ impl DestroyInPlace<SraProblem<'_>> for WorstMachineRemoval {
             }
             let machine = MachineId::from(hot[rng.random_range(0..n_hot)] as usize);
             let norms = &state.demand_norm;
-            let s = *state
-                .asg
-                .shards_on(machine)
-                .iter()
-                .max_by(|a, b| {
-                    norms[a.idx()]
-                        .partial_cmp(&norms[b.idx()])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("machine is occupied");
+            let largest = state.asg.shards_on(machine).iter().max_by(|a, b| {
+                norms[a.idx()]
+                    .partial_cmp(&norms[b.idx()])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            // `hottest_three` names occupied machines only.
+            let Some(&s) = largest else { break };
             state.detach(p, s);
         }
     }

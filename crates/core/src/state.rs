@@ -164,16 +164,15 @@ pub struct SraState {
     pub(crate) caps: rex_cluster::PackedVecs,
 }
 
-/// Slots per [`Frontier`]. A timing sweep alone does not pick a depth (3–8
-/// measure within noise of each other on the benchmark's fleets; 16 is
-/// clearly slower: every scan runs further before it may break). What picks
-/// it is ties: a frontier's *scores* are exact at any depth, but which of
-/// several machines tied to the bit comes first depends on when the entry
-/// was last scanned, and a three-deep entry is scanned exactly when the
-/// three-slot cache it replaced was. On tie-heavy fleets (the router's
-/// integer-count traffic snapshots) a deeper entry picks a different,
-/// equally good machine, and every byte downstream moves.
-pub(crate) const REGRET_K: usize = 3;
+/// Slots per [`Frontier`], chosen by timing alone. Ties break by the
+/// canonical scan key (see [`Frontier`]), so every entry is a prefix of the
+/// shard's whole-fleet ranking and the depth changes when frontiers are
+/// rescanned, never which machine a repair picks. Deeper entries rescan less
+/// often (2.1 rescans per placed shard at 8 against 9.3 at the former 3 on a
+/// balanced 108×1000 fleet) but every scan runs further before it may break;
+/// 6–8 measured fastest on the benchmark's fleets and 12–16 slower (the
+/// depth sweep in EXPERIMENTS.md).
+pub(crate) const REGRET_K: usize = 8;
 
 /// The cheapest insertions of one detached shard: `m[..n]` are `n ≤ K`
 /// allowed, admissible machines and `s[..n]` their exact scores, ascending
@@ -182,9 +181,12 @@ pub(crate) const REGRET_K: usize = 3;
 /// `bound`, so the `n` scores are the `n` lowest of the whole fleet; `bound`
 /// is `∞` when the last scan found fewer than `K` machines — the entry is
 /// then the complete feasible set. Best and second-best are exact while
-/// `n ≥ 2` or `bound` is `∞`. Equal scores keep the scan's order (the
-/// shard's initial machine first, then `order`), a re-scored machine going
-/// behind its equals.
+/// `n ≥ 2` or `bound` is `∞`. Equal scores are ordered by the canonical
+/// scan key — the shard's initial machine first, then ascending
+/// `(loads[m], m)`, the order a fresh scan visits them in — and every
+/// machine outside the entry ranks behind every slot by (score, key), so the
+/// slots are the first `n` of the shard's ranking over the whole fleet, a
+/// function of the current state alone.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Frontier {
     pub(crate) m: [u32; REGRET_K],
@@ -209,6 +211,23 @@ impl Frontier {
         self.s.copy_within(pos..last, pos + 1);
         (self.m[pos], self.s[pos]) = (m.idx() as u32, score);
         self.n = last + 1;
+    }
+
+    /// Files `(m, score)` behind every slot scoring at most `score` (a scan
+    /// visits equals in key order), the last slot falling out when the
+    /// entry is full; `score` must be below the last slot. Shifts slot by
+    /// slot as it compares: a scan files on most of its looks, and a
+    /// `copy_within` of a variable range is a `memmove` call each time.
+    pub(crate) fn file(&mut self, m: MachineId, score: f64) {
+        debug_assert!(score < self.s[REGRET_K - 1]);
+        let mut j = self.n.min(REGRET_K - 1);
+        while j > 0 && self.s[j - 1] > score {
+            self.m[j] = self.m[j - 1];
+            self.s[j] = self.s[j - 1];
+            j -= 1;
+        }
+        (self.m[j], self.s[j]) = (m.idx() as u32, score);
+        self.n = (self.n + 1).min(REGRET_K);
     }
 
     /// Drops slot `k < n`, closing the gap.

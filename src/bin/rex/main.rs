@@ -32,7 +32,7 @@ use resource_exchange::cluster::{
     verify_schedule, Assignment, BalanceReport, CrashSpec, Instance, MachineId, MigrationPlan,
     ScenarioSpec, SpikeSpec, SraSpec, WorkloadSpec,
 };
-use resource_exchange::core::{solve_traced, solve_with_drain, SolveOptions, SraConfig};
+use resource_exchange::core::{solve_traced, solve_with_drain, SolveOptions, SraConfig, SraResult};
 use resource_exchange::obs::Recorder;
 use resource_exchange::router::{self, FlashCrowd, PolicyKind, RouterConfig, SraCoupling};
 use resource_exchange::runtime::{
@@ -223,7 +223,9 @@ fn cmd_inspect(args: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solve(args: &HashMap<String, String>) -> Result<(), String> {
+/// Loads the instance, reads the solver flags and the drain list, and runs
+/// the solve `rex solve` reports on.
+fn run_solve(args: &HashMap<String, String>) -> Result<(SraResult, Vec<MachineId>), String> {
     let inst = load_instance(args)?;
     let cfg = solver_config(args, "10000", &inst)?;
     // --drain 3,7 marks machines 3 and 7 for decommission.
@@ -235,17 +237,39 @@ fn cmd_solve(args: &HashMap<String, String>) -> Result<(), String> {
             .collect::<Result<_, _>>()?,
     };
     let res = solve_with_drain(&inst, &cfg, &drain).map_err(|e| e.to_string())?;
+    Ok((res, drain))
+}
+
+/// What `rex solve` prints about a result, one line each.
+fn solve_summary(res: &SraResult, drain: &[MachineId]) -> Vec<String> {
+    let mut lines = Vec::new();
     if !drain.is_empty() {
-        println!("drained: {drain:?}");
+        lines.push(format!("drained: {drain:?}"));
     }
-    println!("initial: {}", res.initial_report);
-    println!("final:   {}", res.final_report);
-    println!(
+    lines.push(format!("initial: {}", res.initial_report));
+    lines.push(format!("final:   {}", res.final_report));
+    lines.push(format!(
         "improvement {:.1}%, migration: {}, returned {:?}",
         100.0 * res.peak_improvement(),
         res.migration,
         res.returned_machines
-    );
+    ));
+    if res.fallback_used {
+        lines.push(FALLBACK_LINE.to_string());
+    }
+    lines
+}
+
+/// Printed when the decomposed search's merged best deadlocked the final
+/// plan and the result is the gated serial fallback search's.
+const FALLBACK_LINE: &str =
+    "fallback: the merged decomposed placement did not plan; this is the serial fallback's result";
+
+fn cmd_solve(args: &HashMap<String, String>) -> Result<(), String> {
+    let (res, drain) = run_solve(args)?;
+    for line in solve_summary(&res, &drain) {
+        println!("{line}");
+    }
     if let Some(out) = args.get("out") {
         let file = SolutionFile {
             placement: res.assignment.placement().to_vec(),
@@ -1013,6 +1037,37 @@ mod tests {
         ]))
         .unwrap();
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn solve_says_when_the_fallback_ran() {
+        let dir = std::env::temp_dir().join("rex-cli-fallback");
+        std::fs::create_dir_all(&dir).unwrap();
+        let inst = dir.join("inst.json");
+        let inst = inst.to_str().unwrap();
+        // A stringent hotspot fleet whose merged 4-way placement deadlocks
+        // the final plan; the serial solve of the same file never can.
+        cmd_generate(&args(&[
+            ("out", inst),
+            ("machines", "32"),
+            ("exchange", "3"),
+            ("shards", "320"),
+            ("stringency", "0.9"),
+            ("family", "correlated"),
+            ("placement", "hotspot"),
+            ("seed", "4"),
+        ]))
+        .unwrap();
+        let solve = |extra: &[(&str, &str)]| {
+            let mut a = args(&[("inst", inst), ("iters", "400"), ("seed", "4")]);
+            a.extend(args(extra));
+            let (res, drain) = run_solve(&a).unwrap();
+            solve_summary(&res, &drain)
+        };
+        let decomposed = solve(&[("partitions", "4")]);
+        assert_eq!(decomposed.last().map(String::as_str), Some(FALLBACK_LINE));
+        assert!(!solve(&[]).iter().any(|l| l.starts_with("fallback")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
