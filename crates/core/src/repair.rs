@@ -858,41 +858,23 @@ mod tests {
         }
     }
 
-    /// The fleet, drained machines and occupied-machine count of one seeded
-    /// differential fixture.
-    fn seeded_fixture(seed: u64) -> (Instance, Vec<MachineId>, usize) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (dims, machines) = (rng.random_range(1..5), rng.random_range(3..10));
-        let shards = rng.random_range(8..40);
-        let inst = mixed_fleet(&mut rng, dims, machines, shards);
-        let drains = [0, 1, 2, usize::MAX][rng.random_range(0..4usize)];
-        let drained = drained_machines(&mut rng, &inst, drains);
-        (inst, drained, machines)
-    }
-
-    /// Seeded fixtures on which a re-score lands exactly on `bound` at a
-    /// depth of 8: filing it behind every slot there (it may trail an
-    /// outsider tied at `bound`), or dropping it although it ranks ahead of
-    /// a slot (that slot then trails an outsider), leaves a frontier that is
-    /// not a prefix of the ranking — 20 catches the first mutant, 945 and
-    /// 1109 the second (each breaks on about one seed in 400).
-    #[test]
-    fn rescores_tied_at_the_bound_keep_every_frontier_canonical() {
-        for seed in [20, 945, 1109] {
-            let (inst, drained, machines) = seeded_fixture(seed);
-            let p = SraProblem::new(&inst, Objective::default()).with_drain(&drained);
-            regret2_against_full_rescans(&p, seed, machines).unwrap();
-        }
-    }
-
     /// The differential fixtures reach what they are there for: repairs that
     /// fail, budgets of 0, 1 and more, the budget running out mid-repair,
-    /// exact score ties and exact regret ties.
+    /// exact score ties and exact regret ties. Seeds 945 and 1109 join the
+    /// first 400 because a re-score lands exactly on `bound` there at a
+    /// depth of 8: dropping one that ranks ahead of a slot breaks a frontier
+    /// on them (filing one behind every slot breaks seed 20); each half of
+    /// the tie rule, broken, fails about one seed in 400.
     #[test]
     fn the_regret_fixtures_are_not_vacuous() {
         let mut seen = [0usize; 7];
-        for seed in 0..400u64 {
-            let (inst, drained, machines) = seeded_fixture(seed);
+        for seed in (0..400u64).chain([945, 1109]) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (dims, machines) = (rng.random_range(1..5), rng.random_range(3..10));
+            let shards = rng.random_range(8..40);
+            let inst = mixed_fleet(&mut rng, dims, machines, shards);
+            let drains = [0, 1, 2, usize::MAX][rng.random_range(0..4usize)];
+            let drained = drained_machines(&mut rng, &inst, drains);
             let p = SraProblem::new(&inst, Objective::default()).with_drain(&drained);
             let budget =
                 burst_state(&p, &mut StdRng::seed_from_u64(seed), machines).vacancy_budget();
