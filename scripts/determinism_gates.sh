@@ -118,6 +118,11 @@ gate solve-web-fallback rex solve --inst @out:gen-web-85 --partitions 8 --iters 
 gate solve-depth2 rex solve --inst @out:gen-stringent --partitions 2 --depth 2 --iters 400 --seed 11 --out @out
 gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
 gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out
+# The JSON read paths: a solution file back through `rex verify`, and the
+# web-scale instance through `rex inspect` alone.
+gate verify-serial rex verify --inst @out:gen-stringent --solution @out:solve-serial
+gate verify-web-fallback rex verify --inst @out:gen-web-85 --solution @out:solve-web-fallback
+gate inspect-web rex inspect --inst @out:gen-web
 # Both deployable baselines and the FFD repack (best-fit decreasing, the
 # loop evacuation shares) on the two 0.90 files.
 for m in greedy local-search ffd; do
