@@ -294,3 +294,33 @@ fn parallel_and_serial_sra_agree_on_feasibility() {
         assert!(Assignment::from_initial(&inst).peak_load(&inst) + 1e-9 >= res.final_report.peak);
     }
 }
+
+/// A hostile instance file is one short error line and exit 1, never an
+/// abort: 200 000 open arrays, a 5 000-deep array where a number goes,
+/// and the same open arrays under a key the reader skips (where the
+/// nesting cap, not a type mismatch, stops it).
+#[test]
+fn hostile_json_is_one_short_error_line() {
+    let dir = std::env::temp_dir().join(format!("rex-hostile-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let open = "[".repeat(200_000);
+    let deep = format!("{}{}", "[".repeat(5_000), "]".repeat(5_000));
+    let inputs = [
+        ("open-arrays", open.clone()),
+        ("deep-dims", format!("{{\"dims\": {deep}}}")),
+        ("deep-unknown-key", format!("{{\"zzz\": {open}}}")),
+    ];
+    for (name, text) in inputs {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rex"))
+            .args(["inspect", "--inst", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert_eq!(err.lines().count(), 1, "{name}: {err}");
+        assert!(err.len() < 200, "{name}: {} bytes: {err}", err.len());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
