@@ -66,7 +66,7 @@ impl Table {
     }
 
     /// Renders GitHub-flavoured markdown.
-    pub fn to_markdown(&self) -> String {
+    fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "| {} |", self.headers.join(" | "));
         let _ = writeln!(out, "|{}|", vec!["---"; self.headers.len()].join("|"));

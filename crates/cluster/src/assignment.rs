@@ -22,7 +22,7 @@ use crate::shard::ShardId;
 /// Destroy operators *detach* shards (removing them from their machine's
 /// usage) and repair operators *attach* them elsewhere; between the two the
 /// placement entry holds this sentinel. Complete solutions never contain it.
-pub const DETACHED: MachineId = MachineId(u32::MAX);
+const DETACHED: MachineId = MachineId(u32::MAX);
 
 /// An undo log over [`Assignment`] edits.
 ///
@@ -43,7 +43,7 @@ pub const DETACHED: MachineId = MachineId(u32::MAX);
 #[derive(Clone, Debug, Default)]
 pub struct UndoLog {
     /// Edits in application order: the shard and the machine it was on
-    /// *before* the edit ([`DETACHED`] for attaches).
+    /// *before* the edit (`DETACHED` for attaches).
     moves: Vec<(ShardId, MachineId)>,
     /// First-touch usage snapshots of machines modified this burst.
     snapshots: Vec<(MachineId, ResourceVec)>,
@@ -279,7 +279,7 @@ impl Assignment {
     }
 
     /// Detaches shard `s` from its machine: usage and shard lists are
-    /// updated and the placement entry becomes [`DETACHED`]. Returns the
+    /// updated and the placement entry becomes `DETACHED`. Returns the
     /// machine the shard was on.
     ///
     /// # Panics

@@ -277,7 +277,7 @@ impl InstanceBuilder {
 
     /// Reserves room for `machines` more machines and `shards` more
     /// shards (streaming generators call this per batch).
-    pub fn reserve(&mut self, machines: usize, shards: usize) {
+    fn reserve(&mut self, machines: usize, shards: usize) {
         self.machines.reserve(machines);
         self.shards.reserve(shards);
         self.initial.reserve(shards);

@@ -7,7 +7,7 @@
 //! balance reports — funnels through this module so the scan is written
 //! once, in a shape the compiler auto-vectorizes:
 //!
-//! * fixed-width chunks of [`LANES`] elements,
+//! * fixed-width chunks of `LANES` elements,
 //! * one independent accumulator per lane (no loop-carried dependency
 //!   across the whole vector, so the backend can keep `LANES` maxima /
 //!   partial sums in SIMD registers),
@@ -25,7 +25,7 @@
 
 /// Accumulator lanes per chunk. Wide enough for 4×AVX2 / 2×AVX-512
 /// unrolling; narrow enough that the remainder loop stays trivial.
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// Aggregate statistics of one load vector, computed in a single pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -233,11 +233,11 @@ impl Lanes {
 }
 
 /// Row block size for the fused usage/capacity ratio scan. A multiple of
-/// [`LANES`] (so lane placement inside a block matches the global scan) and
+/// `LANES` (so lane placement inside a block matches the global scan) and
 /// small enough that one block of ratios plus its usage/capacity rows stays
 /// L1/L2-resident at 8 dimensions (1024 rows × 8 dims × 8 B × 2 arrays ≈
 /// 128 KiB streamed, 8 KiB of ratios retained).
-pub const BLOCK_ROWS: usize = 1024;
+const BLOCK_ROWS: usize = 1024;
 
 /// Fused, cache-blocked scan over packed machine-major rows: computes
 /// `out[i] = max_ratio(usage row i, capacity row i)` for every row and

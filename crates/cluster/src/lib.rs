@@ -20,7 +20,7 @@
 //!   straggler-latency profile of its in-flight batches
 //!   ([`migration::timeline`]),
 //! * [`metrics`] — balance metrics (peak load, imbalance, Jain fairness),
-//!   migration statistics and the nearest-rank latency percentiles,
+//!   and migration statistics,
 //! * [`service`] / [`zipf`] — what both simulation engines and the workload
 //!   plane share: the `1/(1−ρ)` service model with its diurnal profile, and
 //!   the Zipf sampler behind [`LoadScriptSpec::zipf_alpha`].

@@ -21,9 +21,9 @@
 
 use super::{batch_footprint, MigrationPlan};
 use crate::instance::Instance;
-use crate::metrics::nearest_rank_percentiles;
 use crate::resources::ResourceVec;
 use crate::service::{latency_factor, DEFAULT_RHO_MAX};
+use rex_obs::Histogram;
 
 /// Timeline parameters.
 #[derive(Clone, Copy, Debug)]
@@ -97,8 +97,8 @@ pub struct QosReport {
     pub worst_during: f64,
     /// Relative fan-out latency after the migration completes.
     pub after: f64,
-    /// Median latency over the migration timeline (nearest-rank over the
-    /// per-batch samples; equals `before` for empty plans).
+    /// Median latency over the migration timeline (the per-batch samples'
+    /// [`Histogram`] percentile; equals `before` for empty plans).
     pub p50: f64,
     /// 95th percentile of the timeline.
     pub p95: f64,
@@ -133,9 +133,10 @@ fn fanout_latency(inst: &Instance, usage: &[ResourceVec]) -> f64 {
 /// latency and assumes moves are applicable).
 ///
 /// Each batch is one sample of the timeline (batches are the executor's
-/// time steps), and `p50`/`p95`/`p99` are its nearest-rank percentiles. An
-/// empty plan has a one-point timeline at the steady-state latency
-/// `before`, so all three collapse to it.
+/// time steps), and `p50`/`p95`/`p99` are its [`Histogram`] percentiles
+/// (nearest rank, to the bucket's 2 %). An empty plan has a one-point
+/// timeline at the steady-state latency `before`, so all three collapse to
+/// it.
 pub fn latency_profile(inst: &Instance, plan: &MigrationPlan) -> QosReport {
     let mut usage: Vec<ResourceVec> = vec![ResourceVec::zero(inst.dims); inst.n_machines()];
     for (i, &m) in inst.initial.iter().enumerate() {
@@ -162,7 +163,11 @@ pub fn latency_profile(inst: &Instance, plan: &MigrationPlan) -> QosReport {
     let (p50, p95, p99) = if per_batch.is_empty() {
         (before, before, before)
     } else {
-        nearest_rank_percentiles(&per_batch)
+        let mut h = Histogram::default();
+        for &l in &per_batch {
+            h.record(l);
+        }
+        (h.percentile(50.0), h.percentile(95.0), h.percentile(99.0))
     };
     QosReport {
         before,
@@ -349,9 +354,8 @@ mod tests {
         assert!(q.per_batch[1..].iter().all(|&l| (l - 2.5).abs() < 1e-9));
         // Non-empty: the batches alone are the samples, so the median falls
         // below the steady state it started from.
-        let (p50, p95, p99) = nearest_rank_percentiles(&q.per_batch);
-        assert_eq!((q.p50, q.p95, q.p99), (p50, p95, p99));
         assert!(q.p50 < q.before);
+        assert!((q.p50 / 2.5 - 1.0).abs() <= 0.02, "within one bucket");
         // Empty: a one-point timeline at the steady-state latency.
         let q = latency_profile(&inst, &MigrationPlan::default());
         assert_eq!((q.p50, q.p95, q.p99), (q.before, q.before, q.before));

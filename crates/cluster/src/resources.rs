@@ -19,10 +19,6 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 /// by ~6x on the insertion microbench.
 pub const MAX_DIMS: usize = 8;
 
-/// Conventional names for the first dimensions, used by report printers.
-pub const DIM_NAMES: [&str; MAX_DIMS] =
-    ["cpu", "mem", "disk", "net", "iops", "gpu", "aux1", "aux2"];
-
 /// A multi-dimensional resource quantity (capacity, demand, or usage).
 #[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResourceVec {

@@ -373,13 +373,6 @@ impl FleetSpec {
         }
         scales
     }
-
-    /// The contiguous machine-id range owned by `rack`.
-    pub fn rack_members(&self, rack: usize) -> std::ops::Range<usize> {
-        let n = self.n_machines();
-        let r = self.racks.max(1);
-        (rack * n / r)..((rack + 1) * n / r)
-    }
 }
 
 /// A rack-scoped crash clause: every machine in `rack` fails at `at_tick`
@@ -863,8 +856,6 @@ mod tests {
         assert_eq!(&scales[..4], &[1.0; 4]);
         assert_eq!(&scales[4..8], &[2.0; 4]);
         assert_eq!(&scales[8..], &[4.0; 4]);
-        assert_eq!(fleet.rack_members(0), 0..4);
-        assert_eq!(fleet.rack_members(2), 8..12);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The contract, pinned by `service_model_is_bit_identical_to_old_call_sites`
 //! below and by the cross-crate differential suite:
 //!
-//! * [`clamp_rho`] is `ρ.min(ρ_max).max(0.0)` — exactly the router's
+//! * `clamp_rho` is `ρ.min(ρ_max).max(0.0)` — exactly the router's
 //!   `MachineState::recompute` clamp; the `.max(0.0)` is a bitwise no-op
 //!   for the non-negative utilizations both engines produce.
 //! * [`latency_factor`] is `1/(1−clamp_rho(ρ))` — the cached per-machine
@@ -28,7 +28,7 @@ pub const DEFAULT_RHO_MAX: f64 = 0.98;
 
 /// Floor for the `1−u` argument of the exponential inverse CDF, keeping
 /// `ln` finite when a uniform draw lands exactly on 1.0.
-pub const MIN_LOG_ARG: f64 = 1e-12;
+const MIN_LOG_ARG: f64 = 1e-12;
 
 /// Relative traffic weight of each hour (diurnal double hump: morning and
 /// evening peaks, night trough). The weights sum to 25.85, not 24: every
@@ -45,7 +45,7 @@ pub const DIURNAL: [f64; 24] = [
 /// Identical operation order to both historical call sites
 /// (`min` before `max`), so results are bit-equal to the old inline code.
 #[inline]
-pub fn clamp_rho(rho: f64, rho_max: f64) -> f64 {
+fn clamp_rho(rho: f64, rho_max: f64) -> f64 {
     rho.min(rho_max).max(0.0)
 }
 
@@ -61,7 +61,7 @@ pub fn latency_factor(rho: f64, rho_max: f64) -> f64 {
 
 /// One exponential sojourn draw with the given mean, from a uniform
 /// `u ∈ [0, 1)` via the inverse CDF. `1−u` keeps the log argument in
-/// `(0, 1]`; the [`MIN_LOG_ARG`] floor keeps it finite.
+/// `(0, 1]`; the `MIN_LOG_ARG` floor keeps it finite.
 #[inline]
 pub fn exp_sojourn(mean: f64, u: f64) -> f64 {
     mean * -(1.0 - u).max(MIN_LOG_ARG).ln()

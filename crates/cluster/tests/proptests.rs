@@ -7,7 +7,6 @@
 //! is strong evidence both are right.
 
 use proptest::prelude::*;
-use rex_cluster::metrics::nearest_rank_percentiles;
 use rex_cluster::{
     partition_fleet, plan_migration, verify_schedule, Assignment, ClusterError, FleetSpec,
     GenerationSpec, Instance, InstanceBuilder, MachineId, PlannerConfig, ResourceVec, ShardId,
@@ -351,47 +350,5 @@ proptest! {
             max_total - min_total,
             max_load
         );
-    }
-}
-
-// Nearest-rank percentiles, as the router's query latencies and the
-// migration latency profile read them.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Ordering invariant: p50 ≤ p95 ≤ p99 ≤ max, and every percentile is
-    /// an actual sample (nearest-rank never interpolates).
-    #[test]
-    fn percentiles_are_monotone_and_members(
-        samples in proptest::collection::vec(1.0f64..1e6, 1..60),
-    ) {
-        let (p50, p95, p99) = nearest_rank_percentiles(&samples);
-        let max = samples.iter().cloned().fold(f64::MIN, f64::max);
-        let min = samples.iter().cloned().fold(f64::MAX, f64::min);
-        prop_assert!(p50 <= p95 && p95 <= p99, "p50={p50} p95={p95} p99={p99}");
-        prop_assert!(min <= p50 && p99 <= max);
-        for p in [p50, p95, p99] {
-            prop_assert!(samples.contains(&p), "{p} is not a sample");
-        }
-    }
-
-    /// All-ties samples: every percentile equals the common value.
-    #[test]
-    fn percentiles_of_ties_collapse(
-        value in 1.0f64..100.0,
-        n in 1usize..50,
-    ) {
-        let (p50, p95, p99) = nearest_rank_percentiles(&vec![value; n]);
-        prop_assert_eq!((p50, p95, p99), (value, value, value));
-    }
-
-    /// Percentiles are permutation-invariant (they sort internally).
-    #[test]
-    fn percentiles_ignore_sample_order(
-        samples in proptest::collection::vec(1.0f64..1e3, 2..40),
-    ) {
-        let mut rev = samples.clone();
-        rev.reverse();
-        prop_assert_eq!(nearest_rank_percentiles(&samples), nearest_rank_percentiles(&rev));
     }
 }

@@ -46,12 +46,11 @@ impl Acceptance for HillClimb {
 /// Metropolis acceptance with geometric cooling.
 #[derive(Clone, Copy, Debug)]
 pub struct SimulatedAnnealing {
-    /// Initial temperature, in objective units.
-    pub t0: f64,
     /// Per-iteration multiplicative cooling factor in `(0, 1)`.
-    pub cooling: f64,
+    cooling: f64,
     /// Temperature floor (keeps `exp` well-behaved late in the run).
-    pub t_min: f64,
+    t_min: f64,
+    /// Current temperature, in objective units.
     temperature: f64,
 }
 
@@ -61,7 +60,6 @@ impl SimulatedAnnealing {
     pub fn new(t0: f64, cooling: f64, t_min: f64) -> Self {
         assert!(t0 > 0.0 && (0.0..1.0).contains(&cooling) && t_min > 0.0);
         Self {
-            t0,
             cooling,
             t_min,
             temperature: t0,
@@ -75,11 +73,6 @@ impl SimulatedAnnealing {
         // Choose cooling so temperature decays by ~1e4 over the run.
         let cooling = (1e-4f64).powf(1.0 / iters.max(1) as f64);
         Self::new(0.05, cooling, 1e-7)
-    }
-
-    /// Current temperature (exposed for tests and diagnostics).
-    pub fn temperature(&self) -> f64 {
-        self.temperature
     }
 }
 
@@ -179,7 +172,7 @@ mod tests {
         for _ in 0..100 {
             sa.step();
         }
-        assert_eq!(sa.temperature(), 0.01);
+        assert_eq!(sa.temperature, 0.01);
     }
 
     #[test]
@@ -194,10 +187,10 @@ mod tests {
     #[test]
     fn for_normalized_loads_cools_over_run() {
         let mut sa = SimulatedAnnealing::for_normalized_loads(1000);
-        let start = sa.temperature();
+        let start = sa.temperature;
         for _ in 0..1000 {
             sa.step();
         }
-        assert!(sa.temperature() < start * 1e-3);
+        assert!(sa.temperature < start * 1e-3);
     }
 }

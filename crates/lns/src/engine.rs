@@ -94,7 +94,7 @@ pub struct EngineStats {
     pub new_bests: u64,
     /// Times a candidate beat the best objective but was refused by the
     /// problem's `state_accept_best` gate (e.g. SRA's plannability check).
-    pub best_gate_rejections: u64,
+    best_gate_rejections: u64,
     /// Destroy-operator statistics (same order as in the model).
     pub destroy_ops: Vec<OperatorStat>,
     /// Repair-operator statistics.

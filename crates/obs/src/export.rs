@@ -136,12 +136,12 @@ pub fn summary(
             let _ = writeln!(
                 out,
                 "| {name} | {} | {:.3e} | {:.3e} | {:.3e} | {:.3e} | {:.3e} |",
-                h.count,
-                h.min,
-                h.max,
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99)
+                h.count(),
+                h.min(),
+                h.max(),
+                h.percentile(50.0),
+                h.percentile(95.0),
+                h.percentile(99.0)
             );
         }
     }

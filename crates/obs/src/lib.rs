@@ -16,7 +16,7 @@
 //! * [`Recorder::Noop`] — the disabled path. Every method begins with a
 //!   discriminant check and returns immediately.
 //! * [`Recorder::active`] — buffers [`EventRecord`]s and aggregates
-//!   [`metrics`] (counters, gauges, fixed-bucket histograms) in `BTreeMap`s
+//!   [`metrics`] (counters, gauges, [`Histogram`]s) in `BTreeMap`s
 //!   (deterministic iteration order for the summary).
 //!
 //! ## Calling convention
@@ -51,7 +51,8 @@
 pub mod export;
 pub mod metrics;
 
-use metrics::{Gauge, Histogram};
+use metrics::Gauge;
+pub use metrics::Histogram;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -250,7 +251,7 @@ impl Recorder {
         }
     }
 
-    /// Records a sample into a named fixed-bucket histogram.
+    /// Records a sample into a named [`Histogram`].
     #[inline]
     pub fn observe(&mut self, histogram: &'static str, value: f64) {
         if let Recorder::Active(t) = self {

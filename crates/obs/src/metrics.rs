@@ -1,4 +1,4 @@
-//! Deterministic metric aggregates: gauges and fixed-bucket histograms.
+//! Deterministic metric aggregates: gauges and the one latency histogram.
 //!
 //! Counters are plain `u64`s in the recorder; the types here carry the
 //! state that needs more than one word. Everything is a pure function of
@@ -32,45 +32,48 @@ impl Gauge {
     }
 }
 
-/// Number of geometric buckets (beyond the two special ones).
-pub const HIST_BUCKETS: usize = 40;
-/// Lower bound of the first geometric bucket.
-pub const HIST_FIRST_BOUND: f64 = 1e-9;
-/// Geometric ratio between consecutive bucket bounds.
-pub const HIST_RATIO: f64 = 4.0;
+/// Geometric ratio between consecutive bucket bounds: ~2 % relative
+/// precision.
+const RATIO: f64 = 1.02;
+/// Smallest magnitude a geometric bucket holds; anything below it counts
+/// in the zero bucket.
+const MIN_MAGNITUDE: f64 = 1e-9;
+/// Bucket exponents `floor(ln v / ln 1.02)` of the resolved range's ends,
+/// 1e-9 and 1e15 (pinned by a unit test). Magnitudes past 1e15,
+/// non-finite ones included, land in the top bucket.
+const MIN_EXP: i32 = -1047;
+const MAX_EXP: i32 = 1744;
+const N_BUCKETS: usize = (MAX_EXP - MIN_EXP + 1) as usize;
 
-/// A fixed-bucket histogram over **magnitudes** `|v|`.
+/// The workspace's one latency/percentile histogram, over **magnitudes**
+/// `|v|`.
 ///
-/// The bucket layout is compiled in (not data-dependent), which is what
-/// makes two traces of the same run byte-comparable: bucket `i` (0-based)
-/// holds samples with `|v|` in `(1e-9 · 4^i, 1e-9 · 4^(i+1)]`, bucket
-/// `zero` holds `|v| ≤ 1e-9`, and `overflow` everything past the last
-/// bound (≈ 1.2e15). 40 geometric buckets at ratio 4 span the delta
-/// objectives (~1e-6) and relative latencies (~1..100) this workspace
-/// records, with ≤ 4× quantile error — fine for a roll-up table.
-#[derive(Clone, Debug)]
+/// HDR-style: geometric bucket `i` holds `|v|` in `[1.02^i, 1.02^(i+1))`,
+/// `i = floor(ln|v| / ln 1.02)`, over a fixed, preallocated range of
+/// exponents spanning magnitudes 1e-9 to 1e15, plus a zero bucket below
+/// it. Recording is O(1) and never allocates; a percentile is the
+/// nearest-rank sample's bucket, reported as the bucket's geometric
+/// midpoint `1.02^(i+0.5)` (0.0 for the zero bucket), so it lies within
+/// one bucket (≤ 2 %) of the exact nearest-rank sample. Count, sum, mean,
+/// min and max are exact. The layout is compiled in, not data-dependent,
+/// so two same-seed runs produce bit-identical percentiles.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
-    /// Sample counts per geometric bucket.
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Samples with magnitude at or below `HIST_FIRST_BOUND`.
-    pub zero: u64,
-    /// Samples past the last bucket bound.
-    pub overflow: u64,
-    /// Total samples.
-    pub count: u64,
-    /// Exact smallest magnitude seen.
-    pub min: f64,
-    /// Exact largest magnitude seen.
-    pub max: f64,
+    buckets: Vec<u64>,
+    zero: u64,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Self {
-            buckets: [0; HIST_BUCKETS],
+            buckets: vec![0; N_BUCKETS],
             zero: 0,
-            overflow: 0,
             count: 0,
+            sum: 0.0,
             min: 0.0,
             max: 0.0,
         }
@@ -78,8 +81,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Records `|v|`. Non-finite samples count toward `overflow` so they
-    /// are visible rather than silently dropped.
+    /// Records `|v|`.
     pub fn record(&mut self, v: f64) {
         let mag = v.abs();
         if self.count == 0 {
@@ -90,51 +92,58 @@ impl Histogram {
             self.max = self.max.max(mag);
         }
         self.count += 1;
-        if !mag.is_finite() {
-            self.overflow += 1;
-            return;
-        }
-        if mag <= HIST_FIRST_BOUND {
+        self.sum += mag;
+        if mag < MIN_MAGNITUDE {
             self.zero += 1;
             return;
         }
-        // Bucket index = ceil(log4(mag / first_bound)) - 1, computed by
-        // scanning: 40 iterations max, and recording is not on any hot
-        // path (the recorder is either Noop or already buffering events).
-        let mut bound = HIST_FIRST_BOUND;
-        for b in self.buckets.iter_mut() {
-            bound *= HIST_RATIO;
-            if mag <= bound {
-                *b += 1;
-                return;
-            }
-        }
-        self.overflow += 1;
+        let i = if mag.is_nan() {
+            MAX_EXP
+        } else {
+            ((mag.ln() / RATIO.ln()).floor() as i32).clamp(MIN_EXP, MAX_EXP)
+        };
+        self.buckets[(i - MIN_EXP) as usize] += 1;
     }
 
-    /// Upper bound of geometric bucket `i`.
-    pub fn bucket_bound(i: usize) -> f64 {
-        HIST_FIRST_BOUND * HIST_RATIO.powi(i as i32 + 1)
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
-    /// Nearest-rank quantile, reported as the upper bound of the bucket
-    /// holding the ranked sample (exact `min`/`max` for the extremes).
-    pub fn quantile(&self, q: f64) -> f64 {
+    /// Exact mean magnitude; 0.0 when empty.
+    pub fn mean(&self) -> f64 {
         if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Exact smallest magnitude; 0.0 when empty.
+    pub fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Exact largest magnitude; 0.0 when empty.
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+
+    /// Nearest-rank percentile (`p` in `[0, 100]`); 0.0 when empty.
+    ///
+    /// The representative value of the bucket holding the
+    /// `ceil(p/100 · count)`-th smallest sample (rank at least 1).
+    pub fn percentile(&self, p: f64) -> f64 {
+        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = self.zero;
+        if self.count == 0 || seen >= rank {
             return 0.0;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = self.zero;
-        if rank <= seen {
-            return HIST_FIRST_BOUND;
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
+        let i = self.buckets.iter().position(|&c| {
             seen += c;
-            if rank <= seen {
-                return Self::bucket_bound(i);
-            }
-        }
-        self.max
+            seen >= rank
+        });
+        RATIO.powf(i.map_or(MAX_EXP, |i| i as i32 + MIN_EXP) as f64 + 0.5)
     }
 }
 
@@ -155,39 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_fixed_and_exhaustive() {
-        let mut h = Histogram::default();
-        h.record(0.0); // zero bucket
-        h.record(1e-12); // still zero bucket
-        h.record(3e-9); // first geometric bucket (1e-9, 4e-9]
-        h.record(1.0);
-        h.record(-1.0); // magnitudes: sign ignored
-        h.record(1e20); // overflow
-        h.record(f64::INFINITY); // overflow
-        assert_eq!(h.zero, 2);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.overflow, 2);
-        assert_eq!(h.count, 7);
-        let placed: u64 = h.buckets.iter().sum::<u64>() + h.zero + h.overflow;
-        assert_eq!(placed, h.count);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_and_bounded() {
-        let mut h = Histogram::default();
-        for i in 1..=100 {
-            h.record(i as f64 * 0.01);
-        }
-        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
-        assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        // Bucket upper bounds over-approximate by at most the ratio.
-        assert!((0.5..=0.5 * HIST_RATIO).contains(&p50));
-        assert_eq!(h.quantile(1.0), h.quantile(0.999));
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_zero() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), 0.0);
+    fn bucket_exponents_span_the_magnitude_range() {
+        let exp = |v: f64| (v.ln() / RATIO.ln()).floor() as i32;
+        assert_eq!(exp(MIN_MAGNITUDE), MIN_EXP);
+        assert_eq!(exp(1e15), MAX_EXP);
     }
 }

@@ -1,15 +1,6 @@
 //! Router configuration: the one validated struct a routing run is a pure
 //! function of (together with the [`rex_cluster::Instance`] it runs over).
 
-/// The most latency samples a config may ask the router to hold: 2²⁶, a
-/// 512 MiB buffer of `f64`. `Router::new` reserves the buffer up front for
-/// every sample the horizon can yield, so this caps what one config can
-/// make it reserve — a typed error instead of an allocation abort. The
-/// largest run in the repo, the benchmark's `converge_events` (10 s of
-/// simulated time at 80 000 qps), needs about 820 000, some eighty times
-/// fewer.
-pub const MAX_SAMPLES: u64 = 1 << 26;
-
 /// Which replica-selection policy the router runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
@@ -235,18 +226,16 @@ impl RouterConfig {
             ensure(c.every_us > 0, "sra every_us must be positive")?;
             ensure(c.iters > 0, "sra iters must be positive")?;
         }
-        // Every query the horizon admits at the peak rate (a flash crowd
-        // raises it by at most its factor) is one sample.
-        let peak_per_us = self.qps / 1_000_000.0 * self.spike.map_or(1.0, |s| s.factor);
-        let samples = self.horizon_us as f64 * peak_per_us;
-        if samples.is_nan() || samples > MAX_SAMPLES as f64 {
-            return Err(format!(
-                "horizon_us {} at qps {} yields up to {samples:.3e} latency samples; \
-                 the buffer holds at most {MAX_SAMPLES} (shorten the horizon)",
-                self.horizon_us, self.qps
-            ));
-        }
-        Ok(())
+        // `Router::new` pre-sizes its query slab and event queue for the
+        // subrequests the peak rate keeps in flight over 16 mean service
+        // times (its per-µs buckets for 3 µs of arrivals); past 2²⁴ entries
+        // that is an error here, not an allocation abort there.
+        let peak_per_us = self.qps / 1e6 * self.spike.map_or(1.0, |s| s.factor);
+        let in_flight = peak_per_us * self.fanout as f64 * (self.base_service_us * 16.0).max(3.0);
+        ensure(
+            in_flight <= (1u64 << 24) as f64,
+            "qps × fanout × base_service_us keeps more subrequests in flight than the router holds",
+        )
     }
 }
 
@@ -297,26 +286,47 @@ mod tests {
     }
 
     #[test]
-    fn hostile_horizons_and_spike_windows_are_rejected() {
-        let e = RouterConfig {
+    fn horizons_past_two_to_the_26_queries_validate() {
+        // Latencies go into a fixed-size histogram, so no horizon × qps is
+        // too many queries to hold.
+        let cfg = RouterConfig {
             horizon_us: 100_000_000_000_000,
             ..Default::default()
+        };
+        assert!(cfg.horizon_us as f64 * cfg.qps / 1e6 > (1u64 << 26) as f64);
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn hostile_rates_and_spike_windows_are_rejected() {
+        for qps in [f64::INFINITY, f64::NAN, 0.0, 1e12] {
+            let e = RouterConfig {
+                qps,
+                ..Default::default()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(e.contains("qps"), "{e}");
         }
-        .validate()
-        .unwrap_err();
-        assert!(e.contains("latency samples"), "{e}");
-        let e = RouterConfig {
-            spike: Some(FlashCrowd {
-                at_us: u64::MAX - 5,
+        let hostile = [
+            (u64::MAX - 5, 3.0, "overflows"),
+            (1_000, f64::INFINITY, "in flight"),
+        ];
+        for (at_us, factor, msg) in hostile {
+            let spike = Some(FlashCrowd {
+                at_us,
                 duration_us: 10_000,
-                factor: 3.0,
+                factor,
                 shard_fraction: 0.1,
-            }),
-            ..Default::default()
+            });
+            let e = RouterConfig {
+                spike,
+                ..Default::default()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(e.contains(msg), "{e}");
         }
-        .validate()
-        .unwrap_err();
-        assert!(e.contains("overflows"), "{e}");
     }
 
     #[test]

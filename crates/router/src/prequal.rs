@@ -1,14 +1,14 @@
 //! Prequal-style probing ("Load is not what you should balance",
 //! PAPERS.md): instead of balancing offered load, probe replicas
 //! asynchronously, keep a small per-shard pool of recent answers, classify
-//! entries **hot** (requests-in-flight at or above [`HOT_RIF`]) or
+//! entries **hot** (requests-in-flight at or above `HOT_RIF`) or
 //! **cold**, and route to the lowest-estimated-latency cold replica —
 //! falling back to lowest RIF when everything is hot, and to power-of-d
 //! over live queue depths when the pool is empty (probes still in flight
 //! or expired). Every pick sends one probe.
 //!
-//! Pool entries are reused across picks up to [`PROBE_MAX_USES`] times and
-//! expire after [`PROBE_EXPIRY_US`]; both guards keep the router off stale
+//! Pool entries are reused across picks up to `PROBE_MAX_USES` times and
+//! expire after `PROBE_EXPIRY_US`; both guards keep the router off stale
 //! signals. All storage is flat arrays sized at construction — pool
 //! maintenance never allocates.
 
@@ -17,14 +17,14 @@ use crate::state::ReplicaState;
 use rand::rngs::StdRng;
 
 /// Per-shard probe-pool capacity.
-pub const PROBE_POOL: usize = 16;
+const PROBE_POOL: usize = 16;
 /// Pool entries older than this are discarded (µs).
-pub const PROBE_EXPIRY_US: u64 = 5_000;
+const PROBE_EXPIRY_US: u64 = 5_000;
 /// A pool entry serves at most this many picks before it is discarded
 /// (reuse budget).
-pub const PROBE_MAX_USES: u32 = 3;
+const PROBE_MAX_USES: u32 = 3;
 /// Entries with requests-in-flight at or above this are hot.
-pub const HOT_RIF: u32 = 4;
+const HOT_RIF: u32 = 4;
 
 /// One probe answer: the probed replica's state at reply time.
 #[derive(Clone, Copy, Debug)]

@@ -33,17 +33,16 @@ use crate::state::{MachineState, QuerySlab, ReplicaState};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use rex_cluster::metrics::nearest_rank_percentiles;
 use rex_cluster::service;
 use rex_cluster::Instance;
-use rex_obs::Recorder;
+use rex_obs::{Histogram, Recorder};
 use serde::Serialize;
 
 /// Prequal's probe round-trip time: a reply lands this many µs after its
 /// probe.
 pub const PROBE_RTT_US: u64 = 300;
 /// EWMA smoothing for per-replica latency estimates.
-pub const EWMA_ALPHA: f64 = 0.2;
+const EWMA_ALPHA: f64 = 0.2;
 
 /// Everything one routing run reports. Serialization order is declaration
 /// order and every field is deterministic, so same-config runs write
@@ -85,10 +84,8 @@ pub struct RouterReport {
     pub sra_solves: u64,
     /// Replica-map moves those solves applied.
     pub sra_moves: u64,
-    /// Latencies in the percentile sample set.
+    /// Query latencies in the percentile histogram.
     pub sampled: u64,
-    /// Samples dropped at the pre-sized buffer's cap (0 in practice).
-    pub dropped_samples: u64,
     /// Mean query latency (µs).
     pub mean_us: f64,
     /// Median query latency (µs).
@@ -119,8 +116,6 @@ struct Counters {
     events: u64,
     probes_sent: u64,
     probe_replies: u64,
-    sampled: u64,
-    dropped_samples: u64,
 }
 
 /// The router engine. Build with [`Router::new`] (the [`Policy`] arm the
@@ -152,7 +147,9 @@ pub struct Router {
     hot_extra: Vec<f64>,
     spike_active: bool,
     coupling: Option<Coupling>,
-    samples: Vec<f64>,
+    /// Every completed query's latency, in the tick engine's relative
+    /// units (µs ÷ `base_service_us`).
+    latency: Histogram,
     counters: Counters,
     /// Every event handled, in order (the pump's own events excluded).
     #[cfg(test)]
@@ -214,18 +211,9 @@ impl Router {
         let lambda_base = cfg.qps / 1_000_000.0;
         let lambda_spike = lambda_base * ts / tb;
 
-        // Pre-size everything the steady-state loop touches: the arrival
-        // count is deterministic (floor-accumulator), so the sample buffer
-        // bound is exact; the slab and queue grow to their high-water mark
-        // during warmup and then stop.
-        let spike_ticks = cfg.spike.map_or(0, |s| {
-            s.duration_us.min(cfg.horizon_us.saturating_sub(s.at_us))
-        });
-        let max_queries = ((cfg.horizon_us - spike_ticks) as f64 * lambda_base
-            + spike_ticks as f64 * lambda_spike)
-            .ceil() as usize;
-        // `validate` bounds every query the horizon admits by MAX_SAMPLES.
-        let sample_cap = max_queries + 4;
+        // Pre-size everything the steady-state loop touches: the latency
+        // histogram is fixed-size, and the slab and queue grow to their
+        // high-water mark during warmup and then stop.
         let concurrent = (lambda_spike * cfg.base_service_us * 16.0) as usize + 64;
         let span = (PROBE_RTT_US as usize * 2)
             .max(cfg.base_service_us as usize * 8)
@@ -259,7 +247,7 @@ impl Router {
             hot_extra,
             spike_active: false,
             coupling: cfg.sra.map(|c| Coupling::new(c, n_s, cfg.seed)),
-            samples: Vec::with_capacity(sample_cap),
+            latency: Histogram::default(),
             counters: Counters::default(),
             #[cfg(test)]
             handled: Vec::new(),
@@ -436,12 +424,11 @@ impl Router {
         self.ms.set_failed(m, down);
     }
 
-    /// Takes the latency samples (µs) collected since the last drain.
-    /// Backend mode drains once per runtime tick, so the buffer only ever
-    /// holds one tick's worth; [`Router::finish`]'s percentiles cover the
-    /// samples no drain took.
-    pub fn drain_samples(&mut self) -> std::vec::Drain<'_, f64> {
-        self.samples.drain(..)
+    /// Hands over the latency histogram (relative units: µs ÷
+    /// `base_service_us`), leaving an empty one. Backend mode takes it once,
+    /// after the horizon.
+    pub fn take_latency(&mut self) -> Histogram {
+        std::mem::take(&mut self.latency)
     }
 
     /// Queries admitted so far.
@@ -505,12 +492,8 @@ impl Router {
                 self.st.served[r] += 1;
                 self.policy.on_complete(replica);
                 if let Some(latency) = self.slab.complete_one(query, t) {
-                    if self.samples.len() < self.samples.capacity() {
-                        self.samples.push(latency as f64);
-                        self.counters.sampled += 1;
-                    } else {
-                        self.counters.dropped_samples += 1;
-                    }
+                    self.latency
+                        .record(latency as f64 / self.cfg.base_service_us);
                 }
             }
             EventKind::ProbeReply { shard, replica } => {
@@ -676,18 +659,14 @@ impl Router {
         }
     }
 
-    /// Final roll-up: percentiles over the sample set (the only allocating
-    /// step, outside the event loop) plus the obs gauges/counters. Public
-    /// for step-driven callers ([`Router::start`] / [`Router::step`] /
-    /// [`Router::advance_to`]); [`Router::run_traced`] calls it last.
+    /// Final roll-up: the histogram's percentiles, multiplied back to µs,
+    /// plus the obs gauges/counters. Public for step-driven callers
+    /// ([`Router::start`] / [`Router::step`] / [`Router::advance_to`]);
+    /// [`Router::run_traced`] calls it last.
     pub fn finish(self, rec: &mut Recorder) -> RouterReport {
-        let (p50, p95, p99) = nearest_rank_percentiles(&self.samples);
-        let mean = if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        };
-        let max = self.samples.iter().fold(0.0f64, |a, &b| a.max(b));
+        let us = |rel: f64| rel * self.cfg.base_service_us;
+        let h = &self.latency;
+        let [p50, p95, p99] = [50.0, 95.0, 99.0].map(|p| us(h.percentile(p)));
         let probe = self.policy.probe_stats();
         let (sra_solves, sra_moves) = self
             .coupling
@@ -729,13 +708,12 @@ impl Router {
             hot_picks: probe.hot_picks,
             sra_solves,
             sra_moves,
-            sampled: self.counters.sampled,
-            dropped_samples: self.counters.dropped_samples,
-            mean_us: mean,
+            sampled: h.count(),
+            mean_us: us(h.mean()),
             p50_us: p50,
             p95_us: p95,
             p99_us: p99,
-            max_us: max,
+            max_us: us(h.max()),
         }
     }
 }
@@ -798,10 +776,10 @@ mod tests {
         assert!(report.queries > 400, "30 ms at 20k qps admits ~600 queries");
         assert_eq!(report.subrequests, report.queries * 4);
         assert_eq!(report.sampled, report.queries, "every query is sampled");
-        assert_eq!(report.dropped_samples, 0);
         assert!(report.p50_us <= report.p95_us);
         assert!(report.p95_us <= report.p99_us);
-        assert!(report.p99_us <= report.max_us);
+        // A percentile is its bucket's midpoint: within 2 % of the max.
+        assert!(report.p99_us <= report.max_us * 1.02);
         assert!(report.mean_us >= 1.0, "latency is at least one service");
         assert!(report.events >= report.subrequests + report.horizon_us);
     }
@@ -945,9 +923,12 @@ mod tests {
             }),
             ..stable_cfg()
         };
-        let free = run(&inst, &cfg).to_json();
-        let mut r = Router::new(&inst, &cfg);
         let mut rec = Recorder::noop();
+        let mut r = Router::new(&inst, &cfg);
+        r.start(&mut rec);
+        while r.step(&mut rec) {}
+        let free = (r.latency.clone(), r.finish(&mut rec).to_json());
+        let mut r = Router::new(&inst, &cfg);
         r.start(&mut rec);
         let mut t = 0;
         while t < cfg.horizon_us {
@@ -955,7 +936,7 @@ mod tests {
             r.advance_to(t, &mut rec);
         }
         r.advance_to(u64::MAX, &mut rec);
-        assert_eq!(free, r.finish(&mut rec).to_json());
+        assert_eq!(free, (r.latency.clone(), r.finish(&mut rec).to_json()));
     }
 
     #[test]
@@ -1161,35 +1142,38 @@ mod tests {
     /// within a µs, spike/poll timing or a counter moves one of these. The
     /// two SRA rows were re-recorded once when regret-2 began breaking
     /// exact score ties by the canonical scan key (DESIGN.md §6): their
-    /// integer-count traffic snapshots tie everywhere.
+    /// integer-count traffic snapshots tie everywhere. Every row was
+    /// re-recorded once when the latency percentiles moved to the shared
+    /// 2 % histogram (bucket midpoints instead of exact samples, and one
+    /// report field fewer).
     #[test]
     fn schedule_edges_match_the_frozen_reports() {
         let frozen: [(&str, u64, u64); 10] = [
-            ("spike-at-0", 0x9d1f_2f5c_863a_99b4, 0xe3e2_724d_7313_65d1),
+            ("spike-at-0", 0xc614_d61e_dd33_c513, 0x5866_b39d_cf8e_1d40),
             (
                 "spike-past-horizon",
-                0x3127_8e43_4218_a9a1,
-                0x2633_2273_37b3_52c1,
+                0x5c07_88ec_0403_90c5,
+                0xe82d_65df_049b_7876,
             ),
             (
                 "spike-ends-at-horizon",
-                0xf848_b995_7c10_6cbe,
-                0x00fe_2e09_8f81_117d,
+                0x627c_5164_c752_8b21,
+                0x7734_e853_d01d_4946,
             ),
-            ("sra-every-1", 0x2693_44fc_8aa2_4954, 0xd0c4_dafe_013d_5a51),
-            ("sra-every-2", 0xa9b2_28c2_2626_43ef, 0x7f54_43a6_d0c1_37a9),
-            ("prequal", 0xb4a4_c498_d6e1_848c, 0xb24d_6a50_094f_ab76),
-            ("token-r3", 0x12d1_772e_04f0_28c0, 0x7bff_0c7e_80b6_310a),
-            ("horizon-1", 0x1f27_05c6_e1fe_3714, 0xca91_59ae_5a06_6607),
+            ("sra-every-1", 0x5a8c_8e1f_811e_2de5, 0x664b_b766_caf6_73b8),
+            ("sra-every-2", 0xc015_9e08_1836_0061, 0x9494_5a48_cb4c_e155),
+            ("prequal", 0x2c4a_2684_f583_ffa8, 0xec36_46df_d918_4c28),
+            ("token-r3", 0xd382_b87a_56ca_bf0f, 0x7aa2_c377_eda0_f399),
+            ("horizon-1", 0x2bea_7faf_7ffe_798e, 0x93ce_3071_31f1_817c),
             (
                 "sparse-overflow",
-                0x4db8_0f8a_1e69_c1f4,
-                0x491e_71c5_c704_7f74,
+                0x268a_5d04_32bd_faa7,
+                0xa3b3_b65e_cdf8_1508,
             ),
             (
                 "sparse-overflow-sra",
-                0x0f04_3942_a9f3_9333,
-                0xc805_e5c4_6868_9b00,
+                0x33a1_35b5_e58c_6cf4,
+                0x8f61_aedb_4904_0ae1,
             ),
         ];
         let got: Vec<(&str, u64, u64)> = schedule_edge_grid()
@@ -1210,8 +1194,9 @@ mod tests {
     /// What one config gives with the computed schedule, or with the pump
     /// re-armed as a queue event every µs: the free-running report, trace
     /// and handled-event stream; then, driving in `window`-µs slices as the
-    /// runtime backend does, the query count and sample bits each drain
-    /// takes and the report after the tail.
+    /// runtime backend does, the query count and the latency histogram's
+    /// count and mean bits after each slice, and the whole histogram and
+    /// the report after the tail.
     #[allow(clippy::type_complexity)]
     fn schedule_bytes(
         inst: &Instance,
@@ -1222,7 +1207,8 @@ mod tests {
         String,
         String,
         Vec<(u64, EventKind)>,
-        Vec<(u64, Vec<u64>)>,
+        Vec<(u64, u64, u64)>,
+        Histogram,
         String,
     ) {
         PER_US_PUMP.with(|p| p.set(per_us_pump));
@@ -1236,18 +1222,18 @@ mod tests {
         let mut r = Router::new(inst, cfg);
         let mut rec = Recorder::noop();
         r.start(&mut rec);
-        let mut drains = Vec::new();
+        let mut slices = Vec::new();
         let mut limit = 0;
         while limit < cfg.horizon_us {
             limit += window;
             r.advance_to(limit, &mut rec);
-            drains.push((r.queries(), r.drain_samples().map(f64::to_bits).collect()));
+            slices.push((r.queries(), r.latency.count(), r.latency.mean().to_bits()));
         }
         r.advance_to(u64::MAX, &mut rec);
-        drains.push((r.queries(), r.drain_samples().map(f64::to_bits).collect()));
+        let latency = r.latency.clone();
         let windowed = r.finish(&mut rec).to_json();
         PER_US_PUMP.with(|p| p.set(false));
-        (free, trace, handled, drains, windowed)
+        (free, trace, handled, slices, latency, windowed)
     }
 
     /// An overloaded fleet at 25-µs service: backlogged replicas complete

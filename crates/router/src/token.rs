@@ -2,11 +2,11 @@
 //! count; a subrequest goes to the replica of the shard's block holding
 //! the most tokens (ties break toward the lowest index), spends one token
 //! there, and the token is minted back when the subrequest completes. The
-//! count is therefore [`TOKEN_INIT`] − in-flight: a stateless-per-query,
+//! count is therefore `TOKEN_INIT` − in-flight: a stateless-per-query,
 //! feedback-driven balancer that needs no probes and no latency estimates.
 
 /// Tokens each replica starts with.
-pub const TOKEN_INIT: u32 = 2;
+const TOKEN_INIT: u32 = 2;
 
 /// The token balancer. Counts may go negative under overload (every
 /// replica saturated); the argmax rule still spreads the excess evenly.
@@ -15,7 +15,7 @@ pub struct TokenBalancer {
 }
 
 impl TokenBalancer {
-    /// [`TOKEN_INIT`] tokens on each of `n_replicas` replicas.
+    /// `TOKEN_INIT` tokens on each of `n_replicas` replicas.
     pub fn new(n_replicas: usize) -> Self {
         Self {
             tokens: vec![i64::from(TOKEN_INIT); n_replicas],

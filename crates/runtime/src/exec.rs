@@ -90,7 +90,7 @@ pub struct BoundaryViolation {
     pub machine: MachineId,
     /// True if the violation is at the batch's start boundary (copies
     /// beginning), false at its end boundary (state after commit).
-    pub at_start: bool,
+    at_start: bool,
 }
 
 /// Replays `plan` from `initial` and checks the transient constraint at

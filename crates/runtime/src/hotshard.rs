@@ -330,7 +330,7 @@ pub struct Operator {
     /// What to do.
     pub kind: OperatorKind,
     /// Tick the operator was admitted.
-    pub admitted_at: u64,
+    admitted_at: u64,
 }
 
 /// Admits, expires, starts, and cancels operators under a concurrency
@@ -389,7 +389,7 @@ impl OperatorScheduler {
     }
 
     /// Moves the oldest pending operator to running if a slot is free.
-    pub fn start_next(&mut self) -> Option<Operator> {
+    fn start_next(&mut self) -> Option<Operator> {
         if self.running.len() >= self.limit {
             return None;
         }
@@ -404,14 +404,14 @@ impl OperatorScheduler {
     }
 
     /// Cancels everything (crash recovery) and returns what was dropped.
-    pub fn cancel_all(&mut self) -> Vec<Operator> {
+    fn cancel_all(&mut self) -> Vec<Operator> {
         let mut out: Vec<Operator> = self.pending.drain(..).collect();
         out.append(&mut self.running);
         out
     }
 
     /// Renames a shard id across all queued and running operators.
-    pub fn remap_shard(&mut self, old: ShardId, new: ShardId) {
+    fn remap_shard(&mut self, old: ShardId, new: ShardId) {
         for op in self.pending.iter_mut().chain(self.running.iter_mut()) {
             op.kind.remap(old, new);
         }
@@ -425,11 +425,6 @@ impl OperatorScheduler {
     /// Currently running operators.
     pub fn running(&self) -> impl Iterator<Item = &Operator> {
         self.running.iter()
-    }
-
-    /// True when nothing is queued or running.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.running.is_empty()
     }
 }
 
@@ -963,7 +958,8 @@ mod tests {
         sched.start_next().unwrap();
         let dropped = sched.cancel_all();
         assert_eq!(dropped.len(), 2);
-        assert!(sched.is_idle());
+        assert_eq!(sched.running().count(), 0);
+        assert!(sched.start_next().is_none(), "nothing left pending");
     }
 
     #[test]

@@ -67,6 +67,6 @@ pub use hotshard::{
     plan_hotshard_migration, EwmaCache, EwmaEntry, HotShardConfig, Operator, OperatorKind,
     OperatorScheduler,
 };
-pub use metrics::{Counters, GaugeSample, LatencyHistogram, LatencySummary, MetricsExport};
+pub use metrics::{Counters, GaugeSample, LatencySummary, MetricsExport};
 pub use sim::Simulation;
 pub use trace::{ReplayScript, TraceHeader, TraceLine};

@@ -1,119 +1,17 @@
-//! The metrics bus: counters, gauges, and log-bucketed latency histograms.
+//! The metrics bus: counters, gauges, and the latency summary.
 //!
 //! Everything here serializes to JSON through fixed-order struct fields and
 //! `Vec`s — no hash maps anywhere — so two runs with the same seed produce
 //! **byte-identical** exports. That is a hard contract (tested), because the
 //! experiment harness diffs metric files across runs.
 //!
-//! The histogram is HDR-style: geometric buckets with ~2% relative
-//! precision, O(1) record, percentile queries by cumulative walk. Relative
-//! latencies live in `[1, 1/(1−ρ_max)]` so a few hundred buckets cover the
-//! whole range.
+//! Latency samples go into the arrival plane's [`Histogram`] (the
+//! workspace's one percentile type, in rex-obs); the export carries its
+//! [`LatencySummary`].
 
 use rex_cluster::BalanceReport;
+use rex_obs::Histogram;
 use serde::Serialize;
-
-/// Geometric bucket growth factor (~2% relative precision).
-const BUCKET_RATIO: f64 = 1.02;
-/// Number of buckets: `1.02^464 ≈ 9800`, far above any clamped latency.
-const N_BUCKETS: usize = 464;
-
-/// A log-bucketed latency histogram.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    max: f64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; N_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-
-    fn bucket_of(v: f64) -> usize {
-        if v <= 1.0 {
-            return 0;
-        }
-        let i = (v.ln() / BUCKET_RATIO.ln()).floor() as usize;
-        i.min(N_BUCKETS - 1)
-    }
-
-    /// Representative value of bucket `i` (geometric midpoint).
-    fn bucket_value(i: usize) -> f64 {
-        BUCKET_RATIO.powf(i as f64 + 0.5)
-    }
-
-    /// Records one latency sample (relative latency, ≥ 1).
-    pub fn record(&mut self, v: f64) {
-        debug_assert!(v.is_finite() && v >= 0.0, "bad latency sample {v}");
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Nearest-rank percentile (`p` in `[0, 100]`); 0.0 when empty.
-    ///
-    /// Returns the representative value of the bucket containing the
-    /// `ceil(p/100 · count)`-th smallest sample — exact to the bucket's
-    /// ~2% relative width, like any HDR-style histogram.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_value(i);
-            }
-        }
-        Self::bucket_value(N_BUCKETS - 1)
-    }
-
-    /// Mean of the recorded samples (exact, not bucketed); 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Table-ready summary.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count,
-            mean: self.mean(),
-            p50: self.percentile(50.0),
-            p95: self.percentile(95.0),
-            p99: self.percentile(99.0),
-            max: self.max,
-        }
-    }
-}
 
 /// Percentile summary of a latency histogram.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -130,6 +28,20 @@ pub struct LatencySummary {
     pub p99: f64,
     /// Exact maximum.
     pub max: f64,
+}
+
+impl LatencySummary {
+    /// Table-ready summary of `h`.
+    pub fn of(h: &Histogram) -> Self {
+        Self {
+            count: h.count(),
+            mean: h.mean(),
+            p50: h.percentile(50.0),
+            p95: h.percentile(95.0),
+            p99: h.percentile(99.0),
+            max: h.max(),
+        }
+    }
 }
 
 /// Monotonic event counters.
@@ -255,61 +167,9 @@ impl MetricsExport {
     }
 }
 
-/// The live metrics bus the simulation writes into.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsBus {
-    /// Event counters.
-    pub counters: Counters,
-    /// Query fan-out latency histogram.
-    pub latency: LatencyHistogram,
-    /// Gauge time series.
-    pub gauges: Vec<GaugeSample>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_histogram_reports_zeros() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(99.0), 0.0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn percentiles_are_ordered_and_bracketed() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=1000 {
-            h.record(1.0 + i as f64 / 100.0); // 1.01 .. 11.0
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 1000);
-        assert!(s.p50 <= s.p95 && s.p95 <= s.p99);
-        // ~2% bucket resolution around the true ranks.
-        assert!((s.p50 / 6.0 - 1.0).abs() < 0.05, "p50={}", s.p50);
-        assert!((s.p99 / 10.9 - 1.0).abs() < 0.05, "p99={}", s.p99);
-        assert!((s.mean - 6.005).abs() < 1e-9);
-        assert_eq!(s.max, 11.0);
-    }
-
-    #[test]
-    fn single_sample_is_every_percentile() {
-        let mut h = LatencyHistogram::new();
-        h.record(5.0);
-        let p50 = h.percentile(50.0);
-        assert_eq!(p50, h.percentile(99.0));
-        assert!((p50 / 5.0 - 1.0).abs() < 0.03);
-    }
-
-    #[test]
-    fn huge_values_clamp_to_last_bucket() {
-        let mut h = LatencyHistogram::new();
-        h.record(1e12);
-        assert!(h.percentile(50.0) > 1000.0);
-        assert_eq!(h.max, 1e12);
-    }
 
     #[test]
     fn steady_state_peak_uses_tail() {
@@ -333,7 +193,7 @@ mod tests {
                 ticks: 9,
             },
             counters: Counters::default(),
-            latency: LatencyHistogram::new().summary(),
+            latency: LatencySummary::of(&Histogram::default()),
             initial_report: BalanceReport::from_loads(&[0.5]),
             final_report: BalanceReport::from_loads(&[0.5]),
             gauges,
@@ -345,7 +205,7 @@ mod tests {
     #[test]
     fn export_json_is_deterministic() {
         let mk = || {
-            let mut h = LatencyHistogram::new();
+            let mut h = Histogram::default();
             h.record(2.0);
             h.record(3.5);
             MetricsExport {
@@ -360,7 +220,7 @@ mod tests {
                     migration_traffic: 1.5,
                     ..Default::default()
                 },
-                latency: h.summary(),
+                latency: LatencySummary::of(&h),
                 initial_report: BalanceReport::from_loads(&[0.9, 0.1]),
                 final_report: BalanceReport::from_loads(&[0.5, 0.5]),
                 gauges: vec![GaugeSample {

@@ -8,9 +8,10 @@
 //! [`controller_signal`](ArrivalPlane::controller_signal) per gauge sample,
 //! [`finish`](ArrivalPlane::finish) once after the horizon — and each plane
 //! owns everything only its engine needs: the tick plane its two RNG
-//! streams and the sampled-fanout weight tables, the event plane the
-//! embedded router and its query count at the last drain (DESIGN.md §7,
-//! §14).
+//! streams, the sampled-fanout weight tables and the run's latency
+//! [`Histogram`], the event plane the embedded router (which records the
+//! latencies and hands its histogram over at the horizon) and its query
+//! count at the last tick (DESIGN.md §7, §14).
 
 use super::LiveCluster;
 use crate::server::{
@@ -19,15 +20,8 @@ use crate::server::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rex_cluster::{MachineId, Move, ScenarioSpec, ShardId};
-use rex_obs::Recorder;
+use rex_obs::{Histogram, Recorder};
 use rex_router::Router;
-
-/// One `arrive`/`finish` call's yield: queries admitted and the latency
-/// samples drawn for them (relative units, service mean 1.0 at ρ = 0).
-pub(crate) struct Arrived<'a> {
-    pub queries: u64,
-    pub latencies: &'a [f64],
-}
 
 /// The two arrival engines behind one seam. A simulation holds exactly one
 /// plane, so the variants' size difference costs nothing.
@@ -40,8 +34,10 @@ pub(crate) enum ArrivalPlane {
 }
 
 impl ArrivalPlane {
-    /// This tick's arrivals against the live cluster.
-    pub fn arrive(&mut self, tick: u64, cl: &LiveCluster, obs: &mut Recorder) -> Arrived<'_> {
+    /// This tick's arrivals against the live cluster: the queries admitted.
+    /// Their latencies (relative units, service mean 1.0 at ρ = 0) go into
+    /// the plane's histogram.
+    pub fn arrive(&mut self, tick: u64, cl: &LiveCluster, obs: &mut Recorder) -> u64 {
         match self {
             ArrivalPlane::Tick(t) => t.arrive(tick, cl),
             ArrivalPlane::Event(be) => be.arrive(tick, obs),
@@ -79,14 +75,12 @@ impl ArrivalPlane {
         }
     }
 
-    /// After the horizon: whatever is still in flight inside the plane.
-    pub fn finish(&mut self, obs: &mut Recorder) -> Arrived<'_> {
+    /// After the horizon: the queries still in flight inside the plane
+    /// arrive, and the run's latency histogram is handed over.
+    pub fn finish(&mut self, obs: &mut Recorder) -> (u64, Histogram) {
         match self {
-            ArrivalPlane::Tick(_) => Arrived {
-                queries: 0,
-                latencies: &[],
-            },
-            ArrivalPlane::Event(be) => be.drain_backend_tail(obs),
+            ArrivalPlane::Tick(t) => (0, std::mem::take(&mut t.latency)),
+            ArrivalPlane::Event(be) => be.finish(obs),
         }
     }
 }
@@ -104,11 +98,12 @@ pub(crate) struct TickArrivals {
     total_weight: f64,
     weight_ratio: f64,
     weights_epoch: Option<u64>,
+    /// Every sampled query latency of the run.
+    latency: Histogram,
     // Scratch buffers reused across ticks.
     rho: Vec<f64>,
     spike_cpu: Vec<f64>,
     serving: Vec<bool>,
-    samples: Vec<f64>,
 }
 
 impl TickArrivals {
@@ -122,14 +117,14 @@ impl TickArrivals {
             total_weight: 0.0,
             weight_ratio: 1.0,
             weights_epoch: None,
+            latency: Histogram::default(),
             rho: Vec::new(),
             spike_cpu: Vec::new(),
             serving: Vec::new(),
-            samples: Vec::new(),
         }
     }
 
-    fn arrive(&mut self, tick: u64, cl: &LiveCluster) -> Arrived<'_> {
+    fn arrive(&mut self, tick: u64, cl: &LiveCluster) -> u64 {
         let cfg = &cl.cfg;
         let mult = diurnal_multiplier(tick, cfg.ticks_per_hour, cfg.diurnal_amplitude);
         let mut lambda = cfg.qps * mult;
@@ -140,7 +135,6 @@ impl TickArrivals {
             lambda *= self.arrival_weight_ratio(cl);
         }
         let n = poisson(&mut self.arrivals_rng, lambda);
-        self.samples.clear();
         let k = (n as usize).min(cfg.latency_samples_per_tick);
         if k > 0 {
             self.serving.clear();
@@ -177,13 +171,11 @@ impl TickArrivals {
                         &mut self.latency_rng,
                     )
                 };
-                self.samples.push(lat);
+                debug_assert!(lat.is_finite() && lat >= 0.0, "bad latency sample {lat}");
+                self.latency.record(lat);
             }
         }
-        Arrived {
-            queries: n,
-            latencies: &self.samples,
-        }
+        n
     }
 
     /// The live/base total-weight ratio of the sampled-fanout arrival
@@ -249,7 +241,8 @@ fn build_arrival_weights(
 /// The embedded query-level engine of *event mode*
 /// ([`super::Simulation::from_workload_event`]): a [`Router`] advanced one
 /// tick-width of micro-ticks per runtime tick. The runtime stays the single
-/// control brain — this plane supplies arrivals and latency samples, and
+/// control brain — this plane supplies arrivals and the router's latency
+/// histogram (recorded in the tick engine's relative units), and
 /// mirrors every placement mutation ([`Router::apply_primary_move`],
 /// [`Router::set_failed`]) so the replica map and the runtime `Assignment`
 /// share one source of truth (DESIGN.md §14).
@@ -257,20 +250,15 @@ pub(crate) struct EventBackend {
     router: Router,
     /// Micro-ticks per runtime tick (the scenario's `tick_us`).
     tick_us: u64,
-    /// Divisor turning router µs latencies into the tick engine's
-    /// relative units (service mean 1.0 at ρ = 0).
-    base_service_us: f64,
-    /// Router query count at the last drain.
+    /// Router query count at the end of the last tick window.
     queries_seen: u64,
     /// Feed the controller router-observed EWMA utilization instead of
     /// ground-truth assignment usage.
     ewma_controller: bool,
     /// Router event loop armed (first `arrive` starts it).
     started: bool,
-    // Scratch: `Router::observed_machine_rho` and the drained samples in
-    // relative units.
+    /// Scratch for `Router::observed_machine_rho`.
     observed_rho: Vec<f64>,
-    samples: Vec<f64>,
 }
 
 impl EventBackend {
@@ -279,54 +267,44 @@ impl EventBackend {
         Self {
             router,
             tick_us: scenario.tick_us,
-            base_service_us: scenario.base_service_us,
             queries_seen: 0,
             ewma_controller,
             started: false,
             observed_rho: Vec::new(),
-            samples: Vec::new(),
         }
     }
 
     /// Advances the router through this tick's micro-tick window
-    /// `(tick·tick_us, (tick+1)·tick_us]` and drains its new samples. The
-    /// router's own pump flips flash crowds from its lowered config at the
-    /// same microsecond the runtime's spike plane flips its tick.
-    fn arrive(&mut self, tick: u64, obs: &mut Recorder) -> Arrived<'_> {
+    /// `(tick·tick_us, (tick+1)·tick_us]` and returns the queries it
+    /// admitted. The router's own pump flips flash crowds from its lowered
+    /// config at the same microsecond the runtime's spike plane flips its
+    /// tick.
+    fn arrive(&mut self, tick: u64, obs: &mut Recorder) -> u64 {
         if !self.started {
             self.started = true;
             self.router.start(obs);
         }
         self.router.advance_to((tick + 1) * self.tick_us, obs);
-        self.drain_backend_samples()
+        self.new_queries()
     }
 
-    /// Pulls the router's query count delta and new latency samples
-    /// (µs ÷ `base_service_us` → the tick engine's relative units).
-    fn drain_backend_samples(&mut self) -> Arrived<'_> {
+    /// The router's query count delta since the last call.
+    fn new_queries(&mut self) -> u64 {
         let q = self.router.queries();
         let queries = q - self.queries_seen;
         self.queries_seen = q;
-        self.samples.clear();
-        self.samples.extend(
-            self.router
-                .drain_samples()
-                .map(|s| s / self.base_service_us),
-        );
-        Arrived {
-            queries,
-            latencies: &self.samples,
-        }
+        queries
     }
 
     /// After the horizon: queries still in flight inside the router finish
-    /// past the last tick window; drain them so the percentile set covers
-    /// every admitted query (the standalone router drains identically).
-    fn drain_backend_tail(&mut self, obs: &mut Recorder) -> Arrived<'_> {
+    /// past the last tick window, so the histogram covers every admitted
+    /// query (the standalone router finishes identically); then the router
+    /// hands it over.
+    fn finish(&mut self, obs: &mut Recorder) -> (u64, Histogram) {
         if self.started {
             self.router.advance_to(u64::MAX, obs);
         }
-        self.drain_backend_samples()
+        (self.new_queries(), self.router.take_latency())
     }
 
     /// Event-mode invariant (asserted every gauge): the runtime
@@ -420,9 +398,9 @@ mod tests {
         let mut plane = ArrivalPlane::Tick(TickArrivals::new(1));
         assert!(plane.controller_signal(&cl, &[0.0]).is_none());
         let mut obs = Recorder::noop();
-        assert!(plane.arrive(0, &cl, &mut obs).queries > 0, "default qps");
-        let tail = plane.finish(&mut obs);
-        assert!(tail.queries == 0 && tail.latencies.is_empty());
+        assert!(plane.arrive(0, &cl, &mut obs) > 0, "default qps");
+        let (tail, latency) = plane.finish(&mut obs);
+        assert!(tail == 0 && latency.count() > 0);
     }
 
     #[test]

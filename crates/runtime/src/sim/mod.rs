@@ -52,10 +52,10 @@ use crate::controller::{plan_evacuation, plan_load_rebalance, Controller};
 use crate::events::{Event, EventQueue};
 use crate::exec::{MigrationKind, PlannedMigration};
 use crate::hotshard::{HotShardPlane, PlaneCtx};
-use crate::metrics::{GaugeSample, MetricsBus, MetricsExport, RunMeta};
+use crate::metrics::{Counters, GaugeSample, LatencySummary, MetricsExport, RunMeta};
 use crate::server::{diurnal_multiplier, effective_rho};
 use crate::trace::{ReplayScript, TraceLine};
-use arrivals::{ArrivalPlane, Arrived, EventBackend, TickArrivals};
+use arrivals::{ArrivalPlane, EventBackend, TickArrivals};
 use rex_cluster::migration::batch_footprint;
 use rex_cluster::{
     Assignment, BalanceReport, Instance, MachineId, ResourceVec, ScenarioSpec, ShardId,
@@ -125,7 +125,9 @@ pub struct Simulation {
     abort_requested: bool,
     /// Monotonic plan id source.
     next_plan_id: u64,
-    bus: MetricsBus,
+    /// The metrics bus: event counters and the gauge time series.
+    counters: Counters,
+    gauges: Vec<GaugeSample>,
     /// Trace recorder ([`Recorder::Noop`] unless [`Simulation::run_traced`]
     /// installs an active one); narrates controller decisions, migration
     /// progress, and fault injection on the `"runtime"` layer.
@@ -172,7 +174,8 @@ impl Simulation {
             active: None,
             abort_requested: false,
             next_plan_id: 0,
-            bus: MetricsBus::default(),
+            counters: Counters::default(),
+            gauges: Vec::new(),
             obs: Recorder::noop(),
             arrivals: ArrivalPlane::Tick(TickArrivals::new(cfg.seed)),
             hotshard: HotShardPlane::new(&cfg.hotshard, inst.n_shards()),
@@ -333,11 +336,12 @@ impl Simulation {
             self.obs.set_tick(tick);
             self.handle(tick, event);
         }
-        let tail = self.arrivals.finish(&mut self.obs);
-        record_arrivals(&mut self.bus, &self.live, tail);
+        let (tail, latency) = self.arrivals.finish(&mut self.obs);
+        record_arrivals(&mut self.counters, &self.live, tail);
+        self.counters.queries_sampled = latency.count();
         self.final_gauge();
         self.obs.set_tick(self.live.cfg.ticks);
-        let c = &self.bus.counters;
+        let c = &self.counters;
         self.obs.span_close(
             "runtime",
             "simulate",
@@ -358,11 +362,11 @@ impl Simulation {
                 seed: self.live.cfg.seed,
                 ticks: self.live.cfg.ticks,
             },
-            counters: self.bus.counters,
-            latency: self.bus.latency.summary(),
+            counters: self.counters,
+            latency: LatencySummary::of(&latency),
             initial_report: self.initial_report,
             final_report: BalanceReport::compute(&self.live.inst, &self.live.asg),
-            gauges: std::mem::take(&mut self.bus.gauges),
+            gauges: std::mem::take(&mut self.gauges),
         };
         *rec = std::mem::take(&mut self.obs);
         (export, trace)
@@ -437,7 +441,7 @@ impl Simulation {
 
     fn on_arrivals(&mut self, tick: u64) {
         let arrived = self.arrivals.arrive(tick, &self.live, &mut self.obs);
-        record_arrivals(&mut self.bus, &self.live, arrived);
+        record_arrivals(&mut self.counters, &self.live, arrived);
         if tick + 1 < self.live.cfg.ticks {
             self.queue.schedule(tick + 1, Event::Arrivals);
         }
@@ -496,7 +500,7 @@ impl Simulation {
             &mut self.rho,
         );
         let effective_peak_rho = self.rho.iter().cloned().fold(0.0, f64::max);
-        self.bus.gauges.push(GaugeSample {
+        self.gauges.push(GaugeSample {
             tick,
             peak_util: peak,
             mean_util: mean,
@@ -519,7 +523,7 @@ impl Simulation {
 
     /// One last gauge at the horizon so the series always covers the end.
     fn final_gauge(&mut self) {
-        if self.bus.gauges.last().map(|g| g.tick) != Some(self.live.cfg.ticks) {
+        if self.gauges.last().map(|g| g.tick) != Some(self.live.cfg.ticks) {
             self.push_gauge(self.live.cfg.ticks);
         }
     }
@@ -530,7 +534,7 @@ impl Simulation {
         let idle = self.active.is_none() && !self.live.any_failed_hosting();
         if idle && self.controller.should_trigger(tick) {
             self.controller.note_trigger(tick);
-            self.bus.counters.rebalances_triggered += 1;
+            self.counters.rebalances_triggered += 1;
             self.obs.event(
                 "runtime",
                 "trigger",
@@ -552,12 +556,12 @@ impl Simulation {
                 Ok(_) => {
                     // The solver found nothing better than staying put;
                     // count it as a completed (empty) rebalance.
-                    self.bus.counters.rebalances_completed += 1;
+                    self.counters.rebalances_completed += 1;
                     self.obs
                         .event("runtime", "plan_empty", &[("seed", seed.into())]);
                 }
                 Err(_) => {
-                    self.bus.counters.plans_failed += 1;
+                    self.counters.plans_failed += 1;
                     self.obs
                         .event("runtime", "plan_failed", &[("seed", seed.into())]);
                     self.obs.add("runtime.plans_failed", 1);
@@ -573,7 +577,7 @@ impl Simulation {
     fn adopt(&mut self, tick: u64, pm: PlannedMigration) {
         debug_assert!(self.active.is_none());
         if pm.kind == MigrationKind::Evacuation {
-            self.bus.counters.evacuations += 1;
+            self.counters.evacuations += 1;
         }
         let id = self.next_plan_id;
         self.next_plan_id += 1;
@@ -626,7 +630,7 @@ impl Simulation {
             let cap = &self.live.inst.machines[m].capacity;
             let usage = self.live.asg.usage(MachineId::from(m));
             if !usage.fits_after_add(&self.live.transient[m], cap) {
-                self.bus.counters.transient_violations += 1;
+                self.counters.transient_violations += 1;
             }
         }
         let duration = a.pm.durations[a.next_batch];
@@ -657,10 +661,10 @@ impl Simulation {
         for mv in &batch {
             self.live.asg.move_shard(&self.live.inst, mv.shard, mv.to);
             self.arrivals.committed(mv);
-            self.bus.counters.moves_committed += 1;
-            self.bus.counters.migration_traffic += self.live.inst.shards[mv.shard.idx()].move_cost;
+            self.counters.moves_committed += 1;
+            self.counters.migration_traffic += self.live.inst.shards[mv.shard.idx()].move_cost;
         }
-        self.bus.counters.batches_executed += 1;
+        self.counters.batches_executed += 1;
         for t in self.live.transient.iter_mut() {
             *t = ResourceVec::zero(self.live.inst.dims);
         }
@@ -687,12 +691,12 @@ impl Simulation {
         );
         if completed {
             match a.pm.kind {
-                MigrationKind::Load => self.bus.counters.rebalances_completed += 1,
+                MigrationKind::Load => self.counters.rebalances_completed += 1,
                 MigrationKind::Evacuation => {}
-                MigrationKind::HotShard => self.bus.counters.hotshard_migrations += 1,
+                MigrationKind::HotShard => self.counters.hotshard_migrations += 1,
             }
         } else {
-            self.bus.counters.rebalances_aborted += 1;
+            self.counters.rebalances_aborted += 1;
         }
         if a.pm.kind == MigrationKind::HotShard {
             if let Some(plane) = self.hotshard.as_mut() {
@@ -766,7 +770,7 @@ impl Simulation {
         let plane = self.hotshard.as_mut().expect("only an enabled plane polls");
         let cx = &mut PlaneCtx {
             cl: &mut self.live,
-            counters: &mut self.bus.counters,
+            counters: &mut self.counters,
             obs: &mut self.obs,
         };
         if let Some(pm) = plane.poll(tick, self.active.is_none(), cx) {
@@ -786,7 +790,7 @@ impl Simulation {
         }
         self.live.failed[m.idx()] = true;
         self.arrivals.set_failed(m, true);
-        self.bus.counters.crashes += 1;
+        self.counters.crashes += 1;
         self.record(TraceLine {
             machine: m.0,
             ..TraceLine::at(tick, "crash")
@@ -801,7 +805,7 @@ impl Simulation {
         );
         self.obs.add("runtime.crashes", 1);
         if let Some(plane) = self.hotshard.as_mut() {
-            plane.on_crash(m, &mut self.bus.counters, &mut self.obs);
+            plane.on_crash(m, &mut self.counters, &mut self.obs);
         }
         if let Some(a) = self.active.as_ref() {
             if a.started {
@@ -811,7 +815,7 @@ impl Simulation {
             } else {
                 // Nothing started yet — drop the plan outright; its
                 // PlanStart event goes stale via the id check.
-                self.bus.counters.rebalances_aborted += 1;
+                self.counters.rebalances_aborted += 1;
                 self.active = None;
                 self.normalize_membership(None);
             }
@@ -825,7 +829,7 @@ impl Simulation {
         }
         self.live.failed[m.idx()] = false;
         self.arrivals.set_failed(m, false);
-        self.bus.counters.recoveries += 1;
+        self.counters.recoveries += 1;
         self.record(TraceLine {
             machine: m.0,
             ..TraceLine::at(tick, "recover")
@@ -865,13 +869,13 @@ impl Simulation {
         );
         self.live.spikes[idx] = Some(ids);
         self.live.demand_epoch += 1;
-        self.bus.counters.spikes_started += 1;
+        self.counters.spikes_started += 1;
     }
 
     fn on_spike_end(&mut self, tick: u64, idx: usize) {
         if self.live.spikes[idx].take().is_some() {
             self.live.demand_epoch += 1;
-            self.bus.counters.spikes_ended += 1;
+            self.counters.spikes_ended += 1;
             self.record(TraceLine {
                 fault: idx,
                 ..TraceLine::at(tick, "spike_end")
@@ -904,7 +908,7 @@ impl Simulation {
         ) {
             Ok(pm) if !pm.plan.batches.is_empty() => self.adopt(tick, pm),
             Ok(_) | Err(_) => {
-                self.bus.counters.plans_failed += 1;
+                self.counters.plans_failed += 1;
                 self.obs
                     .event("runtime", "evac_retry", &[("seed", seed.into())]);
                 self.queue.schedule(retry_at, Event::EvacCheck);
@@ -933,17 +937,17 @@ impl Simulation {
             sigma: d.sigma,
             target_utilization: d.target_utilization,
         };
-        let epoch = self.bus.counters.drift_epochs;
+        let epoch = self.counters.drift_epochs;
         let seed = self.live.cfg.seed.wrapping_mul(0xD1F7).wrapping_add(epoch);
         let placement = self.live.inst.initial.clone();
         match next_epoch(&self.live.inst, &placement, &drift_cfg, seed) {
             Ok((inst, _clamped)) => {
                 self.install_demands(inst);
-                self.bus.counters.drift_epochs += 1;
+                self.counters.drift_epochs += 1;
                 self.obs.event(
                     "runtime",
                     "drift",
-                    &[("epoch", self.bus.counters.drift_epochs.into())],
+                    &[("epoch", self.counters.drift_epochs.into())],
                 );
             }
             Err(_) => {
@@ -966,7 +970,7 @@ impl Simulation {
             self.queue.schedule(tick + 1, Event::Popularity);
             return;
         }
-        let epoch = self.bus.counters.popularity_epochs;
+        let epoch = self.counters.popularity_epochs;
         match self
             .replay
             .as_ref()
@@ -983,7 +987,7 @@ impl Simulation {
         match apply_popularity(&self.live.inst, &placement, walk, p.target_utilization) {
             Ok((inst, _clamped)) => {
                 self.install_demands(inst);
-                self.bus.counters.popularity_epochs += 1;
+                self.counters.popularity_epochs += 1;
                 self.record(TraceLine {
                     ranks,
                     ..TraceLine::at(tick, "popularity")
@@ -991,7 +995,7 @@ impl Simulation {
                 self.obs.event(
                     "runtime",
                     "popularity",
-                    &[("epoch", self.bus.counters.popularity_epochs.into())],
+                    &[("epoch", self.counters.popularity_epochs.into())],
                 );
             }
             Err(_) => {
@@ -1006,17 +1010,14 @@ impl Simulation {
     }
 }
 
-/// Folds one `arrive`/`finish` yield into the metrics bus. Queries that
-/// arrive while a failed machine still hosts shards count as degraded.
-fn record_arrivals(bus: &mut MetricsBus, live: &LiveCluster, arrived: Arrived<'_>) {
-    bus.counters.queries_arrived += arrived.queries;
-    if arrived.queries > 0 && live.any_failed_hosting() {
-        bus.counters.queries_degraded += arrived.queries;
+/// Counts one `arrive`/`finish` yield of queries into the metrics bus.
+/// Queries that arrive while a failed machine still hosts shards count as
+/// degraded.
+fn record_arrivals(counters: &mut Counters, live: &LiveCluster, queries: u64) {
+    counters.queries_arrived += queries;
+    if queries > 0 && live.any_failed_hosting() {
+        counters.queries_degraded += queries;
     }
-    for &lat in arrived.latencies {
-        bus.latency.record(lat);
-    }
-    bus.counters.queries_sampled += arrived.latencies.len() as u64;
 }
 
 impl LiveCluster {
@@ -1035,7 +1036,7 @@ impl LiveCluster {
         }
     }
 
-    pub fn failed_list(&self) -> Vec<MachineId> {
+    fn failed_list(&self) -> Vec<MachineId> {
         (0..self.inst.n_machines())
             .map(MachineId::from)
             .filter(|m| self.failed[m.idx()])

@@ -14,7 +14,7 @@ use crate::index::Posting;
 /// Bytes `v` takes in variable-byte code (7 bits per byte, high bit =
 /// continuation).
 #[inline]
-pub fn varbyte_len(mut v: u64) -> u64 {
+fn varbyte_len(mut v: u64) -> u64 {
     let mut n = 1;
     while v >= 0x80 {
         v >>= 7;

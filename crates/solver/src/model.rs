@@ -16,14 +16,12 @@
 //! 4. vacancy link:   `x_{s,m} + y_m ≤ 1`                      for every `s, m`
 //! 5. return quota:   `Σ_m y_m ≥ k`
 //!
-//! The model is materialized sparsely so it can be printed in LP format
-//! (for inspection or external solvers) and so candidate placements from
-//! any algorithm can be *checked against the formulation itself* — that
-//! check is part of the integration tests, tying SRA's outputs back to the
+//! The model is materialized sparsely so candidate placements from any
+//! algorithm can be *checked against the formulation itself* — that check
+//! is part of the integration tests, tying SRA's outputs back to the
 //! paper's IP.
 
 use rex_cluster::{Instance, MachineId};
-use std::fmt::Write as _;
 
 /// Comparison sense of a linear constraint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +37,7 @@ pub enum Sense {
 /// One sparse linear constraint over the model's variables.
 #[derive(Clone, Debug)]
 pub struct Constraint {
-    /// Human-readable row name (LP output, violation reports).
+    /// Human-readable row name (violation reports).
     pub name: String,
     /// `(variable index, coefficient)` pairs.
     pub terms: Vec<(usize, f64)>,
@@ -94,13 +92,8 @@ impl IpModel {
     }
 
     /// Total number of variables.
-    pub fn n_vars(&self) -> usize {
+    fn n_vars(&self) -> usize {
         self.n_shards * self.n_machines + self.n_machines + 1
-    }
-
-    /// Number of constraint rows.
-    pub fn n_constraints(&self) -> usize {
-        self.constraints.len()
     }
 
     /// Builds the model from an instance with migration-cost weight
@@ -239,37 +232,6 @@ impl IpModel {
         }
         out
     }
-
-    /// Renders the model in (CPLEX-style) LP format, for inspection or for
-    /// feeding an external solver.
-    pub fn to_lp_string(&self) -> String {
-        let mut s = String::new();
-        s.push_str("Minimize\n obj:");
-        for (i, &c) in self.objective.iter().enumerate() {
-            if c != 0.0 {
-                let _ = write!(s, " + {c} v{i}");
-            }
-        }
-        s.push_str("\nSubject To\n");
-        for c in &self.constraints {
-            let _ = write!(s, " {}:", c.name);
-            for &(i, coef) in &c.terms {
-                let _ = write!(s, " + {coef} v{i}");
-            }
-            let op = match c.sense {
-                Sense::Le => "<=",
-                Sense::Ge => ">=",
-                Sense::Eq => "=",
-            };
-            let _ = writeln!(s, " {op} {}", c.rhs);
-        }
-        s.push_str("Binaries\n");
-        for i in 0..self.n_vars() - 1 {
-            let _ = write!(s, " v{i}");
-        }
-        let _ = writeln!(s, "\nEnd");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -292,9 +254,9 @@ mod tests {
         let i = inst();
         let m = IpModel::build(&i, 0.0);
         // vars: 2*3 x + 3 y + 1 t = 10.
-        assert_eq!(m.n_vars(), 10);
+        assert_eq!(m.objective.len(), 10);
         // rows: 2 assign + (3 machines * 2 dims * 2) cap/peak + 6 vac + 1 quota = 21.
-        assert_eq!(m.n_constraints(), 2 + 12 + 6 + 1);
+        assert_eq!(m.constraints.len(), 2 + 12 + 6 + 1);
     }
 
     #[test]
@@ -376,17 +338,5 @@ mod tests {
         vars[m.t()] = 0.0;
         let violations = m.check(&vars);
         assert!(violations.iter().any(|v| v.constraint.starts_with("peak[")));
-    }
-
-    #[test]
-    fn lp_output_mentions_all_sections() {
-        let i = inst();
-        let m = IpModel::build(&i, 0.1);
-        let lp = m.to_lp_string();
-        assert!(lp.contains("Minimize"));
-        assert!(lp.contains("Subject To"));
-        assert!(lp.contains("Binaries"));
-        assert!(lp.contains("quota"));
-        assert!(lp.ends_with("End\n"));
     }
 }

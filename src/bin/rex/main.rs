@@ -1281,14 +1281,6 @@ mod tests {
 
     #[test]
     fn route_rejects_hostile_horizons_and_spike_windows() {
-        // Used to abort reserving 64 TB for the sample buffer.
-        let e = cmd_route(&args(&[
-            ("machines", "4"),
-            ("shards", "8"),
-            ("horizon", "100000000000000"),
-        ]))
-        .unwrap_err();
-        assert!(e.contains("latency samples"), "{e}");
         // Used to wrap `at_us + duration_us` silently.
         let e = cmd_route(&args(&[
             ("machines", "4"),
