@@ -5,7 +5,8 @@
 //! are fixed so runtime growth reflects per-iteration cost — O(machines)
 //! repair scans for the monolithic modes, O(machines / k) within each of
 //! the k partitions for the decomposed mode. Full mode adds two
-//! 100 000-shard solves on the hierarchical path (`depth 2`).
+//! 100 000-shard solves, where the fleet decides the partition tree's
+//! depth (1 at 1 000 machines, 2 at 10 000).
 
 use crate::{assert_shape, f4, instance, pct, pick, scaled, sra_cfg, synth, Table};
 use rex_cluster::Instance;
@@ -53,24 +54,23 @@ pub fn run() {
         }
     }
 
-    // The web-scale tier (full mode only): the hierarchical decomposed
-    // path alone, the one built for these sizes (DESIGN.md §15), at a
-    // fixed 2 000 iterations.
+    // The web-scale tier (full mode only): the decomposed path alone, the
+    // one built for these sizes (DESIGN.md §15), at a fixed 2 000
+    // iterations.
     let web: &[(usize, usize)] = pick(&[], &[(1_000, 100_000), (10_000, 100_000)]);
     for &(m, s) in web {
         let cfg = SraConfig {
             partitions: 8,
-            depth: 2,
             ..sra_cfg(2_000, 17)
         };
-        row(&mut t, &sweep_instance(m, s), "decomposed-8 depth-2", &cfg);
+        row(&mut t, &sweep_instance(m, s), "decomposed-8", &cfg);
     }
 
     t.print("E6 / Figure 6 — SRA scalability (fixed iterations per mode)");
     println!("\nSeries to plot: x = machines, y = time (log-log), one line per mode.");
     println!("Expected shape: near-linear growth for the monolithic modes; the decomposed solver's per-iteration cost grows with machines/k, so its curve stays below the portfolio's (1.2–4.4× at full scale) at equal quality (every mode within 1% of serial's peak, asserted).");
     if !web.is_empty() {
-        println!("Web-scale rows: `--partitions 8 --depth 2`, 2 000 iterations, decomposed only.");
+        println!("Web-scale rows: `--partitions 8`, 2 000 iterations, decomposed only; parts above 512 machines split again, so the 10 000-machine row runs a two-level tree and the 1 000-machine row one level.");
         println!("fallback = yes: the merged decomposed best deadlocked the final plan and the row is the serial fallback search's result (ROADMAP item 5).");
     }
     assert_shape(&broken);

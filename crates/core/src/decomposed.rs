@@ -13,18 +13,19 @@
 //! win on a single core, and the reason it also parallelizes cleanly when
 //! cores exist.
 //!
-//! One round — the same routine at every `depth` (POP-style: one
+//! One round — the same routine at every tree depth (POP-style: one
 //! `split → solve each → merge` step reused per tree level):
 //!
 //! 1. **Partition** the fleet by current loads (LPT over machines; shards
-//!    follow the machine hosting them) into `k` children, and — while
-//!    `depth` levels remain and a node can give every child two machines —
-//!    each child again ([`rex_cluster::partition_subfleet`]). Nodes of one
-//!    level are disjoint in both machines and shards, so their solutions
-//!    compose without conflicts. The global `k_return` vacancy quota is
-//!    split into per-node shares backed by each node's own vacancies and
-//!    conserved at every split. At `depth == 1` the tree is just the `k`
-//!    leaves.
+//!    follow the machine hosting them) into `k` children, and each child
+//!    that still holds more than `LEAF_MACHINES` machines (and can give
+//!    every child two) into `k` again ([`rex_cluster::partition_subfleet`]).
+//!    The fleet alone sizes the tree: no setting asks for a depth. Nodes of
+//!    one level are disjoint in both machines and shards, so their
+//!    solutions compose without conflicts. The global `k_return` vacancy
+//!    quota is split into per-node shares backed by each node's own
+//!    vacancies and conserved at every split. While every child of the root
+//!    stays at or below the floor, the tree is just the `k` leaves.
 //! 2. **Sub-solve** every leaf in parallel
 //!    ([`rex_lns::cooperative_round`]) on its sub-instance, with seeds
 //!    from [`rex_lns::round_seed`]`(seed, round, job)` — fixed before the
@@ -73,6 +74,13 @@ use rex_obs::Recorder;
 /// loads, so this is also how many distinct neighborhood structures the
 /// search explores.
 pub const ROUNDS: u64 = 4;
+
+/// A node below the root that holds more machines than this splits into
+/// `k` children again. The benchmark's 1 125-machine fleet at `k = 8`
+/// (parts of about 141) stays one level deep; a 10 000-machine fleet
+/// (parts of about 1 375) goes two deep. Chosen by a sweep over
+/// {256, 512, 1024} (EXPERIMENTS.md "PR 45").
+pub(crate) const LEAF_MACHINES: usize = 512;
 
 /// Sub-instance for one tree node, plus what maps it back to the round.
 struct SubCtx {
@@ -159,7 +167,8 @@ struct Rounds<'a, 'p> {
     seed: u64,
     /// Effective children per split.
     k: usize,
-    depth: usize,
+    /// Nodes below the root above this many machines split again.
+    leaf_machines: usize,
     drained: Vec<MachineId>,
     /// Per-round budget of a leaf worker.
     sub_iters: u64,
@@ -167,19 +176,41 @@ struct Rounds<'a, 'p> {
     boundary_iters: u64,
 }
 
+/// One round's partition tree.
+#[derive(Default)]
+struct Tree {
+    /// The leaves, in traversal (DFS) order.
+    leaves: Vec<PartitionSpec>,
+    /// Internal nodes strictly below the root, one list per level from the
+    /// root's children down.
+    internal: Vec<Vec<PartitionSpec>>,
+}
+
+impl Tree {
+    /// Levels below the root the tree reached (1 when the root's children
+    /// are the leaves, or when the root could not split at all).
+    fn depth(&self) -> usize {
+        self.internal.len() + 1
+    }
+}
+
 /// Runs the cooperative decomposed search (see module docs) and returns
 /// `(best, iterations, stats, trajectory)` in [`crate::sra`]'s search
 /// contract. Stats and trajectory are empty — per-worker engine stats do
-/// not aggregate meaningfully across sub-instances.
+/// not aggregate meaningfully across sub-instances. Nodes below the root
+/// with more than `leaf_machines` machines split again (the solver passes
+/// `LEAF_MACHINES`; tests pass small floors to grow deep trees on small
+/// fleets).
 ///
 /// Deterministic for a fixed `(problem, cfg, seed)` and byte-identical
 /// across `REX_THREADS` settings: all seeds are fixed before each parallel
 /// section, workers run untraced, and every trace event is emitted
 /// serially after the round barrier.
-pub fn decomposed_search(
+pub(crate) fn decomposed_search(
     problem: &SraProblem<'_>,
     cfg: &SraConfig,
     seed: u64,
+    leaf_machines: usize,
     rec: &mut Recorder,
 ) -> Result<(Assignment, u64, Option<EngineStats>, Vec<TrajectoryPoint>), ClusterError> {
     let inst = problem.inst;
@@ -189,7 +220,7 @@ pub fn decomposed_search(
         seed,
         // At least two machines per partition, at least one partition.
         k: cfg.partitions.min(inst.n_machines() / 2).max(1),
-        depth: cfg.depth.max(1),
+        leaf_machines,
         drained: (0..inst.n_machines())
             .map(MachineId::from)
             .filter(|&m| problem.is_drained(m))
@@ -206,13 +237,16 @@ pub fn decomposed_search(
     let mut best = current.clone();
     let mut best_val = LnsProblemInPlace::objective(problem, &best);
     let mut iterations = 0u64;
+    // Each round partitions by its own start's loads; the first tree is
+    // built here so the span can report its depth.
+    let mut tree = rounds.tree(&current);
 
     rec.span_open(
         "sra",
         "decomposed",
         &[
             ("partitions", rounds.k.into()),
-            ("depth", rounds.depth.into()),
+            ("depth", tree.depth().into()),
             ("rounds", ROUNDS.into()),
             ("sub_iters", rounds.sub_iters.into()),
             ("boundary_iters", rounds.boundary_iters.into()),
@@ -220,12 +254,15 @@ pub fn decomposed_search(
     );
 
     for round in 0..ROUNDS {
-        let (next, round_iters, val) = rounds.hierarchical_round(round, &current, rec)?;
+        let (next, round_iters, val) = rounds.hierarchical_round(round, &current, &tree, rec)?;
         current = next;
         iterations += round_iters;
         if val < best_val {
             best_val = val;
             best = current.clone();
+        }
+        if round + 1 < ROUNDS {
+            tree = rounds.tree(&current);
         }
     }
 
@@ -241,11 +278,26 @@ pub fn decomposed_search(
 }
 
 impl Rounds<'_, '_> {
-    /// Recursively splits `node` to the requested depth, collecting leaves
-    /// in traversal (DFS) order and internal nodes (strictly below the
-    /// root) per level for the bottom-up repair sweep. A node splits only
-    /// while levels remain and it can give every child at least two
-    /// machines; the root is never stored — its repair is the round's
+    /// The partition tree of the fleet under `current`'s loads.
+    fn tree(&self, current: &Assignment) -> Tree {
+        let inst = self.problem.inst;
+        let root = PartitionSpec {
+            machines: (0..inst.n_machines()).map(MachineId::from).collect(),
+            shards: (0..inst.n_shards()).map(ShardId::from).collect(),
+            vacancy_quota: inst.k_return,
+        };
+        let mut tree = Tree::default();
+        let loads = current.loads(inst);
+        self.split_rec(current.placement(), &loads, root, 0, &mut tree);
+        tree
+    }
+
+    /// Recursively splits `node`, collecting leaves in traversal (DFS)
+    /// order and internal nodes (strictly below the root) per level for the
+    /// bottom-up repair sweep. The root always splits; a node below it
+    /// splits while it holds more than `leaf_machines` machines. Either
+    /// way a node splits only if it can give every child at least two
+    /// machines. The root is never stored — its repair is the round's
     /// global boundary pass. Vacancy quotas are conserved at every split
     /// ([`partition_subfleet`]).
     fn split_rec(
@@ -254,11 +306,11 @@ impl Rounds<'_, '_> {
         loads: &[f64],
         node: PartitionSpec,
         level: usize,
-        leaves: &mut Vec<PartitionSpec>,
-        internal: &mut [Vec<PartitionSpec>],
+        tree: &mut Tree,
     ) {
-        if level >= self.depth || self.k < 2 || node.machines.len() < 2 * self.k {
-            leaves.push(node);
+        let n = node.machines.len();
+        if self.k < 2 || n < 2 * self.k || (level > 0 && n <= self.leaf_machines) {
+            tree.leaves.push(node);
             return;
         }
         let children = partition_subfleet(
@@ -272,10 +324,13 @@ impl Rounds<'_, '_> {
             &self.drained,
         );
         if level > 0 {
-            internal[level - 1].push(node);
+            if tree.internal.len() < level {
+                tree.internal.push(Vec::new());
+            }
+            tree.internal[level - 1].push(node);
         }
         for child in children {
-            self.split_rec(placement, loads, child, level + 1, leaves, internal);
+            self.split_rec(placement, loads, child, level + 1, tree);
         }
     }
 
@@ -346,13 +401,13 @@ impl Rounds<'_, '_> {
         subs.iter().map(|sc| sc.node).zip(outcomes).collect()
     }
 
-    /// One round at any depth (POP-style): recursive partition → leaf
-    /// solves in one flat cooperative round → bottom-up per-level
-    /// internal-node repairs → one global serial boundary repair with the
-    /// usual plan gating. At `depth == 1` the tree is the `k` children of
-    /// the root, there are no internal levels, and this is the flat
-    /// partition → solve → merge → boundary-repair round. Returns `(new
-    /// current, iterations, global objective)`.
+    /// One round over `tree` (POP-style): leaf solves in one flat
+    /// cooperative round → bottom-up per-level internal-node repairs → one
+    /// global serial boundary repair with the usual plan gating. At depth 1
+    /// the tree is the `k` children of the root, there are no internal
+    /// levels, and this is the flat partition → solve → merge →
+    /// boundary-repair round. Returns `(new current, iterations, global
+    /// objective)`.
     ///
     /// Determinism: every engine's seed is `round_seed(seed, round,
     /// job_idx)` where `job_idx` numbers the engines launched this round
@@ -363,42 +418,27 @@ impl Rounds<'_, '_> {
         &self,
         round: u64,
         current: &Assignment,
+        tree: &Tree,
         rec: &mut Recorder,
     ) -> Result<(Assignment, u64, f64), ClusterError> {
         let (problem, cfg) = (self.problem, self.cfg);
         let inst = problem.inst;
-        let loads = current.loads(inst);
-        let root = PartitionSpec {
-            machines: (0..inst.n_machines()).map(MachineId::from).collect(),
-            shards: (0..inst.n_shards()).map(ShardId::from).collect(),
-            vacancy_quota: inst.k_return,
-        };
-        let mut leaves: Vec<PartitionSpec> = Vec::new();
-        let mut internal: Vec<Vec<PartitionSpec>> = vec![Vec::new(); self.depth - 1];
-        self.split_rec(
-            current.placement(),
-            &loads,
-            root,
-            0,
-            &mut leaves,
-            &mut internal,
-        );
-
         rec.span_open(
             "sra",
             "round",
             &[
                 ("round", round.into()),
-                ("depth", self.depth.into()),
-                ("leaves", leaves.len().into()),
+                ("depth", tree.depth().into()),
+                ("leaves", tree.leaves.len().into()),
             ],
         );
+        let Tree { leaves, internal } = tree;
 
         // Stage 1: solve every leaf in one flat cooperative round (no
         // nested parallelism — the tree only shapes *which* sub-instances
         // exist).
         let mut merged = current.placement().to_vec();
-        let leaf_runs = self.solve_level(round, &leaves, 0, self.sub_iters, &mut merged);
+        let leaf_runs = self.solve_level(round, leaves, 0, self.sub_iters, &mut merged);
         let mut iterations: u64 = leaf_runs.iter().map(|(_, out)| out.iterations).sum();
         for (i, out) in &leaf_runs {
             rec.event(
@@ -419,7 +459,7 @@ impl Rounds<'_, '_> {
 
         // Stage 2: bottom-up repairs across each internal level, exactly
         // like the leaf solves but on the repair budget.
-        for nodes in internal.iter().rev().filter(|nodes| !nodes.is_empty()) {
+        for nodes in internal.iter().rev() {
             let runs = self.solve_level(round, nodes, next_job, self.boundary_iters, &mut merged);
             iterations += runs.iter().map(|(_, out)| out.iterations).sum::<u64>();
             next_job += nodes.len();
@@ -447,7 +487,9 @@ impl Rounds<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sra::{solve, solve_traced, solve_with_drain, AcceptanceKind};
+    use crate::sra::{
+        solve, solve_traced, solve_with_drain, solve_with_floor, AcceptanceKind, SraResult,
+    };
     use rex_cluster::{InstanceBuilder, Objective};
 
     /// A fleet big enough to split: `hot` heavily loaded machines, `cool`
@@ -487,6 +529,58 @@ mod tests {
         }
     }
 
+    /// [`solve_with_drain`] through trees whose nodes below the root split
+    /// while they hold more than `floor` machines. On `fleet(6, 18, 8, _)`
+    /// (33 machines) at `k = 2`, floor 12 grows a two-level tree and floor
+    /// 5 a four-level one.
+    fn solve_floored(
+        inst: &Instance,
+        c: &SraConfig,
+        drain: &[MachineId],
+        floor: usize,
+    ) -> SraResult {
+        solve_with_floor(inst, c, drain, floor, &mut Recorder::noop()).unwrap()
+    }
+
+    /// The round-start tree of a decomposed solve of `inst` at `k`.
+    fn tree_of(inst: &Instance, k: usize, floor: usize) -> Tree {
+        let problem = SraProblem::new(inst, Objective::pure());
+        let c = cfg(k);
+        let rounds = Rounds {
+            problem: &problem,
+            cfg: &c,
+            seed: 0,
+            k: k.min(inst.n_machines() / 2).max(1),
+            leaf_machines: floor,
+            drained: Vec::new(),
+            sub_iters: 1,
+            boundary_iters: 1,
+        };
+        rounds.tree(&Assignment::from_initial(inst))
+    }
+
+    #[test]
+    fn the_fleet_sizes_the_tree() {
+        let inst = fleet(6, 18, 8, 3); // 33 machines
+        for (k, floor, depth) in [(2, 512, 1), (2, 32, 1), (2, 12, 2), (2, 5, 4), (4, 5, 2)] {
+            let tree = tree_of(&inst, k, floor);
+            assert_eq!(tree.depth(), depth, "k={k} floor={floor}");
+            // Every leaf is at or below the floor unless it is too small
+            // to give each of `k` children two machines.
+            for leaf in &tree.leaves {
+                let n = leaf.machines.len();
+                assert!(n <= floor || n < 2 * k, "k={k} floor={floor}: leaf of {n}");
+            }
+            // Every internal node holds more than the floor.
+            for level in &tree.internal {
+                assert!(level.iter().all(|nd| nd.machines.len() > floor));
+            }
+        }
+        // A fleet too small to split is one leaf at depth 1.
+        let tiny = tree_of(&fleet(1, 1, 0, 3), 2, 1);
+        assert_eq!((tiny.depth(), tiny.leaves.len()), (1, 1));
+    }
+
     #[test]
     fn decomposed_solve_improves_balance() {
         let inst = fleet(4, 8, 4, 7);
@@ -503,12 +597,12 @@ mod tests {
 
     #[test]
     fn decomposed_solve_is_deterministic_at_every_depth() {
-        for (inst, c) in [
-            (fleet(4, 8, 4, 3), cfg(4)),
-            (fleet(6, 18, 8, 17), SraConfig { depth: 3, ..cfg(2) }),
+        for (inst, c, floor) in [
+            (fleet(4, 8, 4, 3), cfg(4), LEAF_MACHINES),
+            (fleet(6, 18, 8, 17), cfg(2), 5),
         ] {
-            let a = solve(&inst, &c).unwrap();
-            let b = solve(&inst, &c).unwrap();
+            let a = solve_floored(&inst, &c, &[], floor);
+            let b = solve_floored(&inst, &c, &[], floor);
             assert_eq!(a.objective_value, b.objective_value);
             assert_eq!(a.assignment.placement(), b.assignment.placement());
             assert_eq!(a.iterations, b.iterations);
@@ -545,11 +639,11 @@ mod tests {
     #[test]
     fn decomposed_respects_drain_at_every_depth() {
         let drain = [MachineId(0)];
-        for (inst, c) in [
-            (fleet(4, 8, 4, 5), cfg(4)),
-            (fleet(6, 18, 8, 5), SraConfig { depth: 2, ..cfg(2) }),
+        for (inst, c, floor) in [
+            (fleet(4, 8, 4, 5), cfg(4), LEAF_MACHINES),
+            (fleet(6, 18, 8, 5), cfg(2), 12),
         ] {
-            let res = solve_with_drain(&inst, &c, &drain).unwrap();
+            let res = solve_floored(&inst, &c, &drain, floor);
             assert!(res.assignment.is_vacant(MachineId(0)));
             assert!(!res.returned_machines.contains(&MachineId(0)));
             res.assignment.check_target(&inst).unwrap();
@@ -574,8 +668,7 @@ mod tests {
     #[test]
     fn hierarchical_solve_improves_and_returns_quota() {
         let inst = fleet(6, 18, 8, 13);
-        let c = SraConfig { depth: 2, ..cfg(2) };
-        let res = solve(&inst, &c).unwrap();
+        let res = solve_floored(&inst, &cfg(2), &[], 12);
         assert!(
             res.final_report.peak < res.initial_report.peak,
             "final {} vs initial {}",
@@ -590,13 +683,39 @@ mod tests {
     fn hierarchical_matches_flat_quality() {
         let inst = fleet(6, 18, 8, 19);
         let flat = solve(&inst, &cfg(4)).unwrap();
-        let hier = solve(&inst, &SraConfig { depth: 2, ..cfg(2) }).unwrap();
+        let hier = solve_floored(&inst, &cfg(2), &[], 12);
         assert!(
             hier.final_report.peak <= flat.final_report.peak * 1.01 + 1e-9,
             "hierarchical {} vs flat {}",
             hier.final_report.peak,
             flat.final_report.peak
         );
+    }
+
+    proptest::proptest! {
+        // Each case runs two full solves — keep the count modest.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Hierarchical (floor 4: the root's children of 5–9 machines
+        /// split again where they can give four children two machines each)
+        /// and flat decomposed solves agree within a 1% quality band at the
+        /// same iteration budget.
+        #[test]
+        fn hierarchical_matches_flat_within_one_percent(
+            machines in 20usize..36,
+            seed in 0u64..30,
+        ) {
+            let inst = synth(machines, (machines / 8).max(1), machines * 8, 0.8, seed);
+            let base = SraConfig { iters: 600, seed, ..cfg(4) };
+            let flat = solve(&inst, &base).unwrap();
+            let hier = solve_floored(&inst, &base, &[], 4);
+            proptest::prop_assert!(
+                hier.final_report.peak <= flat.final_report.peak * 1.01 + 1e-9,
+                "hierarchical peak {} vs flat {}",
+                hier.final_report.peak,
+                flat.final_report.peak
+            );
+        }
     }
 
     fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
@@ -664,8 +783,8 @@ mod tests {
         // worst-machine removal lost its sort (both must be decision-exact):
         // default-objective solves → objective bits, iterations, placement
         // checksum; and the length + FNV-1a of one traced solve's JSONL.
-        let pin = |inst: &Instance, c: &SraConfig, drain: &[MachineId], bits, iters, sum| {
-            let res = solve_with_drain(inst, c, drain).unwrap();
+        let pin = |inst: &Instance, c: &SraConfig, floor, drain: &[MachineId], bits, iters, sum| {
+            let res = solve_floored(inst, c, drain, floor);
             let got = (
                 res.objective_value.to_bits(),
                 res.iterations,
@@ -675,11 +794,12 @@ mod tests {
         };
         let stringent = synth(100, 8, 1000, 0.90, 11);
         let serial = SraConfig { iters: 400, seed: 11, ..Default::default() };
-        pin(&stringent, &serial, &[], 0x3fed6fec60a3ceb5, 400, 0x435ddb3caadf96c8);
+        pin(&stringent, &serial, LEAF_MACHINES, &[], 0x3fed6fec60a3ceb5, 400, 0x435ddb3caadf96c8);
+        // 66 machines at k = 2: parts of about 33 split, their children of about 16 do not.
         let mid = synth(60, 6, 720, 0.80, 12);
-        pin(&mid, &SraConfig { iters: 300, seed: 5, partitions: 2, depth: 2, ..Default::default() }, &[], 0x3fea2a19db77d873, 1800, 0xc78f1aeec0aca0f1);
+        pin(&mid, &SraConfig { iters: 300, seed: 5, partitions: 2, ..Default::default() }, 24, &[], 0x3fea2a19db77d873, 1800, 0xc78f1aeec0aca0f1);
         let loose = synth(40, 4, 400, 0.50, 13);
-        pin(&loose, &SraConfig { iters: 600, seed: 3, ..Default::default() }, &[MachineId(3), MachineId(7)], 0x3fe14a44f56fd55e, 600, 0xc82f2d555078f75a);
+        pin(&loose, &SraConfig { iters: 600, seed: 3, ..Default::default() }, LEAF_MACHINES, &[MachineId(3), MachineId(7)], 0x3fe14a44f56fd55e, 600, 0xc82f2d555078f75a);
 
         let mut rec = Recorder::active();
         solve_traced(&stringent, &SraConfig { iters: 150, seed: 2, ..Default::default() }, &[], &mut rec).unwrap();
@@ -726,13 +846,13 @@ mod tests {
 
     #[test]
     fn traced_matches_untraced_and_balances_spans_at_every_depth() {
-        for (inst, c) in [
-            (fleet(4, 8, 4, 9), cfg(4)),
-            (fleet(6, 18, 8, 9), SraConfig { depth: 2, ..cfg(2) }),
+        for (inst, c, floor, depth) in [
+            (fleet(4, 8, 4, 9), cfg(4), LEAF_MACHINES, 1),
+            (fleet(6, 18, 8, 9), cfg(2), 12, 2),
         ] {
-            let plain = solve(&inst, &c).unwrap();
+            let plain = solve_floored(&inst, &c, &[], floor);
             let mut rec = Recorder::active();
-            let traced = solve_traced(&inst, &c, &[], &mut rec).unwrap();
+            let traced = solve_with_floor(&inst, &c, &[], floor, &mut rec).unwrap();
             assert_eq!(plain.objective_value, traced.objective_value);
             assert_eq!(plain.assignment.placement(), traced.assignment.placement());
             assert_eq!(plain.iterations, traced.iterations);
@@ -748,6 +868,19 @@ mod tests {
                 narrated("lns", "partition"),
                 "partition summaries must be narrated"
             );
+            // Both spans report the depth the tree reached.
+            for e in rec.events().iter().filter(|e| {
+                e.layer == "sra"
+                    && (e.name == "decomposed" || e.name == "round")
+                    && e.kind == rex_obs::EventKind::SpanOpen
+            }) {
+                let reported = e.fields.iter().find(|(k, _)| *k == "depth");
+                assert!(
+                    matches!(reported, Some((_, rex_obs::Value::U64(d))) if *d == depth),
+                    "{}: {reported:?}, want {depth}",
+                    e.name
+                );
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! warrants and may move unrelated shards.
 //!
 //! The trick is structural, not heuristic: LNS repair only ever re-inserts
-//! shards the destroy phase detached. [`TargetedRemoval`] is a destroy
+//! shards the destroy phase detached. `TargetedRemoval` is a destroy
 //! operator that always detaches exactly the changed set, so driving the
 //! **same `Engine` spine** with it as the only destroy operator yields a
 //! search whose every candidate differs from the incumbent only on the
@@ -29,7 +29,7 @@ use rex_obs::Recorder;
 /// Used alone, it restricts the reachable neighborhood to placements that
 /// differ from the start only on `shards` — the delta-solve guarantee.
 #[derive(Clone, Debug)]
-pub struct TargetedRemoval {
+struct TargetedRemoval {
     /// The shards to re-optimize, detached on every iteration.
     pub shards: Vec<ShardId>,
 }
@@ -70,7 +70,7 @@ pub struct DeltaOutcome {
 /// Re-optimizes the placement of `changed` shards on `inst`, leaving every
 /// other shard exactly where `inst.initial` has it.
 ///
-/// Runs the serial [`Engine`] spine with [`TargetedRemoval`] as the only
+/// Runs the serial [`Engine`] spine with `TargetedRemoval` as the only
 /// destroy operator and the default repair portfolio, then plans and
 /// independently verifies the migration schedule. (Machine drains are
 /// deliberately not supported here: evacuating a drained machine would

@@ -44,8 +44,7 @@ pub mod repair;
 pub mod sra;
 pub mod state;
 
-pub use decomposed::decomposed_search;
-pub use delta::{solve_delta, DeltaOutcome, TargetedRemoval};
+pub use delta::{solve_delta, DeltaOutcome};
 pub use destroy::{
     default_destroys_in_place, MachineExchangeRemoval, RandomRemoval, RelatedRemoval,
     WorstMachineRemoval,

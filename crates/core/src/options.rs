@@ -40,15 +40,6 @@ pub enum ConfigError {
         /// Machines available.
         machines: usize,
     },
-    /// The hierarchical decomposition depth must be in `1..=8`. Zero has
-    /// no meaning (there is always at least the root level), and depths
-    /// beyond 8 only shrink leaves below useful size: even at the minimal
-    /// branching factor of 2 a depth-8 tree already needs a 512-machine
-    /// fleet for two machines per leaf.
-    BadDepth {
-        /// Depth requested.
-        depth: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -67,9 +58,6 @@ impl std::fmt::Display for ConfigError {
                 "{partitions} partitions requested but the fleet has only {machines} \
                  machines (every partition needs at least two)"
             ),
-            ConfigError::BadDepth { depth } => {
-                write!(f, "depth must be between 1 and 8, got {depth}")
-            }
         }
     }
 }
@@ -121,13 +109,6 @@ impl SolveOptions {
         self
     }
 
-    /// Hierarchical decomposition depth (`1` = flat rounds; only
-    /// meaningful with `partitions > 1`).
-    pub fn depth(mut self, depth: usize) -> Self {
-        self.cfg.depth = depth;
-        self
-    }
-
     /// Deterministic seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -147,9 +128,6 @@ impl SolveOptions {
         let lambda = cfg.objective.lambda;
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(ConfigError::NegativeLambda { lambda });
-        }
-        if cfg.depth == 0 || cfg.depth > 8 {
-            return Err(ConfigError::BadDepth { depth: cfg.depth });
         }
         Ok(cfg)
     }
@@ -273,19 +251,6 @@ mod tests {
         assert!(SolveOptions::new().partitions(5).build_for(&inst).is_ok());
         assert!(SolveOptions::new().partitions(3).build_for(&inst).is_ok());
         assert!(SolveOptions::new().partitions(1).build_for(&inst).is_ok());
-    }
-
-    #[test]
-    fn bad_depth_rejected() {
-        for depth in [0usize, 9, 100] {
-            assert_eq!(
-                SolveOptions::new().depth(depth).build().unwrap_err(),
-                ConfigError::BadDepth { depth }
-            );
-        }
-        for depth in 1..=8 {
-            SolveOptions::new().depth(depth).build().unwrap();
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The SRA driver: search → plan → verify → report.
 
+use crate::decomposed::{decomposed_search, LEAF_MACHINES};
 use crate::destroy::default_destroys_in_place;
 use crate::problem::SraProblem;
 use crate::repair::default_repairs_in_place;
@@ -61,15 +62,10 @@ pub struct SraConfig {
     /// Cooperative decomposition width: `> 1` replaces the search with the
     /// partition → parallel sub-solve → merge → boundary-repair rounds of
     /// [`crate::decomposed`] (clamped to half the machine count), and
-    /// `workers` is ignored. `0` or `1` keeps the monolithic search.
+    /// `workers` is ignored. `0` or `1` keeps the monolithic search. A
+    /// neighborhood too big for one leaf is itself re-partitioned into
+    /// `partitions` children — the fleet sizes that tree, no setting does.
     pub partitions: usize,
-    /// Hierarchical decomposition depth (only meaningful when
-    /// `partitions > 1`). `1` (the default) keeps the flat single-level
-    /// rounds; `d > 1` recursively re-partitions every neighborhood into
-    /// `partitions` children down to depth `d`, solves the leaves, and
-    /// repairs each internal level bottom-up before the global boundary
-    /// pass — the POP-style web-scale path of [`crate::decomposed`].
-    pub depth: usize,
     /// Deterministic seed.
     pub seed: u64,
     /// Migration-planner configuration.
@@ -86,7 +82,6 @@ impl Default for SraConfig {
             acceptance: AcceptanceKind::SimulatedAnnealing,
             workers: 1,
             partitions: 0,
-            depth: 1,
             seed: 42,
             planner: PlannerConfig::default(),
             log_trajectory: false,
@@ -208,6 +203,19 @@ pub fn solve_traced(
     drain: &[MachineId],
     rec: &mut Recorder,
 ) -> Result<SraResult, ClusterError> {
+    solve_with_floor(inst, cfg, drain, LEAF_MACHINES, rec)
+}
+
+/// [`solve_traced`] with the decomposed search's tree floor passed in
+/// (see [`crate::decomposed`]): tests pass small floors to solve through
+/// deep trees on small fleets.
+pub(crate) fn solve_with_floor(
+    inst: &Instance,
+    cfg: &SraConfig,
+    drain: &[MachineId],
+    leaf_machines: usize,
+    rec: &mut Recorder,
+) -> Result<SraResult, ClusterError> {
     inst.validate()?;
     let start = Instant::now();
     rec.span_open(
@@ -231,7 +239,7 @@ pub fn solve_traced(
     let mut problem = SraProblem::new(inst, cfg.objective).with_drain(drain);
     problem.planner = cfg.planner;
     rec.span_open("sra", "search", &[]);
-    let searched = run_search(&problem, cfg, cfg.seed, rec);
+    let searched = search(&problem, cfg, cfg.seed, leaf_machines, rec);
     rec.span_close("sra", "search", &[("ok", searched.is_ok().into())]);
     let (best, iterations, stats, trajectory) = searched?;
 
@@ -338,8 +346,19 @@ pub fn run_search(
     seed: u64,
     rec: &mut Recorder,
 ) -> Result<(Assignment, u64, Option<EngineStats>, Vec<TrajectoryPoint>), ClusterError> {
+    search(problem, cfg, seed, LEAF_MACHINES, rec)
+}
+
+/// [`run_search`] with the decomposed search's tree floor passed in.
+fn search(
+    problem: &SraProblem<'_>,
+    cfg: &SraConfig,
+    seed: u64,
+    leaf_machines: usize,
+    rec: &mut Recorder,
+) -> Result<(Assignment, u64, Option<EngineStats>, Vec<TrajectoryPoint>), ClusterError> {
     if cfg.partitions > 1 {
-        return crate::decomposed::decomposed_search(problem, cfg, seed, rec);
+        return decomposed_search(problem, cfg, seed, leaf_machines, rec);
     }
     let initial = starting_solution(problem)?;
     if cfg.workers <= 1 {

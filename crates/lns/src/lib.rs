@@ -50,6 +50,6 @@ pub mod weights;
 pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed, RoundJob};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, TrajectoryPoint};
-pub use portfolio::{portfolio_search, worker_seed, PortfolioOutcome};
+pub use portfolio::{portfolio_search, PortfolioOutcome};
 pub use problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
 pub use weights::OperatorWeights;

@@ -42,7 +42,7 @@ pub struct PortfolioOutcome<S> {
 }
 
 /// Deterministic per-worker seed derivation (splitmix-style odd multiplier).
-pub fn worker_seed(base: u64, worker: usize) -> u64 {
+fn worker_seed(base: u64, worker: usize) -> u64 {
     base ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1))
 }
 

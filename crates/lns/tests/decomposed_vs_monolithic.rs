@@ -12,10 +12,15 @@
 //!    {1, 2, 8} (the thread-count override is process-global, so every
 //!    thread-sensitive check lives in one `#[test]`), and rex-obs
 //!    recording never perturbs the outcome.
+//!
+//! The fleet sizes the partition tree (parts of more than 512 machines
+//! split again), so the two-level path runs here on a 1 237-machine
+//! fleet; `rex-core`'s `decomposed` unit tests grow deep trees on small
+//! fleets through the solver's private tree floor.
 
 use rex_cluster::{verify_schedule, Objective};
 use rex_core::{solve, solve_traced, SraConfig, SraResult};
-use rex_obs::Recorder;
+use rex_obs::{EventKind, Recorder};
 use rex_workload::synthetic::{generate, DemandFamily, Placement, SynthConfig};
 
 fn instance(machines: usize, shards: usize, seed: u64) -> rex_cluster::Instance {
@@ -109,23 +114,49 @@ fn decomposed_matches_monolithic_and_is_thread_count_invariant() {
     }
     rayon::set_threads_override(None);
 
-    // Hierarchical path (depth > 1): same constraint set, ≤1% of the
-    // monolithic peak, and byte-identical across thread counts. This
-    // lives in the same #[test] because the thread override is
-    // process-global.
-    let hcfg = SraConfig { depth: 2, ..cfg(4) };
-    let hier = solve(&inst, &hcfg).expect("hierarchical solve");
-    check_constraints(&inst, &hier);
+    // Hierarchical path: 1 237 machines at k = 2 give parts of about 618,
+    // above the 512-machine floor, so every round runs a two-level tree.
+    // Same constraint set, ≤1% of the monolithic peak, and byte-identical
+    // across thread counts. This lives in the same #[test] because the
+    // thread override is process-global.
+    let big = generate(&SynthConfig {
+        n_machines: 1_100,
+        n_exchange: 137,
+        n_shards: 3_300,
+        stringency: 0.6,
+        placement: Placement::Hotspot(0.1),
+        seed: 5,
+        ..Default::default()
+    })
+    .expect("generate");
+    let quick = |partitions| SraConfig {
+        iters: 400,
+        ..cfg(partitions)
+    };
+    let hcfg = quick(2);
+    let mut rec = Recorder::active();
+    let hier = solve_traced(&big, &hcfg, &[], &mut rec).expect("hierarchical solve");
+    let round_depths = rec
+        .events()
+        .iter()
+        .filter(|e| e.name == "round" && e.kind == EventKind::SpanOpen);
+    let depths: Vec<String> = round_depths.map(|e| format!("{:?}", e.fields[1])).collect();
+    assert_eq!(
+        depths, [r#"("depth", U64(2))"#; 4],
+        "every round is two levels deep"
+    );
+    check_constraints(&big, &hier);
+    let big_mono = solve(&big, &quick(0)).expect("monolithic solve");
     assert!(
-        hier.final_report.peak <= mono.final_report.peak * 1.01 + 1e-9,
+        hier.final_report.peak <= big_mono.final_report.peak * 1.01 + 1e-9,
         "hierarchical peak {} vs monolithic {}",
         hier.final_report.peak,
-        mono.final_report.peak
+        big_mono.final_report.peak
     );
     assert!(hier.final_report.peak < hier.initial_report.peak);
     for threads in [1usize, 8] {
         rayon::set_threads_override(Some(threads));
-        let run = solve(&inst, &hcfg).expect("hierarchical under override");
+        let run = solve(&big, &hcfg).expect("hierarchical under override");
         assert_eq!(
             run.assignment.placement(),
             hier.assignment.placement(),
@@ -146,20 +177,22 @@ mod prop {
     use std::collections::HashSet;
 
     /// Recursively splits a node exactly like the hierarchical solver
-    /// (same stop rule: split while levels remain and every child can get
-    /// two machines) and checks, at every level, that the children
-    /// partition the parent's machines and shards exactly and that the
-    /// children's vacancy quotas sum to the parent's.
+    /// (same stop rule: the root splits, a node below it while it holds
+    /// more than `floor` machines, and only if every child can get two
+    /// machines) and checks, at every level, that the children partition
+    /// the parent's machines and shards exactly and that the children's
+    /// vacancy quotas sum to the parent's.
     fn check_tree(
         inst: &rex_cluster::Instance,
         placement: &[MachineId],
         loads: &[f64],
         node: &PartitionSpec,
         level: usize,
-        depth: usize,
+        floor: usize,
         k: usize,
     ) -> Result<(), TestCaseError> {
-        if level >= depth || k < 2 || node.machines.len() < 2 * k {
+        let n = node.machines.len();
+        if k < 2 || n < 2 * k || (level > 0 && n <= floor) {
             return Ok(());
         }
         let children = partition_subfleet(
@@ -192,7 +225,7 @@ mod prop {
         let q: usize = children.iter().map(|c| c.vacancy_quota).sum();
         prop_assert_eq!(q, node.vacancy_quota, "vacancy quota not conserved");
         for c in &children {
-            check_tree(inst, placement, loads, c, level + 1, depth, k)?;
+            check_tree(inst, placement, loads, c, level + 1, floor, k)?;
         }
         Ok(())
     }
@@ -259,15 +292,15 @@ mod prop {
             prop_assert!(res.assignment.vacant_count() >= inst.k_return);
         }
 
-        /// The depth-d partition tree covers every machine and shard of
-        /// every node exactly once in its children, at every level, and
-        /// vacancy quotas are conserved all the way down.
+        /// The partition tree covers every machine and shard of every node
+        /// exactly once in its children, at every level, and vacancy
+        /// quotas are conserved all the way down.
         #[test]
         fn hierarchical_tree_covers_and_conserves_quota(
             machines in 12usize..48,
             shards_per in 2usize..10,
             k in 2usize..5,
-            depth in 2usize..5,
+            floor in 2usize..16,
             seed in 0u64..500,
         ) {
             let inst = instance(machines, machines * shards_per, seed);
@@ -278,37 +311,7 @@ mod prop {
                 shards: (0..inst.n_shards()).map(ShardId::from).collect(),
                 vacancy_quota: inst.k_return,
             };
-            check_tree(&inst, &inst.initial, &loads, &root, 0, depth, k)?;
-        }
-    }
-
-    proptest! {
-        // Each case runs two full solves — keep the count modest.
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Hierarchical (depth 2) and flat decomposed solves agree within
-        /// a 1% quality band at the same iteration budget.
-        #[test]
-        fn hierarchical_matches_flat_within_one_percent(
-            machines in 20usize..36,
-            seed in 0u64..30,
-        ) {
-            let inst = instance(machines, machines * 8, seed);
-            let base = SraConfig {
-                iters: 600,
-                partitions: 4,
-                seed,
-                objective: Objective::pure(),
-                ..Default::default()
-            };
-            let flat = solve(&inst, &base).expect("flat solve");
-            let hier = solve(&inst, &SraConfig { depth: 2, ..base }).expect("hierarchical solve");
-            prop_assert!(
-                hier.final_report.peak <= flat.final_report.peak * 1.01 + 1e-9,
-                "hierarchical peak {} vs flat {}",
-                hier.final_report.peak,
-                flat.final_report.peak
-            );
+            check_tree(&inst, &inst.initial, &loads, &root, 0, floor, k)?;
         }
     }
 }

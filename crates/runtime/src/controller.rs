@@ -238,8 +238,7 @@ fn greedy_evacuation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::verify_event_boundaries;
-    use rex_cluster::InstanceBuilder;
+    use rex_cluster::{verify_schedule, InstanceBuilder};
     use rex_workload::synthetic::{generate, Placement, SynthConfig};
 
     fn cfg() -> ControllerConfig {
@@ -334,7 +333,7 @@ mod tests {
         assert_eq!(pm.kind, MigrationKind::Load);
         assert_eq!(pm.durations.len(), pm.plan.n_batches());
         assert!(pm.durations.iter().all(|&d| d >= 1));
-        verify_event_boundaries(&inst, &inst.initial, &pm.plan).unwrap();
+        verify_schedule(&inst, &inst.initial, &pm.target, &pm.plan).unwrap();
     }
 
     #[test]
@@ -359,7 +358,7 @@ mod tests {
                 mv.to
             );
         }
-        verify_event_boundaries(&inst, &inst.initial, &pm.plan).unwrap();
+        verify_schedule(&inst, &inst.initial, &pm.target, &pm.plan).unwrap();
     }
 
     #[test]
@@ -389,7 +388,7 @@ mod tests {
         let inst = b.build().unwrap();
         let pm = plan_evacuation(&inst, &[m0], 9, 1.0, 1).unwrap();
         assert_eq!(pm.kind, MigrationKind::Evacuation);
-        verify_event_boundaries(&inst, &inst.initial, &pm.plan).unwrap();
+        verify_schedule(&inst, &inst.initial, &pm.target, &pm.plan).unwrap();
         for (s, &m) in pm.target.iter().enumerate() {
             assert_ne!(m, m0, "shard {s} still on the failed machine");
         }

@@ -3,22 +3,18 @@
 //! A plan's batches execute sequentially; a batch lasts as many ticks as
 //! [`time_plan`] gives it seconds (busiest NIC's `(bytes_in + bytes_out) /
 //! copy_bandwidth`), rounded up, plus a fixed coordination overhead. While
-//! a batch is in flight its transient footprint ([`batch_footprint`]:
+//! a batch is in flight its transient footprint
+//! ([`batch_footprint`](rex_cluster::migration::batch_footprint):
 //! `(1+α)·d` on the target, `α·d` on the source) is added to the machines'
 //! effective load, and the footprint is **constant for the whole batch**:
 //! copies start at the batch boundary and the commit happens at the next
 //! boundary. Event boundaries (batch starts and batch ends) are
 //! therefore the only instants where the usage state changes, and checking
-//! the transient constraint there checks it everywhere.
-//!
-//! [`verify_event_boundaries`] re-derives that check from the footprint
-//! the executor charges (a third implementation of the transient
-//! semantics, independent of the planner's reservations and
-//! `verify_schedule`'s replay) so property tests can cross-examine all
-//! three.
+//! the transient constraint there checks it everywhere — which is what
+//! `rex_cluster::verify_schedule` does, batch by batch.
 
-use rex_cluster::migration::{batch_footprint, time_plan, TimelineConfig};
-use rex_cluster::{Instance, MachineId, MigrationPlan, ResourceVec};
+use rex_cluster::migration::{time_plan, TimelineConfig};
+use rex_cluster::{Instance, MachineId, MigrationPlan};
 
 /// Why a migration plan was adopted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,68 +77,6 @@ pub fn batch_durations(
     timeline.batch_secs.into_iter().map(ticks).collect()
 }
 
-/// A transient-capacity violation at an event boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BoundaryViolation {
-    /// Batch index.
-    pub batch: usize,
-    /// Overloaded machine.
-    pub machine: MachineId,
-    /// True if the violation is at the batch's start boundary (copies
-    /// beginning), false at its end boundary (state after commit).
-    at_start: bool,
-}
-
-/// Replays `plan` from `initial` and checks the transient constraint at
-/// **every event boundary**: at each batch start (steady usage plus the
-/// batch's full footprint must fit every machine) and at each batch end
-/// (the committed steady state must fit). Because the footprint is constant
-/// between boundaries, this covers every instant of the execution.
-pub fn verify_event_boundaries(
-    inst: &Instance,
-    initial: &[MachineId],
-    plan: &MigrationPlan,
-) -> Result<(), BoundaryViolation> {
-    let n = inst.n_machines();
-    let mut usage: Vec<ResourceVec> = vec![ResourceVec::zero(inst.dims); n];
-    for (i, &m) in initial.iter().enumerate() {
-        usage[m.idx()] += &inst.shards[i].demand;
-    }
-    let mut footprint: Vec<ResourceVec> = vec![ResourceVec::zero(inst.dims); n];
-    for (bi, batch) in plan.batches.iter().enumerate() {
-        for f in footprint.iter_mut() {
-            *f = ResourceVec::zero(inst.dims);
-        }
-        batch_footprint(inst, batch, &mut footprint);
-        // Start boundary: copies begin, footprint lands on top of usage.
-        for m in 0..n {
-            if !usage[m].fits_after_add(&footprint[m], &inst.machines[m].capacity) {
-                return Err(BoundaryViolation {
-                    batch: bi,
-                    machine: MachineId::from(m),
-                    at_start: true,
-                });
-            }
-        }
-        // End boundary: commit, then the steady state must fit.
-        for mv in batch {
-            let d = inst.shards[mv.shard.idx()].demand;
-            usage[mv.from.idx()].saturating_sub_assign(&d);
-            usage[mv.to.idx()] += &d;
-        }
-        for (m, u) in usage.iter().enumerate() {
-            if !u.fits_within(&inst.machines[m].capacity) {
-                return Err(BoundaryViolation {
-                    batch: bi,
-                    machine: MachineId::from(m),
-                    at_start: false,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,51 +107,5 @@ mod tests {
         assert_eq!(batch_durations(&inst, &plan, 2.0, 2), vec![5]);
         // Fractional transfer rounds up; floor of one tick.
         assert_eq!(batch_durations(&inst, &plan, 100.0, 0), vec![1]);
-    }
-
-    #[test]
-    fn boundary_check_accepts_staged_swap() {
-        let mut b = InstanceBuilder::new(1);
-        let m0 = b.machine(&[10.0]);
-        let m1 = b.machine(&[10.0]);
-        let _x = b.exchange_machine(&[10.0]);
-        b.shard(&[8.0], 1.0, m0);
-        b.shard(&[8.0], 1.0, m1);
-        let inst = b.build().unwrap();
-        let plan = MigrationPlan {
-            batches: vec![vec![mv(0, 0, 2)], vec![mv(1, 1, 0)], vec![mv(0, 2, 1)]],
-        };
-        verify_event_boundaries(&inst, &inst.initial, &plan).unwrap();
-    }
-
-    #[test]
-    fn boundary_check_rejects_simultaneous_swap() {
-        let mut b = InstanceBuilder::new(1);
-        let m0 = b.machine(&[10.0]);
-        let _m1 = b.machine(&[10.0]);
-        b.shard(&[6.0], 1.0, m0);
-        b.shard(&[6.0], 1.0, MachineId(1));
-        let inst = b.build().unwrap();
-        let plan = MigrationPlan {
-            batches: vec![vec![mv(0, 0, 1), mv(1, 1, 0)]],
-        };
-        let v = verify_event_boundaries(&inst, &inst.initial, &plan).unwrap_err();
-        assert!(v.at_start);
-        assert_eq!(v.batch, 0);
-    }
-
-    #[test]
-    fn boundary_check_charges_alpha() {
-        // Target holds 6, incoming (1+0.4)·6 = 8.4 → 14.4 > 10.
-        let mut b = InstanceBuilder::new(1).alpha(0.4);
-        let m0 = b.machine(&[10.0]);
-        let _m1 = b.machine(&[10.0]);
-        b.shard(&[6.0], 1.0, m0);
-        b.shard(&[6.0], 1.0, MachineId(1));
-        let inst = b.build().unwrap();
-        let plan = MigrationPlan {
-            batches: vec![vec![mv(0, 0, 1)]],
-        };
-        assert!(verify_event_boundaries(&inst, &inst.initial, &plan).is_err());
     }
 }

@@ -18,7 +18,7 @@
 //!    merge. The gap between the two thresholds is the hysteresis band
 //!    that keeps a shard oscillating around one threshold from
 //!    split-merge thrashing.
-//! 3. **Execute** — operators flow through an [`OperatorScheduler`] with a
+//! 3. **Execute** — operators flow through an `OperatorScheduler` with a
 //!    concurrency limit, per-operator pending expiry, and cancel-on-crash.
 //!    Split and merge mutate the `Instance` in place (only while the
 //!    executor is idle, preserving the membership invariant); the
@@ -336,7 +336,7 @@ pub struct Operator {
 /// Admits, expires, starts, and cancels operators under a concurrency
 /// limit. Pure bookkeeping — the simulation executes the operators.
 #[derive(Clone, Debug, Default)]
-pub struct OperatorScheduler {
+struct OperatorScheduler {
     limit: usize,
     expiry: u64,
     next_id: u64,
@@ -415,16 +415,6 @@ impl OperatorScheduler {
         for op in self.pending.iter_mut().chain(self.running.iter_mut()) {
             op.kind.remap(old, new);
         }
-    }
-
-    /// Queued-but-unstarted operators.
-    pub fn pending(&self) -> impl Iterator<Item = &Operator> {
-        self.pending.iter()
-    }
-
-    /// Currently running operators.
-    pub fn running(&self) -> impl Iterator<Item = &Operator> {
-        self.running.iter()
     }
 }
 
@@ -947,7 +937,7 @@ mod tests {
         let expired = sched.expire(11);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].kind, OperatorKind::Split { shard: s(1) });
-        assert_eq!(sched.running().count(), 1, "running op must survive expiry");
+        assert_eq!(sched.running.len(), 1, "running op must survive expiry");
     }
 
     #[test]
@@ -958,7 +948,7 @@ mod tests {
         sched.start_next().unwrap();
         let dropped = sched.cancel_all();
         assert_eq!(dropped.len(), 2);
-        assert_eq!(sched.running().count(), 0);
+        assert_eq!(sched.running.len(), 0);
         assert!(sched.start_next().is_none(), "nothing left pending");
     }
 
@@ -974,7 +964,7 @@ mod tests {
             )
             .unwrap();
         sched.remap_shard(s(9), s(3));
-        let op = sched.pending().next().unwrap();
+        let op = sched.pending.iter().next().unwrap();
         assert_eq!(
             op.kind,
             OperatorKind::Migrate {
@@ -1037,7 +1027,12 @@ mod tests {
         assert_eq!(cx.cl.spikes[0], Some(vec![s(0), s(4)]));
         assert_eq!(plane.cache.get(s(4)), Some(0.3), "child 5's halved EWMA");
         assert!(plane.cache.get(s(5)).is_none() && plane.cache.get(s(1)).is_none());
-        let queued: Vec<_> = plane.sched.pending().map(|op| op.kind.clone()).collect();
+        let queued: Vec<_> = plane
+            .sched
+            .pending
+            .iter()
+            .map(|op| op.kind.clone())
+            .collect();
         let shards = vec![s(0), s(4)];
         assert_eq!(queued, vec![OperatorKind::Migrate { shards }]);
     }

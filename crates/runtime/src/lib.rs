@@ -60,13 +60,10 @@ pub use config::{
 };
 pub use controller::Controller;
 pub use events::{Event, EventQueue};
-pub use exec::{
-    batch_durations, verify_event_boundaries, BoundaryViolation, MigrationKind, PlannedMigration,
-};
+pub use exec::{batch_durations, MigrationKind, PlannedMigration};
 pub use hotshard::{
     plan_hotshard_migration, EwmaCache, EwmaEntry, HotShardConfig, Operator, OperatorKind,
-    OperatorScheduler,
 };
 pub use metrics::{Counters, GaugeSample, LatencySummary, MetricsExport};
 pub use sim::Simulation;
-pub use trace::{ReplayScript, TraceHeader, TraceLine};
+pub use trace::{ReplayScript, TraceLine};

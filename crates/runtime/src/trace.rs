@@ -5,7 +5,7 @@
 //! engine actually applied, with the RNG-dependent choices (spike hot
 //! sets, popularity rank permutations) pinned to their realized values.
 //!
-//! The format is JSONL: line 1 is a [`TraceHeader`] carrying the workload
+//! The format is JSONL: line 1 is a `TraceHeader` carrying the workload
 //! spec and the exact instance the run started from; every further line is
 //! one [`TraceLine`]. Replaying a trace rebuilds the simulation from the
 //! header and pins the realized choices through a [`ReplayScript`], so the
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 /// Line 1 of a trace file: what the run was.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TraceHeader {
+struct TraceHeader {
     /// The workload spec the run lowered.
     pub workload: WorkloadSpec,
     /// The exact instance the run started from.

@@ -1,23 +1,20 @@
 //! Property tests for the runtime's transient semantics and determinism.
 //!
-//! Three independent implementations of the transient migration constraint
-//! exist in this workspace: the planner's reservations, `verify_schedule`'s
-//! replay, and the runtime executor's event-boundary check. These
-//! properties cross-examine them on random instances and random plans —
-//! both planner-produced (must all agree: feasible) and arbitrary
-//! consistent move sequences (must agree on the verdict either way).
+//! Every batch of a planned migration takes at least one tick (the
+//! executor's footprint is constant per batch, so `verify_schedule`'s
+//! per-batch check — cross-examined against the planner in
+//! `rex-cluster`'s proptests — covers every instant of the execution).
 //!
 //! The last property pins the determinism contract: a `Simulation` run is a
 //! pure function of `(Instance, RuntimeConfig)`, byte for byte.
 
 use proptest::prelude::*;
 use rex_cluster::{
-    plan_migration, verify_schedule, Assignment, Instance, InstanceBuilder, MachineId,
-    MigrationPlan, Move, PlannerConfig, ShardId,
+    plan_migration, Assignment, Instance, InstanceBuilder, MachineId, PlannerConfig, ShardId,
 };
 use rex_runtime::{
-    batch_durations, verify_event_boundaries, ControllerConfig, ControllerPolicy, DriftSpec,
-    FaultSpec, RuntimeConfig, Simulation,
+    batch_durations, ControllerConfig, ControllerPolicy, DriftSpec, FaultSpec, RuntimeConfig,
+    Simulation,
 };
 
 /// Strategy: a random feasible instance (heterogeneous fleet, shards placed
@@ -76,73 +73,8 @@ fn random_target(inst: &Instance, seed: u64, moves: usize) -> Vec<MachineId> {
     asg.into_placement()
 }
 
-/// A random *consistent* plan: batches of distinct-shard moves whose
-/// sources always match the replayed placement. Capacity is deliberately
-/// ignored, so the plan may or may not respect the transient constraint —
-/// exactly what the verifier-agreement property needs.
-fn random_consistent_plan(inst: &Instance, seed: u64, batches: usize) -> MigrationPlan {
-    use rand::prelude::*;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut placement = inst.initial.clone();
-    let mut plan = MigrationPlan::default();
-    for _ in 0..batches {
-        let mut batch: Vec<Move> = Vec::new();
-        let mut used: Vec<ShardId> = Vec::new();
-        for _ in 0..rng.random_range(1..4usize) {
-            let s = ShardId::from(rng.random_range(0..inst.n_shards()));
-            if used.contains(&s) {
-                continue;
-            }
-            let from = placement[s.idx()];
-            let to = MachineId::from(rng.random_range(0..inst.n_machines()));
-            if to == from {
-                continue;
-            }
-            used.push(s);
-            batch.push(Move { shard: s, from, to });
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        for mv in &batch {
-            placement[mv.shard.idx()] = mv.to;
-        }
-        plan.batches.push(batch);
-    }
-    plan
-}
-
-/// Replays a consistent plan to its final placement.
-fn replay_target(inst: &Instance, plan: &MigrationPlan) -> Vec<MachineId> {
-    let mut placement = inst.initial.clone();
-    for mv in plan.moves() {
-        placement[mv.shard.idx()] = mv.to;
-    }
-    placement
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Every plan the migration planner emits passes the runtime's
-    /// independent event-boundary check (planner reservations and the
-    /// executor's replay implement the same transient semantics).
-    #[test]
-    fn planner_output_passes_event_boundaries(
-        inst in arb_instance(),
-        seed in 0u64..1_000_000,
-        moves in 1usize..12,
-    ) {
-        let target = random_target(&inst, seed, moves);
-        match plan_migration(&inst, &inst.initial, &target, &PlannerConfig::default()) {
-            Ok(plan) => {
-                prop_assert!(verify_event_boundaries(&inst, &inst.initial, &plan).is_ok(),
-                    "planner plan violated an event boundary");
-                prop_assert!(verify_schedule(&inst, &inst.initial, &target, &plan).is_ok());
-            }
-            Err(_) => { /* deadlock is the planner's only allowed failure */ }
-        }
-    }
 
     /// Batches always take at least one tick, even when every shard in the
     /// batch is smaller than the per-tick copy bandwidth (sub-bandwidth
@@ -165,24 +97,6 @@ proptest! {
             prop_assert!(durations.iter().all(|&d| d >= 1),
                 "a batch was scheduled to take zero ticks: {:?}", durations);
         }
-    }
-
-    /// On arbitrary consistent plans the runtime's boundary check and
-    /// `verify_schedule` return the same verdict — two independent
-    /// implementations of the transient constraint agree on feasible AND
-    /// infeasible schedules.
-    #[test]
-    fn boundary_check_agrees_with_verify_schedule(
-        inst in arb_instance(),
-        seed in 0u64..1_000_000,
-        batches in 1usize..8,
-    ) {
-        let plan = random_consistent_plan(&inst, seed, batches);
-        let target = replay_target(&inst, &plan);
-        let ours = verify_event_boundaries(&inst, &inst.initial, &plan);
-        let theirs = verify_schedule(&inst, &inst.initial, &target, &plan);
-        prop_assert_eq!(ours.is_ok(), theirs.is_ok(),
-            "verdicts diverge: boundaries={:?} schedule={:?}", ours, theirs);
     }
 }
 

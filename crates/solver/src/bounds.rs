@@ -10,7 +10,7 @@ use rex_cluster::{Instance, MachineId};
 /// `max_m U_m[r]/C_m[r] ≥ Σ_m U_m[r] / Σ_m C_m[r]` over the machines
 /// actually in use, hence the optimal peak is at least
 /// `D_r / (C_r - smallest k caps)` for every `r`.
-pub fn mediant_bound(inst: &Instance) -> f64 {
+fn mediant_bound(inst: &Instance) -> f64 {
     let demand = inst.total_demand();
     let mut best = 0.0f64;
     for r in 0..inst.dims {
@@ -31,7 +31,7 @@ pub fn mediant_bound(inst: &Instance) -> f64 {
 
 /// Largest-shard bound: every shard must live somewhere, so the peak is at
 /// least `min_m max_r d_s[r]/C_m[r]` for the shard that maximizes that.
-pub fn largest_shard_bound(inst: &Instance) -> f64 {
+fn largest_shard_bound(inst: &Instance) -> f64 {
     let mut best = 0.0f64;
     for s in &inst.shards {
         let cheapest = inst

@@ -22,6 +22,6 @@ pub mod bounds;
 pub mod exact;
 pub mod model;
 
-pub use bounds::{largest_shard_bound, mediant_bound, peak_lower_bound};
+pub use bounds::peak_lower_bound;
 pub use exact::{branch_and_bound, ExactConfig, ExactResult};
 pub use model::{IpModel, Violation};

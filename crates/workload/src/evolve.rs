@@ -76,34 +76,31 @@ pub fn next_epoch(
         s.demand[0] *= scale;
     }
 
-    // Clamp overflowing machines back to capacity (proportionally shrinking
-    // their shards' CPU), counting how many shards were touched.
-    let mut clamped = 0usize;
-    for mi in 0..inst.n_machines() {
-        let m = MachineId::from(mi);
-        let cap = inst.machines[mi].capacity[0];
-        let mut used: f64 = inst
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| inst.initial[*i] == m)
-            .map(|(_, s)| s.demand[0])
-            .sum();
-        if used > cap {
-            let shrink = cap / used * 0.999; // tiny margin under the cap
-            for (i, s) in inst.shards.iter_mut().enumerate() {
-                if inst.initial[i] == m {
-                    s.demand[0] *= shrink;
-                    clamped += 1;
-                }
-            }
-            used *= shrink;
-            debug_assert!(used <= cap);
-        }
-    }
-
+    let clamped = clamp_to_capacity(&mut inst);
     inst.validate()?;
     Ok((inst, clamped))
+}
+
+/// Clamps overflowing machines back to capacity: every shard on a machine
+/// whose CPU (dimension 0) under `inst.initial` exceeds the machine's has
+/// its CPU scaled by `cap / used × 0.999` (a tiny margin under the cap).
+/// Returns how many shard demands were scaled. Usage is summed per machine
+/// in one pass in shard order — the additions, and their order, of summing
+/// each machine's shards on its own.
+pub(crate) fn clamp_to_capacity(inst: &mut Instance) -> usize {
+    let mut used = vec![0.0f64; inst.n_machines()];
+    for (s, m) in inst.shards.iter().zip(&inst.initial) {
+        used[m.idx()] += s.demand[0];
+    }
+    let mut clamped = 0usize;
+    for (s, m) in inst.shards.iter_mut().zip(&inst.initial) {
+        let (cap, used) = (inst.machines[m.idx()].capacity[0], used[m.idx()]);
+        if used > cap {
+            s.demand[0] *= cap / used * 0.999;
+            clamped += 1;
+        }
+    }
+    clamped
 }
 
 /// Commits a resource exchange between epochs: the machines handed back
@@ -243,6 +240,55 @@ mod tests {
         assert!(!next.machines[8].exchange);
         assert_eq!(next.k_return, 1);
         next.validate().unwrap();
+    }
+
+    /// The per-machine clamp loop `clamp_to_capacity` replaced: every shard
+    /// is scanned once per machine.
+    fn clamp_quadratic(inst: &mut Instance) -> usize {
+        let mut clamped = 0;
+        for m in 0..inst.n_machines() {
+            let cap = inst.machines[m].capacity[0];
+            let on_m: Vec<usize> = (0..inst.n_shards())
+                .filter(|&i| inst.initial[i].idx() == m)
+                .collect();
+            let used: f64 = on_m.iter().map(|&i| inst.shards[i].demand[0]).sum();
+            if used > cap {
+                for &i in &on_m {
+                    inst.shards[i].demand[0] *= cap / used * 0.999;
+                }
+                clamped += on_m.len();
+            }
+        }
+        clamped
+    }
+
+    #[test]
+    fn one_pass_clamp_matches_the_per_machine_loop() {
+        let mut total = 0;
+        for seed in 0..8 {
+            let cfg = SynthConfig {
+                n_machines: 24,
+                n_exchange: 2,
+                n_shards: 300,
+                seed,
+                ..Default::default()
+            };
+            let mut inst = generate(&cfg).unwrap();
+            // Inflate CPU unevenly so a seed-dependent set of machines
+            // overflows.
+            for (i, s) in inst.shards.iter_mut().enumerate() {
+                s.demand[0] *= 1.0 + ((i as u64 * 7 + seed) % 5) as f64 * 0.15;
+            }
+            let mut reference = inst.clone();
+            let want = clamp_quadratic(&mut reference);
+            assert_eq!(clamp_to_capacity(&mut inst), want, "seed {seed}");
+            let bits = |i: &Instance| -> Vec<u64> {
+                i.shards.iter().map(|s| s.demand[0].to_bits()).collect()
+            };
+            assert_eq!(bits(&inst), bits(&reference), "seed {seed}");
+            total += want;
+        }
+        assert!(total > 0, "no fleet clamped");
     }
 
     #[test]

@@ -22,6 +22,4 @@ pub use evolve::{next_epoch, DriftConfig};
 pub use popularity::{apply_popularity, PopularityWalk};
 pub use special::swap_locked;
 pub use suite::{standard_suite, SuiteEntry};
-pub use synthetic::{
-    generate_workload, profile_fleet, DemandFamily, MachineProfile, Placement, SynthConfig,
-};
+pub use synthetic::{generate_workload, DemandFamily, MachineProfile, Placement, SynthConfig};

@@ -16,6 +16,7 @@
 //!
 //! [`next_epoch`]: crate::evolve::next_epoch
 
+use crate::evolve::clamp_to_capacity;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rex_cluster::{ClusterError, Instance, MachineId, Zipf};
@@ -134,29 +135,7 @@ pub fn apply_popularity(
         shard.demand[0] = walk.weights[walk.ranks[s] as usize] * budget;
     }
 
-    // Clamp overflowing machines back to capacity, as next_epoch does.
-    let mut clamped = 0usize;
-    for mi in 0..inst.n_machines() {
-        let m = MachineId::from(mi);
-        let cap = inst.machines[mi].capacity[0];
-        let used: f64 = inst
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| inst.initial[*i] == m)
-            .map(|(_, s)| s.demand[0])
-            .sum();
-        if used > cap {
-            let shrink = cap / used * 0.999; // tiny margin under the cap
-            for (i, s) in inst.shards.iter_mut().enumerate() {
-                if inst.initial[i] == m {
-                    s.demand[0] *= shrink;
-                    clamped += 1;
-                }
-            }
-        }
-    }
-
+    let clamped = clamp_to_capacity(&mut inst);
     inst.validate()?;
     Ok((inst, clamped))
 }

@@ -123,7 +123,7 @@ impl Default for SynthConfig {
 /// `big_fraction` lies outside `[0, 1]` or whose `ratio` is not above 1,
 /// and a `BigExchange` profile whose `factor` is not above 1 (NaN
 /// included).
-pub fn profile_fleet(cfg: &SynthConfig) -> Result<FleetSpec, ClusterError> {
+fn profile_fleet(cfg: &SynthConfig) -> Result<FleetSpec, ClusterError> {
     let bad = |reason: String| Err(ClusterError::BadGenerator { reason });
     let (generations, exchange_scale) = match cfg.profile {
         MachineProfile::Homogeneous => (
@@ -192,7 +192,7 @@ pub fn profile_fleet(cfg: &SynthConfig) -> Result<FleetSpec, ClusterError> {
 /// # Errors
 /// [`ClusterError::BadGenerator`] on settings it cannot honour (zero
 /// counts, stringency outside `(0,1)`, too few shards to reach it, `Drift`
-/// on one dimension, a machine profile [`profile_fleet`] rejects),
+/// on one dimension, a machine profile `profile_fleet` rejects),
 /// [`ClusterError::Unpackable`] when no placement packs the demands, and
 /// instance validation errors.
 pub fn generate(cfg: &SynthConfig) -> Result<Instance, ClusterError> {

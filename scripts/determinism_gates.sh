@@ -115,7 +115,10 @@ gate solve-fallback rex solve --inst @out:gen-small --partitions 4 --iters 400 -
 # The same at web scale: the merged best of this 1125×10000 solve at 0.85
 # deadlocks, and the fallback's gate and final plan share one planner.
 gate solve-web-fallback rex solve --inst @out:gen-web-85 --partitions 8 --iters 600 --seed 11 --out @out
-gate solve-depth2 rex solve --inst @out:gen-stringent --partitions 2 --depth 2 --iters 400 --seed 11 --out @out
+# The partition tree two levels deep: at --partitions 2 the 1125 machines
+# split into parts of about 562, above the 512-machine floor, so each part
+# splits again.
+gate solve-depth2 rex solve --inst @out:gen-web --partitions 2 --iters 400 --seed 11 --out @out
 gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
 gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out
 # The JSON read paths: a solution file back through `rex verify`, and the

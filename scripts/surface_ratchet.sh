@@ -20,13 +20,17 @@ ALLOW=scripts/surface_allow.txt
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Every non-test line, as `file<TAB>line`.
+# Every non-test line, as `file<TAB>line`. A `pub use` statement, on
+# one line or many, re-exports a name without reading it, so its lines
+# are left out.
 find src crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
-    FNR == 1 { live = 1; gated = 0 }
+    FNR == 1 { live = 1; gated = 0; reexport = 0 }
     gated && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { live = 0 }
     { gated = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1 }
-    live { print FILENAME "\t" $0 }' >"$work/live"
+    /^[[:space:]]*pub use / { reexport = 1 }
+    live && !reexport { print FILENAME "\t" $0 }
+    reexport && /;/ { reexport = 0 }' >"$work/live"
 
 # `file name` of every plain-`pub` declaration in crates/*/src.
 awk -F'\t' '$1 ~ /^crates\// {

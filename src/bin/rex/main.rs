@@ -141,7 +141,7 @@ fn workload_inputs(
 }
 
 /// Builds the validated solver configuration from the shared solver flags
-/// (`--iters`, `--workers`, `--partitions`, `--depth`, `--seed`) — the
+/// (`--iters`, `--workers`, `--partitions`, `--seed`) — the
 /// one config path `solve` and `trace` have in common.
 fn solver_config(
     args: &HashMap<String, String>,
@@ -152,7 +152,6 @@ fn solver_config(
         .iters(parse(get_or(args, "iters", default_iters), "u64")?)
         .workers(parse(get_or(args, "workers", "1"), "usize")?)
         .partitions(parse(get_or(args, "partitions", "0"), "usize")?)
-        .depth(parse(get_or(args, "depth", "1"), "usize")?)
         .seed(parse(get_or(args, "seed", "42"), "u64")?)
         .build_for(inst)
         .map_err(|e| e.to_string())
@@ -538,13 +537,22 @@ fn cmd_route(args: &HashMap<String, String>) -> Result<(), String> {
         ..Default::default()
     };
     if let Some(path) = args.get("workload") {
-        // Workload mode: the spec's scenario plane owns every engine knob
-        // (horizon, qps, spike, SRA coupling); only the policy flag stays.
+        // Workload mode: the spec's scenario plane owns the engine knobs
+        // the open-loop router has (horizon, qps, fanout, service time,
+        // spike); only the policy flag stays. Its crash and SRA clauses
+        // have no router counterpart and are refused, not dropped.
         let w = load_workload(path)?;
         if w.load.is_some() || !w.rack_crashes.is_empty() {
             return Err(
                 "route drives the open-loop router: the load-script and rack-crash \
                  planes need a closed loop — use simulate or converge"
+                    .into(),
+            );
+        }
+        if w.scenario.crash.is_some() || w.scenario.sra.is_some() {
+            return Err(
+                "route drives the open-loop router: the scenario's crash and sra \
+                 clauses need a closed loop — use simulate or converge"
                     .into(),
             );
         }
@@ -850,8 +858,8 @@ const USAGE: &str =
            [--shards N] [--dims N] [--stringency F] [--alpha F] [--seed N]
            [--profile homogeneous|two-tier|big-exchange]
   inspect  --inst FILE
-  solve    --inst FILE [--iters N] [--workers N] [--partitions K] [--depth D]
-           [--seed N] [--out FILE]
+  solve    --inst FILE [--iters N] [--workers N] [--partitions K] [--seed N]
+           [--out FILE]
            [--drain M1,M2,...]   (machines to decommission: must end vacant)
   baseline --inst FILE [--method greedy|local-search|ffd]
   verify   --inst FILE --solution FILE
@@ -877,7 +885,9 @@ const USAGE: &str =
            [--out FILE] [--trace FILE] [--quiet] [--workload FILE]
            (query-level event engine: routes individual queries to shard
             replicas; --sra couples mid-run resource-exchange solves;
-            --workload lowers a spec's scenario plane instead of the flags)
+            --workload lowers a spec's scenario plane instead of the flags;
+            a spec with crash, sra, load-script or rack-crash clauses is
+            refused: those need a closed loop)
   converge [--inst FILE | --machines N --shards N --exchange N]
            [--ticks N] [--qps F] [--fanout K] [--seed N]
            [--policy random|round_robin|power_of_d|prequal|token] [--ewma]
@@ -890,18 +900,17 @@ const USAGE: &str =
             workload mode runs the spec's scenario/fleet/rack planes — load
             scripts are tick-engine-only, use simulate)
   trace    [--inst FILE | --machines N --shards N --exchange N]
-           [--iters N] [--workers N] [--partitions K] [--depth D] [--seed N]
-           [--out FILE]
+           [--iters N] [--workers N] [--partitions K] [--seed N] [--out FILE]
            (one traced SRA solve: prints the roll-up, --out writes JSONL)
 
 Solver scaling (shared by solve/trace): --workers W runs a W-way
 independent portfolio, --partitions K the cooperative decomposed solver
-over K shard-disjoint neighborhoods, and --depth D (with K > 1) the
-hierarchical decomposition that re-partitions each neighborhood
-recursively to depth D for web-scale fleets; all are deterministic for a
-fixed seed regardless of thread count (REX_THREADS). Out-of-range solver
-flags are rejected before the search starts (e.g. --iters 0, --depth 0,
---partitions exceeding the fleet).";
+over K shard-disjoint neighborhoods; a neighborhood of more than 512
+machines is re-partitioned into K again, so web-scale fleets get a
+deeper tree without a flag. All are deterministic for a fixed seed
+regardless of thread count (REX_THREADS). Out-of-range solver flags are
+rejected before the search starts (e.g. --iters 0, --partitions
+exceeding the fleet).";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -1475,6 +1484,41 @@ mod tests {
             ("quiet", ""),
         ]))
         .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn route_refuses_the_crash_and_sra_clauses_of_a_workload() {
+        let dir = std::env::temp_dir().join("rex-cli-workload-route-clauses");
+        std::fs::create_dir_all(&dir).unwrap();
+        let scenario = |crash: &str, sra: &str| {
+            format!(
+                r#"{{"scenario": {{"ticks": 200, "tick_us": 1000, "qps_per_tick": 4.0,
+                    "fanout": 4, "base_service_us": 100.0, "rho_max": 0.95,
+                    "seed": 3, "spike": null, "crash": {crash}, "sra": {sra}}}}}"#
+            )
+        };
+        let crash = r#"{"at_tick": 50, "machine": 1, "recover_at_tick": 120}"#;
+        let sra = r#"{"every_ticks": 100, "iters": 50}"#;
+        for (name, crash, sra) in [
+            ("crash", crash, "null"),
+            ("sra", "null", sra),
+            ("both", crash, sra),
+        ] {
+            let spec = dir.join(format!("{name}.json"));
+            std::fs::write(&spec, scenario(crash, sra)).unwrap();
+            let e = cmd_route(&args(&[
+                ("workload", spec.to_str().unwrap()),
+                ("machines", "8"),
+                ("shards", "48"),
+                ("quiet", ""),
+            ]))
+            .unwrap_err();
+            assert!(
+                e.contains("crash and sra") && !e.contains('\n'),
+                "{name}: {e}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
