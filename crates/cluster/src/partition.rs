@@ -13,7 +13,10 @@
 //! far, ties broken by machine count then partition index. Heavy machines
 //! spread first (every worker gets hot spots to fix), and the count
 //! tie-break deals the tail of vacant machines round-robin instead of
-//! piling all spare capacity into one neighborhood.
+//! piling all spare capacity into one neighborhood. Sizes are capped: of
+//! `n` machines in `k` partitions, every partition gets `⌊n/k⌋` or
+//! `⌈n/k⌉`, so one heavy machine never ends up a partition of its own
+//! while another partition takes the rest.
 
 use crate::instance::Instance;
 use crate::machine::MachineId;
@@ -41,7 +44,8 @@ pub struct PartitionSpec {
 /// decommission and therefore never count toward `k_return` shares.
 ///
 /// `k` is clamped to the machine count; the result always contains
-/// `min(k, n_machines)` partitions, every machine in exactly one.
+/// `min(k, n_machines)` partitions, every machine in exactly one, each
+/// holding `⌊n/k⌋` or `⌈n/k⌉` of the `n` machines.
 pub fn partition_fleet(
     inst: &Instance,
     placement: &[MachineId],
@@ -96,19 +100,28 @@ pub fn partition_subfleet(
     let mut part_of = vec![u32::MAX; n];
     let mut totals = vec![0.0f64; k];
     let mut counts = vec![0usize; k];
+    // Size caps: every partition takes `small` machines, and `big_left` of
+    // them one more. While machines remain, some partition is open (below
+    // `small`, or at `small` while `big_left > 0`), so `best` gets set.
+    let small = machines.len() / k;
+    let mut big_left = machines.len() % k;
     for &mi in &order {
-        // Loaded machines go to the lightest partition (LPT); zero-load
-        // machines add nothing to any total, so they are dealt by machine
-        // count instead — otherwise the whole vacant tail would pile into
-        // whichever partition happened to end lightest.
+        // Loaded machines go to the lightest open partition (LPT);
+        // zero-load machines add nothing to any total, so they are dealt by
+        // machine count instead — otherwise the whole vacant tail would
+        // pile into whichever partition happened to end lightest.
         let by_load = loads[mi as usize] > 0.0;
-        let mut best = 0usize;
-        for p in 1..k {
-            let better = if by_load {
-                (totals[p], counts[p]) < (totals[best], counts[best])
-            } else {
-                (counts[p], totals[p]) < (counts[best], totals[best])
-            };
+        let mut best = usize::MAX;
+        for p in 0..k {
+            if counts[p] > small || (counts[p] == small && big_left == 0) {
+                continue;
+            }
+            let better = best == usize::MAX
+                || if by_load {
+                    (totals[p], counts[p]) < (totals[best], counts[best])
+                } else {
+                    (counts[p], totals[p]) < (counts[best], totals[best])
+                };
             if better {
                 best = p;
             }
@@ -116,6 +129,9 @@ pub fn partition_subfleet(
         part_of[mi as usize] = best as u32;
         totals[best] += loads[mi as usize];
         counts[best] += 1;
+        if counts[best] > small {
+            big_left -= 1;
+        }
     }
 
     let mut parts: Vec<PartitionSpec> = (0..k)

@@ -8,8 +8,9 @@
 
 use proptest::prelude::*;
 use rex_cluster::{
-    partition_fleet, plan_migration, verify_schedule, Assignment, ClusterError, FleetSpec,
-    GenerationSpec, Instance, InstanceBuilder, MachineId, PlannerConfig, ResourceVec, ShardId,
+    partition_fleet, partition_subfleet, plan_migration, verify_schedule, Assignment, ClusterError,
+    FleetSpec, GenerationSpec, Instance, InstanceBuilder, MachineId, PartitionSpec, PlannerConfig,
+    ResourceVec, ShardId,
 };
 
 /// Strategy: a random instance with `n_machines` machines (plus `n_exchange`
@@ -148,6 +149,26 @@ fn build_hetero_fleet(
         b.shard(&[demand], rng.random_range(0.5..10.0), machines[i % loaded]);
     }
     (b.build().expect("hetero fleet must validate"), loaded)
+}
+
+/// One split of the partition tree: a node of `n` machines and vacancy
+/// quota `quota` dealt into `k` children of `⌊n/k⌋` or `⌈n/k⌉` machines
+/// each (so at least two when `n ≥ 2k`), whose quotas sum to `quota`.
+fn check_split(
+    n: usize,
+    quota: usize,
+    k: usize,
+    children: &[PartitionSpec],
+) -> Result<(), TestCaseError> {
+    let sizes: Vec<usize> = children.iter().map(|c| c.machines.len()).collect();
+    prop_assert_eq!(sizes.len(), k);
+    prop_assert_eq!(sizes.iter().sum::<usize>(), n);
+    let (lo, hi) = (sizes.iter().min(), sizes.iter().max());
+    prop_assert!(lo >= Some(&2), "a child below two machines: {sizes:?}");
+    prop_assert!(hi <= lo.map(|l| l + 1).as_ref(), "uneven sizes: {sizes:?}");
+    let total: usize = children.iter().map(|c| c.vacancy_quota).sum();
+    prop_assert_eq!(total, quota, "quota conserved");
+    Ok(())
 }
 
 proptest! {
@@ -321,6 +342,35 @@ proptest! {
             prop_assert!(p.vacancy_quota <= vacant);
         }
         let _ = loaded;
+    }
+
+    /// Every split of the partition tree, at the root and one level down,
+    /// deals each child `⌊n/k⌋` or `⌈n/k⌉` machines and conserves the
+    /// node's vacancy quota, however the loads are skewed.
+    #[test]
+    fn partition_children_are_even_and_conserve_quota(
+        (inst, _loaded) in arb_hetero_fleet(),
+        k in 1usize..6,
+    ) {
+        let n = inst.n_machines();
+        prop_assume!(n >= 2 * k);
+        let asg = Assignment::from_initial(&inst);
+        let loads = asg.loads(&inst);
+        let parts = partition_fleet(&inst, &inst.initial, &loads, k, inst.k_return, &[]);
+        check_split(n, inst.k_return, k, &parts)?;
+        for node in parts.iter().filter(|p| p.machines.len() >= 4) {
+            let children = partition_subfleet(
+                &inst,
+                &inst.initial,
+                &loads,
+                &node.machines,
+                &node.shards,
+                2,
+                node.vacancy_quota,
+                &[],
+            );
+            check_split(node.machines.len(), node.vacancy_quota, 2, &children)?;
+        }
     }
 
     /// The LPT split keeps headroom spread bounded even when machine

@@ -532,7 +532,7 @@ mod tests {
     /// [`solve_with_drain`] through trees whose nodes below the root split
     /// while they hold more than `floor` machines. On `fleet(6, 18, 8, _)`
     /// (33 machines) at `k = 2`, floor 12 grows a two-level tree and floor
-    /// 5 a four-level one.
+    /// 5 a three-level one.
     fn solve_floored(
         inst: &Instance,
         c: &SraConfig,
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn the_fleet_sizes_the_tree() {
         let inst = fleet(6, 18, 8, 3); // 33 machines
-        for (k, floor, depth) in [(2, 512, 1), (2, 32, 1), (2, 12, 2), (2, 5, 4), (4, 5, 2)] {
+        for (k, floor, depth) in [(2, 512, 1), (2, 32, 1), (2, 12, 2), (2, 5, 3), (4, 5, 2)] {
             let tree = tree_of(&inst, k, floor);
             assert_eq!(tree.depth(), depth, "k={k} floor={floor}");
             // Every leaf is at or below the floor unless it is too small
@@ -576,6 +576,15 @@ mod tests {
                 assert!(level.iter().all(|nd| nd.machines.len() > floor));
             }
         }
+        // Every split deals ⌊n/k⌋ or ⌈n/k⌉ machines per child, so no leaf
+        // is a single machine that could move nothing (LPT by load alone
+        // split a 9-machine node 1 + 8 here).
+        let sizes: Vec<usize> = tree_of(&inst, 2, 5)
+            .leaves
+            .iter()
+            .map(|leaf| leaf.machines.len())
+            .collect();
+        assert_eq!(sizes, [4, 5, 4, 4, 4, 4, 4, 4]);
         // A fleet too small to split is one leaf at depth 1.
         let tiny = tree_of(&fleet(1, 1, 0, 3), 2, 1);
         assert_eq!((tiny.depth(), tiny.leaves.len()), (1, 1));
@@ -734,7 +743,10 @@ mod tests {
     fn depth_one_matches_the_frozen_flat_rounds() {
         // Recorded from the dedicated flat round loop before it was folded
         // into `hierarchical_round`: `fleet` arguments, partitions, seed and
-        // drain → objective bits, iterations, placement checksum.
+        // drain → objective bits, iterations, placement checksum. The drain
+        // row's checksum was taken again when the partitioner started to
+        // cap child sizes (one of its rounds had split 4 + 3 + 3 + 7
+        // machines); its objective bits and iterations did not move.
         let pin = |f: (usize, usize, usize, u64), k, seed, drain: &[MachineId], bits, iters, sum| {
             let inst = fleet(f.0, f.1, f.2, f.3);
             let res = solve_with_drain(&inst, &SraConfig { seed, ..cfg(k) }, drain).unwrap();
@@ -748,7 +760,7 @@ mod tests {
         pin((4, 8, 4, 3), 4, 42, &[], 0x3fce6038508f5c29, 8248, 0x58e1649903c2c337);
         pin((6, 18, 8, 13), 2, 7, &[], 0x3fcb46c227147ae1, 4248, 0x6d2502117afe29e0);
         pin((3, 6, 3, 1), 3, 1, &[], 0x3fce1f74f4333333, 6248, 0xcfd90bb7623ad8b7);
-        pin((4, 8, 4, 5), 4, 42, &[MachineId(0)], 0x3fce6e3408333333, 8248, 0xe9a5090a5306fee0);
+        pin((4, 8, 4, 5), 4, 42, &[MachineId(0)], 0x3fce6e3408333333, 8248, 0xd5a8b5e6ff364fe1);
     }
 
     /// The benchmark's synthetic instance family (correlated demand,

@@ -5,9 +5,19 @@
 //! CLI) drives this single [`Engine`], which drives the problem's
 //! [`LnsProblemInPlace`] protocol directly. There is exactly one iteration
 //! loop: acceptance policies, adaptive operator weights, the iteration
-//! budget, and `rex-obs` trace events live here and nowhere else. A run is
-//! a pure function of `(problem, start, operators, acceptance, config,
-//! seed)` — there is no wall-clock budget.
+//! budget, the stopping rule, and `rex-obs` trace events live here and
+//! nowhere else. A run is a pure function of `(problem, start, operators,
+//! acceptance, config, seed)` — there is no wall-clock budget.
+//!
+//! **Stopping rule.** `max_iters` is a cap, not a quota: a run ends at the
+//! first iteration where the iterations since its last new best reach
+//! `patience = max(STALL_FLOOR, max_iters / STALL_DIV)`. Nothing else
+//! looks at the stop — the acceptance schedule, the RNG stream and the
+//! operator weights stay sized for the whole budget — so a stopped run is
+//! an exact prefix of the full run, and returns the same best unless the
+//! full run would have found a new best after a dry spell of `patience`
+//! iterations. The budget term keeps long runs, whose dry spells are
+//! longer, from stopping inside a gap they would have crossed.
 
 use crate::accept::Acceptance;
 use crate::problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
@@ -30,10 +40,22 @@ fn outcome_label(outcome: IterationOutcome, cause: &'static str) -> &'static str
     }
 }
 
+/// Fewest iterations without a new best that end a run early.
+const STALL_FLOOR: u64 = 500;
+
+/// A run of `max_iters` also waits `max_iters / STALL_DIV` iterations.
+const STALL_DIV: u64 = 2;
+
+/// Iterations without a new best after which a run of `max_iters` stops.
+fn patience(max_iters: u64) -> u64 {
+    STALL_FLOOR.max(max_iters / STALL_DIV)
+}
+
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct LnsConfig {
-    /// Number of destroy/repair iterations.
+    /// Cap on destroy/repair iterations; a run that stops finding new
+    /// bests ends earlier (see the module docs).
     pub max_iters: u64,
     /// Destroy intensity is drawn uniformly from this `(min, max)` range
     /// each iteration (interpreted by the destroy operators, typically as
@@ -99,6 +121,19 @@ pub struct EngineStats {
     pub destroy_ops: Vec<OperatorStat>,
     /// Repair-operator statistics.
     pub repair_ops: Vec<OperatorStat>,
+    /// Set when the stopping rule ended the run before `max_iters`.
+    pub stall: Option<Stall>,
+}
+
+/// Where the stopping rule ended a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+pub struct Stall {
+    /// Iterations the run executed.
+    pub iterations: u64,
+    /// Iteration of the last new best (0: the starting solution).
+    pub last_best: u64,
+    /// Iterations without a new best that ended the run.
+    pub patience: u64,
 }
 
 /// Result of a search run.
@@ -108,7 +143,8 @@ pub struct SearchOutcome<S> {
     pub best: S,
     /// Its objective value.
     pub best_objective: f64,
-    /// Iterations executed.
+    /// Iterations executed (fewer than `max_iters` when the stopping rule
+    /// fired).
     pub iterations: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -188,7 +224,8 @@ impl<'p, P: LnsProblemInPlace> Engine<'p, P> {
     /// `("lns", "iter")` point event per iteration (operator pair,
     /// intensity, destroy size, undo-log depth, objective delta, outcome),
     /// plus a `("lns", "resync")` event whenever a commit performs a full
-    /// cache resynchronization. With a [`Recorder::Noop`] the only
+    /// cache resynchronization, and one `("lns", "stall")` event when the
+    /// stopping rule ends the run early. With a [`Recorder::Noop`] the only
     /// per-iteration cost over [`run`] is one enum-discriminant check —
     /// the problem's observability hooks are not even called.
     ///
@@ -198,6 +235,19 @@ impl<'p, P: LnsProblemInPlace> Engine<'p, P> {
     ///
     /// [`run`]: Engine::run
     pub fn run_recorded(self, seed: u64, rec: &mut Recorder) -> SearchOutcome<P::Solution> {
+        let patience = patience(self.config.max_iters);
+        self.run_with_patience(seed, rec, patience)
+    }
+
+    /// [`Engine::run_recorded`] stopping after `patience` iterations
+    /// without a new best; the tests pass `u64::MAX` to run the full
+    /// budget.
+    pub(crate) fn run_with_patience(
+        self,
+        seed: u64,
+        rec: &mut Recorder,
+        patience: u64,
+    ) -> SearchOutcome<P::Solution> {
         let Self {
             problem,
             mut state,
@@ -238,7 +288,10 @@ impl<'p, P: LnsProblemInPlace> Engine<'p, P> {
         let mut last_resyncs = problem.state_resyncs(&state);
 
         let (ilo, ihi) = config.intensity;
-        for iters in 1..=config.max_iters {
+        let mut last_best = 0;
+        let mut iters = 0;
+        while iters < config.max_iters {
+            iters += 1;
             let di = dweights.pick(&mut rng);
             let ri = rweights.pick(&mut rng);
             let intensity = if ilo < ihi {
@@ -287,6 +340,7 @@ impl<'p, P: LnsProblemInPlace> Engine<'p, P> {
                     };
                     let outcome = if gate_ok {
                         stats.new_bests += 1;
+                        last_best = iters;
                         best = problem.snapshot(&state);
                         f_best = f_cand;
                         if config.log_trajectory {
@@ -338,9 +392,25 @@ impl<'p, P: LnsProblemInPlace> Engine<'p, P> {
             acceptance.step();
             dweights.record(di, outcome);
             rweights.record(ri, outcome);
+            if iters - last_best >= patience && iters < config.max_iters {
+                stats.stall = Some(Stall {
+                    iterations: iters,
+                    last_best,
+                    patience,
+                });
+                rec.event(
+                    "lns",
+                    "stall",
+                    &[
+                        ("iterations", iters.into()),
+                        ("last_best", last_best.into()),
+                        ("patience", patience.into()),
+                    ],
+                );
+                break;
+            }
         }
 
-        let iters = config.max_iters;
         rec.set_tick(iters);
         rec.span_close(
             "lns",
@@ -628,7 +698,11 @@ mod tests {
         // revert and matched it bit for bit: incumbent checksum, objective
         // bits, iterations, checksums of the `Debug` stats and of the
         // (iteration, objective bits) trajectory — traced and untraced —
-        // and the length + FNV-1a of the trace JSONL.
+        // and the length + FNV-1a of the trace JSONL. The run ends at its
+        // budget (no stall). The stats checksum was taken again when
+        // `EngineStats` gained `stall`: without the `, stall: None` it
+        // adds, the `Debug` text still hashes to the recorded
+        // 0xa305_21d4_f064_37e5.
         let problem = PartitionProblem::random(48, 4, 11);
         let initial = problem.all_in_first_bin();
         let plain = engine_on(&problem, initial.clone(), 900).run(4242);
@@ -650,7 +724,7 @@ mod tests {
                 0x8bff_cd2d_2591_0916,
                 0x3ff0_0180_a733_0f0b,
                 900,
-                0xa305_21d4_f064_37e5,
+                0xbadf_a509_38de_78d3,
                 0xd4e6_0cfa_835b_5f6f,
             );
             assert_eq!(got, want);
@@ -658,6 +732,86 @@ mod tests {
         let jsonl = rec.to_jsonl();
         let got = (jsonl.len(), fnv1a(jsonl.bytes().map(u64::from)));
         assert_eq!(got, (219_642, 0x9164_903f_3dcc_278c));
+    }
+
+    /// `(iteration, objective bits)` of a trajectory: what two runs of one
+    /// search share (the elapsed seconds are wall clock).
+    fn points(out: &SearchOutcome<Vec<usize>>) -> Vec<(u64, u64)> {
+        out.trajectory
+            .iter()
+            .map(|p| (p.iteration, p.objective.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn a_stopped_run_is_a_prefix_of_the_full_run() {
+        // This search finds its last new best at iteration 6.
+        let problem = PartitionProblem::random(30, 3, 2);
+        let initial = problem.all_in_first_bin();
+        let stopped = engine_on(&problem, initial.clone(), 3_000).run(3);
+        let full = engine_on(&problem, initial, 3_000).run_with_patience(
+            3,
+            &mut Recorder::noop(),
+            u64::MAX,
+        );
+        let stall = stopped.stats.stall.expect("the rule fires on this run");
+        assert_eq!(stall.patience, patience(3_000));
+        assert_eq!(stall.iterations, stopped.iterations);
+        assert_eq!(stopped.iterations, stall.last_best + stall.patience);
+        assert!(stopped.iterations < 3_000);
+        assert_eq!((full.iterations, full.stats.stall), (3_000, None));
+        // The full run finds nothing after the stopped run's last best, so
+        // both return the same best; the stopped trajectory is a prefix.
+        assert_eq!(stopped.best, full.best);
+        assert_eq!(
+            stopped.best_objective.to_bits(),
+            full.best_objective.to_bits()
+        );
+        assert_eq!(points(&stopped), points(&full));
+        assert_eq!(points(&stopped).last().map(|p| p.0), Some(stall.last_best));
+    }
+
+    #[test]
+    fn an_improving_run_spends_its_whole_budget() {
+        // New bests at most 165 iterations apart, the last at 899.
+        let problem = PartitionProblem::random(100, 5, 1);
+        let out = engine_on(&problem, problem.all_in_first_bin(), 900).run(3);
+        assert_eq!((out.iterations, out.stats.stall), (900, None));
+        assert_eq!(out.trajectory.last().map(|p| p.iteration), Some(899));
+    }
+
+    #[test]
+    fn a_stall_is_traced_once_and_never_perturbs() {
+        let problem = PartitionProblem::random(30, 3, 2);
+        let initial = problem.all_in_first_bin();
+        let plain = engine_on(&problem, initial.clone(), 3_000).run(3);
+        let mut rec = Recorder::active();
+        let traced = engine_on(&problem, initial, 3_000).run_recorded(3, &mut rec);
+        assert!(plain.stats.stall.is_some());
+        assert_eq!(plain.best, traced.best);
+        assert_eq!(
+            plain.best_objective.to_bits(),
+            traced.best_objective.to_bits()
+        );
+        assert_eq!(plain.iterations, traced.iterations);
+        assert_eq!(format!("{:?}", plain.stats), format!("{:?}", traced.stats));
+        assert_eq!(points(&plain), points(&traced));
+        assert_eq!(rec.counter("lns.iterations"), traced.iterations);
+        let stalls: Vec<_> = rec
+            .events()
+            .iter()
+            .filter(|e| (e.layer, e.name) == ("lns", "stall"))
+            .collect();
+        assert_eq!(stalls.len(), 1);
+        let stall = traced.stats.stall.unwrap();
+        let field = |k: &str| match stalls[0].fields.iter().find(|f| f.0 == k) {
+            Some((_, rex_obs::Value::U64(v))) => *v,
+            other => panic!("stall field {k}: {other:?}"),
+        };
+        assert_eq!(
+            (field("iterations"), field("last_best"), field("patience")),
+            (stall.iterations, stall.last_best, stall.patience)
+        );
     }
 
     #[test]

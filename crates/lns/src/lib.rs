@@ -20,8 +20,9 @@
 //! * [`weights::OperatorWeights`] — adaptive operator selection,
 //! * [`engine::Engine`] — **the one iteration loop** (`Engine<P:
 //!   LnsProblemInPlace>`, driving the problem directly): adaptive operator
-//!   choice, acceptance, the iteration budget, trace events, and the
-//!   best-objective trajectory recorder all live here and nowhere else,
+//!   choice, acceptance, the iteration budget and its stopping rule, trace
+//!   events, and the best-objective trajectory recorder all live here and
+//!   nowhere else,
 //! * [`portfolio`] — a rayon-parallel multi-start runner with a
 //!   deterministic reduction,
 //! * [`cooperative`] — deterministic parallel execution of one decomposed
@@ -49,7 +50,7 @@ pub mod weights;
 
 pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed, RoundJob};
-pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, TrajectoryPoint};
+pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, Stall, TrajectoryPoint};
 pub use portfolio::{portfolio_search, PortfolioOutcome};
 pub use problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
 pub use weights::OperatorWeights;

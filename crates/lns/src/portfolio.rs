@@ -218,22 +218,25 @@ mod tests {
     fn portfolio_matches_the_frozen_pre_cooperative_runs() {
         // Recorded from the portfolio's own `into_par_iter` runner before it
         // was folded into `cooperative_round`: winner and per-worker
-        // best-objective bits at base seed 1 (every worker runs its full
-        // 1 500 iterations).
+        // best-objective bits at base seed 1, when every worker ran its
+        // full 1 500 iterations. Under the engine's stopping rule three
+        // workers stop early with the same bests (a stopped run is a
+        // prefix of the full one); their iteration counts are pinned since.
         let objs = [
             0x3ff0021dfe843f02u64,
             0x3ff002dd4ae7cad0,
             0x3ff000ebc93783ad,
             0x3ff001b3548c6cee,
         ];
+        let iters = [1_445, 919, 1_500, 1_179];
         for (workers, winner) in [(1, 0), (4, 2)] {
             let out = run(workers, 1);
             assert_eq!(out.winner, winner);
             assert_eq!(out.best_objective.to_bits(), objs[winner]);
             assert_eq!(out.worker_results.len(), workers);
-            for (w, want) in out.worker_results.iter().zip(objs) {
+            for (w, (want, its)) in out.worker_results.iter().zip(objs.into_iter().zip(iters)) {
                 assert_eq!(w.objective.to_bits(), want, "worker {}", w.worker);
-                assert_eq!(w.iterations, 1_500);
+                assert_eq!(w.iterations, its, "worker {}", w.worker);
             }
         }
     }

@@ -19,6 +19,11 @@
 # Each command additionally runs under the other build (the given `rex`,
 # and the `exp` binary beside it) and every artifact must be
 # `cmp`-identical to this build's.
+#
+# A failing gate does not stop the run: every artifact that differs (with
+# cmp's first differing byte), is empty, or whose command exits non-zero
+# is printed as one `determinism gate FAILED:` line on stderr, and the
+# script exits 1 at the end if there was any.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +46,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/t1" "$work/t8" "$work/parent"
 gates=0
+failures=0
 
 # run_variant THREADS BIN_DIR VARIANT NAME BIN ARGS...: runs BIN_DIR/BIN
 # with REX_THREADS=THREADS; artifacts go to $work/VARIANT/. In ARGS, `@out`
@@ -67,27 +73,35 @@ run_variant() {
 # gate NAME BIN ARGS...
 gate() {
     local name=$1 f
-    run_variant 1 "$bin_dir" t1 "$@"
-    run_variant 8 "$bin_dir" t8 "$@"
-    [ -z "$parent" ] || run_variant 1 "$parent_dir" parent "$@"
+    run_variant 1 "$bin_dir" t1 "$@" || fail "$name: exit status $? at REX_THREADS=1"
+    run_variant 8 "$bin_dir" t8 "$@" || fail "$name: exit status $? at REX_THREADS=8"
+    [ -z "$parent" ] || run_variant 1 "$parent_dir" parent "$@" ||
+        fail "$name: exit status $? under $parent"
     for f in "$work/t1/$name".*; do
         f=${f##*/}
         # A --quiet run prints nothing; everything else must have content.
         [ "${f##*.}" = stdout ] || test -s "$work/t1/$f" || fail "$f is empty"
-        cmp "$work/t1/$f" "$work/t8/$f" || fail "$f: REX_THREADS 1 vs 8"
-        [ -z "$parent" ] || cmp "$work/t1/$f" "$work/parent/$f" || fail "$f: vs $parent"
+        check "$work/t1/$f" "$work/t8/$f" "$f: REX_THREADS 1 vs 8"
+        [ -z "$parent" ] || check "$work/t1/$f" "$work/parent/$f" "$f: vs $parent"
     done
     gates=$((gates + 1))
 }
 
 # same A B: two artifacts of different gates hold the same bytes.
 same() {
-    cmp "$work/t1/$1" "$work/t1/$2" || fail "$1 vs $2"
+    check "$work/t1/$1" "$work/t1/$2" "$1 vs $2"
+}
+
+# check A B WHAT: A and B hold the same bytes, else a failure naming WHAT
+# and where they first differ.
+check() {
+    local diff
+    diff=$(cmp "$1" "$2" 2>&1) || fail "$3: ${diff##*: }"
 }
 
 fail() {
     echo "determinism gate FAILED: $*" >&2
-    exit 1
+    failures=$((failures + 1))
 }
 
 echo "=== rex generate, rex solve ==="
@@ -198,11 +212,13 @@ echo "=== rex trace (solver) ==="
 gate trace-serial rex trace --seed 42 --iters 2000 --out @out
 gate trace-workers rex trace --seed 42 --workers 4 --iters 2000 --out @out
 gate trace-partitions rex trace --seed 42 --partitions 4 --iters 2000 --out @out
+# A search the stopping rule ends early (a `("lns", "stall")` event).
+gate trace-stall rex trace --machines 24 --exchange 3 --shards 480 --iters 3000 --seed 11 --out @out
 
 echo "=== rex --help, experiment stdout ==="
 gate help rex --help
 export REX_QUICK=1
-test -s "$work/t1/help.stdout"
+test -s "$work/t1/help.stdout" || fail "help.stdout is empty"
 # E1's last row is the search-derived instance, so its stdout gates the
 # whole bridge (corpus, index, parallel query replay, normalization). E5
 # and E11 print `time_plan`'s makespans, E11 the in-flight latency profile.
@@ -211,7 +227,11 @@ test -s "$work/t1/help.stdout"
 for e in workloads exchange_sweep migration optgap stringency ablation alpha qos \
     closed_loop hotshard routing convergence heterogeneous longrun; do
     gate "exp_$e" exp "$e"
-    test -s "$work/t1/exp_$e.stdout"
+    test -s "$work/t1/exp_$e.stdout" || fail "exp_$e.stdout is empty"
 done
 
+if [ "$failures" -gt 0 ]; then
+    echo "$failures determinism gate failure(s) in $gates gates" >&2
+    exit 1
+fi
 echo "$gates gates byte-identical at REX_THREADS 1 and 8${parent:+, and against $parent}"

@@ -33,6 +33,7 @@ use resource_exchange::cluster::{
     ScenarioSpec, SpikeSpec, SraSpec, WorkloadSpec,
 };
 use resource_exchange::core::{solve_traced, solve_with_drain, SolveOptions, SraConfig, SraResult};
+use resource_exchange::lns::Stall;
 use resource_exchange::obs::Recorder;
 use resource_exchange::router::{self, FlashCrowd, PolicyKind, RouterConfig, SraCoupling};
 use resource_exchange::runtime::{
@@ -253,6 +254,17 @@ fn solve_summary(res: &SraResult, drain: &[MachineId]) -> Vec<String> {
         res.migration,
         res.returned_machines
     ));
+    if let Some(Stall {
+        iterations,
+        last_best,
+        patience,
+    }) = res.stats.as_ref().and_then(|s| s.stall)
+    {
+        lines.push(format!(
+            "stopped: no new best in the {patience} iterations after iteration {last_best}; \
+             ran {iterations} of the --iters budget"
+        ));
+    }
     if res.fallback_used {
         lines.push(FALLBACK_LINE.to_string());
     }
@@ -1077,6 +1089,43 @@ mod tests {
         let decomposed = solve(&[("partitions", "4")]);
         assert_eq!(decomposed.last().map(String::as_str), Some(FALLBACK_LINE));
         assert!(!solve(&[]).iter().any(|l| l.starts_with("fallback")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn solve_says_when_the_search_stopped() {
+        let dir = std::env::temp_dir().join("rex-cli-stall");
+        std::fs::create_dir_all(&dir).unwrap();
+        let inst = dir.join("inst.json");
+        let inst = inst.to_str().unwrap();
+        cmd_generate(&args(&[
+            ("out", inst),
+            ("machines", "24"),
+            ("exchange", "3"),
+            ("shards", "480"),
+            ("seed", "11"),
+        ]))
+        .unwrap();
+        let solve = |iters: &str| {
+            let a = args(&[("inst", inst), ("iters", iters), ("seed", "11")]);
+            let (res, drain) = run_solve(&a).unwrap();
+            (res.iterations, solve_summary(&res, &drain))
+        };
+        // 3 000 iterations: the last new best is at iteration 15, so the
+        // search stops 1 500 iterations later.
+        let (iterations, lines) = solve("3000");
+        assert_eq!(iterations, 1_515);
+        let stopped: Vec<_> = lines.iter().filter(|l| l.starts_with("stopped:")).collect();
+        assert_eq!(stopped.len(), 1, "{lines:?}");
+        assert!(
+            stopped[0].contains(&format!("ran {iterations} of")),
+            "{}",
+            stopped[0]
+        );
+        // 400 iterations cannot stop (fewer than the 500-iteration floor).
+        let (iterations, lines) = solve("400");
+        assert_eq!(iterations, 400);
+        assert!(!lines.iter().any(|l| l.starts_with("stopped:")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
