@@ -159,10 +159,15 @@ gate sim-faults rex simulate --ticks 3000 --seed 13 --controller sra \
 # Hot-shard runs mutate the instance mid-flight (split/merge).
 hs="--machines 8 --shards 48 --exchange 1 --ticks 800 --seed 5 --controller off
     --hotshard --split-threshold 0.4 --hotshard-poll 20 --spike-at 100
-    --spike-duration 300 --spike-factor 2.5 --spike-fraction 0.02 --no-drift --quiet"
-gate sim-hotshard rex simulate $hs --out @out --trace @trace
-gate sim-hotshard-plain rex simulate $hs --out @out
+    --spike-duration 300 --spike-factor 2.5 --spike-fraction 0.02 --no-drift"
+gate sim-hotshard rex simulate $hs --quiet --out @out --trace @trace
+gate sim-hotshard-plain rex simulate $hs --quiet --out @out
 same sim-hotshard.out sim-hotshard-plain.out
+# Without --quiet: the printed roll-up is gated too — the trace roll-up,
+# the hotshard block and the `trace written to` / `metrics written to`
+# lines.
+gate sim-hotshard-loud rex simulate $hs --out @out --trace @trace
+same sim-hotshard.out sim-hotshard-loud.out # printing never perturbs
 # Workload plane: record → replay. The trace header embeds the spec and
 # the instance, so a replay is self-contained.
 for wl in heterogeneous rackfault; do
@@ -174,6 +179,9 @@ for wl in heterogeneous rackfault; do
     same "sim-$wl.out" "sim-$wl-replay.out"
     same "sim-$wl.trace" "sim-$wl-replay.trace"
 done
+# The `workload trace (N events) written to` line of a recording simulate.
+gate sim-rackfault-loud rex simulate --workload examples/workload_rackfault.json --out @out --record-trace @rec
+same sim-rackfault.out sim-rackfault-loud.out
 
 echo "=== rex converge ==="
 cv="--ticks 600 --seed 11 --spike-at 100 --crash-at 150 --recover-at 200 --sra-every 400 --quiet"
@@ -191,14 +199,21 @@ gate conv-edge rex converge --ticks 300 --seed 11 --spike-at 2 --spike-duration 
 gate conv-rack rex converge --workload examples/workload_rackfault.json --quiet --out @out --record-trace @rec
 gate conv-rack-replay rex converge --replay-trace @rec:conv-rack --quiet --out @out
 same conv-rack.out conv-rack-replay.out
+# Without --quiet: converge's report and its two `written to` lines.
+gate conv-rack-loud rex converge --workload examples/workload_rackfault.json --out @out --record-trace @rec
+same conv-rack.out conv-rack-loud.out
 
 echo "=== rex route ==="
 rt="--machines 12 --shards 96 --seed 11 --policy prequal --horizon 30000
     --qps 20000 --service 400 --spike-at 8000 --spike-duration 8000
-    --sra --sra-every 7000 --sra-iters 200 --quiet"
-gate route rex route $rt --out @out --trace @trace
-gate route-plain rex route $rt --out @out
+    --sra --sra-every 7000 --sra-iters 200"
+gate route rex route $rt --quiet --out @out --trace @trace
+gate route-plain rex route $rt --quiet --out @out
 same route.out route-plain.out
+# Without --quiet: the report lines, prequal's probes line, the sra line
+# and the `trace written to` / `report written to` lines.
+gate route-loud rex route $rt --out @out --trace @trace
+same route.out route-loud.out
 # A poll every µs shares each µs with the arrival pump and runs after it.
 gate route-sra-1 rex route --horizon 3000 --qps 100000 --sra --sra-every 1 \
     --sra-iters 20 --quiet --out @out
