@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Dead-surface ratchet: lists every `pub` fn, type, field and const
-# declared in `crates/*/src` — up to each file's `#[cfg(test)]` module,
-# the panic ratchet's rule — whose name appears in no other file's
-# non-test code under `src/` or `crates/*/src`. Such a name is either
-# dead (delete it), read only in its own file (drop its `pub`), or read
-# only from outside the product code — tests, the benchmark harness — and
-# then listed in scripts/surface_allow.txt with one reason.
+# declared in `crates/*/src` — up to each file's `#[cfg(test)]` module
+# or `#![cfg(test)]` line, the panic ratchet's rule — whose name appears
+# in no other file's non-test code under `src/` or `crates/*/src`. Such a
+# name is either dead (delete it), read only in its own file (drop its
+# `pub`), or read only from outside the product code — tests, the
+# benchmark harness — and then listed in scripts/surface_allow.txt with
+# one reason.
 #
 # Fails when more than CEILING names are flagged and not allowed, or when
 # an allow-file entry no longer matches a flagged name (so the list cannot
@@ -28,6 +29,7 @@ find src crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
     gated && /^[[:space:]]*(pub(\([a-z]+\))? )?mod / { live = 0 }
     { gated = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1 }
+    /^#!\[cfg\(test\)\]/ { live = 0 }
     /^[[:space:]]*pub use / { reexport = 1 }
     live && !reexport { print FILENAME "\t" $0 }
     reexport && /;/ { reexport = 0 }' >"$work/live"

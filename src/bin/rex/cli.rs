@@ -1,11 +1,11 @@
-//! Table-driven argument parsing for the `rex` CLI.
+//! Table-driven argument parsing and output for the `rex` CLI.
 //!
-//! One registry ([`COMMANDS`]) declares, per command, which `--key value`
-//! flags and which valueless `--switch` flags it accepts. Flags shared by
-//! several commands exist exactly once, as named groups ([`SOLVER_FLAGS`],
-//! [`SYNTH_FLAGS`], [`SEED_FLAG`]): `solve`, `trace`, and `simulate` draw
-//! their common vocabulary from the same tables, so adding a solver knob
-//! is a one-line registry change that reaches every entry path at once.
+//! Every subcommand is one [`Command`] row: its name, the `--key value`
+//! flags and valueless `--switch` flags it accepts, its block of
+//! `rex --help`, and its runner. Flags shared by several commands exist
+//! exactly once, as named groups ([`SOLVER_FLAGS`], [`SYNTH_FLAGS`],
+//! [`SEED_FLAG`], [`WORKLOAD_FLAGS`]), so adding a solver knob is a
+//! one-line change that reaches every entry path at once.
 //!
 //! The parser itself ([`parse_args`]) accepts `--key value`,
 //! `--key=value`, and `--switch`; unrecognized keys, missing values,
@@ -13,6 +13,7 @@
 //! are all hard errors — a typo must never be silently ignored.
 
 use std::collections::HashMap;
+use std::io::Write;
 
 /// Iteration/parallelism knobs shared by every command that runs the SRA
 /// solver (`solve`, `trace`). Validated downstream by
@@ -31,16 +32,29 @@ pub const SEED_FLAG: &[&str] = &["seed"];
 /// (`simulate`, `converge`); `route` accepts the spec file alone.
 pub const WORKLOAD_FLAGS: &[&str] = &["workload", "record-trace", "replay-trace"];
 
-/// What a command accepts: groups of `--key value` flags plus valueless
-/// `--switch` flags.
-pub struct ArgSpec {
+/// Parsed arguments: flag name (no `--`) to value, `""` for a switch.
+pub type Args = HashMap<String, String>;
+
+/// Why a command failed: bad input (a message for one `error:` line and
+/// exit status 1), or the `io::Error` of writing stdout, which `main` tells
+/// apart so that a closed pipe ends `rex` quietly.
+pub type Error = Box<dyn std::error::Error>;
+
+/// One row of the command table.
+pub struct Command {
+    /// Command word as typed on the command line.
+    pub name: &'static str,
     /// Groups of `--key value` flags (shared tables + per-command extras).
     pub values: &'static [&'static [&'static str]],
     /// `--flag` switches (present or absent, no value).
     pub switches: &'static [&'static str],
+    /// Its block of `rex --help` after the name, one entry per line.
+    pub usage: &'static [&'static str],
+    /// Runs the command; everything it prints goes to the writer.
+    pub run: fn(&Args, &mut dyn Write) -> Result<(), Error>,
 }
 
-impl ArgSpec {
+impl Command {
     fn is_value(&self, key: &str) -> bool {
         self.values.iter().any(|group| group.contains(&key))
     }
@@ -50,171 +64,41 @@ impl ArgSpec {
     }
 }
 
-/// One row of the command registry.
-pub struct CommandSpec {
-    /// Command word as typed on the command line.
-    pub name: &'static str,
-    /// Flag vocabulary.
-    pub spec: ArgSpec,
+/// Printed after the command blocks of `rex --help`.
+const SOLVER_SCALING: &str = "Solver scaling (shared by solve/trace): --workers W runs a W-way
+independent portfolio, --partitions K the cooperative decomposed solver
+over K shard-disjoint neighborhoods; a neighborhood of more than 512
+machines is re-partitioned into K again, so web-scale fleets get a
+deeper tree without a flag. All are deterministic for a fixed seed
+regardless of thread count (REX_THREADS). Out-of-range solver flags are
+rejected before the search starts (e.g. --iters 0, --partitions
+exceeding the fleet).";
+
+/// The text of `rex --help`: a header naming every command, each
+/// command's usage block, and the solver-scaling note.
+pub fn usage(commands: &[Command]) -> String {
+    let names: Vec<&str> = commands.iter().map(|c| c.name).collect();
+    let mut s = format!(
+        "usage: rex <{}> [--flag value | --flag=value | --switch]...\n",
+        names.join("|")
+    );
+    for c in commands {
+        s += &format!("  {:<8} {}\n", c.name, c.usage.join("\n           "));
+    }
+    s + "\n" + SOLVER_SCALING
 }
 
-/// The flag registry: every command, its value flags (shared groups
-/// first), and its switches.
-pub const COMMANDS: &[CommandSpec] = &[
-    CommandSpec {
-        name: "generate",
-        spec: ArgSpec {
-            values: &[
-                SYNTH_FLAGS,
-                SEED_FLAG,
-                &[
-                    "out",
-                    "family",
-                    "placement",
-                    "hot-fraction",
-                    "dims",
-                    "stringency",
-                    "alpha",
-                    "profile",
-                ],
-            ],
-            switches: &[],
-        },
-    },
-    CommandSpec {
-        name: "inspect",
-        spec: ArgSpec {
-            values: &[&["inst"]],
-            switches: &[],
-        },
-    },
-    CommandSpec {
-        name: "solve",
-        spec: ArgSpec {
-            values: &[SOLVER_FLAGS, SEED_FLAG, &["inst", "out", "drain"]],
-            switches: &[],
-        },
-    },
-    CommandSpec {
-        name: "baseline",
-        spec: ArgSpec {
-            values: &[&["inst", "method"]],
-            switches: &[],
-        },
-    },
-    CommandSpec {
-        name: "verify",
-        spec: ArgSpec {
-            values: &[&["inst", "solution"]],
-            switches: &[],
-        },
-    },
-    CommandSpec {
-        name: "simulate",
-        spec: ArgSpec {
-            values: &[
-                SYNTH_FLAGS,
-                SEED_FLAG,
-                WORKLOAD_FLAGS,
-                &[
-                    "inst",
-                    "ticks",
-                    "controller",
-                    "qps",
-                    "out",
-                    "crash-at",
-                    "crash-machine",
-                    "recover-at",
-                    "spike-at",
-                    "spike-duration",
-                    "spike-factor",
-                    "spike-fraction",
-                    "drift-every",
-                    "split-threshold",
-                    "merge-threshold",
-                    "hotshard-poll",
-                    "hotshard-expiry",
-                    "trace",
-                ],
-            ],
-            switches: &["no-drift", "hotshard", "quiet"],
-        },
-    },
-    CommandSpec {
-        name: "trace",
-        spec: ArgSpec {
-            values: &[SOLVER_FLAGS, SEED_FLAG, SYNTH_FLAGS, &["inst", "out"]],
-            switches: &[],
-        },
-    },
-    CommandSpec {
-        name: "route",
-        spec: ArgSpec {
-            values: &[
-                SYNTH_FLAGS,
-                SEED_FLAG,
-                &[
-                    "workload",
-                    "inst",
-                    "policy",
-                    "horizon",
-                    "qps",
-                    "replication",
-                    "fanout",
-                    "service",
-                    "d",
-                    "spike-at",
-                    "spike-duration",
-                    "spike-factor",
-                    "spike-fraction",
-                    "sra-every",
-                    "sra-iters",
-                    "out",
-                    "trace",
-                ],
-            ],
-            switches: &["sra", "quiet"],
-        },
-    },
-    CommandSpec {
-        name: "converge",
-        spec: ArgSpec {
-            values: &[
-                SYNTH_FLAGS,
-                SEED_FLAG,
-                WORKLOAD_FLAGS,
-                &[
-                    "inst",
-                    "ticks",
-                    "qps",
-                    "fanout",
-                    "policy",
-                    "crash-at",
-                    "crash-machine",
-                    "recover-at",
-                    "spike-at",
-                    "spike-duration",
-                    "spike-factor",
-                    "spike-fraction",
-                    "sra-every",
-                    "sra-iters",
-                    "out",
-                ],
-            ],
-            switches: &["ewma", "quiet"],
-        },
-    },
-];
-
-/// The flag vocabulary of `cmd`, from the registry.
-pub fn spec_of(cmd: &str) -> Option<&'static ArgSpec> {
-    COMMANDS.iter().find(|c| c.name == cmd).map(|c| &c.spec)
+/// Writes an artifact file and says so on `out`: `{what} written to {path}`.
+pub fn write_artifact(out: &mut dyn Write, what: &str, path: &str, s: &str) -> Result<(), Error> {
+    std::fs::write(path, s).map_err(|e| e.to_string())?;
+    writeln!(out, "{what} written to {path}")?;
+    Ok(())
 }
 
 /// Parses `--key value` / `--key=value` / `--switch` arguments against
 /// `spec`. Switches are stored with an empty value; use [`has`] to query
 /// them.
-pub fn parse_args(args: &[String], spec: &ArgSpec) -> Result<HashMap<String, String>, String> {
+pub fn parse_args(args: &[String], spec: &Command) -> Result<Args, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -252,17 +136,17 @@ pub fn parse_args(args: &[String], spec: &ArgSpec) -> Result<HashMap<String, Str
 }
 
 /// True when switch `key` was given.
-pub fn has(args: &HashMap<String, String>, key: &str) -> bool {
+pub fn has(args: &Args, key: &str) -> bool {
     args.contains_key(key)
 }
 
-pub fn get<'a>(args: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
+pub fn get<'a>(args: &'a Args, key: &str) -> Result<&'a str, String> {
     args.get(key)
         .map(String::as_str)
         .ok_or_else(|| format!("missing --{key}"))
 }
 
-pub fn get_or<'a>(args: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
+pub fn get_or<'a>(args: &'a Args, key: &str, default: &'a str) -> &'a str {
     args.get(key).map(String::as_str).unwrap_or(default)
 }
 
@@ -274,14 +158,20 @@ pub fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::COMMANDS;
 
     fn argv(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
     }
 
+    /// The table row of `cmd`, if there is one.
+    fn row(cmd: &str) -> Option<&'static Command> {
+        COMMANDS.iter().find(|c| c.name == cmd)
+    }
+
     #[test]
     fn parse_args_happy_path() {
-        let spec = spec_of("solve").unwrap();
+        let spec = row("solve").unwrap();
         let a = parse_args(&argv(&["--inst", "x.json", "--iters", "5"]), spec).unwrap();
         assert_eq!(get(&a, "inst").unwrap(), "x.json");
         assert_eq!(get_or(&a, "iters", "1"), "5");
@@ -290,7 +180,7 @@ mod tests {
 
     #[test]
     fn parse_args_rejects_bad_shapes() {
-        let spec = spec_of("solve").unwrap();
+        let spec = row("solve").unwrap();
         assert!(parse_args(&argv(&["positional"]), spec).is_err());
         assert!(parse_args(&argv(&["--iters"]), spec).is_err());
         // A value flag immediately followed by another flag has no value.
@@ -299,26 +189,26 @@ mod tests {
 
     #[test]
     fn parse_args_rejects_unknown_flags() {
-        let spec = spec_of("solve").unwrap();
+        let spec = row("solve").unwrap();
         let err = parse_args(&argv(&["--bogus", "1"]), spec).unwrap_err();
         assert!(err.contains("--bogus"), "error names the flag: {err}");
         // A valid flag of a *different* command is still unknown here.
         assert!(parse_args(&argv(&["--ticks", "100"]), spec).is_err());
         // The fleet sizes the decomposed solver's tree: no `--depth`.
         for cmd in ["solve", "trace"] {
-            assert!(parse_args(&argv(&["--depth", "2"]), spec_of(cmd).unwrap()).is_err());
+            assert!(parse_args(&argv(&["--depth", "2"]), row(cmd).unwrap()).is_err());
         }
     }
 
     #[test]
     fn parse_args_rejects_duplicates() {
-        let spec = spec_of("solve").unwrap();
+        let spec = row("solve").unwrap();
         assert!(parse_args(&argv(&["--seed", "1", "--seed", "2"]), spec).is_err());
     }
 
     #[test]
     fn parse_args_supports_valueless_switches() {
-        let spec = spec_of("simulate").unwrap();
+        let spec = row("simulate").unwrap();
         let a = parse_args(&argv(&["--quiet", "--ticks", "50", "--no-drift"]), spec).unwrap();
         assert!(has(&a, "quiet"));
         assert!(has(&a, "no-drift"));
@@ -336,14 +226,14 @@ mod tests {
         for cmd in [
             "generate", "inspect", "solve", "baseline", "verify", "simulate", "trace", "route",
         ] {
-            assert!(spec_of(cmd).is_some(), "missing spec for {cmd}");
+            assert!(row(cmd).is_some(), "missing spec for {cmd}");
         }
-        assert!(spec_of("frobnicate").is_none());
+        assert!(row("frobnicate").is_none());
     }
 
     #[test]
     fn parse_args_supports_equals_syntax() {
-        let spec = spec_of("solve").unwrap();
+        let spec = row("solve").unwrap();
         let a = parse_args(&argv(&["--inst=x.json", "--iters=5"]), spec).unwrap();
         assert_eq!(get(&a, "inst").unwrap(), "x.json");
         assert_eq!(get_or(&a, "iters", "1"), "5");
@@ -360,7 +250,7 @@ mod tests {
 
     #[test]
     fn parse_args_equals_syntax_rejections() {
-        let spec = spec_of("simulate").unwrap();
+        let spec = row("simulate").unwrap();
         // Switches never take `=value`.
         assert!(parse_args(&argv(&["--quiet=1"]), spec).is_err());
         // Unknown flags stay unknown with `=`.
@@ -375,13 +265,13 @@ mod tests {
         // knob accepted by `solve` is accepted by `trace`, verbatim.
         for flag in SOLVER_FLAGS.iter().chain(SEED_FLAG) {
             for cmd in ["solve", "trace"] {
-                let spec = spec_of(cmd).unwrap();
+                let spec = row(cmd).unwrap();
                 assert!(spec.is_value(flag), "{cmd} must accept --{flag}");
             }
         }
         for flag in SYNTH_FLAGS {
             for cmd in ["generate", "simulate", "trace"] {
-                let spec = spec_of(cmd).unwrap();
+                let spec = row(cmd).unwrap();
                 assert!(spec.is_value(flag), "{cmd} must accept --{flag}");
             }
         }
@@ -391,12 +281,12 @@ mod tests {
     fn workload_plane_flags_reach_both_engines() {
         for flag in WORKLOAD_FLAGS {
             for cmd in ["simulate", "converge"] {
-                let spec = spec_of(cmd).unwrap();
+                let spec = row(cmd).unwrap();
                 assert!(spec.is_value(flag), "{cmd} must accept --{flag}");
             }
         }
         // `route` takes the spec file but has no closed-loop trace pair.
-        let route = spec_of("route").unwrap();
+        let route = row("route").unwrap();
         assert!(route.is_value("workload"));
         assert!(!route.is_value("record-trace") && !route.is_value("replay-trace"));
     }

@@ -324,3 +324,25 @@ fn hostile_json_is_one_short_error_line() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closes the pipe (`rex trace … | head -1`, `| true`) ends
+/// `rex` with status 0 and nothing on stderr: the write that finds stdout
+/// closed stops the run instead of panicking with exit 101.
+#[test]
+fn a_closed_stdout_ends_rex_quietly() {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rex"))
+        .args(["trace", "--iters", "400", "--seed", "3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The read end goes before the solve is done, so every write `rex`
+    // makes finds the pipe closed.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.is_empty(), "{err}");
+}
