@@ -159,6 +159,7 @@ pub fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 mod tests {
     use super::*;
     use crate::COMMANDS;
+    use std::collections::BTreeSet;
 
     fn argv(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
@@ -274,6 +275,26 @@ mod tests {
                 let spec = row(cmd).unwrap();
                 assert!(spec.is_value(flag), "{cmd} must accept --{flag}");
             }
+        }
+    }
+
+    #[test]
+    fn every_usage_block_names_exactly_its_flags() {
+        for c in COMMANDS {
+            let named: BTreeSet<&str> = c
+                .usage
+                .iter()
+                .flat_map(|line| line.split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-')))
+                .filter_map(|word| word.strip_prefix("--"))
+                .collect();
+            let accepted: BTreeSet<&str> = c
+                .values
+                .iter()
+                .flat_map(|group| group.iter())
+                .chain(c.switches)
+                .copied()
+                .collect();
+            assert_eq!(named, accepted, "rex {}: usage vs accepted flags", c.name);
         }
     }
 

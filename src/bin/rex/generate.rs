@@ -21,7 +21,7 @@ pub const COMMAND: Command = Command {
         "--out FILE [--family uniform|zipf|correlated|big-shards]",
         "[--placement hotspot|balanced|drift] [--machines N] [--exchange N]",
         "[--shards N] [--dims N] [--stringency F] [--alpha F] [--seed N]",
-        "[--profile homogeneous|two-tier|big-exchange]",
+        "[--profile homogeneous|two-tier|big-exchange] [--hot-fraction F]",
     ],
     run,
 };
