@@ -21,7 +21,7 @@
 //! machine still hosting shards, migration traffic, and the executor's
 //! independent transient-constraint violation count (must be zero).
 
-use crate::{instance, run_policy, scaled, scaled_fleet, synth, Table};
+use crate::{assert_shape, f2, f4, instance, run_policy, scaled, scaled_fleet, synth, Table};
 use rex_runtime::{ControllerConfig, ControllerPolicy, DriftSpec, FaultSpec, RuntimeConfig};
 use rex_workload::synthetic::{DemandFamily, Placement, SynthConfig};
 
@@ -79,6 +79,8 @@ pub fn run() {
     };
 
     let mut t = Table::new(&format!("policy | {COLS}"));
+    // (steady peak, p99) per policy, in the order below.
+    let mut runs = Vec::new();
     for policy in [
         ControllerPolicy::Off,
         ControllerPolicy::Greedy,
@@ -86,7 +88,9 @@ pub fn run() {
     ] {
         let mut cfg = base.clone();
         cfg.controller.policy = policy;
-        t.row(run_policy(policy.name(), &inst, cfg, COLS).1);
+        let (e, row) = run_policy(policy.name(), &inst, cfg, COLS);
+        t.row(row);
+        runs.push((e.steady_state_peak(), e.latency.p99));
     }
 
     t.print("E13 — closed-loop control: SRA vs greedy vs no controller");
@@ -108,4 +112,32 @@ pub fn run() {
          traffic. Aborted plans come from the crash landing mid-migration; the \
          violation column must stay 0 throughout."
     );
+    // The shape the line above promises (the violation column is checked
+    // by `run_policy`).
+    let [off, greedy, sra] = [runs[0], runs[1], runs[2]];
+    let mut broken = Vec::new();
+    for (name, (peak, p99)) in [("off", off), ("greedy", greedy)] {
+        if sra.0 >= peak {
+            broken.push(format!(
+                "sra steady peak {} not below {name}'s {}",
+                f4(sra.0),
+                f4(peak)
+            ));
+        }
+        if sra.1 >= p99 {
+            broken.push(format!(
+                "sra p99 {} not below {name}'s {}",
+                f2(sra.1),
+                f2(p99)
+            ));
+        }
+    }
+    if off.1 <= greedy.1 {
+        broken.push(format!(
+            "off p99 {} not above greedy's {}",
+            f2(off.1),
+            f2(greedy.1)
+        ));
+    }
+    assert_shape(&broken);
 }
