@@ -3,7 +3,7 @@
 
 use crate::cli::{get, get_or, has, parse, write_artifact, Args, Command, Error};
 use crate::cli::{SEED_FLAG, SYNTH_FLAGS, WORKLOAD_FLAGS};
-use crate::inputs::{synth_instance, workload_inputs, workload_mode};
+use crate::inputs::{synth_instance, workload_inputs};
 use resource_exchange::cluster::{CrashSpec, ScenarioSpec, SpikeSpec, SraSpec, WorkloadSpec};
 use resource_exchange::obs::Recorder;
 use resource_exchange::router::PolicyKind;
@@ -55,8 +55,8 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
         placement: Placement::BalancedBfd,
         ..Default::default()
     };
-    let (w, inst, replay) = if workload_mode(args)? {
-        workload_inputs(args, base)?
+    let (w, inst, replay) = if let Some(inputs) = workload_inputs(args, base)? {
+        inputs
     } else {
         let spec = flag_spec(args)?;
         let seed = spec.seed;

@@ -53,36 +53,31 @@ pub fn synth_instance(
     .map_err(|e| e.to_string())
 }
 
-/// Whether the run is driven by the workload plane (a spec file or a
-/// recorded trace) instead of the scenario flags.
-pub fn workload_mode(args: &Args) -> Result<bool, String> {
-    let on = args.contains_key("workload") || args.contains_key("replay-trace");
-    if !on && args.contains_key("record-trace") {
-        return Err("--record-trace needs --workload (the trace header embeds the spec)".into());
-    }
-    Ok(on)
-}
-
-/// Resolves the workload-plane inputs shared by `simulate` and `converge`:
-/// either a spec file (`--workload`, optionally recording the realized
-/// stream) or a recorded trace (`--replay-trace`, self-contained — the
-/// header carries the spec and the exact starting instance).
+/// The workload-plane inputs of `simulate` and `converge`, or `None` when
+/// the scenario flags drive the run: either a spec file (`--workload`,
+/// optionally recording the realized stream) or a recorded trace
+/// (`--replay-trace`, self-contained — the header carries the spec and
+/// the exact starting instance).
 pub fn workload_inputs(
     args: &Args,
     base: SynthConfig,
-) -> Result<(WorkloadSpec, Instance, Option<ReplayScript>), String> {
+) -> Result<Option<(WorkloadSpec, Instance, Option<ReplayScript>)>, String> {
     if args.contains_key("workload") && args.contains_key("replay-trace") {
         return Err("choose one of --workload / --replay-trace (a trace embeds its spec)".into());
     }
     if let Some(path) = args.get("replay-trace") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("loading {path}: {e}"))?;
         let (w, inst, lines) = trace::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        Ok((w, inst, Some(ReplayScript::from_lines(&lines))))
-    } else {
-        let w = load_workload(get(args, "workload")?)?;
+        Ok(Some((w, inst, Some(ReplayScript::from_lines(&lines)))))
+    } else if let Some(path) = args.get("workload") {
+        let w = load_workload(path)?;
         let seed = w.scenario.seed;
         let inst = synth_instance(args, SynthConfig { seed, ..base }, Some(&w))?;
-        Ok((w, inst, None))
+        Ok(Some((w, inst, None)))
+    } else if args.contains_key("record-trace") {
+        Err("--record-trace needs --workload (the trace header embeds the spec)".into())
+    } else {
+        Ok(None)
     }
 }
 

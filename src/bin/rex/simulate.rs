@@ -3,7 +3,7 @@
 
 use crate::cli::{get, get_or, has, parse, write_artifact, Args, Command, Error};
 use crate::cli::{SEED_FLAG, SYNTH_FLAGS, WORKLOAD_FLAGS};
-use crate::inputs::{synth_instance, trace_recorder, workload_inputs, workload_mode};
+use crate::inputs::{synth_instance, trace_recorder, workload_inputs};
 use resource_exchange::cluster::Instance;
 use resource_exchange::runtime::{
     trace, DriftSpec, FaultSpec, MetricsExport, RuntimeConfig, Simulation,
@@ -108,8 +108,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
         placement: Placement::Hotspot(0.4),
         ..Default::default()
     };
-    let (inst, cfg, w, replay) = if workload_mode(args)? {
-        let (w, inst, replay) = workload_inputs(args, base)?;
+    let (inst, cfg, w, replay) = if let Some((w, inst, replay)) = workload_inputs(args, base)? {
         let cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
         (inst, cfg, Some(w), replay)
     } else {

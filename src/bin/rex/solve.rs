@@ -21,7 +21,7 @@ pub const SOLVE: Command = Command {
         "[--out FILE]",
         "[--drain M1,M2,...]   (machines to decommission: must end vacant)",
     ],
-    run: run_solve_command,
+    run: solve,
 };
 
 pub const TRACE: Command = Command {
@@ -33,7 +33,7 @@ pub const TRACE: Command = Command {
         "[--iters N] [--workers N] [--partitions K] [--seed N] [--out FILE]",
         "(one traced SRA solve: prints the roll-up, --out writes JSONL)",
     ],
-    run: run_trace,
+    run: trace,
 };
 
 /// A solved reassignment, as stored on disk.
@@ -114,7 +114,7 @@ pub fn write_summary(out: &mut dyn Write, res: &SraResult, drain: &[MachineId]) 
 pub const FALLBACK_LINE: &str =
     "fallback: the merged decomposed placement did not plan; this is the serial fallback's result";
 
-fn run_solve_command(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
+fn solve(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let (res, drain) = run_solve(args)?;
     write_summary(out, &res, &drain)?;
     if let Some(path) = args.get("out") {
@@ -133,7 +133,7 @@ fn run_solve_command(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
 /// on the spot) and prints the trace roll-up; `--out` additionally writes
 /// the JSONL event stream. The trace is a pure function of the instance and
 /// the flags — two same-flag invocations write byte-identical JSONL.
-fn run_trace(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
+fn trace(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let base = SynthConfig {
         n_machines: 16,
         n_exchange: 2,
