@@ -135,6 +135,11 @@ gate solve-web-fallback rex solve --inst @out:gen-web-85 --partitions 8 --iters 
 gate solve-depth2 rex solve --inst @out:gen-web --partitions 2 --iters 400 --seed 11 --out @out
 gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
 gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out
+# A drained decomposed solve at web scale: its start is the greedy
+# evacuation of eight machines, not the initial placement, and the
+# decomposed rounds search from there.
+gate solve-drain-decomposed rex solve --inst @out:gen-web --partitions 8 --iters 600 --seed 3 \
+    --drain 10,20,30,40,50,60,70,80 --out @out
 # The JSON read paths: a solution file back through `rex verify`, and the
 # web-scale instance through `rex inspect` alone.
 gate verify-serial rex verify --inst @out:gen-stringent --solution @out:solve-serial
