@@ -257,7 +257,10 @@ pub(crate) fn decomposed_search(
         let (next, round_iters, val) = rounds.hierarchical_round(round, &current, &tree, rec)?;
         current = next;
         iterations += round_iters;
-        if val < best_val {
+        // A round's result may be a merge no gate judged as a whole; it
+        // becomes the best only through the gate, whose plan the final
+        // planning step then replays.
+        if val < best_val && problem.accept_best(&current) {
             best_val = val;
             best = current.clone();
         }
@@ -343,14 +346,16 @@ impl Rounds<'_, '_> {
     /// capacity-feasible and keeps its vacancy-quota share, and the shares
     /// sum to the parent's quota, so `merged` stays globally feasible.
     /// Shardless nodes have nothing to search and stay untouched (and
-    /// vacant). Returns `(node index, outcome)` per solved node, in node
-    /// order.
+    /// vacant). With `gated`, every node's bests must plan from the node's
+    /// start under the solve's planner config. Returns `(node index,
+    /// outcome)` per solved node, in node order.
     fn solve_level(
         &self,
         round: u64,
         nodes: &[PartitionSpec],
         base: usize,
         iters: u64,
+        gated: bool,
         merged: &mut [MachineId],
     ) -> Vec<(usize, SearchOutcome<Assignment>)> {
         let (problem, cfg) = (self.problem, self.cfg);
@@ -373,12 +378,9 @@ impl Rounds<'_, '_> {
         let sub_problems: Vec<SraProblem<'_>> = subs
             .iter()
             .map(|sc| {
-                // Plannability is a property of the *global* migration, so
-                // sub-searches skip plan checks entirely; the boundary pass
-                // and the final planning step gate on the real thing.
-                let mut sp = SraProblem::new(&sc.inst, cfg.objective)
-                    .with_drain(&sc.drain)
-                    .without_plan_checks();
+                let mut sp = SraProblem::new(&sc.inst, cfg.objective).with_drain(&sc.drain);
+                sp.plan_on_best = gated;
+                sp.planner = problem.planner;
                 sp.smoothing = problem.smoothing;
                 sp
             })
@@ -436,9 +438,12 @@ impl Rounds<'_, '_> {
 
         // Stage 1: solve every leaf in one flat cooperative round (no
         // nested parallelism — the tree only shapes *which* sub-instances
-        // exist).
+        // exist). A round-0 leaf starts from the solve's start (the initial
+        // placement unless machines drain), so its gate is the global one
+        // restricted to the leaf; later rounds start elsewhere and search
+        // their leaves, like every internal level, ungated.
         let mut merged = current.placement().to_vec();
-        let leaf_runs = self.solve_level(round, leaves, 0, self.sub_iters, &mut merged);
+        let leaf_runs = self.solve_level(round, leaves, 0, self.sub_iters, round == 0, &mut merged);
         let mut iterations: u64 = leaf_runs.iter().map(|(_, out)| out.iterations).sum();
         for (i, out) in &leaf_runs {
             rec.event(
@@ -459,8 +464,9 @@ impl Rounds<'_, '_> {
 
         // Stage 2: bottom-up repairs across each internal level, exactly
         // like the leaf solves but on the repair budget.
+        let iters = self.boundary_iters;
         for nodes in internal.iter().rev() {
-            let runs = self.solve_level(round, nodes, next_job, self.boundary_iters, &mut merged);
+            let runs = self.solve_level(round, nodes, next_job, iters, false, &mut merged);
             iterations += runs.iter().map(|(_, out)| out.iterations).sum::<u64>();
             next_job += nodes.len();
         }
@@ -821,10 +827,11 @@ mod tests {
     }
 
     #[test]
-    fn deadlocked_merge_falls_back_to_the_gated_search() {
-        // The merged best of a decomposed solve never passed the
-        // plannability gate as a whole; at stringency 0.90 this one
-        // deadlocks the final plan, which is the only way into the fallback.
+    fn an_undeliverable_merge_never_becomes_the_best() {
+        // At stringency 0.90 a round's merge need not plan from the initial
+        // placement: this solve's ungated merged best used to deadlock the
+        // final plan. The gate keeps such merges out of the best, so the
+        // search's best plans on its own and the final plan is the gate's.
         let inst = synth(32, 3, 320, 0.90, 4);
         let c = SraConfig {
             iters: 400,
@@ -833,27 +840,59 @@ mod tests {
             ..Default::default()
         };
         let problem = SraProblem::new(&inst, c.objective);
-        let (merged, search_iters, _, _) =
+        let (best, _, _, _) =
             crate::sra::run_search(&problem, &c, c.seed, &mut Recorder::noop()).unwrap();
-        assert!(matches!(
-            rex_cluster::plan_migration(&inst, &inst.initial, merged.placement(), &c.planner),
-            Err(ClusterError::PlanningDeadlock { .. })
-        ));
+        rex_cluster::plan_migration(&inst, &inst.initial, best.placement(), &c.planner).unwrap();
 
         let mut rec = Recorder::active();
         let res = solve_traced(&inst, &c, &[], &mut rec).unwrap();
-        assert!(res.fallback_used);
-        assert_eq!(rec.counter("sra.fallbacks"), 1);
-        assert!(rec
-            .events()
+        let sra_events = |name| {
+            rec.events()
+                .iter()
+                .filter(move |e| e.layer == "sra" && e.name == name)
+        };
+        assert_eq!(sra_events("fallback").count(), 0);
+        let plan_close = sra_events("plan")
+            .find(|e| matches!(e.kind, rex_obs::EventKind::SpanClose { .. }))
+            .unwrap();
+        assert!(plan_close
+            .fields
             .iter()
-            .any(|e| e.layer == "sra" && e.name == "fallback"));
+            .any(|(k, v)| *k == "outcome" && matches!(v, rex_obs::Value::Str(o) if o == "ok")));
         assert_eq!(rec.open_spans(), 0);
         rex_cluster::verify_schedule(&inst, &inst.initial, res.assignment.placement(), &res.plan)
             .unwrap();
         assert!(res.final_report.peak <= res.initial_report.peak);
-        // The fallback is the gated serial search on a quarter budget.
-        assert_eq!(res.iterations, search_iters + (c.iters / 4).max(500));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// A decomposed solve always plans: through trees of any depth on
+        /// small stringent fleets, every solve returns `Ok`, its schedule
+        /// verifies, and its best is no worse than its start.
+        #[test]
+        fn a_decomposed_solve_always_plans(
+            machines in 12usize..28,
+            partitions in 2usize..=4,
+            floor in 3usize..8,
+            stringency in 0.75f64..0.92,
+            seed in 0u64..50,
+        ) {
+            let inst = synth(machines, (machines / 8).max(1), machines * 8, stringency, seed);
+            let c = SraConfig { iters: 300, seed, partitions, ..Default::default() };
+            let res = solve_with_floor(&inst, &c, &[], floor, &mut Recorder::noop());
+            proptest::prop_assert!(res.is_ok(), "{:?}", res.err());
+            let res = res.unwrap();
+            rex_cluster::verify_schedule(&inst, &inst.initial, res.assignment.placement(), &res.plan)
+                .unwrap();
+            let problem = SraProblem::new(&inst, c.objective);
+            let start = LnsProblemInPlace::objective(&problem, &Assignment::from_initial(&inst));
+            proptest::prop_assert!(
+                LnsProblemInPlace::objective(&problem, &res.assignment) <= start,
+                "best worse than the start"
+            );
+        }
     }
 
     #[test]

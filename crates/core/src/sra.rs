@@ -65,6 +65,7 @@ pub struct SraConfig {
     /// `workers` is ignored. `0` or `1` keeps the monolithic search. A
     /// neighborhood too big for one leaf is itself re-partitioned into
     /// `partitions` children — the fleet sizes that tree, no setting does.
+    /// Either way the best is the start or passed the plannability gate.
     pub partitions: usize,
     /// Deterministic seed.
     pub seed: u64,
@@ -145,7 +146,10 @@ pub struct SraResult {
     pub stats: Option<EngineStats>,
     /// Convergence trajectory (serial runs with `log_trajectory` only).
     pub trajectory: Vec<TrajectoryPoint>,
-    /// True if the fallback search (the final plan deadlocked) was needed.
+    /// Always `false`: every search's best passed the plannability gate, so
+    /// no solve re-searches after its final plan. Kept only because the
+    /// benchmark harness (`benchmark/src`) reads it; it goes with ROADMAP
+    /// item 8.2.
     pub fallback_used: bool,
 }
 
@@ -162,10 +166,9 @@ impl SraResult {
 /// 1. validates the instance,
 /// 2. searches for the best capacity- and vacancy-feasible target placement
 ///    (serial ALNS, or a rayon portfolio when `cfg.workers > 1`),
-/// 3. plans a transient-feasible migration schedule to it; if planning
-///    deadlocks (only the decomposed path can hand back a best that never
-///    passed the plannability gate), a short gated monolithic search runs
-///    instead — its best is plannable by construction,
+/// 3. plans a transient-feasible migration schedule to it — every search
+///    path's best is its start or a placement the plannability gate
+///    accepted, so this replays the gate's plan,
 /// 4. independently verifies the schedule with the step simulator,
 /// 5. selects the `k_return` machines to hand back.
 pub fn solve(inst: &Instance, cfg: &SraConfig) -> Result<SraResult, ClusterError> {
@@ -182,7 +185,10 @@ pub fn solve(inst: &Instance, cfg: &SraConfig) -> Result<SraResult, ClusterError
 ///
 /// Besides [`solve`]'s errors, fails with
 /// [`ClusterError::VacancyShortfall`]-style planning errors when the
-/// drained machines' shards cannot be feasibly evacuated at all.
+/// drained machines' shards cannot be feasibly evacuated at all, and with
+/// [`ClusterError::PlanningDeadlock`] when the evacuated start does not plan
+/// and no best of the search passes the plannability gate (decomposed
+/// solves included).
 pub fn solve_with_drain(
     inst: &Instance,
     cfg: &SraConfig,
@@ -193,10 +199,9 @@ pub fn solve_with_drain(
 
 /// [`solve_with_drain`] narrating the solve into `rec` when it is
 /// recording: a `("sra", "solve")` span wrapping phase spans for the
-/// search, the migration planning (and the fallback search when it
-/// triggers), and the independent verification. The LNS layer's own events
-/// nest inside the search phase. With a [`Recorder::Noop`] this is exactly
-/// [`solve_with_drain`].
+/// search, the migration planning and the independent verification. The
+/// LNS layer's own events nest inside the search phase. With a
+/// [`Recorder::Noop`] this is exactly [`solve_with_drain`].
 pub fn solve_traced(
     inst: &Instance,
     cfg: &SraConfig,
@@ -232,10 +237,9 @@ pub(crate) fn solve_with_floor(
         ],
     );
 
-    // Global bests are gated on plannability (`accept_best`), so a serial
-    // or portfolio result is schedulable by construction; only the
-    // decomposed path (whose merged placement is not gated as a whole) can
-    // reach the fallback below.
+    // Every search path keeps only bests that passed the plannability gate
+    // (`accept_best`), so its result is its start or schedulable by
+    // construction.
     let mut problem = SraProblem::new(inst, cfg.objective).with_drain(drain);
     problem.planner = cfg.planner;
     rec.span_open("sra", "search", &[]);
@@ -260,29 +264,9 @@ pub(crate) fn solve_with_floor(
             .into(),
         )],
     );
-    let (best, plan, iterations, fallback_used, stats, trajectory) = match planned {
-        Ok(plan) => (best, plan, iterations, false, stats, trajectory),
-        Err(ClusterError::PlanningDeadlock { .. }) => {
-            // Fallback: the ordinary gated monolithic search on a quarter
-            // budget. A best that passed the `accept_best` gate plans here
-            // too (the gate only tightens the planner's give-up budget); if
-            // the search finds none and its start deadlocks as well, that
-            // is the error.
-            let fallback_cfg = SraConfig {
-                iters: (cfg.iters / 4).max(500),
-                partitions: 0,
-                ..*cfg
-            };
-            rec.add("sra.fallbacks", 1);
-            rec.span_open("sra", "fallback", &[("iters", fallback_cfg.iters.into())]);
-            let fallen = run_search(&problem, &fallback_cfg, cfg.seed.wrapping_add(1), rec);
-            rec.span_close("sra", "fallback", &[("ok", fallen.is_ok().into())]);
-            let (b2, it2, stats2, traj2) = fallen?;
-            let plan = problem.plan(b2.placement(), &cfg.planner)?;
-            (b2, plan, iterations + it2, true, stats2, traj2)
-        }
-        Err(e) => return Err(e),
-    };
+    // A best the gate accepted plans here too (the gate only tightens the
+    // planner's give-up budget); a start that does not plan is the error.
+    let plan = planned?;
 
     // Independent verification: the planner and the simulator implement the
     // transient semantics separately; disagreement is a bug worth failing
@@ -312,7 +296,8 @@ pub(crate) fn solve_with_floor(
         &[
             ("objective", objective_value.into()),
             ("iterations", iterations.into()),
-            ("fallback_used", fallback_used.into()),
+            // Always false; the field stays in the span with `fallback_used`.
+            ("fallback_used", false.into()),
             ("plan_batches", plan.batches.len().into()),
             ("returned", returned_machines.len().into()),
         ],
@@ -328,7 +313,7 @@ pub(crate) fn solve_with_floor(
         elapsed: start.elapsed(),
         stats,
         trajectory,
-        fallback_used,
+        fallback_used: false,
         plan,
         assignment: best,
     })

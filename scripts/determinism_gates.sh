@@ -124,11 +124,13 @@ gate solve-serial rex solve --inst @out:gen-stringent --iters 400 --seed 11 --ou
 # again (the gate's memo answers those).
 gate solve-serial-long rex solve --inst @out:gen-stringent --iters 1200 --seed 11 --out @out
 gate solve-small rex solve --inst @out:gen-small --iters 400 --seed 4 --out @out
-# The merged best deadlocks the final plan: `solve` takes its fallback.
-gate solve-fallback rex solve --inst @out:gen-small --partitions 4 --iters 400 --seed 4 --out @out
-# The same at web scale: the merged best of this 1125×10000 solve at 0.85
-# deadlocks, and the fallback's gate and final plan share one planner.
-gate solve-web-fallback rex solve --inst @out:gen-web-85 --partitions 8 --iters 600 --seed 11 --out @out
+# Decomposed solves whose ungated merges did not plan: the round-0 leaves
+# search gated, the merge of gated leaves plans, and a round result becomes
+# the best only through the gate, so the final plan replays the gate's.
+gate solve-small-decomposed rex solve --inst @out:gen-small --partitions 4 --iters 400 --seed 4 --out @out
+# The same at web scale, 1125×10000 at 0.85: gate and final plan share one
+# planner.
+gate solve-web-85 rex solve --inst @out:gen-web-85 --partitions 8 --iters 600 --seed 11 --out @out
 # The partition tree two levels deep: at --partitions 2 the 1125 machines
 # split into parts of about 562, above the 512-machine floor, so each part
 # splits again.
@@ -143,7 +145,7 @@ gate solve-drain-decomposed rex solve --inst @out:gen-web --partitions 8 --iters
 # The JSON read paths: a solution file back through `rex verify`, and the
 # web-scale instance through `rex inspect` alone.
 gate verify-serial rex verify --inst @out:gen-stringent --solution @out:solve-serial
-gate verify-web-fallback rex verify --inst @out:gen-web-85 --solution @out:solve-web-fallback
+gate verify-web-85 rex verify --inst @out:gen-web-85 --solution @out:solve-web-85
 gate inspect-web rex inspect --inst @out:gen-web
 # Both deployable baselines and the FFD repack (best-fit decreasing, the
 # loop evacuation shares) on the two 0.90 files.

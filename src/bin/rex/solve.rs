@@ -103,16 +103,8 @@ pub fn write_summary(out: &mut dyn Write, res: &SraResult, drain: &[MachineId]) 
              ran {iterations} of the --iters budget"
         )?;
     }
-    if res.fallback_used {
-        writeln!(out, "{FALLBACK_LINE}")?;
-    }
     Ok(())
 }
-
-/// Printed when the decomposed search's merged best deadlocked the final
-/// plan and the result is the gated serial fallback search's.
-pub const FALLBACK_LINE: &str =
-    "fallback: the merged decomposed placement did not plan; this is the serial fallback's result";
 
 fn solve(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let (res, drain) = run_solve(args)?;

@@ -4,7 +4,7 @@
 
 use crate::cli::{Args, Command};
 use crate::inputs::load_workload;
-use crate::solve::{run_solve, write_summary, SolutionFile, FALLBACK_LINE};
+use crate::solve::{run_solve, write_summary, SolutionFile};
 use resource_exchange::cluster::MachineId;
 use resource_exchange::obs::Recorder;
 use resource_exchange::runtime::{RuntimeConfig, Simulation};
@@ -152,37 +152,6 @@ fn generate_solve_verify_roundtrip() {
     ]))
     .unwrap();
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn solve_says_when_the_fallback_ran() {
-    let dir = std::env::temp_dir().join("rex-cli-fallback");
-    std::fs::create_dir_all(&dir).unwrap();
-    let inst = dir.join("inst.json");
-    let inst = inst.to_str().unwrap();
-    // A stringent hotspot fleet whose merged 4-way placement deadlocks
-    // the final plan; the serial solve of the same file never can.
-    cmd_generate(&args(&[
-        ("out", inst),
-        ("machines", "32"),
-        ("exchange", "3"),
-        ("shards", "320"),
-        ("stringency", "0.9"),
-        ("family", "correlated"),
-        ("placement", "hotspot"),
-        ("seed", "4"),
-    ]))
-    .unwrap();
-    let solve = |extra: &[(&str, &str)]| {
-        let mut a = args(&[("inst", inst), ("iters", "400"), ("seed", "4")]);
-        a.extend(args(extra));
-        let printed = cmd_solve(&a).unwrap();
-        printed.lines().map(String::from).collect::<Vec<_>>()
-    };
-    let decomposed = solve(&[("partitions", "4")]);
-    assert_eq!(decomposed.last().map(String::as_str), Some(FALLBACK_LINE));
-    assert!(!solve(&[]).iter().any(|l| l.starts_with("fallback")));
     std::fs::remove_dir_all(&dir).ok();
 }
 
