@@ -34,6 +34,10 @@ pub enum ClusterError {
     BadPlacementLength { expected: usize, found: usize },
     /// A target placement leaves fewer than `k_return` machines vacant.
     VacancyShortfall { required: usize, found: usize },
+    /// Evacuating the draining machines found no machine that can take
+    /// `shard` (every one is draining, full, or would need a vacancy the
+    /// return quota keeps).
+    NoDrainHost { shard: ShardId },
     /// A target placement overloads a machine.
     TargetOverload { machine: MachineId },
     /// The migration planner could not schedule all moves without violating
@@ -104,6 +108,12 @@ impl fmt::Display for ClusterError {
                 write!(
                     f,
                     "target leaves {found} machines vacant, {required} must be returned"
+                )
+            }
+            NoDrainHost { shard } => {
+                write!(
+                    f,
+                    "no machine can take shard {shard} off the draining machines"
                 )
             }
             TargetOverload { machine } => write!(f, "target placement overloads {machine}"),

@@ -184,8 +184,10 @@ pub fn solve(inst: &Instance, cfg: &SraConfig) -> Result<SraResult, ClusterError
 /// # Errors
 ///
 /// Besides [`solve`]'s errors, fails with
+/// [`ClusterError::NoDrainHost`] when the greedy evacuation finds no machine
+/// for one of the drained machines' shards, with
 /// [`ClusterError::VacancyShortfall`]-style planning errors when the
-/// drained machines' shards cannot be feasibly evacuated at all, and with
+/// evacuation leaves too few vacancies, and with
 /// [`ClusterError::PlanningDeadlock`] when the evacuated start does not plan
 /// and no best of the search passes the plannability gate (decomposed
 /// solves included).
@@ -415,10 +417,7 @@ pub(crate) fn starting_solution(problem: &SraProblem<'_>) -> Result<Assignment, 
             }
         }
         let Some((m, _)) = best else {
-            return Err(ClusterError::VacancyShortfall {
-                required: problem.reserved_vacancies(),
-                found: asg.vacant_count(),
-            });
+            return Err(ClusterError::NoDrainHost { shard: s });
         };
         if asg.is_vacant(m) {
             budget -= 1;
@@ -617,6 +616,20 @@ mod tests {
         b.shard(&[8.0], 1.0, m0);
         let inst = b.build().unwrap();
         assert!(solve_with_drain(&inst, &quick_cfg(), &[m0]).is_err());
+    }
+
+    #[test]
+    fn a_drained_shard_with_no_host_is_named() {
+        // m1 has no room for m0's shard, and no vacancy is short: the
+        // evacuation fails on the shard, not on the return quota.
+        let mut b = InstanceBuilder::new(1).label("no-host");
+        let m0 = b.machine(&[10.0]);
+        let m1 = b.machine(&[10.0]);
+        let s = b.shard(&[8.0], 1.0, m0);
+        b.shard(&[5.0], 1.0, m1);
+        let inst = b.build().unwrap();
+        let err = solve_with_drain(&inst, &quick_cfg(), &[m0]).unwrap_err();
+        assert_eq!(err, ClusterError::NoDrainHost { shard: s });
     }
 
     #[test]
