@@ -90,7 +90,7 @@ pub fn usage(commands: &[Command]) -> String {
 
 /// Writes an artifact file and says so on `out`: `{what} written to {path}`.
 pub fn write_artifact(out: &mut dyn Write, what: &str, path: &str, s: &str) -> Result<(), Error> {
-    std::fs::write(path, s).map_err(|e| e.to_string())?;
+    std::fs::write(path, s).map_err(|e| format!("writing {path}: {e}"))?;
     writeln!(out, "{what} written to {path}")?;
     Ok(())
 }

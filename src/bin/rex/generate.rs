@@ -62,7 +62,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     };
     let inst = synth_instance(args, cfg, None)?;
     let path = get(args, "out")?;
-    io::save(&inst, Path::new(path)).map_err(|e| e.to_string())?;
+    io::save(&inst, Path::new(path)).map_err(|e| format!("writing {path}: {e}"))?;
     writeln!(
         out,
         "wrote {} ({} machines, {} shards) to {path}",

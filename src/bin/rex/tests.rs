@@ -155,6 +155,41 @@ fn generate_solve_verify_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A file path under a directory that does not exist.
+fn unwritable(name: &str) -> String {
+    let dir = std::env::temp_dir()
+        .join("rex-cli-io-errors")
+        .join("missing");
+    dir.join(name).to_str().unwrap().to_string()
+}
+
+#[test]
+fn a_failed_artifact_write_names_its_file() {
+    let path = unwritable("x.json");
+    let e = cmd_simulate(&args(&[("ticks", "50"), ("quiet", ""), ("out", &path)])).unwrap_err();
+    assert!(e.starts_with(&format!("writing {path}: ")), "{e}");
+}
+
+#[test]
+fn a_failed_generate_names_its_file() {
+    let path = unwritable("g.json");
+    let e = cmd_generate(&args(&[("out", &path)])).unwrap_err();
+    assert!(e.starts_with(&format!("writing {path}: ")), "{e}");
+}
+
+#[test]
+fn a_missing_solution_names_its_file() {
+    let dir = std::env::temp_dir().join("rex-cli-missing-solution");
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst = dir.join("inst.json");
+    let inst = inst.to_str().unwrap();
+    cmd_generate(&args(&[("out", inst)])).unwrap();
+    let path = unwritable("s.json");
+    let e = cmd_verify(&args(&[("inst", inst), ("solution", &path)])).unwrap_err();
+    assert!(e.starts_with(&format!("loading {path}: ")), "{e}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn solve_says_when_the_search_stopped() {
     let dir = std::env::temp_dir().join("rex-cli-stall");

@@ -17,8 +17,9 @@ pub const COMMAND: Command = Command {
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let inst = load_instance(args)?;
     let path = get(args, "solution")?;
-    let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let sol: SolutionFile = serde_json::from_str(&json).map_err(|e| e.to_string())?;
+    let json = std::fs::read_to_string(path).map_err(|e| format!("loading {path}: {e}"))?;
+    let sol: SolutionFile =
+        serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))?;
     verify_schedule(&inst, &inst.initial, &sol.placement, &sol.plan).map_err(|e| e.to_string())?;
     let asg = Assignment::from_placement(&inst, sol.placement).map_err(|e| e.to_string())?;
     asg.check_target(&inst).map_err(|e| e.to_string())?;
