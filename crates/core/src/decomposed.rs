@@ -47,16 +47,31 @@
 //! Re-partitioning by the new loads each round rotates the neighborhood
 //! structure, so shards trapped in an unlucky partition get fresh chances.
 //!
+//! ## Deliverable by construction
+//!
+//! The search returns what the serial search returns: its start, or a
+//! placement the global plannability gate ([`SraProblem::accept_best`])
+//! accepted. Round 0's leaves search gated — their start is the solve's
+//! start restricted to the leaf, so a leaf's gate is the global one on
+//! that leaf — and round 0 drops an internal level's merge that fails the
+//! global gate, so its root pass starts from a deliverable placement. A
+//! round's result becomes the best only if it passes the global gate,
+//! whose plan `solve`'s final planning step replays.
+//!
 //! ## Fidelity caveats (accepted, documented)
 //!
 //! Sub-instances use the **round-start placement as their initial**: the
-//! sub-objective's migration-cost term and `α`-escapability are measured
-//! from the round start, not the global initial. The boundary pass and the
-//! final objective always use the global initial, and the returned best is
-//! chosen by the *global* objective, so reported numbers are exact; only
-//! the sub-searches' guidance is approximate. The global best is tracked
-//! explicitly and seeded with the starting solution, so the decomposed
-//! search never returns anything worse than the monolithic start.
+//! sub-objective's migration-cost term, `α`-escapability and (in round 0)
+//! the plannability gate are measured from the round start, not the global
+//! initial. From round 1 on that start is no longer the initial
+//! placement, so those leaves and every internal level search ungated;
+//! with machines draining, round 0 starts from the greedy evacuation. The
+//! boundary pass, the best's gate and the final objective always use the
+//! global initial, and the returned best is chosen by the *global*
+//! objective, so reported numbers are exact; only the sub-searches'
+//! guidance is approximate. The global best is tracked explicitly and
+//! seeded with the starting solution, so the decomposed search never
+//! returns anything worse than the monolithic start.
 
 use crate::problem::SraProblem;
 use crate::sra::{starting_solution, SraConfig};
@@ -463,12 +478,21 @@ impl Rounds<'_, '_> {
         let mut next_job = leaves.len();
 
         // Stage 2: bottom-up repairs across each internal level, exactly
-        // like the leaf solves but on the repair budget.
+        // like the leaf solves but on the repair budget. They search
+        // ungated, so in round 0, whose gated leaves merged into a
+        // deliverable placement, a level's merge that fails the global
+        // gate is dropped: the root pass then starts deliverable.
         let iters = self.boundary_iters;
         for nodes in internal.iter().rev() {
+            let kept = (round == 0).then(|| merged.clone());
             let runs = self.solve_level(round, nodes, next_job, iters, false, &mut merged);
             iterations += runs.iter().map(|(_, out)| out.iterations).sum::<u64>();
             next_job += nodes.len();
+            if let Some(kept) = kept {
+                if !problem.accept_best(&Assignment::from_placement(inst, merged.clone())?) {
+                    merged = kept;
+                }
+            }
         }
 
         // Stage 3: the root's repair — a global serial boundary pass with
