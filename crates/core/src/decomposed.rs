@@ -51,12 +51,17 @@
 //!
 //! The search returns what the serial search returns: its start, or a
 //! placement the global plannability gate ([`SraProblem::accept_best`])
-//! accepted. Round 0's leaves search gated — their start is the solve's
-//! start restricted to the leaf, so a leaf's gate is the global one on
-//! that leaf — and round 0 drops an internal level's merge that fails the
-//! global gate, so its root pass starts from a deliverable placement. A
-//! round's result becomes the best only if it passes the global gate,
-//! whose plan `solve`'s final planning step replays.
+//! accepted. One check guarantees it: a round's result becomes the best
+//! only if it passes the global gate, whose plan `solve`'s final planning
+//! step replays. The other gates only aim round 0 at results that pass:
+//! its leaves search gated (without a drain their start is the initial
+//! placement restricted to the leaf, so a leaf's gate is the global one
+//! on that leaf), and it drops an internal level's merge that fails the
+//! global gate, so that its root pass is meant to start from a placement
+//! that plans. With machines draining, the start is the greedy
+//! evacuation, and the leaves plan from it, not from home. If neither
+//! that start nor any round's result plans, the solve fails with
+//! `PlanningDeadlock`, as the serial search does.
 //!
 //! ## Fidelity caveats (accepted, documented)
 //!
@@ -80,8 +85,7 @@ use rex_cluster::{
     Shard, ShardId,
 };
 use rex_lns::{
-    cooperative_round, round_seed, EngineStats, LnsProblemInPlace, RoundJob, SearchOutcome,
-    TrajectoryPoint,
+    cooperative_round, round_seed, EngineStats, LnsProblemInPlace, SearchOutcome, TrajectoryPoint,
 };
 use rex_obs::Recorder;
 
@@ -279,6 +283,9 @@ pub(crate) fn decomposed_search(
             best_val = val;
             best = current.clone();
         }
+        // The gate keeps its plans; its fleet-sized planner need not sit
+        // beside the next round's leaves.
+        problem.release_planner();
         if round + 1 < ROUNDS {
             tree = rounds.tree(&current);
         }
@@ -390,22 +397,22 @@ impl Rounds<'_, '_> {
                 )
             })
             .collect();
-        let sub_problems: Vec<SraProblem<'_>> = subs
+        // Each job builds its sub-problem and engine in its worker and drops
+        // them there (a gated leaf's planner included), so a level holds one
+        // node's search state per thread rather than every node's.
+        let (planner, smoothing) = (problem.planner, problem.smoothing);
+        let jobs: Vec<_> = subs
             .iter()
             .map(|sc| {
-                let mut sp = SraProblem::new(&sc.inst, cfg.objective).with_drain(&sc.drain);
-                sp.plan_on_best = gated;
-                sp.planner = problem.planner;
-                sp.smoothing = problem.smoothing;
-                sp
-            })
-            .collect();
-        let jobs = sub_problems
-            .iter()
-            .zip(&subs)
-            .map(|(sp, sc)| RoundJob {
-                engine: cfg.engine(sp, Assignment::from_initial(&sc.inst), iters),
-                seed: round_seed(self.seed, round, base + sc.node),
+                let seed = round_seed(self.seed, round, base + sc.node);
+                move || {
+                    let mut sp = SraProblem::new(&sc.inst, cfg.objective).with_drain(&sc.drain);
+                    sp.plan_on_best = gated;
+                    sp.planner = planner;
+                    sp.smoothing = smoothing;
+                    cfg.engine(&sp, Assignment::from_initial(&sc.inst), iters)
+                        .run(seed)
+                }
             })
             .collect();
         let outcomes = cooperative_round(jobs);
@@ -454,9 +461,10 @@ impl Rounds<'_, '_> {
         // Stage 1: solve every leaf in one flat cooperative round (no
         // nested parallelism — the tree only shapes *which* sub-instances
         // exist). A round-0 leaf starts from the solve's start (the initial
-        // placement unless machines drain), so its gate is the global one
-        // restricted to the leaf; later rounds start elsewhere and search
-        // their leaves, like every internal level, ungated.
+        // placement unless machines drain), so without a drain its gate is
+        // the global one restricted to the leaf; later rounds start
+        // elsewhere and search their leaves, like every internal level,
+        // ungated.
         let mut merged = current.placement().to_vec();
         let leaf_runs = self.solve_level(round, leaves, 0, self.sub_iters, round == 0, &mut merged);
         let mut iterations: u64 = leaf_runs.iter().map(|(_, out)| out.iterations).sum();
@@ -479,9 +487,10 @@ impl Rounds<'_, '_> {
 
         // Stage 2: bottom-up repairs across each internal level, exactly
         // like the leaf solves but on the repair budget. They search
-        // ungated, so in round 0, whose gated leaves merged into a
-        // deliverable placement, a level's merge that fails the global
-        // gate is dropped: the root pass then starts deliverable.
+        // ungated, so in round 0, whose leaves searched gated, a level's
+        // merge that fails the global gate is dropped, to keep the root
+        // pass's start close to one that plans. Nothing here guarantees
+        // it: the gate on the round's result does.
         let iters = self.boundary_iters;
         for nodes in internal.iter().rev() {
             let kept = (round == 0).then(|| merged.clone());
@@ -887,6 +896,59 @@ mod tests {
         rex_cluster::verify_schedule(&inst, &inst.initial, res.assignment.placement(), &res.plan)
             .unwrap();
         assert!(res.final_report.peak <= res.initial_report.peak);
+    }
+
+    #[test]
+    fn a_drained_solve_that_never_plans_is_a_deadlock() {
+        // Two hot machines drain: the evacuation moves their 12 shards. A
+        // planner whose budget is 8 moves plans neither that start nor any
+        // round's result, so the decomposed search keeps its start and the
+        // final plan's deadlock is the solve's error, as on the serial
+        // path: no second search runs.
+        let inst = fleet(4, 8, 4, 9);
+        let drain = [MachineId(0), MachineId(1)];
+        let planner = rex_cluster::PlannerConfig {
+            max_batch_moves: 0,
+            move_budget_factor: 0.0,
+        };
+        let problem = SraProblem::new(&inst, Objective::pure()).with_drain(&drain);
+        let start = LnsProblemInPlace::objective(&problem, &starting_solution(&problem).unwrap());
+        for partitions in [1, 2] {
+            let c = SraConfig {
+                planner,
+                ..cfg(partitions)
+            };
+            let mut rec = Recorder::active();
+            let res = solve_with_floor(&inst, &c, &drain, LEAF_MACHINES, &mut rec);
+            assert!(
+                matches!(res, Err(ClusterError::PlanningDeadlock { .. })),
+                "partitions {partitions}: {:?}",
+                res.map(|r| r.final_report.peak)
+            );
+            let closes = |name| {
+                rec.events()
+                    .iter()
+                    .filter(move |e| e.layer == "sra" && e.name == name)
+                    .filter(|e| matches!(e.kind, rex_obs::EventKind::SpanClose { .. }))
+            };
+            if partitions == 1 {
+                assert_eq!(closes("round").count(), 0);
+                continue;
+            }
+            assert_eq!(closes("round").count(), ROUNDS as usize);
+            let best =
+                closes("decomposed")
+                    .flat_map(|e| e.fields.iter())
+                    .find_map(|(k, v)| match v {
+                        rex_obs::Value::F64(x) if *k == "best_objective" => Some(*x),
+                        _ => None,
+                    });
+            assert_eq!(
+                best,
+                Some(start),
+                "a round that does not plan became the best"
+            );
+        }
     }
 
     proptest::proptest! {

@@ -218,6 +218,15 @@ impl<'a> SraProblem<'a> {
         }
     }
 
+    /// Drops the gate's planner but keeps what it planned (the plan the
+    /// final planning step replays); the next gate call sets a planner up
+    /// again. Plans do not depend on it, only the setup cost does.
+    pub(crate) fn release_planner(&self) {
+        if let Some(mut gate) = self.gate() {
+            gate.planner = None;
+        }
+    }
+
     /// The gate state, or `None` while another portfolio worker holds it —
     /// that caller plans one-shot instead: the same answer, no waiting.
     fn gate(&self) -> Option<MutexGuard<'_, Gate<'a>>> {

@@ -12,8 +12,10 @@
 //! * every job's seed is fixed by the caller **before** the parallel
 //!   section — for decomposed rounds a pure function of `(base_seed,
 //!   round, partition)`, [`round_seed`];
-//! * every job's [`Engine`] is likewise built by the caller before the
-//!   parallel section, so worker launch performs no hidden setup;
+//! * a job is a closure over inputs the caller fixed before the parallel
+//!   section: it builds its [`crate::Engine`] (and whatever sub-problem
+//!   the engine searches) in its worker, runs it, and drops it there, so a
+//!   round holds one job's search state per thread, not every job's;
 //! * jobs run over the deterministic rayon shim, whose `collect` places
 //!   results by index, so the output order is the job order regardless of
 //!   which OS thread ran what;
@@ -24,8 +26,6 @@
 //! Together those give the decomposed-solver determinism contract:
 //! byte-identical results for any `REX_THREADS`.
 
-use crate::engine::{Engine, SearchOutcome};
-use crate::problem::LnsProblemInPlace;
 use rayon::prelude::*;
 
 /// splitmix64 finalizer: bijective avalanche mixing.
@@ -48,33 +48,19 @@ pub fn round_seed(base: u64, round: u64, partition: usize) -> u64 {
         .wrapping_add(partition as u64 + 1))
 }
 
-/// One worker's assignment for a cooperative round: the ready-to-run
-/// engine over its sub-problem (starting solution, operators, acceptance
-/// and budget already installed) and its predetermined seed.
-pub struct RoundJob<'p, P: LnsProblemInPlace> {
-    /// The engine this worker runs.
-    pub engine: Engine<'p, P>,
-    /// Seed from [`round_seed`].
-    pub seed: u64,
-}
-
-/// Runs every job of one round in parallel and returns the outcomes in job
-/// order. Results are a pure function of the jobs — thread count is
+/// Runs every job of one round in parallel and returns their outcomes in
+/// job order. Each job builds, runs and drops its own engine in its
+/// worker. Results are a pure function of the jobs — thread count is
 /// unobservable.
-pub fn cooperative_round<P>(jobs: Vec<RoundJob<'_, P>>) -> Vec<SearchOutcome<P::Solution>>
-where
-    P: LnsProblemInPlace + Sync,
-{
-    jobs.into_par_iter()
-        .map(|job| job.engine.run(job.seed))
-        .collect()
+pub fn cooperative_round<S: Send>(jobs: Vec<impl FnOnce() -> S + Send>) -> Vec<S> {
+    jobs.into_par_iter().map(|job| job()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accept::SimulatedAnnealing;
-    use crate::engine::LnsConfig;
+    use crate::engine::{Engine, LnsConfig, SearchOutcome};
     use crate::toy::{
         GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
     };
@@ -84,25 +70,27 @@ mod tests {
         let problems: Vec<PartitionProblem> = (0..3)
             .map(|i| PartitionProblem::random(20 + 4 * i, 3, 11 + i as u64))
             .collect();
-        let jobs: Vec<RoundJob<'_, PartitionProblem>> = problems
+        let jobs: Vec<_> = problems
             .iter()
             .enumerate()
-            .map(|(p, problem)| RoundJob {
-                engine: Engine::new(
-                    problem,
-                    problem.all_in_first_bin(),
-                    vec![
-                        Box::new(RandomRemoveInPlace),
-                        Box::new(WorstBinRemoveInPlace),
-                    ],
-                    vec![Box::new(GreedyInsertInPlace)],
-                    Box::new(SimulatedAnnealing::for_normalized_loads(400)),
-                    LnsConfig {
-                        max_iters: 400,
-                        ..Default::default()
-                    },
-                ),
-                seed: round_seed(seed, 0, p),
+            .map(|(p, problem)| {
+                move || {
+                    Engine::new(
+                        problem,
+                        problem.all_in_first_bin(),
+                        vec![
+                            Box::new(RandomRemoveInPlace),
+                            Box::new(WorstBinRemoveInPlace),
+                        ],
+                        vec![Box::new(GreedyInsertInPlace)],
+                        Box::new(SimulatedAnnealing::for_normalized_loads(400)),
+                        LnsConfig {
+                            max_iters: 400,
+                            ..Default::default()
+                        },
+                    )
+                    .run(round_seed(seed, 0, p))
+                }
             })
             .collect();
         cooperative_round(jobs)

@@ -49,7 +49,7 @@ pub mod toy;
 pub mod weights;
 
 pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
-pub use cooperative::{cooperative_round, round_seed, RoundJob};
+pub use cooperative::{cooperative_round, round_seed};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, Stall, TrajectoryPoint};
 pub use portfolio::{portfolio_search, PortfolioOutcome};
 pub use problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};

@@ -11,7 +11,7 @@
 //! Each worker gets its own [`Engine`] (built by the caller's factory,
 //! typically from a clone of the shared initial solution).
 
-use crate::cooperative::{cooperative_round, RoundJob};
+use crate::cooperative::cooperative_round;
 use crate::engine::Engine;
 use crate::problem::LnsProblemInPlace;
 use rex_obs::Recorder;
@@ -71,21 +71,21 @@ where
     P: LnsProblemInPlace + Sync + 'p,
 {
     assert!(workers >= 1, "portfolio needs at least one worker");
-    let jobs: Vec<RoundJob<'p, P>> = (0..workers)
-        .map(|w| RoundJob {
-            engine: make_engine(),
-            seed: worker_seed(base_seed, w),
-        })
-        .collect();
+    let engines: Vec<Engine<'p, P>> = (0..workers).map(|_| make_engine()).collect();
     rec.span_open(
         "lns",
         "portfolio",
         &[
             ("workers", workers.into()),
             ("base_seed", base_seed.into()),
-            ("max_iters", jobs[0].engine.config().max_iters.into()),
+            ("max_iters", engines[0].config().max_iters.into()),
         ],
     );
+    let jobs: Vec<_> = engines
+        .into_iter()
+        .enumerate()
+        .map(|(w, engine)| move || engine.run(worker_seed(base_seed, w)))
+        .collect();
     let outcomes = cooperative_round(jobs);
 
     let worker_results: Vec<WorkerResult> = outcomes

@@ -13,7 +13,7 @@ use rex_lns::toy::{
 };
 use rex_lns::{
     cooperative_round, portfolio_search, round_seed, DestroyInPlace, Engine, HillClimb, LnsConfig,
-    PortfolioOutcome, RepairInPlace, RoundJob, SimulatedAnnealing,
+    PortfolioOutcome, RepairInPlace, SimulatedAnnealing,
 };
 use rex_obs::Recorder;
 
@@ -78,9 +78,9 @@ fn run_cooperative(problem: &PartitionProblem) -> Vec<(u64, u64, u64)> {
             for item in start.iter_mut().skip(k * 5).take(5) {
                 *item = (k + 1) % 4;
             }
-            let (destroys, repairs) = toy_ops();
-            RoundJob {
-                engine: Engine::new(
+            move || {
+                let (destroys, repairs) = toy_ops();
+                Engine::new(
                     problem,
                     start,
                     destroys,
@@ -91,11 +91,11 @@ fn run_cooperative(problem: &PartitionProblem) -> Vec<(u64, u64, u64)> {
                         log_trajectory: true,
                         ..Default::default()
                     },
-                ),
-                seed: round_seed(SEED, 0, k),
+                )
+                .run(round_seed(SEED, 0, k))
             }
         })
-        .collect();
+        .collect::<Vec<_>>();
     cooperative_round(jobs)
         .iter()
         .map(|o| {
