@@ -904,7 +904,7 @@ mod tests {
         // planner whose budget is 8 moves plans neither that start nor any
         // round's result, so the decomposed search keeps its start and the
         // final plan's deadlock is the solve's error, as on the serial
-        // path: no second search runs.
+        // path.
         let inst = fleet(4, 8, 4, 9);
         let drain = [MachineId(0), MachineId(1)];
         let planner = rex_cluster::PlannerConfig {
