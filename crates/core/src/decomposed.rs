@@ -1,17 +1,14 @@
 //! Cooperative decomposed SRA search: partition → parallel sub-solves →
 //! merge → boundary repair, repeated for a fixed number of rounds.
 //!
-//! The monolithic portfolio (`workers = N`) runs N *duplicated* searches
-//! over the whole fleet and keeps the best — N × iters full-fleet
-//! iterations for one answer. The decomposed solver instead splits the
-//! fleet into `k` machine neighborhoods, runs one in-place LNS worker per
-//! neighborhood on a **sub-instance** containing only that neighborhood's
-//! machines and shards, and splices the per-partition solutions back
-//! together. Each covered iteration touches `O(n/k)` machines instead of
-//! `O(n)`, so at equal iteration budget the decomposed solve does roughly
-//! `k×` less scan work than the portfolio — the source of the wall-clock
-//! win on a single core, and the reason it also parallelizes cleanly when
-//! cores exist.
+//! The serial search scans the whole fleet on every iteration. The
+//! decomposed solver instead splits the fleet into `k` machine
+//! neighborhoods, runs one in-place LNS worker per neighborhood on a
+//! **sub-instance** containing only that neighborhood's machines and
+//! shards, and splices the per-partition solutions back together. Each
+//! covered iteration touches `O(n/k)` machines instead of `O(n)` — the
+//! source of the wall-clock win on a single core, and the reason it also
+//! parallelizes cleanly when cores exist.
 //!
 //! One round — the same routine at every tree depth (POP-style: one
 //! `split → solve each → merge` step reused per tree level):
@@ -925,6 +922,7 @@ mod tests {
                 "partitions {partitions}: {:?}",
                 res.map(|r| r.final_report.peak)
             );
+            assert_eq!(rec.open_spans(), 0, "partitions {partitions}");
             let closes = |name| {
                 rec.events()
                     .iter()

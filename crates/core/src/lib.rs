@@ -27,13 +27,12 @@
 //!   being re-cloned — see DESIGN.md's "Hot path & delta evaluation";
 //! * the final incumbent must admit a **transient-feasible migration
 //!   schedule** (planned and independently verified by
-//!   `rex-cluster::migration`): global bests are gated on plannability,
-//!   so only a decomposed solve's merged placement can deadlock the final
-//!   plan — SRA then re-runs the ordinary gated monolithic search on a
-//!   quarter budget, which can never end worse than its start.
+//!   `rex-cluster::migration`): every search keeps only bests that passed
+//!   the plannability gate, so its result is its start or schedulable by
+//!   construction.
 //!
-//! Entry point: [`sra::solve`] (serial or parallel portfolio, controlled by
-//! [`sra::SraConfig::workers`]).
+//! Entry point: [`sra::solve`] (the serial search, or the decomposed one
+//! when [`sra::SraConfig::partitions`] is above 1).
 
 pub mod decomposed;
 pub mod delta;

@@ -23,8 +23,11 @@ use rex_cluster::Instance;
 pub enum ConfigError {
     /// `iters` must be at least 1 — a zero-iteration search cannot run.
     ZeroIterations,
-    /// `workers` must be at least 1 (the portfolio needs a worker).
-    ZeroWorkers,
+    /// `workers` must be 1: the search has one worker.
+    Workers {
+        /// Workers requested.
+        workers: usize,
+    },
     /// The migration-cost weight `lambda` must be finite and non-negative.
     NegativeLambda {
         /// The offending weight.
@@ -46,7 +49,12 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ConfigError::ZeroIterations => write!(f, "iters must be at least 1"),
-            ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
+            ConfigError::Workers { workers } => {
+                write!(
+                    f,
+                    "workers must be 1 (the search has one worker), got {workers}"
+                )
+            }
             ConfigError::NegativeLambda { lambda } => {
                 write!(f, "lambda must be finite and non-negative, got {lambda}")
             }
@@ -69,6 +77,7 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     cfg: SraConfig,
+    workers: usize,
 }
 
 impl Default for SolveOptions {
@@ -82,10 +91,11 @@ impl SolveOptions {
     pub fn new() -> Self {
         Self {
             cfg: SraConfig::default(),
+            workers: 1,
         }
     }
 
-    /// LNS iteration budget (per worker).
+    /// LNS iteration budget.
     pub fn iters(mut self, iters: u64) -> Self {
         self.cfg.iters = iters;
         self
@@ -97,9 +107,11 @@ impl SolveOptions {
         self
     }
 
-    /// Parallel portfolio width (`1` = serial engine).
+    /// Accepted only as `1`, the search's one worker. Kept because the
+    /// benchmark harness (`benchmark/src/layers.rs`) calls `.workers(1)`;
+    /// it goes with ROADMAP item 8.2.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
+        self.workers = workers;
         self
     }
 
@@ -122,8 +134,10 @@ impl SolveOptions {
         if cfg.iters == 0 {
             return Err(ConfigError::ZeroIterations);
         }
-        if cfg.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
+        if self.workers != 1 {
+            return Err(ConfigError::Workers {
+                workers: self.workers,
+            });
         }
         let lambda = cfg.objective.lambda;
         if !lambda.is_finite() || lambda < 0.0 {
@@ -171,11 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_rejected() {
-        assert_eq!(
-            SolveOptions::new().workers(0).build().unwrap_err(),
-            ConfigError::ZeroWorkers
-        );
+    fn workers_other_than_one_rejected() {
+        for workers in [0, 2] {
+            assert_eq!(
+                SolveOptions::new().workers(workers).build().unwrap_err(),
+                ConfigError::Workers { workers }
+            );
+        }
+        SolveOptions::new().workers(1).build().unwrap();
     }
 
     #[test]

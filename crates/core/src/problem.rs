@@ -2,11 +2,11 @@
 
 use crate::state::SraState;
 use rex_cluster::{
-    plan_migration, Assignment, ClusterError, Instance, MachineId, MigrationPlan, Objective,
-    Planner, PlannerConfig, ShardId, EPS,
+    Assignment, ClusterError, Instance, MachineId, MigrationPlan, Objective, Planner,
+    PlannerConfig, ShardId, EPS,
 };
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// The reassignment problem bound to an instance and an objective.
 pub struct SraProblem<'a> {
@@ -36,10 +36,11 @@ pub struct SraProblem<'a> {
     /// `drained[m]`: machine `m` is being decommissioned — it must end
     /// vacant and may not receive any insertion. Empty = no drain.
     drained: Vec<bool>,
-    /// The solve's one planner and what it has already planned. Locked
-    /// because portfolio workers share the problem; never keyed by address
-    /// (a controller snapshot can reuse a freed one).
-    gate: Mutex<Gate<'a>>,
+    /// The solve's one planner and what it has already planned. One
+    /// thread owns a problem (decomposed jobs build their own in their
+    /// worker); never keyed by address (a controller snapshot can reuse a
+    /// freed one).
+    gate: RefCell<Gate<'a>>,
 }
 
 /// Failing placements the gate remembers (with the one passing placement
@@ -171,7 +172,7 @@ impl<'a> SraProblem<'a> {
             total_move_cost,
             escapable: compute_escapable(inst),
             drained: vec![false; inst.n_machines()],
-            gate: Mutex::default(),
+            gate: RefCell::default(),
         }
     }
 
@@ -206,37 +207,20 @@ impl<'a> SraProblem<'a> {
     ///
     /// # Errors
     ///
-    /// As [`plan_migration`].
+    /// As [`rex_cluster::plan_migration`].
     pub fn plan(
         &self,
         target: &[MachineId],
         cfg: &PlannerConfig,
     ) -> Result<MigrationPlan, ClusterError> {
-        match self.gate() {
-            Some(mut gate) => gate.final_plan(self.inst, target, cfg),
-            None => plan_migration(self.inst, &self.inst.initial, target, cfg),
-        }
+        self.gate.borrow_mut().final_plan(self.inst, target, cfg)
     }
 
     /// Drops the gate's planner but keeps what it planned (the plan the
     /// final planning step replays); the next gate call sets a planner up
     /// again. Plans do not depend on it, only the setup cost does.
     pub(crate) fn release_planner(&self) {
-        if let Some(mut gate) = self.gate() {
-            gate.planner = None;
-        }
-    }
-
-    /// The gate state, or `None` while another portfolio worker holds it —
-    /// that caller plans one-shot instead: the same answer, no waiting.
-    fn gate(&self) -> Option<MutexGuard<'_, Gate<'a>>> {
-        match self.gate.try_lock() {
-            Ok(gate) => Some(gate),
-            // Every update leaves the gate usable (a plan resets all its
-            // working state first), so a panicked holder's state is too.
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        self.gate.borrow_mut().planner = None;
     }
 
     /// Whether inserting shard `s` on machine `m` is *transiently
@@ -446,11 +430,9 @@ impl SraProblem<'_> {
                 move_budget_factor: self.planner.move_budget_factor.min(2.0),
                 ..self.planner
             };
-            match self.gate() {
-                Some(mut gate) => gate.passes(self.inst, sol.placement(), &gate_cfg),
-                None => plan_migration(self.inst, &self.inst.initial, sol.placement(), &gate_cfg)
-                    .is_ok(),
-            }
+            self.gate
+                .borrow_mut()
+                .passes(self.inst, sol.placement(), &gate_cfg)
         } else {
             true
         }
@@ -460,7 +442,7 @@ impl SraProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_cluster::InstanceBuilder;
+    use rex_cluster::{plan_migration, InstanceBuilder};
     use rex_lns::LnsProblemInPlace;
 
     fn inst() -> Instance {
@@ -587,7 +569,7 @@ mod tests {
         })
         .unwrap();
         let p = SraProblem::new(&inst, Objective::default());
-        let runs = || p.gate.lock().unwrap().runs;
+        let runs = || p.gate.borrow().runs;
         let cfg = crate::SraConfig {
             iters: 300,
             ..Default::default()

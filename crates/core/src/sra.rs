@@ -10,8 +10,8 @@ use rex_cluster::{
     Objective, PlannerConfig,
 };
 use rex_lns::{
-    portfolio_search, Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblemInPlace,
-    RecordToRecord, SimulatedAnnealing, TrajectoryPoint,
+    Acceptance, Engine, EngineStats, HillClimb, LnsConfig, LnsProblemInPlace, RecordToRecord,
+    SimulatedAnnealing, TrajectoryPoint,
 };
 use rex_obs::Recorder;
 use serde::{Deserialize, Serialize};
@@ -50,22 +50,20 @@ const DESTROY_CAP: usize = 64;
 /// SRA configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SraConfig {
-    /// LNS iterations (per worker).
+    /// LNS iteration budget (a decomposed solve gives it to every leaf,
+    /// spread over the rounds).
     pub iters: u64,
     /// Objective to minimize.
     pub objective: Objective,
     /// Acceptance criterion.
     pub acceptance: AcceptanceKind,
-    /// Parallel portfolio width; `1` runs the serial engine (which also
-    /// records operator stats and the convergence trajectory).
-    pub workers: usize,
     /// Cooperative decomposition width: `> 1` replaces the search with the
     /// partition → parallel sub-solve → merge → boundary-repair rounds of
-    /// [`crate::decomposed`] (clamped to half the machine count), and
-    /// `workers` is ignored. `0` or `1` keeps the monolithic search. A
-    /// neighborhood too big for one leaf is itself re-partitioned into
-    /// `partitions` children — the fleet sizes that tree, no setting does.
-    /// Either way the best is the start or passed the plannability gate.
+    /// [`crate::decomposed`] (clamped to half the machine count). `0` or
+    /// `1` keeps the serial search. A neighborhood too big for one leaf is
+    /// itself re-partitioned into `partitions` children — the fleet sizes
+    /// that tree, no setting does. Either way the best is the start or
+    /// passed the plannability gate.
     pub partitions: usize,
     /// Deterministic seed.
     pub seed: u64,
@@ -81,7 +79,6 @@ impl Default for SraConfig {
             iters: 10_000,
             objective: Objective::default(),
             acceptance: AcceptanceKind::SimulatedAnnealing,
-            workers: 1,
             partitions: 0,
             seed: 42,
             planner: PlannerConfig::default(),
@@ -138,7 +135,8 @@ pub struct SraResult {
     /// The `k_return` vacant machines handed back (borrowed exchange
     /// machines first, then originally-loaded machines that were emptied).
     pub returned_machines: Vec<MachineId>,
-    /// LNS iterations executed (summed over workers).
+    /// LNS iterations executed (a decomposed solve sums its leaves and
+    /// repair passes).
     pub iterations: u64,
     /// Wall-clock time of the whole solve.
     pub elapsed: Duration,
@@ -165,7 +163,7 @@ impl SraResult {
 ///
 /// 1. validates the instance,
 /// 2. searches for the best capacity- and vacancy-feasible target placement
-///    (serial ALNS, or a rayon portfolio when `cfg.workers > 1`),
+///    (serial ALNS, or the decomposed search when `cfg.partitions > 1`),
 /// 3. plans a transient-feasible migration schedule to it — every search
 ///    path's best is its start or a placement the plannability gate
 ///    accepted, so this replays the gate's plan,
@@ -235,10 +233,42 @@ pub(crate) fn solve_with_floor(
             ("drain", drain.len().into()),
             ("seed", cfg.seed.into()),
             ("iters", cfg.iters.into()),
-            ("workers", cfg.workers.into()),
+            // Constant since the search has one worker; the field stays in
+            // the span with `fallback_used`.
+            ("workers", 1usize.into()),
         ],
     );
+    let solved = search_plan_verify(inst, cfg, drain, leaf_machines, start, rec);
+    match &solved {
+        Ok(res) => {
+            rec.gauge("sra.objective", res.objective_value);
+            rec.span_close(
+                "sra",
+                "solve",
+                &[
+                    ("objective", res.objective_value.into()),
+                    ("iterations", res.iterations.into()),
+                    // Always false; the field stays in the span with `workers`.
+                    ("fallback_used", false.into()),
+                    ("plan_batches", res.plan.batches.len().into()),
+                    ("returned", res.returned_machines.len().into()),
+                ],
+            );
+        }
+        Err(e) => rec.span_close("sra", "solve", &[("error", e.to_string().into())]),
+    }
+    solved
+}
 
+/// The phases inside [`solve_with_floor`]'s `("sra", "solve")` span.
+fn search_plan_verify(
+    inst: &Instance,
+    cfg: &SraConfig,
+    drain: &[MachineId],
+    leaf_machines: usize,
+    start: Instant,
+    rec: &mut Recorder,
+) -> Result<SraResult, ClusterError> {
     // Every search path keeps only bests that passed the plannability gate
     // (`accept_best`), so its result is its start or schedulable by
     // construction.
@@ -291,20 +321,6 @@ pub(crate) fn solve_with_floor(
     returned_machines.sort_by_key(|m| (!inst.machines[m.idx()].exchange, m.idx()));
     returned_machines.truncate(inst.k_return);
 
-    rec.gauge("sra.objective", objective_value);
-    rec.span_close(
-        "sra",
-        "solve",
-        &[
-            ("objective", objective_value.into()),
-            ("iterations", iterations.into()),
-            // Always false; the field stays in the span with `fallback_used`.
-            ("fallback_used", false.into()),
-            ("plan_batches", plan.batches.len().into()),
-            ("returned", returned_machines.len().into()),
-        ],
-    );
-
     Ok(SraResult {
         objective_value,
         initial_report: BalanceReport::compute(inst, &initial_asg),
@@ -322,11 +338,10 @@ pub(crate) fn solve_with_floor(
 }
 
 /// Runs the search phase: the cooperative decomposed solver when
-/// `cfg.partitions > 1`, otherwise the serial engine or the parallel
-/// portfolio. All paths drive the **one** unified `Engine` spine over the
-/// allocation-free in-place edit protocol (`SraProblem` over `SraState`).
-/// Public so the benches can time the search without the
-/// planning/verification phases.
+/// `cfg.partitions > 1`, otherwise the serial engine. Both drive the
+/// **one** unified `Engine` spine over the allocation-free in-place edit
+/// protocol (`SraProblem` over `SraState`). Public so the benches can time
+/// the search without the planning/verification phases.
 pub fn run_search(
     problem: &SraProblem<'_>,
     cfg: &SraConfig,
@@ -347,22 +362,10 @@ fn search(
     if cfg.partitions > 1 {
         return decomposed_search(problem, cfg, seed, leaf_machines, rec);
     }
-    let initial = starting_solution(problem)?;
-    if cfg.workers <= 1 {
-        let out = cfg
-            .engine(problem, initial, cfg.iters)
-            .run_recorded(seed, rec);
-        Ok((out.best, out.iterations, Some(out.stats), out.trajectory))
-    } else {
-        let out = portfolio_search(
-            seed,
-            cfg.workers,
-            || cfg.engine(problem, initial.clone(), cfg.iters),
-            rec,
-        );
-        let iters = out.worker_results.iter().map(|w| w.iterations).sum();
-        Ok((out.best, iters, None, Vec::new()))
-    }
+    let out = cfg
+        .engine(problem, starting_solution(problem)?, cfg.iters)
+        .run_recorded(seed, rec);
+    Ok((out.best, out.iterations, Some(out.stats), out.trajectory))
 }
 
 /// The search's starting solution: the instance's initial placement —
@@ -496,23 +499,6 @@ mod tests {
         assert_eq!(a.objective_value, b.objective_value);
         assert_eq!(a.assignment.placement(), b.assignment.placement());
         assert_eq!(a.iterations, b.iterations);
-    }
-
-    #[test]
-    fn parallel_solve_works_and_is_deterministic() {
-        let inst = imbalanced();
-        let cfg = SraConfig {
-            workers: 3,
-            ..quick_cfg()
-        };
-        let a = solve(&inst, &cfg).unwrap();
-        let b = solve(&inst, &cfg).unwrap();
-        assert_eq!(a.objective_value, b.objective_value);
-        assert!(a.final_report.peak <= a.initial_report.peak);
-        assert!(
-            a.stats.is_none(),
-            "portfolio runs do not carry engine stats"
-        );
     }
 
     #[test]
@@ -681,25 +667,5 @@ mod tests {
         assert_eq!(ra.to_jsonl(), rb.to_jsonl());
         assert_eq!(ra.summary(), rb.summary());
         assert!(!ra.to_jsonl().is_empty());
-    }
-
-    #[test]
-    fn traced_parallel_solve_emits_worker_summaries() {
-        let inst = imbalanced();
-        let cfg = SraConfig {
-            workers: 3,
-            ..quick_cfg()
-        };
-        let mut rec = Recorder::active();
-        let res = solve_traced(&inst, &cfg, &[], &mut rec).unwrap();
-        let workers = rec
-            .events()
-            .iter()
-            .filter(|e| e.layer == "lns" && e.name == "worker")
-            .count();
-        assert_eq!(workers, 3);
-        assert_eq!(rec.open_spans(), 0);
-        let plain = solve(&inst, &cfg).unwrap();
-        assert_eq!(plain.objective_value, res.objective_value);
     }
 }

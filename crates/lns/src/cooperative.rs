@@ -6,8 +6,7 @@
 //! compose instead of competing. The caller owns the decomposition, the
 //! merge, and the round loop; this module owns the deterministic parallel
 //! execution of one round — the only place `rex-lns` fans engines out over
-//! threads. The [`crate::portfolio`] is the degenerate use: N jobs over the
-//! *same* whole problem, reduced by an argmin instead of a merge.
+//! threads.
 //!
 //! * every job's seed is fixed by the caller **before** the parallel
 //!   section — for decomposed rounds a pure function of `(base_seed,

@@ -1,13 +1,13 @@
 //! The ALNS iteration engine — **the one spine**.
 //!
-//! Every solve path in the workspace (serial SRA, the seed portfolio,
-//! cooperative decomposed rounds, the runtime controller, benches, the
-//! CLI) drives this single [`Engine`], which drives the problem's
-//! [`LnsProblemInPlace`] protocol directly. There is exactly one iteration
-//! loop: acceptance policies, adaptive operator weights, the iteration
-//! budget, the stopping rule, and `rex-obs` trace events live here and
-//! nowhere else. A run is a pure function of `(problem, start, operators,
-//! acceptance, config, seed)` — there is no wall-clock budget.
+//! Every solve path in the workspace (serial SRA, cooperative decomposed
+//! rounds, the runtime controller, benches, the CLI) drives this single
+//! [`Engine`], which drives the problem's [`LnsProblemInPlace`] protocol
+//! directly. There is exactly one iteration loop: acceptance policies,
+//! adaptive operator weights, the iteration budget, the stopping rule, and
+//! `rex-obs` trace events live here and nowhere else. A run is a pure
+//! function of `(problem, start, operators, acceptance, config, seed)` —
+//! there is no wall-clock budget.
 //!
 //! **Stopping rule.** `max_iters` is a cap, not a quota: a run ends at the
 //! first iteration where the iterations since its last new best reach

@@ -23,27 +23,24 @@
 //!   choice, acceptance, the iteration budget and its stopping rule, trace
 //!   events, and the best-objective trajectory recorder all live here and
 //!   nowhere else,
-//! * [`portfolio`] — a rayon-parallel multi-start runner with a
-//!   deterministic reduction,
 //! * [`cooperative`] — deterministic parallel execution of one decomposed
 //!   round (one worker per sub-problem),
 //! * [`toy`] — a tiny number-partitioning problem used by the tests and the
 //!   documentation examples.
 //!
-//! Determinism: every run is driven by a caller-supplied `u64` seed; the
-//! portfolio derives worker seeds as `seed ⊕ worker` and reduces with an
-//! order-independent minimum, so parallel results are reproducible.
+//! Determinism: every run is driven by a caller-supplied `u64` seed; a
+//! cooperative round fixes each job's seed ([`round_seed`]) before its
+//! parallel section and returns outcomes in job order, so parallel results
+//! are reproducible.
 //!
-//! Observability: the engine's `run_recorded` and the portfolio's
-//! `portfolio_search` narrate the search into a [`rex_obs::Recorder`] —
-//! per-iteration operator/outcome/delta events, cache-resync markers, and
-//! per-worker summaries. Recording never perturbs the search, and a
+//! Observability: the engine's `run_recorded` narrates the search into a
+//! [`rex_obs::Recorder`] — per-iteration operator/outcome/delta events and
+//! cache-resync markers. Recording never perturbs the search, and a
 //! `Recorder::Noop` costs one discriminant check per iteration.
 
 pub mod accept;
 pub mod cooperative;
 pub mod engine;
-pub mod portfolio;
 pub mod problem;
 pub mod toy;
 pub mod weights;
@@ -51,6 +48,5 @@ pub mod weights;
 pub use accept::{Acceptance, HillClimb, RecordToRecord, SimulatedAnnealing};
 pub use cooperative::{cooperative_round, round_seed};
 pub use engine::{Engine, EngineStats, LnsConfig, SearchOutcome, Stall, TrajectoryPoint};
-pub use portfolio::{portfolio_search, PortfolioOutcome};
 pub use problem::{DestroyInPlace, LnsProblemInPlace, RepairInPlace};
 pub use weights::OperatorWeights;

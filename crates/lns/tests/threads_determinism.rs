@@ -1,54 +1,23 @@
-//! Portfolio and cooperative-round determinism is independent of the
-//! thread count.
+//! Cooperative-round determinism is independent of the thread count.
 //!
 //! The vendored rayon shim exposes `set_threads_override` exactly so this
-//! suite can prove the contract DESIGN.md §8 states: the winner, the best
-//! objective, every per-worker summary and every cooperative job's outcome
-//! are a pure function of `(problem, seed, config)` — the number of OS
-//! threads that happened to execute the workers is unobservable. Everything
-//! runs in ONE `#[test]` function because the override is process-global.
+//! suite can prove the contract DESIGN.md §8 states: every cooperative
+//! job's outcome is a pure function of `(problem, seed, config)` — the
+//! number of OS threads that happened to execute the jobs is unobservable.
+//! Everything runs in ONE `#[test]` function because the override is
+//! process-global.
 
 use rex_lns::toy::{
     GreedyInsertInPlace, PartitionProblem, RandomRemoveInPlace, WorstBinRemoveInPlace,
 };
 use rex_lns::{
-    cooperative_round, portfolio_search, round_seed, DestroyInPlace, Engine, HillClimb, LnsConfig,
-    PortfolioOutcome, RepairInPlace, SimulatedAnnealing,
+    cooperative_round, round_seed, DestroyInPlace, Engine, HillClimb, LnsConfig, RepairInPlace,
 };
-use rex_obs::Recorder;
 
-const WORKERS: usize = 6;
 const SEED: u64 = 2024;
 
 type Destroys = Vec<Box<dyn DestroyInPlace<PartitionProblem>>>;
 type Repairs = Vec<Box<dyn RepairInPlace<PartitionProblem>>>;
-
-/// The toy portfolio over `problem`.
-fn run(
-    problem: &PartitionProblem,
-    initial: &[usize],
-    rec: &mut Recorder,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio_search(
-        SEED,
-        WORKERS,
-        || {
-            let (destroys, repairs) = toy_ops();
-            Engine::new(
-                problem,
-                initial.to_vec(),
-                destroys,
-                repairs,
-                Box::new(SimulatedAnnealing::for_normalized_loads(1_200)),
-                LnsConfig {
-                    max_iters: 1_200,
-                    ..Default::default()
-                },
-            )
-        },
-        rec,
-    )
-}
 
 fn toy_ops() -> (Destroys, Repairs) {
     (
@@ -112,39 +81,10 @@ fn run_cooperative(problem: &PartitionProblem) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-fn assert_same(a: &PortfolioOutcome<Vec<usize>>, b: &PortfolioOutcome<Vec<usize>>, label: &str) {
-    assert_eq!(a.winner, b.winner, "{label}: winner differs");
-    assert_eq!(
-        a.best_objective, b.best_objective,
-        "{label}: objective differs"
-    );
-    assert_eq!(a.best, b.best, "{label}: best solution differs");
-    assert_eq!(
-        a.worker_results.len(),
-        b.worker_results.len(),
-        "{label}: worker count differs"
-    );
-    for (x, y) in a.worker_results.iter().zip(&b.worker_results) {
-        assert_eq!(x.worker, y.worker, "{label}: worker order differs");
-        assert_eq!(
-            x.objective, y.objective,
-            "{label}: worker {} objective differs",
-            x.worker
-        );
-        assert_eq!(
-            x.iterations, y.iterations,
-            "{label}: worker {} iterations differs",
-            x.worker
-        );
-    }
-}
-
 /// One test function on purpose: `set_threads_override` is process-global,
 /// and cargo runs `#[test]` functions on concurrent threads by default.
 #[test]
-fn portfolio_results_and_traces_are_thread_count_independent() {
-    let problem = PartitionProblem::random(40, 4, 77);
-    let initial = problem.all_in_first_bin();
+fn cooperative_rounds_are_thread_count_independent() {
     let coop_problem = PartitionProblem::random(48, 4, 11);
     // Job 0 was pinned at its full 900 iterations; its last new best came
     // at iteration 741, 540 iterations after the one before, so under the
@@ -157,36 +97,13 @@ fn portfolio_results_and_traces_are_thread_count_independent() {
         (0x97847b1d4e218849, 0x3ff000dd453e8a3a, 0x96a7980cf7a743ca),
     ];
 
-    // Reference runs with the default thread count.
-    rayon::set_threads_override(None);
-    assert_eq!(
-        run_cooperative(&coop_problem),
-        coop_pins,
-        "cooperative round"
-    );
-    let mut rec_ref = Recorder::active();
-    let portfolio_ref = run(&problem, &initial, &mut rec_ref);
-    let jsonl_ref = rec_ref.to_jsonl();
-    assert!(!jsonl_ref.is_empty());
-
-    for threads in [1usize, 2, 3, 8] {
-        rayon::set_threads_override(Some(threads));
-
-        let mut rec = Recorder::active();
-        let p = run(&problem, &initial, &mut rec);
-        assert_same(&portfolio_ref, &p, &format!("portfolio @{threads}t"));
-        assert_eq!(
-            rec.to_jsonl(),
-            jsonl_ref,
-            "trace not byte-identical with {threads} threads"
-        );
-
+    for threads in [None, Some(1), Some(2), Some(3), Some(8)] {
+        rayon::set_threads_override(threads);
         assert_eq!(
             run_cooperative(&coop_problem),
             coop_pins,
-            "cooperative round @{threads}t"
+            "cooperative round @{threads:?} threads"
         );
     }
-
     rayon::set_threads_override(None);
 }

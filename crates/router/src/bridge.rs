@@ -207,7 +207,6 @@ impl Coupling {
         let cfg = SraConfig {
             iters: self.cfg.iters,
             seed,
-            workers: 1,
             objective: Objective::pure(),
             ..Default::default()
         };

@@ -47,12 +47,11 @@ fn main() {
             / (inst.n_machines() - inst.n_exchange()) as f64,
     );
 
-    println!("\nrunning SRA (parallel portfolio, 4 workers)…");
+    println!("\nrunning SRA…");
     let sra = solve(
         &inst,
         &SraConfig {
             iters: 6_000,
-            workers: 4,
             seed: 7,
             ..Default::default()
         },

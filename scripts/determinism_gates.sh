@@ -135,7 +135,6 @@ gate solve-web-85 rex solve --inst @out:gen-web-85 --partitions 8 --iters 600 --
 # split into parts of about 562, above the 512-machine floor, so each part
 # splits again.
 gate solve-depth2 rex solve --inst @out:gen-web --partitions 2 --iters 400 --seed 11 --out @out
-gate solve-workers rex solve --inst @out:gen-stringent --workers 4 --iters 400 --seed 11 --out @out
 gate solve-drain rex solve --inst @out:gen-roomy --drain 3 --iters 400 --seed 4 --out @out
 # A drained decomposed solve at web scale: its start is the greedy
 # evacuation of eight machines, not the initial placement, and the
@@ -232,7 +231,6 @@ done
 
 echo "=== rex trace (solver) ==="
 gate trace-serial rex trace --seed 42 --iters 2000 --out @out
-gate trace-workers rex trace --seed 42 --workers 4 --iters 2000 --out @out
 gate trace-partitions rex trace --seed 42 --partitions 4 --iters 2000 --out @out
 # A search the stopping rule ends early (a `("lns", "stall")` event).
 gate trace-stall rex trace --machines 24 --exchange 3 --shards 480 --iters 3000 --seed 11 --out @out

@@ -15,10 +15,10 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-/// Iteration/parallelism knobs shared by every command that runs the SRA
+/// Iteration/decomposition knobs shared by every command that runs the SRA
 /// solver (`solve`, `trace`). Validated downstream by
 /// `rex_core::SolveOptions`.
-pub const SOLVER_FLAGS: &[&str] = &["iters", "workers", "partitions"];
+pub const SOLVER_FLAGS: &[&str] = &["iters", "partitions"];
 
 /// On-the-spot instance synthesis, shared by `generate`, `simulate`, and
 /// `trace`.
@@ -65,14 +65,13 @@ impl Command {
 }
 
 /// Printed after the command blocks of `rex --help`.
-const SOLVER_SCALING: &str = "Solver scaling (shared by solve/trace): --workers W runs a W-way
-independent portfolio, --partitions K the cooperative decomposed solver
-over K shard-disjoint neighborhoods; a neighborhood of more than 512
-machines is re-partitioned into K again, so web-scale fleets get a
-deeper tree without a flag. All are deterministic for a fixed seed
-regardless of thread count (REX_THREADS). Out-of-range solver flags are
-rejected before the search starts (e.g. --iters 0, --partitions
-exceeding the fleet).";
+const SOLVER_SCALING: &str = "Solver scaling (shared by solve/trace): --partitions K runs the
+cooperative decomposed solver over K shard-disjoint neighborhoods; a
+neighborhood of more than 512 machines is re-partitioned into K again,
+so web-scale fleets get a deeper tree without a flag. Every solve is
+deterministic for a fixed seed regardless of thread count (REX_THREADS).
+Out-of-range solver flags are rejected before the search starts (e.g.
+--iters 0, --partitions exceeding the fleet).";
 
 /// The text of `rex --help`: a header naming every command, each
 /// command's usage block, and the solver-scaling note.
@@ -195,9 +194,12 @@ mod tests {
         assert!(err.contains("--bogus"), "error names the flag: {err}");
         // A valid flag of a *different* command is still unknown here.
         assert!(parse_args(&argv(&["--ticks", "100"]), spec).is_err());
-        // The fleet sizes the decomposed solver's tree: no `--depth`.
+        // The fleet sizes the decomposed solver's tree: no `--depth`; the
+        // search has one worker: no `--workers`.
         for cmd in ["solve", "trace"] {
-            assert!(parse_args(&argv(&["--depth", "2"]), row(cmd).unwrap()).is_err());
+            for flag in ["--depth", "--workers"] {
+                assert!(parse_args(&argv(&[flag, "2"]), row(cmd).unwrap()).is_err());
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! rex generate --family correlated --machines 24 --exchange 3 --shards 240 \
 //!              --stringency 0.8 --alpha 0.1 --seed 1 --out inst.json
 //! rex inspect  --inst inst.json
-//! rex solve    --inst inst.json --iters 8000 --workers 4 --out solution.json
+//! rex solve    --inst inst.json --iters 8000 --out solution.json
 //! rex baseline --inst inst.json --method greedy
 //! rex verify   --inst inst.json --solution solution.json
 //! rex simulate --ticks 10000 --controller sra --crash-at 3000 --out run.json

@@ -17,7 +17,7 @@ pub const SOLVE: Command = Command {
     values: &[SOLVER_FLAGS, SEED_FLAG, &["inst", "out", "drain"]],
     switches: &[],
     usage: &[
-        "--inst FILE [--iters N] [--workers N] [--partitions K] [--seed N]",
+        "--inst FILE [--iters N] [--partitions K] [--seed N]",
         "[--out FILE]",
         "[--drain M1,M2,...]   (machines to decommission: must end vacant)",
     ],
@@ -30,7 +30,7 @@ pub const TRACE: Command = Command {
     switches: &[],
     usage: &[
         "[--inst FILE | --machines N --shards N --exchange N]",
-        "[--iters N] [--workers N] [--partitions K] [--seed N] [--out FILE]",
+        "[--iters N] [--partitions K] [--seed N] [--out FILE]",
         "(one traced SRA solve: prints the roll-up, --out writes JSONL)",
     ],
     run: trace,
@@ -48,12 +48,11 @@ pub struct SolutionFile {
 }
 
 /// Builds the validated solver configuration from the shared solver flags
-/// (`--iters`, `--workers`, `--partitions`, `--seed`) — the
-/// one config path `solve` and `trace` have in common.
+/// (`--iters`, `--partitions`, `--seed`) — the one config path `solve`
+/// and `trace` have in common.
 fn solver_config(args: &Args, default_iters: &str, inst: &Instance) -> Result<SraConfig, String> {
     SolveOptions::new()
         .iters(parse(get_or(args, "iters", default_iters), "u64")?)
-        .workers(parse(get_or(args, "workers", "1"), "usize")?)
         .partitions(parse(get_or(args, "partitions", "0"), "usize")?)
         .seed(parse(get_or(args, "seed", "42"), "u64")?)
         .build_for(inst)

@@ -279,12 +279,12 @@ fn parallel_and_serial_sra_agree_on_feasibility() {
         ..Default::default()
     })
     .unwrap();
-    for workers in [1, 4] {
+    for partitions in [0, 4] {
         let res = solve(
             &inst,
             &SraConfig {
                 iters: 1_000,
-                workers,
+                partitions,
                 seed: 55,
                 ..Default::default()
             },
