@@ -1,5 +1,6 @@
 //! Cooperative decomposed SRA search: partition → parallel sub-solves →
-//! merge → boundary repair, repeated for a fixed number of rounds.
+//! merge → boundary repair, repeated while the rounds keep lowering the
+//! best, for at most [`ROUNDS`] rounds.
 //!
 //! The serial search scans the whole fleet on every iteration. The
 //! decomposed solver instead splits the fleet into `k` machine
@@ -43,6 +44,11 @@
 //!
 //! Re-partitioning by the new loads each round rotates the neighborhood
 //! structure, so shards trapped in an unlucky partition get fresh chances.
+//! Those chances stop paying: once some round's result has passed the
+//! plannability gate, the search ends after the first round that lowers the
+//! best by `ROUND_GAIN` or less. Budgets, seeds and trees do not depend on
+//! how many rounds run, so every round that runs is the one the full
+//! [`ROUNDS`] would have run, at any `REX_THREADS`.
 //!
 //! ## Deliverable by construction
 //!
@@ -86,10 +92,18 @@ use rex_lns::{
 };
 use rex_obs::Recorder;
 
-/// Recombination rounds per solve. Each round re-partitions by current
-/// loads, so this is also how many distinct neighborhood structures the
-/// search explores.
+/// The most recombination rounds a solve runs. Each round re-partitions by
+/// current loads, so this also caps how many distinct neighborhood
+/// structures the search explores. Every round's budget is sized for the
+/// full cap, so a search that `ROUND_GAIN` stops early is a prefix of the
+/// full one.
 pub const ROUNDS: u64 = 4;
+
+/// Once some round's result has passed the plannability gate, the search
+/// stops after the first round that lowers the best by this much or less (a
+/// round whose result the gate rejects lowers it by nothing). Chosen by a
+/// sweep over {0, 1e-5, 1e-4, 1e-3} (EXPERIMENTS.md "PR 50").
+pub(crate) const ROUND_GAIN: f64 = 1e-4;
 
 /// A node below the root that holds more machines than this splits into
 /// `k` children again. The benchmark's 1 125-machine fleet at `k = 8`
@@ -269,20 +283,30 @@ pub(crate) fn decomposed_search(
         ],
     );
 
+    let mut rounds_run = 0u64;
+    // Whether some round's result passed the gate. Until one has, a start
+    // that may not plan (a drain's evacuation) gives every round its chance.
+    let mut gated = false;
     for round in 0..ROUNDS {
         let (next, round_iters, val) = rounds.hierarchical_round(round, &current, &tree, rec)?;
         current = next;
         iterations += round_iters;
+        rounds_run += 1;
+        let round_start = best_val;
         // A round's result may be a merge no gate judged as a whole; it
         // becomes the best only through the gate, whose plan the final
         // planning step then replays.
         if val < best_val && problem.accept_best(&current) {
             best_val = val;
             best = current.clone();
+            gated = true;
         }
         // The gate keeps its plans; its fleet-sized planner need not sit
         // beside the next round's leaves.
         problem.release_planner();
+        if gated && round_start - best_val <= ROUND_GAIN {
+            break;
+        }
         if round + 1 < ROUNDS {
             tree = rounds.tree(&current);
         }
@@ -294,6 +318,7 @@ pub(crate) fn decomposed_search(
         &[
             ("best_objective", best_val.into()),
             ("iterations", iterations.into()),
+            ("rounds_run", rounds_run.into()),
         ],
     );
     Ok((best, iterations, None, Vec::new()))
@@ -782,7 +807,12 @@ mod tests {
         // drain → objective bits, iterations, placement checksum. The drain
         // row's checksum was taken again when the partitioner started to
         // cap child sizes (one of its rounds had split 4 + 3 + 3 + 7
-        // machines); its objective bits and iterations did not move.
+        // machines); its objective bits and iterations did not move. When
+        // the rounds started to stop once they stopped paying, three rows
+        // lost rounds: their objective bits stayed, their iterations fell
+        // (8248 → 6186, 4248 → 2124, 8248 → 6186), and the second and the
+        // drain row's checksums moved (the dropped rounds had only lowered
+        // the smoothing term).
         let pin = |f: (usize, usize, usize, u64), k, seed, drain: &[MachineId], bits, iters, sum| {
             let inst = fleet(f.0, f.1, f.2, f.3);
             let res = solve_with_drain(&inst, &SraConfig { seed, ..cfg(k) }, drain).unwrap();
@@ -793,10 +823,10 @@ mod tests {
             );
             assert_eq!(got, (bits, iters, sum), "fleet {f:?} k={k} seed={seed}");
         };
-        pin((4, 8, 4, 3), 4, 42, &[], 0x3fce6038508f5c29, 8248, 0x58e1649903c2c337);
-        pin((6, 18, 8, 13), 2, 7, &[], 0x3fcb46c227147ae1, 4248, 0x6d2502117afe29e0);
+        pin((4, 8, 4, 3), 4, 42, &[], 0x3fce6038508f5c29, 6186, 0x58e1649903c2c337);
+        pin((6, 18, 8, 13), 2, 7, &[], 0x3fcb46c227147ae1, 2124, 0x218157723bc95ee0);
         pin((3, 6, 3, 1), 3, 1, &[], 0x3fce1f74f4333333, 6248, 0xcfd90bb7623ad8b7);
-        pin((4, 8, 4, 5), 4, 42, &[MachineId(0)], 0x3fce6e3408333333, 8248, 0xd5a8b5e6ff364fe1);
+        pin((4, 8, 4, 5), 4, 42, &[MachineId(0)], 0x3fce6e3408333333, 6186, 0x130ba2ce3b4ca2df);
     }
 
     /// The benchmark's synthetic instance family (correlated demand,
@@ -830,7 +860,9 @@ mod tests {
         // Recorded before the repair scans got their tight lower bound and
         // worst-machine removal lost its sort (both must be decision-exact):
         // default-objective solves → objective bits, iterations, placement
-        // checksum; and the length + FNV-1a of one traced solve's JSONL.
+        // checksum; and the length + FNV-1a of one traced solve's JSONL. The
+        // `mid` row's iterations fell 1800 → 1350 when its rounds started to
+        // stop once they stopped paying; its bits and checksum did not move.
         let pin = |inst: &Instance, c: &SraConfig, floor, drain: &[MachineId], bits, iters, sum| {
             let res = solve_floored(inst, c, drain, floor);
             let got = (
@@ -845,7 +877,7 @@ mod tests {
         pin(&stringent, &serial, LEAF_MACHINES, &[], 0x3fed6fec60a3ceb5, 400, 0x435ddb3caadf96c8);
         // 66 machines at k = 2: parts of about 33 split, their children of about 16 do not.
         let mid = synth(60, 6, 720, 0.80, 12);
-        pin(&mid, &SraConfig { iters: 300, seed: 5, partitions: 2, ..Default::default() }, 24, &[], 0x3fea2a19db77d873, 1800, 0xc78f1aeec0aca0f1);
+        pin(&mid, &SraConfig { iters: 300, seed: 5, partitions: 2, ..Default::default() }, 24, &[], 0x3fea2a19db77d873, 1350, 0xc78f1aeec0aca0f1);
         let loose = synth(40, 4, 400, 0.50, 13);
         pin(&loose, &SraConfig { iters: 600, seed: 3, ..Default::default() }, LEAF_MACHINES, &[MachineId(3), MachineId(7)], 0x3fe14a44f56fd55e, 600, 0xc82f2d555078f75a);
 
@@ -854,6 +886,63 @@ mod tests {
         let jsonl = rec.to_jsonl();
         let hash = fnv1a(jsonl.bytes().map(u64::from));
         assert_eq!((jsonl.len(), hash), (38947, 0x2a1708da555f601c));
+    }
+
+    /// The closes of the `("sra", name)` spans `rec` recorded.
+    fn span_closes<'r>(
+        rec: &'r Recorder,
+        name: &'r str,
+    ) -> impl Iterator<Item = &'r rex_obs::EventRecord> + 'r {
+        rec.events().iter().filter(move |e| {
+            e.layer == "sra"
+                && e.name == name
+                && matches!(e.kind, rex_obs::EventKind::SpanClose { .. })
+        })
+    }
+
+    /// The value of `key` among `e`'s fields.
+    fn field<'e>(e: &'e rex_obs::EventRecord, key: &str) -> Option<&'e rex_obs::Value> {
+        e.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    #[test]
+    fn rounds_stop_at_the_first_that_does_not_pay() {
+        // `fleet` arguments, partitions, seed → rounds run. Every round but
+        // the last lowers the best by more than `ROUND_GAIN`; the last
+        // lowers it by no more, unless it is round `ROUNDS - 1`.
+        for (f, k, seed, want) in [
+            ((6, 18, 8, 13), 2, 7, 2),
+            ((4, 8, 4, 3), 4, 42, 3),
+            ((3, 6, 3, 1), 3, 1, ROUNDS),
+        ] {
+            let inst = fleet(f.0, f.1, f.2, f.3);
+            let c = SraConfig { seed, ..cfg(k) };
+            let mut rec = Recorder::active();
+            solve_traced(&inst, &c, &[], &mut rec).unwrap();
+            let objectives: Vec<f64> = span_closes(&rec, "round")
+                .map(|e| match field(e, "objective") {
+                    Some(rex_obs::Value::F64(x)) => *x,
+                    other => panic!("round objective {other:?}"),
+                })
+                .collect();
+            assert_eq!(objectives.len() as u64, want, "fleet {f:?}");
+            let run = span_closes(&rec, "decomposed").find_map(|e| field(e, "rounds_run"));
+            assert!(
+                matches!(run, Some(rex_obs::Value::U64(n)) if *n == want),
+                "fleet {f:?}: rounds_run {run:?}"
+            );
+            let problem = SraProblem::new(&inst, c.objective);
+            let mut best = LnsProblemInPlace::objective(&problem, &Assignment::from_initial(&inst));
+            for (round, &val) in objectives.iter().enumerate() {
+                let gain = best - val.min(best);
+                best = best.min(val);
+                if round + 1 < objectives.len() {
+                    assert!(gain > ROUND_GAIN, "fleet {f:?} round {round}: {gain}");
+                } else if want < ROUNDS {
+                    assert!(gain <= ROUND_GAIN, "fleet {f:?} round {round}: {gain}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl<'a> SraProblem<'a> {
     /// delivered by any schedule. Shards staying on their initial machine
     /// never migrate and only need plain capacity.
     #[inline]
-    pub fn admissible(&self, asg: &Assignment, s: ShardId, m: MachineId) -> bool {
+    fn admissible(&self, asg: &Assignment, s: ShardId, m: MachineId) -> bool {
         if self.drained[m.idx()] {
             return false; // draining machines accept nothing, ever
         }
@@ -248,7 +248,7 @@ impl<'a> SraProblem<'a> {
     /// machine's load after insertion, plus the objective's normalized
     /// migration penalty when `m` differs from the shard's initial machine.
     /// Lower is better. Returns `None` when the insertion is not
-    /// transiently admissible (see [`SraProblem::admissible`]) — proposing
+    /// transiently admissible (see `SraProblem::admissible`) — proposing
     /// undeliverable targets would only waste the plannability gate.
     ///
     /// Minimizing the *local* load-after is the classic best-fit surrogate

@@ -99,7 +99,7 @@ impl Acceptance for SimulatedAnnealing {
 #[derive(Clone, Copy, Debug)]
 pub struct RecordToRecord {
     /// Allowed relative deviation above the record (e.g. `0.02` = 2%).
-    pub deviation: f64,
+    deviation: f64,
 }
 
 impl RecordToRecord {

@@ -65,7 +65,8 @@ impl Policy {
     }
 
     /// Replica to probe alongside this pick (Prequal, every pick), if any.
-    /// The engine schedules the reply [`crate::sim::PROBE_RTT_US`] later.
+    /// The engine schedules the reply `PROBE_RTT_US` (the router's probe
+    /// round-trip time) later.
     #[inline]
     pub fn probe_target(&mut self, shard: u32, base: u32, r: u32) -> Option<u32> {
         match self {

@@ -40,7 +40,7 @@ use serde::Serialize;
 
 /// Prequal's probe round-trip time: a reply lands this many µs after its
 /// probe.
-pub const PROBE_RTT_US: u64 = 300;
+const PROBE_RTT_US: u64 = 300;
 /// EWMA smoothing for per-replica latency estimates.
 const EWMA_ALPHA: f64 = 0.2;
 

@@ -22,11 +22,6 @@ impl TokenBalancer {
         }
     }
 
-    /// Current token count of `replica`.
-    pub fn tokens(&self, replica: u32) -> i64 {
-        self.tokens[replica as usize]
-    }
-
     /// Picks the replica of the block `base .. base + r` holding the most
     /// tokens and spends one there.
     #[inline]
@@ -61,13 +56,13 @@ mod tests {
         assert_eq!(p.pick(0, 3), 2);
         assert_eq!(p.pick(0, 3), 0);
         // Four in flight: init − in-flight per replica.
-        assert_eq!([p.tokens(0), p.tokens(1), p.tokens(2)], [0, 1, 1]);
+        assert_eq!(p.tokens, [0, 1, 1]);
         // A completion refills replica 2, making it the unique argmax.
         p.on_complete(2);
         p.on_complete(2);
-        assert_eq!(p.tokens(2), 3);
+        assert_eq!(p.tokens[2], 3);
         assert_eq!(p.pick(0, 3), 2);
-        assert_eq!([p.tokens(0), p.tokens(1), p.tokens(2)], [0, 1, 2]);
+        assert_eq!(p.tokens, [0, 1, 2]);
     }
 
     #[test]
@@ -76,7 +71,7 @@ mod tests {
         for _ in 0..10 {
             p.pick(0, 2);
         }
-        assert_eq!((p.tokens(0) - p.tokens(1)).abs(), 0);
-        assert!(p.tokens(0) < 0);
+        assert_eq!(p.tokens[0], p.tokens[1]);
+        assert!(p.tokens[0] < 0);
     }
 }

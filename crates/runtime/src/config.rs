@@ -52,8 +52,8 @@ pub struct ControllerConfig {
     /// Ticks between controller observations.
     pub poll_interval: u64,
     /// Trigger when the rolling mean of steady peak utilization exceeds
-    /// this (or the mean imbalance exceeds
-    /// [`crate::controller::IMBALANCE_THRESHOLD`]).
+    /// this (or the mean imbalance exceeds the controller's
+    /// `IMBALANCE_THRESHOLD`).
     pub peak_threshold: f64,
     /// Number of polls in the rolling window.
     pub window: usize,

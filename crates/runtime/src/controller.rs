@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 /// The controller also triggers when the rolling mean imbalance (peak /
 /// mean over occupied machines) exceeds this.
-pub const IMBALANCE_THRESHOLD: f64 = 1.15;
+const IMBALANCE_THRESHOLD: f64 = 1.15;
 
 /// Rolling-window trigger logic.
 #[derive(Clone, Debug)]

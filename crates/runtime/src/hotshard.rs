@@ -233,7 +233,7 @@ impl EwmaCache {
 
     /// Renames `old` to `new` (merge renumbered the last shard into a
     /// freed id), keeping the order invariant.
-    pub fn remap(&mut self, old: ShardId, new: ShardId) {
+    fn remap(&mut self, old: ShardId, new: ShardId) {
         if let Ok(i) = self.entries.binary_search_by_key(&old, |e| e.shard) {
             let mut e = self.entries.remove(i);
             e.shard = new;
@@ -275,7 +275,7 @@ impl EwmaCache {
 
 /// What an operator does when it runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OperatorKind {
+enum OperatorKind {
     /// Split `shard` into two half-demand siblings.
     Split {
         /// The shard to split.
@@ -324,11 +324,11 @@ impl OperatorKind {
 
 /// A scheduled operator.
 #[derive(Clone, Debug)]
-pub struct Operator {
+struct Operator {
     /// Monotonic id unique within the scheduler.
-    pub id: u64,
+    id: u64,
     /// What to do.
-    pub kind: OperatorKind,
+    kind: OperatorKind,
     /// Tick the operator was admitted.
     admitted_at: u64,
 }
@@ -347,7 +347,7 @@ struct OperatorScheduler {
 impl OperatorScheduler {
     /// A scheduler allowing `limit` concurrent operators; pending
     /// operators expire after `expiry` ticks unstarted.
-    pub fn new(limit: usize, expiry: u64) -> Self {
+    fn new(limit: usize, expiry: u64) -> Self {
         Self {
             limit: limit.max(1),
             expiry,
@@ -357,7 +357,7 @@ impl OperatorScheduler {
 
     /// Admits `kind` unless an equivalent or overlapping operator is
     /// already queued or running. Returns the operator id on admission.
-    pub fn admit(&mut self, tick: u64, kind: OperatorKind) -> Option<u64> {
+    fn admit(&mut self, tick: u64, kind: OperatorKind) -> Option<u64> {
         let touches = kind.shards();
         let overlaps = |op: &Operator| op.kind.shards().iter().any(|s| touches.contains(s));
         if self.pending.iter().any(overlaps) || self.running.iter().any(overlaps) {
@@ -374,7 +374,7 @@ impl OperatorScheduler {
     }
 
     /// Drops pending operators older than the expiry and returns them.
-    pub fn expire(&mut self, tick: u64) -> Vec<Operator> {
+    fn expire(&mut self, tick: u64) -> Vec<Operator> {
         let expiry = self.expiry;
         let mut out = Vec::new();
         self.pending.retain(|op| {
@@ -399,7 +399,7 @@ impl OperatorScheduler {
     }
 
     /// Marks a running operator finished.
-    pub fn complete(&mut self, id: u64) {
+    fn complete(&mut self, id: u64) {
         self.running.retain(|op| op.id != id);
     }
 

@@ -61,9 +61,7 @@ pub use config::{
 pub use controller::Controller;
 pub use events::{Event, EventQueue};
 pub use exec::{batch_durations, MigrationKind, PlannedMigration};
-pub use hotshard::{
-    plan_hotshard_migration, EwmaCache, EwmaEntry, HotShardConfig, Operator, OperatorKind,
-};
+pub use hotshard::{plan_hotshard_migration, EwmaCache, EwmaEntry, HotShardConfig};
 pub use metrics::{Counters, GaugeSample, LatencySummary, MetricsExport};
 pub use sim::Simulation;
 pub use trace::{ReplayScript, TraceLine};

@@ -46,11 +46,37 @@ awk -F'\t' '$1 ~ /^crates\// {
     }
 }' "$work/live" | LC_ALL=C sort -u >"$work/decl"
 
-# `word file` for every identifier-like word of every file's live code.
-awk -F'\t' '{
-    n = split($2, w, /[^A-Za-z0-9_]+/)
-    for (i = 1; i <= n; i++) if (w[i] != "") print w[i], $1
-}' "$work/live" | LC_ALL=C sort -u >"$work/words"
+# `word file` for every identifier-like word of every file's live code,
+# with `//`, `///` and `//!` comments cut off first: a name mentioned in
+# prose is not read. String literals stay, because `format!("{name}")`
+# reads `name` inside one; so a name that also occurs as a word in some
+# string (a span field such as `("workers", …)`) still counts as read.
+awk -F'\t' '
+    function code(line,    out, i, c, n) {
+        out = ""
+        n = length(line)
+        for (i = 1; i <= n; i++) {
+            c = substr(line, i, 1)
+            if (instr) {
+                if (c == "\\") { out = out c substr(line, i + 1, 1); i++; continue }
+                if (c == "\"") instr = 0
+            } else if (c == "\"") {
+                instr = 1
+            } else if (c == "\047" && substr(line, i + 1, 2) == "\"\047") {
+                # the char literal of a double quote opens no string
+                out = out c "\"\047"; i += 2; continue
+            } else if (c == "/" && substr(line, i + 1, 1) == "/") {
+                break
+            }
+            out = out c
+        }
+        return out
+    }
+    $1 != file { file = $1; instr = 0 }
+    {
+        n = split(code($2), w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) if (w[i] != "") print w[i], $1
+    }' "$work/live" | LC_ALL=C sort -u >"$work/words"
 
 # A declaration is flagged when no other file's live code has its name.
 awk 'NR == FNR { seen[$1] = seen[$1] " " $2; next }
