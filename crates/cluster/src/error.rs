@@ -38,6 +38,8 @@ pub enum ClusterError {
     /// `shard` (every one is draining, full, or would need a vacancy the
     /// return quota keeps).
     NoDrainHost { shard: ShardId },
+    /// A machine asked to drain is past the fleet's last machine.
+    UnknownDrainMachine { machine: MachineId, machines: usize },
     /// A target placement overloads a machine.
     TargetOverload { machine: MachineId },
     /// The migration planner could not schedule all moves without violating
@@ -114,6 +116,12 @@ impl fmt::Display for ClusterError {
                 write!(
                     f,
                     "no machine can take shard {shard} off the draining machines"
+                )
+            }
+            UnknownDrainMachine { machine, machines } => {
+                write!(
+                    f,
+                    "cannot drain {machine}: the fleet has {machines} machines"
                 )
             }
             TargetOverload { machine } => write!(f, "target placement overloads {machine}"),

@@ -305,10 +305,8 @@ impl<'a> Planner<'a> {
         let mut executed = 0usize;
         let mut plan = MigrationPlan::default();
         let mut round = 0u32;
-        // The last source-freeing parking, and the one that was recognised as a
-        // livelock (with the number of park/return cycles skipped).
+        // The last source-freeing parking: a repeat of it is a livelock.
         let mut last_parking: Option<Parking> = None;
-        let mut livelock: Option<(Move, usize)> = None;
 
         while !pending.is_empty() {
             round += 1;
@@ -359,7 +357,6 @@ impl<'a> Planner<'a> {
                     // skip every whole cycle and let the last ≤ 2 moves run.
                     let cycles = (budget - executed) / 2;
                     executed += 2 * cycles;
-                    livelock = Some((mv, cycles));
                 }
                 last_parking = Some(parking);
                 apply(inst, cur, touched, dirty, &mv, round);
@@ -382,26 +379,11 @@ impl<'a> Planner<'a> {
                 });
                 plan.batches.push(vec![mv]);
             } else {
-                // Debugging aid: REX_PLAN_TRACE=1 dumps why each pending
-                // move is blocked at the moment of the deadlock.
-                if plan_trace_enabled() {
-                    trace_deadlock(inst, cur, pending);
-                }
                 return Err(ClusterError::PlanningDeadlock {
                     remaining_moves: pending.len(),
                 });
             }
             if executed > budget {
-                if plan_trace_enabled() {
-                    eprintln!("--- planner move budget exhausted ({executed} > {budget}) ---");
-                    if let Some((mv, cycles)) = livelock {
-                        eprintln!(
-                            "  livelock: {} parks {}→{} and returns; {cycles} cycles skipped",
-                            mv.shard, mv.from, mv.to
-                        );
-                    }
-                    trace_deadlock(inst, cur, pending);
-                }
                 return Err(ClusterError::PlanningDeadlock {
                     remaining_moves: pending.len(),
                 });
@@ -409,13 +391,6 @@ impl<'a> Planner<'a> {
         }
         Ok(plan)
     }
-}
-
-/// `REX_PLAN_TRACE=1`: dump every deadlock and exhausted budget to stderr.
-fn plan_trace_enabled() -> bool {
-    std::env::var("REX_PLAN_TRACE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
 }
 
 /// Executes `mv`: stamps both of its machines with `round` and lists them
@@ -895,53 +870,6 @@ fn find_held_arrival(view: &View<'_>, pending: &mut [Pending]) -> Option<Move> {
         }
     }
     best.map(|(_, mv)| mv)
-}
-
-/// Prints a per-move blockage report to stderr (enabled by
-/// `REX_PLAN_TRACE=1`; see the deadlock branch of [`Planner::plan`]).
-fn trace_deadlock(inst: &Instance, cur: &Assignment, pending: &[Pending]) {
-    eprintln!("--- planner deadlock: {} moves pending ---", pending.len());
-    if let Err(e) = cur.validate_consistency(inst) {
-        eprintln!("  !! assignment state inconsistent: {e}");
-    }
-    // Composition of the first blocked source, to diagnose why no parking
-    // cascade freed it.
-    if let Some(p) = pending.iter().find(|p| !p.is_return) {
-        let from = cur.machine_of(p.shard);
-        let free = cur.usage(from).headroom(inst.capacity(from));
-        eprintln!("  composition of {from} (free {free:?}):");
-        for &s in cur.shards_on(from) {
-            let pend = pending.iter().any(|q| q.shard == s);
-            eprintln!(
-                "    {s} d={:?} alpha_d={:?} pending={pend}",
-                inst.demand(s),
-                inst.demand(s).scaled(inst.alpha)
-            );
-        }
-    }
-    for p in pending.iter().take(16) {
-        let from = cur.machine_of(p.shard);
-        let d = &inst.shards[p.shard.idx()].demand;
-        let inflight = d.scaled(1.0 + inst.alpha);
-        let overhead = d.scaled(inst.alpha);
-        let tgt_ok = cur
-            .usage(p.target)
-            .fits_after_add(&inflight, inst.capacity(p.target));
-        let src_ok = cur
-            .usage(from)
-            .fits_after_add(&overhead, inst.capacity(from));
-        eprintln!(
-            "  {} {}→{} d={:?} | target_ok={} (usage {:?}) source_ok={} (usage {:?})",
-            p.shard,
-            from,
-            p.target,
-            d,
-            tgt_ok,
-            cur.usage(p.target),
-            src_ok,
-            cur.usage(from),
-        );
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! every plan builds its own `Assignment`, sorts the relocations by norm and
 //! re-tests every pending move in every round. The differential tests in
 //! the parent module compare [`super::Planner`] with it — plan bytes on
-//! `Ok`, the payload on `Err`. Only the `REX_PLAN_TRACE` dumps are left out.
+//! `Ok`, the payload on `Err`.
 
 use super::{MigrationPlan, Move, Parking, PlannerConfig};
 use crate::assignment::Assignment;

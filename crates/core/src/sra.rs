@@ -182,8 +182,9 @@ pub fn solve(inst: &Instance, cfg: &SraConfig) -> Result<SraResult, ClusterError
 /// # Errors
 ///
 /// Besides [`solve`]'s errors, fails with
-/// [`ClusterError::NoDrainHost`] when the greedy evacuation finds no machine
-/// for one of the drained machines' shards, with
+/// [`ClusterError::UnknownDrainMachine`] when a drained id is past the
+/// fleet, with [`ClusterError::NoDrainHost`] when the greedy evacuation
+/// finds no machine for one of the drained machines' shards, with
 /// [`ClusterError::VacancyShortfall`]-style planning errors when the
 /// evacuation leaves too few vacancies, and with
 /// [`ClusterError::PlanningDeadlock`] when the evacuated start does not plan
@@ -222,6 +223,12 @@ pub(crate) fn solve_with_floor(
     rec: &mut Recorder,
 ) -> Result<SraResult, ClusterError> {
     inst.validate()?;
+    if let Some(&machine) = drain.iter().find(|m| m.idx() >= inst.n_machines()) {
+        return Err(ClusterError::UnknownDrainMachine {
+            machine,
+            machines: inst.n_machines(),
+        });
+    }
     let start = Instant::now();
     rec.span_open(
         "sra",
@@ -616,6 +623,18 @@ mod tests {
         let inst = b.build().unwrap();
         let err = solve_with_drain(&inst, &quick_cfg(), &[m0]).unwrap_err();
         assert_eq!(err, ClusterError::NoDrainHost { shard: s });
+    }
+
+    #[test]
+    fn a_drained_machine_past_the_fleet_is_an_error() {
+        let inst = imbalanced();
+        let (machine, machines) = (MachineId(99), inst.n_machines());
+        let mut rec = Recorder::active();
+        let res = solve_traced(&inst, &quick_cfg(), &[MachineId(0), machine], &mut rec);
+        let want = ClusterError::UnknownDrainMachine { machine, machines };
+        assert_eq!(res.unwrap_err(), want);
+        // Rejected before the solve span opens.
+        assert!(rec.events().is_empty());
     }
 
     #[test]

@@ -229,11 +229,17 @@ for p in random round_robin power_of_d prequal token; do
         --qps 20000 --service 400 --spike-at 8000 --spike-duration 8000 --quiet --out @out
 done
 
-echo "=== rex trace (solver) ==="
-gate trace-serial rex trace --seed 42 --iters 2000 --out @out
-gate trace-partitions rex trace --seed 42 --partitions 4 --iters 2000 --out @out
+echo "=== rex solve --trace ==="
+gate trace-serial rex solve --seed 42 --iters 2000 --out @out --trace @trace
+gate trace-partitions rex solve --seed 42 --partitions 4 --iters 2000 --out @out --trace @trace
 # A search the stopping rule ends early (a `("lns", "stall")` event).
-gate trace-stall rex trace --machines 24 --exchange 3 --shards 480 --iters 3000 --seed 11 --out @out
+gate trace-stall rex solve --machines 24 --exchange 3 --shards 480 --iters 3000 --seed 11 \
+    --out @out --trace @trace
+# The drained decomposed solve above, narrated: its `decomposed` close
+# carries the rounds the per-round rule let run.
+gate trace-drain rex solve --inst @out:gen-web --partitions 8 --iters 600 --seed 3 \
+    --drain 10,20,30,40,50,60,70,80 --out @out --trace @trace
+same solve-drain-decomposed.out trace-drain.out # tracing never perturbs
 
 echo "=== rex --help, experiment stdout ==="
 gate help rex --help

@@ -15,13 +15,12 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-/// Iteration/decomposition knobs shared by every command that runs the SRA
-/// solver (`solve`, `trace`). Validated downstream by
-/// `rex_core::SolveOptions`.
+/// Iteration/decomposition knobs of the SRA solver (`solve`). Validated
+/// downstream by `rex_core::SolveOptions`.
 pub const SOLVER_FLAGS: &[&str] = &["iters", "partitions"];
 
-/// On-the-spot instance synthesis, shared by `generate`, `simulate`, and
-/// `trace`.
+/// On-the-spot instance synthesis, shared by `generate` and every run
+/// command (`solve`, `simulate`, `route`, `converge`).
 pub const SYNTH_FLAGS: &[&str] = &["machines", "exchange", "shards"];
 
 /// Deterministic seed — accepted by every command that runs anything.
@@ -65,13 +64,13 @@ impl Command {
 }
 
 /// Printed after the command blocks of `rex --help`.
-const SOLVER_SCALING: &str = "Solver scaling (shared by solve/trace): --partitions K runs the
-cooperative decomposed solver over K shard-disjoint neighborhoods; a
-neighborhood of more than 512 machines is re-partitioned into K again,
-so web-scale fleets get a deeper tree without a flag. Every solve is
-deterministic for a fixed seed regardless of thread count (REX_THREADS).
-Out-of-range solver flags are rejected before the search starts (e.g.
---iters 0, --partitions exceeding the fleet).";
+const SOLVER_SCALING: &str = "Solver scaling (solve): --partitions K runs the cooperative
+decomposed solver over K shard-disjoint neighborhoods; a neighborhood
+of more than 512 machines is re-partitioned into K again, so web-scale
+fleets get a deeper tree without a flag. Every solve is deterministic
+for a fixed seed regardless of thread count (REX_THREADS). Out-of-range
+solver flags are rejected before the search starts (e.g. --iters 0,
+--partitions exceeding the fleet).";
 
 /// The text of `rex --help`: a header naming every command, each
 /// command's usage block, and the solver-scaling note.
@@ -196,10 +195,8 @@ mod tests {
         assert!(parse_args(&argv(&["--ticks", "100"]), spec).is_err());
         // The fleet sizes the decomposed solver's tree: no `--depth`; the
         // search has one worker: no `--workers`.
-        for cmd in ["solve", "trace"] {
-            for flag in ["--depth", "--workers"] {
-                assert!(parse_args(&argv(&[flag, "2"]), row(cmd).unwrap()).is_err());
-            }
+        for flag in ["--depth", "--workers"] {
+            assert!(parse_args(&argv(&[flag, "2"]), spec).is_err());
         }
     }
 
@@ -227,11 +224,14 @@ mod tests {
     #[test]
     fn every_command_has_a_spec_and_unknowns_do_not() {
         for cmd in [
-            "generate", "inspect", "solve", "baseline", "verify", "simulate", "trace", "route",
+            "generate", "inspect", "solve", "baseline", "verify", "simulate", "route", "converge",
         ] {
             assert!(row(cmd).is_some(), "missing spec for {cmd}");
         }
-        assert!(row("frobnicate").is_none());
+        // `rex solve --trace` is the traced solve: there is no `trace` row.
+        for cmd in ["frobnicate", "trace"] {
+            assert!(row(cmd).is_none(), "{cmd} has a row");
+        }
     }
 
     #[test]
@@ -264,16 +264,15 @@ mod tests {
 
     #[test]
     fn solver_commands_share_the_solver_flag_group() {
-        // The shared registry is the point of this module: every solver
-        // knob accepted by `solve` is accepted by `trace`, verbatim.
+        // The shared registry is the point of this module: `solve` takes
+        // every solver knob, and every command that synthesizes an
+        // instance takes the same synth flags, verbatim.
+        let solve = row("solve").unwrap();
         for flag in SOLVER_FLAGS.iter().chain(SEED_FLAG) {
-            for cmd in ["solve", "trace"] {
-                let spec = row(cmd).unwrap();
-                assert!(spec.is_value(flag), "{cmd} must accept --{flag}");
-            }
+            assert!(solve.is_value(flag), "solve must accept --{flag}");
         }
         for flag in SYNTH_FLAGS {
-            for cmd in ["generate", "simulate", "trace"] {
+            for cmd in ["generate", "solve", "simulate", "route", "converge"] {
                 let spec = row(cmd).unwrap();
                 assert!(spec.is_value(flag), "{cmd} must accept --{flag}");
             }

@@ -4,11 +4,10 @@
 //! rex generate --family correlated --machines 24 --exchange 3 --shards 240 \
 //!              --stringency 0.8 --alpha 0.1 --seed 1 --out inst.json
 //! rex inspect  --inst inst.json
-//! rex solve    --inst inst.json --iters 8000 --out solution.json
+//! rex solve    --inst inst.json --iters 8000 --out sol.json --trace solve.jsonl
 //! rex baseline --inst inst.json --method greedy
 //! rex verify   --inst inst.json --solution solution.json
 //! rex simulate --ticks 10000 --controller sra --crash-at 3000 --out run.json
-//! rex trace    --inst inst.json --iters 4000 --out trace.jsonl
 //! ```
 //!
 //! Instances and solutions are JSON artifacts (bit-exact f64 round-trips),
@@ -39,13 +38,12 @@ use std::process::ExitCode;
 const COMMANDS: &[Command] = &[
     generate::COMMAND,
     inspect::COMMAND,
-    solve::SOLVE,
+    solve::COMMAND,
     baseline::COMMAND,
     verify::COMMAND,
     simulate::COMMAND,
     route::COMMAND,
     converge::COMMAND,
-    solve::TRACE,
 ];
 
 fn main() -> ExitCode {

@@ -29,7 +29,7 @@ fn cmd_inspect(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_solve(args: &Args) -> Result<String, String> {
-    run(&crate::solve::SOLVE, args)
+    run(&crate::solve::COMMAND, args)
 }
 
 fn cmd_baseline(args: &Args) -> Result<String, String> {
@@ -50,10 +50,6 @@ fn cmd_route(args: &Args) -> Result<String, String> {
 
 fn cmd_converge(args: &Args) -> Result<String, String> {
     run(&crate::converge::COMMAND, args)
-}
-
-fn cmd_trace(args: &Args) -> Result<String, String> {
-    run(&crate::solve::TRACE, args)
 }
 
 fn args(pairs: &[(&str, &str)]) -> HashMap<String, String> {
@@ -99,18 +95,64 @@ fn trace_command_writes_solver_trace() {
     let dir = std::env::temp_dir().join("rex-cli-trace-cmd");
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("t.jsonl");
-    cmd_trace(&args(&[
+    let printed = cmd_solve(&args(&[
         ("machines", "6"),
         ("shards", "30"),
         ("exchange", "1"),
         ("iters", "400"),
         ("seed", "3"),
-        ("out", out.to_str().unwrap()),
+        ("trace", out.to_str().unwrap()),
     ]))
     .unwrap();
     let jsonl = std::fs::read_to_string(&out).unwrap();
     assert!(jsonl.contains("\"layer\":\"sra\""));
     assert!(jsonl.contains("\"layer\":\"lns\""));
+    // The roll-up, then the solve's own summary.
+    assert!(printed.starts_with("trace: "), "{printed}");
+    assert!(printed.contains("\ninitial: "), "{printed}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A traced drained decomposed solve: the JSONL narrates the drain and
+/// the rounds the per-round rule let run, and the solution file is the
+/// untraced run's, byte for byte.
+#[test]
+fn solve_trace_narrates_a_drained_decomposed_solve() {
+    let dir = std::env::temp_dir().join("rex-cli-trace-drain");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (traced, plain, trace) = (path("traced.json"), path("plain.json"), path("t.jsonl"));
+    let solve = |extra: &[(&str, &str)]| {
+        let mut a = args(&[
+            ("machines", "12"),
+            ("exchange", "2"),
+            ("shards", "96"),
+            ("partitions", "2"),
+            ("iters", "300"),
+            ("seed", "5"),
+            ("drain", "3,7"),
+        ]);
+        a.extend(args(extra));
+        cmd_solve(&a).unwrap()
+    };
+    let printed = solve(&[("out", &traced), ("trace", &trace)]);
+    solve(&[("out", &plain)]);
+    assert!(printed.contains("drained: [m3, m7]"), "{printed}");
+    assert_eq!(
+        std::fs::read(&traced).unwrap(),
+        std::fs::read(&plain).unwrap(),
+        "tracing never perturbs"
+    );
+    let jsonl = std::fs::read_to_string(&trace).unwrap();
+    let line = |event: &str, kind: &str| {
+        let head = format!("\"layer\":\"sra\",\"event\":\"{event}\",\"kind\":\"{kind}\"");
+        let found: Vec<&str> = jsonl.lines().filter(|l| l.contains(&head)).collect();
+        assert_eq!(found.len(), 1, "{event} {kind}: {found:?}");
+        found[0]
+    };
+    assert!(line("solve", "span_open").contains("\"drain\":2"));
+    let close = line("decomposed", "span_close");
+    assert!(close.contains("\"rounds_run\":"), "{close}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -206,7 +248,7 @@ fn solve_says_when_the_search_stopped() {
     .unwrap();
     let solve = |iters: &str| {
         let a = args(&[("inst", inst), ("iters", iters), ("seed", "11")]);
-        let (res, drain) = run_solve(&a).unwrap();
+        let (res, drain) = run_solve(&a, &mut Recorder::noop()).unwrap();
         let mut out = Vec::new();
         write_summary(&mut out, &res, &drain).unwrap();
         let printed = String::from_utf8(out).unwrap();
@@ -829,7 +871,7 @@ fn generator_settings_are_errors_not_panics() {
     }
     // The other commands synthesize through the same path.
     let zero = args(&[("machines", "0")]);
-    for cmd in [cmd_simulate, cmd_route, cmd_converge, cmd_trace] {
+    for cmd in [cmd_simulate, cmd_route, cmd_converge, cmd_solve] {
         assert!(cmd(&zero).unwrap_err().contains("machines"));
     }
 }

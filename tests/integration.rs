@@ -325,14 +325,34 @@ fn hostile_json_is_one_short_error_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A reader that closes the pipe (`rex trace … | head -1`, `| true`) ends
+/// A drained machine past the fleet is one `error:` line and exit 1 —
+/// `SraProblem::with_drain` used to index out of bounds (exit 101) — and
+/// `rex trace`, folded into `rex solve --trace`, is an unknown command.
+#[test]
+fn bad_drains_and_the_old_trace_command_exit_1() {
+    let rex = |line: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rex"))
+            .args(line.split(' '))
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        err
+    };
+    let err = rex("solve --machines 6 --exchange 1 --shards 30 --drain 99");
+    assert_eq!(err, "error: cannot drain m99: the fleet has 7 machines\n");
+    let err = rex("trace --iters 400");
+    assert!(err.starts_with("error: unknown command `trace`\n"), "{err}");
+}
+
+/// A reader that closes the pipe (`rex solve … | head -1`, `| true`) ends
 /// `rex` with status 0 and nothing on stderr: the write that finds stdout
 /// closed stops the run instead of panicking with exit 101.
 #[test]
 fn a_closed_stdout_ends_rex_quietly() {
     use std::process::{Command, Stdio};
     let mut child = Command::new(env!("CARGO_BIN_EXE_rex"))
-        .args(["trace", "--iters", "400", "--seed", "3"])
+        .args(["solve", "--iters", "400", "--seed", "3"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
