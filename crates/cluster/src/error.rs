@@ -40,6 +40,8 @@ pub enum ClusterError {
     NoDrainHost { shard: ShardId },
     /// A machine asked to drain is past the fleet's last machine.
     UnknownDrainMachine { machine: MachineId, machines: usize },
+    /// A machine is listed more than once among the machines to drain.
+    DuplicateDrainMachine { machine: MachineId },
     /// A target placement overloads a machine.
     TargetOverload { machine: MachineId },
     /// The migration planner could not schedule all moves without violating
@@ -123,6 +125,9 @@ impl fmt::Display for ClusterError {
                     f,
                     "cannot drain {machine}: the fleet has {machines} machines"
                 )
+            }
+            DuplicateDrainMachine { machine } => {
+                write!(f, "cannot drain {machine}: it is listed more than once")
             }
             TargetOverload { machine } => write!(f, "target placement overloads {machine}"),
             PlanningDeadlock { remaining_moves } => {

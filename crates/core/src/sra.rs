@@ -183,7 +183,8 @@ pub fn solve(inst: &Instance, cfg: &SraConfig) -> Result<SraResult, ClusterError
 ///
 /// Besides [`solve`]'s errors, fails with
 /// [`ClusterError::UnknownDrainMachine`] when a drained id is past the
-/// fleet, with [`ClusterError::NoDrainHost`] when the greedy evacuation
+/// fleet, with [`ClusterError::DuplicateDrainMachine`] when an id is listed
+/// twice, with [`ClusterError::NoDrainHost`] when the greedy evacuation
 /// finds no machine for one of the drained machines' shards, with
 /// [`ClusterError::VacancyShortfall`]-style planning errors when the
 /// evacuation leaves too few vacancies, and with
@@ -228,6 +229,9 @@ pub(crate) fn solve_with_floor(
             machine,
             machines: inst.n_machines(),
         });
+    }
+    if let Some(i) = (1..drain.len()).find(|&i| drain[..i].contains(&drain[i])) {
+        return Err(ClusterError::DuplicateDrainMachine { machine: drain[i] });
     }
     let start = Instant::now();
     rec.span_open(
@@ -632,6 +636,20 @@ mod tests {
         let mut rec = Recorder::active();
         let res = solve_traced(&inst, &quick_cfg(), &[MachineId(0), machine], &mut rec);
         let want = ClusterError::UnknownDrainMachine { machine, machines };
+        assert_eq!(res.unwrap_err(), want);
+        // Rejected before the solve span opens.
+        assert!(rec.events().is_empty());
+    }
+
+    #[test]
+    fn a_machine_drained_twice_is_an_error() {
+        let inst = imbalanced();
+        let mut rec = Recorder::active();
+        let drain = [MachineId(0), MachineId(1), MachineId(0)];
+        let res = solve_traced(&inst, &quick_cfg(), &drain, &mut rec);
+        let want = ClusterError::DuplicateDrainMachine {
+            machine: MachineId(0),
+        };
         assert_eq!(res.unwrap_err(), want);
         // Rejected before the solve span opens.
         assert!(rec.events().is_empty());

@@ -159,7 +159,7 @@ pub struct SraState {
     pub(crate) demand_norm: Vec<f64>,
     /// Machine capacities packed row-major (row `m` = machine `m`), the
     /// static sibling of `Assignment::usage_rows` — lets resync run the
-    /// fused cache-blocked `ratio_scan_rows` kernel over two flat arrays,
+    /// fused `ratio_scan_rows` kernel over two flat arrays,
     /// and the repair scans score a machine from two adjacent rows.
     pub(crate) caps: rex_cluster::PackedVecs,
 }
@@ -491,7 +491,7 @@ impl SraState {
 
     /// Rebuilds every cache from the assignment (drift resynchronization).
     ///
-    /// One fused, cache-blocked pass over the packed usage and capacity
+    /// One fused pass over the packed usage and capacity
     /// arenas ([`rex_cluster::kernels::ratio_scan_rows`]) refreshes the
     /// load vector and its aggregate in the same traversal. The kernel's
     /// aggregate is bit-identical to `scan(&loads)` — the same kernel

@@ -350,6 +350,17 @@ impl RuntimeConfig {
             )?;
         }
         for f in &self.faults {
+            if let FaultSpec::Crash {
+                at,
+                recover_at: Some(recover_at),
+                ..
+            } = f
+            {
+                ensure(
+                    recover_at > at,
+                    &format!("recovery must follow the crash (recover_at {recover_at} <= at {at})"),
+                )?;
+            }
             if let FaultSpec::Spike {
                 factor,
                 shard_fraction,

@@ -7,7 +7,9 @@
 //!   `max(partial peak, fractional lower bound) + λ·cost-so-far`,
 //! * **capacity-class symmetry breaking** — when a shard opens a fresh
 //!   machine, only the first empty machine of each capacity class is tried
-//!   (identical machines are interchangeable),
+//!   (identical machines are interchangeable; with a migration cost, a
+//!   machine that hosts shards initially is not, so it is a class of its
+//!   own),
 //! * **warm start** — the initial placement seeds the incumbent, so the
 //!   search begins with a real bound instead of `∞`.
 //!
@@ -56,6 +58,7 @@ struct Search<'a> {
     cfg: ExactConfig,
     order: Vec<ShardId>,
     classes: Vec<usize>,
+    n_classes: usize,
     total_cost: f64,
     global_lb: f64,
     // Mutable search state.
@@ -90,12 +93,27 @@ pub fn branch_and_bound(inst: &Instance, cfg: &ExactConfig) -> Result<ExactResul
     let initial = Assignment::from_initial(inst);
     let initial_obj = initial.peak_load(inst); // cost term is zero
 
+    // A move's cost depends on the shard's initial machine, so under a cost
+    // term only machines vacant in the initial placement are interchangeable.
+    let total_cost: f64 = inst.shards.iter().map(|s| s.move_cost).sum();
+    let mut classes = capacity_classes(inst);
+    let mut n_classes = classes.iter().max().map_or(0, |&c| c + 1);
+    if cfg.lambda > 0.0 && total_cost > 0.0 {
+        for (m, class) in classes.iter_mut().enumerate() {
+            if !initial.is_vacant(MachineId::from(m)) {
+                *class = n_classes;
+                n_classes += 1;
+            }
+        }
+    }
+
     let mut search = Search {
         inst,
         cfg: *cfg,
         order,
-        classes: capacity_classes(inst),
-        total_cost: inst.shards.iter().map(|s| s.move_cost).sum(),
+        classes,
+        n_classes,
+        total_cost,
         global_lb: peak_lower_bound(inst),
         usage: vec![ResourceVec::zero(inst.dims); inst.n_machines()],
         counts: vec![0; inst.n_machines()],
@@ -154,7 +172,7 @@ impl Search<'_> {
         // incumbents early). Symmetry: only the first empty machine per
         // capacity class.
         let mut cands: Vec<(f64, usize)> = Vec::with_capacity(m_n);
-        let mut seen_empty_class = [false; 64];
+        let mut seen_empty_class = vec![false; self.n_classes];
         for m in 0..m_n {
             let cap = &self.inst.machines[m].capacity;
             if !self.usage[m].fits_after_add(&demand, cap) {
@@ -164,7 +182,7 @@ impl Search<'_> {
                 if self.occupied + 1 > max_occupied {
                     continue; // would leave too few vacancies
                 }
-                let class = self.classes[m].min(63);
+                let class = self.classes[m];
                 if seen_empty_class[class] {
                     continue; // interchangeable with an earlier empty machine
                 }
@@ -349,6 +367,44 @@ mod tests {
         .unwrap();
         assert_eq!(taxed.placement, inst.initial);
         assert!((taxed.peak - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn under_a_cost_term_machines_that_host_shards_are_not_interchangeable() {
+        // Opening m0 for a 5 first (the old rule's only empty choice)
+        // moves it; the optimum keeps one 5 home on m1 and moves the other
+        // to m2: peak 0.5 plus 0.1 × 1/3.
+        let mut b = InstanceBuilder::new(1);
+        let m: Vec<MachineId> = (0..3).map(|_| b.machine(&[10.0])).collect();
+        b.shard(&[5.0], 1.0, m[1]);
+        b.shard(&[5.0], 1.0, m[1]);
+        b.shard(&[1.0], 1.0, m[0]);
+        let inst = b.build().unwrap();
+        let cfg = ExactConfig {
+            lambda: 0.1,
+            ..Default::default()
+        };
+        let r = branch_and_bound(&inst, &cfg).unwrap();
+        assert!(r.proven_optimal);
+        assert!(
+            (r.objective - (0.5 + 0.1 / 3.0)).abs() < 1e-12,
+            "{}",
+            r.objective
+        );
+    }
+
+    #[test]
+    fn every_capacity_class_is_its_own() {
+        // 63 machines too small for any shard, then three that fit: the
+        // 64th, 65th and 66th capacity classes. Both shards start on m63;
+        // the optimum spreads them over m64 and m65.
+        let mut caps: Vec<f64> = (0..63).map(|i| 1.0 + 0.01 * i as f64).collect();
+        caps.extend([10.0, 20.0, 20.5]);
+        let inst = simple(&[5.0, 5.0], &caps, 0);
+        assert_eq!(inst.initial, vec![MachineId(63); 2]);
+        let r = branch_and_bound(&inst, &ExactConfig::default()).unwrap();
+        assert!(r.proven_optimal);
+        assert!((r.peak - 0.25).abs() < 1e-12, "peak={}", r.peak);
     }
 
     #[test]

@@ -156,6 +156,31 @@ fn solve_trace_narrates_a_drained_decomposed_solve() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A machine listed twice in `--drain` is one typed error before the
+/// solve, not a drain counted twice.
+#[test]
+fn solve_rejects_a_machine_drained_twice() {
+    let dir = std::env::temp_dir().join("rex-cli-drain-twice");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("d.jsonl").to_str().unwrap().to_string();
+    let err = cmd_solve(&args(&[
+        ("machines", "12"),
+        ("exchange", "2"),
+        ("shards", "96"),
+        ("iters", "300"),
+        ("drain", "3,3"),
+        ("trace", &trace),
+    ]))
+    .unwrap_err();
+    assert_eq!(err, "cannot drain m3: it is listed more than once");
+    assert!(
+        !dir.join("d.jsonl").exists(),
+        "no trace of a rejected solve"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn generate_solve_verify_roundtrip() {
     let dir = std::env::temp_dir().join("rex-cli-test");
@@ -785,6 +810,26 @@ fn out_of_range_faults_and_horizons_are_errors_not_panics() {
         assert!(e.contains("machine 999"), "{e}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A recovery at or before its crash is one error line in `simulate`, as
+/// it is in `converge`, not a machine that never comes back.
+#[test]
+fn simulate_rejects_a_recovery_that_does_not_follow_the_crash() {
+    for recover in ["50", "100"] {
+        let a = args(&[
+            ("ticks", "300"),
+            ("crash-at", "100"),
+            ("recover-at", recover),
+        ]);
+        let e = cmd_simulate(&a).unwrap_err();
+        assert!(
+            e.contains("recovery must follow the crash") && !e.contains('\n'),
+            "{e}"
+        );
+        let e = cmd_converge(&a).unwrap_err();
+        assert!(e.contains("recovery must follow the crash"), "{e}");
+    }
 }
 
 #[test]

@@ -341,6 +341,8 @@ fn bad_drains_and_the_old_trace_command_exit_1() {
     };
     let err = rex("solve --machines 6 --exchange 1 --shards 30 --drain 99");
     assert_eq!(err, "error: cannot drain m99: the fleet has 7 machines\n");
+    let err = rex("solve --machines 6 --exchange 1 --shards 30 --drain 2,4,2");
+    assert_eq!(err, "error: cannot drain m2: it is listed more than once\n");
     let err = rex("trace --iters 400");
     assert!(err.starts_with("error: unknown command `trace`\n"), "{err}");
 }
