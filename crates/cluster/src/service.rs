@@ -20,7 +20,8 @@
 //!   engine.
 //! * [`exp_sojourn`] is the inverse-CDF exponential draw
 //!   `mean · −ln(max(1−u, 1e-12))` shared by both engines' latency
-//!   samplers.
+//!   samplers; [`exp_unit`] is its unit factor, which the event engine
+//!   draws ahead of knowing the mean.
 
 /// Default saturation clamp: machines never report ρ above this, so the
 /// latency factor tops out at `1/(1−0.98) = 50`.
@@ -64,7 +65,15 @@ pub fn latency_factor(rho: f64, rho_max: f64) -> f64 {
 /// `(0, 1]`; the `MIN_LOG_ARG` floor keeps it finite.
 #[inline]
 pub fn exp_sojourn(mean: f64, u: f64) -> f64 {
-    mean * -(1.0 - u).max(MIN_LOG_ARG).ln()
+    mean * exp_unit(u)
+}
+
+/// The unit-mean exponential draw [`exp_sojourn`] scales:
+/// `exp_sojourn(mean, u)` is `mean * exp_unit(u)`, bit for bit, so a
+/// caller can draw the factor before it knows the mean.
+#[inline]
+pub fn exp_unit(u: f64) -> f64 {
+    -(1.0 - u).max(MIN_LOG_ARG).ln()
 }
 
 /// Inverts [`latency_factor`]: the utilization a machine must be running

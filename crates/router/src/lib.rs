@@ -22,7 +22,10 @@
 //! * [`bridge`] — Instance → fleet derivation and the mid-run SRA
 //!   coupling that mutates the replica map while queries are in flight,
 //! * [`sim`] — the engine itself: [`Router`], [`RouterReport`], and the
-//!   [`run`]/[`run_traced`] entry points.
+//!   [`run`]/[`run_traced`] entry points,
+//! * `feed` (private) — the arrival schedule and its shard and service
+//!   draws, generated ahead of the event loop (on its own thread above one
+//!   worker thread) because none of it reads router state.
 //!
 //! ## Determinism
 //!
@@ -58,6 +61,7 @@
 
 pub mod bridge;
 pub mod config;
+mod feed;
 pub mod policy;
 pub mod prequal;
 pub mod queue;

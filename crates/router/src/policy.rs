@@ -56,6 +56,10 @@ impl Policy {
         rng: &mut StdRng,
     ) -> u32 {
         match self {
+            // One replica is the only pick: draw nothing. Replication is
+            // fleet-wide and the policy stream feeds only picks, so the
+            // draws skipped never reach a pick that could differ.
+            Policy::Random | Policy::PowerOfD(_) if r == 1 => base,
             Policy::Random => base + rng.random_range(0..r),
             Policy::RoundRobin(next) => round_robin(next, shard, base, r),
             Policy::PowerOfD(d) => power_of_d(*d, base, r, st, rng),
@@ -191,6 +195,25 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10), "different streams should diverge");
+    }
+
+    /// A one-replica block is its only pick, and random and power-of-d
+    /// leave the policy stream untouched there.
+    #[test]
+    fn one_replica_picks_draw_nothing() {
+        let st = ReplicaState::new(8, 1, 100.0);
+        for mut p in [Policy::Random, Policy::PowerOfD(2), Policy::PowerOfD(4)] {
+            let mut rng = StdRng::seed_from_u64(23);
+            let untouched = rng.clone();
+            for shard in 0..8 {
+                assert_eq!(p.pick(shard, shard, 1, &st, 0, &mut rng), shard);
+            }
+            assert_eq!(
+                rng.clone().random::<u64>(),
+                untouched.clone().random::<u64>(),
+                "a one-replica pick drew from the policy stream"
+            );
+        }
     }
 
     /// Prequal's empty-pool pick is power of `max(d_choices, 2)`: from the

@@ -19,20 +19,24 @@
 //! horizon the pump stops and in-flight work drains.
 //!
 //! The pump is not a queue event. Most micro-ticks admit no query (80 qps
-//! per 1 000-µs tick admits one every 12.5 µs), so the router computes its
-//! arrival schedule instead: it walks idle micro-ticks with the same
-//! floating-point accumulator adds and stops at the next one that admits a
-//! query or flips the flash crowd (DESIGN.md §13). Every report byte is
-//! what a pump re-armed each micro-tick gives.
+//! per 1 000-µs tick admits one every 12.5 µs), so the arrival schedule is
+//! computed instead: the feed (`feed.rs`) walks idle micro-ticks with the
+//! same floating-point accumulator adds and records the next one that
+//! admits a query or flips the flash crowd, together with every shard and
+//! unit service draw of its queries — none of which reads router state
+//! (DESIGN.md §13). The loop reads those records in order; above one
+//! worker thread a producer thread generates them ahead of it. Every
+//! report byte is what a pump re-armed each micro-tick gives.
 
 use crate::bridge::{build_fleet, move_primary, Coupling};
 use crate::config::{HotSetMode, RouterConfig};
+use crate::feed::{Feed, FeedReader};
 use crate::policy::Policy;
 use crate::queue::{CalendarQueue, EventKind};
 use crate::state::{MachineState, QuerySlab, ReplicaState};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use rex_cluster::service;
 use rex_cluster::Instance;
 use rex_obs::{Histogram, Recorder};
@@ -128,25 +132,19 @@ pub struct Router {
     shares: Vec<f64>,
     slab: QuerySlab,
     policy: Policy,
-    rng_arrival: StdRng,
-    rng_service: StdRng,
     rng_policy: StdRng,
-    /// Cumulative arrival weights, steady and flash-crowd variants.
-    cum_base: Vec<f64>,
-    cum_spike: Vec<f64>,
-    total_base: f64,
-    total_spike: f64,
-    /// Queries per µs off- and on-spike.
-    lambda_base: f64,
-    lambda_spike: f64,
-    arrival_acc: f64,
-    /// The next micro-tick the arrival schedule has not covered.
-    pump_t: u64,
+    /// The arrival schedule and its draws.
+    feed: FeedReader,
     /// Flash-crowd state: per-shard surcharge while active (`(factor−1) ·
     /// share`, one replica's worth), and whether the crowd is on.
     hot_extra: Vec<f64>,
     spike_active: bool,
     coupling: Option<Coupling>,
+    /// The surcharge an SRA poll moves while the crowd is off: all zeros
+    /// (sized only when coupled).
+    no_extra: Vec<f64>,
+    /// Replicas per machine, scratch for [`Router::observed_machine_rho`].
+    hosted: Vec<u32>,
     /// Every completed query's latency, in the tick engine's relative
     /// units (µs ÷ `base_service_us`).
     latency: Histogram,
@@ -154,12 +152,17 @@ pub struct Router {
     /// Every event handled, in order (the pump's own events excluded).
     #[cfg(test)]
     handled: Vec<(u64, EventKind)>,
+    /// The pump runs as a queue event re-armed every µs (see
+    /// `PER_US_PUMP`).
+    #[cfg(test)]
+    per_us: bool,
 }
 
 impl Router {
     /// Engine over `inst`'s fleet with the policy named by `cfg.policy`.
-    /// Everything the run needs is allocated here; the event loop then
-    /// runs allocation-free once warm (`tests/alloc_event_core.rs`).
+    /// Everything the run needs is allocated here or, for a threaded
+    /// arrival feed, in [`Router::start`]; the event loop then runs
+    /// allocation-free once warm (`tests/alloc_event_core.rs`).
     /// Panics on a config [`RouterConfig::validate`] rejects; input-facing
     /// callers run that check first and report its error.
     pub fn new(inst: &Instance, cfg: &RouterConfig) -> Self {
@@ -198,18 +201,8 @@ impl Router {
                 hot_extra[s as usize] = (sp.factor - 1.0) * shares[s as usize];
             }
         }
-        let factor = cfg.spike.map_or(1.0, |s| s.factor);
-        let mut cum_base = Vec::with_capacity(n_s);
-        let mut cum_spike = Vec::with_capacity(n_s);
-        let (mut tb, mut ts) = (0.0, 0.0);
-        for s in 0..n_s {
-            tb += weights[s];
-            ts += weights[s] * if hot[s] { factor } else { 1.0 };
-            cum_base.push(tb);
-            cum_spike.push(ts);
-        }
-        let lambda_base = cfg.qps / 1_000_000.0;
-        let lambda_spike = lambda_base * ts / tb;
+        let feed = Feed::new(cfg, &weights, &hot);
+        let lambda_spike = feed.lambda_spike();
 
         // Pre-size everything the steady-state loop touches: the latency
         // histogram is fixed-size, and the slab and queue grow to their
@@ -233,24 +226,19 @@ impl Router {
             shares,
             slab: QuerySlab::with_capacity(concurrent),
             policy: Policy::from_config(cfg, n_s),
-            rng_arrival: StdRng::seed_from_u64(cfg.seed ^ 0xA117_77A1_0000_0001),
-            rng_service: StdRng::seed_from_u64(cfg.seed ^ 0x5E1C_E000_0000_0002),
             rng_policy: StdRng::seed_from_u64(cfg.seed ^ 0x7011_C700_0000_0003),
-            cum_base,
-            cum_spike,
-            total_base: tb,
-            total_spike: ts,
-            lambda_base,
-            lambda_spike,
-            arrival_acc: 0.0,
-            pump_t: 1,
+            feed: FeedReader::new(feed),
             hot_extra,
             spike_active: false,
             coupling: cfg.sra.map(|c| Coupling::new(c, n_s, cfg.seed)),
+            no_extra: vec![0.0; if cfg.sra.is_some() { n_s } else { 0 }],
+            hosted: Vec::new(),
             latency: Histogram::default(),
             counters: Counters::default(),
             #[cfg(test)]
             handled: Vec::new(),
+            #[cfg(test)]
+            per_us: false,
             cfg: cfg.clone(),
         }
     }
@@ -268,7 +256,8 @@ impl Router {
         self.finish(rec)
     }
 
-    /// Opens the run span and arms the first SRA poll when coupled.
+    /// Opens the run span, starts the arrival feed (on its own thread
+    /// above one worker thread) and arms the first SRA poll when coupled.
     /// [`Router::run_traced`] calls this; call it directly only when
     /// driving the loop tick-by-tick with [`Router::step`], and only once.
     pub fn start(&mut self, rec: &mut Recorder) {
@@ -286,14 +275,27 @@ impl Router {
                 ("sra", self.coupling.is_some().into()),
             ],
         );
-        #[cfg(test)]
-        if PER_US_PUMP.with(std::cell::Cell::get) {
-            self.pump_t = u64::MAX;
-            self.queue.schedule(1, EventKind::ArrivalPump);
+        if !self.arm_per_us_pump() {
+            self.feed.start();
         }
         if let Some(c) = &self.cfg.sra {
             self.queue.schedule(c.every_us, EventKind::SraPoll);
         }
+    }
+
+    /// Under test with `PER_US_PUMP` set: arms the pump as a queue event
+    /// at µs 1, re-armed every µs, drawing inline from the feed's streams
+    /// (the reference the computed schedule is checked against). Returns
+    /// whether it did; the feed then does not start.
+    fn arm_per_us_pump(&mut self) -> bool {
+        #[cfg(test)]
+        if PER_US_PUMP.with(std::cell::Cell::get) {
+            self.per_us = true;
+            self.feed.switch_to_per_us();
+            self.queue.schedule(1, EventKind::ArrivalPump);
+            return true;
+        }
+        false
     }
 
     /// Processes the next micro-tick with work: its queued events and, if
@@ -362,39 +364,37 @@ impl Router {
     }
 
     /// The next micro-tick the arrival schedule must be processed at: the
-    /// first from `pump_t` on that admits a query or flips the flash crowd.
-    /// The idle micro-ticks before it are covered here with the
-    /// accumulator adds the pump makes, one counted event each. `None` once
-    /// the walk passes the horizon.
+    /// first that admits a query or flips the flash crowd. `None` once the
+    /// feed's walk has passed the horizon; its idle micro-ticks after the
+    /// last pump are counted then, one event each.
+    #[inline]
     fn pump_due(&mut self) -> Option<u64> {
-        let lambda = if self.spike_active {
-            self.lambda_spike
-        } else {
-            self.lambda_base
-        };
-        while self.pump_t <= self.cfg.horizon_us {
-            let t = self.pump_t;
-            if self.spike_flips_at(t) {
-                return Some(t);
-            }
-            // An idle µs subtracts `0 as f64` from the accumulator, which
-            // keeps its bits: skipping the subtraction changes nothing.
-            let acc = self.arrival_acc + lambda;
-            if acc >= 1.0 {
-                return Some(t);
-            }
-            self.arrival_acc = acc;
-            self.pump_t = t + 1;
-            self.counters.events += 1;
+        let due = self.feed.due();
+        if due.is_none() {
+            self.counters.events += self.feed.take_tail();
         }
-        None
+        due
     }
 
-    /// The pump at the micro-tick [`Router::pump_due`] returned.
+    /// The pump at the micro-tick [`Router::pump_due`] returned. It and
+    /// the idle micro-ticks the feed walked before it count one event
+    /// each.
     fn scheduled_pump(&mut self, t: u64, rec: &mut Recorder) {
-        self.pump(t, rec);
-        self.pump_t = t + 1;
-        self.counters.events += 1;
+        let pump = self.feed.take_pump();
+        debug_assert_eq!(pump.t, t, "the pump is read where it falls due");
+        self.counters.events += pump.idle + 1;
+        self.pump(t, pump.flip, pump.queries, rec);
+    }
+
+    /// One micro-tick of arrivals: the crowd flips first if `flip`, then
+    /// `queries` arrive.
+    fn pump(&mut self, t: u64, flip: bool, queries: u64, rec: &mut Recorder) {
+        if flip {
+            self.set_spike(!self.spike_active, rec, t);
+        }
+        for _ in 0..queries {
+            self.spawn_query(t);
+        }
     }
 
     /// Mirrors an external control-plane decision (a runtime executor
@@ -453,16 +453,17 @@ impl Router {
     /// ([`service::rho_from_factor`]). Machines hosting nothing read 0.
     /// This is the router-side signal the runtime's `ewma_controller` mode
     /// feeds its controller instead of ground-truth assignment usage.
-    pub fn observed_machine_rho(&self, out: &mut Vec<f64>) {
+    pub fn observed_machine_rho(&mut self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.ms.len(), 0.0);
-        let mut counts = vec![0u32; self.ms.len()];
+        self.hosted.clear();
+        self.hosted.resize(self.ms.len(), 0);
         for r in 0..self.st.len() {
             let m = self.st.machine[r] as usize;
             out[m] += self.st.ewma_us[r];
-            counts[m] += 1;
+            self.hosted[m] += 1;
         }
-        for (rho, &c) in out.iter_mut().zip(&counts) {
+        for (rho, &c) in out.iter_mut().zip(&self.hosted) {
             if c == 0 {
                 *rho = 0.0;
                 continue;
@@ -481,7 +482,8 @@ impl Router {
         match kind {
             #[cfg(test)]
             EventKind::ArrivalPump => {
-                self.pump(t, rec);
+                let (flip, queries) = self.feed.per_us_pump(t);
+                self.pump(t, flip, queries, rec);
                 if t < self.cfg.horizon_us {
                     self.queue.schedule(t + 1, EventKind::ArrivalPump);
                 }
@@ -510,39 +512,9 @@ impl Router {
         }
     }
 
-    /// One micro-tick of arrivals.
-    fn pump(&mut self, t: u64, rec: &mut Recorder) {
-        if self.spike_flips_at(t) {
-            self.set_spike(!self.spike_active, rec, t);
-        }
-        self.arrival_acc += if self.spike_active {
-            self.lambda_spike
-        } else {
-            self.lambda_base
-        };
-        let n = self.arrival_acc as u64;
-        self.arrival_acc -= n as f64;
-        for _ in 0..n {
-            self.spawn_query(t);
-        }
-    }
-
-    /// Whether the pump at `t` turns the flash crowd on (inside its window
-    /// while off) or off (past it while on).
-    #[inline]
-    fn spike_flips_at(&self, t: u64) -> bool {
-        self.cfg.spike.is_some_and(|sp| {
-            let end = sp.at_us + sp.duration_us;
-            if self.spike_active {
-                t >= end
-            } else {
-                t >= sp.at_us && t < end
-            }
-        })
-    }
-
-    /// Toggles the flash crowd: arrival weights switch distribution and
-    /// every hot replica's machine gains/sheds its surcharge.
+    /// Toggles the flash crowd: every hot replica's machine gains/sheds
+    /// its surcharge (the feed switched the arrival weights at the same
+    /// micro-tick).
     fn set_spike(&mut self, on: bool, rec: &mut Recorder, t: u64) {
         self.spike_active = on;
         let sign = if on { 1.0 } else { -1.0 };
@@ -572,30 +544,29 @@ impl Router {
         let qid = self.slab.admit(self.cfg.fanout as u32, t);
         self.counters.queries += 1;
         for _ in 0..self.cfg.fanout {
-            let shard = self.sample_shard();
+            let (shard, unit) = self.next_draw();
             if let Some(c) = &mut self.coupling {
                 c.note_arrival(shard);
             }
-            self.dispatch(shard, qid, t);
+            self.dispatch(shard, unit, qid, t);
         }
     }
 
-    /// Demand-weighted shard draw from the active distribution.
+    /// The next subrequest's `(shard, unit sojourn factor)` from the feed.
     #[inline]
-    fn sample_shard(&mut self) -> u32 {
-        let (cum, total) = if self.spike_active {
-            (&self.cum_spike, self.total_spike)
-        } else {
-            (&self.cum_base, self.total_base)
-        };
-        let u: f64 = self.rng_arrival.random::<f64>() * total;
-        (cum.partition_point(|&x| x <= u).min(cum.len() - 1)) as u32
+    fn next_draw(&mut self) -> (u32, f64) {
+        #[cfg(test)]
+        if self.per_us {
+            return self.feed.per_us_draw();
+        }
+        self.feed.take_draw()
     }
 
     /// Routes one subrequest: policy pick, optional probe, FIFO service at
-    /// the machine's straggler-shaped exponential rate.
+    /// the machine's straggler-shaped exponential rate (`unit` is the
+    /// feed's unit-mean draw).
     #[inline]
-    fn dispatch(&mut self, shard: u32, qid: u32, now: u64) {
+    fn dispatch(&mut self, shard: u32, unit: f64, qid: u32, now: u64) {
         let base = self.st.base(shard);
         let r = self.st.replication;
         let replica = self
@@ -614,11 +585,11 @@ impl Router {
         let rep = replica as usize;
         let m = self.st.machine[rep] as usize;
         // Same straggler shape as `rex_runtime::server::sample_fanout_latency`
-        // — both draw through `rex_cluster::service::exp_sojourn` with mean
-        // scaled by the machine's cached 1/(1−min(ρ, ρ_max)) factor.
+        // — `mean * unit` is `rex_cluster::service::exp_sojourn(mean, u)`
+        // bit for bit, the mean scaled by the machine's cached
+        // 1/(1−min(ρ, ρ_max)) factor.
         let mean = self.cfg.base_service_us * self.ms.lat_factor[m];
-        let u: f64 = self.rng_service.random();
-        let service = service::exp_sojourn(mean, u).max(1.0) as u64;
+        let service = (mean * unit).max(1.0) as u64;
         let done = (now.max(self.st.busy_until[rep]) + service).max(now + 1);
         self.st.busy_until[rep] = done;
         self.st.queue_depth[rep] += 1;
@@ -638,12 +609,10 @@ impl Router {
         let Some(c) = &mut self.coupling else { return };
         // The surcharge that must travel with a moved primary: only live
         // while the crowd is on.
-        let zeros;
         let spike_share: &[f64] = if self.spike_active {
             &self.hot_extra
         } else {
-            zeros = vec![0.0; self.hot_extra.len()];
-            &zeros
+            &self.no_extra
         };
         let applied = c.poll(&mut self.st, &mut self.ms, &self.shares, spike_share);
         rec.set_tick(t);

@@ -67,29 +67,33 @@ pub fn effective_rho(
     }
 }
 
+/// Per-machine mean sojourn `1/(1−min(ρ, ρ_max))` into `out`, one entry
+/// per machine of `rho`: failed machines serve at the saturation clamp.
+/// The samplers below read it instead of re-deriving it per pick, so it is
+/// computed once per tick.
+pub fn latency_factors(rho: &[f64], failed: &[bool], rho_max: f64, out: &mut Vec<f64>) {
+    out.clear();
+    // Shared service model (`rex_cluster::service`), bit-identical to the
+    // pre-refactor inline formulas — pinned by
+    // `service_model_is_bit_identical_to_old_call_sites`.
+    out.extend(
+        rho.iter()
+            .zip(failed)
+            .map(|(&r, &down)| service::latency_factor(if down { rho_max } else { r }, rho_max)),
+    );
+}
+
 /// Draws one fan-out latency sample: the max over *serving* machines of an
-/// exponential sojourn with mean `1/(1−min(ρ, ρ_max))`. Failed machines
-/// that still host shards serve at the saturation clamp. Machines hosting
-/// nothing (and bearing no copy traffic) are skipped.
+/// exponential sojourn with mean `factor[m]` ([`latency_factors`]).
+/// Machines hosting nothing (and bearing no copy traffic) are skipped.
 ///
 /// Returns relative latency ≥ 0 (0 only if no machine serves anything).
-pub fn sample_fanout_latency(
-    rho: &[f64],
-    serving: &[bool],
-    failed: &[bool],
-    rho_max: f64,
-    rng: &mut StdRng,
-) -> f64 {
+pub fn sample_fanout_latency(factor: &[f64], serving: &[bool], rng: &mut StdRng) -> f64 {
     let mut worst = 0.0f64;
-    for m in 0..rho.len() {
-        if !serving[m] {
+    for (&mean, &serves) in factor.iter().zip(serving) {
+        if !serves {
             continue;
         }
-        // Shared service model (`rex_cluster::service`), bit-identical to
-        // the pre-refactor inline formulas — pinned by
-        // `service_model_is_bit_identical_to_old_call_sites`.
-        let r = if failed[m] { rho_max } else { rho[m] };
-        let mean = service::latency_factor(r, rho_max);
         let u: f64 = rng.random();
         worst = worst.max(service::exp_sojourn(mean, u));
     }
@@ -99,19 +103,17 @@ pub fn sample_fanout_latency(
 /// Draws one fan-out latency sample in *sampled-fanout* mode
 /// (`RuntimeConfig::fanout > 0`): `fanout` demand-weighted shard picks from
 /// the cumulative weight table `cum` (total weight `total`), each
-/// contributing an exponential sojourn at its hosting machine's `1/(1−ρ)`
-/// mean; the query's latency is the max over picks. This mirrors the event
-/// engine's per-query fanout draw (`rex-router` dispatch) at tick
-/// granularity: the same shards get hit in proportion to the same weights,
-/// so tick-level and event-level tail curves become comparable.
+/// contributing an exponential sojourn at its hosting machine's mean
+/// `factor[m]` ([`latency_factors`]); the query's latency is the max over
+/// picks. This mirrors the event engine's per-query fanout draw
+/// (`rex-router` dispatch) at tick granularity: the same shards get hit
+/// in proportion to the same weights, so tick-level and event-level tail
+/// curves become comparable.
 ///
 /// Two uniforms are drawn per pick (shard, then sojourn) from the one
 /// latency stream. Returns relative latency (service mean 1.0 at ρ = 0).
-#[allow(clippy::too_many_arguments)]
 pub fn sample_sampled_fanout_latency(
-    rho: &[f64],
-    failed: &[bool],
-    rho_max: f64,
+    factor: &[f64],
     cum: &[f64],
     total: f64,
     placement: &[MachineId],
@@ -122,11 +124,8 @@ pub fn sample_sampled_fanout_latency(
     for _ in 0..fanout {
         let u: f64 = rng.random::<f64>() * total;
         let s = cum.partition_point(|&x| x <= u).min(cum.len() - 1);
-        let m = placement[s].idx();
-        let r = if failed[m] { rho_max } else { rho[m] };
-        let mean = service::latency_factor(r, rho_max);
         let v: f64 = rng.random();
-        worst = worst.max(service::exp_sojourn(mean, v));
+        worst = worst.max(service::exp_sojourn(factor[placement[s].idx()], v));
     }
     worst
 }
@@ -192,15 +191,37 @@ mod tests {
         assert!((rho[1] - 0.3).abs() < 1e-12);
     }
 
+    /// `factors(rho, failed)` at the default clamp.
+    fn factors(rho: &[f64], failed: &[bool]) -> Vec<f64> {
+        let mut out = Vec::new();
+        latency_factors(rho, failed, 0.98, &mut out);
+        out
+    }
+
+    #[test]
+    fn latency_factors_are_the_service_model_with_failures_clamped() {
+        let rho = [0.0, 0.5, 0.99, 0.1];
+        let got = factors(&rho, &[false, false, false, true]);
+        let want = [
+            service::latency_factor(0.0, 0.98),
+            service::latency_factor(0.5, 0.98),
+            service::latency_factor(0.99, 0.98),
+            service::latency_factor(0.98, 0.98),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
     #[test]
     fn latency_tracks_the_straggler() {
         let mut rng = StdRng::seed_from_u64(7);
         let serving = vec![true, true];
-        let failed = vec![false, false];
+        let failed = [false, false];
+        let (low, high) = (factors(&[0.2, 0.2], &failed), factors(&[0.2, 0.9], &failed));
         let (mut lo, mut hi) = (0.0, 0.0);
         for _ in 0..2000 {
-            lo += sample_fanout_latency(&[0.2, 0.2], &serving, &failed, 0.98, &mut rng);
-            hi += sample_fanout_latency(&[0.2, 0.9], &serving, &failed, 0.98, &mut rng);
+            lo += sample_fanout_latency(&low, &serving, &mut rng);
+            hi += sample_fanout_latency(&high, &serving, &mut rng);
         }
         assert!(hi > 3.0 * lo, "straggler must dominate: {hi} vs {lo}");
     }
@@ -208,9 +229,10 @@ mod tests {
     #[test]
     fn failed_serving_machine_saturates() {
         let mut rng = StdRng::seed_from_u64(1);
+        let factor = factors(&[0.1], &[true]);
         let mut acc = 0.0;
         for _ in 0..2000 {
-            acc += sample_fanout_latency(&[0.1], &[true], &[true], 0.98, &mut rng);
+            acc += sample_fanout_latency(&factor, &[true], &mut rng);
         }
         // Mean must approach the clamp 1/(1−0.98) = 50 despite ρ = 0.1.
         assert!(acc / 2000.0 > 25.0);
@@ -219,7 +241,7 @@ mod tests {
     #[test]
     fn nothing_serving_means_zero_latency() {
         let mut rng = StdRng::seed_from_u64(2);
-        let lat = sample_fanout_latency(&[0.5], &[false], &[false], 0.98, &mut rng);
+        let lat = sample_fanout_latency(&factors(&[0.5], &[false]), &[false], &mut rng);
         assert_eq!(lat, 0.0);
     }
 
@@ -229,17 +251,12 @@ mod tests {
         // shard 1 (machine 1, idle): the weighted draw must land on the
         // slow machine most of the time, so mean latency approaches the
         // hot machine's 10× sojourn rather than the idle one's.
-        let rho = [0.9, 0.0];
-        let failed = [false, false];
+        let factor = factors(&[0.9, 0.0], &[false, false]);
         let placement = vec![MachineId::from(0), MachineId::from(1)];
         let sample_mean = |cum: &[f64]| {
             let mut rng = StdRng::seed_from_u64(3);
             (0..4000)
-                .map(|_| {
-                    sample_sampled_fanout_latency(
-                        &rho, &failed, 0.98, cum, 10.0, &placement, 1, &mut rng,
-                    )
-                })
+                .map(|_| sample_sampled_fanout_latency(&factor, cum, 10.0, &placement, 1, &mut rng))
                 .sum::<f64>()
                 / 4000.0
         };
@@ -252,26 +269,16 @@ mod tests {
         // Fanout 0 draws nothing.
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(
-            sample_sampled_fanout_latency(
-                &rho,
-                &failed,
-                0.98,
-                &[9.0, 10.0],
-                10.0,
-                &placement,
-                0,
-                &mut rng
-            ),
+            sample_sampled_fanout_latency(&factor, &[9.0, 10.0], 10.0, &placement, 0, &mut rng),
             0.0
         );
         // A failed machine serves at the clamp even when its ρ reads low.
         let mut rng = StdRng::seed_from_u64(5);
+        let factor = factors(&[0.1, 0.1], &[true, false]);
         let mut acc = 0.0;
         for _ in 0..2000 {
             acc += sample_sampled_fanout_latency(
-                &[0.1, 0.1],
-                &[true, false],
-                0.98,
+                &factor,
                 &[10.0, 10.0],
                 10.0,
                 &placement,

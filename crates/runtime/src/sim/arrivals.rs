@@ -15,7 +15,8 @@
 
 use super::LiveCluster;
 use crate::server::{
-    diurnal_multiplier, effective_rho, sample_fanout_latency, sample_sampled_fanout_latency,
+    diurnal_multiplier, effective_rho, latency_factors, sample_fanout_latency,
+    sample_sampled_fanout_latency,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -102,6 +103,8 @@ pub(crate) struct TickArrivals {
     latency: Histogram,
     // Scratch buffers reused across ticks.
     rho: Vec<f64>,
+    /// Per-machine mean sojourn this tick ([`latency_factors`]).
+    factor: Vec<f64>,
     spike_cpu: Vec<f64>,
     serving: Vec<bool>,
 }
@@ -119,6 +122,7 @@ impl TickArrivals {
             weights_epoch: None,
             latency: Histogram::default(),
             rho: Vec::new(),
+            factor: Vec::new(),
             spike_cpu: Vec::new(),
             serving: Vec::new(),
         }
@@ -150,12 +154,11 @@ impl TickArrivals {
                 mult,
                 &mut self.rho,
             );
+            latency_factors(&self.rho, &cl.failed, cfg.rho_max, &mut self.factor);
             for _ in 0..k {
                 let lat = if cfg.fanout > 0 {
                     sample_sampled_fanout_latency(
-                        &self.rho,
-                        &cl.failed,
-                        cfg.rho_max,
+                        &self.factor,
                         &self.cum_weight,
                         self.total_weight,
                         cl.asg.placement(),
@@ -163,13 +166,7 @@ impl TickArrivals {
                         &mut self.latency_rng,
                     )
                 } else {
-                    sample_fanout_latency(
-                        &self.rho,
-                        &self.serving,
-                        &cl.failed,
-                        cfg.rho_max,
-                        &mut self.latency_rng,
-                    )
+                    sample_fanout_latency(&self.factor, &self.serving, &mut self.latency_rng)
                 };
                 debug_assert!(lat.is_finite() && lat >= 0.0, "bad latency sample {lat}");
                 self.latency.record(lat);
