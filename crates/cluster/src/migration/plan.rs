@@ -113,11 +113,12 @@ pub fn plan_migration(
     target: &[MachineId],
     cfg: &PlannerConfig,
 ) -> Result<MigrationPlan, ClusterError> {
-    if initial.len() != inst.n_shards() || target.len() != inst.n_shards() {
-        return Err(ClusterError::BadPlacementLength {
-            expected: inst.n_shards(),
-            found: initial.len().min(target.len()),
-        });
+    let expected = inst.n_shards();
+    if let Some(found) = [initial.len(), target.len()]
+        .into_iter()
+        .find(|&len| len != expected)
+    {
+        return Err(ClusterError::BadPlacementLength { expected, found });
     }
     Planner::new(inst, initial)?.plan(target, cfg)
 }
@@ -1298,6 +1299,22 @@ mod tests {
             &PlannerConfig::default(),
         );
         assert!(matches!(res, Err(ClusterError::BadPlacementLength { .. })));
+    }
+
+    #[test]
+    fn a_too_long_target_reports_its_own_length() {
+        let inst = swap_instance(true);
+        let mut target = swap_target(&inst);
+        target.push(MachineId(0));
+        let long = ClusterError::BadPlacementLength {
+            expected: inst.n_shards(),
+            found: inst.n_shards() + 1,
+        };
+        let cfg = PlannerConfig::default();
+        let res = plan_migration(&inst, &inst.initial, &target, &cfg);
+        assert_eq!(res.unwrap_err(), long);
+        let res = reference::plan_migration(&inst, &inst.initial, &target, &cfg);
+        assert_eq!(res.unwrap_err(), long);
     }
 
     #[test]

@@ -25,11 +25,12 @@ pub fn plan_migration(
     target: &[MachineId],
     cfg: &PlannerConfig,
 ) -> Result<MigrationPlan, ClusterError> {
-    if initial.len() != inst.n_shards() || target.len() != inst.n_shards() {
-        return Err(ClusterError::BadPlacementLength {
-            expected: inst.n_shards(),
-            found: initial.len().min(target.len()),
-        });
+    let expected = inst.n_shards();
+    if let Some(found) = [initial.len(), target.len()]
+        .into_iter()
+        .find(|&len| len != expected)
+    {
+        return Err(ClusterError::BadPlacementLength { expected, found });
     }
 
     let mut cur = Assignment::from_placement(inst, initial.to_vec())?;

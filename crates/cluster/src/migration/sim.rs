@@ -34,11 +34,12 @@ pub fn verify_schedule(
     target: &[MachineId],
     plan: &MigrationPlan,
 ) -> Result<(), ClusterError> {
-    if initial.len() != inst.n_shards() || target.len() != inst.n_shards() {
-        return Err(ClusterError::BadPlacementLength {
-            expected: inst.n_shards(),
-            found: initial.len().min(target.len()),
-        });
+    let expected = inst.n_shards();
+    if let Some(found) = [initial.len(), target.len()]
+        .into_iter()
+        .find(|&len| len != expected)
+    {
+        return Err(ClusterError::BadPlacementLength { expected, found });
     }
     let alpha = inst.alpha;
     let unknown = |shard: ShardId, machine: MachineId| {
@@ -154,6 +155,20 @@ mod tests {
             batches: vec![vec![mv(0, 0, 1)]],
         };
         verify_schedule(&inst, &inst.initial, &[m1], &plan).unwrap();
+    }
+
+    #[test]
+    fn a_too_long_target_reports_its_own_length() {
+        let inst = two_machines(0.0);
+        let target = vec![MachineId(0); 3];
+        let empty = MigrationPlan { batches: vec![] };
+        assert_eq!(
+            verify_schedule(&inst, &inst.initial, &target, &empty),
+            Err(ClusterError::BadPlacementLength {
+                expected: 2,
+                found: 3
+            })
+        );
     }
 
     #[test]

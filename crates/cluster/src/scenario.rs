@@ -127,13 +127,19 @@ impl ScenarioSpec {
     }
 
     /// Rejects internally inconsistent specs (zero durations, out-of-range
-    /// fractions, faults scheduled past the horizon) with a typed error.
+    /// fractions, faults scheduled past the horizon, tick spans that
+    /// overflow the event engine's microsecond clock) with a typed error.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.ticks == 0 {
             return Err(ScenarioError::NonPositive { field: "ticks" });
         }
         if self.tick_us == 0 {
             return Err(ScenarioError::NonPositive { field: "tick_us" });
+        }
+        if self.ticks.checked_mul(self.tick_us).is_none() {
+            return Err(ScenarioError::ClockOverflow {
+                span: "ticks × tick_us",
+            });
         }
         if self.qps_per_tick <= 0.0 {
             return Err(ScenarioError::NonPositive {
@@ -165,6 +171,12 @@ impl ScenarioSpec {
             if sp.duration_ticks == 0 {
                 return Err(ScenarioError::NonPositive {
                     field: "spike duration_ticks",
+                });
+            }
+            let end = sp.at_tick.checked_add(sp.duration_ticks);
+            if end.and_then(|t| t.checked_mul(self.tick_us)).is_none() {
+                return Err(ScenarioError::ClockOverflow {
+                    span: "spike (at_tick + duration_ticks) × tick_us",
                 });
             }
             if sp.at_tick >= self.ticks {
@@ -214,6 +226,8 @@ impl ScenarioSpec {
 pub enum ScenarioError {
     /// A field that must be strictly positive was zero or negative.
     NonPositive { field: &'static str },
+    /// A span of ticks that, in microseconds, does not fit in a `u64`.
+    ClockOverflow { span: &'static str },
     /// `rho_max` outside the open interval (0, 1).
     RhoMaxOutOfRange { rho_max: f64 },
     /// Spike demand multiplier does not exceed 1.
@@ -251,6 +265,9 @@ impl std::fmt::Display for ScenarioError {
         match self {
             ScenarioError::NonPositive { field } => {
                 write!(f, "{field} must be positive")
+            }
+            ScenarioError::ClockOverflow { span } => {
+                write!(f, "{span} overflows the microsecond clock")
             }
             ScenarioError::RhoMaxOutOfRange { rho_max } => {
                 write!(f, "rho_max must lie in (0, 1), got {rho_max}")
@@ -655,6 +672,37 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("spike starts past the horizon"));
+    }
+
+    #[test]
+    fn validation_rejects_spans_past_the_microsecond_clock() {
+        let long = ScenarioSpec {
+            ticks: u64::MAX / 1_000 + 1,
+            ..Default::default()
+        };
+        let err = long.validate().unwrap_err();
+        let span = "ticks × tick_us";
+        assert_eq!(err, ScenarioError::ClockOverflow { span });
+        assert_eq!(
+            err.to_string(),
+            "ticks × tick_us overflows the microsecond clock"
+        );
+        // 10 + 18 446 744 073 709 552 ticks of 1 000 µs wrap to 384 µs.
+        let spike = |at_tick, duration_ticks| ScenarioSpec {
+            spike: Some(SpikeSpec {
+                at_tick,
+                duration_ticks,
+                factor: 2.0,
+                shard_fraction: 0.1,
+            }),
+            ..Default::default()
+        };
+        let span = "spike (at_tick + duration_ticks) × tick_us";
+        for (at, duration) in [(10, 18_446_744_073_709_552), (10, u64::MAX)] {
+            let err = spike(at, duration).validate().unwrap_err();
+            assert_eq!(err, ScenarioError::ClockOverflow { span });
+        }
+        spike(10, u64::MAX / 1_000 - 10).validate().unwrap();
     }
 
     #[test]

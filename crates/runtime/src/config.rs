@@ -120,6 +120,29 @@ pub enum FaultSpec {
     },
 }
 
+/// An engine-neutral crash, tick for tick.
+impl From<rex_cluster::CrashSpec> for FaultSpec {
+    fn from(cr: rex_cluster::CrashSpec) -> Self {
+        FaultSpec::Crash {
+            at: cr.at_tick,
+            machine: cr.machine as u32,
+            recover_at: cr.recover_at_tick,
+        }
+    }
+}
+
+/// An engine-neutral flash crowd, tick for tick.
+impl From<rex_cluster::SpikeSpec> for FaultSpec {
+    fn from(sp: rex_cluster::SpikeSpec) -> Self {
+        FaultSpec::Spike {
+            at: sp.at_tick,
+            duration: sp.duration_ticks,
+            factor: sp.factor,
+            shard_fraction: sp.shard_fraction,
+        }
+    }
+}
+
 /// Periodic demand drift (delegates to `rex_workload::evolve::next_epoch`).
 #[derive(Clone, Copy, Debug)]
 pub struct DriftSpec {
@@ -223,22 +246,8 @@ impl RuntimeConfig {
     /// neither has an event-engine counterpart to converge against.
     pub fn from_scenario(spec: &rex_cluster::ScenarioSpec) -> Self {
         spec.validate().expect("scenario spec must validate");
-        let mut faults = Vec::new();
-        if let Some(sp) = spec.spike {
-            faults.push(FaultSpec::Spike {
-                at: sp.at_tick,
-                duration: sp.duration_ticks,
-                factor: sp.factor,
-                shard_fraction: sp.shard_fraction,
-            });
-        }
-        if let Some(cr) = spec.crash {
-            faults.push(FaultSpec::Crash {
-                at: cr.at_tick,
-                machine: cr.machine as u32,
-                recover_at: cr.recover_at_tick,
-            });
-        }
+        let faults = spec.spike.map(FaultSpec::from).into_iter();
+        let faults = faults.chain(spec.crash.map(FaultSpec::from)).collect();
         let controller = match spec.sra {
             Some(sra) => ControllerConfig {
                 policy: ControllerPolicy::Sra,
@@ -281,13 +290,8 @@ impl RuntimeConfig {
     pub fn from_workload(w: &rex_cluster::WorkloadSpec, n_machines: usize) -> Self {
         w.validate().expect("workload spec must validate");
         let mut cfg = Self::from_scenario(&w.scenario);
-        for cr in w.expand_rack_crashes(n_machines) {
-            cfg.faults.push(FaultSpec::Crash {
-                at: cr.at_tick,
-                machine: cr.machine as u32,
-                recover_at: cr.recover_at_tick,
-            });
-        }
+        let racks = w.expand_rack_crashes(n_machines);
+        cfg.faults.extend(racks.into_iter().map(FaultSpec::from));
         if let Some(load) = &w.load {
             cfg.diurnal_amplitude = load.diurnal_amplitude;
             cfg.ticks_per_hour = load.ticks_per_hour;
@@ -362,11 +366,13 @@ impl RuntimeConfig {
                 )?;
             }
             if let FaultSpec::Spike {
+                duration,
                 factor,
                 shard_fraction,
                 ..
             } = f
             {
+                ensure(*duration > 0, "spike duration must be positive")?;
                 ensure(
                     *factor >= 1.0,
                     "spike factor must be ≥ 1 (plans stay transient-safe \
@@ -437,6 +443,22 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().unwrap_err().contains("spike factor"));
+    }
+
+    #[test]
+    fn zero_length_spike_rejected() {
+        let spike = |duration| RuntimeConfig {
+            faults: vec![FaultSpec::Spike {
+                at: 10,
+                duration,
+                factor: 1.5,
+                shard_fraction: 0.1,
+            }],
+            ..Default::default()
+        };
+        let e = spike(0).validate().unwrap_err();
+        assert_eq!(e, "spike duration must be positive");
+        spike(1).validate().unwrap();
     }
 
     #[test]

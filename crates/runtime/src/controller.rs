@@ -12,10 +12,10 @@
 //! never undo an evacuation.
 
 use crate::config::{ControllerConfig, ControllerPolicy};
-use crate::exec::{batch_durations, MigrationKind, PlannedMigration};
+use crate::exec::{MigrationKind, PlannedMigration};
 use rex_baselines::common::best_fit_decreasing;
 use rex_baselines::{GreedyRebalancer, Rebalancer};
-use rex_cluster::{plan_migration, Assignment, Instance, MachineId, PlannerConfig};
+use rex_cluster::{plan_migration, Assignment, Instance, MachineId, MigrationPlan, PlannerConfig};
 use rex_core::{solve_with_drain, SolveOptions};
 use std::collections::VecDeque;
 
@@ -94,8 +94,8 @@ pub fn plan_load_rebalance(
     copy_bandwidth: f64,
     overhead_ticks: u64,
 ) -> Result<PlannedMigration, String> {
-    match ctrl.policy {
-        ControllerPolicy::Off => Err("policy `off` never plans".into()),
+    let (plan, target, returned) = match ctrl.policy {
+        ControllerPolicy::Off => return Err("policy `off` never plans".into()),
         ControllerPolicy::Sra => {
             // Controller policy knobs are layered onto the solver defaults
             // and validated at the boundary: a misconfigured controller is
@@ -108,14 +108,8 @@ pub fn plan_load_rebalance(
                 .build_for(snapshot)
                 .map_err(|e| format!("controller solver config: {e}"))?;
             let res = solve_with_drain(snapshot, &cfg, failed).map_err(|e| e.to_string())?;
-            let durations = batch_durations(snapshot, &res.plan, copy_bandwidth, overhead_ticks);
-            Ok(PlannedMigration {
-                plan: res.plan,
-                target: res.assignment.placement().to_vec(),
-                returned: res.returned_machines,
-                durations,
-                kind: MigrationKind::Load,
-            })
+            let target = res.assignment.into_placement();
+            (res.plan, target, res.returned_machines)
         }
         ControllerPolicy::Greedy => {
             let mut inst = snapshot.clone();
@@ -135,16 +129,18 @@ pub fn plan_load_rebalance(
             let plan = res
                 .plan
                 .ok_or_else(|| "greedy produced no schedulable plan".to_string())?;
-            let durations = batch_durations(snapshot, &plan, copy_bandwidth, overhead_ticks);
-            Ok(PlannedMigration {
-                target: res.assignment.placement().to_vec(),
-                returned: Vec::new(),
-                plan,
-                durations,
-                kind: MigrationKind::Load,
-            })
+            (plan, res.assignment.into_placement(), Vec::new())
         }
-    }
+    };
+    Ok(PlannedMigration::new(
+        snapshot,
+        plan,
+        target,
+        returned,
+        MigrationKind::Load,
+        copy_bandwidth,
+        overhead_ticks,
+    ))
 }
 
 fn count_vacant(inst: &Instance) -> usize {
@@ -165,46 +161,40 @@ pub fn plan_evacuation(
     copy_bandwidth: f64,
     overhead_ticks: u64,
 ) -> Result<PlannedMigration, String> {
-    if !failed.iter().any(|m| snapshot.initial.contains(m)) {
+    let (plan, target) = if !failed.iter().any(|m| snapshot.initial.contains(m)) {
         // Nothing to drain: already-vacant machines need no plan.
-        return Ok(PlannedMigration {
-            plan: rex_cluster::MigrationPlan {
-                batches: Vec::new(),
-            },
-            target: snapshot.initial.clone(),
-            returned: Vec::new(),
-            durations: Vec::new(),
-            kind: MigrationKind::Evacuation,
-        });
-    }
-    if let Some(pm) = greedy_evacuation(snapshot, failed, copy_bandwidth, overhead_ticks) {
-        return Ok(pm);
-    }
-    let cfg = SolveOptions::new()
-        .iters(1_500)
-        .seed(seed)
-        .build_for(snapshot)
-        .map_err(|e| format!("evacuation solver config: {e}"))?;
-    let res = solve_with_drain(snapshot, &cfg, failed).map_err(|e| e.to_string())?;
-    let durations = batch_durations(snapshot, &res.plan, copy_bandwidth, overhead_ticks);
-    Ok(PlannedMigration {
-        plan: res.plan,
-        target: res.assignment.placement().to_vec(),
-        returned: Vec::new(),
-        durations,
-        kind: MigrationKind::Evacuation,
-    })
+        let empty = MigrationPlan { batches: vec![] };
+        (empty, snapshot.initial.clone())
+    } else if let Some(greedy) = greedy_evacuation(snapshot, failed) {
+        greedy
+    } else {
+        let cfg = SolveOptions::new()
+            .iters(1_500)
+            .seed(seed)
+            .build_for(snapshot)
+            .map_err(|e| format!("evacuation solver config: {e}"))?;
+        let res = solve_with_drain(snapshot, &cfg, failed).map_err(|e| e.to_string())?;
+        (res.plan, res.assignment.into_placement())
+    };
+    Ok(PlannedMigration::new(
+        snapshot,
+        plan,
+        target,
+        Vec::new(),
+        MigrationKind::Evacuation,
+        copy_bandwidth,
+        overhead_ticks,
+    ))
 }
 
-/// Greedy evacuation target: the shards on failed machines re-placed by
-/// best-fit decreasing over every non-failed machine. Returns `None` when a
-/// shard fits nowhere or the migration planner cannot schedule the target.
+/// Greedy evacuation target and its schedule: the shards on failed
+/// machines re-placed by best-fit decreasing over every non-failed machine.
+/// Returns `None` when a shard fits nowhere or the migration planner cannot
+/// schedule the target.
 fn greedy_evacuation(
     snapshot: &Instance,
     failed: &[MachineId],
-    copy_bandwidth: f64,
-    overhead_ticks: u64,
-) -> Option<PlannedMigration> {
+) -> Option<(MigrationPlan, Vec<MachineId>)> {
     let mut asg = Assignment::from_initial(snapshot);
     let (down, hosts): (Vec<MachineId>, Vec<MachineId>) = (0..snapshot.n_machines())
         .map(MachineId::from)
@@ -225,14 +215,7 @@ fn greedy_evacuation(
         &PlannerConfig::default(),
     )
     .ok()?;
-    let durations = batch_durations(snapshot, &plan, copy_bandwidth, overhead_ticks);
-    Some(PlannedMigration {
-        plan,
-        target,
-        returned: Vec::new(),
-        durations,
-        kind: MigrationKind::Evacuation,
-    })
+    Some((plan, target))
 }
 
 #[cfg(test)]

@@ -55,6 +55,29 @@ pub struct PlannedMigration {
     pub kind: MigrationKind,
 }
 
+impl PlannedMigration {
+    /// Packages `plan`, which ends at `target`, for the executor; the one
+    /// place a plan is timed ([`batch_durations`], which panics unless
+    /// `copy_bandwidth` is positive).
+    pub fn new(
+        inst: &Instance,
+        plan: MigrationPlan,
+        target: Vec<MachineId>,
+        returned: Vec<MachineId>,
+        kind: MigrationKind,
+        copy_bandwidth: f64,
+        overhead_ticks: u64,
+    ) -> Self {
+        Self {
+            durations: batch_durations(inst, &plan, copy_bandwidth, overhead_ticks),
+            plan,
+            target,
+            returned,
+            kind,
+        }
+    }
+}
+
 /// Per-batch durations in ticks: [`time_plan`]'s seconds at
 /// `copy_bandwidth` (no per-batch overhead), rounded up, plus
 /// `overhead_ticks`, and at least one tick — a batch can never commit at

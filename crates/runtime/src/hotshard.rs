@@ -18,8 +18,10 @@
 //!    merge. The gap between the two thresholds is the hysteresis band
 //!    that keeps a shard oscillating around one threshold from
 //!    split-merge thrashing.
-//! 3. **Execute** — operators flow through an `OperatorScheduler` with a
-//!    concurrency limit, per-operator pending expiry, and cancel-on-crash.
+//! 3. **Execute** — operators flow through an `OperatorScheduler` with
+//!    per-operator pending expiry and cancel-on-crash. Operators start only
+//!    while the executor is idle, and the one whose plan the executor then
+//!    runs is the scheduler's one in-flight operator until the plan leaves.
 //!    Split and merge mutate the `Instance` in place (only while the
 //!    executor is idle, preserving the membership invariant); the
 //!    follow-up migration feeds the solver a *delta* — only the shards
@@ -31,7 +33,7 @@
 //! comes from the simulation's named seed streams.
 
 use crate::config::ensure;
-use crate::exec::{batch_durations, MigrationKind, PlannedMigration};
+use crate::exec::{MigrationKind, PlannedMigration};
 use crate::metrics::Counters;
 use crate::sim::LiveCluster;
 use rex_cluster::{Assignment, Instance, MachineId, ShardId};
@@ -333,34 +335,35 @@ struct Operator {
     admitted_at: u64,
 }
 
-/// Admits, expires, starts, and cancels operators under a concurrency
-/// limit. Pure bookkeeping — the simulation executes the operators.
+/// Admits, expires, starts, and cancels operators, one in flight at a
+/// time. Pure bookkeeping — the simulation executes the operators.
 #[derive(Clone, Debug, Default)]
 struct OperatorScheduler {
-    limit: usize,
     expiry: u64,
     next_id: u64,
     pending: VecDeque<Operator>,
-    running: Vec<Operator>,
+    /// The operator whose plan the executor runs. An operator that
+    /// finishes at once (a split, a co-located merge, a stale premise, an
+    /// empty or failed delta solve) never enters it.
+    in_flight: Option<Operator>,
 }
 
 impl OperatorScheduler {
-    /// A scheduler allowing `limit` concurrent operators; pending
-    /// operators expire after `expiry` ticks unstarted.
-    fn new(limit: usize, expiry: u64) -> Self {
+    /// An empty scheduler; pending operators expire after `expiry` ticks
+    /// unstarted.
+    fn new(expiry: u64) -> Self {
         Self {
-            limit: limit.max(1),
             expiry,
             ..Self::default()
         }
     }
 
     /// Admits `kind` unless an equivalent or overlapping operator is
-    /// already queued or running. Returns the operator id on admission.
+    /// already queued or in flight. Returns the operator id on admission.
     fn admit(&mut self, tick: u64, kind: OperatorKind) -> Option<u64> {
         let touches = kind.shards();
         let overlaps = |op: &Operator| op.kind.shards().iter().any(|s| touches.contains(s));
-        if self.pending.iter().any(overlaps) || self.running.iter().any(overlaps) {
+        if self.pending.iter().chain(&self.in_flight).any(overlaps) {
             return None;
         }
         let id = self.next_id;
@@ -388,31 +391,23 @@ impl OperatorScheduler {
         out
     }
 
-    /// Moves the oldest pending operator to running if a slot is free.
+    /// Takes the oldest pending operator to run, unless one is in flight.
     fn start_next(&mut self) -> Option<Operator> {
-        if self.running.len() >= self.limit {
+        if self.in_flight.is_some() {
             return None;
         }
-        let op = self.pending.pop_front()?;
-        self.running.push(op.clone());
-        Some(op)
+        self.pending.pop_front()
     }
 
-    /// Marks a running operator finished.
-    fn complete(&mut self, id: u64) {
-        self.running.retain(|op| op.id != id);
+    /// Cancels everything (crash recovery) and returns how many operators
+    /// were dropped, the in-flight one included.
+    fn cancel_all(&mut self) -> usize {
+        self.pending.drain(..).count() + usize::from(self.in_flight.take().is_some())
     }
 
-    /// Cancels everything (crash recovery) and returns what was dropped.
-    fn cancel_all(&mut self) -> Vec<Operator> {
-        let mut out: Vec<Operator> = self.pending.drain(..).collect();
-        out.append(&mut self.running);
-        out
-    }
-
-    /// Renames a shard id across all queued and running operators.
+    /// Renames a shard id across all queued and in-flight operators.
     fn remap_shard(&mut self, old: ShardId, new: ShardId) {
-        for op in self.pending.iter_mut().chain(self.running.iter_mut()) {
+        for op in self.pending.iter_mut().chain(&mut self.in_flight) {
             op.kind.remap(old, new);
         }
     }
@@ -434,8 +429,6 @@ pub(crate) struct HotShardPlane {
     /// Sibling pairs produced by splits, `(parent, child)` — merge
     /// candidates while both stay under the hysteresis band.
     siblings: Vec<(ShardId, ShardId)>,
-    /// The running operator whose plan is currently in flight.
-    plan_op: Option<u64>,
     /// Hard shard-count cap: [`MAX_SHARDS_FACTOR`] × the initial count.
     max_shards: usize,
 }
@@ -443,9 +436,6 @@ pub(crate) struct HotShardPlane {
 /// Splits stop once the fleet holds this many times its initial shard
 /// count (caps runaway splitting).
 const MAX_SHARDS_FACTOR: usize = 4;
-
-/// Maximum hot-shard operators running at once.
-const OPERATOR_LIMIT: usize = 2;
 
 /// What the simulation lends the plane for one call: the cluster to
 /// observe and reshape, the counters it bumps, the recorder it narrates to.
@@ -462,9 +452,8 @@ impl HotShardPlane {
     pub fn new(hs: &HotShardConfig, n_shards: usize) -> Option<Self> {
         hs.enabled.then(|| Self {
             cache: EwmaCache::new(hs.cache_capacity, hs.ewma_alpha),
-            sched: OperatorScheduler::new(OPERATOR_LIMIT, hs.operator_expiry_ticks),
+            sched: OperatorScheduler::new(hs.operator_expiry_ticks),
             siblings: Vec::new(),
-            plan_op: None,
             max_shards: n_shards.saturating_mul(MAX_SHARDS_FACTOR),
         })
     }
@@ -491,31 +480,25 @@ impl HotShardPlane {
     }
 
     /// Cancel-on-crash: the fleet shape is about to change under an
-    /// evacuation; every queued/running operator's premise is stale.
+    /// evacuation; every queued/in-flight operator's premise is stale.
     pub fn on_crash(&mut self, m: MachineId, counters: &mut Counters, obs: &mut Recorder) {
         let cancelled = self.sched.cancel_all();
-        counters.hotshard_cancelled += cancelled.len() as u64;
-        self.plan_op = None;
-        if !cancelled.is_empty() {
+        counters.hotshard_cancelled += cancelled as u64;
+        if cancelled > 0 {
             obs.event(
                 "runtime",
                 "hotshard_cancelled",
-                &[
-                    ("machine", m.idx().into()),
-                    ("operators", cancelled.len().into()),
-                ],
+                &[("machine", m.idx().into()), ("operators", cancelled.into())],
             );
-            obs.add("runtime.hotshard_cancelled", cancelled.len() as u64);
+            obs.add("runtime.hotshard_cancelled", cancelled as u64);
         }
     }
 
-    /// A [`MigrationKind::HotShard`] plan left the executor: the operator
-    /// that owns it frees its slot, completed or aborted (a crash-abort
-    /// already cancelled it).
+    /// A [`MigrationKind::HotShard`] plan left the executor, completed or
+    /// aborted: the operator that owns it is done (a crash already
+    /// cancelled it).
     pub fn plan_finished(&mut self) {
-        if let Some(op) = self.plan_op.take() {
-            self.sched.complete(op);
-        }
+        self.sched.in_flight = None;
     }
 
     /// Feeds every hosted shard's load fraction of its machine's capacity
@@ -584,23 +567,24 @@ impl HotShardPlane {
         }
     }
 
-    /// Starts ready operators until one produces a plan. Membership
+    /// Starts ready operators until one produces a plan; that operator is
+    /// then in flight until [`HotShardPlane::plan_finished`]. Membership
     /// mutations (split/merge) and plan adoption both require an idle
     /// executor and no failed machine still hosting shards — the same
     /// invariant the controller plans under.
     fn run_operators(&mut self, tick: u64, cx: &mut PlaneCtx) -> Option<PlannedMigration> {
         while !cx.cl.any_failed_hosting() {
             let op = self.sched.start_next()?;
-            let pm = match op.kind {
+            let pm = match &op.kind {
                 OperatorKind::Split { shard } => {
-                    self.exec_split(tick, op.id, shard, cx);
+                    self.exec_split(tick, op.id, *shard, cx);
                     None
                 }
-                OperatorKind::Merge { keep, drop } => self.exec_merge(op.id, keep, drop, cx),
+                OperatorKind::Merge { keep, drop } => self.exec_merge(op.id, *keep, *drop, cx),
                 OperatorKind::Migrate { shards } => self.exec_delta_migrate(op.id, shards, cx),
             };
             if pm.is_some() {
-                self.plan_op = Some(op.id);
+                self.sched.in_flight = Some(op);
                 return pm;
             }
         }
@@ -611,7 +595,6 @@ impl HotShardPlane {
     /// and queues the delta migration that gives one half a new home.
     fn exec_split(&mut self, tick: u64, opid: u64, shard: ShardId, cx: &mut PlaneCtx) {
         if shard.idx() >= cx.cl.inst.n_shards() || cx.cl.inst.n_shards() >= self.max_shards {
-            self.sched.complete(opid);
             return;
         }
         let child = cx.cl.inst.split_shard(shard);
@@ -637,7 +620,6 @@ impl HotShardPlane {
             ],
         );
         cx.obs.add("runtime.hotshard_splits", 1);
-        self.sched.complete(opid);
         // Both halves sit on the still-hot machine; ask the solver for a
         // better placement of exactly these two shards.
         self.sched.admit(
@@ -660,7 +642,6 @@ impl HotShardPlane {
     ) -> Option<PlannedMigration> {
         let n = cx.cl.inst.n_shards();
         if keep == drop || keep.idx() >= n || drop.idx() >= n {
-            self.sched.complete(opid);
             return None;
         }
         let dest = cx.cl.asg.placement()[keep.idx()];
@@ -674,27 +655,18 @@ impl HotShardPlane {
                 &target,
                 &rex_cluster::PlannerConfig::default(),
             ) {
-                Ok(plan) if !plan.batches.is_empty() => {
-                    let durations = batch_durations(
-                        &cx.cl.inst,
-                        &plan,
-                        cx.cl.cfg.copy_bandwidth,
-                        cx.cl.cfg.batch_overhead_ticks,
-                    );
-                    Some(PlannedMigration {
-                        target,
-                        returned: Vec::new(),
-                        plan,
-                        durations,
-                        kind: MigrationKind::HotShard,
-                    })
-                }
-                _ => {
-                    // No feasible co-location right now; retry on a later
-                    // poll if the pair is still cold.
-                    self.sched.complete(opid);
-                    None
-                }
+                Ok(plan) if !plan.batches.is_empty() => Some(PlannedMigration::new(
+                    &cx.cl.inst,
+                    plan,
+                    target,
+                    Vec::new(),
+                    MigrationKind::HotShard,
+                    cx.cl.cfg.copy_bandwidth,
+                    cx.cl.cfg.batch_overhead_ticks,
+                )),
+                // No feasible co-location right now; retry on a later poll
+                // if the pair is still cold.
+                _ => None,
             };
         }
         // `Err` is a stale premise (ids shifted since admission): drop the op.
@@ -714,7 +686,6 @@ impl HotShardPlane {
             );
             cx.obs.add("runtime.hotshard_merges", 1);
         }
-        self.sched.complete(opid);
         None
     }
 
@@ -756,13 +727,12 @@ impl HotShardPlane {
     fn exec_delta_migrate(
         &mut self,
         opid: u64,
-        shards: Vec<ShardId>,
+        shards: &[ShardId],
         cx: &mut PlaneCtx,
     ) -> Option<PlannedMigration> {
         let n = cx.cl.inst.n_shards();
-        let changed: Vec<ShardId> = shards.into_iter().filter(|s| s.idx() < n).collect();
+        let changed: Vec<ShardId> = shards.iter().copied().filter(|s| s.idx() < n).collect();
         if changed.is_empty() {
-            self.sched.complete(opid);
             return None;
         }
         let snapshot = cx.cl.build_snapshot();
@@ -790,7 +760,6 @@ impl HotShardPlane {
                 );
             }
         }
-        self.sched.complete(opid);
         None
     }
 }
@@ -816,14 +785,15 @@ pub fn plan_hotshard_migration(
         .map_err(|e| format!("hotshard solver config: {e}"))?;
     let out =
         solve_delta(snapshot, &cfg, changed, &mut Recorder::noop()).map_err(|e| e.to_string())?;
-    let durations = batch_durations(snapshot, &out.plan, copy_bandwidth, overhead_ticks);
-    Ok(PlannedMigration {
-        target: out.assignment.placement().to_vec(),
-        returned: Vec::new(),
-        plan: out.plan,
-        durations,
-        kind: MigrationKind::HotShard,
-    })
+    Ok(PlannedMigration::new(
+        snapshot,
+        out.plan,
+        out.assignment.into_placement(),
+        Vec::new(),
+        MigrationKind::HotShard,
+        copy_bandwidth,
+        overhead_ticks,
+    ))
 }
 
 #[cfg(test)]
@@ -889,19 +859,8 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_enforces_the_concurrency_limit() {
-        let mut sched = OperatorScheduler::new(1, 100);
-        sched.admit(0, OperatorKind::Split { shard: s(0) }).unwrap();
-        sched.admit(0, OperatorKind::Split { shard: s(1) }).unwrap();
-        let first = sched.start_next().unwrap();
-        assert!(sched.start_next().is_none(), "limit 1: second must wait");
-        sched.complete(first.id);
-        assert!(sched.start_next().is_some());
-    }
-
-    #[test]
     fn admission_dedups_overlapping_operators() {
-        let mut sched = OperatorScheduler::new(2, 100);
+        let mut sched = OperatorScheduler::new(100);
         assert!(sched
             .admit(0, OperatorKind::Split { shard: s(4) })
             .is_some());
@@ -930,31 +889,30 @@ mod tests {
 
     #[test]
     fn pending_operators_expire_but_running_do_not() {
-        let mut sched = OperatorScheduler::new(1, 10);
+        let mut sched = OperatorScheduler::new(10);
         sched.admit(0, OperatorKind::Split { shard: s(0) }).unwrap();
         sched.admit(0, OperatorKind::Split { shard: s(1) }).unwrap();
-        sched.start_next().unwrap(); // s0 runs, s1 pends
+        sched.in_flight = sched.start_next(); // s0 runs, s1 pends
         let expired = sched.expire(11);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].kind, OperatorKind::Split { shard: s(1) });
-        assert_eq!(sched.running.len(), 1, "running op must survive expiry");
+        assert!(sched.in_flight.is_some(), "running op must survive expiry");
     }
 
     #[test]
     fn cancel_all_clears_everything() {
-        let mut sched = OperatorScheduler::new(2, 100);
+        let mut sched = OperatorScheduler::new(100);
         sched.admit(0, OperatorKind::Split { shard: s(0) }).unwrap();
         sched.admit(0, OperatorKind::Split { shard: s(1) }).unwrap();
-        sched.start_next().unwrap();
-        let dropped = sched.cancel_all();
-        assert_eq!(dropped.len(), 2);
-        assert_eq!(sched.running.len(), 0);
+        sched.in_flight = sched.start_next();
+        assert_eq!(sched.cancel_all(), 2);
+        assert!(sched.in_flight.is_none());
         assert!(sched.start_next().is_none(), "nothing left pending");
     }
 
     #[test]
     fn scheduler_remap_rewrites_all_operator_kinds() {
-        let mut sched = OperatorScheduler::new(2, 100);
+        let mut sched = OperatorScheduler::new(100);
         sched
             .admit(
                 0,
@@ -1013,8 +971,7 @@ mod tests {
         // Split 1 → child 4, then 0 → child 5 (the last shard, spiked like
         // its parent), each queueing a follow-up migrate of its two halves.
         plane.exec_split(1, 100, s(1), cx);
-        let first = plane.sched.start_next().unwrap();
-        plane.sched.complete(first.id); // retire Migrate{1, 4}
+        plane.sched.start_next().unwrap(); // retire Migrate{1, 4}
         plane.exec_split(1, 101, s(0), cx);
         assert_eq!(plane.siblings, vec![(s(1), s(4)), (s(0), s(5))]);
         assert_eq!(cx.cl.spikes[0], Some(vec![s(0), s(5)]));
@@ -1035,6 +992,67 @@ mod tests {
             .collect();
         let shards = vec![s(0), s(4)];
         assert_eq!(queued, vec![OperatorKind::Migrate { shards }]);
+    }
+
+    #[test]
+    fn one_operator_is_in_flight_while_its_plan_runs() {
+        // Cold shards 0 and 2 on m0, 1, 3 and 4 on m1: nothing is proposed
+        // on its own, and each merge below needs a directed move first.
+        let mut b = rex_cluster::InstanceBuilder::new(1);
+        let (m0, m1) = (b.machine(&[100.0]), b.machine(&[100.0]));
+        for m in [m0, m1, m0, m1, m1] {
+            b.shard(&[8.0], 2.0, m);
+        }
+        let cfg = crate::config::RuntimeConfig {
+            hotshard: HotShardConfig {
+                enabled: true,
+                operator_expiry_ticks: 10,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut cl = LiveCluster::new(b.build().unwrap(), cfg);
+        let mut plane = HotShardPlane::new(&cl.cfg.hotshard, 5).unwrap();
+        let (mut counters, mut obs) = (Counters::default(), Recorder::noop());
+        let cx = &mut PlaneCtx {
+            cl: &mut cl,
+            counters: &mut counters,
+            obs: &mut obs,
+        };
+        let merge = |keep, drop| OperatorKind::Merge {
+            keep: s(keep),
+            drop: s(drop),
+        };
+        let migrate = |i| OperatorKind::Migrate { shards: vec![s(i)] };
+        plane.sched.admit(0, merge(0, 1)).unwrap();
+        let pm = plane.poll(1, true, cx).expect("the co-location move");
+        assert_eq!(pm.kind, MigrationKind::HotShard);
+        assert_eq!(plane.sched.in_flight.as_ref().unwrap().kind, merge(0, 1));
+
+        // While its plan runs: overlapping operators are refused, others
+        // wait, and a waiting operator past its expiry is dropped.
+        assert!(plane.sched.admit(1, migrate(1)).is_none());
+        plane.sched.admit(1, migrate(2)).unwrap();
+        assert!(plane.poll(5, false, cx).is_none());
+        assert_eq!(plane.sched.pending.len(), 1);
+        assert!(plane.poll(15, false, cx).is_none());
+        assert_eq!(cx.counters.hotshard_expired, 1);
+        plane.sched.admit(15, merge(2, 3)).unwrap();
+        assert!(plane.poll(20, false, cx).is_none(), "the executor is busy");
+        assert_eq!(plane.sched.pending.len(), 1);
+
+        // The plan leaves: the next idle poll starts the waiting merge.
+        plane.plan_finished();
+        assert!(plane.sched.in_flight.is_none());
+        assert!(plane.poll(21, true, cx).is_some());
+        assert_eq!(plane.sched.in_flight.as_ref().unwrap().kind, merge(2, 3));
+        assert!(plane.sched.pending.is_empty());
+
+        // A crash mid-plan cancels the in-flight and the waiting operator.
+        plane.sched.admit(22, migrate(4)).unwrap();
+        plane.on_crash(m1, cx.counters, cx.obs);
+        assert!(plane.sched.in_flight.is_none() && plane.sched.pending.is_empty());
+        assert_eq!(cx.counters.hotshard_cancelled, 2);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! repeated flags, switches given an `=value`, and bare positional words
 //! are all hard errors — a typo must never be silently ignored.
 
+use resource_exchange::cluster::{CrashSpec, SpikeSpec};
 use std::collections::HashMap;
 use std::io::Write;
 
@@ -151,6 +152,38 @@ pub fn get_or<'a>(args: &'a Args, key: &str, default: &'a str) -> &'a str {
 pub fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("cannot parse `{s}` as {what}"))
+}
+
+/// The closed loop's fault flags, shared by `simulate` and `converge`:
+/// `--crash-at T [--crash-machine M] [--recover-at T]` and `--spike-at T
+/// [--spike-duration N] [--spike-factor F] [--spike-fraction F]`. The
+/// commands differ only in their spike duration and factor defaults.
+pub fn fault_flags(
+    args: &Args,
+    spike_duration: &str,
+    spike_factor: &str,
+) -> Result<(Option<CrashSpec>, Option<SpikeSpec>), String> {
+    let crash = match args.get("crash-at") {
+        Some(at) => Some(CrashSpec {
+            at_tick: parse(at, "u64")?,
+            machine: parse::<u32>(get_or(args, "crash-machine", "0"), "u32")? as usize,
+            recover_at_tick: args
+                .get("recover-at")
+                .map(|v| parse(v, "u64"))
+                .transpose()?,
+        }),
+        None => None,
+    };
+    let spike = match args.get("spike-at") {
+        Some(at) => Some(SpikeSpec {
+            at_tick: parse(at, "u64")?,
+            duration_ticks: parse(get_or(args, "spike-duration", spike_duration), "u64")?,
+            factor: parse(get_or(args, "spike-factor", spike_factor), "f64")?,
+            shard_fraction: parse(get_or(args, "spike-fraction", "0.1"), "f64")?,
+        }),
+        None => None,
+    };
+    Ok((crash, spike))
 }
 
 #[cfg(test)]

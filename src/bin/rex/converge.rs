@@ -1,12 +1,12 @@
 //! `rex converge`: one scenario through both engines, checked against
 //! each other.
 
-use crate::cli::{get, get_or, has, parse, write_artifact, Args, Command, Error};
+use crate::cli::{fault_flags, get, get_or, has, parse, write_artifact, Args, Command, Error};
 use crate::cli::{SEED_FLAG, SYNTH_FLAGS, WORKLOAD_FLAGS};
 use crate::inputs::{synth_instance, workload_inputs};
-use resource_exchange::cluster::{CrashSpec, ScenarioSpec, SpikeSpec, SraSpec, WorkloadSpec};
+use resource_exchange::cluster::{ScenarioSpec, SraSpec, WorkloadSpec};
 use resource_exchange::obs::Recorder;
-use resource_exchange::router::PolicyKind;
+use resource_exchange::router::{PolicyKind, RouterConfig};
 use resource_exchange::runtime::{trace, RuntimeConfig, Simulation};
 use resource_exchange::workload::synthetic::{Placement, SynthConfig};
 use std::io::Write;
@@ -79,11 +79,14 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
         )
         .into());
     }
+    // What the event engine's router cannot run (more work in flight than
+    // it holds) is an input error, checked before either engine is built.
+    let policy = get_or(args, "policy", "round_robin").parse::<PolicyKind>()?;
+    RouterConfig::from_scenario(&w.scenario, policy).validate()?;
     // A crash naming a machine past the fleet is an input error; the event
     // engine below lowers the same, now checked, configuration.
     let cfg = RuntimeConfig::from_workload(&w, inst.n_machines());
     let mut tick_sim = Simulation::try_new(inst.clone(), cfg)?;
-    let policy = get_or(args, "policy", "round_robin").parse::<PolicyKind>()?;
     let mut event_sim =
         Simulation::from_workload_event(inst.clone(), &w, policy, has(args, "ewma"));
     if let Some(script) = replay {
@@ -149,24 +152,7 @@ fn flag_spec(args: &Args) -> Result<ScenarioSpec, String> {
         seed: parse(get_or(args, "seed", "42"), "u64")?,
         ..Default::default()
     };
-    if args.contains_key("spike-at") {
-        spec.spike = Some(SpikeSpec {
-            at_tick: parse(get(args, "spike-at")?, "u64")?,
-            duration_ticks: parse(get_or(args, "spike-duration", "200"), "u64")?,
-            factor: parse(get_or(args, "spike-factor", "2"), "f64")?,
-            shard_fraction: parse(get_or(args, "spike-fraction", "0.1"), "f64")?,
-        });
-    }
-    if args.contains_key("crash-at") {
-        spec.crash = Some(CrashSpec {
-            at_tick: parse(get(args, "crash-at")?, "u64")?,
-            machine: parse(get_or(args, "crash-machine", "0"), "usize")?,
-            recover_at_tick: args
-                .get("recover-at")
-                .map(|v| parse(v, "u64"))
-                .transpose()?,
-        });
-    }
+    (spec.crash, spec.spike) = fault_flags(args, "200", "2")?;
     if args.contains_key("sra-every") {
         spec.sra = Some(SraSpec {
             every_ticks: parse(get(args, "sra-every")?, "u64")?,

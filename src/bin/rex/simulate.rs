@@ -1,7 +1,7 @@
 //! `rex simulate`: the closed-loop runtime, from the scenario flags or
 //! from the workload plane.
 
-use crate::cli::{get, get_or, has, parse, write_artifact, Args, Command, Error};
+use crate::cli::{fault_flags, get_or, has, parse, write_artifact, Args, Command, Error};
 use crate::cli::{SEED_FLAG, SYNTH_FLAGS, WORKLOAD_FLAGS};
 use crate::inputs::{synth_instance, trace_recorder, workload_inputs};
 use resource_exchange::cluster::Instance;
@@ -43,25 +43,9 @@ pub const COMMAND: Command = Command {
 /// The flag-built runtime configuration of `simulate`: faults, drift,
 /// controller policy and the hot-shard plane from the scenario flags.
 fn flag_config(args: &Args, seed: u64, inst: &Instance) -> Result<RuntimeConfig, String> {
-    let mut faults = Vec::new();
-    if args.contains_key("crash-at") {
-        faults.push(FaultSpec::Crash {
-            at: parse(get(args, "crash-at")?, "u64")?,
-            machine: parse(get_or(args, "crash-machine", "0"), "u32")?,
-            recover_at: args
-                .get("recover-at")
-                .map(|v| parse(v, "u64"))
-                .transpose()?,
-        });
-    }
-    if args.contains_key("spike-at") {
-        faults.push(FaultSpec::Spike {
-            at: parse(get(args, "spike-at")?, "u64")?,
-            duration: parse(get_or(args, "spike-duration", "300"), "u64")?,
-            factor: parse(get_or(args, "spike-factor", "1.5"), "f64")?,
-            shard_fraction: parse(get_or(args, "spike-fraction", "0.1"), "f64")?,
-        });
-    }
+    let (crash, spike) = fault_flags(args, "300", "1.5")?;
+    let faults = crash.map(FaultSpec::from).into_iter();
+    let faults = faults.chain(spike.map(FaultSpec::from)).collect();
     // Demand drift is on by default (the closed loop exists because demand
     // moves); --no-drift isolates fault handling from drift.
     let drift = if has(args, "no-drift") {

@@ -347,6 +347,124 @@ fn bad_drains_and_the_old_trace_command_exit_1() {
     assert!(err.starts_with("error: unknown command `trace`\n"), "{err}");
 }
 
+/// Runs `rex` on `words`; what it wrote to stderr, after checking that it
+/// is one `error:` line and the exit status 1 (a panic exits 101).
+fn rex_error(words: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rex"))
+        .args(words)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{words:?}: {err}");
+    assert!(
+        err.starts_with("error: ") && err.lines().count() == 1,
+        "{err}"
+    );
+    err
+}
+
+/// Closed-loop inputs the engines cannot run are input errors, checked
+/// before either engine is built: a `converge` rate beyond the router's
+/// in-flight cap, spike spans whose microseconds overflow a `u64` (from
+/// flags, and from a workload file whose lowering would wrap to a 384 µs
+/// crowd), and a zero-length `simulate` spike.
+#[test]
+fn closed_loop_inputs_the_engines_cannot_run_exit_1() {
+    let err = rex_error(&["converge", "--qps", "1e12", "--ticks", "10", "--quiet"]);
+    assert!(err.contains("in flight than the router holds"), "{err}");
+    let long = "18446744073709551615";
+    let err = rex_error(&[
+        "converge",
+        "--spike-at",
+        "10",
+        "--spike-duration",
+        long,
+        "--ticks",
+        "100",
+        "--quiet",
+    ]);
+    assert!(err.contains("overflows the microsecond clock"), "{err}");
+    let dir = std::env::temp_dir().join(format!("rex-clock-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("wrap.json");
+    std::fs::write(
+        &spec,
+        r#"{"scenario": {"ticks": 200, "tick_us": 1000, "qps_per_tick": 4.0,
+            "fanout": 4, "base_service_us": 100.0, "rho_max": 0.95,
+            "seed": 3, "crash": null, "sra": null,
+            "spike": {"at_tick": 10, "duration_ticks": 18446744073709552,
+                      "factor": 2.0, "shard_fraction": 0.1}}}"#,
+    )
+    .unwrap();
+    for command in ["converge", "route"] {
+        let err = rex_error(&[command, "--workload", spec.to_str().unwrap(), "--quiet"]);
+        assert!(err.contains("overflows the microsecond clock"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let err = rex_error(&[
+        "simulate",
+        "--spike-at",
+        "10",
+        "--spike-duration",
+        "0",
+        "--quiet",
+    ]);
+    assert_eq!(err, "error: spike duration must be positive\n");
+}
+
+/// `rex verify` of a solution longer than its instance names the
+/// solution's length, not the instance's.
+#[test]
+fn verify_names_the_length_of_a_wrong_placement() {
+    let dir = std::env::temp_dir().join(format!("rex-verify-length-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let rex = |words: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rex"))
+            .args(words)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    for (name, shards) in [("i40.json", "40"), ("i30.json", "30")] {
+        let gen = [
+            "generate",
+            "--machines",
+            "4",
+            "--exchange",
+            "1",
+            "--shards",
+            shards,
+        ];
+        rex(&[&gen[..], &["--out", &path(name)]].concat());
+    }
+    rex(&[
+        "solve",
+        "--inst",
+        &path("i40.json"),
+        "--iters",
+        "300",
+        "--out",
+        &path("s40.json"),
+    ]);
+    let err = rex_error(&[
+        "verify",
+        "--inst",
+        &path("i30.json"),
+        "--solution",
+        &path("s40.json"),
+    ]);
+    assert_eq!(
+        err,
+        "error: placement has 40 entries, instance has 30 shards\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that closes the pipe (`rex solve … | head -1`, `| true`) ends
 /// `rex` with status 0 and nothing on stderr: the write that finds stdout
 /// closed stops the run instead of panicking with exit 101.
